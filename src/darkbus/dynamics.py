@@ -23,7 +23,8 @@ Three solvers live here, and they deliberately overlap so they can be used
 to cross-check each other:
 
 * :func:`langevin_solve` -- exact classical amplitude trajectories,
-* :func:`lindblad_evolve` -- fixed-step RK4 density-matrix integration,
+* :func:`lindblad_evolve` -- exact density-matrix propagation under the
+  Liouvillian (matrix-free, with no step size to choose),
 * the coherent-superposition engine (:class:`CoherentSuperposition`) --
   exact quantum evolution for superpositions of coherent states, with no
   Fock truncation at all.  Linear collapse operators plus a passive
@@ -34,13 +35,16 @@ to cross-check each other:
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
+import scipy.sparse.linalg
 
 from . import hilbert
 from .hilbert import HilbertSpace, NumericalError, Operator, QuantumState
@@ -115,7 +119,7 @@ class SystemParams:
 
 @dataclass
 class TimeGrid:
-    """Strictly increasing output times in seconds (not the RK4 step)."""
+    """Strictly increasing output times in seconds."""
 
     times: np.ndarray
 
@@ -328,7 +332,7 @@ def auto_dump_time(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> f
 
 
 # ---------------------------------------------------------------------------
-# Lindblad master equation, fixed-step RK4
+# Lindblad master equation, exact Liouvillian propagation
 # ---------------------------------------------------------------------------
 
 
@@ -340,12 +344,50 @@ class EvolveResult:
     expect: np.ndarray | None = None  # shape (n_eops, n_times)
 
 
-def default_timestep(rates, grid_dt: float, steps_per_rate: int = 50) -> float:
-    """dt = min(1 / (steps_per_rate * max angular rate), grid spacing)."""
-    rmax = max(abs(r) for r in rates if r is not None)
-    if rmax <= 0:
-        return grid_dt
-    return min(1.0 / (steps_per_rate * rmax), grid_dt)
+def _lindblad_action(k_op, cs):
+    """v -> vec(K r + r K^dag + sum_c c r c^dag), r = v as a dim x dim matrix.
+
+    Linear in r for any r, Hermitian or not (the norm estimates inside
+    ``expm_multiply`` probe the operator with arbitrary vectors).  With
+    K -> K^dag and c -> c^dag the same map is the adjoint.  Right products
+    go through r^T, since r X^dag = (conj(X) r^T)^T.
+    """
+    dim = k_op.shape[0]
+    k_bar = k_op.conj()
+    c_pairs = [(c, c.conj()) for c in cs]
+
+    def act(v):
+        r = v.reshape(dim, dim)
+        rt = np.ascontiguousarray(r.T)
+        out = k_op @ r
+        out += (k_bar @ rt).T
+        for c, c_bar in c_pairs:
+            out += c @ np.ascontiguousarray((c_bar @ rt).T)
+        return out.ravel()
+
+    return act
+
+
+_GLOBAL_RNG_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _fixed_global_rng():
+    """Run a block on numpy's global RNG seeded with 0, then restore it.
+
+    ``expm_multiply`` estimates operator norms with ``onenormest``, which
+    draws its probe vectors from the global RNG.  Different draws can pick a
+    different truncation and move the last bits of the result, so without
+    this the output would depend on whatever the caller did with
+    ``np.random`` before.  The caller's random stream is left untouched.
+    """
+    with _GLOBAL_RNG_LOCK:
+        saved = np.random.get_state()
+        np.random.seed(0)
+        try:
+            yield
+        finally:
+            np.random.set_state(saved)
 
 
 def lindblad_evolve(
@@ -353,11 +395,10 @@ def lindblad_evolve(
     c_ops,
     state0,
     grid: TimeGrid,
-    dt: float | None = None,
     e_ops=None,
     store_states: bool = False,
 ) -> EvolveResult:
-    """Integrate drho/dt = -i[H, rho] + sum_k D[c_k] rho with fixed-step RK4.
+    """Propagate drho/dt = -i[H, rho] + sum_k D[c_k] rho exactly between grid times.
 
     Parameters
     ----------
@@ -367,61 +408,51 @@ def lindblad_evolve(
     state0:
         QuantumState or raw ket / density matrix.
     grid:
-        Output times.  The integrator subdivides each interval into uniform
-        RK4 steps of at most ``dt``.
-    dt:
-        Step bound in seconds.  When omitted it falls back to
-        1/(50 * max rate) estimated from operator norms, which is safe but
-        pessimistic for big spaces; callers that know their physical rates
-        should pass the step explicitly.
+        Output times.  Each interval is one application of the propagator
+        exp(L dt) to the vectorized state.
     e_ops:
         Optional operators whose expectation values are recorded at grid
         times (cheaper than storing states).
     store_states:
         Keep a dense copy of rho at every grid time.  Mind the memory.
 
-    The RK4 right-hand side is written as K rho + (K rho)^dag + sum c (c rho)^dag
-    with K = -iH - (1/2) sum c^dag c, which preserves hermiticity exactly and
-    the trace to floating-point roundoff (the update has zero trace
-    analytically, so no renormalization is applied -- trace drift is a real
-    error signal, not something to hide).
+    The Liouvillian L rho = K rho + rho K^dag + sum c rho c^dag, with
+    K = -iH - (1/2) sum c^dag c, is applied matrix-free: the dim^2 x dim^2
+    superoperator is never assembled.  ``scipy.sparse.linalg.expm_multiply``
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) picks its
+    truncation from norm estimates to double precision, so there is no step
+    size to choose.  It is given the exact trace of L,
+    2 dim Re Tr K + sum |Tr c|^2, and a fixed draw for its norm estimates,
+    so the result does not depend on numpy's global RNG.  No renormalization
+    is applied -- trace drift is a real error signal, not something to hide.
     """
-    hm = hilbert.as_matrix(h)
-    cs = [hilbert.as_matrix(c) for c in (c_ops or [])]
+    hm = scipy.sparse.csr_matrix(hilbert.as_matrix(h), dtype=complex)
+    cs = [scipy.sparse.csr_matrix(hilbert.as_matrix(c), dtype=complex) for c in (c_ops or [])]
     space = getattr(h, "space", None) or getattr(state0, "space", None)
     dim = hm.shape[0]
 
-    dense = dim <= 128
-    def prep(m):
-        if dense:
-            return m.toarray() if scipy.sparse.issparse(m) else np.asarray(m, complex)
-        return scipy.sparse.csr_matrix(m, dtype=complex)
-
-    hm = prep(hm)
-    cs = [prep(c) for c in cs]
     k_op = -1j * hm
     for c in cs:
         k_op = k_op - 0.5 * (c.conj().T @ c)
+    k_op = k_op.tocsr()
+    k_adj = k_op.conj().T.tocsr()
+    c_adj = [c.conj().T.tocsr() for c in cs]
+    liouvillian = scipy.sparse.linalg.LinearOperator(
+        (dim * dim, dim * dim),
+        matvec=_lindblad_action(k_op, cs),
+        rmatvec=_lindblad_action(k_adj, c_adj),
+        dtype=complex,
+    )
+    trace_l = 2 * dim * k_op.diagonal().sum().real + sum(
+        abs(c.diagonal().sum()) ** 2 for c in cs
+    )
 
     rho = hilbert.as_dm(state0).astype(complex)
     if rho.shape != (dim, dim):
         raise ValueError("state does not match the Hamiltonian dimension")
 
-    if dt is None:
-        hnorm = np.abs(hm).sum(axis=1).max() if dense else np.abs(hm).sum(axis=1).max()
-        cnorm = max((np.abs(c).sum(axis=1).max() ** 2 for c in cs), default=0.0)
-        dt = default_timestep([float(hnorm), float(cnorm)], grid.dt)
-
-    def rhs(r):
-        kr = k_op @ r
-        out = kr + kr.conj().T
-        for c in cs:
-            cr = c @ r
-            out = out + c @ cr.conj().T
-        return out
-
     times = grid.times
-    e_mats = [prep(hilbert.as_matrix(e)) for e in (e_ops or [])]
+    e_mats = [scipy.sparse.csr_matrix(hilbert.as_matrix(e)) for e in (e_ops or [])]
     expect_rec = np.empty((len(e_mats), len(times)), dtype=complex) if e_mats else None
     states = [] if store_states else None
 
@@ -432,22 +463,18 @@ def lindblad_evolve(
         if states is not None:
             states.append(QuantumState(r.copy(), space) if space else r.copy())
 
-    t_prev = times[0]
     record(0, rho)
-    for i, t_next in enumerate(times[1:], start=1):
-        span = t_next - t_prev
-        n_steps = max(1, math.ceil(span / dt))
-        h_step = span / n_steps
-        for _ in range(n_steps):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * h_step * k1)
-            k3 = rhs(rho + 0.5 * h_step * k2)
-            k4 = rhs(rho + h_step * k3)
-            rho = rho + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(rho).all():
-            raise NumericalError(f"dynamics: master-equation integration diverged at t={t_next}")
-        record(i, rho)
-        t_prev = t_next
+    with _fixed_global_rng():
+        for i, span in enumerate(np.diff(times), start=1):
+            vec = scipy.sparse.linalg.expm_multiply(
+                span * liouvillian, rho.ravel(), traceA=span * trace_l
+            )
+            rho = vec.reshape(dim, dim)
+            if not np.isfinite(rho).all():
+                raise NumericalError(
+                    f"dynamics: master-equation propagation diverged at t={times[i]}"
+                )
+            record(i, rho)
 
     final = QuantumState(rho, space) if space else QuantumState(rho, HilbertSpace((dim,)))
     return EvolveResult(times=times, final=final, states=states, expect=expect_rec)
@@ -465,29 +492,19 @@ class TransferResult:
     eta: float
 
 
-def _transfer_eta(g_ang, kappa_ang, t1, t2, dims):
+def _transfer_eta(g_ang, kappa_ang, t1, t2):
     """<n_cav2> after sequential swap cav1->bus (t1) then bus->cav2 (t2).
 
-    One photon in a passive network: the single-excitation sector is exact,
-    so tiny truncations suffice.
+    One photon in a passive lossy network: its amplitudes follow the labels
+    of the linear propagator and a lost photon leaves vacuum behind, so
+    eta = |(E2 E1)[cav2, cav1]|^2 is exact.
     """
-    space = HilbertSpace(dims, MODE_LABELS)
-    a1 = hilbert.destroy(dims[0])
-    ab = hilbert.destroy(dims[1])
-    a2 = hilbert.destroy(dims[2])
-    h1 = hilbert.embed(space, {"cav1": a1, "bus": ab.conj().T}, sparse=True).matrix
-    h1 = g_ang * (h1 + h1.conj().T)
-    h2 = hilbert.embed(space, {"cav2": a2, "bus": ab.conj().T}, sparse=True).matrix
-    h2 = g_ang * (h2 + h2.conj().T)
-    c_ops = []
-    if kappa_ang > 0:
-        c_ops = [math.sqrt(kappa_ang) * hilbert.embed(space, {"bus": ab}, sparse=True).matrix]
-    psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(dims[0], 1)})
-    dt = default_timestep([g_ang, kappa_ang], math.inf)
-    r1 = lindblad_evolve(h1, c_ops, psi0, TimeGrid(np.array([0.0, t1])), dt=dt)
-    r2 = lindblad_evolve(h2, c_ops, r1.final, TimeGrid(np.array([0.0, t2])), dt=dt)
-    n2 = hilbert.embed(space, {"cav2": hilbert.number(dims[2])}, sparse=True)
-    return float(np.real(hilbert.expect(n2, r2.final)))
+    stage1 = np.array([[0, g_ang, 0], [g_ang, 0, 0], [0, 0, 0]], dtype=complex)
+    stage2 = np.array([[0, 0, 0], [0, 0, g_ang], [0, g_ang, 0]], dtype=complex)
+    gammas = (0.0, kappa_ang, 0.0)
+    e1, _ = linear_propagator(stage1, gammas, t1)
+    e2, _ = linear_propagator(stage2, gammas, t2)
+    return float(abs((e2 @ e1)[2, 0]) ** 2)
 
 
 def transfer_efficiency(
@@ -495,7 +512,6 @@ def transfer_efficiency(
     kappa_b: float,
     t1: float | None = None,
     t2: float | None = None,
-    dims: tuple[int, int, int] = (2, 2, 2),
 ) -> TransferResult:
     """Photon transfer cav1 -> bus -> cav2 by sequential timed swaps.
 
@@ -511,7 +527,7 @@ def transfer_efficiency(
     k = TWO_PI * kappa_b
 
     if t1 is not None and t2 is not None:
-        return TransferResult(t1, t2, _transfer_eta(g, k, t1, t2, dims))
+        return TransferResult(t1, t2, _transfer_eta(g, k, t1, t2))
 
     # analytic optimum of the per-stage amplitude as the starting point
     nu = np.sqrt(complex(g**2 - (k / 4) ** 2))
@@ -523,7 +539,7 @@ def transfer_efficiency(
     def neg_eta(x):
         if x[0] <= 0 or x[1] <= 0:
             return 0.0
-        return -_transfer_eta(g, k, x[0], x[1], dims)
+        return -_transfer_eta(g, k, x[0], x[1])
 
     res = scipy.optimize.minimize(
         neg_eta,

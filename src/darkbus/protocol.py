@@ -16,7 +16,7 @@ Sequence being modeled:
 Since bus and cavity loss are linear and the dump Hamiltonian is passive,
 the entire pre-measurement evolution is solved exactly by the
 coherent-superposition engine in :mod:`.dynamics` -- four coherent
-components, no Fock truncation, milliseconds of work.  The RK4
+components, no Fock truncation, milliseconds of work.  The master-equation
 density-matrix engine is kept behind ``engine="lindblad"`` as an
 independent cross-check at reduced truncations.
 """
@@ -377,8 +377,8 @@ def run_dmm(
     engine:
         "coherent" -- exact, truncation-free propagation of the four-component
         coherent superposition (the default; fast at any dims);
-        "lindblad" -- RK4 master-equation integration at params.dims, kept as
-        an independent cross-check (slow; use reduced dims).
+        "lindblad" -- exact master-equation propagation at params.dims, kept
+        as an independent cross-check (cost grows as dim^2; use reduced dims).
     include_kerr:
         Add the self-Kerr Hamiltonian during the dump window.  Only the
         lindblad engine can do this (Kerr breaks the coherent-superposition
@@ -447,16 +447,13 @@ def run_dmm(
                 space,
             )
         c_ops = dynamics.collapse_operators(space, params, cavity_loss=cavity_loss)
-        dt = dynamics.default_timestep(
-            [params.g_ang, params.kappa_ang, *params.gamma_cavity], math.inf
-        )
         state = psi0
         h_zero = hilbert.Operator(0.0 * space.identity(sparse=True), space)
         for h, t in ((h_zero, params.t_pump), (h_dump, t_dump), (h_zero, t_post)):
             if t <= 0:
                 continue
             state = dynamics.lindblad_evolve(
-                h, c_ops, state, TimeGrid(np.array([0.0, t])), dt=dt
+                h, c_ops, state, TimeGrid(np.array([0.0, t]))
             ).final
         pair_state = state.ptrace(("cav1", "cav2"))
         p_out, states_out, sector_probs = vacuum_check(pair_state, check)
@@ -824,9 +821,8 @@ def dual_rail_dmm(
             )
         ]
     psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(dims[0], 1)})
-    dt = dynamics.default_timestep([dynamics.TWO_PI * g_bs, kappa_ang], math.inf)
     grid = TimeGrid(np.array([0.0, 0.9 * t_final, t_final]))
-    res = dynamics.lindblad_evolve(h, c_ops, psi0, grid, dt=dt, store_states=True)
+    res = dynamics.lindblad_evolve(h, c_ops, psi0, grid, store_states=True)
     rho_pair = res.final.ptrace(("cav1", "cav2"))
     rho_earlier = res.states[1].ptrace(("cav1", "cav2"))
     td_conv = hilbert.trace_distance(rho_pair, rho_earlier)

@@ -1,11 +1,13 @@
 """Solvers and damping-regime analysis of the cavity-bus-cavity network.
 
-The three engines (Langevin amplitudes, RK4 Lindblad, exact coherent
-superpositions) deliberately overlap; the cross-checks here is where that
-redundancy pays off.
+The three engines (Langevin amplitudes, Lindblad master equation, exact
+coherent superpositions) deliberately overlap; the cross-checks here is
+where that redundancy pays off.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -208,13 +210,37 @@ def test_lindblad_preserves_trace_and_hermiticity():
     assert np.linalg.eigvalsh(rho).min() > -1e-9
 
 
-def test_lindblad_step_doubling_convergence():
-    """Halving the step changes the final state by < 1e-7 (RK4 is O(dt^4))."""
+def test_lindblad_semigroup():
+    """exp(L t) = exp(L t/2) exp(L t/2): one interval or two, same state."""
     h, c_ops, psi0 = _small_system()
-    grid = TimeGrid(np.array([0.0, 2e-6]))
-    r1 = dynamics.lindblad_evolve(h, c_ops, psi0, grid, dt=4e-9)
-    r2 = dynamics.lindblad_evolve(h, c_ops, psi0, grid, dt=2e-9)
-    assert hilbert.trace_distance(r1.final, r2.final) < 1e-7
+    t = 2e-6
+    r1 = dynamics.lindblad_evolve(h, c_ops, psi0, TimeGrid(np.array([0.0, t])))
+    r2 = dynamics.lindblad_evolve(h, c_ops, psi0, TimeGrid(np.array([0.0, t / 2, t])))
+    assert hilbert.trace_distance(r1.final, r2.final) < 1e-10
+
+
+def test_lindblad_threads_keep_results_and_caller_rng():
+    """Concurrent propagations match the sequential result bit for bit and
+    hand the caller's global random stream back untouched."""
+    h, c_ops, psi0 = _small_system()
+    grid = TimeGrid(np.array([0.0, 1e-6]))
+    expected = dynamics.lindblad_evolve(h, c_ops, psi0, grid).final.dm()
+    np.random.seed(7)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            futures = [
+                ex.submit(dynamics.lindblad_evolve, h, c_ops, psi0, grid) for _ in range(16)
+            ]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    draw = np.random.random()
+    np.random.seed(7)
+    assert draw == np.random.random()
+    for res in results:
+        assert np.array_equal(res.final.dm(), expected)
 
 
 def test_lindblad_no_loss_stays_pure():
@@ -274,6 +300,35 @@ def test_transfer_monotone_in_loss():
     eta_low = dynamics.transfer_efficiency(G, 300e3).eta
     eta_high = dynamics.transfer_efficiency(G, 1200e3).eta
     assert eta_low > eta_high
+
+
+def _transfer_eta_master_equation(kappa_b, t1, t2):
+    """<n_cav2> after the two timed swaps, by the Lindblad oracle at (2, 2, 2)."""
+    space = hilbert.HilbertSpace((2, 2, 2), dynamics.MODE_LABELS)
+    a = hilbert.destroy(2)
+    g = 2 * math.pi * G
+
+    def swap(cav):
+        m = hilbert.embed(space, {cav: a, "bus": a.conj().T}, sparse=True).matrix
+        return g * (m + m.conj().T)
+
+    c_ops = []
+    if kappa_b > 0:
+        b = hilbert.embed(space, {"bus": a}, sparse=True).matrix
+        c_ops = [math.sqrt(2 * math.pi * kappa_b) * b]
+    psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(2, 1)})
+    r1 = dynamics.lindblad_evolve(swap("cav1"), c_ops, psi0, TimeGrid(np.array([0.0, t1])))
+    r2 = dynamics.lindblad_evolve(swap("cav2"), c_ops, r1.final, TimeGrid(np.array([0.0, t2])))
+    n2 = hilbert.embed(space, {"cav2": hilbert.number(2)}, sparse=True)
+    return float(np.real(hilbert.expect(n2, r2.final)))
+
+
+@pytest.mark.parametrize("kappa_b", [0.0, 600e3, dynamics.critical_kappa(G)])
+def test_transfer_closed_form_matches_master_equation(kappa_b):
+    """|(E2 E1)[cav2, cav1]|^2 against the single-photon master equation."""
+    for t1, t2 in ((0.3e-6, 0.5e-6), (1.0e-6, 1.0e-6), (2.2e-6, 0.7e-6)):
+        eta = dynamics.transfer_efficiency(G, kappa_b, t1=t1, t2=t2).eta
+        assert eta == pytest.approx(_transfer_eta_master_equation(kappa_b, t1, t2), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +407,7 @@ def test_coherent_vs_lindblad_cross_check():
     space = hilbert.HilbertSpace(dims, dynamics.MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
     # alpha small enough that the dim-8 Fock tail (the dominant discrepancy
-    # between the truncation-free dyad engine and the truncated RK4 one)
+    # between the truncation-free dyad engine and the truncated Lindblad one)
     # stays below the comparison threshold
     alpha = 0.5
     t = 1.1e-6
@@ -378,7 +433,7 @@ def test_coherent_vs_lindblad_cross_check():
         dynamics.propagate_coherent(sup, e, q), dims
     )
 
-    # RK4 engine
+    # master-equation engine
     k1 = hilbert.coherent(dims[0], alpha, normalized=False)
     kp = hilbert.coherent(dims[2], alpha, normalized=False)
     km = hilbert.coherent(dims[2], -alpha, normalized=False)
@@ -387,7 +442,7 @@ def test_coherent_vs_lindblad_cross_check():
     h = dynamics.coupling_hamiltonian(space, G)
     c_ops = dynamics.collapse_operators(space, params)
     res = dynamics.lindblad_evolve(
-        h, c_ops, hilbert.QuantumState(psi, space), TimeGrid(np.array([0.0, t])), dt=2e-9
+        h, c_ops, hilbert.QuantumState(psi, space), TimeGrid(np.array([0.0, t]))
     )
     # the coherent result is normalized in the full space; the truncated
     # materialization loses a little tail mass, so compare after norming
@@ -406,13 +461,6 @@ def test_propagator_weights_bounded(alpha, kappa):
     )
     out = dynamics.propagate_coherent(sup, e, q)
     assert np.all(np.abs(out.weights) <= 1 + 1e-12)
-
-
-def test_default_timestep():
-    assert dynamics.default_timestep([2 * math.pi * 1e6], math.inf) == pytest.approx(
-        1 / (50 * 2 * math.pi * 1e6)
-    )
-    assert dynamics.default_timestep([0.0], 1e-7) == 1e-7
 
 
 def test_grid_validation():

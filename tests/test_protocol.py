@@ -179,7 +179,7 @@ def test_run_dmm_kerr_needs_lindblad():
 
 
 def test_run_dmm_engine_cross_check():
-    """Lindblad RK4 agrees with the exact dyad propagation."""
+    """The Lindblad engine agrees with the exact dyad propagation."""
     p = SystemParams(
         alpha=0.5, dims=(8, 6, 8), t_pump=0.3e-6, t_dump=1.1e-6, t_protocol=1.4e-6
     )
@@ -190,6 +190,28 @@ def test_run_dmm_engine_cross_check():
     assert lin.p_pass == pytest.approx(coh.p_pass_projective, abs=1e-6)
     assert lin.bell_fidelity == pytest.approx(coh.bell_fidelity, abs=1e-5)
     assert hilbert.trace_distance(lin.rho_pass, coh.rho_pass) < 2e-4
+
+
+def test_run_dmm_lindblad_ignores_global_rng():
+    """The master-equation engine is a pure function of its inputs.
+
+    Its propagator estimates operator norms from random probes; the result
+    must not depend on numpy's global RNG state (with unpinned probes, seed 2
+    moves the last bits), and the caller's random stream must come back
+    untouched.
+    """
+    p = SystemParams(alpha=0.5, dims=(6, 4, 6))
+    runs = []
+    for seed in (0, 1, 2):
+        np.random.seed(seed)
+        res = protocol.run_dmm(p, engine="lindblad")
+        after = np.random.random()
+        np.random.seed(seed)
+        assert after == np.random.random()
+        runs.append((res.p_outcomes, res.bell_fidelity))
+    for p_outcomes, fidelity in runs[1:]:
+        assert p_outcomes == runs[0][0]
+        assert fidelity == runs[0][1]
 
 
 # ---------------------------------------------------------------------------
