@@ -364,7 +364,13 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         f"MLE: fidelity to truth = {f_rec:.4f}, rms residual = {mle.rms_residual:.4f}, "
         f"{mle.n_iter} iterations{'' if mle.converged else ' (iteration cap hit)'}"
     )
-    return {"p_plus": p_plus, "mle_fidelity": f_rec, "mle_iterations": mle.n_iter, "shots": shots}
+    return {
+        "p_plus": p_plus,
+        "mle_fidelity": f_rec,
+        "mle_iterations": mle.n_iter,
+        "mle_converged": mle.converged,
+        "shots": shots,
+    }
 
 
 def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
@@ -419,7 +425,7 @@ def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         rows,
     )
     a_star, best = errorbudget.optimal_alpha(
-        p_decode=float(opts["p_decode"]), p_bright_pass=float(opts["p_bright_pass"])
+        params, p_decode=float(opts["p_decode"]), p_bright_pass=float(opts["p_bright_pass"])
     )
     if ctx.gnuplot:
         ctx.write_text(

@@ -132,10 +132,6 @@ class TimeGrid:
     def linspace(cls, t_final: float, n: int = 201, t_start: float = 0.0) -> "TimeGrid":
         return cls(np.linspace(t_start, t_final, n))
 
-    @property
-    def dt(self) -> float:
-        return float(np.min(np.diff(self.times))) if len(self.times) > 1 else math.inf
-
 
 # ---------------------------------------------------------------------------
 # operator builders

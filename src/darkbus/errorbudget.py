@@ -29,21 +29,20 @@ from scipy.optimize import minimize_scalar
 from .dynamics import SystemParams
 from .protocol import dmm_false_positive
 
-DEFAULT_T_PROTOCOL = 5.592e-6
-DEFAULT_T1 = (385e-6, 520e-6)
 DEFAULT_P_DECODE = 0.017
 DEFAULT_P_BRIGHT_PASS = 0.015
 
 
-def photon_loss_probability(
-    alpha: float, t: float = DEFAULT_T_PROTOCOL, t1: tuple[float, float] = DEFAULT_T1
-) -> float:
+def photon_loss_probability(alpha: float, params: SystemParams | None = None) -> float:
     """Probability of losing at least one photon from either cavity.
 
     First order in t/T1: n_bar * t * (gamma_1 + gamma_2) with
-    n_bar = alpha^2 per cavity.
+    n_bar = alpha^2 per cavity, t = ``params.t_protocol`` and the T1s from
+    ``params.t1_cavity`` (defaults if None).
     """
-    return alpha**2 * t * (1.0 / t1[0] + 1.0 / t1[1])
+    params = params or SystemParams()
+    t1 = params.t1_cavity
+    return alpha**2 * params.t_protocol * (1.0 / t1[0] + 1.0 / t1[1])
 
 
 def dark_pass_probability(alpha: float) -> float:
@@ -132,19 +131,17 @@ class BudgetBreakdown:
 
 def predicted_infidelity(
     alpha: float = math.sqrt(2),
-    t_protocol: float = DEFAULT_T_PROTOCOL,
-    t1: tuple[float, float] = DEFAULT_T1,
     p_decode: float = DEFAULT_P_DECODE,
     p_bright_pass: float = DEFAULT_P_BRIGHT_PASS,
     params: SystemParams | None = None,
 ) -> BudgetBreakdown:
     """Budgeted Bell infidelity at a given cat amplitude.
 
-    ``total`` sums the three dominant terms only; the informational terms
-    are evaluated from ``params`` (defaults if None).
+    ``total`` sums the three dominant terms only.  Photon loss and the
+    informational terms are evaluated from ``params`` (defaults if None).
     """
     params = params or SystemParams()
-    loss = photon_loss_probability(alpha, t_protocol, t1)
+    loss = photon_loss_probability(alpha, params)
     fp = heralded_false_pass(alpha, p_bright_pass)
     return BudgetBreakdown(
         alpha=alpha,
@@ -161,8 +158,7 @@ def predicted_infidelity(
 
 
 def optimal_alpha(
-    t_protocol: float = DEFAULT_T_PROTOCOL,
-    t1: tuple[float, float] = DEFAULT_T1,
+    params: SystemParams | None = None,
     p_decode: float = DEFAULT_P_DECODE,
     p_bright_pass: float = DEFAULT_P_BRIGHT_PASS,
     bounds: tuple[float, float] = (0.3, 3.0),
@@ -173,10 +169,11 @@ def optimal_alpha(
     dark branch's occupation certainty improves, so the total has a single
     interior minimum.
     """
+    params = params or SystemParams()
 
     def total(a):
-        return predicted_infidelity(a, t_protocol, t1, p_decode, p_bright_pass).total
+        return predicted_infidelity(a, p_decode, p_bright_pass, params).total
 
     res = minimize_scalar(total, bounds=bounds, method="bounded", options={"xatol": 1e-10})
     best = float(res.x)
-    return best, predicted_infidelity(best, t_protocol, t1, p_decode, p_bright_pass)
+    return best, predicted_infidelity(best, p_decode, p_bright_pass, params)

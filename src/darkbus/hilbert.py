@@ -230,9 +230,9 @@ def parity(dim: int) -> np.ndarray:
 def displacement(dim: int, beta: complex) -> np.ndarray:
     """D(beta) = expm(beta a† - beta* a) in the truncated space.
 
-    Exact only well below the truncation edge; callers that need displaced
-    operators at large |beta| should build them in a padded space and cut
-    back (see tomography._displaced_parity_stack).
+    Exact only well below the truncation edge.  For matrix elements that
+    stay exact at any |beta| use the closed form behind
+    tomography.displaced_parity, which gives D(2 beta) P entry by entry.
     """
     a = destroy(dim)
     return scipy.linalg.expm(beta * a.conj().T - np.conj(beta) * a)

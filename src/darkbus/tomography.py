@@ -6,12 +6,13 @@ which lives in [-1, 1] (no 2/pi prefactor -- the maps stay directly
 comparable to raw parity contrast).  Everything downstream consumes the
 hermitian kernel M(beta) = D(2 beta) P.
 
-Kernels are built by exponentiating the displacement generator in a padded
-Fock space and truncating back, with the separable split
-D(2x + 2iy) = e^{4ixy} D(2x) D(2iy) so a whole rectangular grid costs one
-1-D expm per axis value instead of one 2-D expm per point.  Padding is
-generous enough that the retained block is exact to ~1e-14 (tests double it
-and compare).
+Kernels are evaluated in closed form from the Cahill-Glauber matrix
+elements of the displacement operator (Phys. Rev. 177, 1857 (1969)),
+vectorized over all grid points; each entry is exact in the truncated
+space, with no padding.  For forward maps and reconstruction the stack of
+kernels becomes one real design matrix over the hermitian coordinates of
+rho, so Tr(M_k rho) for every point is a single matrix-vector product and
+sum_k c_k M_k is its transpose.
 
 Reconstruction is maximum likelihood: diluted R rho R iterations under a
 binomial likelihood when shot counts are available, a PSD-preserving
@@ -26,8 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize
+from scipy.special import eval_genlaguerre, gammaln
 
 from . import codes, hilbert
 from .codes import Codewords, LogicalBasis
@@ -73,46 +74,61 @@ class WignerGrid:
         return (self.re_beta[:, None] + 1j * self.im_beta[None, :]).ravel()
 
 
-def _pad_dim(dim: int, beta_max: float) -> int:
-    # D(2b) routes population up to ~|2b|^2 photons (plus spread) through the
-    # intermediate separable displacements; pad generously past that.
-    return dim + int(math.ceil(4 * beta_max**2 + 12 * beta_max)) + 16
-
-
-_KERNEL_CACHE: dict = {}
-
-
-def displaced_parity(dim: int, beta: complex, pad: int | None = None) -> np.ndarray:
+def displaced_parity(dim: int, beta: complex) -> np.ndarray:
     """The hermitian kernel M(beta) = D(2 beta) P truncated to dim."""
-    return _kernel_stack(dim, np.array([beta]), pad)[0]
+    return _kernel_stack(dim, np.array([beta]))[0]
 
 
-def _kernel_stack(dim: int, betas: np.ndarray, pad: int | None = None) -> np.ndarray:
-    """Stack of M(beta) kernels, shape (len(betas), dim, dim), cached."""
-    betas = np.asarray(betas, dtype=complex)
-    d_pad = pad if pad is not None else _pad_dim(dim, float(np.max(np.abs(betas))) if betas.size else 0.0)
-    key = (dim, d_pad, betas.tobytes())
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _kernel_stack(dim: int, betas: np.ndarray) -> np.ndarray:
+    """Stack of M(beta) kernels, shape (len(betas), dim, dim).
 
-    a = hilbert.destroy(d_pad)
-    gen_re = a.conj().T - a          # expm(x * gen_re) = D(x)
-    gen_im = 1j * (a.conj().T + a)   # expm(y * gen_im) = D(iy)
-    xs = np.unique(betas.real)
-    ys = np.unique(betas.imag)
-    dx = {x: expm(2 * x * gen_re) for x in xs}
-    dy = {y: expm(2 * y * gen_im) for y in ys}
-    par = (-1.0) ** np.arange(d_pad)
-
-    out = np.empty((len(betas), dim, dim), dtype=complex)
-    for k, b in enumerate(betas):
-        x, y = b.real, b.imag
-        # D(2x) D(2iy) = e^{-4ixy} D(2b)
-        m = np.exp(4j * x * y) * (dx[x] @ (dy[y] * par[None, :]))
-        out[k] = m[:dim, :dim]
-    _KERNEL_CACHE[key] = out
+    Cahill-Glauber form: for m >= n and z = 2 beta,
+    <m|D(z)|n> = sqrt(n!/m!) z^(m-n) e^(-|z|^2/2) L_n^(m-n)(|z|^2),
+    and M[m, n] = <m|D(z)|n> (-1)^n.  M is hermitian, so the upper triangle
+    is the conjugate of the lower one.
+    """
+    z = 2 * np.asarray(betas, dtype=complex).reshape(-1, 1)
+    m, n = np.tril_indices(dim)
+    x = np.abs(z) ** 2
+    lower = (
+        np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)) - x / 2)
+        * z ** (m - n)
+        * eval_genlaguerre(n, m - n, x)
+        * (-1.0) ** n
+    )
+    out = np.empty((len(z), dim, dim), dtype=complex)
+    out[:, n, m] = lower.conj()
+    out[:, m, n] = lower
     return out
+
+
+class _ForwardMap:
+    """Tr(M_k rho) over a stack of kernels as one real K x dim^2 matrix.
+
+    The coordinates of a hermitian rho are its diagonal and the real and
+    imaginary parts of its upper triangle; row k holds M_k's diagonal and
+    2 Re, 2 Im of its upper triangle.  The adjoint is the transpose product.
+    """
+
+    def __init__(self, dim: int, betas: np.ndarray):
+        ops = _kernel_stack(dim, betas)
+        self._dim, self._iu = dim, np.triu_indices(dim, 1)
+        upper = 2 * ops[:, self._iu[0], self._iu[1]]
+        self.matrix = np.concatenate([np.einsum("kii->ki", ops).real, upper.real, upper.imag], axis=1)
+
+    def __call__(self, rho: np.ndarray) -> np.ndarray:
+        """Re Tr(M_k rho) for every k: the hermitian part of rho is used."""
+        i, j = self._iu
+        upper = 0.5 * (rho[i, j] + rho[j, i].conj())
+        return self.matrix @ np.concatenate([rho.diagonal().real, upper.real, upper.imag])
+
+    def adjoint(self, c: np.ndarray) -> np.ndarray:
+        """sum_k c_k M_k for real weights c."""
+        v = self.matrix.T @ c
+        d, n = self._dim, len(self._iu[0])
+        h = np.diag(v[:d] / 2).astype(complex)
+        h[self._iu] = (v[d : d + n] + 1j * v[d + n :]) / 2
+        return h + h.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +136,14 @@ def _kernel_stack(dim: int, betas: np.ndarray, pad: int | None = None) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def wigner_map(state, grid: WignerGrid | None = None, pad: int | None = None) -> np.ndarray:
+def wigner_map(state, grid: WignerGrid | None = None) -> np.ndarray:
     """Parity-contrast Wigner map of a single-mode state on a grid."""
     grid = grid or WignerGrid.default()
     rho = hilbert.as_dm(state)
-    ops = _kernel_stack(rho.shape[0], grid.betas, pad)
-    w = np.einsum("kij,ji->k", ops, rho).real
-    return w.reshape(grid.shape)
+    return _ForwardMap(rho.shape[0], grid.betas)(rho).reshape(grid.shape)
 
 
-def joint_wigner(
-    state, betas1, betas2, dims: tuple[int, int] | None = None, pad: int | None = None
-) -> np.ndarray:
+def joint_wigner(state, betas1, betas2, dims: tuple[int, int] | None = None) -> np.ndarray:
     """Two-mode joint parity map W(b1, b2), shape (len(betas1), len(betas2)).
 
     The two displacement axes are independent 1-D arrays of complex points
@@ -147,8 +159,8 @@ def joint_wigner(
             raise ValueError("cannot infer unequal cavity truncations; pass dims")
         dims = (d1, d1)
     d1, d2 = dims
-    m1 = _kernel_stack(d1, betas1, pad)
-    m2 = _kernel_stack(d2, betas2, pad)
+    m1 = _kernel_stack(d1, betas1)
+    m2 = _kernel_stack(d2, betas2)
     rho4 = rho.reshape(d1, d2, d1, d2)
     return np.einsum("ijkl,aki,blj->ab", rho4, m1, m2).real
 
@@ -267,13 +279,7 @@ def _binomial_loglik(p, counts, shots):
     return float(np.sum(counts * np.log(p) + (shots - counts) * np.log1p(-p)))
 
 
-def mle_density(
-    data: WignerData,
-    dim: int,
-    pad: int | None = None,
-    max_iter: int = 2000,
-    tol: float = 1e-10,
-) -> MleResult:
+def mle_density(data: WignerData, dim: int, max_iter: int = 2000, tol: float = 1e-10) -> MleResult:
     """Reconstruct a single-mode density matrix from displaced-parity data.
 
     With shot counts: diluted R rho R fixed-point iteration on the binomial
@@ -284,7 +290,7 @@ def mle_density(
     unconverged (rather than raised) at the iteration cap since a good-enough
     state at the cap is still useful.
     """
-    ops = _kernel_stack(dim, data.betas, pad)
+    forward = _ForwardMap(dim, data.betas)
     eye = np.eye(dim, dtype=complex)
     rho = eye / dim
 
@@ -296,46 +302,41 @@ def mle_density(
     else:
         w_obs = np.asarray(data.value, float)
 
-    def predicted(r):
-        return np.einsum("kij,ji->k", ops, r).real
+    def objective(w):
+        if have_counts:
+            return _binomial_loglik((1 + w) / 2, counts, shots)
+        return -float(np.sum((w - w_obs) ** 2))
 
-    if have_counts:
-        obj = _binomial_loglik((1 + predicted(rho)) / 2, counts, shots)
-    else:
-        obj = -float(np.sum((predicted(rho) - w_obs) ** 2))
-
+    w_pred = forward(rho)
+    obj = objective(w_pred)
     step = 1.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        w_pred = predicted(rho)
         if have_counts:
             p = np.clip((1 + w_pred) / 2, 1e-12, 1 - 1e-12)
             # R = sum_k [ c/p * E+ + (n-c)/(1-p) * E- ],  E+- = (I +- M)/2
             c_plus = counts / p
             c_minus = (shots - counts) / (1 - p)
             r_op = 0.5 * (
-                float(np.sum(c_plus + c_minus)) * eye
-                + np.einsum("k,kij->ij", c_plus - c_minus, ops)
+                float(np.sum(c_plus + c_minus)) * eye + forward.adjoint(c_plus - c_minus)
             )
             r_op /= float(np.sum(shots))
             g = step * r_op + (1 - step) * eye
         else:
-            grad = np.einsum("k,kij->ij", w_obs - w_pred, ops)
+            grad = forward.adjoint(w_obs - w_pred)
             scale = np.linalg.norm(grad)
             g = eye + (step / scale) * grad if scale > 0 else eye
 
         cand = g @ rho @ g.conj().T
         cand = 0.5 * (cand + cand.conj().T)
         cand /= np.real(np.trace(cand))
-        if have_counts:
-            new_obj = _binomial_loglik((1 + predicted(cand)) / 2, counts, shots)
-        else:
-            new_obj = -float(np.sum((predicted(cand) - w_obs) ** 2))
+        w_cand = forward(cand)
+        new_obj = objective(w_cand)
 
         if new_obj >= obj - 1e-15:
             improved = new_obj - obj
-            rho, obj = cand, new_obj
+            rho, obj, w_pred = cand, new_obj, w_cand
             if improved < tol * (1 + abs(obj)):
                 converged = True
                 break
@@ -345,14 +346,12 @@ def mle_density(
                 converged = True  # step exhausted: fixed point to working precision
                 break
 
-    resid = predicted(rho) - w_obs
-    loglik = obj if have_counts else math.nan
     return MleResult(
         rho=rho,
         converged=converged,
         n_iter=it,
-        rms_residual=float(np.sqrt(np.mean(resid**2))),
-        loglik=loglik,
+        rms_residual=float(np.sqrt(np.mean((w_pred - w_obs) ** 2))),
+        loglik=obj if have_counts else math.nan,
     )
 
 

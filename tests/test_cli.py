@@ -66,6 +66,32 @@ def test_error_budget_csv(tmp_path):
     assert m["options"]["n_alpha"] == 7
 
 
+def _photon_loss(out_dir):
+    lines = (out_dir / "error_budget.csv").read_text().splitlines()
+    col = lines[0].split(",").index("photon_loss")
+    return [float(line.split(",")[col]) for line in lines[1:]]
+
+
+def test_error_budget_reads_configured_lifetimes(tmp_path):
+    """The budget follows params: T1 ten times shorter, ten times the loss."""
+    runs = {
+        "base": "",
+        "short_t1": "params:\n  t1_cavity: [38.5e-6, 52.0e-6]\n",
+        "long_window": "params:\n  t_protocol: 11.184e-6\n",
+    }
+    loss, summary = {}, {}
+    for name, params in runs.items():
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(params + "error-budget:\n  n_alpha: 5\n")
+        assert run(["error-budget", "--config", cfg, "--out", tmp_path / name]) == 0
+        loss[name] = _photon_loss(tmp_path / name)
+        summary[name] = read_manifest(tmp_path / name)["summary"]
+    assert loss["short_t1"] == pytest.approx([10 * x for x in loss["base"]], rel=1e-12)
+    assert loss["long_window"] == pytest.approx([2 * x for x in loss["base"]], rel=1e-12)
+    # heavier loss pulls the optimum toward smaller cats
+    assert summary["short_t1"]["optimal_alpha"] < summary["base"]["optimal_alpha"]
+
+
 # ---------------------------------------------------------------------------
 # exit code 2: configuration problems
 # ---------------------------------------------------------------------------
@@ -223,3 +249,16 @@ def test_gnuplot_flag_emits_script(tmp_path):
     assert run(["tomo-demo", "--config", cfg, "--gnuplot", "--out", out]) == 0
     assert (out / "plot.gp").exists()
     assert "plot.gp" in read_manifest(out)["outputs"]
+
+
+def test_tomo_demo_reports_mle_convergence(tmp_path):
+    cfg_capped = tmp_path / "capped.yaml"
+    cfg_capped.write_text(TOMO_CFG)
+    cfg_free = tmp_path / "free.yaml"
+    cfg_free.write_text(TOMO_CFG.replace("max_iter: 60", "max_iter: 20000"))
+    assert run(["tomo-demo", "--config", cfg_capped, "--out", tmp_path / "a"]) == 0
+    assert run(["tomo-demo", "--config", cfg_free, "--out", tmp_path / "b"]) == 0
+    capped = read_manifest(tmp_path / "a")["summary"]
+    free = read_manifest(tmp_path / "b")["summary"]
+    assert capped["mle_converged"] is False and capped["mle_iterations"] == 60
+    assert free["mle_converged"] is True and free["mle_iterations"] < 20000

@@ -466,5 +466,4 @@ def test_propagator_weights_bounded(alpha, kappa):
 def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.0, 1.0]))
-    g = TimeGrid.linspace(1e-6, 11)
-    assert g.dt == pytest.approx(1e-7)
+    assert_allclose(np.diff(TimeGrid.linspace(1e-6, 11).times), 1e-7, rtol=1e-9)

@@ -50,13 +50,68 @@ def test_kernel_matches_laguerre(beta):
     assert_allclose(m, m.conj().T, atol=1e-12)
 
 
-def test_kernel_pad_invariance():
-    """Truncating a well-padded kernel is insensitive to extra padding."""
-    k = hilbert.coherent(10, 1.2)
-    grid = WignerGrid.default(2.0, 0.5)
-    w_default = tomography.wigner_map(k, grid)
-    w_more = tomography.wigner_map(k, grid, pad=10 + 80)
-    assert_allclose(w_default, w_more, atol=1e-12)
+def _cahill_glauber_lower(dim, beta, digits=50):
+    """Lower triangle of M(beta) = D(2 beta) P from the Cahill-Glauber sum in mpmath.
+
+    <m|D(z)|n> = sqrt(n!/m!) z^k e^{-|z|^2/2} sum_j (-1)^j C(m, n-j) |z|^{2j} / j!
+    for m >= n, k = m - n.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        z = 2 * mp.mpc(beta.real, beta.imag)
+        x = abs(z) ** 2
+        fact = [mp.factorial(j) for j in range(dim)]
+        powers = [x**j for j in range(dim)]
+        out = np.zeros((dim, dim), dtype=complex)
+        for m in range(dim):
+            for n in range(m + 1):
+                lag = mp.fsum(
+                    (-1) ** j * mp.binomial(m, n - j) * powers[j] / fact[j] for j in range(n + 1)
+                )
+                v = mp.sqrt(fact[n] / fact[m]) * z ** (m - n) * mp.exp(-x / 2) * lag
+                out[m, n] = complex(v * (-1) ** n)
+    return out
+
+
+def test_kernel_matches_high_precision_at_grid_corners():
+    """Closed-form kernels stay exact at dim 40 where |2 beta|^2 = 32."""
+    ax = WignerGrid.default().re_beta
+    lower = np.tril_indices(40)
+    for beta in (complex(re, im) for re in (ax[0], ax[-1]) for im in (ax[0], ax[-1])):
+        m = tomography.displaced_parity(40, beta)
+        ref = _cahill_glauber_lower(40, beta)
+        assert_allclose(m[lower], ref[lower], rtol=0, atol=1e-13)
+        assert_allclose(m, m.conj().T, rtol=0, atol=0)
+
+
+def test_kernel_truncation_invariance():
+    """Each entry is exact in the truncated space: a larger dim only adds entries."""
+    for beta in (0.0, 0.45 - 1.3j, 2.0 + 2.0j, -2.0 - 1.5j):
+        assert_allclose(
+            tomography.displaced_parity(40, beta)[:12, :12],
+            tomography.displaced_parity(12, beta),
+            rtol=0,
+            atol=1e-15,
+        )
+
+
+def test_forward_map_and_adjoint_match_trace():
+    rng = np.random.default_rng(3)
+    dim = 9
+    betas = WignerGrid.default(2.0, 0.5).betas
+    ops = tomography._kernel_stack(dim, betas)
+    forward = tomography._ForwardMap(dim, betas)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = x @ x.conj().T
+    rho /= np.trace(rho).real
+    want = np.trace(ops @ rho, axis1=1, axis2=2)
+    assert_allclose(want.imag, 0.0, atol=1e-13)
+    assert_allclose(forward(rho), want.real, rtol=0, atol=1e-13)
+    # any input: the real part of the trace, through the hermitian part
+    x /= np.linalg.norm(x)
+    assert_allclose(forward(x), np.trace(ops @ x, axis1=1, axis2=2).real, rtol=0, atol=1e-13)
+    c = rng.normal(size=len(betas))
+    assert_allclose(forward.adjoint(c), np.einsum("k,kij->ij", c, ops), rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
