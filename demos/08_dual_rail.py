@@ -14,7 +14,7 @@ from darkbus import hilbert, protocol
 res = protocol.dual_rail_dmm()
 
 print(f"steady state reached: {res.converged} "
-      f"(trace distance between successive checks {res.trace_distance:.2e})")
+      f"(trace distance to the analytic steady state {res.trace_distance:.2e})")
 print(f"herald probability: {res.p_herald:.6f}  (target 1/8 = 0.125)")
 print(f"post-distillation fidelity to the singlet: {res.fidelity:.9f}")
 

@@ -374,11 +374,15 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    res = protocol.dual_rail_dmm(
-        g_bs=params.g_bs,
-        kappa_b=params.kappa_b,
-        t_final=opts["t_final"],
-    )
+    t_final = opts["t_final"]
+    if t_final is not None:
+        try:
+            t_final = float(t_final)
+        except (TypeError, ValueError):
+            raise ConfigError(f"t_final must be a number of seconds, got {t_final!r}") from None
+        if not 0 < t_final < math.inf:
+            raise ConfigError(f"t_final must be positive and finite, got {t_final}")
+    res = protocol.dual_rail_dmm(g_bs=params.g_bs, kappa_b=params.kappa_b, t_final=t_final)
     ctx.write_csv(
         "dual_rail.csv",
         ["trace_distance", "p_herald", "distilled_fidelity", "converged"],

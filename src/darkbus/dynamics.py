@@ -19,18 +19,24 @@ Unit conventions (documented once, here):
   notebook) and times in seconds;
 * everything internal is angular (rad/s), converted via 2*pi at the door.
 
-Three solvers live here, and they deliberately overlap so they can be used
-to cross-check each other:
+Everything linear goes through one core, :func:`linear_propagator`: the
+3x3 map E = expm((-iA - Gamma/2) t) of mode amplitudes, with A the angular
+coupling (:func:`coupling_matrix` for the full network).  Built on it:
 
 * :func:`langevin_solve` -- exact classical amplitude trajectories,
-* :func:`lindblad_evolve` -- exact density-matrix propagation under the
-  Liouvillian (matrix-free, with no step size to choose),
+  z(t) = E(t) z0;
+* :func:`transfer_efficiency` -- one photon moved by two timed swaps;
 * the coherent-superposition engine (:class:`CoherentSuperposition`) --
   exact quantum evolution for superpositions of coherent states, with no
   Fock truncation at all.  Linear collapse operators plus a passive
   quadratic Hamiltonian keep such superpositions closed under the master
   equation; labels follow the classical flow and each dyad picks up an
   analytically known weight.
+
+:func:`lindblad_evolve` -- exact density-matrix propagation under the
+Liouvillian (matrix-free, with no step size to choose) -- is kept for what
+the linear core cannot do: it is the independent oracle the tests check the
+closed forms against, and the only path that evolves self-Kerr.
 """
 
 from __future__ import annotations
@@ -138,6 +144,13 @@ class TimeGrid:
 # ---------------------------------------------------------------------------
 
 
+def coupling_matrix(g_bs: float) -> np.ndarray:
+    """Angular 3x3 coupling A of H = sum A_kl a_k^dag a_l in mode order
+    (cav1, bus, cav2): each cavity exchanges with the bus at 2pi g_bs."""
+    g = TWO_PI * g_bs
+    return np.array([[0, g, 0], [g, 0, g], [0, g, 0]], dtype=complex)
+
+
 def coupling_hamiltonian(space: HilbertSpace, g_bs: float) -> Operator:
     """H = 2pi g (a1 + a2) b^dag + h.c. as a sparse operator."""
     g = TWO_PI * g_bs
@@ -198,41 +211,25 @@ def collapse_operators(
 # ---------------------------------------------------------------------------
 
 
-def drift_matrix(g_bs: float, kappa_cav, kappa_b: float) -> np.ndarray:
-    """Classical drift M for mode order (cav1, bus, cav2): z' = M z.
-
-    ``kappa_cav`` may be a scalar or a (cav1, cav2) pair of energy decay
-    rates in 1/s; g_bs and kappa_b are cyclic Hz and get the 2pi here.
-    """
-    g = TWO_PI * g_bs
-    k1, k2 = (kappa_cav, kappa_cav) if np.isscalar(kappa_cav) else kappa_cav
-    kb = TWO_PI * kappa_b
-    return np.array(
-        [
-            [-k1 / 2, -1j * g, 0],
-            [-1j * g, -kb / 2, -1j * g],
-            [0, -1j * g, -k2 / 2],
-        ],
-        dtype=complex,
-    )
-
-
 def langevin_solve(g_bs, kappa_cav, kappa_b, z0, grid: TimeGrid) -> np.ndarray:
     """Exact mean-amplitude trajectories of the three-mode network.
 
-    Returns an array of shape (len(times), 3) in mode order (cav1, bus,
-    cav2).  Solved by matrix exponentials of the 3x3 drift, so it is exact
-    at every grid point (including exactly critical damping) and serves as
-    the classical reference for the quantum solvers: for coherent-state
-    initial conditions <a_k(t)> follows these trajectories identically.
+    ``kappa_cav`` may be a scalar or a (cav1, cav2) pair of energy decay
+    rates in 1/s; g_bs and kappa_b are cyclic Hz.  Returns z(t) = E(t) z0
+    from :func:`linear_propagator`, shape (len(times), 3) in mode order
+    (cav1, bus, cav2): exact at every grid point (including exactly critical
+    damping), and the classical reference for the quantum solvers, since
+    <a_k(t)> of a coherent initial state follows it identically.
     """
-    m = drift_matrix(g_bs, kappa_cav, kappa_b)
+    k1, k2 = (kappa_cav, kappa_cav) if np.isscalar(kappa_cav) else kappa_cav
+    coupling = coupling_matrix(g_bs)
+    gammas = (k1, TWO_PI * kappa_b, k2)
     z0 = np.asarray(z0, dtype=complex)
     if z0.shape != (3,):
         raise ValueError("z0 must be the three initial amplitudes (cav1, bus, cav2)")
     out = np.empty((len(grid.times), 3), dtype=complex)
     for i, t in enumerate(grid.times):
-        out[i] = scipy.linalg.expm(m * t) @ z0
+        out[i] = linear_propagator(coupling, gammas, t)[0] @ z0
     return out
 
 

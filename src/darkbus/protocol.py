@@ -206,11 +206,6 @@ class DmmResult:
     edge_population: dict = field(default_factory=dict)
 
 
-def _coupling_matrix(g_bs: float) -> np.ndarray:
-    g = dynamics.TWO_PI * g_bs
-    return np.array([[0, g, 0], [g, 0, g], [0, g, 0]], dtype=complex)
-
-
 def _initial_superposition(alpha: float) -> CoherentSuperposition:
     """(|a> + i|-a>)_1 |0>_b (|a> - i|-a>)_2 as four coherent components.
 
@@ -407,7 +402,7 @@ def run_dmm(
                 "or absorb Kerr into the analysis basis"
             )
         sup = _initial_superposition(params.alpha)
-        a_mat = _coupling_matrix(params.g_bs)
+        a_mat = dynamics.coupling_matrix(params.g_bs)
         zero = np.zeros_like(a_mat)
         stages = [(zero, params.t_pump), (a_mat, t_dump), (zero, t_post)]
         for coupling, t in stages:
@@ -535,7 +530,7 @@ def phase_sweep(alpha: float, phis, times, g_bs: float, kappa_b: float) -> np.nd
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     times = np.atleast_1d(np.asarray(times, dtype=float))
     gam = np.array([0.0, dynamics.TWO_PI * kappa_b, 0.0])
-    a_mat = _coupling_matrix(g_bs)
+    a_mat = dynamics.coupling_matrix(g_bs)
     z0 = np.stack(
         [alpha * np.ones_like(phis), np.zeros_like(phis), alpha * np.exp(1j * phis)]
     )  # (3, n_phi)
@@ -788,52 +783,44 @@ def dual_rail_dmm(
     g_bs: float = 160e3,
     kappa_b: float = 600e3,
     t_final: float | None = None,
-    dims: tuple[int, int, int] = (2, 3, 2),
-    conv_tol: float = 1e-3,
 ) -> DualRailResult:
     """Single-photon variant: pump |1> into cavity 1, let the bus drain the
     bright half, then distill two copies by joint parity checks.
 
-    The steady state of the pair is exactly half dark Bell state, half
-    vacuum; the double-odd parity herald fires with probability 1/8 and
-    leaves (|1001> + |0110>)/sqrt(2).  ``converged`` compares the state at
-    t_final with the one at 0.9 t_final -- with kappa_b = 0 nothing decays
-    and the flag comes back False.  The default window is 20 amplitude
+    The photon's amplitudes are one column of the linear propagator,
+    psi = E(t_final)[:, cav1], and a lost photon leaves vacuum, so the pair
+    is exactly psi_cav1 |10> + psi_cav2 |01> plus the missing weight on |00>
+    (materialized at dim 2, which holds the one-photon sector exactly).  Its
+    steady state is :func:`dual_rail_target`, half dark Bell state, half
+    vacuum; the double-odd parity herald then fires with probability 1/8 and
+    leaves (|1001> + |0110>)/sqrt(2).  ``converged`` means trace distance
+    below 1e-3 to that steady state.  The default window is 20 amplitude
     lifetimes of the *slow* bright-sector eigenvalue, which is what actually
     limits the approach to steady state in every damping regime.
     """
-    space = HilbertSpace(dims, dynamics.MODE_LABELS)
-    kappa_ang = dynamics.TWO_PI * kappa_b
     if t_final is None:
         if kappa_b > 0:
             slow, _ = dynamics.damping_rates(g_bs, kappa_b)
             t_final = 20.0 / abs(slow.real)
         else:
             t_final = 20.0 / (dynamics.TWO_PI * g_bs)
-    h = dynamics.coupling_hamiltonian(space, g_bs)
-    c_ops = []
-    if kappa_b > 0:
-        b = hilbert.destroy(dims[1])
-        c_ops = [
-            hilbert.Operator(
-                math.sqrt(kappa_ang) * hilbert.embed(space, {"bus": b}, sparse=True).matrix,
-                space,
-            )
-        ]
-    psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(dims[0], 1)})
-    grid = TimeGrid(np.array([0.0, 0.9 * t_final, t_final]))
-    res = dynamics.lindblad_evolve(h, c_ops, psi0, grid, store_states=True)
-    rho_pair = res.final.ptrace(("cav1", "cav2"))
-    rho_earlier = res.states[1].ptrace(("cav1", "cav2"))
-    td_conv = hilbert.trace_distance(rho_pair, rho_earlier)
-    converged = bool(td_conv < conv_tol)
-
-    # compare against the analytic steady state at matching truncation
-    target_pair = dual_rail_target(dims[0])
-    td = hilbert.trace_distance(rho_pair, target_pair)
+    if not t_final > 0:
+        raise ValueError(f"t_final must be positive, got {t_final}")
+    e, _ = dynamics.linear_propagator(
+        dynamics.coupling_matrix(g_bs), (0.0, dynamics.TWO_PI * kappa_b, 0.0), t_final
+    )
+    psi = e[:, 0]
+    d = 2
+    phi = np.zeros(d * d, dtype=complex)
+    phi[1 * d + 0] = psi[0]  # |1 0>
+    phi[0 * d + 1] = psi[2]  # |0 1>
+    rho = np.outer(phi, phi.conj())
+    rho[0, 0] += 1 - abs(psi[0]) ** 2 - abs(psi[2]) ** 2
+    rho_pair = QuantumState(rho, HilbertSpace((d, d), ("cav1", "cav2")))
+    td = hilbert.trace_distance(rho_pair, dual_rail_target(d))
+    converged = bool(td < 1e-3)
 
     p, rho_dist = dual_rail_distill(rho_pair)
-    d = dims[0]
     target = np.zeros(d**4, dtype=complex)
     target[((1 * d + 0) * d + 0) * d + 1] = 1 / math.sqrt(2)  # |1 0 0 1>
     target[((0 * d + 1) * d + 1) * d + 0] = 1 / math.sqrt(2)  # |0 1 1 0>

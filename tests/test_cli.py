@@ -148,6 +148,25 @@ def test_non_mapping_yaml(tmp_path):
     assert run(["multiround", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("value", ["0.0", "-1.0e-6", ".inf", "soon"])
+def test_dual_rail_rejects_bad_t_final(tmp_path, capsys, value):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"dual-rail:\n  t_final: {value}\n")
+    assert run(["dual-rail", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "t_final" in capsys.readouterr().err
+
+
+def test_dual_rail_reads_t_final_without_a_dot(tmp_path):
+    """YAML reads 1e-5 as a string; it must still mean 1.0e-5 seconds."""
+    outs = []
+    for i, value in enumerate(("1e-5", "1.0e-5")):
+        cfg = tmp_path / f"c{i}.yaml"
+        cfg.write_text(f"dual-rail:\n  t_final: {value}\n")
+        outs.append(tmp_path / f"o{i}")
+        assert run(["dual-rail", "--config", cfg, "--out", outs[-1]]) == 0
+    assert (outs[0] / "dual_rail.csv").read_bytes() == (outs[1] / "dual_rail.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: numerical failure
 # ---------------------------------------------------------------------------
@@ -156,6 +175,16 @@ def test_non_mapping_yaml(tmp_path):
 def test_dual_rail_unconverged_is_numerical_failure(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("dual-rail:\n  t_final: 1.0e-7\n")
+    assert run(["dual-rail", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_dual_rail_lossless_whole_periods_is_numerical_failure(tmp_path, capsys):
+    """A lossless bus after whole bright periods holds the photon where it
+    started; that periodic state is not a steady state."""
+    t_final = 10 * 2 * math.pi / (math.sqrt(2) * 2 * math.pi * 160e3)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"params:\n  kappa_b: 0.0\ndual-rail:\n  t_final: {t_final!r}\n")
     assert run(["dual-rail", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 

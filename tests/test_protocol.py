@@ -389,6 +389,43 @@ def test_dual_rail_lossless_never_converges():
     assert not res.converged
 
 
+def test_dual_rail_lossless_whole_periods_not_converged():
+    """After whole bright periods on a lossless bus the photon is back in
+    cavity 1.  The state is periodic, so it looks unchanged between any two
+    period-spaced checks, yet nothing has drained."""
+    t_final = 10 * 2 * math.pi / (math.sqrt(2) * 2 * math.pi * 160e3)
+    res = protocol.dual_rail_dmm(kappa_b=0.0, t_final=t_final)
+    assert not res.converged
+    assert res.trace_distance > 0.8
+    assert res.p_herald == pytest.approx(0.0, abs=1e-12)
+
+
+def _dual_rail_pair_master_equation(kappa_b, t_final):
+    """Cavity pair after one photon starts in cav1, by the Lindblad oracle
+    at dims (2, 3, 2)."""
+    space = hilbert.HilbertSpace((2, 3, 2), dynamics.MODE_LABELS)
+    h = dynamics.coupling_hamiltonian(space, 160e3)
+    c_ops = []
+    if kappa_b > 0:
+        b = hilbert.embed(space, {"bus": hilbert.destroy(3)}, sparse=True).matrix
+        c_ops = [math.sqrt(2 * math.pi * kappa_b) * b]
+    psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(2, 1)})
+    grid = dynamics.TimeGrid(np.array([0.0, t_final]))
+    return dynamics.lindblad_evolve(h, c_ops, psi0, grid).final.ptrace(("cav1", "cav2")).dm()
+
+
+@pytest.mark.parametrize(
+    "kappa_b", [0.0, 600e3, dynamics.critical_kappa(160e3), 2000e3]
+)
+def test_dual_rail_closed_form_matches_master_equation(kappa_b):
+    """Pair state from one propagator column against the master equation."""
+    for t_final in (0.7e-6, 3.1e-6, 2.0e-5):
+        res = protocol.dual_rail_dmm(kappa_b=kappa_b, t_final=t_final)
+        assert_allclose(
+            res.rho_pair.dm(), _dual_rail_pair_master_equation(kappa_b, t_final), atol=1e-12
+        )
+
+
 # ---------------------------------------------------------------------------
 # phase sweep
 # ---------------------------------------------------------------------------
