@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +75,17 @@ def build_opts(defaults: dict, *layers: dict) -> dict:
     return opts
 
 
+def _number(opts: dict, key: str) -> float:
+    """``opts[key]`` as a float, written back so that the manifest records
+    the value used (PyYAML reads an exponent without a dot, 1e-5, as a
+    string)."""
+    try:
+        opts[key] = float(opts[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {opts[key]!r}") from None
+    return opts[key]
+
+
 def _check_model(name) -> VacuumCheckModel:
     if isinstance(name, VacuumCheckModel):
         return name
@@ -102,10 +112,9 @@ def _cell(x) -> str:
 
 
 class RunContext:
-    def __init__(self, out_dir: Path, seed: int, threads: int, gnuplot: bool):
+    def __init__(self, out_dir: Path, seed: int, gnuplot: bool):
         self.out = out_dir
         self.seed = seed
-        self.threads = max(1, threads)
         self.gnuplot = gnuplot
         self.outputs: list[str] = []
 
@@ -125,13 +134,6 @@ class RunContext:
         self.outputs.append(name)
         print(f"wrote {path}")
         return path
-
-    def map(self, fn, items):
-        items = list(items)
-        if self.threads > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as ex:
-                return list(ex.map(fn, items))
-        return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +179,10 @@ def cmd_regimes(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 def cmd_transfer(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     res = dynamics.transfer_efficiency(params.g_bs, params.kappa_b)
     times = np.linspace(1e-9, float(opts["t_max"]), int(opts["n_times"]))
-
-    def one(t):
-        return dynamics.transfer_efficiency(params.g_bs, params.kappa_b, t1=t, t2=t).eta
-
-    etas = ctx.map(one, times)
+    etas = [
+        dynamics.transfer_efficiency(params.g_bs, params.kappa_b, t1=t, t2=t).eta
+        for t in times
+    ]
     ctx.write_csv("transfer.csv", ["t1_s", "t2_s", "eta"], [(res.t1, res.t2, res.eta)])
     ctx.write_csv("transfer_curve.csv", ["t_hold_s", "eta"], list(zip(times, etas)))
     print(
@@ -249,17 +250,15 @@ def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     alphas = [float(a) for a in opts["alphas"]]
     check = _check_model(opts["check"])
-
-    def one(a):
+    rows = []
+    for a in alphas:
         r = protocol.run_dmm(
             params.with_(alpha=a),
             check=check,
             cavity_loss=bool(opts["cavity_loss"]),
             dump_time=opts["dump_time"],
         )
-        return (a, r.p_pass, r.bell_fidelity, r.alpha_dark[0], r.alpha_dark[1])
-
-    rows = ctx.map(one, alphas)
+        rows.append((a, r.p_pass, r.bell_fidelity, r.alpha_dark[0], r.alpha_dark[1]))
     ctx.write_csv(
         "alpha_sweep.csv",
         ["alpha", "p_pass", "fidelity", "alpha_basis_1", "alpha_basis_2"],
@@ -376,10 +375,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     t_final = opts["t_final"]
     if t_final is not None:
-        try:
-            t_final = float(t_final)
-        except (TypeError, ValueError):
-            raise ConfigError(f"t_final must be a number of seconds, got {t_final!r}") from None
+        t_final = _number(opts, "t_final")
         if not 0 < t_final < math.inf:
             raise ConfigError(f"t_final must be positive and finite, got {t_final}")
     res = protocol.dual_rail_dmm(g_bs=params.g_bs, kappa_b=params.kappa_b, t_final=t_final)
@@ -442,12 +438,11 @@ def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_multiround(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    p = opts["p_success"]
-    if p is None:
+    if opts["p_success"] is None:
         p = protocol.success_probability(params.alpha)
-    stats = protocol.multiround_stats(
-        float(p), float(opts["t_attempt"]), float(opts["t_reset"])
-    )
+    else:
+        p = _number(opts, "p_success")
+    stats = protocol.multiround_stats(p, _number(opts, "t_attempt"), _number(opts, "t_reset"))
     ctx.write_csv(
         "multiround.csv",
         [
@@ -584,7 +579,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", metavar="NAME", help="named block under scenarios:")
         p.add_argument("--seed", type=int, default=0, metavar="N")
         p.add_argument("--out", default="darkbus-out", metavar="DIR")
-        p.add_argument("--threads", type=int, default=1, metavar="N")
         p.add_argument("--gnuplot", action="store_true", help="also emit a plot.gp script")
     return parser
 
@@ -598,7 +592,7 @@ def main(argv=None) -> int:
         runner, params, opts = resolve(args.command, cfg, args.scenario)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ctx = RunContext(out_dir, args.seed, args.threads, args.gnuplot)
+        ctx = RunContext(out_dir, args.seed, args.gnuplot)
         summary = runner(params, opts, ctx)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -613,7 +607,6 @@ def main(argv=None) -> int:
     manifest = {
         "command": args.command,
         "seed": args.seed,
-        "threads": args.threads,
         "scenario": args.scenario,
         "config": args.config,
         "params": dataclasses.asdict(params),

@@ -227,10 +227,7 @@ def langevin_solve(g_bs, kappa_cav, kappa_b, z0, grid: TimeGrid) -> np.ndarray:
     z0 = np.asarray(z0, dtype=complex)
     if z0.shape != (3,):
         raise ValueError("z0 must be the three initial amplitudes (cav1, bus, cav2)")
-    out = np.empty((len(grid.times), 3), dtype=complex)
-    for i, t in enumerate(grid.times):
-        out[i] = linear_propagator(coupling, gammas, t)[0] @ z0
-    return out
+    return linear_propagator(coupling, gammas, grid.times)[0] @ z0
 
 
 def to_dark_bright(traj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -578,7 +575,7 @@ class CoherentSuperposition:
         return len(self.coeffs)
 
 
-def linear_propagator(coupling: np.ndarray, gammas, t: float):
+def linear_propagator(coupling: np.ndarray, gammas, t):
     """(E, Q) for evolution time t of the linear lossy network.
 
     ``coupling`` is the Hermitian angular matrix A of H = sum A_kl a_k^dag a_l
@@ -592,12 +589,15 @@ def linear_propagator(coupling: np.ndarray, gammas, t: float):
     off: d(E^dag E)/dt = -E^dag Gamma E, so the accumulated which-path
     integral collapses to endpoint data.)  Gamma = 0 gives Q = 0: no loss,
     no decoherence.
+
+    ``t`` may be an array of times; E and Q are then stacked along leading
+    axes of the same shape, each slice equal to the call at that one time.
     """
     a = np.asarray(coupling, dtype=complex)
     gam = np.asarray(gammas, dtype=float)
     m = -1j * a - np.diag(gam) / 2
-    e = scipy.linalg.expm(m * t)
-    q = np.eye(len(gam)) - e.conj().T @ e
+    e = scipy.linalg.expm(m * np.asarray(t, dtype=float)[..., None, None])
+    q = np.eye(len(gam)) - np.swapaxes(e.conj(), -1, -2) @ e
     return e, q
 
 

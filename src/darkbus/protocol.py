@@ -126,29 +126,29 @@ class VacuumCheckModel:
 SECTORS = (("V", "V"), ("V", "N"), ("N", "V"), ("N", "N"))
 
 
-def _mix_outcomes(sector_probs: dict, sector_states: dict, model: VacuumCheckModel):
+def _fold(model: VacuumCheckModel, sector_probs: dict, sector_state=None, outcome="gg"):
     """Fold the ideal projective sectors through the confusion model.
 
-    sector_states values may be None (where the caller knows the sector is
-    irrelevant); they only need to exist for sectors with nonzero weight.
-    Returns (outcome probabilities, unnormalized outcome states).
+    Returns the outcome probabilities and, when ``sector_state`` is given,
+    the unnormalized state of ``outcome``: the sum of P(outcome | s) rho_s
+    over the sectors.  ``sector_state(s)`` builds rho_s and is called only
+    for sectors with positive probability and nonzero weight; the state is
+    None when no sector contributes.
     """
-    p_out = {o: 0.0 for o in OUTCOMES}
-    rho_out = {o: None for o in OUTCOMES}
+    p_out = dict.fromkeys(OUTCOMES, 0.0)
+    rho = None
     for s in SECTORS:
-        ps = sector_probs.get(s, 0.0)
+        ps = sector_probs[s]
         if ps <= 0:
             continue
         table = model.joint_pass_table(s)
         for o in OUTCOMES:
-            w = table[o]
-            if w == 0:
-                continue
-            p_out[o] += w * ps
-            rho_s = sector_states.get(s)
-            if rho_s is not None:
-                rho_out[o] = w * rho_s if rho_out[o] is None else rho_out[o] + w * rho_s
-    return p_out, rho_out
+            p_out[o] += table[o] * ps
+        w = table[outcome]
+        if sector_state is not None and w != 0:
+            term = w * sector_state(s)
+            rho = term if rho is None else rho + term
+    return p_out, rho
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +183,11 @@ class DmmResult:
     """Everything the herald produced.
 
     ``p_pass`` is the gg outcome probability under the protocol's branch
-    bookkeeping (see :func:`run_dmm`), ``rho_pass``/``rho_fail`` the
-    normalized conditioned two-cavity states, ``bell_fidelity`` the overlap
-    of the pass branch with the logical Bell target in ``basis_used``.
+    bookkeeping (see :func:`run_dmm`), ``rho_pass`` the normalized
+    two-cavity state that gg heralds, ``bell_fidelity`` its overlap with the
+    logical Bell target in ``basis_used``.  ``p_outcomes`` holds all four
+    outcome probabilities; the states of the discarded outcomes are never
+    built.
     ``p_pass_projective`` is the raw trace of the projected gg branch,
     which retains the interference between the two dark components; the
     difference from ``p_pass`` is below a percent at useful amplitudes.
@@ -194,7 +196,6 @@ class DmmResult:
     p_pass: float
     p_outcomes: dict
     rho_pass: QuantumState
-    rho_fail: QuantumState | None
     bell_fidelity: float
     basis_used: tuple[LogicalBasis, LogicalBasis]
     alpha_dark: tuple[float, float]
@@ -256,26 +257,32 @@ def _sector_weights_coherent(sup: CoherentSuperposition, diagonal: bool):
     return probs
 
 
-def _sector_state_coherent(sup: CoherentSuperposition, sector, dims) -> np.ndarray:
-    """Materialize one projected sector as a Fock density matrix (d1*d2)."""
+def _sector_states_coherent(sup: CoherentSuperposition, dims):
+    """Builder of the projected sector states as Fock density matrices.
 
-    def kets(z, s, d):
+    Returns ``s -> rho_s`` (shape d1*d2 square) for a sector s in
+    {'V','N'}^2.  The per-cavity vacuum and not-vacuum kets of every
+    component are computed once and shared by all sectors.
+    """
+
+    def kets(z, d):
         vac = _vacuum_amp(z)
-        out = np.zeros((len(z), d), dtype=complex)
-        for i, (zi, vi) in enumerate(zip(z, vac)):
-            if s == "V":
-                out[i, 0] = vi
-            else:
-                k = hilbert.coherent(d, zi, normalized=False)
-                k[0] -= vi
-                out[i] = k
-        return out
+        empty = np.zeros((len(z), d), dtype=complex)
+        empty[:, 0] = vac
+        occupied = np.array([hilbert.coherent(d, zi, normalized=False) for zi in z])
+        occupied[:, 0] -= vac
+        return {"V": empty, "N": occupied}
 
-    k1 = kets(sup.labels[:, 0], sector[0], dims[0])
-    k2 = kets(sup.labels[:, 1], sector[1], dims[1])
-    full = np.einsum("ia,ib->iab", k1, k2).reshape(sup.n_components, dims[0] * dims[1])
+    k1 = kets(sup.labels[:, 0], dims[0])
+    k2 = kets(sup.labels[:, 1], dims[1])
     a = np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
-    return full.T @ a @ full.conj()
+
+    def state(sector):
+        full = np.einsum("ia,ib->iab", k1[sector[0]], k2[sector[1]])
+        full = full.reshape(sup.n_components, dims[0] * dims[1])
+        return full.T @ a @ full.conj()
+
+    return state
 
 
 def vacuum_check(state: QuantumState, model: VacuumCheckModel | None = None):
@@ -294,30 +301,29 @@ def vacuum_check(state: QuantumState, model: VacuumCheckModel | None = None):
         state = state.ptrace(("cav1", "cav2"))
     if state.space.n_modes != 2:
         raise ValueError("vacuum_check expects a two-cavity state (or cav1/bus/cav2)")
-    rho = state.dm()
-    d1, d2 = state.space.dims
-    v1 = np.zeros((d1, d1)); v1[0, 0] = 1.0
-    v2 = np.zeros((d2, d2)); v2[0, 0] = 1.0
-    proj = {
-        "V": (v1, v2),
-        "N": (np.eye(d1) - v1, np.eye(d2) - v2),
-    }
-    sector_probs, sector_states = {}, {}
-    for s in SECTORS:
-        p1 = proj[s[0]][0]
-        p2 = proj[s[1]][1]
-        pi = np.kron(p1, p2)
-        rs = pi @ rho @ pi
-        sector_probs[s] = float(np.real(np.trace(rs)))
-        sector_states[s] = rs
-    p_out, rho_out = _mix_outcomes(sector_probs, sector_states, model)
+    sector_probs, sector_states = _projected_sectors(state.dm(), state.space.dims)
     states = {}
     for o in OUTCOMES:
-        if rho_out[o] is not None and p_out[o] > 1e-15:
-            states[o] = QuantumState(rho_out[o] / np.trace(rho_out[o]), state.space)
+        p_out, rho_o = _fold(model, sector_probs, sector_states.__getitem__, o)
+        if rho_o is not None and p_out[o] > 1e-15:
+            states[o] = QuantumState(rho_o / np.trace(rho_o), state.space)
         else:
             states[o] = None
     return p_out, states, sector_probs
+
+
+def _projected_sectors(rho: np.ndarray, dims):
+    """Probabilities and projected states of the V/N sectors of a two-cavity
+    density matrix.  The projectors are diagonal, so projecting is masking."""
+    n1, n2 = np.arange(dims[0]), np.arange(dims[1])
+    side = {"V": (n1 == 0, n2 == 0), "N": (n1 != 0, n2 != 0)}
+    sector_probs, sector_states = {}, {}
+    for s in SECTORS:
+        keep = np.outer(side[s[0]][0], side[s[1]][1]).ravel()
+        rs = rho * np.outer(keep, keep)
+        sector_probs[s] = float(np.real(np.trace(rs)))
+        sector_states[s] = rs
+    return sector_probs, sector_states
 
 
 def run_dmm(
@@ -346,7 +352,9 @@ def run_dmm(
     -q^2 (1-q)^2 / 2 with q = exp(-alpha^2) (-0.7% absolute at
     alpha = sqrt(2)); that trace is reported as ``p_pass_projective``.
     The lindblad engine has no component decomposition, so its rates are
-    projective and agree with ``p_pass_projective``, not ``p_pass``.
+    projective and agree with ``p_pass_projective``, not ``p_pass``.  Both
+    engines build only the gg state, from the sectors the check can report
+    as gg; the other outcomes are kept as probabilities.
 
     Parameters
     ----------
@@ -411,25 +419,11 @@ def run_dmm(
             e, q = dynamics.linear_propagator(coupling, gammas, t)
             sup = dynamics.propagate_coherent(sup, e, q)
         pair = dynamics.ptrace_coherent(sup, keep=[0, 2])
-        sector_probs = _sector_weights_coherent(pair, diagonal=True)
-        sector_exact = _sector_weights_coherent(pair, diagonal=False)
         d1, d2 = params.dims[0], params.dims[2]
-        # materialize a sector only if some outcome actually mixes it in
-        needed = {
-            s
-            for s in SECTORS
-            if any(w > 0 for w in check.joint_pass_table(s).values())
-        }
-        sector_states = {
-            s: (_sector_state_coherent(pair, s, (d1, d2)) if s in needed else None)
-            for s in SECTORS
-        }
-        p_out, rho_out = _mix_outcomes(sector_probs, sector_states, check)
-        p_exact, _ = _mix_outcomes(sector_exact, {s: None for s in SECTORS}, check)
+        sector_probs = _sector_weights_coherent(pair, diagonal=True)
+        p_out, rho_gg = _fold(check, sector_probs, _sector_states_coherent(pair, (d1, d2)))
+        p_exact, _ = _fold(check, _sector_weights_coherent(pair, diagonal=False))
         p_pass_projective = p_exact["gg"]
-        rho_gg = rho_out["gg"]
-        fail_parts = [p for o, p in rho_out.items() if o != "gg" and p is not None]
-        rho_fail_raw = sum(fail_parts) if fail_parts else None
         alpha_dark = (abs(pair.labels[1, 0]), abs(pair.labels[1, 1]))
         pair_space = HilbertSpace((d1, d2), ("cav1", "cav2"))
     elif engine == "lindblad":
@@ -451,25 +445,16 @@ def run_dmm(
                 h, c_ops, state, TimeGrid(np.array([0.0, t]))
             ).final
         pair_state = state.ptrace(("cav1", "cav2"))
-        p_out, states_out, sector_probs = vacuum_check(pair_state, check)
+        pair_space = pair_state.space
+        d1, d2 = pair_space.dims
+        sector_probs, sector_states = _projected_sectors(pair_state.dm(), (d1, d2))
+        p_out, rho_gg = _fold(check, sector_probs, sector_states.__getitem__)
         p_pass_projective = p_out["gg"]
-        rho_gg = None if states_out["gg"] is None else states_out["gg"].dm() * p_out["gg"]
-        p_fail = 1 - p_out["gg"]
-        rho_fail_raw = None
-        if p_fail > 1e-15:
-            parts = [
-                p_out[o] * states_out[o].dm()
-                for o in OUTCOMES
-                if o != "gg" and states_out[o] is not None
-            ]
-            rho_fail_raw = sum(parts) if parts else None
-        d1, d2 = params.dims[0], params.dims[2]
         shrink = (
             math.exp(-params.gamma_cavity[0] * params.t_protocol / 2),
             math.exp(-params.gamma_cavity[1] * params.t_protocol / 2),
         ) if cavity_loss else (1.0, 1.0)
         alpha_dark = (params.alpha * shrink[0], params.alpha * shrink[1])
-        pair_space = pair_state.space
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
@@ -486,17 +471,11 @@ def run_dmm(
     tr = float(np.real(np.trace(rho_gg)))
     fid = float(np.real(bell.conj() @ rho_gg @ bell) / tr)
     rho_n = QuantumState(rho_gg / tr, pair_space)
-    rho_fail = None
-    if rho_fail_raw is not None:
-        tr_f = float(np.real(np.trace(rho_fail_raw)))
-        if tr_f > 1e-15:
-            rho_fail = QuantumState(rho_fail_raw / tr_f, pair_space)
 
     return DmmResult(
         p_pass=p_out["gg"],
         p_outcomes=p_out,
         rho_pass=rho_n,
-        rho_fail=rho_fail,
         bell_fidelity=fid,
         basis_used=basis_pair,
         alpha_dark=alpha_dark,
@@ -534,13 +513,10 @@ def phase_sweep(alpha: float, phis, times, g_bs: float, kappa_b: float) -> np.nd
     z0 = np.stack(
         [alpha * np.ones_like(phis), np.zeros_like(phis), alpha * np.exp(1j * phis)]
     )  # (3, n_phi)
-    out = np.empty((len(phis), len(times)))
-    for k, t in enumerate(times):
-        e, _ = dynamics.linear_propagator(a_mat, gam, t)
-        z = e @ z0
-        p_gg = (1 - np.exp(-np.abs(z[0]) ** 2)) * (1 - np.exp(-np.abs(z[2]) ** 2))
-        out[:, k] = 1 - p_gg
-    return out
+    e, _ = dynamics.linear_propagator(a_mat, gam, times)
+    z = e @ z0  # (n_times, 3, n_phi)
+    p_gg = (1 - np.exp(-np.abs(z[:, 0]) ** 2)) * (1 - np.exp(-np.abs(z[:, 2]) ** 2))
+    return (1 - p_gg).T
 
 
 # ---------------------------------------------------------------------------

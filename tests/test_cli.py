@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from darkbus import cli
+from darkbus import cli, protocol
+from darkbus.protocol import VacuumCheckModel
 
 
 def run(args):
@@ -167,6 +168,18 @@ def test_dual_rail_reads_t_final_without_a_dot(tmp_path):
     assert (outs[0] / "dual_rail.csv").read_bytes() == (outs[1] / "dual_rail.csv").read_bytes()
 
 
+def test_manifest_records_numbers_read_as_strings(tmp_path):
+    """PyYAML reads 1e-5 as a string; the manifest records the float used."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("dual-rail:\n  t_final: 1e-5\nmultiround:\n  t_attempt: 9e-6\n")
+    assert run(["dual-rail", "--config", cfg, "--out", tmp_path / "dr"]) == 0
+    assert run(["multiround", "--config", cfg, "--out", tmp_path / "mr"]) == 0
+    assert read_manifest(tmp_path / "dr")["options"]["t_final"] == 1e-5
+    options = read_manifest(tmp_path / "mr")["options"]
+    assert options["t_attempt"] == 9e-6
+    assert options["t_reset"] == 0.0 and options["p_success"] == 1 / 2.6
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: numerical failure
 # ---------------------------------------------------------------------------
@@ -262,13 +275,17 @@ def test_tomo_demo_rerun_is_byte_identical(tmp_path):
     assert (out1 / "wigner_ideal.csv").read_text().splitlines()[0] == "re_beta,im_beta,value"
 
 
-def test_threads_do_not_change_results(tmp_path):
+def test_alpha_sweep_rows_match_run_dmm(tmp_path):
+    """Each sweep row is exactly a standalone heralding run at that alpha."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text("alpha-sweep:\n  alphas: [1.0, 1.3, 1.6]\n")
-    out1, out4 = tmp_path / "t1", tmp_path / "t4"
-    assert run(["alpha-sweep", "--config", cfg, "--out", out1]) == 0
-    assert run(["alpha-sweep", "--config", cfg, "--threads", 4, "--out", out4]) == 0
-    assert (out1 / "alpha_sweep.csv").read_bytes() == (out4 / "alpha_sweep.csv").read_bytes()
+    assert run(["alpha-sweep", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    lines = (tmp_path / "o" / "alpha_sweep.csv").read_text().splitlines()[1:]
+    assert len(lines) == 3
+    for line, alpha in zip(lines, (1.0, 1.3, 1.6)):
+        r = protocol.run_dmm(alpha=alpha, check=VacuumCheckModel.from_measured())
+        expected = (alpha, r.p_pass, r.bell_fidelity, r.alpha_dark[0], r.alpha_dark[1])
+        assert line == ",".join(repr(float(x)) for x in expected)
 
 
 def test_gnuplot_flag_emits_script(tmp_path):

@@ -343,6 +343,19 @@ def test_linear_propagator_lossless():
     assert_allclose(q, np.zeros((2, 2)), atol=1e-12)
 
 
+def test_linear_propagator_stacks_times():
+    """An array of times gives the per-time (E, Q) slices exactly."""
+    a = dynamics.coupling_matrix(G)
+    gammas = (1 / 385e-6, dynamics.TWO_PI * 600e3, 1 / 520e-6)
+    times = np.linspace(0.0, 8e-6, 41)
+    e, q = dynamics.linear_propagator(a, gammas, times)
+    assert e.shape == q.shape == (41, 3, 3)
+    for k, t in enumerate(times):
+        e_k, q_k = dynamics.linear_propagator(a, gammas, t)
+        assert np.array_equal(e[k], e_k)
+        assert np.array_equal(q[k], q_k)
+
+
 def test_single_mode_decay_label_and_weight():
     """One lossy mode: label shrinks as e^{-kt/2}, dyad weight matches the
     analytic decoherence factor exp(-(1-e^{-kt}) |z1 - z2|^2 / 2 ...)."""

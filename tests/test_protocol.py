@@ -130,7 +130,6 @@ def test_run_dmm_ideal(alpha):
     assert res.bell_fidelity == pytest.approx(1.0, abs=1e-12)
     assert sum(res.p_outcomes.values()) == pytest.approx(1.0, abs=1e-12)
     assert np.trace(res.rho_pass.data).real == pytest.approx(1.0, abs=1e-10)
-    assert np.trace(res.rho_fail.data).real == pytest.approx(1.0, abs=1e-10)
     # without cavity loss the dark amplitude survives untouched
     assert res.alpha_dark[0] == pytest.approx(alpha, rel=1e-12)
     assert res.alpha_dark[1] == pytest.approx(alpha, rel=1e-12)
@@ -252,6 +251,31 @@ def test_vacuum_check_measured_false_pass():
     vac = hilbert.product_ket(space, {})
     p, _, _ = protocol.vacuum_check(vac, VacuumCheckModel.from_measured())
     assert p["gg"] == pytest.approx(0.015)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_vacuum_check_outcomes_recompose_sectors(d1, d2, seed):
+    """The outcomes redistribute the projected sectors without loss:
+    sum_o p_o rho_o = sum_s Pi_s rho Pi_s, for any two-cavity state."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(d1 * d2, d1 * d2)) + 1j * rng.normal(size=(d1 * d2, d1 * d2))
+    rho = x @ x.conj().T
+    rho /= np.trace(rho)
+    space = hilbert.HilbertSpace((d1, d2), ("cav1", "cav2"))
+    p, states, sectors = protocol.vacuum_check(
+        hilbert.QuantumState(rho, space), VacuumCheckModel.from_measured()
+    )
+    recomposed = sum(p[o] * states[o].dm() for o in protocol.OUTCOMES)
+    vac = {d: np.diag(np.arange(d) == 0).astype(float) for d in (d1, d2)}
+    proj = {"V": vac, "N": {d: np.eye(d) - v for d, v in vac.items()}}
+    blocks = 0
+    for s in SECTORS:
+        pi = np.kron(proj[s[0]][d1], proj[s[1]][d2])
+        blocks = blocks + pi @ rho @ pi
+        assert sectors[s] == pytest.approx(np.trace(pi @ rho @ pi).real, abs=1e-12)
+    assert_allclose(recomposed, blocks, atol=1e-12)
+    assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vacuum_check_rejects_wrong_shape():
