@@ -325,7 +325,8 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     rho1 = rho1 / np.trace(rho1)
 
     grid = tomography.WignerGrid.default(float(opts["extent"]), float(opts["step"]))
-    w = tomography.wigner_map(rho1, grid)
+    forward = tomography._ForwardMap(d1, grid.betas)  # one kernel build: map and fit
+    w = forward(rho1).reshape(grid.shape)
     ctx.write_csv(
         "wigner_ideal.csv",
         ["re_beta", "im_beta", "value"],
@@ -346,7 +347,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         shots=np.full(counts.size, shots),
         counts=counts,
     )
-    mle = tomography.mle_density(data, dim=d1, max_iter=int(opts["max_iter"]))
+    mle = tomography.mle_density(data, dim=d1, max_iter=int(opts["max_iter"]), forward=forward)
     f_rec = hilbert.fidelity(mle.rho, rho1)
     if ctx.gnuplot:
         ctx.write_text(
@@ -361,7 +362,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     )
     print(
         f"MLE: fidelity to truth = {f_rec:.4f}, rms residual = {mle.rms_residual:.4f}, "
-        f"{mle.n_iter} iterations{'' if mle.converged else ' (iteration cap hit)'}"
+        f"{mle.n_iter} iterations{'' if mle.converged else ' (not converged)'}"
     )
     return {
         "p_plus": p_plus,
@@ -442,7 +443,14 @@ def cmd_multiround(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         p = protocol.success_probability(params.alpha)
     else:
         p = _number(opts, "p_success")
-    stats = protocol.multiround_stats(p, _number(opts, "t_attempt"), _number(opts, "t_reset"))
+    t_attempt, t_reset = _number(opts, "t_attempt"), _number(opts, "t_reset")
+    if not 0 < p <= 1:
+        raise ConfigError(f"p_success must be in (0, 1], got {p}")
+    if not 0 < t_attempt < math.inf:
+        raise ConfigError(f"t_attempt must be positive and finite, got {t_attempt}")
+    if not 0 <= t_reset < math.inf:
+        raise ConfigError(f"t_reset must be non-negative and finite, got {t_reset}")
+    stats = protocol.multiround_stats(p, t_attempt, t_reset)
     ctx.write_csv(
         "multiround.csv",
         [

@@ -95,7 +95,7 @@ def codewords(basis: LogicalBasis, dim: int) -> Codewords:
     minus = twist * raw_m
     np_, nm_ = np.linalg.norm(plus), np.linalg.norm(minus)
     if np_ == 0 or nm_ == 0:
-        raise ValueError(f"codewords vanish at alpha={a}")
+        raise hilbert.NumericalError(f"codewords vanish at alpha={a}")
     return Codewords(plus / np_, minus / nm_, basis, dim)
 
 

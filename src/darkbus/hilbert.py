@@ -26,7 +26,8 @@ import scipy.sparse
 
 
 class NumericalError(RuntimeError):
-    """Raised when an iteration diverges or produces non-finite numbers."""
+    """Raised when an iteration diverges or produces non-finite numbers, or
+    when a result the analysis needs vanishes (cat codewords at alpha = 0)."""
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,42 @@ def test_dual_rail_rejects_bad_t_final(tmp_path, capsys, value):
     assert "t_final" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("p_success", "0.0"),
+        ("p_success", "1.5"),
+        ("t_attempt", "0.0"),
+        ("t_attempt", "-1.0e-6"),
+        ("t_reset", "-1.0e-6"),
+        ("t_reset", ".inf"),
+    ],
+)
+def test_multiround_rejects_out_of_range_values(tmp_path, capsys, key, value):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"multiround:\n  {key}: {value}\n")
+    assert run(["multiround", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("entangle", "entangle:\n  check: ideal\n"),
+        ("entangle", "entangle:\n  check: measured\n"),
+        ("alpha-sweep", "alpha-sweep:\n  alphas: [0.0]\n"),
+        ("teleport", ""),
+        ("tomo-demo", "tomo-demo:\n  check: measured\n"),
+    ],
+)
+def test_alpha_zero_is_numerical_failure(tmp_path, capsys, command, block):
+    """At alpha = 0 there is no cat code: a clean exit 3, never a traceback."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("params:\n  alpha: 0.0\n" + block)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_dual_rail_reads_t_final_without_a_dot(tmp_path):
     """YAML reads 1e-5 as a string; it must still mean 1.0e-5 seconds."""
     outs = []
@@ -308,3 +344,10 @@ def test_tomo_demo_reports_mle_convergence(tmp_path):
     free = read_manifest(tmp_path / "b")["summary"]
     assert capped["mle_converged"] is False and capped["mle_iterations"] == 60
     assert free["mle_converged"] is True and free["mle_iterations"] < 20000
+
+
+def test_tomo_demo_converges_at_defaults(tmp_path):
+    assert run(["tomo-demo", "--out", tmp_path / "o"]) == 0
+    summary = read_manifest(tmp_path / "o")["summary"]
+    assert summary["mle_converged"] is True
+    assert summary["mle_iterations"] < 200

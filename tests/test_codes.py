@@ -159,5 +159,5 @@ def test_basis_with_rotation():
 
 
 def test_codewords_invalid():
-    with pytest.raises(ValueError):
+    with pytest.raises(hilbert.NumericalError):
         codes.codewords(LogicalBasis(0.0), 8)

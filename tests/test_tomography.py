@@ -334,6 +334,79 @@ def test_mle_recovers_from_counts():
     assert math.isfinite(res.loglik)
 
 
+def _random_density(rng, dim, rank):
+    x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
+
+
+def _cat_data(counts: bool):
+    rho_true = _cat_target()
+    grid = WignerGrid.default(2.0, 0.2)
+    w = tomography.wigner_map(rho_true, grid)
+    if not counts:
+        return WignerData.from_map(grid, w)
+    n = tomography.sample_counts(w, 10_000, seed=11)
+    return WignerData.from_map(grid, 2 * n / 10_000 - 1, shots=10_000, counts=n)
+
+
+@pytest.mark.parametrize("counts", [True, False], ids=["counts", "values"])
+def test_mle_first_order_optimality(counts):
+    """No density matrix is a descent direction from the fit, to within tol.
+
+    The gradient is rebuilt here from the kernel stack: the binomial negative
+    log-likelihood per shot with counts, half the mean squared misfit
+    without.  Since f is convex, Tr(grad f (sigma - rho)) >= -tol for every
+    density matrix sigma means rho is within tol of the minimum.
+    """
+    tol = 1e-10
+    data = _cat_data(counts)
+    res = tomography.mle_density(data, dim=10, tol=tol)
+    assert res.converged and res.n_iter < 200
+
+    kernels = tomography._kernel_stack(10, data.betas)
+    w = np.einsum("kij,ji->k", kernels, res.rho).real
+    if counts:
+        p = (1 + w) / 2
+        df_dw = ((data.shots - data.counts) / (1 - p) - data.counts / p) / (2 * data.shots.sum())
+    else:
+        df_dw = (w - data.value) / len(w)
+    grad = np.einsum("k,kij->ij", df_dw, kernels)
+
+    rng = np.random.default_rng(3)
+    sigmas = [_random_density(rng, 10, rank) for rank in (1, 1, 2, 5, 10)]
+    worst = np.linalg.eigh(grad)[1][:, 0]  # the steepest pure-state direction
+    sigmas.append(np.outer(worst, worst.conj()))
+    for sigma in sigmas:
+        assert np.trace(grad @ (sigma - res.rho)).real >= -tol * (1 + 1e-3)
+
+
+def test_mle_reuses_a_given_forward_map():
+    data = _cat_data(counts=True)
+    forward = tomography._ForwardMap(10, data.betas)
+    a = tomography.mle_density(data, dim=10)
+    b = tomography.mle_density(data, dim=10, forward=forward)
+    assert np.array_equal(a.rho, b.rho) and a.n_iter == b.n_iter and a.loglik == b.loglik
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.01, 100.0),
+)
+def test_project_density_is_a_projection(dim, seed, scale):
+    rng = np.random.default_rng(seed)
+    h = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rho = tomography._project_density(h)
+    assert_allclose(rho, rho.conj().T, atol=1e-12 * scale)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12 * scale)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12 * scale
+    assert_allclose(tomography._project_density(rho), rho, atol=1e-12 * scale)
+    sigma = _random_density(rng, dim, int(rng.integers(1, dim + 1)))
+    assert_allclose(tomography._project_density(sigma), sigma, atol=1e-13)
+
+
 def test_mle_iteration_cap_flags_not_converged():
     rho_true = _cat_target()
     grid = WignerGrid.default(2.0, 0.4)
