@@ -75,15 +75,30 @@ def build_opts(defaults: dict, *layers: dict) -> dict:
     return opts
 
 
-def _number(opts: dict, key: str) -> float:
+# value ranges for _number: (test, wording)
+_UNIT = (lambda x: 0 <= x <= 1, "in [0, 1]")
+_NON_NEGATIVE = (lambda x: 0 <= x < math.inf, "non-negative and finite")
+_POSITIVE = (lambda x: 0 < x < math.inf, "positive and finite")
+
+
+def _number(opts: dict, key: str, valid=None) -> float:
     """``opts[key]`` as a float, written back so that the manifest records
     the value used (PyYAML reads an exponent without a dot, 1e-5, as a
-    string)."""
+    string), and checked against the range ``valid`` when given."""
     try:
         opts[key] = float(opts[key])
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {opts[key]!r}") from None
+    if valid is not None and not valid[0](opts[key]):
+        raise ConfigError(f"{key} must be {valid[1]}, got {opts[key]}")
     return opts[key]
+
+
+def _dump_time(opts: dict):
+    """``opts["dump_time"]``: None, "auto", or seconds."""
+    if opts["dump_time"] is None or opts["dump_time"] == "auto":
+        return opts["dump_time"]
+    return _number(opts, "dump_time", _NON_NEGATIVE)
 
 
 def _check_model(name) -> VacuumCheckModel:
@@ -94,6 +109,18 @@ def _check_model(name) -> VacuumCheckModel:
     if name == "measured":
         return VacuumCheckModel.from_measured()
     raise ConfigError(f"check must be 'ideal' or 'measured', got {name!r}")
+
+
+def _herald(params: SystemParams, opts: dict, **kw) -> protocol.DmmResult:
+    """:func:`protocol.run_dmm` with the command's check, cavity_loss and
+    dump_time options."""
+    return protocol.run_dmm(
+        params,
+        check=_check_model(opts["check"]),
+        cavity_loss=bool(opts["cavity_loss"]),
+        dump_time=_dump_time(opts),
+        **kw,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +246,7 @@ def cmd_phase_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    res = protocol.run_dmm(
-        params,
-        check=_check_model(opts["check"]),
-        cavity_loss=bool(opts["cavity_loss"]),
-        dump_time=opts["dump_time"],
-        engine=opts["engine"],
-    )
+    res = _herald(params, opts, engine=opts["engine"])
     ctx.write_csv(
         "entangle.csv",
         [
@@ -248,17 +269,14 @@ def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    alphas = [float(a) for a in opts["alphas"]]
-    check = _check_model(opts["check"])
+    try:
+        sweep = [params.with_(alpha=float(a)) for a in opts["alphas"]]
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad alphas: {e}") from e
     rows = []
-    for a in alphas:
-        r = protocol.run_dmm(
-            params.with_(alpha=a),
-            check=check,
-            cavity_loss=bool(opts["cavity_loss"]),
-            dump_time=opts["dump_time"],
-        )
-        rows.append((a, r.p_pass, r.bell_fidelity, r.alpha_dark[0], r.alpha_dark[1]))
+    for p in sweep:
+        r = _herald(p, opts)
+        rows.append((p.alpha, r.p_pass, r.bell_fidelity, r.alpha_dark[0], r.alpha_dark[1]))
     ctx.write_csv(
         "alpha_sweep.csv",
         ["alpha", "p_pass", "fidelity", "alpha_basis_1", "alpha_basis_2"],
@@ -266,22 +284,16 @@ def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     )
     best = max(rows, key=lambda r: r[2])
     print(f"best fidelity {best[2]:.4f} at alpha = {best[0]:.3f} (p_pass = {best[1]:.4f})")
-    return {"alphas": alphas, "best_alpha": best[0], "best_fidelity": best[2]}
+    return {"alphas": [p.alpha for p in sweep], "best_alpha": best[0], "best_fidelity": best[2]}
 
 
 def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    res = protocol.run_dmm(
-        params,
-        check=_check_model(opts["check"]),
-        cavity_loss=bool(opts["cavity_loss"]),
-        dump_time=opts["dump_time"],
-    )
+    p_decode, p_flip_m1 = _number(opts, "p_decode", _UNIT), _number(opts, "p_flip_m1", _UNIT)
+    res = _herald(params, opts)
     w1 = res.basis_used[0].codewords(res.rho_pass.space.dims[0])
     w2 = res.basis_used[1].codewords(res.rho_pass.space.dims[1])
     out = protocol.avg_qst_fidelity(
-        res.rho_pass, w1, w2,
-        p_decode=float(opts["p_decode"]),
-        p_flip_m1=float(opts["p_flip_m1"]),
+        res.rho_pass, w1, w2, p_decode=p_decode, p_flip_m1=p_flip_m1
     )
     rows = []
     for name in protocol.CARDINAL_STATES:
@@ -310,12 +322,7 @@ def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    res = protocol.run_dmm(
-        params,
-        check=_check_model(opts["check"]),
-        cavity_loss=bool(opts["cavity_loss"]),
-        dump_time=opts["dump_time"],
-    )
+    res = _herald(params, opts)
     d1, d2 = res.rho_pass.space.dims
     w2 = res.basis_used[1].codewords(d2)
     paulis2 = codes.logical_paulis(w2)
@@ -374,12 +381,8 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    t_final = opts["t_final"]
-    if t_final is not None:
-        t_final = _number(opts, "t_final")
-        if not 0 < t_final < math.inf:
-            raise ConfigError(f"t_final must be positive and finite, got {t_final}")
-    res = protocol.dual_rail_dmm(g_bs=params.g_bs, kappa_b=params.kappa_b, t_final=t_final)
+    t_final = None if opts["t_final"] is None else _number(opts, "t_final", _POSITIVE)
+    res = protocol.dual_rail_dmm(params, t_final=t_final)
     ctx.write_csv(
         "dual_rail.csv",
         ["trace_distance", "p_herald", "distilled_fidelity", "converged"],
@@ -403,14 +406,10 @@ def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     alphas = np.linspace(float(opts["alpha_min"]), float(opts["alpha_max"]), int(opts["n_alpha"]))
+    p_decode, p_bright = _number(opts, "p_decode", _UNIT), _number(opts, "p_bright_pass", _UNIT)
     rows = []
     for a in alphas:
-        b = errorbudget.predicted_infidelity(
-            float(a),
-            p_decode=float(opts["p_decode"]),
-            p_bright_pass=float(opts["p_bright_pass"]),
-            params=params,
-        )
+        b = errorbudget.predicted_infidelity(float(a), p_decode, p_bright, params)
         rows.append(
             (
                 b.alpha, b.photon_loss, b.decode_error, b.false_pass, b.total,
@@ -425,9 +424,7 @@ def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         ],
         rows,
     )
-    a_star, best = errorbudget.optimal_alpha(
-        params, p_decode=float(opts["p_decode"]), p_bright_pass=float(opts["p_bright_pass"])
-    )
+    a_star, best = errorbudget.optimal_alpha(params, p_decode, p_bright)
     if ctx.gnuplot:
         ctx.write_text(
             "plot.gp",
@@ -443,13 +440,10 @@ def cmd_multiround(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         p = protocol.success_probability(params.alpha)
     else:
         p = _number(opts, "p_success")
-    t_attempt, t_reset = _number(opts, "t_attempt"), _number(opts, "t_reset")
     if not 0 < p <= 1:
         raise ConfigError(f"p_success must be in (0, 1], got {p}")
-    if not 0 < t_attempt < math.inf:
-        raise ConfigError(f"t_attempt must be positive and finite, got {t_attempt}")
-    if not 0 <= t_reset < math.inf:
-        raise ConfigError(f"t_reset must be non-negative and finite, got {t_reset}")
+    t_attempt = _number(opts, "t_attempt", _POSITIVE)
+    t_reset = _number(opts, "t_reset", _NON_NEGATIVE)
     stats = protocol.multiround_stats(p, t_attempt, t_reset)
     ctx.write_csv(
         "multiround.csv",

@@ -44,7 +44,7 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -91,16 +91,22 @@ class SystemParams:
     anharmonicity: tuple[float, float] = (-182e6, -187e6)
 
     def __post_init__(self):
+        real = (int, float, np.integer, np.floating)
+        for name, value in vars(self).items():
+            for v in value if isinstance(value, (tuple, list)) else (value,):
+                if not (isinstance(v, real) and math.isfinite(v)):
+                    raise ValueError(f"{name} must be finite real numbers, got {value!r}")
         if self.g_bs <= 0:
             raise ValueError("g_bs must be positive")
-        if self.kappa_b < 0:
-            raise ValueError("kappa_b cannot be negative")
-        if len(self.dims) != 3 or any(d < 2 for d in self.dims):
-            raise ValueError(f"dims must be three truncations >= 2, got {self.dims}")
+        for name in ("kappa_b", "alpha", "t_pump", "t_dump", "t_protocol"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative")
+        if len(self.dims) != 3 or any(
+            not isinstance(d, (int, np.integer)) or d < 2 for d in self.dims
+        ):
+            raise ValueError(f"dims must be three integer truncations >= 2, got {self.dims}")
         if any(t <= 0 for t in self.t1_cavity):
             raise ValueError("cavity T1 must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha is a magnitude, must be >= 0")
 
     # angular versions, used by everything internal
     @property

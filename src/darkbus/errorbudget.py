@@ -61,10 +61,7 @@ def heralded_false_pass(alpha: float, p_bright_pass: float = DEFAULT_P_BRIGHT_PA
 
 
 def off_resonant_loss(
-    g_bs: float = 160e3,
-    kappa_b: float = 600e3,
-    delta_fsr: float = 2.0e9,
-    alpha: float = math.sqrt(2),
+    g_bs: float, kappa_b: float, delta_fsr: float, alpha: float
 ) -> tuple[float, float]:
     """Leakage through the neighboring (far-detuned) bus modes.
 
@@ -75,13 +72,13 @@ def off_resonant_loss(
     return eps, 2 * alpha**2 * eps
 
 
-def single_pass_loss(kappa_b: float = 600e3, delta_fsr: float = 2.0e9) -> float:
+def single_pass_loss(kappa_b: float, delta_fsr: float) -> float:
     """Fraction of a photon lost in one bus traversal, kappa_b / (2 FSR)."""
     return kappa_b / (2 * delta_fsr)
 
 
 def purcell_rate(
-    chi_cav_t: float, chi_bus_t: float, anharmonicity: float, kappa_b: float = 600e3
+    chi_cav_t: float, chi_bus_t: float, anharmonicity: float, kappa_b: float
 ) -> float:
     """Cavity decay induced through the transmon into the lossy bus, Hz.
 
@@ -130,7 +127,7 @@ class BudgetBreakdown:
 
 
 def predicted_infidelity(
-    alpha: float = math.sqrt(2),
+    alpha: float | None = None,
     p_decode: float = DEFAULT_P_DECODE,
     p_bright_pass: float = DEFAULT_P_BRIGHT_PASS,
     params: SystemParams | None = None,
@@ -138,9 +135,11 @@ def predicted_infidelity(
     """Budgeted Bell infidelity at a given cat amplitude.
 
     ``total`` sums the three dominant terms only.  Photon loss and the
-    informational terms are evaluated from ``params`` (defaults if None).
+    informational terms are evaluated from ``params`` (defaults if None);
+    ``alpha`` defaults to ``params.alpha``.
     """
     params = params or SystemParams()
+    alpha = params.alpha if alpha is None else alpha
     loss = photon_loss_probability(alpha, params)
     fp = heralded_false_pass(alpha, p_bright_pass)
     return BudgetBreakdown(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codes, dynamics, hilbert
+from . import codes, dynamics, hilbert, tomography
 from .codes import Codewords, LogicalBasis
 from .dynamics import CoherentSuperposition, SystemParams, TimeGrid
 from .hilbert import HilbertSpace, NumericalError, QuantumState
@@ -52,9 +52,6 @@ class VacuumCheckModel:
     p_g_given_empty:
         probability of (wrongly) reporting ``g`` on a vacuum cavity --
         the false-pass channel that lets dumped bright states sneak in.
-    p_e_given_vacuum:
-        complement of the above (the check has two outcomes).  May be left
-        ``None`` to be derived; if given it must agree.
     p_e_given_occupied:
         probability of (wrongly) reporting ``e`` on an occupied cavity --
         the false-fail channel (readout/thermal errors), which costs
@@ -67,26 +64,19 @@ class VacuumCheckModel:
     """
 
     p_g_given_empty: tuple[float, float] = (0.0, 0.0)
-    p_e_given_vacuum: tuple[float, float] | None = None
     p_e_given_occupied: tuple[float, float] = (0.0, 0.0)
     correlation_factor: float = 1.0
 
     def __post_init__(self):
-        pg = tuple(float(p) for p in self.p_g_given_empty)
-        object.__setattr__(self, "p_g_given_empty", pg)
-        pe = self.p_e_given_vacuum
-        pe = tuple(1.0 - p for p in pg) if pe is None else tuple(float(p) for p in pe)
-        object.__setattr__(self, "p_e_given_vacuum", pe)
-        object.__setattr__(
-            self, "p_e_given_occupied", tuple(float(p) for p in self.p_e_given_occupied)
-        )
-        for pair in (self.p_g_given_empty, self.p_e_given_vacuum, self.p_e_given_occupied):
+        for name in ("p_g_given_empty", "p_e_given_occupied"):
+            pair = tuple(float(p) for p in getattr(self, name))
             if len(pair) != 2 or any(not 0 <= p <= 1 for p in pair):
-                raise ValueError(f"per-module probabilities must be two values in [0,1], got {pair}")
-        if any(abs(g + e - 1) > 1e-12 for g, e in zip(pg, pe)):
-            raise ValueError("p_g_given_empty and p_e_given_vacuum must sum to 1 per module")
+                raise ValueError(
+                    f"per-module probabilities must be two values in [0,1], got {pair}"
+                )
+            object.__setattr__(self, name, pair)
         # the correlated both-vacuum table must still be a distribution
-        p1, p2 = pg
+        p1, p2 = self.p_g_given_empty
         pgg = self.correlation_factor * p1 * p2
         if p1 * p2 > 0 and not (0 <= pgg <= min(p1, p2) and 1 - p1 - p2 + pgg >= 0):
             raise ValueError("correlation_factor makes the both-vacuum outcome table invalid")
@@ -369,9 +359,10 @@ def run_dmm(
         Include 1/T1 loss on both cavities through the pump, dump and
         readout windows (t_protocol of exposure in total).
     dump_time:
-        Seconds, or "auto" to hold the coupling until the bright mode is
-        actually empty (first zero of its response when underdamped, decay
-        below 1e-4 otherwise), or None for params.t_dump.
+        Seconds (non-negative and finite), or "auto" to hold the coupling
+        until the bright mode is actually empty (first zero of its response
+        when underdamped, decay below 1e-4 otherwise), or None for
+        params.t_dump.
     basis:
         "auto" sets the analysis cat amplitude to the surviving dark
         component of each cavity (absorbing deterministic shrinkage, as an
@@ -395,6 +386,8 @@ def run_dmm(
         t_dump = dynamics.auto_dump_time(params.g_bs, params.kappa_b)
     else:
         t_dump = params.t_dump if dump_time is None else float(dump_time)
+        if not 0 <= t_dump < math.inf:
+            raise ValueError(f"dump_time must be non-negative and finite, got {dump_time!r}")
     t_post = max(params.t_protocol - params.t_pump - t_dump, 0.0)
 
     gammas = np.array(
@@ -566,30 +559,25 @@ def teleport(
     transmon readout.  Cavity-2 population outside the codespace decodes as
     a fair coin, which is what an experiment's thresholding does on leaked
     shots.
+
+    The transmon is never materialized.  Parity P is diagonal and the
+    transmon enters only through its X readout, <b|m1|a> = s^(a+b) / 2 with
+    s = -1 for m1 = 0 and +1 for m1 = 1, so gate and readout together act
+    on cavity 2 as K = c0 + s c1 P.  The unnormalized cavity-1 state of the
+    record (m1, m2) is Tr_2[O rho12] with O = K^dag M_m2 K / 2, where M_m2
+    is the decode element -- one contraction of the pair per record.
     """
     rho12 = hilbert.as_dm(resource)
     d1, d2 = words1.dim, words2.dim
     if rho12.shape[0] != d1 * d2:
         raise ValueError("resource state does not match the codeword truncations")
+    if not (0 <= p_decode <= 1 and 0 <= p_flip_m1 <= 1):
+        raise ValueError(
+            f"p_decode and p_flip_m1 must be in [0, 1], got {p_decode} and {p_flip_m1}"
+        )
     c0, c1 = input_qubit
     norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
     c0, c1 = c0 / norm, c1 / norm
-
-    ket_t = np.array([c0, c1], dtype=complex)
-    rho = np.kron(rho12, np.outer(ket_t, ket_t.conj()))
-
-    # controlled parity: |g><g| x I + |e><e| x parity(cav2)
-    par2 = hilbert.parity(d2)
-    i1 = np.eye(d1)
-    pg = np.diag([1.0, 0.0]).astype(complex)
-    pe = np.diag([0.0, 1.0]).astype(complex)
-    u = np.kron(i1, np.kron(np.eye(d2), pg)) + np.kron(i1, np.kron(par2, pe))
-    rho = u @ rho @ u.conj().T
-
-    # transmon X readout
-    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    minus = np.array([1, -1], dtype=complex) / math.sqrt(2)
-    m_t = {0: np.outer(minus, minus.conj()), 1: np.outer(plus, plus.conj())}
 
     # cavity-2 logical Z decode; leakage decodes 50/50
     pi_one = np.outer(words2.one, words2.one.conj())
@@ -601,12 +589,14 @@ def teleport(
     target = words1.ket(c0, c1)
 
     # unnormalized conditioned cavity-1 states
-    cond = {}
-    for m1 in (0, 1):
+    par2 = (-1.0) ** np.arange(d2)
+    ops = {}
+    for m1, s in ((0, -1.0), (1, 1.0)):
+        k = c0 + s * c1 * par2
         for m2 in (0, 1):
-            meas = np.kron(i1, np.kron(m_c2[m2], m_t[m1]))
-            sel = meas @ rho
-            cond[(m1, m2)] = hilbert.partial_trace(sel, (d1, d2, 2), keep=[0])
+            ops[(m1, m2)] = 0.5 * k.conj()[:, None] * m_c2[m2] * k
+    split = tomography.conditional_decomposition(rho12, ops, (d1, d2))
+    cond = {key: rho1 for key, (_, rho1) in split.items()}
 
     # classical readout errors mix the records, not the states
     if p_flip_m1 > 0:
@@ -756,9 +746,7 @@ def dual_rail_distill(rho_pair) -> tuple[float, np.ndarray]:
 
 
 def dual_rail_dmm(
-    g_bs: float = 160e3,
-    kappa_b: float = 600e3,
-    t_final: float | None = None,
+    params: SystemParams | None = None, t_final: float | None = None
 ) -> DualRailResult:
     """Single-photon variant: pump |1> into cavity 1, let the bus drain the
     bright half, then distill two copies by joint parity checks.
@@ -772,8 +760,11 @@ def dual_rail_dmm(
     leaves (|1001> + |0110>)/sqrt(2).  ``converged`` means trace distance
     below 1e-3 to that steady state.  The default window is 20 amplitude
     lifetimes of the *slow* bright-sector eigenvalue, which is what actually
-    limits the approach to steady state in every damping regime.
+    limits the approach to steady state in every damping regime.  Only
+    ``params.g_bs`` and ``params.kappa_b`` enter.
     """
+    params = params or SystemParams()
+    g_bs, kappa_b = params.g_bs, params.kappa_b
     if t_final is None:
         if kappa_b > 0:
             slow, _ = dynamics.damping_rates(g_bs, kappa_b)

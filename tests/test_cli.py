@@ -176,6 +176,58 @@ def test_multiround_rejects_out_of_range_values(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("teleport", "p_decode", "1.5"),
+        ("teleport", "p_flip_m1", "-0.5"),
+        ("teleport", "p_decode", "abc"),
+        ("error-budget", "p_decode", "1.5"),
+        ("error-budget", "p_bright_pass", "1.5"),
+    ],
+)
+def test_rates_outside_unit_interval_are_config_errors(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"{command}:\n  {key}: {value}\n")
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        "alpha: .nan",
+        "kappa_b: .nan",
+        "g_bs: .inf",
+        "t_pump: .nan",
+        "t_protocol: -1.0",
+        "dims: [12.5, 16, 12]",
+    ],
+)
+def test_non_finite_or_malformed_params_are_config_errors(tmp_path, capsys, params):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"params:\n  {params}\n")
+    assert run(["entangle", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert params.split(":")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o" / "entangle.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["entangle", "alpha-sweep", "teleport", "tomo-demo"])
+@pytest.mark.parametrize("value", ["-1.0e-6", ".inf", "abc"])
+def test_dump_time_rejects_bad_values(tmp_path, capsys, command, value):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"{command}:\n  dump_time: {value}\n")
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "dump_time" in capsys.readouterr().err
+
+
+def test_negative_alpha_in_sweep_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("alpha-sweep:\n  alphas: [-1.0]\n")
+    assert run(["alpha-sweep", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, block",
     [
         ("entangle", "entangle:\n  check: ideal\n"),

@@ -37,6 +37,23 @@ def test_params_validation():
         SystemParams(t1_cavity=(0.0, 1e-6))
     with pytest.raises(ValueError):
         SystemParams(alpha=-0.5)
+    # non-finite or malformed values, each named in the message
+    for name, value in [
+        ("alpha", math.nan),
+        ("kappa_b", math.nan),
+        ("g_bs", math.inf),
+        ("t1_cavity", (385e-6, math.inf)),
+        ("kerr", (math.nan, -7e3)),
+        ("delta_fsr", -math.inf),
+        ("t_pump", math.nan),
+        ("t_pump", -1e-6),
+        ("t_dump", -1e-6),
+        ("t_protocol", -1.0),
+        ("dims", (12.5, 16, 12)),
+        ("kappa_b", "600e3"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            SystemParams(**{name: value})
 
 
 def test_angular_conversions():

@@ -37,16 +37,18 @@ def test_false_pass_term():
 
 
 def test_informational_terms():
-    eps, infid = errorbudget.off_resonant_loss()
+    p = SystemParams()
+    eps, infid = errorbudget.off_resonant_loss(p.g_bs, p.kappa_b, p.delta_fsr, p.alpha)
     assert eps == pytest.approx(4.8e-8, rel=1e-12)
     assert infid == pytest.approx(1.92e-7, rel=1e-9)
-    assert errorbudget.single_pass_loss() == pytest.approx(1.5e-4, rel=1e-12)
-    p = SystemParams()
+    assert errorbudget.single_pass_loss(p.kappa_b, p.delta_fsr) == pytest.approx(
+        1.5e-4, rel=1e-12
+    )
     r1 = errorbudget.purcell_rate(
-        p.chi_cav_transmon[0], p.chi_bus_transmon[0], p.anharmonicity[0]
+        p.chi_cav_transmon[0], p.chi_bus_transmon[0], p.anharmonicity[0], p.kappa_b
     )
     r2 = errorbudget.purcell_rate(
-        p.chi_cav_transmon[1], p.chi_bus_transmon[1], p.anharmonicity[1]
+        p.chi_cav_transmon[1], p.chi_bus_transmon[1], p.anharmonicity[1], p.kappa_b
     )
     assert r1 == pytest.approx(142.6458157227388, rel=1e-9)
     assert r2 == pytest.approx(94.36929852154765, rel=1e-9)

@@ -23,8 +23,6 @@ def test_check_model_validation():
     with pytest.raises(ValueError):
         VacuumCheckModel(p_g_given_empty=(-0.1, 0.0))
     with pytest.raises(ValueError):
-        VacuumCheckModel(p_g_given_empty=(0.1, 0.1), p_e_given_vacuum=(0.8, 0.9))
-    with pytest.raises(ValueError):
         VacuumCheckModel(p_e_given_occupied=(0.0, 2.0))
     # correlation pushing gg above a marginal is not a distribution
     with pytest.raises(ValueError):
@@ -170,6 +168,12 @@ def test_run_dmm_explicit_basis():
     res = protocol.run_dmm(alpha=1.2, cavity_loss=False, dump_time="auto", basis=basis)
     assert res.basis_used == basis
     assert res.bell_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dump_time", [-1e-6, math.inf, math.nan])
+def test_run_dmm_rejects_bad_dump_time(dump_time):
+    with pytest.raises(ValueError, match="dump_time"):
+        protocol.run_dmm(dump_time=dump_time)
 
 
 def test_run_dmm_kerr_needs_lindblad():
@@ -341,6 +345,92 @@ def test_teleport_shape_mismatch():
         protocol.teleport(bell, (1, 0), other, other)
 
 
+@pytest.mark.parametrize("key", ["p_decode", "p_flip_m1"])
+@pytest.mark.parametrize("value", [-0.5, 1.5, math.nan])
+def test_teleport_rejects_readout_rates_outside_unit_interval(key, value):
+    bell, words = _ideal_resource()
+    with pytest.raises(ValueError, match=key):
+        protocol.teleport(bell, (1, 0), words, words, **{key: value})
+
+
+def _teleport_kron(resource, input_qubit, words1, words2, p_decode=0.0, p_flip_m1=0.0):
+    """Reference teleportation on the explicit (cav1, cav2, transmon) state:
+    kron-built controlled parity, then the four joint measurement records
+    traced down to cavity 1.  Returns (probs, fidelities, f_qst)."""
+    rho12 = hilbert.as_dm(resource)
+    d1, d2 = words1.dim, words2.dim
+    c0, c1 = input_qubit
+    norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+    c0, c1 = c0 / norm, c1 / norm
+    ket_t = np.array([c0, c1], dtype=complex)
+    rho = np.kron(rho12, np.outer(ket_t, ket_t.conj()))
+
+    i1 = np.eye(d1)
+    pg, pe = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    u = np.kron(i1, np.kron(np.eye(d2), pg)) + np.kron(i1, np.kron(hilbert.parity(d2), pe))
+    rho = u @ rho @ u.conj().T
+
+    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
+    minus = np.array([1, -1], dtype=complex) / math.sqrt(2)
+    m_t = {0: np.outer(minus, minus.conj()), 1: np.outer(plus, plus.conj())}
+    pi_one = np.outer(words2.one, words2.one.conj())
+    pi_zero = np.outer(words2.zero, words2.zero.conj())
+    leak = np.eye(d2) - pi_one - pi_zero
+    m_c2 = {0: pi_one + 0.5 * leak, 1: pi_zero + 0.5 * leak}
+
+    cond = {}
+    for m1 in (0, 1):
+        for m2 in (0, 1):
+            sel = np.kron(i1, np.kron(m_c2[m2], m_t[m1])) @ rho
+            cond[(m1, m2)] = hilbert.partial_trace(sel, (d1, d2, 2), keep=[0])
+    cond = {
+        (m1, m2): (1 - p_flip_m1) * cond[(m1, m2)] + p_flip_m1 * cond[(1 - m1, m2)]
+        for (m1, m2) in cond
+    }
+    cond = {
+        (m1, m2): (1 - p_decode) * cond[(m1, m2)] + p_decode * cond[(m1, 1 - m2)]
+        for (m1, m2) in cond
+    }
+
+    paulis = codes.logical_paulis(words1)
+    target = words1.ket(c0, c1)
+    total = sum(np.real(np.trace(c)) for c in cond.values())
+    probs, fids = {}, {}
+    for key, rho1 in cond.items():
+        tr = np.real(np.trace(rho1))
+        sigma = paulis[protocol.CORRECTIONS[key]]
+        probs[key] = tr / total
+        fids[key] = np.real(target.conj() @ sigma @ rho1 @ sigma.conj().T @ target) / tr
+    return probs, fids, sum(probs[k] * fids[k] for k in cond)
+
+
+def _measured_resource():
+    res = protocol.run_dmm(check=VacuumCheckModel.from_measured())
+    d1, d2 = res.rho_pass.space.dims
+    return res.rho_pass, res.basis_used[0].codewords(d1), res.basis_used[1].codewords(d2)
+
+
+@pytest.mark.parametrize("noise", [(0.0, 0.0), (0.02, 0.01)])
+@pytest.mark.parametrize("resource", ["ideal", "measured"])
+def test_teleport_matches_three_body_oracle(resource, noise):
+    """The pair contraction against the explicit cavity-cavity-transmon
+    construction, every record of every cardinal input."""
+    if resource == "ideal":
+        rho, w1 = _ideal_resource()
+        w2 = w1
+    else:
+        rho, w1, w2 = _measured_resource()
+    p_decode, p_flip_m1 = noise
+    for name, q in protocol.CARDINAL_STATES.items():
+        res = protocol.teleport(rho, q, w1, w2, p_decode, p_flip_m1)
+        probs, fids, f_qst = _teleport_kron(rho, q, w1, w2, p_decode, p_flip_m1)
+        assert list(res.probs) == list(probs) == list(protocol.CORRECTIONS)
+        for key in probs:
+            assert res.probs[key] == pytest.approx(probs[key], abs=1e-12), (name, key)
+            assert res.fidelities[key] == pytest.approx(fids[key], abs=1e-12), (name, key)
+        assert res.f_qst == pytest.approx(f_qst, abs=1e-12), name
+
+
 # ---------------------------------------------------------------------------
 # repeat-until-success
 # ---------------------------------------------------------------------------
@@ -409,7 +499,7 @@ def test_dual_rail_dmm_end_to_end():
 
 
 def test_dual_rail_lossless_never_converges():
-    res = protocol.dual_rail_dmm(kappa_b=0.0, t_final=2e-6)
+    res = protocol.dual_rail_dmm(SystemParams(kappa_b=0.0), t_final=2e-6)
     assert not res.converged
 
 
@@ -418,7 +508,7 @@ def test_dual_rail_lossless_whole_periods_not_converged():
     cavity 1.  The state is periodic, so it looks unchanged between any two
     period-spaced checks, yet nothing has drained."""
     t_final = 10 * 2 * math.pi / (math.sqrt(2) * 2 * math.pi * 160e3)
-    res = protocol.dual_rail_dmm(kappa_b=0.0, t_final=t_final)
+    res = protocol.dual_rail_dmm(SystemParams(kappa_b=0.0), t_final=t_final)
     assert not res.converged
     assert res.trace_distance > 0.8
     assert res.p_herald == pytest.approx(0.0, abs=1e-12)
@@ -444,7 +534,7 @@ def _dual_rail_pair_master_equation(kappa_b, t_final):
 def test_dual_rail_closed_form_matches_master_equation(kappa_b):
     """Pair state from one propagator column against the master equation."""
     for t_final in (0.7e-6, 3.1e-6, 2.0e-5):
-        res = protocol.dual_rail_dmm(kappa_b=kappa_b, t_final=t_final)
+        res = protocol.dual_rail_dmm(SystemParams(kappa_b=kappa_b), t_final=t_final)
         assert_allclose(
             res.rho_pair.dm(), _dual_rail_pair_master_equation(kappa_b, t_final), atol=1e-12
         )
