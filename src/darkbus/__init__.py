@@ -10,7 +10,7 @@ quality only prices the heralding rate.
 Layout: :mod:`.hilbert` (truncated-Fock linear algebra), :mod:`.codes`
 (cat qubits), :mod:`.dynamics` (parameters, master equation, exact coherent
 propagation), :mod:`.protocol` (heralding, teleportation, dual-rail,
-multiround), :mod:`.tomography` (Wigner maps, MLE, logical analysis),
+multiround), :mod:`.tomography` (Wigner maps, MLE, basis fitting),
 :mod:`.errorbudget` (closed-form infidelity terms), :mod:`.cli`.
 """
 
@@ -32,10 +32,8 @@ from .errorbudget import BudgetBreakdown, optimal_alpha, predicted_infidelity
 from .hilbert import (
     HilbertSpace,
     NumericalError,
-    Operator,
     QuantumState,
     fidelity,
-    make_space,
     trace_distance,
 )
 from .protocol import (
@@ -50,15 +48,12 @@ from .protocol import (
     run_dmm,
     success_probability,
     teleport,
-    vacuum_check,
 )
 from .tomography import (
     WignerData,
     WignerGrid,
-    joint_wigner,
     mle_density,
     optimize_basis,
-    pauli_correlations,
     sample_counts,
     wigner_map,
 )
@@ -91,10 +86,8 @@ __all__ = [
     "predicted_infidelity",
     "HilbertSpace",
     "NumericalError",
-    "Operator",
     "QuantumState",
     "fidelity",
-    "make_space",
     "trace_distance",
     "DmmResult",
     "MultiroundStats",
@@ -107,13 +100,10 @@ __all__ = [
     "run_dmm",
     "success_probability",
     "teleport",
-    "vacuum_check",
     "WignerData",
     "WignerGrid",
-    "joint_wigner",
     "mle_density",
     "optimize_basis",
-    "pauli_correlations",
     "sample_counts",
     "wigner_map",
     "__version__",

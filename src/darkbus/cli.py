@@ -75,22 +75,38 @@ def build_opts(defaults: dict, *layers: dict) -> dict:
     return opts
 
 
-# value ranges for _number: (test, wording)
-_UNIT = (lambda x: 0 <= x <= 1, "in [0, 1]")
-_NON_NEGATIVE = (lambda x: 0 <= x < math.inf, "non-negative and finite")
-_POSITIVE = (lambda x: 0 < x < math.inf, "positive and finite")
+# value ranges for _number: (test, wording, type of the value written back)
+_UNIT = (lambda x: 0 <= x <= 1, "in [0, 1]", float)
+_NON_NEGATIVE = (lambda x: 0 <= x < math.inf, "non-negative and finite", float)
+_POSITIVE = (lambda x: 0 < x < math.inf, "positive and finite", float)
+_COUNT = (lambda x: x >= 1 and x.is_integer(), "a whole number >= 1", int)
 
 
-def _number(opts: dict, key: str, valid=None) -> float:
-    """``opts[key]`` as a float, written back so that the manifest records
+def _number(opts: dict, key: str, valid=None):
+    """``opts[key]`` as a number, written back so that the manifest records
     the value used (PyYAML reads an exponent without a dot, 1e-5, as a
-    string), and checked against the range ``valid`` when given."""
+    string), and checked against the range ``valid`` when given.  A list
+    value is checked entry by entry and written back as a list."""
+    if isinstance(opts[key], list):
+        opts[key] = [_number({key: v}, key, valid) for v in opts[key]]
+        return opts[key]
     try:
-        opts[key] = float(opts[key])
+        value = float(opts[key])
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {opts[key]!r}") from None
-    if valid is not None and not valid[0](opts[key]):
-        raise ConfigError(f"{key} must be {valid[1]}, got {opts[key]}")
+    if valid is None:
+        opts[key] = value
+    elif valid[0](value):
+        opts[key] = valid[2](value)
+    else:
+        raise ConfigError(f"{key} must be {valid[1]}, got {opts[key]!r}")
+    return opts[key]
+
+
+def _flag(opts: dict, key: str) -> bool:
+    """``opts[key]``, which must be a YAML true or false."""
+    if not isinstance(opts[key], bool):
+        raise ConfigError(f"{key} must be true or false, got {opts[key]!r}")
     return opts[key]
 
 
@@ -117,7 +133,7 @@ def _herald(params: SystemParams, opts: dict, **kw) -> protocol.DmmResult:
     return protocol.run_dmm(
         params,
         check=_check_model(opts["check"]),
-        cavity_loss=bool(opts["cavity_loss"]),
+        cavity_loss=_flag(opts, "cavity_loss"),
         dump_time=_dump_time(opts),
         **kw,
     )
@@ -169,13 +185,15 @@ class RunContext:
 
 
 def cmd_regimes(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    kappas = list(opts["kappas"])
-    if opts["include_critical"]:
+    if not isinstance(opts["kappas"], list):
+        raise ConfigError(f"kappas must be a list of numbers, got {opts['kappas']!r}")
+    kappas = list(_number(opts, "kappas", _NON_NEGATIVE))
+    times = np.linspace(0.0, _number(opts, "t_max", _POSITIVE), _number(opts, "n_times", _COUNT))
+    if _flag(opts, "include_critical"):
         kc = dynamics.critical_kappa(params.g_bs)
         if not any(math.isclose(k, kc, rel_tol=1e-6) for k in kappas):
             kappas.append(kc)
         kappas.sort()
-    times = np.linspace(0.0, float(opts["t_max"]), int(opts["n_times"]))
     rows, curve_rows = [], []
     for k in kappas:
         regime = dynamics.classify_regime(params.g_bs, k)
@@ -204,8 +222,8 @@ def cmd_regimes(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_transfer(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
+    times = np.linspace(1e-9, _number(opts, "t_max", _POSITIVE), _number(opts, "n_times", _COUNT))
     res = dynamics.transfer_efficiency(params.g_bs, params.kappa_b)
-    times = np.linspace(1e-9, float(opts["t_max"]), int(opts["n_times"]))
     etas = [
         dynamics.transfer_efficiency(params.g_bs, params.kappa_b, t1=t, t2=t).eta
         for t in times
@@ -220,8 +238,8 @@ def cmd_transfer(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_phase_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    phis = np.linspace(0.0, 2 * math.pi, int(opts["n_phi"]))
-    times = np.linspace(0.0, float(opts["t_max"]), int(opts["n_times"]))
+    phis = np.linspace(0.0, 2 * math.pi, _number(opts, "n_phi", _COUNT))
+    times = np.linspace(0.0, _number(opts, "t_max", _POSITIVE), _number(opts, "n_times", _COUNT))
     p_fail = protocol.phase_sweep(params.alpha, phis, times, params.g_bs, params.kappa_b)
     rows = [
         (phi, t, p_fail[i, j])
@@ -246,6 +264,8 @@ def cmd_phase_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
+    if opts["engine"] not in ("coherent", "lindblad"):
+        raise ConfigError(f"engine must be 'coherent' or 'lindblad', got {opts['engine']!r}")
     res = _herald(params, opts, engine=opts["engine"])
     ctx.write_csv(
         "entangle.csv",
@@ -322,6 +342,8 @@ def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
+    extent, step = _number(opts, "extent", _POSITIVE), _number(opts, "step", _POSITIVE)
+    shots, max_iter = _number(opts, "shots", _COUNT), _number(opts, "max_iter", _COUNT)
     res = _herald(params, opts)
     d1, d2 = res.rho_pass.space.dims
     w2 = res.basis_used[1].codewords(d2)
@@ -331,7 +353,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     p_plus, rho1 = cond["+"]
     rho1 = rho1 / np.trace(rho1)
 
-    grid = tomography.WignerGrid.default(float(opts["extent"]), float(opts["step"]))
+    grid = tomography.WignerGrid.default(extent, step)
     forward = tomography._ForwardMap(d1, grid.betas)  # one kernel build: map and fit
     w = forward(rho1).reshape(grid.shape)
     ctx.write_csv(
@@ -339,7 +361,6 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         ["re_beta", "im_beta", "value"],
         zip(grid.betas.real, grid.betas.imag, w.ravel()),
     )
-    shots = int(opts["shots"])
     counts = tomography.sample_counts(w.ravel(), shots, seed=ctx.seed)
     w_meas = 2 * counts / shots - 1
     ctx.write_csv(
@@ -354,7 +375,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         shots=np.full(counts.size, shots),
         counts=counts,
     )
-    mle = tomography.mle_density(data, dim=d1, max_iter=int(opts["max_iter"]), forward=forward)
+    mle = tomography.mle_density(data, dim=d1, max_iter=max_iter, forward=forward)
     f_rec = hilbert.fidelity(mle.rho, rho1)
     if ctx.gnuplot:
         ctx.write_text(
@@ -405,7 +426,11 @@ def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    alphas = np.linspace(float(opts["alpha_min"]), float(opts["alpha_max"]), int(opts["n_alpha"]))
+    alphas = np.linspace(
+        _number(opts, "alpha_min", _NON_NEGATIVE),
+        _number(opts, "alpha_max", _NON_NEGATIVE),
+        _number(opts, "n_alpha", _COUNT),
+    )
     p_decode, p_bright = _number(opts, "p_decode", _UNIT), _number(opts, "p_bright_pass", _UNIT)
     rows = []
     for a in alphas:

@@ -73,12 +73,6 @@ class Codewords:
         return v / np.linalg.norm(v)
 
 
-def cat_norms(alpha: float) -> tuple[float, float]:
-    """Squared norms of |alpha> ± |-alpha>: N± = 2 (1 ± e^{-2|alpha|^2})."""
-    e = math.exp(-2 * abs(alpha) ** 2)
-    return 2 * (1 + e), 2 * (1 - e)
-
-
 def codewords(basis: LogicalBasis, dim: int) -> Codewords:
     """Build the codeword kets at truncation ``dim``."""
     a = basis.alpha
@@ -114,44 +108,12 @@ def logical_paulis(words: Codewords) -> dict:
     return {"I": pp + mm, "X": x, "Z": z, "Y": 1j * x @ z}
 
 
-def logical_density(rho, words1: Codewords, words2: Codewords | None = None):
-    """Project a one- or two-cavity density matrix into the logical basis.
-
-    Returns ``(rho_L, leakage)`` where rho_L is 2x2 (one cavity) or 4x4
-    (two cavities) in the |0>_L, |1>_L basis and ``leakage`` is the weight
-    outside the codespace.  rho_L is *not* renormalized.
-    """
-    rho = hilbert.as_dm(rho)
-    if words2 is None:
-        basis_kets = [words1.zero, words1.one]
-    else:
-        basis_kets = [
-            np.kron(a, b)
-            for a in (words1.zero, words1.one)
-            for b in (words2.zero, words2.one)
-        ]
-    v = np.column_stack(basis_kets)
-    rho_l = v.conj().T @ rho @ v
-    leakage = float(np.real(np.trace(rho)) - np.real(np.trace(rho_l)))
-    return rho_l, leakage
-
-
 def bell_state(words1: Codewords, words2: Codewords) -> np.ndarray:
     """The antisymmetric logical Bell ket (|0 1> - |1 0>)/sqrt(2), as a
     two-cavity Fock ket.  This is the state the heralded protocol targets;
     being the singlet it looks the same in the |±>_L basis."""
     ket = np.kron(words1.zero, words2.one) - np.kron(words1.one, words2.zero)
     return ket / np.linalg.norm(ket)
-
-
-def dark_bright_amplitudes(alpha1: complex, alpha2: complex) -> tuple[complex, complex]:
-    """Symmetric/antisymmetric combinations of two cavity amplitudes.
-
-    dark = (a1 - a2)/sqrt(2) stays decoupled from the shared bus;
-    bright = (a1 + a2)/sqrt(2) couples with sqrt(2) enhanced strength.
-    """
-    s = 1 / math.sqrt(2)
-    return (alpha1 - alpha2) * s, (alpha1 + alpha2) * s
 
 
 def initial_protocol_ket(space: HilbertSpace, alpha: float) -> QuantumState:
@@ -171,19 +133,3 @@ def initial_protocol_ket(space: HilbertSpace, alpha: float) -> QuantumState:
     )
     state = hilbert.product_ket(space, {"cav1": k1, "cav2": k2})
     return state.normalized()
-
-
-def kerr_twist_angle(kerr_hz: float, t: float) -> float:
-    """Analysis-basis Kerr angle that absorbs free Kerr evolution for time t.
-
-    Self-Kerr evolution is e^{-i pi K t n(n-1)} for a Kerr constant quoted in
-    Hz (K = kerr_hz, typically negative), i.e. angle -2 pi kerr_hz t in the
-    e^{+i (theta_k/2) n(n-1)} convention of :class:`LogicalBasis`.
-    """
-    return -2 * math.pi * kerr_hz * t
-
-
-def kerr_unitary(dim: int, kerr_hz: float, t: float) -> np.ndarray:
-    """Diagonal free-Kerr propagator exp(-i 2 pi K t n(n-1)/2) on one mode."""
-    n = np.arange(dim)
-    return np.diag(np.exp(-1j * 2 * math.pi * kerr_hz * t / 2 * n * (n - 1)))

@@ -53,7 +53,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import hilbert
-from .hilbert import HilbertSpace, NumericalError, Operator, QuantumState
+from .hilbert import HilbertSpace, NumericalError, QuantumState
 
 TWO_PI = 2 * math.pi
 
@@ -157,29 +157,30 @@ def coupling_matrix(g_bs: float) -> np.ndarray:
     return np.array([[0, g, 0], [g, 0, g], [0, g, 0]], dtype=complex)
 
 
-def coupling_hamiltonian(space: HilbertSpace, g_bs: float) -> Operator:
-    """H = 2pi g (a1 + a2) b^dag + h.c. as a sparse operator."""
+def coupling_hamiltonian(space: HilbertSpace, g_bs: float):
+    """H = 2pi g (a1 + a2) b^dag + h.c. as a CSR matrix."""
     g = TWO_PI * g_bs
     terms = None
     b_dag = hilbert.create(space.dims[space.axis("bus")])
     for cav in ("cav1", "cav2"):
         a = hilbert.destroy(space.dims[space.axis(cav)])
-        t = hilbert.embed(space, {cav: a, "bus": b_dag}, sparse=True).matrix
+        t = hilbert.embed(space, {cav: a, "bus": b_dag}, sparse=True)
         terms = t if terms is None else terms + t
     h = g * (terms + terms.conj().T)
-    return Operator(h.tocsr(), space)
+    return h.tocsr()
 
 
-def kerr_hamiltonian(space: HilbertSpace, kerr: tuple[float, float]) -> Operator:
-    """Self-Kerr H = sum_i 2pi K_i/2 n_i (n_i - 1) on the two cavities."""
+def kerr_hamiltonian(space: HilbertSpace, kerr: tuple[float, float]):
+    """Self-Kerr H = sum_i 2pi K_i/2 n_i (n_i - 1) on the two cavities, as a
+    CSR matrix."""
     h = None
     for cav, k in zip(("cav1", "cav2"), kerr):
         d = space.dims[space.axis(cav)]
         n = np.arange(d)
         diag = TWO_PI * k / 2 * n * (n - 1)
-        t = hilbert.embed(space, {cav: np.diag(diag.astype(complex))}, sparse=True).matrix
+        t = hilbert.embed(space, {cav: np.diag(diag.astype(complex))}, sparse=True)
         h = t if h is None else h + t
-    return Operator(h.tocsr(), space)
+    return h.tocsr()
 
 
 def collapse_operators(
@@ -187,28 +188,17 @@ def collapse_operators(
     params: SystemParams,
     cavity_loss: bool = True,
     bus_loss: bool = True,
-) -> list[Operator]:
-    """sqrt(rate) * a for each lossy mode.  Rates: kappa_b (angular) for the
-    bus, 1/T1 for the cavities."""
+) -> list:
+    """sqrt(rate) * a for each lossy mode, as CSR matrices.  Rates: kappa_b
+    (angular) for the bus, 1/T1 for the cavities."""
     ops = []
     if bus_loss and params.kappa_b > 0:
         b = hilbert.destroy(space.dims[space.axis("bus")])
-        ops.append(
-            Operator(
-                math.sqrt(params.kappa_ang)
-                * hilbert.embed(space, {"bus": b}, sparse=True).matrix,
-                space,
-            )
-        )
+        ops.append(math.sqrt(params.kappa_ang) * hilbert.embed(space, {"bus": b}, sparse=True))
     if cavity_loss:
         for cav, gamma in zip(("cav1", "cav2"), params.gamma_cavity):
             a = hilbert.destroy(space.dims[space.axis(cav)])
-            ops.append(
-                Operator(
-                    math.sqrt(gamma) * hilbert.embed(space, {cav: a}, sparse=True).matrix,
-                    space,
-                )
-            )
+            ops.append(math.sqrt(gamma) * hilbert.embed(space, {cav: a}, sparse=True))
     return ops
 
 
@@ -234,12 +224,6 @@ def langevin_solve(g_bs, kappa_cav, kappa_b, z0, grid: TimeGrid) -> np.ndarray:
     if z0.shape != (3,):
         raise ValueError("z0 must be the three initial amplitudes (cav1, bus, cav2)")
     return linear_propagator(coupling, gammas, grid.times)[0] @ z0
-
-
-def to_dark_bright(traj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dark/bright combinations of the two cavity columns of a trajectory."""
-    s = 1 / math.sqrt(2)
-    return (traj[:, 0] - traj[:, 2]) * s, (traj[:, 0] + traj[:, 2]) * s
 
 
 def critical_kappa(g_bs: float) -> float:
@@ -399,15 +383,16 @@ def lindblad_evolve(
     Parameters
     ----------
     h, c_ops:
-        Hamiltonian and collapse operators (Operator, ndarray or sparse), in
+        Hamiltonian and collapse operators (dense or sparse matrices), in
         angular units (rad/s) -- the builders in this module already are.
     state0:
-        QuantumState or raw ket / density matrix.
+        QuantumState or raw ket / density matrix.  The result states carry
+        the mode structure of a QuantumState.
     grid:
         Output times.  Each interval is one application of the propagator
         exp(L dt) to the vectorized state.
     e_ops:
-        Optional operators whose expectation values are recorded at grid
+        Optional matrices whose expectation values are recorded at grid
         times (cheaper than storing states).
     store_states:
         Keep a dense copy of rho at every grid time.  Mind the memory.
@@ -422,9 +407,9 @@ def lindblad_evolve(
     so the result does not depend on numpy's global RNG.  No renormalization
     is applied -- trace drift is a real error signal, not something to hide.
     """
-    hm = scipy.sparse.csr_matrix(hilbert.as_matrix(h), dtype=complex)
-    cs = [scipy.sparse.csr_matrix(hilbert.as_matrix(c), dtype=complex) for c in (c_ops or [])]
-    space = getattr(h, "space", None) or getattr(state0, "space", None)
+    hm = scipy.sparse.csr_matrix(h, dtype=complex)
+    cs = [scipy.sparse.csr_matrix(c, dtype=complex) for c in (c_ops or [])]
+    space = state0.space if isinstance(state0, QuantumState) else None
     dim = hm.shape[0]
 
     k_op = -1j * hm
@@ -448,7 +433,7 @@ def lindblad_evolve(
         raise ValueError("state does not match the Hamiltonian dimension")
 
     times = grid.times
-    e_mats = [scipy.sparse.csr_matrix(hilbert.as_matrix(e)) for e in (e_ops or [])]
+    e_mats = [scipy.sparse.csr_matrix(e) for e in (e_ops or [])]
     expect_rec = np.empty((len(e_mats), len(times)), dtype=complex) if e_mats else None
     states = [] if store_states else None
 
@@ -629,12 +614,6 @@ def coherent_overlaps(labels: np.ndarray) -> np.ndarray:
     return np.exp(g - 0.5 * (n[:, None] + n[None, :]))
 
 
-def coherent_trace(sup: CoherentSuperposition) -> float:
-    """Tr rho of the superposition, computed in closed form (no truncation)."""
-    o = coherent_overlaps(sup.labels)
-    a = np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
-    return float(np.real(np.sum(a * o)))
-
 def ptrace_coherent(sup: CoherentSuperposition, keep) -> CoherentSuperposition:
     """Trace out all modes not in ``keep`` (axis indices), in closed form.
 
@@ -650,24 +629,3 @@ def ptrace_coherent(sup: CoherentSuperposition, keep) -> CoherentSuperposition:
     return CoherentSuperposition(
         labels=sup.labels[:, keep], coeffs=sup.coeffs.copy(), weights=w
     )
-
-
-def materialize_coherent(sup: CoherentSuperposition, dims) -> np.ndarray:
-    """Dense density matrix of the superposition at the given truncations.
-
-    The per-component kets are exact Fock-space projections (unnormalized
-    coherent amplitudes), so this is the projection of the true state onto
-    the truncated space.  Cost scales with prod(dims)^2: test-size spaces
-    only.
-    """
-    dims = tuple(dims)
-    kets = []
-    for z in sup.labels:
-        factors = [hilbert.coherent(d, zi, normalized=False) for d, zi in zip(dims, z)]
-        ket = factors[0]
-        for f in factors[1:]:
-            ket = np.kron(ket, f)
-        kets.append(ket)
-    kets = np.array(kets)
-    a = np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
-    return kets.T @ a @ kets.conj()

@@ -113,18 +113,6 @@ class BudgetBreakdown:
     single_pass: float
     purcell: float
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "photon_loss": self.photon_loss,
-            "decode_error": self.decode_error,
-            "false_pass": self.false_pass,
-            "total": self.total,
-            "off_resonant": self.off_resonant,
-            "single_pass": self.single_pass,
-            "purcell": self.purcell,
-        }
-
 
 def predicted_infidelity(
     alpha: float | None = None,

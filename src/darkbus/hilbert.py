@@ -10,14 +10,14 @@ Conventions used throughout:
   exists to make that visible.
 
 Nothing in here knows about buses, cats or heralding -- it is plain linear
-algebra on numpy arrays, with a couple of thin dataclass wrappers so that
-states and operators carry their mode structure around with them.
+algebra on numpy and scipy.sparse arrays, with one thin dataclass wrapper so
+that states carry their mode structure around with them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -31,7 +31,7 @@ class NumericalError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# spaces, states, operators
+# spaces and states
 # ---------------------------------------------------------------------------
 
 
@@ -91,11 +91,6 @@ class HilbertSpace:
         return np.eye(self.dim, dtype=complex)
 
 
-def make_space(dims, labels=()) -> HilbertSpace:
-    """Convenience constructor, accepts any iterables."""
-    return HilbertSpace(tuple(dims), tuple(labels))
-
-
 @dataclass
 class QuantumState:
     """A ket (1-d) or density matrix (2-d) together with its mode structure."""
@@ -135,58 +130,12 @@ class QuantumState:
         scale = 1.0 / math.sqrt(tr) if self.is_ket else 1.0 / tr
         return QuantumState(self.data * scale, self.space)
 
-    def expect(self, op) -> complex:
-        return expect(op, self)
-
     def ptrace(self, keep) -> "QuantumState":
         """Reduced state on the modes named in ``keep`` (order respected)."""
         keep = (keep,) if isinstance(keep, str) else tuple(keep)
         axes = [self.space.axis(lb) for lb in keep]
         rho = partial_trace(self.dm(), self.space.dims, axes)
         return QuantumState(rho, self.space.subspace(keep))
-
-
-@dataclass
-class Operator:
-    """Matrix + space.  ``matrix`` may be dense or any scipy.sparse format."""
-
-    matrix: object
-    space: HilbertSpace
-
-    @property
-    def is_sparse(self) -> bool:
-        return scipy.sparse.issparse(self.matrix)
-
-    def dense(self) -> np.ndarray:
-        if self.is_sparse:
-            return np.asarray(self.matrix.todense(), dtype=complex)
-        return np.asarray(self.matrix, dtype=complex)
-
-    def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.space)
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            return Operator(self.matrix @ other.matrix, self.space)
-        return self.matrix @ other
-
-    def __add__(self, other):
-        other_m = other.matrix if isinstance(other, Operator) else other
-        return Operator(self.matrix + other_m, self.space)
-
-    def __sub__(self, other):
-        other_m = other.matrix if isinstance(other, Operator) else other
-        return Operator(self.matrix - other_m, self.space)
-
-    def __mul__(self, scalar):
-        return Operator(self.matrix * scalar, self.space)
-
-    __rmul__ = __mul__
-
-
-def as_matrix(op):
-    """Accept an Operator, ndarray or sparse matrix; hand back the raw matrix."""
-    return op.matrix if isinstance(op, Operator) else op
 
 
 def as_dm(state) -> np.ndarray:
@@ -311,12 +260,12 @@ def tensor(*mats):
     return reduce(np.kron, mats)
 
 
-def embed(space: HilbertSpace, parts: dict, sparse: bool = False) -> Operator:
+def embed(space: HilbertSpace, parts: dict, sparse: bool = False):
     """Lift per-mode matrices into the full space.
 
     ``parts`` maps mode label -> single-mode matrix; every unnamed mode gets
-    the identity.  With ``sparse=True`` the result is CSR, which is what the
-    integrator wants for large spaces.
+    the identity.  The result is a dense array, or a CSR matrix with
+    ``sparse=True`` (what the master-equation builders use).
     """
     factors = []
     for lb, d in zip(space.labels, space.dims):
@@ -334,7 +283,7 @@ def embed(space: HilbertSpace, parts: dict, sparse: bool = False) -> Operator:
     unknown = set(parts) - set(space.labels)
     if unknown:
         raise KeyError(f"labels {unknown} not in space {space.labels}")
-    return Operator(tensor(*factors), space)
+    return tensor(*factors)
 
 
 def product_ket(space: HilbertSpace, kets: dict) -> QuantumState:
@@ -363,14 +312,13 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def expect(op, state) -> complex:
-    """<op> = Tr(op rho), returned as a complex number."""
-    mat = as_matrix(op)
+    """<op> = Tr(op rho) for a dense or sparse matrix op, as a complex number."""
     if isinstance(state, QuantumState) and state.is_ket:
-        return complex(np.vdot(state.data, mat @ state.data))
+        return complex(np.vdot(state.data, op @ state.data))
     rho = as_dm(state)
-    if scipy.sparse.issparse(mat):
-        return complex((mat @ rho).diagonal().sum())
-    return complex(np.einsum("ij,ji->", mat, rho))
+    if scipy.sparse.issparse(op):
+        return complex((op @ rho).diagonal().sum())
+    return complex(np.einsum("ij,ji->", op, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +367,6 @@ def trace_distance(a, b) -> float:
     """T(rho, sigma) = (1/2) ||rho - sigma||_1."""
     diff = as_dm(a) - as_dm(b)
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def purity(state) -> float:
-    rho = as_dm(state)
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
 
 
 # ---------------------------------------------------------------------------

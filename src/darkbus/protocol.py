@@ -275,33 +275,6 @@ def _sector_states_coherent(sup: CoherentSuperposition, dims):
     return state
 
 
-def vacuum_check(state: QuantumState, model: VacuumCheckModel | None = None):
-    """Apply the two-module vacuum check to a cavity pair.
-
-    Accepts either a two-mode (cav1, cav2) state or the full three-mode
-    (cav1, bus, cav2) state, in which case the bus is traced out first.
-    Returns ``(p_outcomes, states, sector_probs)`` where ``states`` maps each
-    outcome to the normalized post-measurement QuantumState (None when the
-    outcome has zero probability).  Sector probabilities here are the
-    projective traces of the V/N decomposition -- on a density matrix there
-    is no component structure left to treat classically.
-    """
-    model = model or VacuumCheckModel.ideal()
-    if state.space.n_modes == 3 and "bus" in state.space.labels:
-        state = state.ptrace(("cav1", "cav2"))
-    if state.space.n_modes != 2:
-        raise ValueError("vacuum_check expects a two-cavity state (or cav1/bus/cav2)")
-    sector_probs, sector_states = _projected_sectors(state.dm(), state.space.dims)
-    states = {}
-    for o in OUTCOMES:
-        p_out, rho_o = _fold(model, sector_probs, sector_states.__getitem__, o)
-        if rho_o is not None and p_out[o] > 1e-15:
-            states[o] = QuantumState(rho_o / np.trace(rho_o), state.space)
-        else:
-            states[o] = None
-    return p_out, states, sector_probs
-
-
 def _projected_sectors(rho: np.ndarray, dims):
     """Probabilities and projected states of the V/N sectors of a two-cavity
     density matrix.  The projectors are diagonal, so projecting is masking."""
@@ -424,13 +397,10 @@ def run_dmm(
         psi0 = codes.initial_protocol_ket(space, params.alpha)
         h_dump = dynamics.coupling_hamiltonian(space, params.g_bs)
         if include_kerr:
-            h_dump = hilbert.Operator(
-                h_dump.matrix + dynamics.kerr_hamiltonian(space, params.kerr).matrix,
-                space,
-            )
+            h_dump = h_dump + dynamics.kerr_hamiltonian(space, params.kerr)
         c_ops = dynamics.collapse_operators(space, params, cavity_loss=cavity_loss)
         state = psi0
-        h_zero = hilbert.Operator(0.0 * space.identity(sparse=True), space)
+        h_zero = 0.0 * space.identity(sparse=True)
         for h, t in ((h_zero, params.t_pump), (h_dump, t_dump), (h_zero, t_post)):
             if t <= 0:
                 continue
@@ -481,14 +451,6 @@ def run_dmm(
         sector_probs=sector_probs,
         edge_population=hilbert.edge_population(rho_n),
     )
-
-
-def bell_fidelity(rho, words1: Codewords, words2: Codewords) -> float:
-    """Overlap of a two-cavity state with the logical Bell (singlet) target."""
-    bell = codes.bell_state(words1, words2)
-    rho = hilbert.as_dm(rho)
-    tr = float(np.real(np.trace(rho)))
-    return float(np.real(bell.conj() @ rho @ bell) / tr)
 
 
 def phase_sweep(alpha: float, phis, times, g_bs: float, kappa_b: float) -> np.ndarray:

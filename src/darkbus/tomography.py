@@ -16,8 +16,8 @@ sum_k c_k M_k is its transpose.
 
 Reconstruction is maximum likelihood by accelerated projected gradient:
 a binomial likelihood when shot counts are available, least squares when
-only noiseless maps are.  Logical-level analysis (Pauli correlations,
-two-qubit inversion, basis fitting) lives at the bottom of the module.
+only noiseless maps are.  Logical-level analysis (conditional states of a
+pair, analysis-basis fitting) lives at the bottom of the module.
 """
 
 from __future__ import annotations
@@ -30,15 +30,7 @@ from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre, gammaln
 
 from . import codes, hilbert
-from .codes import Codewords, LogicalBasis
-
-PAULI_LABELS = ("I", "X", "Y", "Z")
-_PAULI_2 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from .codes import LogicalBasis
 
 
 # ---------------------------------------------------------------------------
@@ -140,51 +132,6 @@ def wigner_map(state, grid: WignerGrid | None = None) -> np.ndarray:
     grid = grid or WignerGrid.default()
     rho = hilbert.as_dm(state)
     return _ForwardMap(rho.shape[0], grid.betas)(rho).reshape(grid.shape)
-
-
-def joint_wigner(state, betas1, betas2, dims: tuple[int, int] | None = None) -> np.ndarray:
-    """Two-mode joint parity map W(b1, b2), shape (len(betas1), len(betas2)).
-
-    The two displacement axes are independent 1-D arrays of complex points
-    (sweep lines, not necessarily a full grid): the interesting structure of
-    the Bell pair lives on cuts.
-    """
-    rho = hilbert.as_dm(state)
-    betas1 = np.atleast_1d(np.asarray(betas1, complex))
-    betas2 = np.atleast_1d(np.asarray(betas2, complex))
-    if dims is None:
-        d1 = int(round(math.sqrt(rho.shape[0])))
-        if d1 * d1 != rho.shape[0]:
-            raise ValueError("cannot infer unequal cavity truncations; pass dims")
-        dims = (d1, d1)
-    d1, d2 = dims
-    m1 = _kernel_stack(d1, betas1)
-    m2 = _kernel_stack(d2, betas2)
-    rho4 = rho.reshape(d1, d2, d1, d2)
-    return np.einsum("ijkl,aki,blj->ab", rho4, m1, m2).real
-
-
-def simulate_readout(w: np.ndarray, epsilon_g: float = 0.0, epsilon_e: float = 0.0) -> np.ndarray:
-    """Parity signal after asymmetric assignment errors.
-
-    A +1 shot is misrecorded with probability epsilon_g, a -1 shot with
-    epsilon_e; the mean picks up a contrast factor and a constant bias.
-    """
-    return (1 - epsilon_g - epsilon_e) * w + (epsilon_e - epsilon_g)
-
-
-def symmetrize(w_plus: np.ndarray, w_minus: np.ndarray) -> np.ndarray:
-    """Difference map from preparing the parity-flipped partner state.
-
-    Readout bias is common mode between the two preparations and cancels
-    identically; the contrast scale survives and is fit downstream.
-    """
-    return 0.5 * (np.asarray(w_plus) - np.asarray(w_minus))
-
-
-def symmetrize_joint(w_pp, w_pm, w_mp, w_mm) -> np.ndarray:
-    """Four-preparation symmetrization of a joint map (both biases cancel)."""
-    return 0.25 * (np.asarray(w_pp) - np.asarray(w_pm) - np.asarray(w_mp) + np.asarray(w_mm))
 
 
 def sample_counts(w: np.ndarray, shots: int, seed: int | None = None) -> np.ndarray:
@@ -436,104 +383,6 @@ def conditional_decomposition(state, meas_ops: dict, dims: tuple[int, int]) -> d
         rho1 = np.einsum("ijkl,lj->ik", rho4, np.asarray(m, complex))
         out[name] = (float(np.real(np.trace(rho1))), rho1)
     return out
-
-
-def _logical_meas_ops(words: Codewords, which: str):
-    """+/- measurement pair for one logical Pauli, plus-eigenvector first.
-
-    The pair sums to the codespace projector, not the identity: leaked
-    population is post-selected away so that the correlation table's
-    identity slots measure codespace weight.  (The teleport decoder makes
-    the opposite choice -- a fair coin -- because it must emit a bit.)
-    """
-    paulis = codes.logical_paulis(words)
-    proj = paulis["I"]
-    plus = 0.5 * (proj + paulis[which])
-    minus = 0.5 * (proj - paulis[which])
-    return plus, minus
-
-
-def pauli_correlations(
-    state, words1: Codewords, words2: Codewords, route: str = "measurement"
-) -> np.ndarray:
-    """4x4 table T[i, j] = <sigma_i x sigma_j> over (I, X, Y, Z).
-
-    The identity slot is the codespace projector, so T[0, 0] < 1 measures
-    leakage and nothing here renormalizes it away.
-
-    route="measurement" mimics the experiment: decode mode 2 along sigma_j,
-    then evaluate sigma_i on the conditional mode-1 states (mode-2 identity
-    entries average the three decode bases; by construction they agree).
-    route="direct" contracts the operators in one shot; the two agree to
-    machine precision and the tests hold them to that.
-    """
-    rho = hilbert.as_dm(state)
-    d1, d2 = words1.dim, words2.dim
-    p1 = codes.logical_paulis(words1)
-    p2 = codes.logical_paulis(words2)
-    t = np.zeros((4, 4))
-
-    if route == "direct":
-        rho4 = rho.reshape(d1, d2, d1, d2)
-        for i, si in enumerate(PAULI_LABELS):
-            for j, sj in enumerate(PAULI_LABELS):
-                t[i, j] = np.real(np.einsum("ijkl,ki,lj->", rho4, p1[si], p2[sj]))
-        return t
-
-    if route != "measurement":
-        raise ValueError(f"unknown route {route!r}")
-
-    cond = {}
-    for sj in ("X", "Y", "Z"):
-        plus, minus = _logical_meas_ops(words2, sj)
-        cond[sj] = conditional_decomposition(rho, {"+": plus, "-": minus}, (d1, d2))
-    for i, si in enumerate(PAULI_LABELS):
-        op1 = p1[si]
-        for j, sj in enumerate(PAULI_LABELS):
-            if sj == "I":
-                # sum over outcomes of any basis recovers <sigma_i x Pi_code>;
-                # average the three to use all the data symmetrically
-                acc = 0.0
-                for basis in ("X", "Y", "Z"):
-                    for _, (
-                        _,
-                        rho1,
-                    ) in cond[basis].items():
-                        acc += np.real(np.trace(op1 @ rho1))
-                t[i, j] = acc / 3
-            else:
-                (_, rp), (_, rm) = cond[sj]["+"], cond[sj]["-"]
-                t[i, j] = np.real(np.trace(op1 @ rp)) - np.real(np.trace(op1 @ rm))
-    return t
-
-
-def logical_two_qubit(correlations: np.ndarray) -> tuple[np.ndarray, float]:
-    """Invert a Pauli correlation table into a two-qubit matrix.
-
-    rho_L = (1/4) sum_ij T[i,j] sigma_i x sigma_j, followed by clipping
-    negative eigenvalues to zero.  The trace is left alone: it equals the
-    codespace weight <Pi x Pi>, and the shortfall is the leakage -- reported,
-    not renormalized.
-    """
-    t = np.asarray(correlations, float)
-    if t.shape != (4, 4):
-        raise ValueError("expected a 4x4 Pauli correlation table")
-    rho = np.zeros((4, 4), dtype=complex)
-    for i, si in enumerate(PAULI_LABELS):
-        for j, sj in enumerate(PAULI_LABELS):
-            rho += t[i, j] * np.kron(_PAULI_2[si], _PAULI_2[sj])
-    rho /= 4
-    vals, vecs = np.linalg.eigh(rho)
-    rho_psd = (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
-    leakage = float(1 - t[0, 0])
-    return rho_psd, leakage
-
-
-def logical_bell_fidelity(rho_l: np.ndarray) -> float:
-    """Overlap with the singlet (|01> - |10>)/sqrt(2), trace as-is."""
-    s = np.zeros(4, dtype=complex)
-    s[1], s[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    return float(np.real(s.conj() @ rho_l @ s))
 
 
 # ---------------------------------------------------------------------------

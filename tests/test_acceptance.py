@@ -15,6 +15,7 @@ from darkbus.codes import LogicalBasis
 from darkbus.dynamics import SystemParams, TimeGrid
 from darkbus.protocol import VacuumCheckModel
 from darkbus.tomography import WignerData, WignerGrid
+from oracles import kerr_twist_angle, kerr_unitary, materialize_coherent
 
 G = 160e3
 ROOT2 = math.sqrt(2)
@@ -259,13 +260,13 @@ def test_ac7_tomography_roundtrip():
     sup = dynamics.CoherentSuperposition(labels=labels, coeffs=coeffs / math.sqrt(n2))
     rate = -math.log(1 - gamma)
     e, q = dynamics.linear_propagator(np.zeros((2, 2), complex), [rate, rate], 1.0)
-    rho = dynamics.materialize_coherent(dynamics.propagate_coherent(sup, e, q), (14, 14))
-    u = codes.kerr_unitary(14, kerr_hz, t_kerr)
+    rho = materialize_coherent(dynamics.propagate_coherent(sup, e, q), (14, 14))
+    u = kerr_unitary(14, kerr_hz, t_kerr)
     u2 = np.kron(u, u)
     rho = u2 @ rho @ u2.conj().T
 
     fit = tomography.optimize_basis(rho, (14, 14))
-    theta_expected = codes.kerr_twist_angle(kerr_hz, t_kerr)
+    theta_expected = kerr_twist_angle(kerr_hz, t_kerr)
     dev_theta = abs(fit.basis.theta_k - theta_expected)
     dev_alpha = abs(fit.basis.alpha - 1.33)
     ok &= dev_theta <= 1e-3
@@ -361,10 +362,10 @@ def test_ac10_numerical_properties(tmp_path):
     words = LogicalBasis(ROOT2).codewords(dim)
     bell = codes.bell_state(words, words)
     u2 = np.kron(
-        codes.kerr_unitary(dim, kerr_hz, t_kerr), codes.kerr_unitary(dim, kerr_hz, t_kerr)
+        kerr_unitary(dim, kerr_hz, t_kerr), kerr_unitary(dim, kerr_hz, t_kerr)
     )
     twisted = u2 @ bell
-    basis_t = LogicalBasis(ROOT2, theta_k=codes.kerr_twist_angle(kerr_hz, t_kerr))
+    basis_t = LogicalBasis(ROOT2, theta_k=kerr_twist_angle(kerr_hz, t_kerr))
     wt = basis_t.codewords(dim)
     f_absorb = abs(np.vdot(codes.bell_state(wt, wt), twisted)) ** 2
     ok &= abs(f_absorb - 1.0) < 1e-9

@@ -220,6 +220,64 @@ def test_dump_time_rejects_bad_values(tmp_path, capsys, command, value):
     assert "dump_time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("regimes", "t_max", "-1.0"),
+        ("regimes", "n_times", "0"),
+        ("regimes", "kappas", "[abc]"),
+        ("regimes", "kappas", "[-1.0]"),
+        ("regimes", "kappas", "5.0"),
+        ("transfer-efficiency", "t_max", "0.0"),
+        ("transfer-efficiency", "n_times", "2.5"),
+        ("phase-sweep", "n_times", "abc"),
+        ("phase-sweep", "n_phi", "1.5"),
+        ("phase-sweep", "t_max", ".inf"),
+        ("error-budget", "alpha_min", "abc"),
+        ("error-budget", "alpha_max", "-1.0"),
+        ("error-budget", "n_alpha", "-3"),
+        ("tomo-demo", "extent", "-2.0"),
+        ("tomo-demo", "step", "0.0"),
+        ("tomo-demo", "shots", "0"),
+        ("tomo-demo", "max_iter", "0"),
+    ],
+)
+def test_bad_counts_and_lengths_are_config_errors(tmp_path, capsys, command, key, value):
+    """Counts must be whole numbers >= 1; lengths, extents and steps positive."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"{command}:\n  {key}: {value}\n")
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("entangle", "cavity_loss", "'no'"),
+        ("teleport", "cavity_loss", "1"),
+        ("regimes", "include_critical", "'yes'"),
+        ("regimes", "include_critical", "0"),
+    ],
+)
+def test_flags_take_only_true_or_false(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"{command}:\n  {key}: {value}\n")
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert key in capsys.readouterr().err
+    # a YAML false is read as the bool it is
+    cfg.write_text(f"{command}:\n  {key}: no\n")
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert read_manifest(tmp_path / "o")["options"][key] is False
+
+
+def test_unknown_engine_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("entangle:\n  engine: foo\n")
+    assert run(["entangle", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "engine" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "entangle.csv").exists()
+
+
 def test_negative_alpha_in_sweep_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("alpha-sweep:\n  alphas: [-1.0]\n")

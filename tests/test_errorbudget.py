@@ -75,12 +75,6 @@ def test_budget_at_reference_amplitude():
     assert b.off_resonant < 1e-5
     assert b.single_pass < 1e-3
     assert b.purcell < 5e-3
-    d = b.as_dict()
-    assert d["alpha"] == pytest.approx(math.sqrt(2))
-    assert set(d) == {
-        "alpha", "photon_loss", "decode_error", "false_pass",
-        "total", "off_resonant", "single_pass", "purcell",
-    }
 
 
 def test_optimal_alpha():

@@ -194,11 +194,6 @@ def test_normalized_and_trace():
         QuantumState(np.zeros(4), sp).normalized()
 
 
-def test_purity():
-    assert hilbert.purity(hilbert.fock(5, 2)) == pytest.approx(1.0)
-    assert hilbert.purity(np.eye(4) / 4) == pytest.approx(0.25)
-
-
 def test_edge_population_flags_truncation():
     sp = HilbertSpace((8,), ("cav",))
     small = QuantumState(hilbert.coherent(8, 0.5), sp)

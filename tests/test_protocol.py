@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from darkbus import codes, dynamics, hilbert, protocol
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import SECTORS, VacuumCheckModel
+from oracles import kerr_twist_angle, vacuum_check
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +196,30 @@ def test_run_dmm_engine_cross_check():
     assert hilbert.trace_distance(lin.rho_pass, coh.rho_pass) < 2e-4
 
 
+def test_run_dmm_self_kerr():
+    """Self-Kerr in the dump window twists the cats and costs Bell fidelity.
+
+    Zero Kerr changes nothing.  Decoding in the basis twisted by the
+    free-Kerr angle of the dump window wins most of the loss back; the rest
+    is Kerr acting while the exchange with the bus runs, which a twist of
+    the basis cannot undo.
+    """
+    p = SystemParams(alpha=0.8, dims=(6, 4, 6))
+    plain = protocol.run_dmm(p, engine="lindblad")
+    zero = protocol.run_dmm(p.with_(kerr=(0.0, 0.0)), engine="lindblad", include_kerr=True)
+    assert zero.bell_fidelity == plain.bell_fidelity
+    kerr = protocol.run_dmm(p, engine="lindblad", include_kerr=True)
+    assert plain.bell_fidelity == pytest.approx(0.969, abs=1e-3)
+    assert kerr.bell_fidelity == pytest.approx(0.912, abs=1e-3)
+    basis = tuple(
+        codes.LogicalBasis(a, theta_k=kerr_twist_angle(k, kerr.t_dump))
+        for a, k in zip(kerr.alpha_dark, p.kerr)
+    )
+    twisted = protocol.run_dmm(p, engine="lindblad", include_kerr=True, basis=basis)
+    assert twisted.p_outcomes == kerr.p_outcomes
+    assert twisted.bell_fidelity == pytest.approx(0.946, abs=1e-3)
+
+
 def test_run_dmm_lindblad_ignores_global_rng():
     """The master-equation engine is a pure function of its inputs.
 
@@ -225,7 +250,7 @@ def test_run_dmm_lindblad_ignores_global_rng():
 def test_vacuum_check_on_vacuum():
     space = hilbert.HilbertSpace((4, 4), ("cav1", "cav2"))
     vac = hilbert.product_ket(space, {})
-    p, states, sectors = protocol.vacuum_check(vac)
+    p, states, sectors = vacuum_check(vac)
     assert p["gg"] == pytest.approx(0.0, abs=1e-15)
     assert p["ee"] == pytest.approx(1.0)
     assert states["gg"] is None
@@ -241,7 +266,7 @@ def test_vacuum_check_product_state():
         space,
         {"cav1": hilbert.coherent(20, a), "cav2": hilbert.coherent(20, -a)},
     )
-    p, states, _ = protocol.vacuum_check(ket)
+    p, states, _ = vacuum_check(ket)
     expected = (1 - math.exp(-2)) ** 2
     assert p["gg"] == pytest.approx(expected, abs=1e-9)
     assert p["gg"] == pytest.approx(0.7477, abs=1e-4)
@@ -253,7 +278,7 @@ def test_vacuum_check_product_state():
 def test_vacuum_check_measured_false_pass():
     space = hilbert.HilbertSpace((3, 3), ("cav1", "cav2"))
     vac = hilbert.product_ket(space, {})
-    p, _, _ = protocol.vacuum_check(vac, VacuumCheckModel.from_measured())
+    p, _, _ = vacuum_check(vac, VacuumCheckModel.from_measured())
     assert p["gg"] == pytest.approx(0.015)
 
 
@@ -267,7 +292,7 @@ def test_vacuum_check_outcomes_recompose_sectors(d1, d2, seed):
     rho = x @ x.conj().T
     rho /= np.trace(rho)
     space = hilbert.HilbertSpace((d1, d2), ("cav1", "cav2"))
-    p, states, sectors = protocol.vacuum_check(
+    p, states, sectors = vacuum_check(
         hilbert.QuantumState(rho, space), VacuumCheckModel.from_measured()
     )
     recomposed = sum(p[o] * states[o].dm() for o in protocol.OUTCOMES)
@@ -286,7 +311,7 @@ def test_vacuum_check_rejects_wrong_shape():
     space = hilbert.HilbertSpace((4,), ("cav1",))
     vac = hilbert.product_ket(space, {})
     with pytest.raises(ValueError):
-        protocol.vacuum_check(vac)
+        vacuum_check(vac)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +546,7 @@ def _dual_rail_pair_master_equation(kappa_b, t_final):
     h = dynamics.coupling_hamiltonian(space, 160e3)
     c_ops = []
     if kappa_b > 0:
-        b = hilbert.embed(space, {"bus": hilbert.destroy(3)}, sparse=True).matrix
+        b = hilbert.embed(space, {"bus": hilbert.destroy(3)}, sparse=True)
         c_ops = [math.sqrt(2 * math.pi * kappa_b) * b]
     psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(2, 1)})
     grid = dynamics.TimeGrid(np.array([0.0, t_final]))

@@ -11,6 +11,7 @@ from scipy.special import eval_genlaguerre
 from darkbus import codes, dynamics, hilbert, tomography
 from darkbus.codes import LogicalBasis
 from darkbus.tomography import WignerData, WignerGrid
+from oracles import kerr_twist_angle, kerr_unitary, materialize_coherent
 
 
 # ---------------------------------------------------------------------------
@@ -177,58 +178,9 @@ def test_wigner_linearity(mix, seed):
     assert_allclose(w, mix * w1 + (1 - mix) * w2, atol=1e-12)
 
 
-def test_joint_wigner_factorizes_on_products():
-    k1 = hilbert.coherent(10, 0.6)
-    k2 = hilbert.fock(8, 1)
-    rho = np.kron(np.outer(k1, k1.conj()), np.outer(k2, k2.conj()))
-    b1 = np.array([0.2, -0.4 + 0.1j])
-    b2 = np.array([0.0, 0.3j, 0.5])
-    joint = tomography.joint_wigner(rho, b1, b2, dims=(10, 8))
-    # evaluate the single-mode maps at exactly those complex points
-    m1 = np.array([tomography.displaced_parity(10, b) for b in b1])
-    m2 = np.array([tomography.displaced_parity(8, b) for b in b2])
-    wa = np.einsum("kij,ji->k", m1, np.outer(k1, k1.conj())).real
-    wb = np.einsum("kij,ji->k", m2, np.outer(k2, k2.conj())).real
-    assert_allclose(joint, np.outer(wa, wb), atol=1e-12)
-
-
-def test_joint_wigner_bell_origin():
-    """The logical singlet is odd under joint parity: W(0,0) = -1."""
-    words = LogicalBasis(math.sqrt(2)).codewords(16)
-    bell = codes.bell_state(words, words)
-    w = tomography.joint_wigner(bell, [0.0], [0.0], dims=(16, 16))
-    assert w[0, 0] == pytest.approx(-1.0, abs=1e-9)
-
-
-def test_joint_wigner_infers_square_dims():
-    words = LogicalBasis(1.0).codewords(9)
-    bell = codes.bell_state(words, words)
-    w_auto = tomography.joint_wigner(bell, [0.1], [0.2j])
-    w_given = tomography.joint_wigner(bell, [0.1], [0.2j], dims=(9, 9))
-    assert_allclose(w_auto, w_given, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
-# readout imperfections and shot noise
+# shot noise
 # ---------------------------------------------------------------------------
-
-
-def test_readout_bias_cancels_in_symmetrization():
-    rng = np.random.default_rng(7)
-    w = np.clip(rng.normal(0, 0.4, size=(5, 5)), -1, 1)
-    eg, ee = 0.03, 0.08
-    plus = tomography.simulate_readout(w, eg, ee)
-    minus = tomography.simulate_readout(-w, eg, ee)
-    # the additive bias (ee - eg) is common mode; the contrast survives
-    assert_allclose(tomography.symmetrize(plus, minus), (1 - eg - ee) * w, atol=1e-15)
-
-
-def test_joint_symmetrization_cancels_both_biases():
-    rng = np.random.default_rng(8)
-    w = np.clip(rng.normal(0, 0.4, size=(4, 6)), -1, 1)
-    c, b = 0.87, 0.06
-    out = tomography.symmetrize_joint(c * w + b, -c * w + b, -c * w + b, c * w + b)
-    assert_allclose(out, c * w, atol=1e-15)
 
 
 def test_sample_counts_seeded():
@@ -426,7 +378,7 @@ def test_conditional_decomposition_completeness():
     bell = codes.bell_state(words, words)
     paulis = codes.logical_paulis(words)
     leak = np.eye(10) - paulis["I"]
-    plus, minus = tomography._logical_meas_ops(words, "Z")
+    plus, minus = 0.5 * (paulis["I"] + paulis["Z"]), 0.5 * (paulis["I"] - paulis["Z"])
     cond = tomography.conditional_decomposition(
         bell, {"+": plus, "-": minus, "leak": leak}, (10, 10)
     )
@@ -436,67 +388,6 @@ def test_conditional_decomposition_completeness():
     assert_allclose(total, rdm1, atol=1e-12)
     # the ideal Bell state never leaks
     assert cond["leak"][0] == pytest.approx(0.0, abs=1e-9)
-
-
-def _mixed_pair(dims=(10, 10), alpha=1.2):
-    """Bell pair diluted with a leaky Fock product -- something to analyze."""
-    words = LogicalBasis(alpha).codewords(dims[0])
-    bell = codes.bell_state(words, words)
-    rho = 0.85 * hilbert.as_dm(bell)
-    junk = np.kron(hilbert.fock(dims[0], 2), hilbert.fock(dims[1], 3))
-    rho += 0.15 * np.outer(junk, junk.conj())
-    return rho, words
-
-
-def test_pauli_correlation_routes_agree():
-    rho, words = _mixed_pair()
-    t_meas = tomography.pauli_correlations(rho, words, words, route="measurement")
-    t_direct = tomography.pauli_correlations(rho, words, words, route="direct")
-    assert_allclose(t_meas, t_direct, atol=1e-12)
-    # codespace weight dropped below 1 because of the Fock junk
-    assert t_meas[0, 0] < 1.0
-    with pytest.raises(ValueError):
-        tomography.pauli_correlations(rho, words, words, route="nope")
-
-
-def test_pauli_correlations_ideal_singlet():
-    words = LogicalBasis(1.3).codewords(12)
-    bell = codes.bell_state(words, words)
-    t = tomography.pauli_correlations(bell, words, words)
-    assert t[0, 0] == pytest.approx(1.0, abs=1e-9)
-    for k in (1, 2, 3):
-        assert t[k, k] == pytest.approx(-1.0, abs=1e-9)
-        assert t[0, k] == pytest.approx(0.0, abs=1e-9)
-        assert t[k, 0] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_logical_two_qubit_oracle():
-    # depolarized singlet: correlations at 90% contrast, full codespace weight
-    t = np.diag([1.0, -0.9, -0.9, -0.9])
-    rho_l, leakage = tomography.logical_two_qubit(t)
-    assert leakage == pytest.approx(0.0, abs=1e-12)
-    assert np.trace(rho_l).real == pytest.approx(1.0, abs=1e-12)
-    assert tomography.logical_bell_fidelity(rho_l) == pytest.approx(0.925, abs=1e-12)
-
-
-def test_logical_two_qubit_reports_leakage():
-    t = 0.9 * np.diag([1.0, -1.0, -1.0, -1.0])
-    rho_l, leakage = tomography.logical_two_qubit(t)
-    assert leakage == pytest.approx(0.1, rel=1e-12)
-    # trace equals codespace weight; nothing renormalizes it away
-    assert np.trace(rho_l).real == pytest.approx(0.9, abs=1e-12)
-    assert tomography.logical_bell_fidelity(rho_l) == pytest.approx(0.9, abs=1e-12)
-    with pytest.raises(ValueError):
-        tomography.logical_two_qubit(np.eye(3))
-
-
-def test_logical_two_qubit_matches_pauli_table():
-    rho, words = _mixed_pair()
-    t = tomography.pauli_correlations(rho, words, words)
-    rho_l, leakage = tomography.logical_two_qubit(t)
-    assert leakage == pytest.approx(1 - t[0, 0], rel=1e-12)
-    f = tomography.logical_bell_fidelity(rho_l)
-    assert 0.8 < f < 0.9  # 85% singlet, minus a little junk overlap
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +408,8 @@ def _damped_twisted_bell(alpha, gamma, kerr_hz, t, dim):
     sup = dynamics.CoherentSuperposition(labels=labels, coeffs=coeffs / math.sqrt(n2))
     rate_t = -math.log(1 - gamma)  # e^{-rate t} = 1 - gamma
     e, q = dynamics.linear_propagator(np.zeros((2, 2), complex), [rate_t, rate_t], 1.0)
-    rho = dynamics.materialize_coherent(dynamics.propagate_coherent(sup, e, q), (dim, dim))
-    u = codes.kerr_unitary(dim, kerr_hz, t)
+    rho = materialize_coherent(dynamics.propagate_coherent(sup, e, q), (dim, dim))
+    u = kerr_unitary(dim, kerr_hz, t)
     u2 = np.kron(u, u)
     return u2 @ rho @ u2.conj().T
 
@@ -529,12 +420,12 @@ def test_optimize_basis_recovers_shrinkage_and_twist():
     rho = _damped_twisted_bell(alpha, gamma, kerr_hz, t, dim=10)
     fit = tomography.optimize_basis(rho, (10, 10), alpha0=1.1)
     assert fit.basis.alpha == pytest.approx(alpha * math.sqrt(1 - gamma), abs=2e-3)
-    assert fit.basis.theta_k == pytest.approx(codes.kerr_twist_angle(kerr_hz, t), abs=1e-3)
+    assert fit.basis.theta_k == pytest.approx(kerr_twist_angle(kerr_hz, t), abs=1e-3)
     assert abs(fit.basis.theta_r) < 1e-2
     # the fitted basis sees a much better Bell state than the naive one
     words = LogicalBasis(alpha).codewords(10)
-    naive = tomography.pauli_correlations(rho, words, words)
-    naive_f = tomography.logical_bell_fidelity(tomography.logical_two_qubit(naive)[0])
+    bell = codes.bell_state(words, words)
+    naive_f = np.real(bell.conj() @ rho @ bell)
     assert fit.fidelity > naive_f + 0.05
 
 
