@@ -86,10 +86,13 @@ def _number(opts: dict, key: str, valid=None):
     """``opts[key]`` as a number, written back so that the manifest records
     the value used (PyYAML reads an exponent without a dot, 1e-5, as a
     string), and checked against the range ``valid`` when given.  A list
-    value is checked entry by entry and written back as a list."""
+    value is checked entry by entry and written back as a list.  A YAML
+    boolean is not a number, although Python would read true as 1."""
     if isinstance(opts[key], list):
         opts[key] = [_number({key: v}, key, valid) for v in opts[key]]
         return opts[key]
+    if isinstance(opts[key], bool):
+        raise ConfigError(f"{key} must be a number, got {opts[key]!r}")
     try:
         value = float(opts[key])
     except (TypeError, ValueError):
@@ -290,7 +293,7 @@ def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     try:
-        sweep = [params.with_(alpha=float(a)) for a in opts["alphas"]]
+        sweep = [params.with_(alpha=a) for a in _number(opts, "alphas")]
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad alphas: {e}") from e
     rows = []

@@ -94,7 +94,7 @@ class SystemParams:
         real = (int, float, np.integer, np.floating)
         for name, value in vars(self).items():
             for v in value if isinstance(value, (tuple, list)) else (value,):
-                if not (isinstance(v, real) and math.isfinite(v)):
+                if isinstance(v, bool) or not (isinstance(v, real) and math.isfinite(v)):
                     raise ValueError(f"{name} must be finite real numbers, got {value!r}")
         if self.g_bs <= 0:
             raise ValueError("g_bs must be positive")

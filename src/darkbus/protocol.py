@@ -330,7 +330,8 @@ def run_dmm(
         Vacuum-check confusion model (default: ideal projective check).
     cavity_loss:
         Include 1/T1 loss on both cavities through the pump, dump and
-        readout windows (t_protocol of exposure in total).
+        readout windows (max(t_protocol, t_pump + t_dump) of exposure in
+        total).
     dump_time:
         Seconds (non-negative and finite), or "auto" to hold the coupling
         until the bright mode is actually empty (first zero of its response
@@ -344,8 +345,11 @@ def run_dmm(
     engine:
         "coherent" -- exact, truncation-free propagation of the four-component
         coherent superposition (the default; fast at any dims);
-        "lindblad" -- exact master-equation propagation at params.dims, kept
-        as an independent cross-check (cost grows as dim^2; use reduced dims).
+        "lindblad" -- exact density-matrix propagation at params.dims, kept
+        as an independent cross-check.  The pump and post windows have H = 0
+        and are exact per-cavity amplitude damping (Kraus maps); only the dump
+        window is a master-equation solve, whose cost grows as dim^2 (use
+        reduced dims).
     include_kerr:
         Add the self-Kerr Hamiltonian during the dump window.  Only the
         lindblad engine can do this (Kerr breaks the coherent-superposition
@@ -399,25 +403,31 @@ def run_dmm(
         if include_kerr:
             h_dump = h_dump + dynamics.kerr_hamiltonian(space, params.kerr)
         c_ops = dynamics.collapse_operators(space, params, cavity_loss=cavity_loss)
-        state = psi0
-        h_zero = 0.0 * space.identity(sparse=True)
-        for h, t in ((h_zero, params.t_pump), (h_dump, t_dump), (h_zero, t_post)):
-            if t <= 0:
-                continue
+        # H = 0 in the pump and post windows, so each cavity only decays:
+        # amplitude damping with loss 1 - exp(-G t).  The bus is empty during
+        # the pump, and its own decay after the dump commutes with tracing it
+        # out, so only the dump window needs the master equation.
+        cav_gammas = (gammas[0], gammas[2])
+        rho = psi0.dm()
+        for cav, g in zip(("cav1", "cav2"), cav_gammas):
+            gamma = -math.expm1(-g * params.t_pump)
+            rho = hilbert.amplitude_damp(rho, gamma, space.dims, space.axis(cav))
+        state = QuantumState(rho, space)
+        if t_dump > 0:
             state = dynamics.lindblad_evolve(
-                h, c_ops, state, TimeGrid(np.array([0.0, t]))
+                h_dump, c_ops, state, TimeGrid(np.array([0.0, t_dump]))
             ).final
-        pair_state = state.ptrace(("cav1", "cav2"))
-        pair_space = pair_state.space
+        pair_space = space.subspace(("cav1", "cav2"))
         d1, d2 = pair_space.dims
-        sector_probs, sector_states = _projected_sectors(pair_state.dm(), (d1, d2))
+        rho = state.ptrace(pair_space.labels).dm()
+        for axis, g in enumerate(cav_gammas):
+            rho = hilbert.amplitude_damp(rho, -math.expm1(-g * t_post), (d1, d2), axis)
+        sector_probs, sector_states = _projected_sectors(rho, (d1, d2))
         p_out, rho_gg = _fold(check, sector_probs, sector_states.__getitem__)
         p_pass_projective = p_out["gg"]
-        shrink = (
-            math.exp(-params.gamma_cavity[0] * params.t_protocol / 2),
-            math.exp(-params.gamma_cavity[1] * params.t_protocol / 2),
-        ) if cavity_loss else (1.0, 1.0)
-        alpha_dark = (params.alpha * shrink[0], params.alpha * shrink[1])
+        # the cavities decay through the pump, dump and post windows alike
+        t_exposed = max(params.t_protocol, params.t_pump + t_dump)
+        alpha_dark = tuple(params.alpha * math.exp(-g * t_exposed / 2) for g in cav_gammas)
     else:
         raise ValueError(f"unknown engine {engine!r}")
 

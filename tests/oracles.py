@@ -2,8 +2,9 @@
 
 None of these runs in a darkbus command or demo.  Each is a slow or
 independent route to a quantity the library computes another way: dense
-density matrices of coherent superpositions, free-Kerr evolution, and the
-vacuum check applied to a materialized density matrix.
+density matrices of coherent superpositions, free-Kerr evolution, the
+vacuum check applied to a materialized density matrix, and the heralding
+attempt propagated by the master equation through all three windows.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import math
 
 import numpy as np
 
-from darkbus import hilbert
-from darkbus.dynamics import CoherentSuperposition, coherent_overlaps
+from darkbus import codes, dynamics, hilbert
+from darkbus.dynamics import CoherentSuperposition, SystemParams, TimeGrid, coherent_overlaps
 from darkbus.hilbert import QuantumState
 from darkbus.protocol import OUTCOMES, VacuumCheckModel, _fold, _projected_sectors
 
@@ -87,3 +88,33 @@ def vacuum_check(state: QuantumState, model: VacuumCheckModel | None = None):
         else:
             states[o] = None
     return p_out, states, sector_probs
+
+
+def lindblad_pair_state(
+    params: SystemParams,
+    t_dump: float,
+    t_post: float,
+    cavity_loss: bool = True,
+    include_kerr: bool = False,
+) -> QuantumState:
+    """Cavity pair after pump, dump and post windows, each one master-equation
+    solve on the full cav1-bus-cav2 space (H = 0, then H_dump, then H = 0).
+
+    ``run_dmm(engine="lindblad")`` replaces the two H = 0 windows by exact
+    per-cavity amplitude damping; this is the propagation it replaced.
+    """
+    space = params.space()
+    psi0 = codes.initial_protocol_ket(space, params.alpha)
+    h_dump = dynamics.coupling_hamiltonian(space, params.g_bs)
+    if include_kerr:
+        h_dump = h_dump + dynamics.kerr_hamiltonian(space, params.kerr)
+    c_ops = dynamics.collapse_operators(space, params, cavity_loss=cavity_loss)
+    state = psi0
+    h_zero = 0.0 * space.identity(sparse=True)
+    for h, t in ((h_zero, params.t_pump), (h_dump, t_dump), (h_zero, t_post)):
+        if t <= 0:
+            continue
+        state = dynamics.lindblad_evolve(
+            h, c_ops, state, TimeGrid(np.array([0.0, t]))
+        ).final
+    return state.ptrace(("cav1", "cav2"))

@@ -201,6 +201,7 @@ def test_rates_outside_unit_interval_are_config_errors(tmp_path, capsys, command
         "t_pump: .nan",
         "t_protocol: -1.0",
         "dims: [12.5, 16, 12]",
+        "alpha: true",
     ],
 )
 def test_non_finite_or_malformed_params_are_config_errors(tmp_path, capsys, params):
@@ -212,7 +213,7 @@ def test_non_finite_or_malformed_params_are_config_errors(tmp_path, capsys, para
 
 
 @pytest.mark.parametrize("command", ["entangle", "alpha-sweep", "teleport", "tomo-demo"])
-@pytest.mark.parametrize("value", ["-1.0e-6", ".inf", "abc"])
+@pytest.mark.parametrize("value", ["-1.0e-6", ".inf", "abc", "false"])
 def test_dump_time_rejects_bad_values(tmp_path, capsys, command, value):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(f"{command}:\n  dump_time: {value}\n")
@@ -232,6 +233,8 @@ def test_dump_time_rejects_bad_values(tmp_path, capsys, command, value):
         ("transfer-efficiency", "n_times", "2.5"),
         ("phase-sweep", "n_times", "abc"),
         ("phase-sweep", "n_phi", "1.5"),
+        ("phase-sweep", "n_phi", "true"),
+        ("alpha-sweep", "alphas", "[1.0, true]"),
         ("phase-sweep", "t_max", ".inf"),
         ("error-budget", "alpha_min", "abc"),
         ("error-budget", "alpha_max", "-1.0"),
@@ -243,7 +246,8 @@ def test_dump_time_rejects_bad_values(tmp_path, capsys, command, value):
     ],
 )
 def test_bad_counts_and_lengths_are_config_errors(tmp_path, capsys, command, key, value):
-    """Counts must be whole numbers >= 1; lengths, extents and steps positive."""
+    """Counts must be whole numbers >= 1; lengths, extents and steps positive.
+    A YAML boolean is no number, although Python reads true as 1."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text(f"{command}:\n  {key}: {value}\n")
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2

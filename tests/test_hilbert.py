@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from darkbus import hilbert
+from darkbus import dynamics, hilbert
 from darkbus.hilbert import HilbertSpace, QuantumState
 
 
@@ -113,6 +113,42 @@ def test_amplitude_damp_limits():
     assert gone[0, 0].real == pytest.approx(1.0)
     with pytest.raises(ValueError):
         hilbert.amplitude_damp(rho, 1.5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 5), min_size=2, max_size=3),
+    axis_pick=st.integers(0, 2),
+    gt=st.floats(0.01, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_amplitude_damp_on_one_mode_matches_master_equation(dims, axis_pick, gt, seed):
+    """On one mode of a multi-mode state, the Kraus map with
+    gamma = 1 - exp(-G t) is the master-equation solve under sqrt(G) a."""
+    dims = tuple(dims)
+    axis = axis_pick % len(dims)
+    rate = 1e6
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(math.prod(dims),) * 2) + 1j * rng.normal(size=(math.prod(dims),) * 2)
+    rho = g @ g.conj().T
+    rho /= np.trace(rho)
+    space = HilbertSpace(dims)
+    a = hilbert.embed(space, {space.labels[axis]: hilbert.destroy(dims[axis])}, sparse=True)
+    t = gt / rate
+    ref = dynamics.lindblad_evolve(
+        0 * a, [math.sqrt(rate) * a], QuantumState(rho, space), dynamics.TimeGrid([0.0, t])
+    ).final.dm()
+    out = hilbert.amplitude_damp(rho, -math.expm1(-rate * t), dims, axis)
+    assert_allclose(out, ref, rtol=0, atol=1e-12)
+    assert np.array_equal(hilbert.amplitude_damp(rho, 0.0, dims, axis), rho)
+
+
+def test_amplitude_damp_rejects_bad_shapes():
+    rho = np.eye(6) / 6
+    with pytest.raises(ValueError):
+        hilbert.amplitude_damp(rho, 0.1, (2, 2))
+    with pytest.raises(ValueError):
+        hilbert.amplitude_damp(rho, 0.1, (2, 3), axis=2)
 
 
 def test_embed_and_product_ket():

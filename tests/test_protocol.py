@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from darkbus import codes, dynamics, hilbert, protocol
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import SECTORS, VacuumCheckModel
-from oracles import kerr_twist_angle, vacuum_check
+from oracles import kerr_twist_angle, lindblad_pair_state, vacuum_check
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +218,67 @@ def test_run_dmm_self_kerr():
     twisted = protocol.run_dmm(p, engine="lindblad", include_kerr=True, basis=basis)
     assert twisted.p_outcomes == kerr.p_outcomes
     assert twisted.bell_fidelity == pytest.approx(0.946, abs=1e-3)
+
+
+_SMALL = SystemParams(alpha=0.5, dims=(4, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "params, kw",
+    [
+        (SystemParams(alpha=0.5, dims=(6, 4, 6)), {}),  # the entangle-lindblad scenario
+        (_SMALL, {"cavity_loss": False}),
+        (_SMALL.with_(kappa_b=0.0), {}),
+        (_SMALL, {"include_kerr": True}),
+        (_SMALL, {"dump_time": 0.0}),
+        (_SMALL, {"check": VacuumCheckModel.from_measured()}),
+    ],
+)
+def test_run_dmm_lindblad_matches_three_window_master_equation(params, kw):
+    """Kraus maps for the pump and post windows reproduce the master equation
+    solved through all three windows on the full space."""
+    res = protocol.run_dmm(params, engine="lindblad", **kw)
+    t_post = max(params.t_protocol - params.t_pump - res.t_dump, 0.0)
+    pair = lindblad_pair_state(
+        params,
+        res.t_dump,
+        t_post,
+        cavity_loss=kw.get("cavity_loss", True),
+        include_kerr=kw.get("include_kerr", False),
+    )
+    p_out, states, _ = vacuum_check(pair, kw.get("check"))
+    for o in protocol.OUTCOMES:
+        assert res.p_outcomes[o] == pytest.approx(p_out[o], abs=1e-12)
+    assert_allclose(res.rho_pass.dm(), states["gg"].dm(), rtol=0, atol=1e-12)
+    words = [b.codewords(d) for b, d in zip(res.basis_used, pair.space.dims)]
+    bell = codes.bell_state(*words)
+    fid = np.real(bell.conj() @ states["gg"].dm() @ bell)
+    assert res.bell_fidelity == pytest.approx(fid, abs=1e-12)
+
+
+@pytest.mark.parametrize("dump_time, solves", [(None, 1), (0.0, 0)])
+def test_run_dmm_lindblad_solves_only_the_dump_window(monkeypatch, dump_time, solves):
+    calls = []
+    evolve = dynamics.lindblad_evolve
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].times[-1])
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "lindblad_evolve", counted)
+    res = protocol.run_dmm(_SMALL, engine="lindblad", dump_time=dump_time)
+    assert calls == [res.t_dump] * solves
+
+
+def test_run_dmm_lindblad_basis_covers_a_long_dump():
+    """With the dump running past t_protocol the cavities decay for
+    t_pump + t_dump, and the auto basis shrinks alpha over that time."""
+    res = protocol.run_dmm(_SMALL, engine="lindblad", dump_time=6e-6)
+    t_exposed = _SMALL.t_pump + 6e-6
+    assert t_exposed > _SMALL.t_protocol
+    expected = [_SMALL.alpha * math.exp(-g * t_exposed / 2) for g in _SMALL.gamma_cavity]
+    assert_allclose(res.alpha_dark, expected, rtol=1e-14)
+    assert res.alpha_dark == tuple(b.alpha for b in res.basis_used)
 
 
 def test_run_dmm_lindblad_ignores_global_rng():
