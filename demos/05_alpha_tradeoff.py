@@ -9,6 +9,7 @@ near alpha = 1.09.
 import numpy as np
 
 from darkbus import errorbudget, protocol
+from darkbus.dynamics import SystemParams
 from darkbus.protocol import VacuumCheckModel
 
 alphas = [1.0, 1.2, np.sqrt(2), 1.6, 1.8, 2.0]
@@ -17,7 +18,7 @@ check = VacuumCheckModel.from_measured()
 rows = []
 print(f"{'alpha':>6} {'p_pass':>8} {'F_sim':>8} {'F_model':>8}")
 for a in alphas:
-    res = protocol.run_dmm(alpha=a, check=check, dump_time="auto")
+    res = protocol.run_dmm(SystemParams(alpha=a), check=check, dump_time="auto")
     budget = errorbudget.predicted_infidelity(a)
     rows.append((a, res.p_pass, res.bell_fidelity, 1 - budget.total))
     print(f"{a:>6.3f} {res.p_pass:>8.4f} {res.bell_fidelity:>8.4f} {1-budget.total:>8.4f}")

@@ -13,6 +13,7 @@ import numpy as np
 
 from darkbus import codes, protocol
 from darkbus.codes import LogicalBasis
+from darkbus.dynamics import SystemParams
 from darkbus.protocol import VacuumCheckModel
 
 ALPHA = math.sqrt(2)
@@ -37,7 +38,7 @@ t = protocol.teleport(ideal_pair, protocol.CARDINAL_STATES["plus"], words, words
 print(f"  input |plus>: F_qst drops to {t.f_qst:.4f}")
 
 print("\nheralded (noisy) resource, decode error 2%, m1 flip 1%:")
-res = protocol.run_dmm(alpha=ALPHA, check=VacuumCheckModel.from_measured(),
+res = protocol.run_dmm(SystemParams(alpha=ALPHA), check=VacuumCheckModel.from_measured(),
                        dump_time="auto")
 d1, d2 = res.rho_pass.space.dims
 w1 = res.basis_used[0].codewords(d1)

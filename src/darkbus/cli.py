@@ -121,8 +121,6 @@ def _dump_time(opts: dict):
 
 
 def _check_model(name) -> VacuumCheckModel:
-    if isinstance(name, VacuumCheckModel):
-        return name
     if name == "ideal":
         return VacuumCheckModel.ideal()
     if name == "measured":

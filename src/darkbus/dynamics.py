@@ -187,12 +187,11 @@ def collapse_operators(
     space: HilbertSpace,
     params: SystemParams,
     cavity_loss: bool = True,
-    bus_loss: bool = True,
 ) -> list:
     """sqrt(rate) * a for each lossy mode, as CSR matrices.  Rates: kappa_b
     (angular) for the bus, 1/T1 for the cavities."""
     ops = []
-    if bus_loss and params.kappa_b > 0:
+    if params.kappa_b > 0:
         b = hilbert.destroy(space.dims[space.axis("bus")])
         ops.append(math.sqrt(params.kappa_ang) * hilbert.embed(space, {"bus": b}, sparse=True))
     if cavity_loss:
@@ -320,8 +319,6 @@ def auto_dump_time(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> f
 class EvolveResult:
     times: np.ndarray
     final: QuantumState
-    states: list | None = None
-    expect: np.ndarray | None = None  # shape (n_eops, n_times)
 
 
 def _lindblad_action(k_op, cs):
@@ -375,8 +372,6 @@ def lindblad_evolve(
     c_ops,
     state0,
     grid: TimeGrid,
-    e_ops=None,
-    store_states: bool = False,
 ) -> EvolveResult:
     """Propagate drho/dt = -i[H, rho] + sum_k D[c_k] rho exactly between grid times.
 
@@ -386,16 +381,12 @@ def lindblad_evolve(
         Hamiltonian and collapse operators (dense or sparse matrices), in
         angular units (rad/s) -- the builders in this module already are.
     state0:
-        QuantumState or raw ket / density matrix.  The result states carry
+        QuantumState or raw ket / density matrix.  The final state carries
         the mode structure of a QuantumState.
     grid:
-        Output times.  Each interval is one application of the propagator
-        exp(L dt) to the vectorized state.
-    e_ops:
-        Optional matrices whose expectation values are recorded at grid
-        times (cheaper than storing states).
-    store_states:
-        Keep a dense copy of rho at every grid time.  Mind the memory.
+        Times from the first to the last; ``.final`` is the state at the
+        last.  Each interval is one application of the propagator exp(L dt)
+        to the vectorized state.
 
     The Liouvillian L rho = K rho + rho K^dag + sum c rho c^dag, with
     K = -iH - (1/2) sum c^dag c, is applied matrix-free: the dim^2 x dim^2
@@ -433,18 +424,6 @@ def lindblad_evolve(
         raise ValueError("state does not match the Hamiltonian dimension")
 
     times = grid.times
-    e_mats = [scipy.sparse.csr_matrix(e) for e in (e_ops or [])]
-    expect_rec = np.empty((len(e_mats), len(times)), dtype=complex) if e_mats else None
-    states = [] if store_states else None
-
-    def record(i, r):
-        if expect_rec is not None:
-            for j, e in enumerate(e_mats):
-                expect_rec[j, i] = (e @ r).diagonal().sum()
-        if states is not None:
-            states.append(QuantumState(r.copy(), space) if space else r.copy())
-
-    record(0, rho)
     with _fixed_global_rng():
         for i, span in enumerate(np.diff(times), start=1):
             vec = scipy.sparse.linalg.expm_multiply(
@@ -455,10 +434,9 @@ def lindblad_evolve(
                 raise NumericalError(
                     f"dynamics: master-equation propagation diverged at t={times[i]}"
                 )
-            record(i, rho)
 
     final = QuantumState(rho, space) if space else QuantumState(rho, HilbertSpace((dim,)))
-    return EvolveResult(times=times, final=final, states=states, expect=expect_rec)
+    return EvolveResult(times=times, final=final)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +475,11 @@ def transfer_efficiency(
     """Photon transfer cav1 -> bus -> cav2 by sequential timed swaps.
 
     With ``t1``/``t2`` given, just evaluates the efficiency.  Otherwise
-    optimizes both hold times (Nelder-Mead polish around the analytic
-    single-stage optimum t* = atan(4 nu / kappa)/nu, nu^2 = g^2 - kappa^2/16).
+    returns the optimum, which is closed form: stage 1 never touches cav2 and
+    stage 2 never touches cav1, so eta(t1, t2) = f(t1) f(t2) with
+    f(t) = |E(t)[bus, cav1]|^2, and each factor peaks at the single-stage
+    optimum t* = atan(4 nu / kappa)/nu, nu^2 = g^2 - kappa^2/16 (t* = 4/kappa
+    at critical damping, pi/(2 g_ang) at kappa_b = 0).
     Through a lossy bus each stage transfers at most
     (g/nu) e^{-kappa t*/4} sin(nu t*), so eta through two stages is that
     fourth power -- a few percent for kappa ~ 4g -- while kappa_b = 0 gives
@@ -510,25 +491,12 @@ def transfer_efficiency(
     if t1 is not None and t2 is not None:
         return TransferResult(t1, t2, _transfer_eta(g, k, t1, t2))
 
-    # analytic optimum of the per-stage amplitude as the starting point
     nu = np.sqrt(complex(g**2 - (k / 4) ** 2))
     if abs(nu) < 1e-9 * g:
-        t0 = 4.0 / k if k > 0 else math.pi / (2 * g)
+        t_opt = 4.0 / k if k > 0 else math.pi / (2 * g)
     else:
-        t0 = float(np.real(np.arctan(4 * nu / k) / nu)) if k > 0 else math.pi / (2 * g)
-
-    def neg_eta(x):
-        if x[0] <= 0 or x[1] <= 0:
-            return 0.0
-        return -_transfer_eta(g, k, x[0], x[1])
-
-    res = scipy.optimize.minimize(
-        neg_eta,
-        x0=[t0, t0],
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
-    )
-    return TransferResult(float(res.x[0]), float(res.x[1]), float(-res.fun))
+        t_opt = float(np.real(np.arctan(4 * nu / k) / nu)) if k > 0 else math.pi / (2 * g)
+    return TransferResult(t_opt, t_opt, _transfer_eta(g, k, t_opt, t_opt))
 
 
 # ---------------------------------------------------------------------------

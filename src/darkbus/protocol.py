@@ -116,29 +116,40 @@ class VacuumCheckModel:
 SECTORS = (("V", "V"), ("V", "N"), ("N", "V"), ("N", "N"))
 
 
-def _fold(model: VacuumCheckModel, sector_probs: dict, sector_state=None, outcome="gg"):
+def _sector_index(dims) -> np.ndarray:
+    """Index into SECTORS of every Fock pair (n1, n2), 2 [n1 != 0] + [n2 != 0],
+    flattened in the order of the two-cavity basis."""
+    occupied1, occupied2 = np.arange(dims[0]) != 0, np.arange(dims[1]) != 0
+    return (2 * occupied1[:, None] + occupied2).ravel()
+
+
+def _fold(model: VacuumCheckModel, sector_probs: dict, rho=None, dims=None, outcome="gg"):
     """Fold the ideal projective sectors through the confusion model.
 
-    Returns the outcome probabilities and, when ``sector_state`` is given,
-    the unnormalized state of ``outcome``: the sum of P(outcome | s) rho_s
-    over the sectors.  ``sector_state(s)`` builds rho_s and is called only
-    for sectors with positive probability and nonzero weight; the state is
-    None when no sector contributes.
+    Returns the outcome probabilities and, when the two-cavity density
+    matrix ``rho`` (mode dims ``dims``) is given, the unnormalized state of
+    ``outcome``: the sum of P(outcome | s) Pi_s rho Pi_s over the sectors.
+    The projectors Pi_s are diagonal and disjoint in the Fock basis, so that
+    sum is rho times one entrywise weight, P(outcome | s) where row and
+    column lie in the same sector s and 0 elsewhere.  Sectors without
+    positive probability contribute nothing.
     """
     p_out = dict.fromkeys(OUTCOMES, 0.0)
-    rho = None
-    for s in SECTORS:
+    weights = np.zeros(len(SECTORS))
+    for i, s in enumerate(SECTORS):
         ps = sector_probs[s]
         if ps <= 0:
             continue
         table = model.joint_pass_table(s)
         for o in OUTCOMES:
             p_out[o] += table[o] * ps
-        w = table[outcome]
-        if sector_state is not None and w != 0:
-            term = w * sector_state(s)
-            rho = term if rho is None else rho + term
-    return p_out, rho
+        weights[i] = table[outcome]
+    if rho is None:
+        return p_out, None
+    idx = _sector_index(dims)
+    folded = rho * weights[idx][:, None]
+    folded[idx[:, None] != idx] = 0
+    return p_out, folded
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +185,12 @@ class DmmResult:
 
     ``p_pass`` is the gg outcome probability under the protocol's branch
     bookkeeping (see :func:`run_dmm`), ``rho_pass`` the normalized
-    two-cavity state that gg heralds, ``bell_fidelity`` its overlap with the
-    logical Bell target in ``basis_used``.  ``p_outcomes`` holds all four
+    two-cavity state that gg heralds (the pair state times the gg sector
+    weight of :func:`_fold`, normalized), ``bell_fidelity`` its overlap with
+    the logical Bell target in ``basis_used``.  ``p_outcomes`` holds all four
     outcome probabilities; the states of the discarded outcomes are never
-    built.
+    built.  ``sector_probs`` are the V/N sector probabilities the outcomes
+    were folded from.
     ``p_pass_projective`` is the raw trace of the projected gg branch,
     which retains the interference between the two dark components; the
     difference from ``p_pass`` is below a percent at useful amplitudes.
@@ -247,52 +260,21 @@ def _sector_weights_coherent(sup: CoherentSuperposition, diagonal: bool):
     return probs
 
 
-def _sector_states_coherent(sup: CoherentSuperposition, dims):
-    """Builder of the projected sector states as Fock density matrices.
-
-    Returns ``s -> rho_s`` (shape d1*d2 square) for a sector s in
-    {'V','N'}^2.  The per-cavity vacuum and not-vacuum kets of every
-    component are computed once and shared by all sectors.
-    """
-
-    def kets(z, d):
-        vac = _vacuum_amp(z)
-        empty = np.zeros((len(z), d), dtype=complex)
-        empty[:, 0] = vac
-        occupied = np.array([hilbert.coherent(d, zi, normalized=False) for zi in z])
-        occupied[:, 0] -= vac
-        return {"V": empty, "N": occupied}
-
-    k1 = kets(sup.labels[:, 0], dims[0])
-    k2 = kets(sup.labels[:, 1], dims[1])
+def _pair_density_coherent(sup: CoherentSuperposition, dims) -> np.ndarray:
+    """Fock density matrix (d1*d2 square) of a two-cavity coherent
+    superposition, from one row of unnormalized product kets per component."""
+    k1, k2 = (
+        np.array([hilbert.coherent(d, z, normalized=False) for z in sup.labels[:, m]])
+        for m, d in enumerate(dims)
+    )
+    kets = np.einsum("ia,ib->iab", k1, k2).reshape(sup.n_components, dims[0] * dims[1])
     a = np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
-
-    def state(sector):
-        full = np.einsum("ia,ib->iab", k1[sector[0]], k2[sector[1]])
-        full = full.reshape(sup.n_components, dims[0] * dims[1])
-        return full.T @ a @ full.conj()
-
-    return state
-
-
-def _projected_sectors(rho: np.ndarray, dims):
-    """Probabilities and projected states of the V/N sectors of a two-cavity
-    density matrix.  The projectors are diagonal, so projecting is masking."""
-    n1, n2 = np.arange(dims[0]), np.arange(dims[1])
-    side = {"V": (n1 == 0, n2 == 0), "N": (n1 != 0, n2 != 0)}
-    sector_probs, sector_states = {}, {}
-    for s in SECTORS:
-        keep = np.outer(side[s[0]][0], side[s[1]][1]).ravel()
-        rs = rho * np.outer(keep, keep)
-        sector_probs[s] = float(np.real(np.trace(rs)))
-        sector_states[s] = rs
-    return sector_probs, sector_states
+    return kets.T @ a @ kets.conj()
 
 
 def run_dmm(
     params: SystemParams | None = None,
     *,
-    alpha: float | None = None,
     check: VacuumCheckModel | None = None,
     cavity_loss: bool = True,
     dump_time=None,
@@ -315,17 +297,19 @@ def run_dmm(
     -q^2 (1-q)^2 / 2 with q = exp(-alpha^2) (-0.7% absolute at
     alpha = sqrt(2)); that trace is reported as ``p_pass_projective``.
     The lindblad engine has no component decomposition, so its rates are
-    projective and agree with ``p_pass_projective``, not ``p_pass``.  Both
-    engines build only the gg state, from the sectors the check can report
-    as gg; the other outcomes are kept as probabilities.
+    projective (diag rho summed by sector) and agree with
+    ``p_pass_projective``, not ``p_pass``.  Both engines then hand
+    :func:`_fold` the cavity-pair density matrix, the coherent engine
+    building it from one matrix of unnormalized coherent kets; the gg state
+    is that matrix times one entrywise sector weight, and the other outcomes
+    are kept as probabilities.  ``params`` is the only source of parameter
+    values: vary alpha with ``params.with_(alpha=...)``.
 
     Parameters
     ----------
     params:
         :class:`~darkbus.dynamics.SystemParams`; defaults describe the
         reference hardware.
-    alpha:
-        Overrides ``params.alpha`` when given.
     check:
         Vacuum-check confusion model (default: ideal projective check).
     cavity_loss:
@@ -356,8 +340,6 @@ def run_dmm(
         closure); the coherent engine raises.
     """
     params = params or SystemParams()
-    if alpha is not None:
-        params = params.with_(alpha=float(alpha))
     check = check or VacuumCheckModel.ideal()
     if dump_time == "auto":
         t_dump = dynamics.auto_dump_time(params.g_bs, params.kappa_b)
@@ -390,10 +372,9 @@ def run_dmm(
             sup = dynamics.propagate_coherent(sup, e, q)
         pair = dynamics.ptrace_coherent(sup, keep=[0, 2])
         d1, d2 = params.dims[0], params.dims[2]
+        rho = _pair_density_coherent(pair, (d1, d2))
         sector_probs = _sector_weights_coherent(pair, diagonal=True)
-        p_out, rho_gg = _fold(check, sector_probs, _sector_states_coherent(pair, (d1, d2)))
-        p_exact, _ = _fold(check, _sector_weights_coherent(pair, diagonal=False))
-        p_pass_projective = p_exact["gg"]
+        projective_probs = _sector_weights_coherent(pair, diagonal=False)
         alpha_dark = (abs(pair.labels[1, 0]), abs(pair.labels[1, 1]))
         pair_space = HilbertSpace((d1, d2), ("cav1", "cav2"))
     elif engine == "lindblad":
@@ -422,16 +403,19 @@ def run_dmm(
         rho = state.ptrace(pair_space.labels).dm()
         for axis, g in enumerate(cav_gammas):
             rho = hilbert.amplitude_damp(rho, -math.expm1(-g * t_post), (d1, d2), axis)
-        sector_probs, sector_states = _projected_sectors(rho, (d1, d2))
-        p_out, rho_gg = _fold(check, sector_probs, sector_states.__getitem__)
-        p_pass_projective = p_out["gg"]
+        # projective sector probabilities: diag rho summed by sector
+        diag = np.real(np.diag(rho))
+        sector_probs = dict(zip(SECTORS, np.bincount(_sector_index((d1, d2)), diag, 4).tolist()))
+        projective_probs = sector_probs
         # the cavities decay through the pump, dump and post windows alike
         t_exposed = max(params.t_protocol, params.t_pump + t_dump)
         alpha_dark = tuple(params.alpha * math.exp(-g * t_exposed / 2) for g in cav_gammas)
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
-    if rho_gg is None:
+    p_out, rho_gg = _fold(check, sector_probs, rho, (d1, d2))
+    tr = float(np.real(np.trace(rho_gg)))
+    if not tr > 0:
         raise NumericalError("protocol: herald has zero probability, nothing to analyze")
 
     if basis == "auto":
@@ -441,9 +425,9 @@ def run_dmm(
     words1 = basis_pair[0].codewords(d1)
     words2 = basis_pair[1].codewords(d2)
     bell = codes.bell_state(words1, words2)
-    tr = float(np.real(np.trace(rho_gg)))
     fid = float(np.real(bell.conj() @ rho_gg @ bell) / tr)
-    rho_n = QuantumState(rho_gg / tr, pair_space)
+    rho_gg /= tr  # in place: rho_gg is this call's own array
+    rho_n = QuantumState(rho_gg, pair_space)
 
     return DmmResult(
         p_pass=p_out["gg"],
@@ -457,7 +441,7 @@ def run_dmm(
         ),
         t_dump=t_dump,
         engine=engine,
-        p_pass_projective=p_pass_projective,
+        p_pass_projective=_fold(check, projective_probs)[0]["gg"],
         sector_probs=sector_probs,
         edge_population=hilbert.edge_population(rho_n),
     )

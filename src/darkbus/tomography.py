@@ -171,19 +171,6 @@ class WignerData:
             counts=None if counts is None else np.asarray(counts).ravel(),
         )
 
-    def save_csv(self, path) -> None:
-        cols = [self.re_beta, self.im_beta, self.value]
-        header = "re_beta,im_beta,value"
-        if self.counts is not None:
-            if self.shots is None:
-                raise ValueError("counts without shots")
-            cols += [self.shots, self.counts]
-            header += ",shots,counts"
-        with open(path, "w") as f:
-            f.write(header + "\n")
-            for row in zip(*cols):
-                f.write(",".join(f"{float(x)!r}" for x in row) + "\n")
-
     @classmethod
     def load_csv(cls, path) -> "WignerData":
         with open(path) as f:

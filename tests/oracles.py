@@ -3,8 +3,10 @@
 None of these runs in a darkbus command or demo.  Each is a slow or
 independent route to a quantity the library computes another way: dense
 density matrices of coherent superpositions, free-Kerr evolution, the
-vacuum check applied to a materialized density matrix, and the heralding
-attempt propagated by the master equation through all three windows.
+vacuum check applied to a materialized density matrix through explicit
+projectors, master-equation expectation values at grid times, and the
+heralding attempt propagated by the master equation through all three
+windows.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from darkbus import codes, dynamics, hilbert
 from darkbus.dynamics import CoherentSuperposition, SystemParams, TimeGrid, coherent_overlaps
 from darkbus.hilbert import QuantumState
-from darkbus.protocol import OUTCOMES, VacuumCheckModel, _fold, _projected_sectors
+from darkbus.protocol import OUTCOMES, SECTORS, VacuumCheckModel, _fold
 
 
 def coherent_trace(sup: CoherentSuperposition) -> float:
@@ -79,15 +81,34 @@ def vacuum_check(state: QuantumState, model: VacuumCheckModel | None = None):
         state = state.ptrace(("cav1", "cav2"))
     if state.space.n_modes != 2:
         raise ValueError("vacuum_check expects a two-cavity state (or cav1/bus/cav2)")
-    sector_probs, sector_states = _projected_sectors(state.dm(), state.space.dims)
+    dims = state.space.dims
+    rho = state.dm()
+    vac = {d: np.diag(np.arange(d) == 0).astype(float) for d in dims}
+    proj = {"V": vac, "N": {d: np.eye(d) - v for d, v in vac.items()}}
+    sector_probs = {}
+    for s in SECTORS:
+        pi = np.kron(proj[s[0]][dims[0]], proj[s[1]][dims[1]])
+        sector_probs[s] = float(np.real(np.trace(pi @ rho @ pi)))
     states = {}
     for o in OUTCOMES:
-        p_out, rho_o = _fold(model, sector_probs, sector_states.__getitem__, o)
-        if rho_o is not None and p_out[o] > 1e-15:
+        p_out, rho_o = _fold(model, sector_probs, rho, dims, o)
+        if p_out[o] > 1e-15:
             states[o] = QuantumState(rho_o / np.trace(rho_o), state.space)
         else:
             states[o] = None
     return p_out, states, sector_probs
+
+
+def expect_trajectory(h, c_ops, state0, grid: TimeGrid, ops) -> np.ndarray:
+    """<op>(t) at every grid time, shape (len(grid.times), len(ops)): the
+    master equation solved interval by interval, each expectation value
+    taken on the ``.final`` state of its interval."""
+    state, rows = state0, []
+    for t0, t1 in zip(grid.times[:-1], grid.times[1:]):
+        rows.append([hilbert.expect(op, state) for op in ops])
+        state = dynamics.lindblad_evolve(h, c_ops, state, TimeGrid(np.array([t0, t1]))).final
+    rows.append([hilbert.expect(op, state) for op in ops])
+    return np.array(rows)
 
 
 def lindblad_pair_state(

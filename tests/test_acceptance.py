@@ -15,7 +15,7 @@ from darkbus.codes import LogicalBasis
 from darkbus.dynamics import SystemParams, TimeGrid
 from darkbus.protocol import VacuumCheckModel
 from darkbus.tomography import WignerData, WignerGrid
-from oracles import kerr_twist_angle, kerr_unitary, materialize_coherent
+from oracles import expect_trajectory, kerr_twist_angle, kerr_unitary, materialize_coherent
 
 G = 160e3
 ROOT2 = math.sqrt(2)
@@ -59,9 +59,9 @@ def test_ac2_ideal_herald_probability():
     for a in (0.5, 1.0, ROOT2, 2.0):
         q = math.exp(-a * a)
         expected = 0.5 * (1 - 2 * q + q * q)
-        res = protocol.run_dmm(alpha=a, cavity_loss=False, dump_time="auto")
+        res = protocol.run_dmm(SystemParams(alpha=a), cavity_loss=False, dump_time="auto")
         ok &= abs(res.p_pass - expected) <= 1e-6
-    p_ref = protocol.run_dmm(alpha=ROOT2, cavity_loss=False, dump_time="auto").p_pass
+    p_ref = protocol.run_dmm(SystemParams(alpha=ROOT2), cavity_loss=False, dump_time="auto").p_pass
     ok &= abs(p_ref - 0.3738) <= 5e-5
     assert _report("AC2 ideal herald probability", ok, f"p(sqrt2) = {p_ref:.6f}")
 
@@ -125,13 +125,12 @@ def test_ac3_damping_regimes():
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
     c_ops = dynamics.collapse_operators(space, params)
     qgrid = TimeGrid.linspace(1.5e-6, 3)
-    e_ops = [
+    lowering = [
         hilbert.embed(space, {lb: hilbert.destroy(d)}, sparse=True)
         for lb, d in zip(space.labels, dims)
     ]
-    res = dynamics.lindblad_evolve(h, c_ops, psi0, qgrid, e_ops=e_ops)
     traj = dynamics.langevin_solve(G, params.gamma_cavity, 600e3, z0, qgrid)
-    dev_q = float(np.max(np.abs(res.expect.T - traj)))
+    dev_q = float(np.max(np.abs(expect_trajectory(h, c_ops, psi0, qgrid, lowering) - traj)))
     ok &= dev_q <= 1e-6
 
     assert _report(

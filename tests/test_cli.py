@@ -7,6 +7,7 @@ import math
 import pytest
 
 from darkbus import cli, protocol
+from darkbus.dynamics import SystemParams
 from darkbus.protocol import VacuumCheckModel
 
 
@@ -433,7 +434,7 @@ def test_alpha_sweep_rows_match_run_dmm(tmp_path):
     lines = (tmp_path / "o" / "alpha_sweep.csv").read_text().splitlines()[1:]
     assert len(lines) == 3
     for line, alpha in zip(lines, (1.0, 1.3, 1.6)):
-        r = protocol.run_dmm(alpha=alpha, check=VacuumCheckModel.from_measured())
+        r = protocol.run_dmm(SystemParams(alpha=alpha), check=VacuumCheckModel.from_measured())
         expected = (alpha, r.p_pass, r.bell_fidelity, r.alpha_dark[0], r.alpha_dark[1])
         assert line == ",".join(repr(float(x)) for x in expected)
 

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 from darkbus import dynamics, hilbert
 from darkbus.dynamics import SystemParams, TimeGrid
-from oracles import coherent_trace, materialize_coherent
+from oracles import coherent_trace, expect_trajectory, materialize_coherent
 
 G = 160e3  # reference coupling, Hz
 
@@ -197,15 +197,14 @@ def test_quantum_classical_agreement():
     h = dynamics.coupling_hamiltonian(space, G)
     c_ops = dynamics.collapse_operators(space, params)
     grid = TimeGrid.linspace(2e-6, 5)
-    e_ops = [
+    lowering = [
         hilbert.embed(space, {lb: hilbert.destroy(d)}, sparse=True)
         for lb, d in zip(space.labels, dims)
     ]
-    res = dynamics.lindblad_evolve(h, c_ops, psi0, grid, e_ops=e_ops)
     traj = dynamics.langevin_solve(
         G, params.gamma_cavity, 600e3, z0, grid
     )
-    assert_allclose(res.expect.T, traj, atol=1e-6)
+    assert_allclose(expect_trajectory(h, c_ops, psi0, grid, lowering), traj, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +286,6 @@ def test_lindblad_thermalizes_to_vacuum():
     assert hilbert.fidelity(vac, res.final) == pytest.approx(1.0, abs=1e-4)
 
 
-def test_store_states_and_expect():
-    h, c_ops, psi0 = _small_system()
-    n1 = hilbert.embed(
-        psi0.space, {"cav1": hilbert.number(4)}, sparse=True
-    )
-    res = dynamics.lindblad_evolve(
-        h, c_ops, psi0, TimeGrid.linspace(1e-6, 4), e_ops=[n1], store_states=True
-    )
-    assert len(res.states) == 4
-    assert res.expect.shape == (1, 4)
-    # t=0 sample equals <n> of the (dim-4 truncated) initial coherent state
-    k = hilbert.coherent(4, 0.8)
-    n_trunc = float(np.sum(np.arange(4) * np.abs(k) ** 2))
-    assert res.expect[0, 0].real == pytest.approx(n_trunc, abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # transfer efficiency
 # ---------------------------------------------------------------------------
@@ -325,6 +308,32 @@ def test_transfer_monotone_in_loss():
     eta_low = dynamics.transfer_efficiency(G, 300e3).eta
     eta_high = dynamics.transfer_efficiency(G, 1200e3).eta
     assert eta_low > eta_high
+
+
+def test_transfer_optimum_is_two_propagators(monkeypatch):
+    """The optimum is closed form: one propagator per stage, no search."""
+    calls = []
+    propagator = dynamics.linear_propagator
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return propagator(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "linear_propagator", counted)
+    res = dynamics.transfer_efficiency(G, 600e3)
+    assert calls == [res.t1, res.t2]
+
+
+# a single swap stage is critically damped at kappa_b = 4 g_bs
+@pytest.mark.parametrize("kappa_b", [0.0, 300e3, 600e3, 4 * G, 1.2e6, 3e6])
+def test_transfer_optimum_beats_its_neighbours(kappa_b):
+    """eta(t1, t2) = f(t1) f(t2), so the per-stage optimum t* is the joint
+    optimum in every damping regime, the critical point included."""
+    res = dynamics.transfer_efficiency(G, kappa_b)
+    assert res.t1 == res.t2
+    for dt1, dt2 in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1)):
+        t1, t2 = res.t1 * (1 + 1e-3 * dt1), res.t2 * (1 + 1e-3 * dt2)
+        assert dynamics.transfer_efficiency(G, kappa_b, t1=t1, t2=t2).eta < res.eta
 
 
 def _transfer_eta_master_equation(kappa_b, t1, t2):

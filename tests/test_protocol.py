@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from darkbus import codes, dynamics, hilbert, protocol
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import SECTORS, VacuumCheckModel
-from oracles import kerr_twist_angle, lindblad_pair_state, vacuum_check
+from oracles import kerr_twist_angle, lindblad_pair_state, materialize_coherent, vacuum_check
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_dmm_false_positive():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, math.sqrt(2), 2.0])
 def test_run_dmm_ideal(alpha):
-    res = protocol.run_dmm(alpha=alpha, cavity_loss=False, dump_time="auto")
+    res = protocol.run_dmm(SystemParams(alpha=alpha), cavity_loss=False, dump_time="auto")
     assert res.engine == "coherent"
     assert res.p_pass == pytest.approx(protocol.success_probability(alpha), rel=1e-12)
     # raw projected trace keeps the dark-component interference
@@ -136,7 +136,7 @@ def test_run_dmm_ideal(alpha):
 
 
 def test_run_dmm_saturates_at_half():
-    res = protocol.run_dmm(alpha=3.0, cavity_loss=False, dump_time="auto")
+    res = protocol.run_dmm(SystemParams(alpha=3.0), cavity_loss=False, dump_time="auto")
     assert abs(res.p_pass - 0.5) < 1e-3
 
 
@@ -166,7 +166,9 @@ def test_run_dmm_bus_loss_immunity():
 
 def test_run_dmm_explicit_basis():
     basis = (codes.LogicalBasis(1.2), codes.LogicalBasis(1.2))
-    res = protocol.run_dmm(alpha=1.2, cavity_loss=False, dump_time="auto", basis=basis)
+    res = protocol.run_dmm(
+        SystemParams(alpha=1.2), cavity_loss=False, dump_time="auto", basis=basis
+    )
     assert res.basis_used == basis
     assert res.bell_fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -180,6 +182,27 @@ def test_run_dmm_rejects_bad_dump_time(dump_time):
 def test_run_dmm_kerr_needs_lindblad():
     with pytest.raises(ValueError):
         protocol.run_dmm(include_kerr=True)
+
+
+@pytest.mark.parametrize("alpha", [1.0, math.sqrt(2)])
+def test_run_dmm_coherent_matches_materialized_vacuum_check(alpha):
+    """The weighted fold of the coherent engine's pair state is the vacuum
+    check applied, projector by projector, to the materialized pair."""
+    params = SystemParams().with_(alpha=alpha)
+    check = VacuumCheckModel.from_measured()
+    res = protocol.run_dmm(params, check=check)
+    gammas = (params.gamma_cavity[0], params.kappa_ang, params.gamma_cavity[1])
+    a_mat = dynamics.coupling_matrix(params.g_bs)
+    t_post = max(params.t_protocol - params.t_pump - res.t_dump, 0.0)
+    sup = protocol._initial_superposition(alpha)
+    for coupling, t in ((0 * a_mat, params.t_pump), (a_mat, res.t_dump), (0 * a_mat, t_post)):
+        sup = dynamics.propagate_coherent(sup, *dynamics.linear_propagator(coupling, gammas, t))
+    pair = dynamics.ptrace_coherent(sup, keep=[0, 2])
+    space = res.rho_pass.space
+    rho = hilbert.QuantumState(materialize_coherent(pair, space.dims), space)
+    _, states, sectors = vacuum_check(rho, check)
+    assert min(sectors.values()) > 1e-3  # every sector reaches the gg state
+    assert_allclose(res.rho_pass.dm(), states["gg"].dm(), rtol=0, atol=1e-12)
 
 
 def test_run_dmm_engine_cross_check():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre
 
-from darkbus import codes, dynamics, hilbert, tomography
+from darkbus import cli, codes, dynamics, hilbert, tomography
 from darkbus.codes import LogicalBasis
 from darkbus.tomography import WignerData, WignerGrid
 from oracles import kerr_twist_angle, kerr_unitary, materialize_coherent
@@ -205,44 +205,31 @@ def test_sample_counts_rejects_unphysical():
 # ---------------------------------------------------------------------------
 
 
-def test_wigner_data_csv_roundtrip(tmp_path):
-    grid = WignerGrid.default(1.0, 0.5)
-    w = tomography.wigner_map(hilbert.coherent(8, 0.4), grid)
-    counts = tomography.sample_counts(w, 500, seed=1)
-    data = WignerData.from_map(grid, w, shots=500, counts=counts)
-    path = tmp_path / "wigner.csv"
-    data.save_csv(path)
-
-    text = path.read_text().splitlines()
-    assert text[0] == "re_beta,im_beta,value,shots,counts"
+def test_load_csv_reads_a_tomo_demo_map(tmp_path):
+    """A sampled map written by ``darkbus tomo-demo`` reloads exactly."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("tomo-demo:\n  extent: 1.0\n  step: 0.5\n  shots: 200\n  max_iter: 60\n")
+    out = tmp_path / "o"
+    assert cli.main(["tomo-demo", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    path = out / "wigner_sampled.csv"
+    header, *rows = path.read_text().splitlines()
+    assert header == "re_beta,im_beta,value,shots,counts"
 
     back = WignerData.load_csv(path)
-    assert_allclose(back.re_beta, data.re_beta, rtol=0, atol=0)
-    assert_allclose(back.value, data.value, rtol=0, atol=0)  # repr round-trips floats
-    assert_allclose(back.counts, counts.ravel(), rtol=0, atol=0)
-
-    # byte-identical on re-save
-    path2 = tmp_path / "wigner2.csv"
-    back.save_csv(path2)
-    assert path.read_bytes() == path2.read_bytes()
+    for name, column in zip(header.split(","), zip(*(row.split(",") for row in rows))):
+        assert getattr(back, name).tolist() == [float(x) for x in column], name
+    assert back.betas.tolist() == WignerGrid.default(1.0, 0.5).betas.tolist()
+    assert set(back.shots.tolist()) == {200.0}
 
 
-def test_wigner_data_csv_three_column(tmp_path):
-    grid = WignerGrid.default(1.0, 1.0)
-    w = tomography.wigner_map(hilbert.fock(6, 0), grid)
-    data = WignerData.from_map(grid, w)
+def test_load_csv_three_column(tmp_path):
     path = tmp_path / "w.csv"
-    data.save_csv(path)
-    assert path.read_text().splitlines()[0] == "re_beta,im_beta,value"
+    path.write_text("re_beta,im_beta,value\n-0.5,0.25,0.125\n1.0,-2.0,-0.3\n")
     back = WignerData.load_csv(path)
+    assert back.re_beta.tolist() == [-0.5, 1.0]
+    assert back.im_beta.tolist() == [0.25, -2.0]
+    assert back.value.tolist() == [0.125, -0.3]
     assert back.counts is None and back.shots is None
-
-
-def test_wigner_data_counts_require_shots(tmp_path):
-    grid = WignerGrid.default(1.0, 1.0)
-    data = WignerData.from_map(grid, np.zeros(grid.shape), counts=np.zeros(9))
-    with pytest.raises(ValueError):
-        data.save_csv(tmp_path / "bad.csv")
 
 
 def test_wigner_data_missing_column(tmp_path):
