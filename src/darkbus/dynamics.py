@@ -34,23 +34,22 @@ coupling (:func:`coupling_matrix` for the full network).  Built on it:
   analytically known weight.
 
 :func:`lindblad_evolve` -- exact density-matrix propagation under the
-Liouvillian (matrix-free, with no step size to choose) -- is kept for what
-the linear core cannot do: it is the independent oracle the tests check the
-closed forms against, and the only path that evolves self-Kerr.
+Liouvillian over a duration, one matrix-free truncated Taylor series whose
+length follows from a rigorous norm bound (no step size to choose, nothing
+random drawn) -- is kept for what the linear core cannot do: it is the
+independent oracle the tests check the closed forms against, and the only
+path that evolves self-Kerr.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
-import scipy.sparse.linalg
 
 from . import hilbert
 from .hilbert import HilbertSpace, NumericalError, QuantumState
@@ -105,6 +104,10 @@ class SystemParams:
             not isinstance(d, (int, np.integer)) or d < 2 for d in self.dims
         ):
             raise ValueError(f"dims must be three integer truncations >= 2, got {self.dims}")
+        for name in ("t1_cavity", "kerr", "chi_cav_transmon", "chi_bus_transmon", "anharmonicity"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or len(value) != 2:
+                raise ValueError(f"{name} must be a (cav1, cav2) pair, got {value!r}")
         if any(t <= 0 for t in self.t1_cavity):
             raise ValueError("cavity T1 must be positive")
 
@@ -317,17 +320,33 @@ def auto_dump_time(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> f
 
 @dataclass
 class EvolveResult:
-    times: np.ndarray
     final: QuantumState
+
+
+# theta_m: the largest t ||A||_1 for which m Taylor terms of exp(tA) meet a
+# backward error of 2^-53.  m <= 30 from Table A.3 of Higham & Al-Mohy, Acta
+# Numerica 19, 159 (2010); m = 35..55 from Table 3.1 of Al-Mohy & Higham,
+# SIAM J. Sci. Comput. 33, 488 (2011).
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+
+def _one_norm(x) -> float:
+    """Largest absolute column sum of a sparse matrix."""
+    return float(abs(x).sum(axis=0).max())
 
 
 def _lindblad_action(k_op, cs):
     """v -> vec(K r + r K^dag + sum_c c r c^dag), r = v as a dim x dim matrix.
 
-    Linear in r for any r, Hermitian or not (the norm estimates inside
-    ``expm_multiply`` probe the operator with arbitrary vectors).  With
-    K -> K^dag and c -> c^dag the same map is the adjoint.  Right products
-    go through r^T, since r X^dag = (conj(X) r^T)^T.
+    Right products go through r^T, since r X^dag = (conj(X) r^T)^T.
     """
     dim = k_op.shape[0]
     k_bar = k_op.conj()
@@ -345,35 +364,8 @@ def _lindblad_action(k_op, cs):
     return act
 
 
-_GLOBAL_RNG_LOCK = threading.Lock()
-
-
-@contextlib.contextmanager
-def _fixed_global_rng():
-    """Run a block on numpy's global RNG seeded with 0, then restore it.
-
-    ``expm_multiply`` estimates operator norms with ``onenormest``, which
-    draws its probe vectors from the global RNG.  Different draws can pick a
-    different truncation and move the last bits of the result, so without
-    this the output would depend on whatever the caller did with
-    ``np.random`` before.  The caller's random stream is left untouched.
-    """
-    with _GLOBAL_RNG_LOCK:
-        saved = np.random.get_state()
-        np.random.seed(0)
-        try:
-            yield
-        finally:
-            np.random.set_state(saved)
-
-
-def lindblad_evolve(
-    h,
-    c_ops,
-    state0,
-    grid: TimeGrid,
-) -> EvolveResult:
-    """Propagate drho/dt = -i[H, rho] + sum_k D[c_k] rho exactly between grid times.
+def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
+    """Propagate drho/dt = -i[H, rho] + sum_k D[c_k] rho exactly for a duration t.
 
     Parameters
     ----------
@@ -383,60 +375,69 @@ def lindblad_evolve(
     state0:
         QuantumState or raw ket / density matrix.  The final state carries
         the mode structure of a QuantumState.
-    grid:
-        Times from the first to the last; ``.final`` is the state at the
-        last.  Each interval is one application of the propagator exp(L dt)
-        to the vectorized state.
+    t:
+        Duration in seconds, finite and non-negative; ``.final`` is
+        exp(t L) applied to the state.
 
     The Liouvillian L rho = K rho + rho K^dag + sum c rho c^dag, with
     K = -iH - (1/2) sum c^dag c, is applied matrix-free: the dim^2 x dim^2
-    superoperator is never assembled.  ``scipy.sparse.linalg.expm_multiply``
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) picks its
-    truncation from norm estimates to double precision, so there is no step
-    size to choose.  It is given the exact trace of L,
-    2 dim Re Tr K + sum |Tr c|^2, and a fixed draw for its norm estimates,
-    so the result does not depend on numpy's global RNG.  No renormalization
-    is applied -- trace drift is a real error signal, not something to hide.
+    superoperator is never assembled.  exp(t L) acts through the truncated
+    Taylor series of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
+    Algorithm 3.2: shift by mu = Tr L / dim^2 (the exact trace,
+    2 dim Re Tr K + sum |Tr c|^2), take s steps of m terms each, and stop a
+    step early once two successive terms fall below double precision.  The
+    shifted Liouvillian is L - mu = K' (x) 1 + 1 (x) conj(K') + sum c (x) conj(c)
+    with K' = K - mu/2, so its 1-norm is bounded by
+    2 ||K'||_1 + sum ||c||_1^2 on the sparse factors; (m, s) minimize m s
+    subject to t * bound / s <= theta_m, m <= 55.  The bound is rigorous, so
+    no norm is estimated and nothing random is drawn: the result is a pure
+    function of the inputs.  No renormalization is applied -- trace drift
+    is a real error signal, not something to hide.
     """
+    if not (isinstance(t, (int, float, np.integer, np.floating)) and 0 <= t < math.inf):
+        raise ValueError(f"lindblad_evolve needs a finite duration t >= 0, got {t!r}")
     hm = scipy.sparse.csr_matrix(h, dtype=complex)
     cs = [scipy.sparse.csr_matrix(c, dtype=complex) for c in (c_ops or [])]
     space = state0.space if isinstance(state0, QuantumState) else None
     dim = hm.shape[0]
 
-    k_op = -1j * hm
-    for c in cs:
-        k_op = k_op - 0.5 * (c.conj().T @ c)
-    k_op = k_op.tocsr()
-    k_adj = k_op.conj().T.tocsr()
-    c_adj = [c.conj().T.tocsr() for c in cs]
-    liouvillian = scipy.sparse.linalg.LinearOperator(
-        (dim * dim, dim * dim),
-        matvec=_lindblad_action(k_op, cs),
-        rmatvec=_lindblad_action(k_adj, c_adj),
-        dtype=complex,
-    )
-    trace_l = 2 * dim * k_op.diagonal().sum().real + sum(
-        abs(c.diagonal().sum()) ** 2 for c in cs
-    )
-
     rho = hilbert.as_dm(state0).astype(complex)
     if rho.shape != (dim, dim):
         raise ValueError("state does not match the Hamiltonian dimension")
 
-    times = grid.times
-    with _fixed_global_rng():
-        for i, span in enumerate(np.diff(times), start=1):
-            vec = scipy.sparse.linalg.expm_multiply(
-                span * liouvillian, rho.ravel(), traceA=span * trace_l
-            )
-            rho = vec.reshape(dim, dim)
-            if not np.isfinite(rho).all():
-                raise NumericalError(
-                    f"dynamics: master-equation propagation diverged at t={times[i]}"
-                )
+    k_op = -1j * hm
+    for c in cs:
+        k_op = k_op - 0.5 * (c.conj().T @ c)
+    trace_l = 2 * dim * k_op.diagonal().sum().real + sum(
+        abs(c.diagonal().sum()) ** 2 for c in cs
+    )
+    mu = trace_l / dim**2
+    k_shift = (k_op - (mu / 2) * scipy.sparse.identity(dim, format="csr")).tocsr()
+    bound = 2 * _one_norm(k_shift) + sum(_one_norm(c) ** 2 for c in cs)
+    steps = {m: max(math.ceil(t * bound / theta), 1) for m, theta in _TAYLOR_THETA.items()}
+    m = min(steps, key=lambda m: m * steps[m])
+    s = steps[m]
+
+    act = _lindblad_action(k_shift, cs)
+    eta = math.exp(t * mu / s)
+    f = rho.ravel()
+    for _ in range(s):
+        term = f
+        c1 = np.abs(term).max()
+        for j in range(1, m + 1):
+            term = (t / (s * j)) * act(term)
+            c2 = np.abs(term).max()
+            f = f + term
+            if c1 + c2 <= 2.0**-53 * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+    rho = f.reshape(dim, dim)
+    if not np.isfinite(rho).all():
+        raise NumericalError("dynamics: master-equation propagation diverged")
 
     final = QuantumState(rho, space) if space else QuantumState(rho, HilbertSpace((dim,)))
-    return EvolveResult(times=times, final=final)
+    return EvolveResult(final=final)
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +475,11 @@ def transfer_efficiency(
 ) -> TransferResult:
     """Photon transfer cav1 -> bus -> cav2 by sequential timed swaps.
 
-    With ``t1``/``t2`` given, just evaluates the efficiency.  Otherwise
-    returns the optimum, which is closed form: stage 1 never touches cav2 and
-    stage 2 never touches cav1, so eta(t1, t2) = f(t1) f(t2) with
-    f(t) = |E(t)[bus, cav1]|^2, and each factor peaks at the single-stage
-    optimum t* = atan(4 nu / kappa)/nu, nu^2 = g^2 - kappa^2/16 (t* = 4/kappa
+    With both ``t1`` and ``t2`` given, just evaluates the efficiency; with
+    neither, returns the optimum, which is closed form: stage 1 never
+    touches cav2 and stage 2 never touches cav1, so eta(t1, t2) =
+    f(t1) f(t2) with f(t) = |E(t)[bus, cav1]|^2, and each factor peaks at
+    the single-stage optimum t* = atan(4 nu / kappa)/nu, nu^2 = g^2 - kappa^2/16 (t* = 4/kappa
     at critical damping, pi/(2 g_ang) at kappa_b = 0).
     Through a lossy bus each stage transfers at most
     (g/nu) e^{-kappa t*/4} sin(nu t*), so eta through two stages is that
@@ -488,7 +489,9 @@ def transfer_efficiency(
     g = TWO_PI * g_bs
     k = TWO_PI * kappa_b
 
-    if t1 is not None and t2 is not None:
+    if (t1 is None) != (t2 is None):
+        raise ValueError("transfer_efficiency needs both t1 and t2, or neither for the optimum")
+    if t1 is not None:
         return TransferResult(t1, t2, _transfer_eta(g, k, t1, t2))
 
     nu = np.sqrt(complex(g**2 - (k / 4) ** 2))

@@ -323,16 +323,6 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     return reduced.reshape(d, d)
 
 
-def expect(op, state) -> complex:
-    """<op> = Tr(op rho) for a dense or sparse matrix op, as a complex number."""
-    if isinstance(state, QuantumState) and state.is_ket:
-        return complex(np.vdot(state.data, op @ state.data))
-    rho = as_dm(state)
-    if scipy.sparse.issparse(op):
-        return complex((op @ rho).diagonal().sum())
-    return complex(np.einsum("ij,ji->", op, rho))
-
-
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import codes, dynamics, hilbert, tomography
 from .codes import Codewords, LogicalBasis
-from .dynamics import CoherentSuperposition, SystemParams, TimeGrid
+from .dynamics import CoherentSuperposition, SystemParams
 from .hilbert import HilbertSpace, NumericalError, QuantumState
 
 OUTCOMES = ("gg", "ge", "eg", "ee")
@@ -332,8 +332,9 @@ def run_dmm(
         "lindblad" -- exact density-matrix propagation at params.dims, kept
         as an independent cross-check.  The pump and post windows have H = 0
         and are exact per-cavity amplitude damping (Kraus maps); only the dump
-        window is a master-equation solve, whose cost grows as dim^2 (use
-        reduced dims).
+        window is a master-equation solve, one deterministic Taylor
+        propagation over t_dump whose cost grows as dim^2 (use reduced
+        dims).
     include_kerr:
         Add the self-Kerr Hamiltonian during the dump window.  Only the
         lindblad engine can do this (Kerr breaks the coherent-superposition
@@ -395,9 +396,7 @@ def run_dmm(
             rho = hilbert.amplitude_damp(rho, gamma, space.dims, space.axis(cav))
         state = QuantumState(rho, space)
         if t_dump > 0:
-            state = dynamics.lindblad_evolve(
-                h_dump, c_ops, state, TimeGrid(np.array([0.0, t_dump]))
-            ).final
+            state = dynamics.lindblad_evolve(h_dump, c_ops, state, t_dump).final
         pair_space = space.subspace(("cav1", "cav2"))
         d1, d2 = pair_space.dims
         rho = state.ptrace(pair_space.labels).dm()

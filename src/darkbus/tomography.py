@@ -180,6 +180,8 @@ class WignerData:
         for need in ("re_beta", "im_beta", "value"):
             if need not in cols:
                 raise ValueError(f"missing column {need!r} in {path}")
+        if "counts" in cols and "shots" not in cols:
+            raise ValueError(f"{path} has a counts column but no shots column")
         return cls(
             re_beta=cols["re_beta"],
             im_beta=cols["im_beta"],

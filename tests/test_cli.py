@@ -203,6 +203,10 @@ def test_rates_outside_unit_interval_are_config_errors(tmp_path, capsys, command
         "t_protocol: -1.0",
         "dims: [12.5, 16, 12]",
         "alpha: true",
+        "t1_cavity: [1.0e-4]",
+        "t1_cavity: [1.0e-4, 2.0e-4, 3.0e-4]",
+        "kerr: -23.0e+3",
+        "chi_bus_transmon: [-2.1e+6, -2.5e+6, -2.5e+6]",
     ],
 )
 def test_non_finite_or_malformed_params_are_config_errors(tmp_path, capsys, params):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from darkbus import codes, hilbert
 from darkbus.codes import LogicalBasis
-from oracles import kerr_twist_angle, kerr_unitary
+from oracles import expect, kerr_twist_angle, kerr_unitary
 
 DIM = 25
 ALPHA = math.sqrt(2)
@@ -84,11 +84,11 @@ def test_initial_protocol_ket():
     assert psi.trace == pytest.approx(1.0)
     # bus starts empty
     nb = hilbert.embed(sp, {"bus": hilbert.number(4)})
-    assert hilbert.expect(nb, psi).real == pytest.approx(0.0, abs=1e-12)
+    assert expect(nb, psi).real == pytest.approx(0.0, abs=1e-12)
     # each cavity holds |alpha|^2 photons on average (cross terms cancel:
     # <a+a> over |a> + i|-a> has no interference in the number operator)
     n1 = hilbert.embed(sp, {"cav1": hilbert.number(16)})
-    assert hilbert.expect(n1, psi).real == pytest.approx(ALPHA**2, abs=1e-6)
+    assert expect(n1, psi).real == pytest.approx(ALPHA**2, abs=1e-6)
 
 
 def test_kerr_absorption_identity():

@@ -17,7 +17,13 @@ from numpy.testing import assert_allclose
 
 from darkbus import dynamics, hilbert
 from darkbus.dynamics import SystemParams, TimeGrid
-from oracles import coherent_trace, expect_trajectory, materialize_coherent
+from oracles import (
+    coherent_trace,
+    expect,
+    expect_trajectory,
+    liouvillian_evolve,
+    materialize_coherent,
+)
 
 G = 160e3  # reference coupling, Hz
 
@@ -52,6 +58,13 @@ def test_params_validation():
         ("t_protocol", -1.0),
         ("dims", (12.5, 16, 12)),
         ("kappa_b", "600e3"),
+        # one value per cavity, no more and no fewer
+        ("t1_cavity", (1e-4,)),
+        ("t1_cavity", (1e-4, 2e-4, 3e-4)),
+        ("kerr", -23e3),
+        ("chi_cav_transmon", (-3.75e6,)),
+        ("chi_bus_transmon", (-2.1e6, -2.5e6, -2.5e6)),
+        ("anharmonicity", ()),
     ]:
         with pytest.raises(ValueError, match=name):
             SystemParams(**{name: value})
@@ -226,7 +239,7 @@ def _small_system():
 
 def test_lindblad_preserves_trace_and_hermiticity():
     h, c_ops, psi0 = _small_system()
-    res = dynamics.lindblad_evolve(h, c_ops, psi0, TimeGrid.linspace(4e-6, 9))
+    res = dynamics.lindblad_evolve(h, c_ops, psi0, 4e-6)
     rho = res.final.dm()
     assert abs(np.trace(rho).real - 1.0) < 1e-8
     assert_allclose(rho, rho.conj().T, atol=1e-12)
@@ -234,11 +247,12 @@ def test_lindblad_preserves_trace_and_hermiticity():
 
 
 def test_lindblad_semigroup():
-    """exp(L t) = exp(L t/2) exp(L t/2): one interval or two, same state."""
+    """exp(L t) = exp(L t/2) exp(L t/2): one call or two chained halves, same state."""
     h, c_ops, psi0 = _small_system()
     t = 2e-6
-    r1 = dynamics.lindblad_evolve(h, c_ops, psi0, TimeGrid(np.array([0.0, t])))
-    r2 = dynamics.lindblad_evolve(h, c_ops, psi0, TimeGrid(np.array([0.0, t / 2, t])))
+    r1 = dynamics.lindblad_evolve(h, c_ops, psi0, t)
+    half = dynamics.lindblad_evolve(h, c_ops, psi0, t / 2)
+    r2 = dynamics.lindblad_evolve(h, c_ops, half.final, t / 2)
     assert hilbert.trace_distance(r1.final, r2.final) < 1e-10
 
 
@@ -246,15 +260,14 @@ def test_lindblad_threads_keep_results_and_caller_rng():
     """Concurrent propagations match the sequential result bit for bit and
     hand the caller's global random stream back untouched."""
     h, c_ops, psi0 = _small_system()
-    grid = TimeGrid(np.array([0.0, 1e-6]))
-    expected = dynamics.lindblad_evolve(h, c_ops, psi0, grid).final.dm()
+    expected = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6).final.dm()
     np.random.seed(7)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as ex:
             futures = [
-                ex.submit(dynamics.lindblad_evolve, h, c_ops, psi0, grid) for _ in range(16)
+                ex.submit(dynamics.lindblad_evolve, h, c_ops, psi0, 1e-6) for _ in range(16)
             ]
             results = [f.result(timeout=120) for f in futures]
     finally:
@@ -268,7 +281,7 @@ def test_lindblad_threads_keep_results_and_caller_rng():
 
 def test_lindblad_no_loss_stays_pure():
     h, _, psi0 = _small_system()
-    res = dynamics.lindblad_evolve(h, [], psi0, TimeGrid(np.array([0.0, 1e-6])))
+    res = dynamics.lindblad_evolve(h, [], psi0, 1e-6)
     rho = res.final.dm()
     assert np.vdot(rho, rho).real == pytest.approx(1.0, abs=1e-8)
 
@@ -280,10 +293,65 @@ def test_lindblad_thermalizes_to_vacuum():
     h = dynamics.coupling_hamiltonian(space, G)
     c_ops = dynamics.collapse_operators(space, params)
     psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(2, 1)})
-    res = dynamics.lindblad_evolve(h, c_ops, psi0, TimeGrid(np.array([0.0, 3e-5])))
+    res = dynamics.lindblad_evolve(h, c_ops, psi0, 3e-5)
     vac = np.zeros(space.dim)
     vac[0] = 1.0
     assert hilbert.fidelity(vac, res.final) == pytest.approx(1.0, abs=1e-4)
+
+
+def _oracle_system(kappa_b, kerr, cavity_loss=True):
+    dims = (3, 3, 3)
+    space = hilbert.HilbertSpace(dims, dynamics.MODE_LABELS)
+    params = SystemParams(g_bs=G, kappa_b=kappa_b, dims=dims)
+    h = dynamics.coupling_hamiltonian(space, G)
+    if kerr:
+        h = h + dynamics.kerr_hamiltonian(space, (-230e3, -70e3))
+    c_ops = dynamics.collapse_operators(space, params, cavity_loss=cavity_loss)
+    psi0 = hilbert.product_ket(
+        space, {"cav1": hilbert.coherent(3, 0.6), "cav2": hilbert.coherent(3, -0.5j)}
+    )
+    return h, c_ops, psi0
+
+
+@pytest.mark.parametrize("kerr", [False, True])
+@pytest.mark.parametrize("kappa_b, cavity_loss", [(600e3, True), (0.0, True), (0.0, False)])
+@pytest.mark.parametrize("t", [0.3e-6, 2.16e-6])
+def test_lindblad_matches_assembled_liouvillian(kerr, kappa_b, cavity_loss, t):
+    """The matrix-free Taylor propagation against scipy's expm_multiply on the
+    assembled sparse Liouvillian: with and without Kerr, at kappa_b = 0, and
+    with no collapse operators at all (kappa_b = 0, no cavity loss)."""
+    h, c_ops, psi0 = _oracle_system(kappa_b, kerr, cavity_loss)
+    assert len(c_ops) == (kappa_b > 0) + 2 * cavity_loss
+    rho = dynamics.lindblad_evolve(h, c_ops, psi0, t).final.dm()
+    assert_allclose(rho, liouvillian_evolve(h, c_ops, psi0, t), rtol=0, atol=1e-12)
+
+
+def test_lindblad_zero_duration_returns_the_input():
+    h, c_ops, psi0 = _small_system()
+    res = dynamics.lindblad_evolve(h, c_ops, psi0, 0.0)
+    assert np.array_equal(res.final.dm(), psi0.dm())
+    assert res.final.space == psi0.space
+
+
+@pytest.mark.parametrize("t", [-1e-9, math.nan, math.inf, "1e-6", None, np.array([0.0, 1e-6])])
+def test_lindblad_rejects_a_bad_duration(t):
+    h, c_ops, psi0 = _small_system()
+    with pytest.raises(ValueError, match="duration"):
+        dynamics.lindblad_evolve(h, c_ops, psi0, t)
+
+
+def test_lindblad_never_touches_the_global_rng(monkeypatch):
+    """Nothing in the propagation seeds, reads or restores numpy's global RNG."""
+    h, c_ops, psi0 = _small_system()
+    expected = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6).final.dm()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lindblad_evolve used numpy's global RNG")
+
+    for name in ("seed", "get_state", "set_state"):
+        monkeypatch.setattr(np.random, name, forbidden)
+    res = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6)
+    assert np.array_equal(res.final.dm(), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +363,12 @@ def test_transfer_lossless_is_perfect():
     t_half = math.pi / (2 * 2 * math.pi * G)
     res = dynamics.transfer_efficiency(G, 0.0, t1=t_half, t2=t_half)
     assert res.eta >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("times", [{"t1": 1e-7}, {"t2": 1e-7}])
+def test_transfer_needs_both_times_or_neither(times):
+    with pytest.raises(ValueError, match="both t1 and t2"):
+        dynamics.transfer_efficiency(G, 600e3, **times)
 
 
 def test_transfer_optimum_frozen():
@@ -351,10 +425,10 @@ def _transfer_eta_master_equation(kappa_b, t1, t2):
         b = hilbert.embed(space, {"bus": a}, sparse=True)
         c_ops = [math.sqrt(2 * math.pi * kappa_b) * b]
     psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(2, 1)})
-    r1 = dynamics.lindblad_evolve(swap("cav1"), c_ops, psi0, TimeGrid(np.array([0.0, t1])))
-    r2 = dynamics.lindblad_evolve(swap("cav2"), c_ops, r1.final, TimeGrid(np.array([0.0, t2])))
+    r1 = dynamics.lindblad_evolve(swap("cav1"), c_ops, psi0, t1)
+    r2 = dynamics.lindblad_evolve(swap("cav2"), c_ops, r1.final, t2)
     n2 = hilbert.embed(space, {"cav2": hilbert.number(2)}, sparse=True)
-    return float(np.real(hilbert.expect(n2, r2.final)))
+    return float(np.real(expect(n2, r2.final)))
 
 
 @pytest.mark.parametrize("kappa_b", [0.0, 600e3, dynamics.critical_kappa(G)])
@@ -488,9 +562,7 @@ def test_coherent_vs_lindblad_cross_check():
     psi = psi / np.linalg.norm(psi)
     h = dynamics.coupling_hamiltonian(space, G)
     c_ops = dynamics.collapse_operators(space, params)
-    res = dynamics.lindblad_evolve(
-        h, c_ops, hilbert.QuantumState(psi, space), TimeGrid(np.array([0.0, t]))
-    )
+    res = dynamics.lindblad_evolve(h, c_ops, hilbert.QuantumState(psi, space), t)
     # the coherent result is normalized in the full space; the truncated
     # materialization loses a little tail mass, so compare after norming
     rho_coh /= np.trace(rho_coh).real

@@ -232,6 +232,14 @@ def test_load_csv_three_column(tmp_path):
     assert back.counts is None and back.shots is None
 
 
+def test_load_csv_rejects_counts_without_shots(tmp_path):
+    """Counts mean nothing without the shots they were drawn from."""
+    path = tmp_path / "w.csv"
+    path.write_text("re_beta,im_beta,value,counts\n0.0,0.0,0.5,150\n0.5,0.0,0.1,110\n")
+    with pytest.raises(ValueError, match="w.csv.*shots"):
+        WignerData.load_csv(path)
+
+
 def test_wigner_data_missing_column(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("re_beta,im_beta\n0.0,0.0\n")
