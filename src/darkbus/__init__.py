@@ -18,7 +18,6 @@ from . import codes, dynamics, errorbudget, hilbert, protocol, tomography
 from .codes import Codewords, LogicalBasis, bell_state, logical_paulis
 from .dynamics import (
     SystemParams,
-    TimeGrid,
     auto_dump_time,
     classify_regime,
     critical_kappa,
@@ -72,7 +71,6 @@ __all__ = [
     "bell_state",
     "logical_paulis",
     "SystemParams",
-    "TimeGrid",
     "auto_dump_time",
     "classify_regime",
     "critical_kappa",

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -34,6 +35,22 @@ from .protocol import VacuumCheckModel
 
 class ConfigError(Exception):
     """Anything wrong with flags, config file, or parameter values."""
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads YAML 1.2 floats.
+
+    PyYAML resolves plain scalars by YAML 1.1, where a float needs a dot and
+    a signed exponent: 2e6, -23.0e3 and 1e-5 would load as strings.  Quoted
+    scalars stay strings.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 PARAM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
@@ -84,8 +101,8 @@ _COUNT = (lambda x: x >= 1 and x.is_integer(), "a whole number >= 1", int)
 
 def _number(opts: dict, key: str, valid=None):
     """``opts[key]`` as a number, written back so that the manifest records
-    the value used (PyYAML reads an exponent without a dot, 1e-5, as a
-    string), and checked against the range ``valid`` when given.  A list
+    the value used (a quoted number in the config is a string, "1e-5"), and
+    checked against the range ``valid`` when given.  A list
     value is checked entry by entry and written back as a list.  A YAML
     boolean is not a number, although Python would read true as 1."""
     if isinstance(opts[key], list):
@@ -369,13 +386,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         ["re_beta", "im_beta", "value", "shots", "counts"],
         zip(grid.betas.real, grid.betas.imag, w_meas, [shots] * counts.size, counts),
     )
-    data = tomography.WignerData(
-        re_beta=grid.betas.real,
-        im_beta=grid.betas.imag,
-        value=w_meas,
-        shots=np.full(counts.size, shots),
-        counts=counts,
-    )
+    data = tomography.WignerData.from_map(grid, w_meas, shots=shots, counts=counts)
     mle = tomography.mle_density(data, dim=d1, max_iter=max_iter, forward=forward)
     f_rec = hilbert.fidelity(mle.rho, rho1)
     if ctx.gnuplot:
@@ -570,7 +581,7 @@ def load_config(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = yaml.safe_load(p.read_text())
+        cfg = yaml.load(p.read_text(), Loader=_ConfigLoader)
     except yaml.YAMLError as e:
         raise ConfigError(f"could not parse {path}: {e}") from e
     if cfg is None:

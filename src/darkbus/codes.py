@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import hilbert
-from .hilbert import HilbertSpace, QuantumState
 
 
 @dataclass(frozen=True)
@@ -114,22 +113,3 @@ def bell_state(words1: Codewords, words2: Codewords) -> np.ndarray:
     being the singlet it looks the same in the |±>_L basis."""
     ket = np.kron(words1.zero, words2.one) - np.kron(words1.one, words2.zero)
     return ket / np.linalg.norm(ket)
-
-
-def initial_protocol_ket(space: HilbertSpace, alpha: float) -> QuantumState:
-    """Pre-dump product state (|a> + i|-a>)_1 |0>_bus (|a> - i|-a>)_2.
-
-    The relative phases put half the weight on pure-dark coherent components
-    and half on pure-bright ones, which is what makes the post-dump vacuum
-    check a 50/50 entanglement herald.
-    """
-    d1 = space.dims[space.axis("cav1")]
-    d2 = space.dims[space.axis("cav2")]
-    k1 = hilbert.coherent(d1, alpha, normalized=False) + 1j * hilbert.coherent(
-        d1, -alpha, normalized=False
-    )
-    k2 = hilbert.coherent(d2, alpha, normalized=False) - 1j * hilbert.coherent(
-        d2, -alpha, normalized=False
-    )
-    state = hilbert.product_ket(space, {"cav1": k1, "cav2": k2})
-    return state.normalized()

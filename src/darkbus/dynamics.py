@@ -38,7 +38,9 @@ Liouvillian over a duration, one matrix-free truncated Taylor series whose
 length follows from a rigorous norm bound (no step size to choose, nothing
 random drawn) -- is kept for what the linear core cannot do: it is the
 independent oracle the tests check the closed forms against, and the only
-path that evolves self-Kerr.
+path that evolves self-Kerr.  Its operators come from the same network
+description: :func:`network_operators` turns (A, Gamma) into H and the
+collapse operators at a Fock truncation, so both solvers read one model.
 """
 
 from __future__ import annotations
@@ -56,11 +58,8 @@ from .hilbert import HilbertSpace, NumericalError, QuantumState
 
 TWO_PI = 2 * math.pi
 
-MODE_LABELS = ("cav1", "bus", "cav2")
-
-
 # ---------------------------------------------------------------------------
-# parameters and grids
+# parameters
 # ---------------------------------------------------------------------------
 
 
@@ -125,27 +124,8 @@ class SystemParams:
         """Cavity energy decay rates 1/T1 in 1/s."""
         return (1.0 / self.t1_cavity[0], 1.0 / self.t1_cavity[1])
 
-    def space(self) -> HilbertSpace:
-        return HilbertSpace(self.dims, MODE_LABELS)
-
     def with_(self, **kw) -> "SystemParams":
         return replace(self, **kw)
-
-
-@dataclass
-class TimeGrid:
-    """Strictly increasing output times in seconds."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("grid times must be strictly increasing")
-
-    @classmethod
-    def linspace(cls, t_final: float, n: int = 201, t_start: float = 0.0) -> "TimeGrid":
-        return cls(np.linspace(t_start, t_final, n))
 
 
 # ---------------------------------------------------------------------------
@@ -160,48 +140,44 @@ def coupling_matrix(g_bs: float) -> np.ndarray:
     return np.array([[0, g, 0], [g, 0, g], [0, g, 0]], dtype=complex)
 
 
-def coupling_hamiltonian(space: HilbertSpace, g_bs: float):
-    """H = 2pi g (a1 + a2) b^dag + h.c. as a CSR matrix."""
-    g = TWO_PI * g_bs
-    terms = None
-    b_dag = hilbert.create(space.dims[space.axis("bus")])
-    for cav in ("cav1", "cav2"):
-        a = hilbert.destroy(space.dims[space.axis(cav)])
-        t = hilbert.embed(space, {cav: a, "bus": b_dag}, sparse=True)
-        terms = t if terms is None else terms + t
-    h = g * (terms + terms.conj().T)
-    return h.tocsr()
+def _on_mode(dims, k: int, op):
+    """Single-mode matrix ``op`` acting on mode k of the product space with
+    truncations ``dims``, identity on every other mode, as a CSR matrix."""
+    left = scipy.sparse.identity(math.prod(dims[:k]), dtype=complex, format="csr")
+    right = scipy.sparse.identity(math.prod(dims[k + 1:]), dtype=complex, format="csr")
+    return scipy.sparse.kron(scipy.sparse.kron(left, op), right, format="csr")
 
 
-def kerr_hamiltonian(space: HilbertSpace, kerr: tuple[float, float]):
-    """Self-Kerr H = sum_i 2pi K_i/2 n_i (n_i - 1) on the two cavities, as a
-    CSR matrix."""
+def network_operators(coupling, gammas, dims):
+    """(H, c_ops) of the linear lossy network that :func:`linear_propagator`
+    solves, materialized over modes truncated at ``dims``.
+
+    H = sum_kl A_kl a_k^dag a_l for the angular coupling A, and one collapse
+    operator sqrt(gamma_k) a_k for each mode with gamma_k > 0, in mode order;
+    all CSR matrices.  A = 0 gives the zero Hamiltonian.
+    """
+    coupling = np.asarray(coupling, dtype=complex)
+    n = len(dims)
+    if coupling.shape != (n, n) or len(gammas) != n:
+        raise ValueError(f"need an {n}x{n} coupling and {n} rates for dims {tuple(dims)}")
+    lowering = [_on_mode(dims, k, hilbert.destroy(d)) for k, d in enumerate(dims)]
+    dim = math.prod(dims)
+    h = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+    for k, l in zip(*np.nonzero(coupling)):
+        h = h + coupling[k, l] * (lowering[k].conj().T @ lowering[l])
+    c_ops = [math.sqrt(g) * a for g, a in zip(gammas, lowering) if g > 0]
+    return h.tocsr(), c_ops
+
+
+def kerr_hamiltonian(dims, kerr: tuple[float, float]):
+    """Self-Kerr H = sum_i 2pi K_i/2 n_i (n_i - 1) on the two cavities, modes
+    0 and 2 of ``dims`` in mode order (cav1, bus, cav2), as a CSR matrix."""
     h = None
-    for cav, k in zip(("cav1", "cav2"), kerr):
-        d = space.dims[space.axis(cav)]
-        n = np.arange(d)
-        diag = TWO_PI * k / 2 * n * (n - 1)
-        t = hilbert.embed(space, {cav: np.diag(diag.astype(complex))}, sparse=True)
+    for axis, k in zip((0, 2), kerr):
+        n = np.arange(dims[axis])
+        t = _on_mode(dims, axis, scipy.sparse.diags(TWO_PI * k / 2 * n * (n - 1)))
         h = t if h is None else h + t
     return h.tocsr()
-
-
-def collapse_operators(
-    space: HilbertSpace,
-    params: SystemParams,
-    cavity_loss: bool = True,
-) -> list:
-    """sqrt(rate) * a for each lossy mode, as CSR matrices.  Rates: kappa_b
-    (angular) for the bus, 1/T1 for the cavities."""
-    ops = []
-    if params.kappa_b > 0:
-        b = hilbert.destroy(space.dims[space.axis("bus")])
-        ops.append(math.sqrt(params.kappa_ang) * hilbert.embed(space, {"bus": b}, sparse=True))
-    if cavity_loss:
-        for cav, gamma in zip(("cav1", "cav2"), params.gamma_cavity):
-            a = hilbert.destroy(space.dims[space.axis(cav)])
-            ops.append(math.sqrt(gamma) * hilbert.embed(space, {cav: a}, sparse=True))
-    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +185,16 @@ def collapse_operators(
 # ---------------------------------------------------------------------------
 
 
-def langevin_solve(g_bs, kappa_cav, kappa_b, z0, grid: TimeGrid) -> np.ndarray:
+def langevin_solve(g_bs, kappa_cav, kappa_b, z0, times) -> np.ndarray:
     """Exact mean-amplitude trajectories of the three-mode network.
 
     ``kappa_cav`` may be a scalar or a (cav1, cav2) pair of energy decay
     rates in 1/s; g_bs and kappa_b are cyclic Hz.  Returns z(t) = E(t) z0
-    from :func:`linear_propagator`, shape (len(times), 3) in mode order
-    (cav1, bus, cav2): exact at every grid point (including exactly critical
-    damping), and the classical reference for the quantum solvers, since
-    <a_k(t)> of a coherent initial state follows it identically.
+    from :func:`linear_propagator` at each of ``times`` (seconds, any order),
+    shape (len(times), 3) in mode order (cav1, bus, cav2): exact at every
+    time (including exactly critical damping), and the classical reference
+    for the quantum solvers, since <a_k(t)> of a coherent initial state
+    follows it identically.
     """
     k1, k2 = (kappa_cav, kappa_cav) if np.isscalar(kappa_cav) else kappa_cav
     coupling = coupling_matrix(g_bs)
@@ -225,7 +202,7 @@ def langevin_solve(g_bs, kappa_cav, kappa_b, z0, grid: TimeGrid) -> np.ndarray:
     z0 = np.asarray(z0, dtype=complex)
     if z0.shape != (3,):
         raise ValueError("z0 must be the three initial amplitudes (cav1, bus, cav2)")
-    return linear_propagator(coupling, gammas, grid.times)[0] @ z0
+    return linear_propagator(coupling, gammas, np.atleast_1d(times))[0] @ z0
 
 
 def critical_kappa(g_bs: float) -> float:

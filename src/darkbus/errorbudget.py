@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from scipy.optimize import minimize_scalar
 
 from .dynamics import SystemParams
-from .protocol import dmm_false_positive
+from .protocol import MEASURED_JOINT_FALSE_PASS, dmm_false_positive
 
 DEFAULT_P_DECODE = 0.017
-DEFAULT_P_BRIGHT_PASS = 0.015
+DEFAULT_P_BRIGHT_PASS = MEASURED_JOINT_FALSE_PASS
 
 
 def photon_loss_probability(alpha: float, params: SystemParams | None = None) -> float:

@@ -10,7 +10,7 @@ Conventions used throughout:
   exists to make that visible.
 
 Nothing in here knows about buses, cats or heralding -- it is plain linear
-algebra on numpy and scipy.sparse arrays, with one thin dataclass wrapper so
+algebra on numpy arrays, with one thin dataclass wrapper so
 that states carry their mode structure around with them.
 """
 
@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 
 class NumericalError(RuntimeError):
@@ -84,11 +82,6 @@ class HilbertSpace:
     def subspace(self, keep: tuple[str, ...]) -> "HilbertSpace":
         axes = [self.axis(lb) for lb in keep]
         return HilbertSpace(tuple(self.dims[a] for a in axes), tuple(keep))
-
-    def identity(self, sparse: bool = False):
-        if sparse:
-            return scipy.sparse.identity(self.dim, dtype=complex, format="csr")
-        return np.eye(self.dim, dtype=complex)
 
 
 @dataclass
@@ -154,10 +147,6 @@ def as_dm(state) -> np.ndarray:
 def destroy(dim: int) -> np.ndarray:
     """Lowering operator a with <n-1|a|n> = sqrt(n)."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
-
-
-def create(dim: int) -> np.ndarray:
-    return destroy(dim).conj().T
 
 
 def number(dim: int) -> np.ndarray:
@@ -258,52 +247,8 @@ def amplitude_damp(rho: np.ndarray, gamma: float, dims=None, axis: int = 0) -> n
 
 
 # ---------------------------------------------------------------------------
-# multi-mode assembly
+# multi-mode reduction
 # ---------------------------------------------------------------------------
-
-
-def tensor(*mats):
-    """Kronecker product, staying sparse if any factor is sparse."""
-    if any(scipy.sparse.issparse(m) for m in mats):
-        mats = [
-            m if scipy.sparse.issparse(m) else scipy.sparse.csr_matrix(m) for m in mats
-        ]
-        return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), mats)
-    return reduce(np.kron, mats)
-
-
-def embed(space: HilbertSpace, parts: dict, sparse: bool = False):
-    """Lift per-mode matrices into the full space.
-
-    ``parts`` maps mode label -> single-mode matrix; every unnamed mode gets
-    the identity.  The result is a dense array, or a CSR matrix with
-    ``sparse=True`` (what the master-equation builders use).
-    """
-    factors = []
-    for lb, d in zip(space.labels, space.dims):
-        if lb in parts:
-            m = parts[lb]
-            if m.shape != (d, d):
-                raise ValueError(f"matrix for {lb!r} has shape {m.shape}, expected {(d, d)}")
-            factors.append(scipy.sparse.csr_matrix(m) if sparse else m)
-        else:
-            factors.append(
-                scipy.sparse.identity(d, dtype=complex, format="csr")
-                if sparse
-                else np.eye(d, dtype=complex)
-            )
-    unknown = set(parts) - set(space.labels)
-    if unknown:
-        raise KeyError(f"labels {unknown} not in space {space.labels}")
-    return tensor(*factors)
-
-
-def product_ket(space: HilbertSpace, kets: dict) -> QuantumState:
-    """Tensor product ket from per-mode kets; unnamed modes start in vacuum."""
-    factors = []
-    for lb, d in zip(space.labels, space.dims):
-        factors.append(np.asarray(kets.get(lb, fock(d, 0)), dtype=complex))
-    return QuantumState(reduce(np.kron, factors), space)
 
 
 def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:

@@ -18,7 +18,8 @@ the entire pre-measurement evolution is solved exactly by the
 coherent-superposition engine in :mod:`.dynamics` -- four coherent
 components, no Fock truncation, milliseconds of work.  The master-equation
 density-matrix engine is kept behind ``engine="lindblad"`` as an
-independent cross-check at reduced truncations.
+independent cross-check at reduced truncations, built from the same
+coupling, decay rates and initial superposition.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .dynamics import CoherentSuperposition, SystemParams
 from .hilbert import HilbertSpace, NumericalError, QuantumState
 
 OUTCOMES = ("gg", "ge", "eg", "ee")
+
+# measured probability that both modules report ``g`` with both cavities in
+# vacuum: the correlated false pass that lets a dumped bright state through
+MEASURED_JOINT_FALSE_PASS = 0.015
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +98,7 @@ class VacuumCheckModel:
         return cls(
             p_g_given_empty=(0.07, 0.05),
             p_e_given_occupied=(0.04, 0.04),
-            correlation_factor=0.015 / (0.07 * 0.05),
+            correlation_factor=MEASURED_JOINT_FALSE_PASS / (0.07 * 0.05),
         )
 
     def joint_pass_table(self, sector: tuple[str, str]) -> dict:
@@ -260,14 +265,13 @@ def _sector_weights_coherent(sup: CoherentSuperposition, diagonal: bool):
     return probs
 
 
-def _pair_density_coherent(sup: CoherentSuperposition, dims) -> np.ndarray:
-    """Fock density matrix (d1*d2 square) of a two-cavity coherent
-    superposition, from one row of unnormalized product kets per component."""
-    k1, k2 = (
-        np.array([hilbert.coherent(d, z, normalized=False) for z in sup.labels[:, m]])
-        for m, d in enumerate(dims)
-    )
-    kets = np.einsum("ia,ib->iab", k1, k2).reshape(sup.n_components, dims[0] * dims[1])
+def _density_coherent(sup: CoherentSuperposition, dims) -> np.ndarray:
+    """Fock density matrix (prod(dims) square) of a coherent superposition,
+    from one row of unnormalized product kets per component."""
+    kets = np.ones((sup.n_components, 1), dtype=complex)
+    for m, d in enumerate(dims):
+        k = np.array([hilbert.coherent(d, z, normalized=False) for z in sup.labels[:, m]])
+        kets = np.einsum("ia,ib->iab", kets, k).reshape(sup.n_components, -1)
     a = np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
     return kets.T @ a @ kets.conj()
 
@@ -330,11 +334,15 @@ def run_dmm(
         "coherent" -- exact, truncation-free propagation of the four-component
         coherent superposition (the default; fast at any dims);
         "lindblad" -- exact density-matrix propagation at params.dims, kept
-        as an independent cross-check.  The pump and post windows have H = 0
-        and are exact per-cavity amplitude damping (Kraus maps); only the dump
-        window is a master-equation solve, one deterministic Taylor
-        propagation over t_dump whose cost grows as dim^2 (use reduced
-        dims).
+        as an independent cross-check.  Both engines read the same network:
+        the stage list of couplings and durations, the per-mode decay rates
+        and the initial four-component superposition, which this engine
+        materializes and normalizes once.  The pump and post windows have
+        H = 0 and are exact per-mode amplitude damping (Kraus maps); only the
+        dump window is a master-equation solve on the operators
+        :func:`~darkbus.dynamics.network_operators` builds from that
+        coupling and those rates, one deterministic Taylor propagation over
+        t_dump whose cost grows as dim^2 (use reduced dims).
     include_kerr:
         Add the self-Kerr Hamiltonian during the dump window.  Only the
         lindblad engine can do this (Kerr breaks the coherent-superposition
@@ -349,68 +357,63 @@ def run_dmm(
         if not 0 <= t_dump < math.inf:
             raise ValueError(f"dump_time must be non-negative and finite, got {dump_time!r}")
     t_post = max(params.t_protocol - params.t_pump - t_dump, 0.0)
+    if engine not in ("coherent", "lindblad"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if engine == "coherent" and include_kerr:
+        raise ValueError(
+            "the coherent engine cannot evolve self-Kerr; use engine='lindblad' "
+            "or absorb Kerr into the analysis basis"
+        )
 
+    # the pump, dump and post windows of one passive network: coupling A
+    # (open only during the dump) and a decay rate per mode
     gammas = np.array(
         [params.gamma_cavity[0], params.kappa_ang, params.gamma_cavity[1]]
     )
     if not cavity_loss:
         gammas = gammas * np.array([0.0, 1.0, 0.0])
+    a_mat = dynamics.coupling_matrix(params.g_bs)
+    zero = np.zeros_like(a_mat)
+    stages = [(zero, params.t_pump), (a_mat, t_dump), (zero, t_post)]
+    sup = _initial_superposition(params.alpha)
+    d1, d2 = params.dims[0], params.dims[2]
+    pair_space = HilbertSpace((d1, d2), ("cav1", "cav2"))
 
     if engine == "coherent":
-        if include_kerr:
-            raise ValueError(
-                "the coherent engine cannot evolve self-Kerr; use engine='lindblad' "
-                "or absorb Kerr into the analysis basis"
-            )
-        sup = _initial_superposition(params.alpha)
-        a_mat = dynamics.coupling_matrix(params.g_bs)
-        zero = np.zeros_like(a_mat)
-        stages = [(zero, params.t_pump), (a_mat, t_dump), (zero, t_post)]
         for coupling, t in stages:
             if t <= 0:
                 continue
             e, q = dynamics.linear_propagator(coupling, gammas, t)
             sup = dynamics.propagate_coherent(sup, e, q)
         pair = dynamics.ptrace_coherent(sup, keep=[0, 2])
-        d1, d2 = params.dims[0], params.dims[2]
-        rho = _pair_density_coherent(pair, (d1, d2))
+        rho = _density_coherent(pair, (d1, d2))
         sector_probs = _sector_weights_coherent(pair, diagonal=True)
         projective_probs = _sector_weights_coherent(pair, diagonal=False)
         alpha_dark = (abs(pair.labels[1, 0]), abs(pair.labels[1, 1]))
-        pair_space = HilbertSpace((d1, d2), ("cav1", "cav2"))
-    elif engine == "lindblad":
-        space = params.space()
-        psi0 = codes.initial_protocol_ket(space, params.alpha)
-        h_dump = dynamics.coupling_hamiltonian(space, params.g_bs)
-        if include_kerr:
-            h_dump = h_dump + dynamics.kerr_hamiltonian(space, params.kerr)
-        c_ops = dynamics.collapse_operators(space, params, cavity_loss=cavity_loss)
-        # H = 0 in the pump and post windows, so each cavity only decays:
-        # amplitude damping with loss 1 - exp(-G t).  The bus is empty during
-        # the pump, and its own decay after the dump commutes with tracing it
-        # out, so only the dump window needs the master equation.
-        cav_gammas = (gammas[0], gammas[2])
-        rho = psi0.dm()
-        for cav, g in zip(("cav1", "cav2"), cav_gammas):
-            gamma = -math.expm1(-g * params.t_pump)
-            rho = hilbert.amplitude_damp(rho, gamma, space.dims, space.axis(cav))
-        state = QuantumState(rho, space)
-        if t_dump > 0:
-            state = dynamics.lindblad_evolve(h_dump, c_ops, state, t_dump).final
-        pair_space = space.subspace(("cav1", "cav2"))
-        d1, d2 = pair_space.dims
-        rho = state.ptrace(pair_space.labels).dm()
-        for axis, g in enumerate(cav_gammas):
-            rho = hilbert.amplitude_damp(rho, -math.expm1(-g * t_post), (d1, d2), axis)
+    else:
+        dims = params.dims
+        rho = _density_coherent(sup, dims)
+        rho /= np.trace(rho).real
+        for coupling, t in stages:
+            if t <= 0:
+                continue
+            if coupling.any():
+                h, c_ops = dynamics.network_operators(coupling, gammas, dims)
+                if include_kerr:
+                    h = h + dynamics.kerr_hamiltonian(dims, params.kerr)
+                rho = dynamics.lindblad_evolve(h, c_ops, rho, t).final.data
+            else:
+                # H = 0: each mode only decays, exactly amplitude damping
+                for axis, g in enumerate(gammas):
+                    rho = hilbert.amplitude_damp(rho, -math.expm1(-g * t), dims, axis)
+        rho = hilbert.partial_trace(rho, dims, [0, 2])
         # projective sector probabilities: diag rho summed by sector
         diag = np.real(np.diag(rho))
         sector_probs = dict(zip(SECTORS, np.bincount(_sector_index((d1, d2)), diag, 4).tolist()))
         projective_probs = sector_probs
         # the cavities decay through the pump, dump and post windows alike
         t_exposed = max(params.t_protocol, params.t_pump + t_dump)
-        alpha_dark = tuple(params.alpha * math.exp(-g * t_exposed / 2) for g in cav_gammas)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+        alpha_dark = tuple(params.alpha * math.exp(-g * t_exposed / 2) for g in (gammas[0], gammas[2]))
 
     p_out, rho_gg = _fold(check, sector_probs, rho, (d1, d2))
     tr = float(np.real(np.trace(rho_gg)))

@@ -1,27 +1,92 @@
 """Reference implementations the tests compare library results against.
 
 None of these runs in a darkbus command or demo.  Each is a slow or
-independent route to a quantity the library computes another way: dense
-density matrices of coherent superpositions, free-Kerr evolution, the
-vacuum check applied to a materialized density matrix through explicit
-projectors, expectation values, master-equation expectation values at grid
-times, the master equation propagated by scipy on the assembled sparse
-Liouvillian, and the heralding attempt propagated by the master equation
-through all three windows.
+independent route to a quantity the library computes another way: the
+raising operator, labelled multi-mode operators and product kets assembled
+by Kronecker products, dense density matrices of coherent superpositions,
+the protocol's initial cat product, free-Kerr evolution, the vacuum check
+applied to a materialized density matrix through explicit projectors,
+expectation values, master-equation expectation values at given times, the
+master equation propagated by scipy on the assembled sparse Liouvillian,
+and the heralding attempt propagated by the master equation through all
+three windows.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from darkbus import codes, dynamics, hilbert
-from darkbus.dynamics import CoherentSuperposition, SystemParams, TimeGrid, coherent_overlaps
-from darkbus.hilbert import QuantumState, as_dm
+from darkbus import dynamics, hilbert
+from darkbus.dynamics import CoherentSuperposition, SystemParams, coherent_overlaps
+from darkbus.hilbert import HilbertSpace, QuantumState, as_dm
 from darkbus.protocol import OUTCOMES, SECTORS, VacuumCheckModel, _fold
+
+MODE_LABELS = ("cav1", "bus", "cav2")
+
+
+def create(dim: int) -> np.ndarray:
+    return hilbert.destroy(dim).conj().T
+
+
+def tensor(*mats):
+    """Kronecker product, staying sparse if any factor is sparse."""
+    if any(scipy.sparse.issparse(m) for m in mats):
+        mats = [
+            m if scipy.sparse.issparse(m) else scipy.sparse.csr_matrix(m) for m in mats
+        ]
+        return reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), mats)
+    return reduce(np.kron, mats)
+
+
+def embed(space: HilbertSpace, parts: dict, sparse: bool = False):
+    """Lift per-mode matrices into the full space.
+
+    ``parts`` maps mode label -> single-mode matrix; every unnamed mode gets
+    the identity.  The result is a dense array, or a CSR matrix with
+    ``sparse=True`` (what the master-equation builders use).
+    """
+    factors = []
+    for lb, d in zip(space.labels, space.dims):
+        if lb in parts:
+            m = parts[lb]
+            if m.shape != (d, d):
+                raise ValueError(f"matrix for {lb!r} has shape {m.shape}, expected {(d, d)}")
+            factors.append(scipy.sparse.csr_matrix(m) if sparse else m)
+        else:
+            factors.append(
+                scipy.sparse.identity(d, dtype=complex, format="csr")
+                if sparse
+                else np.eye(d, dtype=complex)
+            )
+    unknown = set(parts) - set(space.labels)
+    if unknown:
+        raise KeyError(f"labels {unknown} not in space {space.labels}")
+    return tensor(*factors)
+
+
+def product_ket(space: HilbertSpace, kets: dict) -> QuantumState:
+    """Tensor product ket from per-mode kets; unnamed modes start in vacuum."""
+    factors = []
+    for lb, d in zip(space.labels, space.dims):
+        factors.append(np.asarray(kets.get(lb, hilbert.fock(d, 0)), dtype=complex))
+    return QuantumState(reduce(np.kron, factors), space)
+
+
+def cat_product_ket(dims, alpha: float) -> np.ndarray:
+    """Normalized (|a> + i|-a>)_1 |0>_bus (|a> - i|-a>)_2 at truncations
+    ``dims`` in mode order (cav1, bus, cav2): the protocol's initial state."""
+    def cat(d, phase):
+        return hilbert.coherent(d, alpha, normalized=False) + phase * hilbert.coherent(
+            d, -alpha, normalized=False
+        )
+
+    ket = np.kron(np.kron(cat(dims[0], 1j), hilbert.fock(dims[1], 0)), cat(dims[2], -1j))
+    return ket / np.linalg.norm(ket)
 
 
 def coherent_trace(sup: CoherentSuperposition) -> float:
@@ -112,12 +177,13 @@ def expect(op, state) -> complex:
     return complex(np.einsum("ij,ji->", op, rho))
 
 
-def expect_trajectory(h, c_ops, state0, grid: TimeGrid, ops) -> np.ndarray:
-    """<op>(t) at every grid time, shape (len(grid.times), len(ops)): the
-    master equation solved interval by interval, each interval one
-    duration-long solve from the ``.final`` state of the one before."""
+def expect_trajectory(h, c_ops, state0, times, ops) -> np.ndarray:
+    """<op>(t) at each of the increasing ``times``, shape (len(times),
+    len(ops)): the master equation solved interval by interval, each
+    interval one duration-long solve from the ``.final`` state of the one
+    before."""
     state, rows = state0, []
-    for span in np.diff(grid.times):
+    for span in np.diff(times):
         rows.append([expect(op, state) for op in ops])
         state = dynamics.lindblad_evolve(h, c_ops, state, span).final
     rows.append([expect(op, state) for op in ops])
@@ -147,6 +213,17 @@ def liouvillian_evolve(h, c_ops, state0, t) -> np.ndarray:
     return vec.reshape(dim, dim)
 
 
+def params_network(params: SystemParams, cavity_loss: bool = True):
+    """(H, c_ops) of the cav1-bus-cav2 network at ``params.dims`` with the
+    bus coupling open: bus decay at kappa_b and, with ``cavity_loss``, each
+    cavity's 1/T1."""
+    loss = 1.0 if cavity_loss else 0.0
+    gammas = (loss * params.gamma_cavity[0], params.kappa_ang, loss * params.gamma_cavity[1])
+    return dynamics.network_operators(
+        dynamics.coupling_matrix(params.g_bs), gammas, params.dims
+    )
+
+
 def lindblad_pair_state(
     params: SystemParams,
     t_dump: float,
@@ -155,19 +232,18 @@ def lindblad_pair_state(
     include_kerr: bool = False,
 ) -> QuantumState:
     """Cavity pair after pump, dump and post windows, each one master-equation
-    solve on the full cav1-bus-cav2 space (H = 0, then H_dump, then H = 0).
+    solve on the full cav1-bus-cav2 space (H = 0, then H_dump, then H = 0),
+    starting from :func:`cat_product_ket`.
 
     ``run_dmm(engine="lindblad")`` replaces the two H = 0 windows by exact
-    per-cavity amplitude damping; this is the propagation it replaced.
+    amplitude damping; this is the propagation it replaced.
     """
-    space = params.space()
-    psi0 = codes.initial_protocol_ket(space, params.alpha)
-    h_dump = dynamics.coupling_hamiltonian(space, params.g_bs)
+    dims = params.dims
+    h_dump, c_ops = params_network(params, cavity_loss)
+    h_zero = 0 * h_dump
     if include_kerr:
-        h_dump = h_dump + dynamics.kerr_hamiltonian(space, params.kerr)
-    c_ops = dynamics.collapse_operators(space, params, cavity_loss=cavity_loss)
-    state = psi0
-    h_zero = 0.0 * space.identity(sparse=True)
+        h_dump = h_dump + dynamics.kerr_hamiltonian(dims, params.kerr)
+    state = QuantumState(cat_product_ket(dims, params.alpha), HilbertSpace(dims, MODE_LABELS))
     for h, t in ((h_zero, params.t_pump), (h_dump, t_dump), (h_zero, t_post)):
         if t <= 0:
             continue

@@ -12,10 +12,19 @@ import pytest
 
 from darkbus import cli, codes, dynamics, errorbudget, hilbert, protocol, tomography
 from darkbus.codes import LogicalBasis
-from darkbus.dynamics import SystemParams, TimeGrid
+from darkbus.dynamics import SystemParams
 from darkbus.protocol import VacuumCheckModel
 from darkbus.tomography import WignerData, WignerGrid
-from oracles import expect_trajectory, kerr_twist_angle, kerr_unitary, materialize_coherent
+from oracles import (
+    MODE_LABELS,
+    embed,
+    expect_trajectory,
+    kerr_twist_angle,
+    kerr_unitary,
+    materialize_coherent,
+    params_network,
+    product_ket,
+)
 
 G = 160e3
 ROOT2 = math.sqrt(2)
@@ -89,9 +98,9 @@ def test_ac3_damping_regimes():
     ok = True
 
     # underdamped: the bright mode rings at sqrt(2) g
-    grid = TimeGrid.linspace(8e-6, 4001)
-    z = dynamics.langevin_solve(G, (0.0, 0.0), 160e3, [1 / ROOT2, 0, 1 / ROOT2], grid)
-    omega_fit = _fit_zero_crossing_freq(grid.times, z[:, 0].real)
+    times = np.linspace(0.0, 8e-6, 4001)
+    z = dynamics.langevin_solve(G, (0.0, 0.0), 160e3, [1 / ROOT2, 0, 1 / ROOT2], times)
+    omega_fit = _fit_zero_crossing_freq(times, z[:, 0].real)
     target = ROOT2 * g_ang
     dev_u = abs(omega_fit - target) / target
     ok &= dev_u <= 0.02
@@ -106,31 +115,30 @@ def test_ac3_damping_regimes():
 
     # overdamped: slow amplitude pole at 2 g_bright^2 / kappa
     kappa = 8000e3
-    grid2 = TimeGrid(np.linspace(2e-6, 20e-6, 200))
-    z2 = dynamics.langevin_solve(G, (0.0, 0.0), kappa, [1 / ROOT2, 0, 1 / ROOT2], grid2)
-    slope = -np.polyfit(grid2.times, np.log(np.abs(z2[:, 0])), 1)[0]
+    times2 = np.linspace(2e-6, 20e-6, 200)
+    z2 = dynamics.langevin_solve(G, (0.0, 0.0), kappa, [1 / ROOT2, 0, 1 / ROOT2], times2)
+    slope = -np.polyfit(times2, np.log(np.abs(z2[:, 0])), 1)[0]
     target_od = 2 * (ROOT2 * g_ang) ** 2 / (dynamics.TWO_PI * kappa)
     dev_o = abs(slope - target_od) / target_od
     ok &= dev_o <= 0.02
 
     # quantum expectations ride the classical trajectories
     dims = (6, 6, 6)
-    space = hilbert.HilbertSpace(dims, dynamics.MODE_LABELS)
+    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     z0 = np.array([0.35, 0.0, -0.2 + 0.1j])
-    psi0 = hilbert.product_ket(
+    psi0 = product_ket(
         space,
         {"cav1": hilbert.coherent(6, z0[0]), "cav2": hilbert.coherent(6, z0[2])},
     )
-    h = dynamics.coupling_hamiltonian(space, G)
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
-    c_ops = dynamics.collapse_operators(space, params)
-    qgrid = TimeGrid.linspace(1.5e-6, 3)
+    h, c_ops = params_network(params)
+    qtimes = np.linspace(0.0, 1.5e-6, 3)
     lowering = [
-        hilbert.embed(space, {lb: hilbert.destroy(d)}, sparse=True)
+        embed(space, {lb: hilbert.destroy(d)}, sparse=True)
         for lb, d in zip(space.labels, dims)
     ]
-    traj = dynamics.langevin_solve(G, params.gamma_cavity, 600e3, z0, qgrid)
-    dev_q = float(np.max(np.abs(expect_trajectory(h, c_ops, psi0, qgrid, lowering) - traj)))
+    traj = dynamics.langevin_solve(G, params.gamma_cavity, 600e3, z0, qtimes)
+    dev_q = float(np.max(np.abs(expect_trajectory(h, c_ops, psi0, qtimes, lowering) - traj)))
     ok &= dev_q <= 1e-6
 
     assert _report(
@@ -322,11 +330,10 @@ def test_ac10_numerical_properties(tmp_path):
 
     # trace preservation
     dims = (4, 4, 4)
-    space = hilbert.HilbertSpace(dims, dynamics.MODE_LABELS)
+    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
-    h = dynamics.coupling_hamiltonian(space, G)
-    c_ops = dynamics.collapse_operators(space, params)
-    psi0 = hilbert.product_ket(
+    h, c_ops = params_network(params)
+    psi0 = product_ket(
         space, {"cav1": hilbert.coherent(4, 0.8), "cav2": hilbert.coherent(4, -0.8)}
     )
     res = dynamics.lindblad_evolve(h, c_ops, psi0, 3e-6)

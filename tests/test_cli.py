@@ -126,11 +126,26 @@ def test_invalid_param_value_is_config_error(tmp_path):
 
 
 def test_yaml_number_gotcha_is_config_error(tmp_path):
-    # YAML reads 600e3 (no decimal point) as a *string*; that must fail
-    # loudly instead of silently running with a bogus linewidth
+    # a quoted number is a string; that must fail loudly instead of
+    # silently running with a bogus linewidth
     cfg = tmp_path / "c.yaml"
-    cfg.write_text("params:\n  kappa_b: 600e3\n")
+    cfg.write_text('params:\n  kappa_b: "600e3"\n')
     assert run(["multiround", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def test_yaml_exponent_floats_are_numbers(tmp_path, capsys):
+    """2e6, -23.0e3 and 1e-5 are floats in YAML 1.2, although YAML 1.1
+    wants a dot and a signed exponent."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("params:\n  kerr: [-23.0e3, -7.0e3]\n  kappa_b: 600e3\n  t_pump: 8e-7\n")
+    assert run(["multiround", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    m = read_manifest(tmp_path / "o")
+    assert m["params"]["kerr"] == [-23000.0, -7000.0]
+    assert m["params"]["kappa_b"] == 600e3 and m["params"]["t_pump"] == 8e-7
+    cfg.write_text("params:\n  chi_bus_transmon: [-2.1e6, -2.5e6, -2.5e6]\n")
+    capsys.readouterr()
+    assert run(["multiround", "--config", cfg, "--out", tmp_path / "o2"]) == 2
+    assert "chi_bus_transmon must be a (cav1, cav2) pair" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):
@@ -313,7 +328,7 @@ def test_alpha_zero_is_numerical_failure(tmp_path, capsys, command, block):
 
 
 def test_dual_rail_reads_t_final_without_a_dot(tmp_path):
-    """YAML reads 1e-5 as a string; it must still mean 1.0e-5 seconds."""
+    """1e-5, with no dot, means 1.0e-5 seconds."""
     outs = []
     for i, value in enumerate(("1e-5", "1.0e-5")):
         cfg = tmp_path / f"c{i}.yaml"
@@ -324,9 +339,9 @@ def test_dual_rail_reads_t_final_without_a_dot(tmp_path):
 
 
 def test_manifest_records_numbers_read_as_strings(tmp_path):
-    """PyYAML reads 1e-5 as a string; the manifest records the float used."""
+    """A quoted number is a string; the manifest records the float used."""
     cfg = tmp_path / "c.yaml"
-    cfg.write_text("dual-rail:\n  t_final: 1e-5\nmultiround:\n  t_attempt: 9e-6\n")
+    cfg.write_text('dual-rail:\n  t_final: "1e-5"\nmultiround:\n  t_attempt: "9e-6"\n')
     assert run(["dual-rail", "--config", cfg, "--out", tmp_path / "dr"]) == 0
     assert run(["multiround", "--config", cfg, "--out", tmp_path / "mr"]) == 0
     assert read_manifest(tmp_path / "dr")["options"]["t_final"] == 1e-5

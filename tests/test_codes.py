@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from darkbus import codes, hilbert
 from darkbus.codes import LogicalBasis
-from oracles import expect, kerr_twist_angle, kerr_unitary
+from oracles import kerr_twist_angle, kerr_unitary
 
 DIM = 25
 ALPHA = math.sqrt(2)
@@ -76,19 +76,6 @@ def test_bell_state_is_singlet_in_both_bases():
     assert np.linalg.norm(bell) == pytest.approx(1.0)
     alt = (np.kron(w1.minus, w2.plus) - np.kron(w1.plus, w2.minus)) / math.sqrt(2)
     assert abs(np.vdot(alt, bell)) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_initial_protocol_ket():
-    sp = hilbert.HilbertSpace((16, 4, 16), ("cav1", "bus", "cav2"))
-    psi = codes.initial_protocol_ket(sp, ALPHA)
-    assert psi.trace == pytest.approx(1.0)
-    # bus starts empty
-    nb = hilbert.embed(sp, {"bus": hilbert.number(4)})
-    assert expect(nb, psi).real == pytest.approx(0.0, abs=1e-12)
-    # each cavity holds |alpha|^2 photons on average (cross terms cancel:
-    # <a+a> over |a> + i|-a> has no interference in the number operator)
-    n1 = hilbert.embed(sp, {"cav1": hilbert.number(16)})
-    assert expect(n1, psi).real == pytest.approx(ALPHA**2, abs=1e-6)
 
 
 def test_kerr_absorption_identity():

@@ -16,13 +16,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from darkbus import dynamics, hilbert
-from darkbus.dynamics import SystemParams, TimeGrid
+from darkbus.dynamics import SystemParams
 from oracles import (
+    MODE_LABELS,
     coherent_trace,
+    embed,
     expect,
     expect_trajectory,
     liouvillian_evolve,
     materialize_coherent,
+    params_network,
+    product_ket,
 )
 
 G = 160e3  # reference coupling, Hz
@@ -74,7 +78,6 @@ def test_angular_conversions():
     p = SystemParams(g_bs=G, kappa_b=600e3)
     assert p.g_ang == pytest.approx(2 * math.pi * G)
     assert p.gamma_cavity[0] == pytest.approx(1 / 385e-6)
-    assert p.space().labels == ("cav1", "bus", "cav2")
 
 
 def test_t_swap_frozen():
@@ -158,29 +161,28 @@ def _dark_bright(traj):
 
 def test_langevin_dark_mode_immune():
     """The antisymmetric combination never decays through the bus."""
-    grid = TimeGrid.linspace(6e-6, 41)
-    traj = dynamics.langevin_solve(G, 0.0, 2000e3, [1.0, 0.0, -1.0], grid)
+    times = np.linspace(0.0, 6e-6, 41)
+    traj = dynamics.langevin_solve(G, 0.0, 2000e3, [1.0, 0.0, -1.0], times)
     dark, bright = _dark_bright(traj)
-    assert_allclose(np.abs(dark), math.sqrt(2) * np.ones_like(grid.times), atol=1e-10)
+    assert_allclose(np.abs(dark), math.sqrt(2) * np.ones_like(times), atol=1e-10)
     assert_allclose(np.abs(bright), 0.0, atol=1e-12)
     # bus stays empty
     assert_allclose(np.abs(traj[:, 1]), 0.0, atol=1e-12)
 
 
 def test_langevin_bright_matches_closed_form():
-    grid = TimeGrid.linspace(6e-6, 31)
+    times = np.linspace(0.0, 6e-6, 31)
     for k in (160e3, 905096.6799187809, 2000e3):
-        traj = dynamics.langevin_solve(G, 0.0, k, [1.0, 0.0, 1.0], grid)
+        traj = dynamics.langevin_solve(G, 0.0, k, [1.0, 0.0, 1.0], times)
         _, bright = _dark_bright(traj)
-        u = dynamics.bright_mode_response(G, k, grid.times)
+        u = dynamics.bright_mode_response(G, k, times)
         assert_allclose(bright.real / math.sqrt(2), u, atol=1e-9)
         assert_allclose(bright.imag, 0.0, atol=1e-9)
 
 
 def test_langevin_cavity_decay():
     gamma = 1e4  # 1/s energy rate
-    grid = TimeGrid(np.array([0.0, 2e-5]))
-    traj = dynamics.langevin_solve(G, (gamma, gamma), 600e3, [1.0, 0.0, -1.0], grid)
+    traj = dynamics.langevin_solve(G, (gamma, gamma), 600e3, [1.0, 0.0, -1.0], [0.0, 2e-5])
     # dark mode sees only the cavity loss: amplitude e^{-gamma t / 2}
     dark, _ = _dark_bright(traj)
     assert abs(dark[-1]) == pytest.approx(
@@ -195,29 +197,28 @@ def test_quantum_classical_agreement():
     of a linear lossy network is exactly classical.
     """
     dims = (6, 6, 6)
-    space = hilbert.HilbertSpace(dims, dynamics.MODE_LABELS)
+    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
     # Amplitudes small enough that dim-6 truncation sits below the 1e-6
     # comparison floor even if the swap concentrates everything in one mode.
     z0 = np.array([0.35, 0.0, -0.2 + 0.1j])
-    psi0 = hilbert.product_ket(
+    psi0 = product_ket(
         space,
         {
             "cav1": hilbert.coherent(dims[0], z0[0]),
             "cav2": hilbert.coherent(dims[2], z0[2]),
         },
     )
-    h = dynamics.coupling_hamiltonian(space, G)
-    c_ops = dynamics.collapse_operators(space, params)
-    grid = TimeGrid.linspace(2e-6, 5)
+    h, c_ops = params_network(params)
+    times = np.linspace(0.0, 2e-6, 5)
     lowering = [
-        hilbert.embed(space, {lb: hilbert.destroy(d)}, sparse=True)
+        embed(space, {lb: hilbert.destroy(d)}, sparse=True)
         for lb, d in zip(space.labels, dims)
     ]
     traj = dynamics.langevin_solve(
-        G, params.gamma_cavity, 600e3, z0, grid
+        G, params.gamma_cavity, 600e3, z0, times
     )
-    assert_allclose(expect_trajectory(h, c_ops, psi0, grid, lowering), traj, atol=1e-6)
+    assert_allclose(expect_trajectory(h, c_ops, psi0, times, lowering), traj, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +226,44 @@ def test_quantum_classical_agreement():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 4)])
+def test_network_operators_match_hand_built_krons(dims):
+    """network_operators(coupling_matrix(g), (g1, kappa, g2), dims) is
+    g (a1 + a2) b^dag + h.c. with sqrt(kappa) b and sqrt(g_i) a_i, and the
+    Kerr Hamiltonian acts on the two cavities only, typed out by hand."""
+    g1, kappa, g2 = 2.6e3, 3.8e6, 1.9e3
+    i1, ib, i2 = (np.eye(d) for d in dims)
+    a1 = np.kron(np.kron(hilbert.destroy(dims[0]), ib), i2)
+    b = np.kron(np.kron(i1, hilbert.destroy(dims[1])), i2)
+    a2 = np.kron(np.kron(i1, ib), hilbert.destroy(dims[2]))
+    m = (2 * math.pi * G) * ((a1 + a2) @ b.conj().T)
+
+    h, c_ops = dynamics.network_operators(dynamics.coupling_matrix(G), (g1, kappa, g2), dims)
+    assert np.array_equal(h.toarray(), m + m.conj().T)
+    expected = [math.sqrt(g1) * a1, math.sqrt(kappa) * b, math.sqrt(g2) * a2]
+    assert len(c_ops) == 3
+    for c, ref in zip(c_ops, expected):
+        assert np.array_equal(c.toarray(), ref)
+
+    # a lossless mode gets no collapse operator; no coupling, no Hamiltonian
+    h0, c_ops = dynamics.network_operators(np.zeros((3, 3)), (0.0, kappa, 0.0), dims)
+    assert h0.nnz == 0 and h0.shape == h.shape
+    assert len(c_ops) == 1 and np.array_equal(c_ops[0].toarray(), math.sqrt(kappa) * b)
+
+    kerr = (-23e3, -7e3)
+    n1, n2 = (a.conj().T @ a for a in (a1, a2))
+    ref = sum(
+        2 * math.pi * k / 2 * n @ (n - np.eye(len(n))) for k, n in zip(kerr, (n1, n2))
+    )
+    assert_allclose(dynamics.kerr_hamiltonian(dims, kerr).toarray(), ref, rtol=1e-15, atol=0)
+
+
 def _small_system():
     dims = (4, 4, 4)
-    space = hilbert.HilbertSpace(dims, dynamics.MODE_LABELS)
+    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
-    h = dynamics.coupling_hamiltonian(space, G)
-    c_ops = dynamics.collapse_operators(space, params)
-    psi0 = hilbert.product_ket(
+    h, c_ops = params_network(params)
+    psi0 = product_ket(
         space, {"cav1": hilbert.coherent(4, 0.8), "cav2": hilbert.coherent(4, -0.8)}
     )
     return h, c_ops, psi0
@@ -288,11 +320,10 @@ def test_lindblad_no_loss_stays_pure():
 
 def test_lindblad_thermalizes_to_vacuum():
     dims = (2, 3, 2)
-    space = hilbert.HilbertSpace(dims, dynamics.MODE_LABELS)
+    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=2000e3, t1_cavity=(1e-6, 1e-6), dims=dims)
-    h = dynamics.coupling_hamiltonian(space, G)
-    c_ops = dynamics.collapse_operators(space, params)
-    psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(2, 1)})
+    h, c_ops = params_network(params)
+    psi0 = product_ket(space, {"cav1": hilbert.fock(2, 1)})
     res = dynamics.lindblad_evolve(h, c_ops, psi0, 3e-5)
     vac = np.zeros(space.dim)
     vac[0] = 1.0
@@ -301,13 +332,12 @@ def test_lindblad_thermalizes_to_vacuum():
 
 def _oracle_system(kappa_b, kerr, cavity_loss=True):
     dims = (3, 3, 3)
-    space = hilbert.HilbertSpace(dims, dynamics.MODE_LABELS)
+    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=kappa_b, dims=dims)
-    h = dynamics.coupling_hamiltonian(space, G)
+    h, c_ops = params_network(params, cavity_loss)
     if kerr:
-        h = h + dynamics.kerr_hamiltonian(space, (-230e3, -70e3))
-    c_ops = dynamics.collapse_operators(space, params, cavity_loss=cavity_loss)
-    psi0 = hilbert.product_ket(
+        h = h + dynamics.kerr_hamiltonian(dims, (-230e3, -70e3))
+    psi0 = product_ket(
         space, {"cav1": hilbert.coherent(3, 0.6), "cav2": hilbert.coherent(3, -0.5j)}
     )
     return h, c_ops, psi0
@@ -412,22 +442,22 @@ def test_transfer_optimum_beats_its_neighbours(kappa_b):
 
 def _transfer_eta_master_equation(kappa_b, t1, t2):
     """<n_cav2> after the two timed swaps, by the Lindblad oracle at (2, 2, 2)."""
-    space = hilbert.HilbertSpace((2, 2, 2), dynamics.MODE_LABELS)
+    space = hilbert.HilbertSpace((2, 2, 2), MODE_LABELS)
     a = hilbert.destroy(2)
     g = 2 * math.pi * G
 
     def swap(cav):
-        m = hilbert.embed(space, {cav: a, "bus": a.conj().T}, sparse=True)
+        m = embed(space, {cav: a, "bus": a.conj().T}, sparse=True)
         return g * (m + m.conj().T)
 
     c_ops = []
     if kappa_b > 0:
-        b = hilbert.embed(space, {"bus": a}, sparse=True)
+        b = embed(space, {"bus": a}, sparse=True)
         c_ops = [math.sqrt(2 * math.pi * kappa_b) * b]
-    psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(2, 1)})
+    psi0 = product_ket(space, {"cav1": hilbert.fock(2, 1)})
     r1 = dynamics.lindblad_evolve(swap("cav1"), c_ops, psi0, t1)
     r2 = dynamics.lindblad_evolve(swap("cav2"), c_ops, r1.final, t2)
-    n2 = hilbert.embed(space, {"cav2": hilbert.number(2)}, sparse=True)
+    n2 = embed(space, {"cav2": hilbert.number(2)}, sparse=True)
     return float(np.real(expect(n2, r2.final)))
 
 
@@ -525,7 +555,7 @@ def test_ptrace_coherent_matches_fock_ptrace():
 def test_coherent_vs_lindblad_cross_check():
     """The two quantum engines agree on a lossy two-component evolution."""
     dims = (8, 8, 8)
-    space = hilbert.HilbertSpace(dims, dynamics.MODE_LABELS)
+    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
     # alpha small enough that the dim-8 Fock tail (the dominant discrepancy
     # between the truncation-free dyad engine and the truncated Lindblad one)
@@ -560,8 +590,7 @@ def test_coherent_vs_lindblad_cross_check():
     km = hilbert.coherent(dims[2], -alpha, normalized=False)
     psi = np.kron(k1, np.kron(hilbert.fock(dims[1], 0), kp + km))
     psi = psi / np.linalg.norm(psi)
-    h = dynamics.coupling_hamiltonian(space, G)
-    c_ops = dynamics.collapse_operators(space, params)
+    h, c_ops = params_network(params)
     res = dynamics.lindblad_evolve(h, c_ops, hilbert.QuantumState(psi, space), t)
     # the coherent result is normalized in the full space; the truncated
     # materialization loses a little tail mass, so compare after norming
@@ -581,8 +610,3 @@ def test_propagator_weights_bounded(alpha, kappa):
     out = dynamics.propagate_coherent(sup, e, q)
     assert np.all(np.abs(out.weights) <= 1 + 1e-12)
 
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(np.array([0.0, 0.0, 1.0]))
-    assert_allclose(np.diff(TimeGrid.linspace(1e-6, 11).times), 1e-7, rtol=1e-9)

@@ -10,7 +10,17 @@ from numpy.testing import assert_allclose
 from darkbus import codes, dynamics, hilbert, protocol
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import SECTORS, VacuumCheckModel
-from oracles import kerr_twist_angle, lindblad_pair_state, materialize_coherent, vacuum_check
+from oracles import (
+    MODE_LABELS,
+    cat_product_ket,
+    embed,
+    expect,
+    kerr_twist_angle,
+    lindblad_pair_state,
+    materialize_coherent,
+    product_ket,
+    vacuum_check,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +215,23 @@ def test_run_dmm_coherent_matches_materialized_vacuum_check(alpha):
     assert_allclose(res.rho_pass.dm(), states["gg"].dm(), rtol=0, atol=1e-12)
 
 
+def test_initial_superposition_materializes_the_cat_product():
+    """The four components, materialized and normalized as the lindblad
+    engine starts from them, are (|a> + i|-a>)_1 |0>_bus (|a> - i|-a>)_2:
+    the bus starts empty and each cavity holds |alpha|^2 photons (the cross
+    terms of <a^dag a> over |a> + i|-a> cancel)."""
+    dims, alpha = (16, 4, 16), math.sqrt(2)
+    rho = protocol._density_coherent(protocol._initial_superposition(alpha), dims)
+    rho /= np.trace(rho).real
+    ket = cat_product_ket(dims, alpha)
+    assert_allclose(rho, np.outer(ket, ket.conj()), rtol=0, atol=1e-15)
+    space = hilbert.HilbertSpace(dims, MODE_LABELS)
+    n_bus = embed(space, {"bus": hilbert.number(4)}, sparse=True)
+    assert expect(n_bus, rho).real == pytest.approx(0.0, abs=1e-12)
+    n1 = embed(space, {"cav1": hilbert.number(16)}, sparse=True)
+    assert expect(n1, rho).real == pytest.approx(alpha**2, abs=1e-6)
+
+
 def test_run_dmm_engine_cross_check():
     """The Lindblad engine agrees with the exact dyad propagation."""
     p = SystemParams(
@@ -332,7 +359,7 @@ def test_run_dmm_lindblad_ignores_global_rng():
 
 def test_vacuum_check_on_vacuum():
     space = hilbert.HilbertSpace((4, 4), ("cav1", "cav2"))
-    vac = hilbert.product_ket(space, {})
+    vac = product_ket(space, {})
     p, states, sectors = vacuum_check(vac)
     assert p["gg"] == pytest.approx(0.0, abs=1e-15)
     assert p["ee"] == pytest.approx(1.0)
@@ -344,8 +371,8 @@ def test_vacuum_check_product_state():
     # |alpha, 0, -alpha| at alpha = sqrt(2): each cavity occupied with
     # 1 - e^{-2}, so gg fires with (1 - e^{-2})^2 ~ 0.7477
     a = math.sqrt(2)
-    space = hilbert.HilbertSpace((20, 4, 20), dynamics.MODE_LABELS)
-    ket = hilbert.product_ket(
+    space = hilbert.HilbertSpace((20, 4, 20), MODE_LABELS)
+    ket = product_ket(
         space,
         {"cav1": hilbert.coherent(20, a), "cav2": hilbert.coherent(20, -a)},
     )
@@ -360,7 +387,7 @@ def test_vacuum_check_product_state():
 
 def test_vacuum_check_measured_false_pass():
     space = hilbert.HilbertSpace((3, 3), ("cav1", "cav2"))
-    vac = hilbert.product_ket(space, {})
+    vac = product_ket(space, {})
     p, _, _ = vacuum_check(vac, VacuumCheckModel.from_measured())
     assert p["gg"] == pytest.approx(0.015)
 
@@ -392,7 +419,7 @@ def test_vacuum_check_outcomes_recompose_sectors(d1, d2, seed):
 
 def test_vacuum_check_rejects_wrong_shape():
     space = hilbert.HilbertSpace((4,), ("cav1",))
-    vac = hilbert.product_ket(space, {})
+    vac = product_ket(space, {})
     with pytest.raises(ValueError):
         vacuum_check(vac)
 
@@ -625,13 +652,11 @@ def test_dual_rail_lossless_whole_periods_not_converged():
 def _dual_rail_pair_master_equation(kappa_b, t_final):
     """Cavity pair after one photon starts in cav1, by the Lindblad oracle
     at dims (2, 3, 2)."""
-    space = hilbert.HilbertSpace((2, 3, 2), dynamics.MODE_LABELS)
-    h = dynamics.coupling_hamiltonian(space, 160e3)
-    c_ops = []
-    if kappa_b > 0:
-        b = hilbert.embed(space, {"bus": hilbert.destroy(3)}, sparse=True)
-        c_ops = [math.sqrt(2 * math.pi * kappa_b) * b]
-    psi0 = hilbert.product_ket(space, {"cav1": hilbert.fock(2, 1)})
+    space = hilbert.HilbertSpace((2, 3, 2), MODE_LABELS)
+    h, c_ops = dynamics.network_operators(
+        dynamics.coupling_matrix(160e3), (0.0, 2 * math.pi * kappa_b, 0.0), space.dims
+    )
+    psi0 = product_ket(space, {"cav1": hilbert.fock(2, 1)})
     return dynamics.lindblad_evolve(h, c_ops, psi0, t_final).final.ptrace(("cav1", "cav2")).dm()
 
 
