@@ -172,6 +172,16 @@ def _cell(x) -> str:
     return repr(float(x))
 
 
+def _column(values):
+    """The cells of one CSV column as text, each the same as :func:`_cell`
+    gives.  A float, integer or boolean array is converted whole by
+    ``tolist()`` to the Python floats, ints and bools that ``_cell`` formats.
+    Lazy, so that a table's text is never held whole."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiub":
+        return map(repr if values.dtype.kind == "f" else str, values.tolist())
+    return map(_cell, values)
+
+
 class RunContext:
     def __init__(self, out_dir: Path, seed: int, gnuplot: bool):
         self.out = out_dir
@@ -179,12 +189,16 @@ class RunContext:
         self.gnuplot = gnuplot
         self.outputs: list[str] = []
 
-    def write_csv(self, name: str, header: list[str], rows) -> Path:
+    def write_csv(self, name: str, header: list[str], columns) -> Path:
+        """Write a table given column by column in header order; a table of
+        rows is passed as ``zip(*rows)``, which has no columns when there
+        are no rows."""
+        cells = [_column(c) for c in columns]
         path = self.out / name
         with open(path, "w") as f:
             f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(_cell(x) for x in row) + "\n")
+            for row in zip(*cells, strict=True):
+                f.write(",".join(row) + "\n")
         self.outputs.append(name)
         print(f"wrote {path}")
         return path
@@ -212,7 +226,7 @@ def cmd_regimes(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         if not any(math.isclose(k, kc, rel_tol=1e-6) for k in kappas):
             kappas.append(kc)
         kappas.sort()
-    rows, curve_rows = [], []
+    rows, curves = [], []
     for k in kappas:
         regime = dynamics.classify_regime(params.g_bs, k)
         slow, fast = dynamics.damping_rates(params.g_bs, k)
@@ -220,14 +234,17 @@ def cmd_regimes(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         rows.append(
             (k, regime, abs(slow.real), abs(fast.real), abs(slow.imag), t_auto)
         )
-        u = dynamics.bright_mode_response(params.g_bs, k, times)
-        curve_rows.extend((k, t, v) for t, v in zip(times, u.real))
+        curves.append(dynamics.bright_mode_response(params.g_bs, k, times).real)
     ctx.write_csv(
         "regimes.csv",
         ["kappa_b_hz", "regime", "rate_slow_rad_s", "rate_fast_rad_s", "freq_rad_s", "t_dump_auto_s"],
-        rows,
+        zip(*rows),
     )
-    ctx.write_csv("regime_curves.csv", ["kappa_b_hz", "time_s", "response"], curve_rows)
+    ctx.write_csv(
+        "regime_curves.csv",
+        ["kappa_b_hz", "time_s", "response"],
+        [np.repeat(kappas, times.size), np.tile(times, len(kappas)), np.ravel(curves)],
+    )
     if ctx.gnuplot:
         ctx.write_text(
             "plot.gp",
@@ -246,8 +263,8 @@ def cmd_transfer(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         dynamics.transfer_efficiency(params.g_bs, params.kappa_b, t1=t, t2=t).eta
         for t in times
     ]
-    ctx.write_csv("transfer.csv", ["t1_s", "t2_s", "eta"], [(res.t1, res.t2, res.eta)])
-    ctx.write_csv("transfer_curve.csv", ["t_hold_s", "eta"], list(zip(times, etas)))
+    ctx.write_csv("transfer.csv", ["t1_s", "t2_s", "eta"], zip(*[(res.t1, res.t2, res.eta)]))
+    ctx.write_csv("transfer_curve.csv", ["t_hold_s", "eta"], [times, np.array(etas)])
     print(
         f"optimal pitch/catch: t1 = {res.t1*1e9:.1f} ns, t2 = {res.t2*1e9:.1f} ns, "
         f"efficiency = {res.eta*100:.3f}%"
@@ -259,12 +276,11 @@ def cmd_phase_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     phis = np.linspace(0.0, 2 * math.pi, _number(opts, "n_phi", _COUNT))
     times = np.linspace(0.0, _number(opts, "t_max", _POSITIVE), _number(opts, "n_times", _COUNT))
     p_fail = protocol.phase_sweep(params.alpha, phis, times, params.g_bs, params.kappa_b)
-    rows = [
-        (phi, t, p_fail[i, j])
-        for i, phi in enumerate(phis)
-        for j, t in enumerate(times)
-    ]
-    ctx.write_csv("phase_sweep.csv", ["phi_rad", "time_s", "p_fail"], rows)
+    ctx.write_csv(
+        "phase_sweep.csv",
+        ["phi_rad", "time_s", "p_fail"],
+        [np.repeat(phis, times.size), np.tile(times, phis.size), p_fail.ravel()],
+    )
     if ctx.gnuplot:
         ctx.write_text(
             "plot.gp",
@@ -291,13 +307,13 @@ def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
             "p_gg", "p_ge", "p_eg", "p_ee", "fidelity",
             "alpha_basis_1", "alpha_basis_2", "t_dump_s", "bright_residual",
         ],
-        [
+        zip(*[
             (
                 res.p_outcomes["gg"], res.p_outcomes["ge"], res.p_outcomes["eg"],
                 res.p_outcomes["ee"], res.bell_fidelity,
                 res.alpha_dark[0], res.alpha_dark[1], res.t_dump, res.bright_residual,
             )
-        ],
+        ]),
     )
     print(
         f"herald probability = {res.p_pass:.4f}, Bell fidelity = {res.bell_fidelity:.4f} "
@@ -318,7 +334,7 @@ def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     ctx.write_csv(
         "alpha_sweep.csv",
         ["alpha", "p_pass", "fidelity", "alpha_basis_1", "alpha_basis_2"],
-        rows,
+        zip(*rows),
     )
     best = max(rows, key=lambda r: r[2])
     print(f"best fidelity {best[2]:.4f} at alpha = {best[0]:.3f} (p_pass = {best[1]:.4f})")
@@ -351,7 +367,7 @@ def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
             "input", "p_00", "p_01", "p_10", "p_11",
             "f_00", "f_01", "f_10", "f_11", "f_qst",
         ],
-        rows,
+        zip(*rows),
     )
     print(f"average teleportation fidelity = {out['favg']:.4f}")
     for name in protocol.CARDINAL_STATES:
@@ -377,14 +393,14 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     ctx.write_csv(
         "wigner_ideal.csv",
         ["re_beta", "im_beta", "value"],
-        zip(grid.betas.real, grid.betas.imag, w.ravel()),
+        [grid.betas.real, grid.betas.imag, w.ravel()],
     )
     counts = tomography.sample_counts(w.ravel(), shots, seed=ctx.seed)
     w_meas = 2 * counts / shots - 1
     ctx.write_csv(
         "wigner_sampled.csv",
         ["re_beta", "im_beta", "value", "shots", "counts"],
-        zip(grid.betas.real, grid.betas.imag, w_meas, [shots] * counts.size, counts),
+        [grid.betas.real, grid.betas.imag, w_meas, np.full(counts.size, shots), counts],
     )
     data = tomography.WignerData.from_map(grid, w_meas, shots=shots, counts=counts)
     mle = tomography.mle_density(data, dim=d1, max_iter=max_iter, forward=forward)
@@ -419,7 +435,7 @@ def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     ctx.write_csv(
         "dual_rail.csv",
         ["trace_distance", "p_herald", "distilled_fidelity", "converged"],
-        [(res.trace_distance, res.p_herald, res.fidelity, res.converged)],
+        zip(*[(res.trace_distance, res.p_herald, res.fidelity, res.converged)]),
     )
     print(
         f"pair state within {res.trace_distance:.2e} of the half-Bell/half-vacuum mix; "
@@ -459,7 +475,7 @@ def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
             "alpha", "photon_loss", "decode_error", "false_pass", "total",
             "off_resonant", "single_pass", "purcell",
         ],
-        rows,
+        zip(*rows),
     )
     a_star, best = errorbudget.optimal_alpha(params, p_decode, p_bright)
     if ctx.gnuplot:
@@ -488,14 +504,14 @@ def cmd_multiround(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
             "p_success", "t_attempt_s", "t_reset_s", "mean_attempts",
             "mean_wait_s", "rate_hz", "attempts_p50", "attempts_p90", "attempts_p99",
         ],
-        [
+        zip(*[
             (
                 stats.p_success, stats.t_attempt, stats.t_reset, stats.mean_attempts,
                 stats.mean_wait, stats.rate_hz,
                 stats.attempts_quantile(0.5), stats.attempts_quantile(0.9),
                 stats.attempts_quantile(0.99),
             )
-        ],
+        ]),
     )
     print(
         f"p = {stats.p_success:.4f}: {stats.mean_attempts:.2f} attempts, "

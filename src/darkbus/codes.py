@@ -75,13 +75,11 @@ class Codewords:
 def codewords(basis: LogicalBasis, dim: int) -> Codewords:
     """Build the codeword kets at truncation ``dim``."""
     a = basis.alpha
-    raw_p = hilbert.coherent(dim, a, normalized=False) + hilbert.coherent(
-        dim, -a, normalized=False
-    )
+    right = hilbert.coherent(dim, a, normalized=False)
+    left = hilbert.coherent(dim, -a, normalized=False)
+    raw_p = right + left
     raw_p[0] = 0.0  # vacuum removal on the even branch
-    raw_m = hilbert.coherent(dim, a, normalized=False) - hilbert.coherent(
-        dim, -a, normalized=False
-    )
+    raw_m = right - left
     n = np.arange(dim)
     twist = np.exp(1j * basis.theta_r * n + 1j * basis.theta_k / 2 * n * (n - 1))
     plus = twist * raw_p
@@ -110,6 +108,8 @@ def logical_paulis(words: Codewords) -> dict:
 def bell_state(words1: Codewords, words2: Codewords) -> np.ndarray:
     """The antisymmetric logical Bell ket (|0 1> - |1 0>)/sqrt(2), as a
     two-cavity Fock ket.  This is the state the heralded protocol targets;
-    being the singlet it looks the same in the |±>_L basis."""
-    ket = np.kron(words1.zero, words2.one) - np.kron(words1.one, words2.zero)
+    being the singlet it looks the same in the |±>_L basis.  The flattened
+    outer products are the entries np.kron gives for kets, without its
+    reshaping overhead."""
+    ket = (np.outer(words1.zero, words2.one) - np.outer(words1.one, words2.zero)).ravel()
     return ket / np.linalg.norm(ket)

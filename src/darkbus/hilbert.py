@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(RuntimeError):
@@ -149,32 +148,12 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
-def number(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
 def fock(dim: int, n: int) -> np.ndarray:
     if not 0 <= n < dim:
         raise ValueError(f"Fock level {n} outside truncation {dim}")
     ket = np.zeros(dim, dtype=complex)
     ket[n] = 1.0
     return ket
-
-
-def parity(dim: int) -> np.ndarray:
-    """Photon-number parity (-1)^n."""
-    return np.diag((-1.0) ** np.arange(dim)).astype(complex)
-
-
-def displacement(dim: int, beta: complex) -> np.ndarray:
-    """D(beta) = expm(beta a† - beta* a) in the truncated space.
-
-    Exact only well below the truncation edge.  For matrix elements that
-    stay exact at any |beta| use the closed form behind
-    tomography.displaced_parity, which gives D(2 beta) P entry by entry.
-    """
-    a = destroy(dim)
-    return scipy.linalg.expm(beta * a.conj().T - np.conj(beta) * a)
 
 
 def coherent(dim: int, alpha: complex, normalized: bool = True) -> np.ndarray:
@@ -195,17 +174,6 @@ def coherent(dim: int, alpha: complex, normalized: bool = True) -> np.ndarray:
     if normalized:
         amp = amp / np.linalg.norm(amp)
     return amp.astype(complex)
-
-
-def cat(dim: int, alpha: complex, phase: float = 0.0) -> np.ndarray:
-    """Normalized superposition |alpha> + e^{i phase} |-alpha>."""
-    ket = coherent(dim, alpha, normalized=False) + np.exp(1j * phase) * coherent(
-        dim, -alpha, normalized=False
-    )
-    nrm = np.linalg.norm(ket)
-    if nrm < 1e-12:
-        raise ValueError("cat state vanished (alpha=0 with phase=pi?)")
-    return ket / nrm
 
 
 def amplitude_damp(rho: np.ndarray, gamma: float, dims=None, axis: int = 0) -> np.ndarray:

@@ -401,18 +401,23 @@ def optimize_basis(
     lobes quadratically, and a linear rotation mops up drive detuning.
     Nelder-Mead from several Kerr-angle starting points (the landscape is
     locally smooth but the global twist can be far from zero).
+
+    Each evaluation builds the codewords once per distinct truncation (once
+    in all when ``dims`` are equal: the two cavities share them) and one Bell
+    ket; ``Tr rho`` is computed once per fit, outside the objective.
     """
     rho = hilbert.as_dm(state)
     d1, d2 = dims
+    tr = float(np.real(np.trace(rho)))
 
     def neg_fid(x):
         alpha, theta_k, theta_r = x
         if alpha < 0.05:
             return 1.0 + abs(alpha)
         basis = LogicalBasis(alpha, theta_k=theta_k, theta_r=theta_r)
-        w1, w2 = basis.codewords(d1), basis.codewords(d2)
+        w1 = basis.codewords(d1)
+        w2 = w1 if d2 == d1 else basis.codewords(d2)
         bell = codes.bell_state(w1, w2)
-        tr = float(np.real(np.trace(rho)))
         return -float(np.real(bell.conj() @ rho @ bell) / tr)
 
     best = None

@@ -2,9 +2,11 @@
 
 None of these runs in a darkbus command or demo.  Each is a slow or
 independent route to a quantity the library computes another way: the
-raising operator, labelled multi-mode operators and product kets assembled
-by Kronecker products, dense density matrices of coherent superpositions,
-the protocol's initial cat product, free-Kerr evolution, the vacuum check
+raising, number, parity and displacement operators and cat kets of one
+mode, labelled multi-mode operators and product kets assembled by
+Kronecker products, dense density matrices of coherent superpositions, the
+protocol's initial cat product, free-Kerr evolution, the codewords, Bell
+ket and basis-fit objective in their longer forms, the vacuum check
 applied to a materialized density matrix through explicit projectors,
 expectation values, master-equation expectation values at given times, the
 master equation propagated by scipy on the assembled sparse Liouvillian,
@@ -18,10 +20,13 @@ import math
 from functools import reduce
 
 import numpy as np
+import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
 from darkbus import dynamics, hilbert
+from darkbus.codes import Codewords, LogicalBasis
 from darkbus.dynamics import CoherentSuperposition, SystemParams, coherent_overlaps
 from darkbus.hilbert import HilbertSpace, QuantumState, as_dm
 from darkbus.protocol import OUTCOMES, SECTORS, VacuumCheckModel, _fold
@@ -31,6 +36,37 @@ MODE_LABELS = ("cav1", "bus", "cav2")
 
 def create(dim: int) -> np.ndarray:
     return hilbert.destroy(dim).conj().T
+
+
+def number(dim: int) -> np.ndarray:
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
+
+
+def parity(dim: int) -> np.ndarray:
+    """Photon-number parity (-1)^n."""
+    return np.diag((-1.0) ** np.arange(dim)).astype(complex)
+
+
+def displacement(dim: int, beta: complex) -> np.ndarray:
+    """D(beta) = expm(beta a† - beta* a) in the truncated space.
+
+    Exact only well below the truncation edge.  For matrix elements that
+    stay exact at any |beta| use the closed form behind
+    tomography.displaced_parity, which gives D(2 beta) P entry by entry.
+    """
+    a = hilbert.destroy(dim)
+    return scipy.linalg.expm(beta * a.conj().T - np.conj(beta) * a)
+
+
+def cat(dim: int, alpha: complex, phase: float = 0.0) -> np.ndarray:
+    """Normalized superposition |alpha> + e^{i phase} |-alpha>."""
+    ket = hilbert.coherent(dim, alpha, normalized=False) + np.exp(1j * phase) * (
+        hilbert.coherent(dim, -alpha, normalized=False)
+    )
+    nrm = np.linalg.norm(ket)
+    if nrm < 1e-12:
+        raise ValueError("cat state vanished (alpha=0 with phase=pi?)")
+    return ket / nrm
 
 
 def tensor(*mats):
@@ -131,6 +167,76 @@ def kerr_unitary(dim: int, kerr_hz: float, t: float) -> np.ndarray:
     """Diagonal free-Kerr propagator exp(-i 2 pi K t n(n-1)/2) on one mode."""
     n = np.arange(dim)
     return np.diag(np.exp(-1j * 2 * math.pi * kerr_hz * t / 2 * n * (n - 1)))
+
+
+def codewords_four_coherent(basis: LogicalBasis, dim: int) -> Codewords:
+    """The codewords built with four coherent-ket evaluations, two for each
+    branch (what ``codes.codewords`` computes with two)."""
+    a = basis.alpha
+    raw_p = hilbert.coherent(dim, a, normalized=False) + hilbert.coherent(
+        dim, -a, normalized=False
+    )
+    raw_p[0] = 0.0  # vacuum removal on the even branch
+    raw_m = hilbert.coherent(dim, a, normalized=False) - hilbert.coherent(
+        dim, -a, normalized=False
+    )
+    n = np.arange(dim)
+    twist = np.exp(1j * basis.theta_r * n + 1j * basis.theta_k / 2 * n * (n - 1))
+    plus = twist * raw_p
+    minus = twist * raw_m
+    np_, nm_ = np.linalg.norm(plus), np.linalg.norm(minus)
+    if np_ == 0 or nm_ == 0:
+        raise hilbert.NumericalError(f"codewords vanish at alpha={a}")
+    return Codewords(plus / np_, minus / nm_, basis, dim)
+
+
+def bell_state_kron(words1: Codewords, words2: Codewords) -> np.ndarray:
+    """The logical singlet (|0 1> - |1 0>)/sqrt(2) from two Kronecker products."""
+    ket = np.kron(words1.zero, words2.one) - np.kron(words1.one, words2.zero)
+    return ket / np.linalg.norm(ket)
+
+
+def optimize_basis_reference(
+    state, dims, alpha0: float = 1.4, extra_starts: tuple = (0.0, 0.25, 0.5, -0.5)
+):
+    """``tomography.optimize_basis`` with an objective that builds the
+    codewords of both cavities on every evaluation through
+    :func:`codewords_four_coherent`, the Bell ket through
+    :func:`bell_state_kron`, and recomputes Tr rho each time.  Returns the
+    Nelder-Mead result of the best start."""
+    rho = hilbert.as_dm(state)
+    d1, d2 = dims
+
+    def neg_fid(x):
+        alpha, theta_k, theta_r = x
+        if alpha < 0.05:
+            return 1.0 + abs(alpha)
+        basis = LogicalBasis(alpha, theta_k=theta_k, theta_r=theta_r)
+        w1, w2 = codewords_four_coherent(basis, d1), codewords_four_coherent(basis, d2)
+        bell = bell_state_kron(w1, w2)
+        tr = float(np.real(np.trace(rho)))
+        return -float(np.real(bell.conj() @ rho @ bell) / tr)
+
+    best = None
+    for tk0 in extra_starts:
+        x0 = np.array([alpha0, tk0, 0.0])
+        simplex = np.array(
+            [x0, x0 + [0.15, 0, 0], x0 + [0, 0.25, 0], x0 + [0, 0, 0.25]]
+        )
+        res = scipy.optimize.minimize(
+            neg_fid,
+            x0,
+            method="Nelder-Mead",
+            options={
+                "initial_simplex": simplex,
+                "xatol": 1e-7,
+                "fatol": 1e-12,
+                "maxiter": 2000,
+            },
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    return best
 
 
 def vacuum_check(state: QuantumState, model: VacuumCheckModel | None = None):

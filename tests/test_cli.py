@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from darkbus import cli, protocol
@@ -55,6 +56,30 @@ def test_entangle_csv(tmp_path):
     assert sum(row[:4]) == pytest.approx(1.0, abs=1e-9)
     m = read_manifest(out)
     assert 0.90 < m["summary"]["fidelity"] < 0.97
+
+
+def test_csv_columns_format_like_cells():
+    """A column formatted whole holds, cell by cell, the text of ``_cell``."""
+    columns = [
+        np.array([0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan]),
+        np.array([0.1, 3.5, -2e-8], dtype=np.float32),
+        np.array([0, -7, 2**62]),
+        np.array([3, 255], dtype=np.uint8),
+        np.array([True, False]),
+        np.array(["critical", "x"]),
+        [1, 2.5, True, np.float64(0.3), np.int64(4), "s", np.bool_(False)],
+        (),
+    ]
+    for values in columns:
+        assert list(cli._column(values)) == [cli._cell(x) for x in values]
+
+
+def test_regimes_without_kappas_writes_headers_only(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("regimes:\n  kappas: []\n  include_critical: false\n")
+    assert run(["regimes", "--config", cfg, "--out", tmp_path]) == 0
+    assert (tmp_path / "regime_curves.csv").read_text() == "kappa_b_hz,time_s,response\n"
+    assert (tmp_path / "regimes.csv").read_text().count("\n") == 1
 
 
 def test_error_budget_csv(tmp_path):

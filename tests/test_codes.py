@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from darkbus import codes, hilbert
 from darkbus.codes import LogicalBasis
-from oracles import kerr_twist_angle, kerr_unitary
+from oracles import (
+    bell_state_kron,
+    codewords_four_coherent,
+    kerr_twist_angle,
+    kerr_unitary,
+    parity,
+)
 
 DIM = 25
 ALPHA = math.sqrt(2)
@@ -33,7 +41,7 @@ def test_codewords_small_alpha_limit():
 
 def test_codeword_parity():
     w = LogicalBasis(ALPHA).codewords(DIM)
-    par = hilbert.parity(DIM)
+    par = parity(DIM)
     assert np.vdot(w.plus, par @ w.plus).real == pytest.approx(1.0)
     assert np.vdot(w.minus, par @ w.minus).real == pytest.approx(-1.0)
 
@@ -66,6 +74,30 @@ def test_ket_encoding():
     assert np.linalg.norm(k) == pytest.approx(1.0)
     p = codes.logical_paulis(w)
     assert np.vdot(k, p["Y"] @ k).real == pytest.approx(1.0)
+
+
+_ANGLE = st.floats(0.01, 3.0) | st.floats(-3.0, -0.01)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha=st.floats(0.05, 3.0, exclude_min=True, exclude_max=True),
+    theta_k=_ANGLE,
+    theta_r=_ANGLE,
+    dims=st.tuples(st.integers(3, 20), st.integers(3, 20)),
+)
+@example(alpha=1.4, theta_k=0.7, theta_r=-0.3, dims=(8, 12))
+def test_codewords_and_bell_state_match_long_forms(alpha, theta_k, theta_r, dims):
+    """Two coherent kets per codeword build and the flattened outer products
+    of the Bell ket give exactly the bits of four coherent kets and np.kron."""
+    basis = LogicalBasis(alpha, theta_k=theta_k, theta_r=theta_r)
+    w1, w2 = (basis.codewords(d) for d in dims)
+    r1, r2 = (codewords_four_coherent(basis, d) for d in dims)
+    for w, r in ((w1, r1), (w2, r2)):
+        assert np.array_equal(w.plus, r.plus)
+        assert np.array_equal(w.minus, r.minus)
+    assert np.array_equal(codes.bell_state(w1, w2), bell_state_kron(r1, r2))
+    assert np.array_equal(codes.bell_state(w2, w1), bell_state_kron(r2, r1))
 
 
 def test_bell_state_is_singlet_in_both_bases():

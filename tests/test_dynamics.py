@@ -25,6 +25,7 @@ from oracles import (
     expect_trajectory,
     liouvillian_evolve,
     materialize_coherent,
+    number,
     params_network,
     product_ket,
 )
@@ -457,7 +458,7 @@ def _transfer_eta_master_equation(kappa_b, t1, t2):
     psi0 = product_ket(space, {"cav1": hilbert.fock(2, 1)})
     r1 = dynamics.lindblad_evolve(swap("cav1"), c_ops, psi0, t1)
     r2 = dynamics.lindblad_evolve(swap("cav2"), c_ops, r1.final, t2)
-    n2 = embed(space, {"cav2": hilbert.number(2)}, sparse=True)
+    n2 = embed(space, {"cav2": number(2)}, sparse=True)
     return float(np.real(expect(n2, r2.final)))
 
 

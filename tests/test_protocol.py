@@ -18,6 +18,8 @@ from oracles import (
     kerr_twist_angle,
     lindblad_pair_state,
     materialize_coherent,
+    number,
+    parity,
     product_ket,
     vacuum_check,
 )
@@ -226,9 +228,9 @@ def test_initial_superposition_materializes_the_cat_product():
     ket = cat_product_ket(dims, alpha)
     assert_allclose(rho, np.outer(ket, ket.conj()), rtol=0, atol=1e-15)
     space = hilbert.HilbertSpace(dims, MODE_LABELS)
-    n_bus = embed(space, {"bus": hilbert.number(4)}, sparse=True)
+    n_bus = embed(space, {"bus": number(4)}, sparse=True)
     assert expect(n_bus, rho).real == pytest.approx(0.0, abs=1e-12)
-    n1 = embed(space, {"cav1": hilbert.number(16)}, sparse=True)
+    n1 = embed(space, {"cav1": number(16)}, sparse=True)
     assert expect(n1, rho).real == pytest.approx(alpha**2, abs=1e-6)
 
 
@@ -502,7 +504,7 @@ def _teleport_kron(resource, input_qubit, words1, words2, p_decode=0.0, p_flip_m
 
     i1 = np.eye(d1)
     pg, pe = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    u = np.kron(i1, np.kron(np.eye(d2), pg)) + np.kron(i1, np.kron(hilbert.parity(d2), pe))
+    u = np.kron(i1, np.kron(np.eye(d2), pg)) + np.kron(i1, np.kron(parity(d2), pe))
     rho = u @ rho @ u.conj().T
 
     plus = np.array([1, 1], dtype=complex) / math.sqrt(2)

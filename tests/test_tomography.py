@@ -11,7 +11,13 @@ from scipy.special import eval_genlaguerre
 from darkbus import cli, codes, dynamics, hilbert, tomography
 from darkbus.codes import LogicalBasis
 from darkbus.tomography import WignerData, WignerGrid
-from oracles import kerr_twist_angle, kerr_unitary, materialize_coherent
+from oracles import (
+    cat,
+    kerr_twist_angle,
+    kerr_unitary,
+    materialize_coherent,
+    optimize_basis_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +151,7 @@ def test_wigner_coherent():
 def test_wigner_cat_interference():
     """Even cat: two coherent humps plus the oscillating fringe at the origin."""
     alpha = 1.4
-    k = hilbert.cat(25, alpha)
+    k = cat(25, alpha)
     n2 = 2 * (1 + math.exp(-2 * alpha**2))  # |||a> + |-a>||^2
     grid = WignerGrid.default(1.8, 0.3)
     w = tomography.wigner_map(k, grid)
@@ -422,6 +428,23 @@ def test_optimize_basis_recovers_shrinkage_and_twist():
     bell = codes.bell_state(words, words)
     naive_f = np.real(bell.conj() @ rho @ bell)
     assert fit.fidelity > naive_f + 0.05
+
+
+@pytest.mark.parametrize("dims", [(12, 12), (8, 10)])
+def test_optimize_basis_matches_reference_objective(dims):
+    """On tomo-demo's heralded pair (its default dims and unequal ones) the
+    fit returns exactly the x and fidelity of the objective that builds both
+    cavities' codewords every evaluation; with unequal dims the cavities
+    must not share one set."""
+    opts = dict(cli.COMMANDS["tomo-demo"][1])
+    params = dynamics.SystemParams().with_(dims=(dims[0], 16, dims[1]))
+    rho = cli._herald(params, opts).rho_pass
+    assert rho.space.dims == dims
+    fit = tomography.optimize_basis(rho, dims)
+    ref = optimize_basis_reference(rho, dims)
+    assert np.array_equal(fit.x, ref.x)
+    assert fit.fidelity == -ref.fun
+    assert fit.success == ref.success
 
 
 def test_optimize_basis_on_clean_bell():
