@@ -320,25 +320,75 @@ def _one_norm(x) -> float:
     return float(abs(x).sum(axis=0).max())
 
 
-def _lindblad_action(k_op, cs):
-    """v -> vec(K r + r K^dag + sum_c c r c^dag), r = v as a dim x dim matrix.
+def _diagonals(a) -> list[tuple[int, np.ndarray]]:
+    """(o, u) for each nonzero diagonal of the square sparse matrix ``a``,
+    with u[i] = a[i, i + o] and u[i] = 0 where i + o falls outside."""
+    dim = a.shape[0]
+    diagonals = []
+    for o in scipy.sparse.dia_array(a).offsets:
+        u = np.zeros(dim, dtype=complex)
+        u[max(-o, 0):dim - max(o, 0)] = a.diagonal(o)
+        if u.any():
+            diagonals.append((int(o), u))
+    return diagonals
 
-    Right products go through r^T, since r X^dag = (conj(X) r^T)^T.
+
+class _Liouvillian:
+    """r -> K r + r K^dag + sum_c c r c^dag, one operator diagonal at a time.
+
+    On the row-major vec of r, a diagonal u of K at offset o reads r shifted
+    by o dim and scales rows by u; a diagonal of K^dag on the right reads r
+    shifted by o and scales columns by conj(u); a pair of diagonals (o1, u1),
+    (o2, u2) of c gives c r c^dag a shift of o1 dim + o2, rows scaled by u1
+    and columns by conj(u2).  The main diagonal kd of K, from both sides, is
+    the one dim x dim weight kd[:, None] + conj(kd)[None, :].  Every vector
+    lives inside a buffer padded with zeros by the largest shift, so each
+    shifted read is a contiguous dim x dim view; an entry that crosses an
+    edge meets a factor of 0.
     """
-    dim = k_op.shape[0]
-    k_bar = k_op.conj()
-    c_pairs = [(c, c.conj()) for c in cs]
 
-    def act(v):
-        r = v.reshape(dim, dim)
-        rt = np.ascontiguousarray(r.T)
-        out = k_op @ r
-        out += (k_bar @ rt).T
-        for c, c_bar in c_pairs:
-            out += c @ np.ascontiguousarray((c_bar @ rt).T)
-        return out.ravel()
+    def __init__(self, k_op, cs):
+        self.dim = dim = k_op.shape[0]
+        k_diagonals = dict(_diagonals(k_op))
+        kd = k_diagonals.pop(0, np.zeros(dim, dtype=complex))
+        self.weight = kd[:, None] + kd.conj()[None, :]
+        self.terms = []  # (flat shift, row factor or None, column factor or None)
+        for o, u in k_diagonals.items():
+            self.terms += [(o * dim, u[:, None], None), (o, None, u.conj())]
+        for c in cs:
+            c_diagonals = _diagonals(c)
+            self.terms += [
+                (o1 * dim + o2, u1[:, None], u2.conj())
+                for o1, u1 in c_diagonals
+                for o2, u2 in c_diagonals
+            ]
+        self.pad = max((abs(shift) for shift, _, _ in self.terms), default=0)
+        self.work = np.empty((dim, dim), dtype=complex)
 
-    return act
+    def buffer(self) -> np.ndarray:
+        """A zero vector with room for every shift on either side."""
+        return np.zeros(self.dim**2 + 2 * self.pad, dtype=complex)
+
+    def view(self, buf, shift: int = 0) -> np.ndarray:
+        """The dim x dim matrix stored in ``buf``, read ``shift`` entries on."""
+        start = self.pad + shift
+        return buf[start:start + self.dim**2].reshape(self.dim, self.dim)
+
+    def apply(self, src, dst) -> np.ndarray:
+        """Write the action on the matrix in buffer ``src`` into buffer
+        ``dst`` (never ``src`` itself) and return it as a view."""
+        out = self.view(dst)
+        np.multiply(self.weight, self.view(src), out=out)
+        work = self.work
+        for shift, row, col in self.terms:
+            if row is None:
+                np.multiply(self.view(src, shift), col, out=work)
+            else:
+                np.multiply(row, self.view(src, shift), out=work)
+                if col is not None:
+                    work *= col
+            out += work
+        return out
 
 
 def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
@@ -349,6 +399,7 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     h, c_ops:
         Hamiltonian and collapse operators (dense or sparse matrices), in
         angular units (rad/s) -- the builders in this module already are.
+        H must be square and every collapse operator the same size.
     state0:
         QuantumState or raw ket / density matrix.  The final state carries
         the mode structure of a QuantumState.
@@ -370,15 +421,38 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     no norm is estimated and nothing random is drawn: the result is a pure
     function of the inputs.  No renormalization is applied -- trace drift
     is a real error signal, not something to hide.
+
+    Each application of L - mu goes one operator diagonal at a time
+    (:class:`_Liouvillian`): K' and each c are split into their nonzero
+    diagonals, and every diagonal of K' (off the main one) and every pair
+    of diagonals of one c is a shifted, row- and column-scaled copy of rho.
+    The Taylor terms alternate between two buffers padded with zeros by the
+    largest shift, so every shifted read is a contiguous view, and the
+    series runs in place: an application allocates nothing of size dim^2.
+    Its cost is dim^2 times the number of such terms -- 2 per off-main
+    diagonal of K' plus the square of each c's diagonal count, plus one for
+    the main diagonal -- so ladder operators, with one diagonal each, are
+    cheap, while a dense operator of n nonzero diagonals costs n^2 dim^2.
+    Besides the input, the working memory is five dim^2 complex arrays
+    (the state, the main-diagonal weight, the two padded term buffers and
+    one work array for products), all local to the call, and one real
+    array for the magnitudes.
     """
     if not (isinstance(t, (int, float, np.integer, np.floating)) and 0 <= t < math.inf):
         raise ValueError(f"lindblad_evolve needs a finite duration t >= 0, got {t!r}")
     hm = scipy.sparse.csr_matrix(h, dtype=complex)
-    cs = [scipy.sparse.csr_matrix(c, dtype=complex) for c in (c_ops or [])]
-    space = state0.space if isinstance(state0, QuantumState) else None
     dim = hm.shape[0]
+    if hm.shape != (dim, dim):
+        raise ValueError(f"lindblad_evolve needs a square Hamiltonian H, got shape {hm.shape}")
+    cs = [scipy.sparse.csr_matrix(c, dtype=complex) for c in (c_ops or [])]
+    for k, c in enumerate(cs):
+        if c.shape != (dim, dim):
+            raise ValueError(
+                f"collapse operator {k} has shape {c.shape}, but H is {dim}x{dim}"
+            )
+    space = state0.space if isinstance(state0, QuantumState) else None
 
-    rho = hilbert.as_dm(state0).astype(complex)
+    rho = hilbert.as_dm(state0).astype(complex)  # a copy: the series accumulates into it
     if rho.shape != (dim, dim):
         raise ValueError("state does not match the Hamiltonian dimension")
 
@@ -395,21 +469,23 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     m = min(steps, key=lambda m: m * steps[m])
     s = steps[m]
 
-    act = _lindblad_action(k_shift, cs)
+    liou = _Liouvillian(k_shift, cs)
+    src, dst = liou.buffer(), liou.buffer()
+    magnitude = np.empty((dim, dim))
     eta = math.exp(t * mu / s)
-    f = rho.ravel()
     for _ in range(s):
-        term = f
-        c1 = np.abs(term).max()
+        liou.view(src)[...] = rho
+        c1 = np.abs(rho, out=magnitude).max()
         for j in range(1, m + 1):
-            term = (t / (s * j)) * act(term)
-            c2 = np.abs(term).max()
-            f = f + term
-            if c1 + c2 <= 2.0**-53 * np.abs(f).max():
+            term = liou.apply(src, dst)
+            term *= t / (s * j)
+            c2 = np.abs(term, out=magnitude).max()
+            rho += term
+            if c1 + c2 <= 2.0**-53 * np.abs(rho, out=magnitude).max():
                 break
             c1 = c2
-        f = eta * f
-    rho = f.reshape(dim, dim)
+            src, dst = dst, src
+        rho *= eta
     if not np.isfinite(rho).all():
         raise NumericalError("dynamics: master-equation propagation diverged")
 

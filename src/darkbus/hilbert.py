@@ -172,8 +172,8 @@ def coherent(dim: int, alpha: complex, normalized: bool = True) -> np.ndarray:
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
     amp = np.exp(logmag - log_fact / 2) * np.exp(1j * n * np.angle(alpha))
     if normalized:
-        amp = amp / np.linalg.norm(amp)
-    return amp.astype(complex)
+        amp /= np.linalg.norm(amp)
+    return amp
 
 
 def amplitude_damp(rho: np.ndarray, gamma: float, dims=None, axis: int = 0) -> np.ndarray:

@@ -342,7 +342,11 @@ def run_dmm(
         dump window is a master-equation solve on the operators
         :func:`~darkbus.dynamics.network_operators` builds from that
         coupling and those rates, one deterministic Taylor propagation over
-        t_dump whose cost grows as dim^2 (use reduced dims).
+        t_dump.  Each Liouvillian application costs dim^2 per operator
+        diagonal term (dim = prod(params.dims); a dozen terms for this
+        network), and a solve makes one application per Taylor term, a
+        count that grows with t_dump and the largest rates; use reduced
+        dims.
     include_kerr:
         Add the self-Kerr Hamiltonian during the dump window.  Only the
         lindblad engine can do this (Kerr breaks the coherent-superposition

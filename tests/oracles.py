@@ -2,16 +2,17 @@
 
 None of these runs in a darkbus command or demo.  Each is a slow or
 independent route to a quantity the library computes another way: the
-raising, number, parity and displacement operators and cat kets of one
-mode, labelled multi-mode operators and product kets assembled by
-Kronecker products, dense density matrices of coherent superpositions, the
-protocol's initial cat product, free-Kerr evolution, the codewords, Bell
-ket and basis-fit objective in their longer forms, the vacuum check
-applied to a materialized density matrix through explicit projectors,
-expectation values, master-equation expectation values at given times, the
-master equation propagated by scipy on the assembled sparse Liouvillian,
-and the heralding attempt propagated by the master equation through all
-three windows.
+raising, number, parity and displacement operators, cat kets and the
+copying coherent ket of one mode, labelled multi-mode operators and
+product kets assembled by Kronecker products, dense density matrices of
+coherent superpositions, the protocol's initial cat product, free-Kerr
+evolution, the codewords, Bell ket and basis-fit objective in their longer
+forms, the vacuum check applied to a materialized density matrix through
+explicit projectors, expectation values, master-equation expectation
+values at given times, the Liouvillian's action by sparse matrix products,
+the master equation propagated by scipy on the assembled sparse
+Liouvillian, and the heralding attempt propagated by the master equation
+through all three windows.
 """
 
 from __future__ import annotations
@@ -56,6 +57,21 @@ def displacement(dim: int, beta: complex) -> np.ndarray:
     """
     a = hilbert.destroy(dim)
     return scipy.linalg.expm(beta * a.conj().T - np.conj(beta) * a)
+
+
+def coherent_copying(dim: int, alpha: complex, normalized: bool = True) -> np.ndarray:
+    """hilbert.coherent as it was before it stopped copying: out of place
+    normalization and a final ``astype(complex)`` copy of an array that is
+    already complex."""
+    if alpha == 0:
+        return hilbert.fock(dim, 0)
+    n = np.arange(dim)
+    logmag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha))
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
+    amp = np.exp(logmag - log_fact / 2) * np.exp(1j * n * np.angle(alpha))
+    if normalized:
+        amp = amp / np.linalg.norm(amp)
+    return amp.astype(complex)
 
 
 def cat(dim: int, alpha: complex, phase: float = 0.0) -> np.ndarray:
@@ -294,6 +310,28 @@ def expect_trajectory(h, c_ops, state0, times, ops) -> np.ndarray:
         state = dynamics.lindblad_evolve(h, c_ops, state, span).final
     rows.append([expect(op, state) for op in ops])
     return np.array(rows)
+
+
+def lindblad_action(k_op, cs):
+    """v -> vec(K r + r K^dag + sum_c c r c^dag), r = v as a dim x dim matrix,
+    by sparse matrix products.
+
+    Right products go through r^T, since r X^dag = (conj(X) r^T)^T.
+    """
+    dim = k_op.shape[0]
+    k_bar = k_op.conj()
+    c_pairs = [(c, c.conj()) for c in cs]
+
+    def act(v):
+        r = v.reshape(dim, dim)
+        rt = np.ascontiguousarray(r.T)
+        out = k_op @ r
+        out += (k_bar @ rt).T
+        for c, c_bar in c_pairs:
+            out += c @ np.ascontiguousarray((c_bar @ rt).T)
+        return out.ravel()
+
+    return act
 
 
 def liouvillian_evolve(h, c_ops, state0, t) -> np.ndarray:

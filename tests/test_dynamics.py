@@ -7,10 +7,12 @@ where that redundancy pays off.
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -23,6 +25,7 @@ from oracles import (
     embed,
     expect,
     expect_trajectory,
+    lindblad_action,
     liouvillian_evolve,
     materialize_coherent,
     number,
@@ -383,6 +386,103 @@ def test_lindblad_never_touches_the_global_rng(monkeypatch):
         monkeypatch.setattr(np.random, name, forbidden)
     res = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6)
     assert np.array_equal(res.final.dm(), expected)
+
+
+def _apply_twice(k_op, cs, r):
+    """The diagonal-by-diagonal action on r, then on its own result, with the
+    two buffers swapped as the Taylor loop swaps them."""
+    liou = dynamics._Liouvillian(k_op, cs)
+    src, dst = liou.buffer(), liou.buffer()
+    liou.view(src)[...] = r
+    once = liou.apply(src, dst).copy()
+    return once, liou.apply(dst, src)
+
+
+def _assert_matches_sparse_products(k_op, cs, r):
+    act = lindblad_action(k_op, cs)
+    expected_once = act(r.ravel()).reshape(r.shape)
+    expected_twice = act(expected_once.ravel()).reshape(r.shape)
+    for got, expected in zip(_apply_twice(k_op, cs, r), (expected_once, expected_twice)):
+        assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    kerr=st.booleans(),
+    hermitian=st.booleans(),
+)
+def test_liouvillian_matches_sparse_products(dims, seed, kerr, hermitian):
+    """K r + r K^dag + sum c r c^dag one diagonal at a time equals the same
+    action by sparse matrix products: random Hermitian couplings, some decay
+    rates 0, with and without self-Kerr, Hermitian and general r."""
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    gammas = rng.uniform(0.1, 2.0, n) * (rng.random(n) < 0.6)
+    h, c_ops = dynamics.network_operators(a + a.conj().T, gammas, dims)
+    if kerr:
+        for k, d in enumerate(dims):
+            m = np.arange(d)
+            h = h + dynamics._on_mode(dims, k, np.diag(rng.normal() * m * (m - 1) / 2))
+    k_op = -1j * h - rng.normal() * scipy.sparse.identity(h.shape[0])
+    for c in c_ops:
+        k_op = k_op - 0.5 * (c.conj().T @ c)
+    dim = h.shape[0]
+    r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if hermitian:
+        r = r + r.conj().T
+    _assert_matches_sparse_products(scipy.sparse.csr_matrix(k_op), c_ops, r)
+
+
+def test_lindblad_dense_operators_with_every_diagonal():
+    """A dense random H and a dense collapse operator, every diagonal nonzero:
+    the action still matches the sparse products and the propagation the
+    assembled Liouvillian."""
+    rng = np.random.default_rng(11)
+    dim = 5
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = a + a.conj().T
+    c = 0.5 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    assert np.all(h != 0) and np.all(c != 0)
+    k_op = -1j * h - 0.5 * c.conj().T @ c
+    r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    _assert_matches_sparse_products(
+        scipy.sparse.csr_matrix(k_op), [scipy.sparse.csr_matrix(c)], r
+    )
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    rho = dynamics.lindblad_evolve(h, [c], psi0, 0.5).final.dm()
+    assert_allclose(rho, liouvillian_evolve(h, [c], psi0, 0.5), rtol=0, atol=1e-12)
+
+
+def test_lindblad_names_a_misshaped_operator():
+    rho = np.eye(4) / 4
+    with pytest.raises(ValueError, match="collapse operator 0 has shape \\(3, 3\\)"):
+        dynamics.lindblad_evolve(np.eye(4), [np.eye(3)], rho, 1e-6)
+    with pytest.raises(ValueError, match="square Hamiltonian H, got shape \\(4, 5\\)"):
+        dynamics.lindblad_evolve(np.ones((4, 5)), [], rho, 1e-6)
+
+
+def test_lindblad_working_memory_stays_small():
+    """One 144-dim solve, the entangle-lindblad one, peaks at no more than
+    eight dim x dim complex arrays: the state, the main-diagonal weight, two
+    padded term buffers, one work array for products and the magnitudes, with no
+    per-term temporaries and no stored superoperator diagonals."""
+    dims = (6, 4, 6)
+    h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
+    space = hilbert.HilbertSpace(dims, MODE_LABELS)
+    psi0 = product_ket(
+        space, {"cav1": hilbert.coherent(6, 0.5), "cav2": hilbert.coherent(6, -0.5)}
+    )
+    tracemalloc.start()
+    try:
+        dynamics.lindblad_evolve(h, c_ops, psi0, 2e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * space.dim**2 * 16
 
 
 # ---------------------------------------------------------------------------

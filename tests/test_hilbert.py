@@ -10,7 +10,18 @@ from numpy.testing import assert_allclose
 
 from darkbus import dynamics, hilbert
 from darkbus.hilbert import HilbertSpace, QuantumState
-from oracles import cat, create, displacement, embed, expect, number, parity, product_ket, tensor
+from oracles import (
+    cat,
+    coherent_copying,
+    create,
+    displacement,
+    embed,
+    expect,
+    number,
+    parity,
+    product_ket,
+    tensor,
+)
 
 
 def test_space_validation():
@@ -71,6 +82,19 @@ def test_coherent_is_destroy_eigenvector():
     resid = hilbert.destroy(d) @ k - alpha * k
     # exact except for the truncation edge component
     assert np.linalg.norm(resid) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
+    dim=st.integers(1, 30),
+    normalized=st.booleans(),
+)
+def test_coherent_matches_the_copying_version(alpha, dim, normalized):
+    """No final astype copy: the same complex amplitudes, bit for bit."""
+    ket = hilbert.coherent(dim, alpha, normalized=normalized)
+    assert ket.dtype == complex
+    assert np.array_equal(ket, coherent_copying(dim, alpha, normalized=normalized))
 
 
 def test_displacement_unitary_and_action():
