@@ -9,7 +9,7 @@ get the density matrix back.
 
 import numpy as np
 
-from darkbus import codes, hilbert, protocol, tomography
+from darkbus import hilbert, protocol, tomography
 from darkbus.tomography import WignerData, WignerGrid
 
 SHOTS = 2000
@@ -17,8 +17,8 @@ SEED = 11
 
 res = protocol.run_dmm(dump_time="auto")
 d1, d2 = res.rho_pass.space.dims
-paulis = codes.logical_paulis(res.basis_used[1].codewords(d2))
-meas = {"x+": 0.5 * (paulis["I"] + paulis["X"])}
+w2 = res.basis_used[1].codewords(d2)
+meas = {"x+": np.outer(w2.plus, w2.plus.conj())}
 p_plus, rho1 = tomography.conditional_decomposition(res.rho_pass, meas, (d1, d2))["x+"]
 rho1 = rho1 / np.trace(rho1)
 print(f"conditioning on logical X = +1 in cavity 2 (P = {p_plus:.3f})")

@@ -25,9 +25,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 
-from . import codes, dynamics, errorbudget, hilbert, protocol, tomography
+from . import dynamics, errorbudget, hilbert, protocol, tomography
 from .dynamics import SystemParams
 from .hilbert import NumericalError
 from .protocol import VacuumCheckModel
@@ -381,8 +382,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     res = _herald(params, opts)
     d1, d2 = res.rho_pass.space.dims
     w2 = res.basis_used[1].codewords(d2)
-    paulis2 = codes.logical_paulis(w2)
-    plus = 0.5 * (paulis2["I"] + paulis2["X"])
+    plus = np.outer(w2.plus, w2.plus.conj())
     cond = tomography.conditional_decomposition(res.rho_pass, {"+": plus}, (d1, d2))
     p_plus, rho1 = cond["+"]
     rho1 = rho1 / np.trace(rho1)
@@ -674,6 +674,7 @@ def main(argv=None) -> int:
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
     }
     with open(out_dir / "manifest.json", "w") as f:

@@ -212,7 +212,6 @@ class DmmResult:
     engine: str
     p_pass_projective: float = 0.0
     sector_probs: dict = field(default_factory=dict)
-    edge_population: dict = field(default_factory=dict)
 
 
 def _initial_superposition(alpha: float) -> CoherentSuperposition:
@@ -449,7 +448,6 @@ def run_dmm(
         engine=engine,
         p_pass_projective=_fold(check, projective_probs)[0]["gg"],
         sector_probs=sector_probs,
-        edge_population=hilbert.edge_population(rho_n),
     )
 
 

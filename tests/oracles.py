@@ -2,17 +2,18 @@
 
 None of these runs in a darkbus command or demo.  Each is a slow or
 independent route to a quantity the library computes another way: the
-raising, number, parity and displacement operators, cat kets and the
-copying coherent ket of one mode, labelled multi-mode operators and
-product kets assembled by Kronecker products, dense density matrices of
-coherent superpositions, the protocol's initial cat product, free-Kerr
-evolution, the codewords, Bell ket and basis-fit objective in their longer
-forms, the vacuum check applied to a materialized density matrix through
-explicit projectors, expectation values, master-equation expectation
-values at given times, the Liouvillian's action by sparse matrix products,
-the master equation propagated by scipy on the assembled sparse
-Liouvillian, and the heralding attempt propagated by the master equation
-through all three windows.
+raising, number, parity and displacement operators, the displaced-parity
+kernel at one point, cat kets and the copying coherent ket of one mode,
+labelled multi-mode operators and product kets assembled by Kronecker
+products, dense density matrices of coherent superpositions, the
+protocol's initial cat product, free-Kerr evolution, the codewords, Bell
+ket and basis-fit objective in their longer forms, the vacuum check
+applied to a materialized density matrix through explicit projectors,
+expectation values, master-equation expectation values at given times,
+the Liouvillian's action by sparse matrix products, the master equation
+propagated by scipy on the assembled sparse Liouvillian, and the
+heralding attempt propagated by the master equation through all three
+windows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from darkbus import dynamics, hilbert
+from darkbus import dynamics, hilbert, tomography
 from darkbus.codes import Codewords, LogicalBasis
 from darkbus.dynamics import CoherentSuperposition, SystemParams, coherent_overlaps
 from darkbus.hilbert import HilbertSpace, QuantumState, as_dm
@@ -53,10 +54,15 @@ def displacement(dim: int, beta: complex) -> np.ndarray:
 
     Exact only well below the truncation edge.  For matrix elements that
     stay exact at any |beta| use the closed form behind
-    tomography.displaced_parity, which gives D(2 beta) P entry by entry.
+    :func:`displaced_parity`, which gives D(2 beta) P entry by entry.
     """
     a = hilbert.destroy(dim)
     return scipy.linalg.expm(beta * a.conj().T - np.conj(beta) * a)
+
+
+def displaced_parity(dim: int, beta: complex) -> np.ndarray:
+    """The hermitian kernel M(beta) = D(2 beta) P truncated to dim."""
+    return tomography._kernel_stack(dim, np.array([beta]))[0]
 
 
 def coherent_copying(dim: int, alpha: complex, normalized: bool = True) -> np.ndarray:
@@ -218,8 +224,10 @@ def optimize_basis_reference(
     """``tomography.optimize_basis`` with an objective that builds the
     codewords of both cavities on every evaluation through
     :func:`codewords_four_coherent`, the Bell ket through
-    :func:`bell_state_kron`, and recomputes Tr rho each time.  Returns the
-    Nelder-Mead result of the best start."""
+    :func:`bell_state_kron`, and recomputes Tr rho each time.  Searches
+    once from each Kerr angle in ``extra_starts`` at amplitude ``alpha0``
+    (the library searches once, from the state's mean amplitude) and
+    returns the Nelder-Mead result of the best start."""
     rho = hilbert.as_dm(state)
     d1, d2 = dims
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
 from darkbus import cli, protocol
 from darkbus.dynamics import SystemParams
@@ -37,6 +38,7 @@ def test_multiround_writes_manifest(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert m["summary"]["rate_hz"] == pytest.approx(43459.365493263795)
     assert m["params"]["alpha"] == pytest.approx(math.sqrt(2))
+    assert m["versions"]["scipy"] == scipy.__version__
     header = (out / "multiround.csv").read_text().splitlines()[0]
     assert header == (
         "p_success,t_attempt_s,t_reset_s,mean_attempts,"

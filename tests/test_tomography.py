@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre
 
-from darkbus import cli, codes, dynamics, hilbert, tomography
+from darkbus import cli, codes, dynamics, hilbert, protocol, tomography
 from darkbus.codes import LogicalBasis
 from darkbus.tomography import WignerData, WignerGrid
 from oracles import (
     cat,
+    displaced_parity,
     kerr_twist_angle,
     kerr_unitary,
     materialize_coherent,
@@ -45,7 +47,7 @@ def _displacement_element(m, n, z):
 @pytest.mark.parametrize("beta", [0.3, -0.7 + 0.4j, 1.1j, 0.95 - 0.85j])
 def test_kernel_matches_laguerre(beta):
     dim = 8
-    m = tomography.displaced_parity(dim, beta)
+    m = displaced_parity(dim, beta)
     ref = np.array(
         [
             [_displacement_element(i, j, 2 * beta) * (-1) ** j for j in range(dim)]
@@ -85,7 +87,7 @@ def test_kernel_matches_high_precision_at_grid_corners():
     ax = WignerGrid.default().re_beta
     lower = np.tril_indices(40)
     for beta in (complex(re, im) for re in (ax[0], ax[-1]) for im in (ax[0], ax[-1])):
-        m = tomography.displaced_parity(40, beta)
+        m = displaced_parity(40, beta)
         ref = _cahill_glauber_lower(40, beta)
         assert_allclose(m[lower], ref[lower], rtol=0, atol=1e-13)
         assert_allclose(m, m.conj().T, rtol=0, atol=0)
@@ -95,8 +97,8 @@ def test_kernel_truncation_invariance():
     """Each entry is exact in the truncated space: a larger dim only adds entries."""
     for beta in (0.0, 0.45 - 1.3j, 2.0 + 2.0j, -2.0 - 1.5j):
         assert_allclose(
-            tomography.displaced_parity(40, beta)[:12, :12],
-            tomography.displaced_parity(12, beta),
+            displaced_parity(40, beta)[:12, :12],
+            displaced_parity(12, beta),
             rtol=0,
             atol=1e-15,
         )
@@ -419,7 +421,7 @@ def test_optimize_basis_recovers_shrinkage_and_twist():
     alpha, gamma = 1.2, 0.2
     kerr_hz, t = -20e3, 2.5e-6
     rho = _damped_twisted_bell(alpha, gamma, kerr_hz, t, dim=10)
-    fit = tomography.optimize_basis(rho, (10, 10), alpha0=1.1)
+    fit = tomography.optimize_basis(rho, (10, 10))
     assert fit.basis.alpha == pytest.approx(alpha * math.sqrt(1 - gamma), abs=2e-3)
     assert fit.basis.theta_k == pytest.approx(kerr_twist_angle(kerr_hz, t), abs=1e-3)
     assert abs(fit.basis.theta_r) < 1e-2
@@ -430,26 +432,69 @@ def test_optimize_basis_recovers_shrinkage_and_twist():
     assert fit.fidelity > naive_f + 0.05
 
 
+def _mean_amplitude(rho, dims):
+    """Square root of the two cavities' mean photon number."""
+    rho = hilbert.as_dm(rho)
+    pops = rho.diagonal().real.reshape(dims)
+    tr = float(np.real(np.trace(rho)))
+    n_mean = (np.arange(dims[0]) @ pops.sum(1) + np.arange(dims[1]) @ pops.sum(0)) / (2 * tr)
+    return math.sqrt(n_mean)
+
+
+def _tomo_demo_pair(dims):
+    opts = dict(cli.COMMANDS["tomo-demo"][1])
+    params = dynamics.SystemParams().with_(dims=(dims[0], 16, dims[1]))
+    return cli._herald(params, opts).rho_pass
+
+
 @pytest.mark.parametrize("dims", [(12, 12), (8, 10)])
 def test_optimize_basis_matches_reference_objective(dims):
     """On tomo-demo's heralded pair (its default dims and unequal ones) the
     fit returns exactly the x and fidelity of the objective that builds both
-    cavities' codewords every evaluation; with unequal dims the cavities
-    must not share one set."""
-    opts = dict(cli.COMMANDS["tomo-demo"][1])
-    params = dynamics.SystemParams().with_(dims=(dims[0], 16, dims[1]))
-    rho = cli._herald(params, opts).rho_pass
+    cavities' codewords every evaluation, searched once from the same start;
+    with unequal dims the cavities must not share one set."""
+    rho = _tomo_demo_pair(dims)
     assert rho.space.dims == dims
     fit = tomography.optimize_basis(rho, dims)
-    ref = optimize_basis_reference(rho, dims)
+    ref = optimize_basis_reference(
+        rho, dims, alpha0=_mean_amplitude(rho, dims), extra_starts=(0.0,)
+    )
     assert np.array_equal(fit.x, ref.x)
     assert fit.fidelity == -ref.fun
     assert fit.success == ref.success
 
 
+def test_optimize_basis_one_search_matches_four_starts(monkeypatch):
+    """One search from the state's mean amplitude reaches the best of the
+    four Kerr-angle starts on heralded, self-Kerr and twisted pairs."""
+    searches = []
+
+    def counting_minimize(*args, **kwargs):
+        searches.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(tomography, "minimize", counting_minimize)
+    kerr_pair = protocol.run_dmm(
+        dynamics.SystemParams(alpha=0.8, dims=(6, 4, 6)), engine="lindblad", include_kerr=True
+    ).rho_pass
+    cases = [
+        (_tomo_demo_pair((12, 12)), (12, 12)),
+        (kerr_pair, (6, 6)),
+        (_damped_twisted_bell(1.2, 0.2, -20e3, 2.5e-6, dim=10), (10, 10)),  # theta_k 0.31
+        (_damped_twisted_bell(math.sqrt(2), 0.1, -23e3, 10e-6, dim=14), (14, 14)),
+    ]
+    for rho, dims in cases:
+        searches.clear()
+        fit = tomography.optimize_basis(rho, dims)
+        ref = optimize_basis_reference(rho, dims)
+        assert len(searches) == 1
+        assert fit.fidelity >= -ref.fun - 1e-12
+        assert fit.basis.alpha == pytest.approx(abs(ref.x[0]), abs=1e-6)
+
+
 def test_optimize_basis_on_clean_bell():
     words = LogicalBasis(1.4).codewords(12)
     bell = codes.bell_state(words, words)
-    fit = tomography.optimize_basis(bell, (12, 12), alpha0=1.3)
+    fit = tomography.optimize_basis(bell, (12, 12))
     assert fit.basis.alpha == pytest.approx(1.4, abs=1e-3)
     assert fit.fidelity == pytest.approx(1.0, abs=1e-6)
