@@ -25,7 +25,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from . import dynamics, errorbudget, hilbert, protocol, tomography
@@ -260,12 +259,9 @@ def cmd_regimes(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 def cmd_transfer(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     times = np.linspace(1e-9, _number(opts, "t_max", _POSITIVE), _number(opts, "n_times", _COUNT))
     res = dynamics.transfer_efficiency(params.g_bs, params.kappa_b)
-    etas = [
-        dynamics.transfer_efficiency(params.g_bs, params.kappa_b, t1=t, t2=t).eta
-        for t in times
-    ]
+    etas = dynamics.transfer_efficiency(params.g_bs, params.kappa_b, t1=times, t2=times).eta
     ctx.write_csv("transfer.csv", ["t1_s", "t2_s", "eta"], zip(*[(res.t1, res.t2, res.eta)]))
-    ctx.write_csv("transfer_curve.csv", ["t_hold_s", "eta"], [times, np.array(etas)])
+    ctx.write_csv("transfer_curve.csv", ["t_hold_s", "eta"], [times, etas])
     print(
         f"optimal pitch/catch: t1 = {res.t1*1e9:.1f} ns, t2 = {res.t2*1e9:.1f} ns, "
         f"efficiency = {res.eta*100:.3f}%"
@@ -674,7 +670,6 @@ def main(argv=None) -> int:
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     with open(out_dir / "manifest.json", "w") as f:

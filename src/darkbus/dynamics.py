@@ -47,11 +47,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-import scipy.sparse
 
 from . import hilbert
 from .hilbert import HilbertSpace, NumericalError, QuantumState
@@ -140,12 +138,10 @@ def coupling_matrix(g_bs: float) -> np.ndarray:
     return np.array([[0, g, 0], [g, 0, g], [0, g, 0]], dtype=complex)
 
 
-def _on_mode(dims, k: int, op):
-    """Single-mode matrix ``op`` acting on mode k of the product space with
-    truncations ``dims``, identity on every other mode, as a CSR matrix."""
-    left = scipy.sparse.identity(math.prod(dims[:k]), dtype=complex, format="csr")
-    right = scipy.sparse.identity(math.prod(dims[k + 1:]), dtype=complex, format="csr")
-    return scipy.sparse.kron(scipy.sparse.kron(left, op), right, format="csr")
+def _on_modes(dims, ops: dict) -> np.ndarray:
+    """Kronecker product over the modes of ``dims``: the single-mode matrix
+    ``ops[k]`` on each mode k named, the identity on every other mode."""
+    return reduce(np.kron, [ops.get(k, np.eye(d)) for k, d in enumerate(dims)])
 
 
 def network_operators(coupling, gammas, dims):
@@ -154,30 +150,37 @@ def network_operators(coupling, gammas, dims):
 
     H = sum_kl A_kl a_k^dag a_l for the angular coupling A, and one collapse
     operator sqrt(gamma_k) a_k for each mode with gamma_k > 0, in mode order;
-    all CSR matrices.  A = 0 gives the zero Hamiltonian.
+    all dense arrays, each term a Kronecker product of single-mode factors.
+    A = 0 gives the zero Hamiltonian.
     """
     coupling = np.asarray(coupling, dtype=complex)
     n = len(dims)
     if coupling.shape != (n, n) or len(gammas) != n:
         raise ValueError(f"need an {n}x{n} coupling and {n} rates for dims {tuple(dims)}")
-    lowering = [_on_mode(dims, k, hilbert.destroy(d)) for k, d in enumerate(dims)]
+    lowering = [hilbert.destroy(d) for d in dims]
     dim = math.prod(dims)
-    h = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim), dtype=complex)
     for k, l in zip(*np.nonzero(coupling)):
-        h = h + coupling[k, l] * (lowering[k].conj().T @ lowering[l])
-    c_ops = [math.sqrt(g) * a for g, a in zip(gammas, lowering) if g > 0]
-    return h.tocsr(), c_ops
+        a_dag = lowering[k].conj().T
+        term = _on_modes(dims, {k: a_dag, l: lowering[l]} if k != l else {k: a_dag @ lowering[k]})
+        term *= coupling[k, l]
+        h += term
+    c_ops = []
+    for k, (g, a) in enumerate(zip(gammas, lowering)):
+        if g > 0:
+            c_ops.append(_on_modes(dims, {k: a}))
+            c_ops[-1] *= math.sqrt(g)
+    return h, c_ops
 
 
-def kerr_hamiltonian(dims, kerr: tuple[float, float]):
+def kerr_hamiltonian(dims, kerr: tuple[float, float]) -> np.ndarray:
     """Self-Kerr H = sum_i 2pi K_i/2 n_i (n_i - 1) on the two cavities, modes
-    0 and 2 of ``dims`` in mode order (cav1, bus, cav2), as a CSR matrix."""
-    h = None
+    0 and 2 of ``dims`` in mode order (cav1, bus, cav2), as a dense array."""
+    terms = []
     for axis, k in zip((0, 2), kerr):
         n = np.arange(dims[axis])
-        t = _on_mode(dims, axis, scipy.sparse.diags(TWO_PI * k / 2 * n * (n - 1)))
-        h = t if h is None else h + t
-    return h.tocsr()
+        terms.append(_on_modes(dims, {axis: np.diag(TWO_PI * k / 2 * n * (n - 1))}))
+    return terms[0] + terms[1]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +274,7 @@ def auto_dump_time(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> f
 
     Underdamped: the first exact zero of u(t), nu t = pi - atan2(4 nu, k)
     (reduces to t_swap at kappa_b = 0).  Critical/overdamped: u never
-    crosses zero, so the first time |u| < residual_tol.
+    crosses zero, so the first time |u| <= residual_tol, to rounding.
     """
     g = TWO_PI * g_bs
     k = TWO_PI * kappa_b
@@ -285,9 +288,18 @@ def auto_dump_time(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> f
         raise NumericalError("dynamics: bright mode does not decay (kappa_b = 0)")
     t_hi = math.log(2.0 / residual_tol) / rate
     f = lambda t: abs(float(bright_mode_response(g_bs, kappa_b, t)[0])) - residual_tol
-    while f(t_hi) > 0:
+    while (f_hi := f(t_hi)) > 0:
         t_hi *= 2
-    return float(scipy.optimize.brentq(f, 1e-12, t_hi, xtol=1e-16))
+    if math.isnan(f_hi):
+        raise NumericalError("dynamics: bright-mode response overflows before it decays")
+    # |u| falls monotonically here: cut the bracket into 32 cells, keep the
+    # one where it crosses, and repeat until the bracket stops shrinking
+    lo, hi = 1e-12, t_hi
+    while lo < 0.5 * (lo + hi) < hi:
+        t = np.linspace(lo, hi, 33)[1:-1]
+        above = np.count_nonzero(np.abs(bright_mode_response(g_bs, kappa_b, t)) > residual_tol)
+        lo, hi = t[above - 1] if above else lo, t[above] if above < len(t) else hi
+    return float(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +327,32 @@ _TAYLOR_THETA = {
 }
 
 
-def _one_norm(x) -> float:
-    """Largest absolute column sum of a sparse matrix."""
-    return float(abs(x).sum(axis=0).max())
+def _shifted(v: np.ndarray, o: int) -> np.ndarray:
+    """w[j] = v[j - o], and 0 where j - o falls outside v."""
+    w = np.zeros_like(v)
+    n = len(v)
+    w[max(o, 0):n + min(o, 0)] = v[max(-o, 0):n - max(o, 0)]
+    return w
 
 
 def _diagonals(a) -> list[tuple[int, np.ndarray]]:
-    """(o, u) for each nonzero diagonal of the square sparse matrix ``a``,
-    with u[i] = a[i, i + o] and u[i] = 0 where i + o falls outside."""
-    dim = a.shape[0]
+    """(o, u) for each nonzero diagonal of the square matrix ``a``, in
+    increasing o, with u[i] = a[i, i + o] and u[i] = 0 where i + o falls
+    outside."""
+    dim = len(a)
+    rows, cols = np.nonzero(a)
     diagonals = []
-    for o in scipy.sparse.dia_array(a).offsets:
+    for o in np.unique(cols - rows).tolist():
         u = np.zeros(dim, dtype=complex)
-        u[max(-o, 0):dim - max(o, 0)] = a.diagonal(o)
-        if u.any():
-            diagonals.append((int(o), u))
+        u[max(-o, 0):dim - max(o, 0)] = np.diagonal(a, o)
+        diagonals.append((o, u))
     return diagonals
+
+
+def _one_norm(diagonals) -> float:
+    """Largest absolute column sum of the matrix with these (o, u) diagonals:
+    column j collects |u[j - o]| from each."""
+    return float(np.max(sum(_shifted(np.abs(u), o) for o, u in diagonals)))
 
 
 class _Liouvillian:
@@ -347,20 +369,20 @@ class _Liouvillian:
     edge meets a factor of 0.
     """
 
-    def __init__(self, k_op, cs):
-        self.dim = dim = k_op.shape[0]
-        k_diagonals = dict(_diagonals(k_op))
-        kd = k_diagonals.pop(0, np.zeros(dim, dtype=complex))
+    def __init__(self, kd, k_diagonals, c_diagonals):
+        """``kd`` is the main diagonal of K, ``k_diagonals`` its other (o, u)
+        diagonals and ``c_diagonals`` holds one list of (o, u) diagonals per
+        collapse operator, each in the form :func:`_diagonals` returns."""
+        self.dim = dim = len(kd)
         self.weight = kd[:, None] + kd.conj()[None, :]
         self.terms = []  # (flat shift, row factor or None, column factor or None)
-        for o, u in k_diagonals.items():
+        for o, u in k_diagonals:
             self.terms += [(o * dim, u[:, None], None), (o, None, u.conj())]
-        for c in cs:
-            c_diagonals = _diagonals(c)
+        for diagonals in c_diagonals:
             self.terms += [
                 (o1 * dim + o2, u1[:, None], u2.conj())
-                for o1, u1 in c_diagonals
-                for o2, u2 in c_diagonals
+                for o1, u1 in diagonals
+                for o2, u2 in diagonals
             ]
         self.pad = max((abs(shift) for shift, _, _ in self.terms), default=0)
         self.work = np.empty((dim, dim), dtype=complex)
@@ -397,9 +419,9 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     Parameters
     ----------
     h, c_ops:
-        Hamiltonian and collapse operators (dense or sparse matrices), in
-        angular units (rad/s) -- the builders in this module already are.
-        H must be square and every collapse operator the same size.
+        Hamiltonian and collapse operators (dense matrices), in angular
+        units (rad/s) -- the builders in this module already are.  H must
+        be square and every collapse operator the same size.
     state0:
         QuantumState or raw ket / density matrix.  The final state carries
         the mode structure of a QuantumState.
@@ -416,35 +438,39 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     step early once two successive terms fall below double precision.  The
     shifted Liouvillian is L - mu = K' (x) 1 + 1 (x) conj(K') + sum c (x) conj(c)
     with K' = K - mu/2, so its 1-norm is bounded by
-    2 ||K'||_1 + sum ||c||_1^2 on the sparse factors; (m, s) minimize m s
-    subject to t * bound / s <= theta_m, m <= 55.  The bound is rigorous, so
-    no norm is estimated and nothing random is drawn: the result is a pure
-    function of the inputs.  No renormalization is applied -- trace drift
-    is a real error signal, not something to hide.
+    2 ||K'||_1 + sum ||c||_1^2, read off the operators' diagonals; (m, s)
+    minimize m s subject to t * bound / s <= theta_m, m <= 55.  The bound is
+    rigorous, so no norm is estimated and nothing random is drawn: the
+    result is a pure function of the inputs.  No renormalization is
+    applied -- trace drift is a real error signal, not something to hide.
 
-    Each application of L - mu goes one operator diagonal at a time
-    (:class:`_Liouvillian`): K' and each c are split into their nonzero
-    diagonals, and every diagonal of K' (off the main one) and every pair
-    of diagonals of one c is a shifted, row- and column-scaled copy of rho.
-    The Taylor terms alternate between two buffers padded with zeros by the
-    largest shift, so every shifted read is a contiguous view, and the
-    series runs in place: an application allocates nothing of size dim^2.
-    Its cost is dim^2 times the number of such terms -- 2 per off-main
-    diagonal of K' plus the square of each c's diagonal count, plus one for
-    the main diagonal -- so ladder operators, with one diagonal each, are
-    cheap, while a dense operator of n nonzero diagonals costs n^2 dim^2.
-    Besides the input, the working memory is five dim^2 complex arrays
-    (the state, the main-diagonal weight, the two padded term buffers and
-    one work array for products), all local to the call, and one real
-    array for the magnitudes.
+    Everything works on the operators' nonzero diagonals, read once from H
+    and each c.  K' is assembled from them: a pair of diagonals (o1, u1),
+    (o2, u2) of c puts conj(u1) u2, shifted by o1, on diagonal o2 - o1 of
+    c^dag c, so no dim x dim operator product is formed.  Each application
+    of L - mu goes one diagonal at a time (:class:`_Liouvillian`): every
+    diagonal of K' (off the main one) and every pair of diagonals of one c
+    is a shifted, row- and column-scaled copy of rho.  The Taylor terms
+    alternate between two buffers padded with zeros by the largest shift,
+    so every shifted read is a contiguous view, and the series runs in
+    place: an application allocates nothing of size dim^2.  Its cost is
+    dim^2 times the number of such terms -- 2 per off-main diagonal of K'
+    plus the square of each c's diagonal count, plus one for the main
+    diagonal -- so ladder operators, with one diagonal each, are cheap,
+    while a dense operator of n nonzero diagonals costs n^2 dim^2.  Besides
+    the input, the working memory is five dim^2 complex arrays (the state,
+    the main-diagonal weight, the two padded term buffers and one work
+    array for products), all local to the call, and one real array for the
+    magnitudes.  A ket's density matrix is built once and evolved in
+    place; a density matrix the caller holds is copied once.
     """
     if not (isinstance(t, (int, float, np.integer, np.floating)) and 0 <= t < math.inf):
         raise ValueError(f"lindblad_evolve needs a finite duration t >= 0, got {t!r}")
-    hm = scipy.sparse.csr_matrix(h, dtype=complex)
-    dim = hm.shape[0]
-    if hm.shape != (dim, dim):
-        raise ValueError(f"lindblad_evolve needs a square Hamiltonian H, got shape {hm.shape}")
-    cs = [scipy.sparse.csr_matrix(c, dtype=complex) for c in (c_ops or [])]
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"lindblad_evolve needs a square Hamiltonian H, got shape {h.shape}")
+    dim = len(h)
+    cs = [np.asarray(c, dtype=complex) for c in (c_ops or [])]
     for k, c in enumerate(cs):
         if c.shape != (dim, dim):
             raise ValueError(
@@ -452,24 +478,31 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
             )
     space = state0.space if isinstance(state0, QuantumState) else None
 
-    rho = hilbert.as_dm(state0).astype(complex)  # a copy: the series accumulates into it
+    rho = hilbert.as_dm(state0)
     if rho.shape != (dim, dim):
         raise ValueError("state does not match the Hamiltonian dimension")
+    if np.shares_memory(rho, state0.data if space else state0):
+        rho = rho.copy()  # the series accumulates into rho: never into the caller's array
 
-    k_op = -1j * hm
-    for c in cs:
-        k_op = k_op - 0.5 * (c.conj().T @ c)
-    trace_l = 2 * dim * k_op.diagonal().sum().real + sum(
-        abs(c.diagonal().sum()) ** 2 for c in cs
-    )
+    k_diagonals = {o: -1j * u for o, u in _diagonals(h)}
+    c_diagonals = [_diagonals(c) for c in cs]
+    for diagonals in c_diagonals:
+        for o1, u1 in diagonals:
+            for o2, u2 in diagonals:
+                # -(1/2) c^dag c: conj(u1) u2, shifted by o1, on diagonal o2 - o1
+                o = o2 - o1
+                k_diagonals[o] = k_diagonals.get(o, 0) - 0.5 * _shifted(u1.conj() * u2, o1)
+    kd = k_diagonals.pop(0, np.zeros(dim, dtype=complex))
+    trace_l = 2 * dim * kd.sum().real + sum(abs(np.trace(c)) ** 2 for c in cs)
     mu = trace_l / dim**2
-    k_shift = (k_op - (mu / 2) * scipy.sparse.identity(dim, format="csr")).tocsr()
-    bound = 2 * _one_norm(k_shift) + sum(_one_norm(c) ** 2 for c in cs)
+    kd = kd - mu / 2
+    k_off = [(o, k_diagonals[o]) for o in sorted(k_diagonals) if k_diagonals[o].any()]
+    bound = 2 * _one_norm([(0, kd)] + k_off) + sum(_one_norm(d) ** 2 for d in c_diagonals)
     steps = {m: max(math.ceil(t * bound / theta), 1) for m, theta in _TAYLOR_THETA.items()}
     m = min(steps, key=lambda m: m * steps[m])
     s = steps[m]
 
-    liou = _Liouvillian(k_shift, cs)
+    liou = _Liouvillian(kd, k_off, c_diagonals)
     src, dst = liou.buffer(), liou.buffer()
     magnitude = np.empty((dim, dim))
     eta = math.exp(t * mu / s)
@@ -510,14 +543,16 @@ def _transfer_eta(g_ang, kappa_ang, t1, t2):
 
     One photon in a passive lossy network: its amplitudes follow the labels
     of the linear propagator and a lost photon leaves vacuum behind, so
-    eta = |(E2 E1)[cav2, cav1]|^2 is exact.
+    eta = |(E2 E1)[cav2, cav1]|^2 is exact.  Arrays of times (of one shape)
+    give an array of efficiencies.
     """
     stage1 = np.array([[0, g_ang, 0], [g_ang, 0, 0], [0, 0, 0]], dtype=complex)
     stage2 = np.array([[0, 0, 0], [0, 0, g_ang], [0, g_ang, 0]], dtype=complex)
     gammas = (0.0, kappa_ang, 0.0)
     e1, _ = linear_propagator(stage1, gammas, t1)
     e2, _ = linear_propagator(stage2, gammas, t2)
-    return float(abs((e2 @ e1)[2, 0]) ** 2)
+    eta = np.abs((e2 @ e1)[..., 2, 0]) ** 2
+    return eta if eta.ndim else float(eta)
 
 
 def transfer_efficiency(
@@ -528,8 +563,9 @@ def transfer_efficiency(
 ) -> TransferResult:
     """Photon transfer cav1 -> bus -> cav2 by sequential timed swaps.
 
-    With both ``t1`` and ``t2`` given, just evaluates the efficiency; with
-    neither, returns the optimum, which is closed form: stage 1 never
+    With both ``t1`` and ``t2`` given, just evaluates the efficiency (an
+    array of them for arrays of times, in one propagator call per stage);
+    with neither, returns the optimum, which is closed form: stage 1 never
     touches cav2 and stage 2 never touches cav1, so eta(t1, t2) =
     f(t1) f(t2) with f(t) = |E(t)[bus, cav1]|^2, and each factor peaks at
     the single-stage optimum t* = atan(4 nu / kappa)/nu, nu^2 = g^2 - kappa^2/16 (t* = 4/kappa
@@ -607,13 +643,65 @@ def linear_propagator(coupling: np.ndarray, gammas, t):
 
     ``t`` may be an array of times; E and Q are then stacked along leading
     axes of the same shape, each slice equal to the call at that one time.
+    With A = 0 the modes only decay and E = diag(e^{-gamma t/2}) exactly;
+    otherwise E comes from :func:`_expm`.
     """
     a = np.asarray(coupling, dtype=complex)
     gam = np.asarray(gammas, dtype=float)
-    m = -1j * a - np.diag(gam) / 2
-    e = scipy.linalg.expm(m * np.asarray(t, dtype=float)[..., None, None])
+    m = (-1j * a - np.diag(gam) / 2) * np.asarray(t, dtype=float)[..., None, None]
+    if a.any():
+        e = _expm(m)
+    else:
+        e = np.zeros_like(m)
+        i = np.arange(len(gam))
+        e[..., i, i] = np.exp(m[..., i, i])
     q = np.eye(len(gam)) - np.swapaxes(e.conj(), -1, -2) @ e
     return e, q
+
+
+# Pade-13 coefficients b_j / b_0, and the largest 1-norm for which the
+# unscaled approximant meets double precision (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005), Table 2.3).  Rows of _PADE13_SUMS weigh
+# (I, A^2, A^4, A^6) into the four sums of U = A (A^6 W0 + W1) and
+# V = A^6 W2 + W3.
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1,
+]) / 64764752532480000
+_PADE13_SUMS = np.array([
+    [0, _PADE13[9], _PADE13[11], _PADE13[13]],
+    [_PADE13[1], _PADE13[3], _PADE13[5], _PADE13[7]],
+    [0, _PADE13[8], _PADE13[10], _PADE13[12]],
+    [_PADE13[0], _PADE13[2], _PADE13[4], _PADE13[6]],
+])
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix in a stack (..., n, n) by Pade-13 scaling and
+    squaring (Higham 2005, Algorithm 2.3 at its top degree): each matrix is
+    scaled by 2^-s into 1-norm theta_13, its [13/13] Pade approximant
+    solved for, and the result squared s times."""
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
+    mantissa, exponent = np.frexp(np.abs(a).sum(axis=1).max(axis=1) / _THETA13)
+    s = np.maximum(exponent - (mantissa == 0.5), 0)  # ceil(log2(.)), at least 0
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    powers = np.empty((len(a), 4, n, n), dtype=a.dtype)  # I, A^2, A^4, A^6
+    powers[:, 0] = np.eye(n)
+    np.matmul(a, a, out=powers[:, 1])
+    np.matmul(powers[:, 1], powers[:, 1], out=powers[:, 2])
+    np.matmul(powers[:, 2], powers[:, 1], out=powers[:, 3])
+    w = (_PADE13_SUMS @ powers.reshape(len(a), 4, n * n)).reshape(len(a), 4, n, n)
+    u = a @ (powers[:, 3] @ w[:, 0] + w[:, 1])
+    v = powers[:, 3] @ w[:, 2] + w[:, 3]
+    r = np.linalg.solve(v - u, v + u)
+    s_min, s_max = s.min(initial=0), s.max(initial=0)
+    for k in range(s_max):
+        squared = r @ r
+        r = squared if k < s_min else np.where((s > k)[:, None, None], squared, r)
+    return r.reshape(shape)
 
 
 def propagate_coherent(sup: CoherentSuperposition, e: np.ndarray, q: np.ndarray) -> CoherentSuperposition:

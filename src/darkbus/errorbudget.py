@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
 from .dynamics import SystemParams
 from .protocol import MEASURED_JOINT_FALSE_PASS, dmm_false_positive
 
@@ -154,13 +152,31 @@ def optimal_alpha(
 
     Loss grows like alpha^2 while the false-pass dilution falls off as the
     dark branch's occupation certainty improves, so the total has a single
-    interior minimum.
+    interior minimum, found by golden-section search on ``bounds``.  Near
+    the minimum the total is flat to rounding over about 1e-8 in alpha,
+    which bounds how closely any search on it can place the optimum.
     """
     params = params or SystemParams()
 
     def total(a):
         return predicted_infidelity(a, p_decode, p_bright_pass, params).total
 
-    res = minimize_scalar(total, bounds=bounds, method="bounded", options={"xatol": 1e-10})
-    best = float(res.x)
+    best = _golden_section(total, *bounds, xatol=1e-10)
     return best, predicted_infidelity(best, p_decode, p_bright_pass, params)
+
+
+def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of the unimodal f on [lo, hi], bracketed to within xatol."""
+    r = (math.sqrt(5) - 1) / 2
+    c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - r * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + r * (hi - lo)
+            fd = f(d)
+    return (lo + hi) / 2

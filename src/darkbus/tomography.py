@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import eval_genlaguerre, gammaln
 
 from . import codes, hilbert
 from .codes import LogicalBasis
@@ -65,26 +63,35 @@ class WignerGrid:
         return (self.re_beta[:, None] + 1j * self.im_beta[None, :]).ravel()
 
 
-def _kernel_stack(dim: int, betas: np.ndarray) -> np.ndarray:
-    """Stack of M(beta) kernels, shape (len(betas), dim, dim).
+def _kernel_triangle(dim: int, betas: np.ndarray) -> np.ndarray:
+    """The kernels M(beta) = D(2 beta) P on and below the diagonal, shape
+    (len(betas), dim (dim + 1) / 2): column j holds M[m, n] for the j-th
+    pair (n, m) of ``np.triu_indices(dim)``, so n runs slowest and m >= n.
 
     Cahill-Glauber form: for m >= n and z = 2 beta,
     <m|D(z)|n> = sqrt(n!/m!) z^(m-n) e^(-|z|^2/2) L_n^(m-n)(|z|^2),
-    and M[m, n] = <m|D(z)|n> (-1)^n.  M is hermitian, so the upper triangle
-    is the conjugate of the lower one.
+    and M[m, n] = <m|D(z)|n> (-1)^n.  M is hermitian, so M[n, m] is the
+    conjugate.  The log-factorials come from a cumulative sum, and the
+    Laguerre polynomials from the three-term recurrence
+    (n + 1) L_(n+1)^(k) = (2n + 1 + k - x) L_n^(k) - (n + k) L_(n-1)^(k),
+    for every order k < dim - n at once: its n-th step is the n-th run of
+    columns.
     """
     z = 2 * np.asarray(betas, dtype=complex).reshape(-1, 1)
-    m, n = np.tril_indices(dim)
     x = np.abs(z) ** 2
-    lower = (
-        np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)) - x / 2)
-        * z ** (m - n)
-        * eval_genlaguerre(n, m - n, x)
-        * (-1.0) ** n
-    )
-    out = np.empty((len(z), dim, dim), dtype=complex)
-    out[:, n, m] = lower.conj()
-    out[:, m, n] = lower
+    k = np.arange(dim)
+    lag = [np.ones((len(z), dim)), 1 + k[:-1] - x]  # L_n^(k)(x) for k < dim - n
+    for j in range(1, dim - 1):
+        kj = k[:dim - j - 1]
+        step = (2 * j + 1 + kj - x) * lag[j][:, :-1] - (j + kj) * lag[j - 1][:, :-2]
+        lag.append(step / (j + 1))
+    n, m = np.triu_indices(dim)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
+    real = np.exp(0.5 * (log_fact[n] - log_fact[m]) - x / 2)
+    real *= np.concatenate(lag, axis=1)
+    real *= (-1.0) ** n
+    out = (z ** k)[:, m - n]
+    out *= real
     return out
 
 
@@ -93,14 +100,17 @@ class _ForwardMap:
 
     The coordinates of a hermitian rho are its diagonal and the real and
     imaginary parts of its upper triangle; row k holds M_k's diagonal and
-    2 Re, 2 Im of its upper triangle.  The adjoint is the transpose product.
+    2 Re, 2 Im of its upper triangle, the conjugate of what
+    :func:`_kernel_triangle` gives below it.  The adjoint is the transpose
+    product.
     """
 
     def __init__(self, dim: int, betas: np.ndarray):
-        ops = _kernel_stack(dim, betas)
-        self._dim, self._iu = dim, np.triu_indices(dim, 1)
-        upper = 2 * ops[:, self._iu[0], self._iu[1]]
-        self.matrix = np.concatenate([np.einsum("kii->ki", ops).real, upper.real, upper.imag], axis=1)
+        tri = _kernel_triangle(dim, betas)
+        n, m = np.triu_indices(dim)
+        self._dim, self._iu = dim, np.triu_indices(dim, 1)  # the pairs n < m, in order
+        upper = tri[:, n < m]
+        self.matrix = np.concatenate([tri[:, n == m].real, 2 * upper.real, -2 * upper.imag], axis=1)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         """Re Tr(M_k rho) for every k: the hermitian part of rho is used."""
@@ -418,11 +428,75 @@ def optimize_basis(state, dims: tuple[int, int]) -> OptimizedBasis:
 
     x0 = np.array([math.sqrt(n_mean), 0.0, 0.0])
     simplex = np.array([x0, x0 + [0.15, 0, 0], x0 + [0, 0.25, 0], x0 + [0, 0, 0.25]])
-    res = minimize(
-        neg_fid,
-        x0,
-        method="Nelder-Mead",
-        options={"initial_simplex": simplex, "xatol": 1e-7, "fatol": 1e-12, "maxiter": 2000},
-    )
+    res = _nelder_mead(neg_fid, simplex, xatol=1e-7, fatol=1e-12, maxiter=2000)
     basis = LogicalBasis(abs(res.x[0]), theta_k=res.x[1], theta_r=res.x[2])
-    return OptimizedBasis(basis=basis, fidelity=-res.fun, x=res.x, success=bool(res.success))
+    return OptimizedBasis(basis=basis, fidelity=-res.fun, x=res.x, success=res.success)
+
+
+@dataclass
+class _SimplexResult:
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+
+
+def _nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int) -> _SimplexResult:
+    """Minimize f from an (N+1, N) initial simplex by Nelder-Mead.
+
+    The non-adaptive method as ``scipy.optimize.minimize(method=
+    "Nelder-Mead")`` runs it, step for step: reflection, expansion,
+    contraction and shrink coefficients 1, 2, 1/2 and 1/2, the vertices
+    re-sorted by ``np.argsort`` after every iteration, and a stop once every
+    vertex lies within ``xatol`` of the best in each coordinate and within
+    ``fatol`` of it in value.  ``success`` is False when ``maxiter``
+    iterations run out first.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.array([f(x.copy()) for x in sim])
+    nfev = n + 1
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    iterations = 1
+    while iterations < maxiter:
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract, outside the worst vertex or inside it
+            outside = fxr < fsim[-1]
+            if outside:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+            fxc = f(xc)
+            nfev += 1
+            if fxc <= fxr if outside else fxc < fsim[-1]:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j].copy())
+                nfev += n
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return _SimplexResult(
+        x=sim[0], fun=np.min(fsim), nfev=nfev, nit=iterations,
+        success=iterations < maxiter,
+    )

@@ -10,10 +10,14 @@ protocol's initial cat product, free-Kerr evolution, the codewords, Bell
 ket and basis-fit objective in their longer forms, the vacuum check
 applied to a materialized density matrix through explicit projectors,
 expectation values, master-equation expectation values at given times,
-the Liouvillian's action by sparse matrix products, the master equation
+the Liouvillian's action by matrix products, the master equation
 propagated by scipy on the assembled sparse Liouvillian, and the
 heralding attempt propagated by the master equation through all three
-windows.
+windows.  scipy is also the reference for each numerical routine the
+library implements itself: the matrix exponential, the displaced-parity
+kernels from its Laguerre polynomials and log-gamma (and the full kernel
+matrices assembled from the library's triangle), the root and
+bounded-minimum searches, and Nelder-Mead.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
+import scipy.special
 
 from darkbus import dynamics, hilbert, tomography
 from darkbus.codes import Codewords, LogicalBasis
@@ -60,9 +65,81 @@ def displacement(dim: int, beta: complex) -> np.ndarray:
     return scipy.linalg.expm(beta * a.conj().T - np.conj(beta) * a)
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy's matrix exponential of each matrix in a stack."""
+    return scipy.linalg.expm(a)
+
+
+def kernel_triangle_scipy(dim: int, betas: np.ndarray) -> np.ndarray:
+    """``tomography._kernel_triangle`` from scipy's generalized Laguerre
+    polynomials and log-gamma: sqrt(n!/m!) z^(m-n) e^(-|z|^2/2)
+    L_n^(m-n)(|z|^2) (-1)^n, z = 2 beta, for the pairs (n, m) of
+    ``np.triu_indices(dim)``."""
+    z = 2 * np.asarray(betas, dtype=complex).reshape(-1, 1)
+    n, m = np.triu_indices(dim)
+    x = np.abs(z) ** 2
+    return (
+        np.exp(0.5 * (scipy.special.gammaln(n + 1) - scipy.special.gammaln(m + 1)) - x / 2)
+        * z ** (m - n)
+        * scipy.special.eval_genlaguerre(n, m - n, x)
+        * (-1.0) ** n
+    )
+
+
+def kernel_stack(dim: int, betas: np.ndarray) -> np.ndarray:
+    """The full hermitian kernels M(beta), shape (len(betas), dim, dim),
+    from the library's triangle and its conjugate."""
+    tri = tomography._kernel_triangle(dim, betas)
+    n, m = np.triu_indices(dim)
+    out = np.empty((len(tri), dim, dim), dtype=complex)
+    out[:, n, m] = tri.conj()
+    out[:, m, n] = tri
+    return out
+
+
+def auto_dump_time_brentq(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> float:
+    """First time the critical or overdamped bright mode has |u| = residual_tol,
+    by scipy's brentq on the bracket ``dynamics.auto_dump_time`` starts
+    from, to its xtol of 1e-16 s."""
+    slow, _ = dynamics.damping_rates(g_bs, kappa_b)
+    t_hi = math.log(2.0 / residual_tol) / abs(slow.real)
+
+    def f(t):
+        return abs(float(dynamics.bright_mode_response(g_bs, kappa_b, t)[0])) - residual_tol
+
+    while f(t_hi) > 0:
+        t_hi *= 2
+    return float(scipy.optimize.brentq(f, 1e-12, t_hi, xtol=1e-16))
+
+
+def optimal_alpha_bounded(params: SystemParams | None = None, **budget) -> float:
+    """The cat amplitude minimizing the three-term budget total, by scipy's
+    bounded Brent search on (0.3, 3) with xatol 1e-10."""
+    from darkbus import errorbudget
+
+    def total(a):
+        return errorbudget.predicted_infidelity(a, params=params, **budget).total
+
+    res = scipy.optimize.minimize_scalar(
+        total, bounds=(0.3, 3.0), method="bounded", options={"xatol": 1e-10}
+    )
+    return float(res.x)
+
+
+def nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int):
+    """scipy's Nelder-Mead from an initial simplex."""
+    simplex = np.asarray(simplex, dtype=float)
+    return scipy.optimize.minimize(
+        f,
+        simplex[0],
+        method="Nelder-Mead",
+        options={"initial_simplex": simplex, "xatol": xatol, "fatol": fatol, "maxiter": maxiter},
+    )
+
+
 def displaced_parity(dim: int, beta: complex) -> np.ndarray:
     """The hermitian kernel M(beta) = D(2 beta) P truncated to dim."""
-    return tomography._kernel_stack(dim, np.array([beta]))[0]
+    return kernel_stack(dim, np.array([beta]))[0]
 
 
 def coherent_copying(dim: int, alpha: complex, normalized: bool = True) -> np.ndarray:
@@ -106,7 +183,7 @@ def embed(space: HilbertSpace, parts: dict, sparse: bool = False):
 
     ``parts`` maps mode label -> single-mode matrix; every unnamed mode gets
     the identity.  The result is a dense array, or a CSR matrix with
-    ``sparse=True`` (what the master-equation builders use).
+    ``sparse=True``.
     """
     factors = []
     for lb, d in zip(space.labels, space.dims):

@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
+import darkbus
 from darkbus import cli, protocol
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import VacuumCheckModel
@@ -15,6 +19,20 @@ from darkbus.protocol import VacuumCheckModel
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+def test_no_scipy_on_the_import_path():
+    """The library and its CLI import numpy and yaml only: in a fresh
+    interpreter, importing both loads no scipy module."""
+    path = [str(Path(darkbus.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import sys, darkbus, darkbus.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def read_manifest(out_dir):
@@ -38,7 +56,7 @@ def test_multiround_writes_manifest(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert m["summary"]["rate_hz"] == pytest.approx(43459.365493263795)
     assert m["params"]["alpha"] == pytest.approx(math.sqrt(2))
-    assert m["versions"]["scipy"] == scipy.__version__
+    assert m["versions"] == {"python": sys.version.split()[0], "numpy": np.__version__}
     header = (out / "multiround.csv").read_text().splitlines()[0]
     assert header == (
         "p_success,t_attempt_s,t_reset_s,mean_attempts,"

@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -21,10 +20,12 @@ from darkbus import dynamics, hilbert
 from darkbus.dynamics import SystemParams
 from oracles import (
     MODE_LABELS,
+    auto_dump_time_brentq,
     coherent_trace,
     embed,
     expect,
     expect_trajectory,
+    expm,
     lindblad_action,
     liouvillian_evolve,
     materialize_coherent,
@@ -152,6 +153,25 @@ def test_auto_dump_time_empties_the_bright_mode():
         assert abs(u) <= 1.0001e-4
 
 
+@pytest.mark.parametrize("kappa_b", [dynamics.critical_kappa(G), 1.2e6, 2000e3, 5e6])
+def test_auto_dump_time_matches_brentq(kappa_b):
+    """Critical and overdamped: the bracket search lands within brentq's own
+    tolerance (xtol 1e-16 s plus 4 ulp) of scipy's root, where |u| equals
+    residual_tol to rounding."""
+    t = dynamics.auto_dump_time(G, kappa_b)
+    ref = auto_dump_time_brentq(G, kappa_b)
+    assert abs(t - ref) <= 1e-16 + 4 * np.finfo(float).eps * ref
+    u = abs(dynamics.bright_mode_response(G, kappa_b, t)[0])
+    assert u == pytest.approx(1e-4, rel=1e-12, abs=0)
+
+
+def test_auto_dump_time_refuses_an_overflowing_response():
+    """Far overdamped, the closed-form response overflows (inf * 0) before
+    it decays; the search reports that instead of bisecting on NaN."""
+    with np.errstate(all="ignore"), pytest.raises(hilbert.NumericalError, match="overflows"):
+        dynamics.auto_dump_time(G, 20e6)
+
+
 # ---------------------------------------------------------------------------
 # Langevin trajectories
 # ---------------------------------------------------------------------------
@@ -243,23 +263,23 @@ def test_network_operators_match_hand_built_krons(dims):
     m = (2 * math.pi * G) * ((a1 + a2) @ b.conj().T)
 
     h, c_ops = dynamics.network_operators(dynamics.coupling_matrix(G), (g1, kappa, g2), dims)
-    assert np.array_equal(h.toarray(), m + m.conj().T)
+    assert np.array_equal(h, m + m.conj().T)
     expected = [math.sqrt(g1) * a1, math.sqrt(kappa) * b, math.sqrt(g2) * a2]
     assert len(c_ops) == 3
     for c, ref in zip(c_ops, expected):
-        assert np.array_equal(c.toarray(), ref)
+        assert np.array_equal(c, ref)
 
     # a lossless mode gets no collapse operator; no coupling, no Hamiltonian
     h0, c_ops = dynamics.network_operators(np.zeros((3, 3)), (0.0, kappa, 0.0), dims)
-    assert h0.nnz == 0 and h0.shape == h.shape
-    assert len(c_ops) == 1 and np.array_equal(c_ops[0].toarray(), math.sqrt(kappa) * b)
+    assert not h0.any() and h0.shape == h.shape
+    assert len(c_ops) == 1 and np.array_equal(c_ops[0], math.sqrt(kappa) * b)
 
     kerr = (-23e3, -7e3)
     n1, n2 = (a.conj().T @ a for a in (a1, a2))
     ref = sum(
         2 * math.pi * k / 2 * n @ (n - np.eye(len(n))) for k, n in zip(kerr, (n1, n2))
     )
-    assert_allclose(dynamics.kerr_hamiltonian(dims, kerr).toarray(), ref, rtol=1e-15, atol=0)
+    assert_allclose(dynamics.kerr_hamiltonian(dims, kerr), ref, rtol=1e-15, atol=0)
 
 
 def _small_system():
@@ -391,14 +411,18 @@ def test_lindblad_never_touches_the_global_rng(monkeypatch):
 def _apply_twice(k_op, cs, r):
     """The diagonal-by-diagonal action on r, then on its own result, with the
     two buffers swapped as the Taylor loop swaps them."""
-    liou = dynamics._Liouvillian(k_op, cs)
+    k_diagonals = dict(dynamics._diagonals(k_op))
+    kd = k_diagonals.pop(0, np.zeros(len(k_op), dtype=complex))
+    liou = dynamics._Liouvillian(
+        kd, list(k_diagonals.items()), [dynamics._diagonals(c) for c in cs]
+    )
     src, dst = liou.buffer(), liou.buffer()
     liou.view(src)[...] = r
     once = liou.apply(src, dst).copy()
     return once, liou.apply(dst, src)
 
 
-def _assert_matches_sparse_products(k_op, cs, r):
+def _assert_matches_matrix_products(k_op, cs, r):
     act = lindblad_action(k_op, cs)
     expected_once = act(r.ravel()).reshape(r.shape)
     expected_twice = act(expected_once.ravel()).reshape(r.shape)
@@ -415,7 +439,7 @@ def _assert_matches_sparse_products(k_op, cs, r):
 )
 def test_liouvillian_matches_sparse_products(dims, seed, kerr, hermitian):
     """K r + r K^dag + sum c r c^dag one diagonal at a time equals the same
-    action by sparse matrix products: random Hermitian couplings, some decay
+    action by matrix products: random Hermitian couplings, some decay
     rates 0, with and without self-Kerr, Hermitian and general r."""
     rng = np.random.default_rng(seed)
     n = len(dims)
@@ -425,20 +449,20 @@ def test_liouvillian_matches_sparse_products(dims, seed, kerr, hermitian):
     if kerr:
         for k, d in enumerate(dims):
             m = np.arange(d)
-            h = h + dynamics._on_mode(dims, k, np.diag(rng.normal() * m * (m - 1) / 2))
-    k_op = -1j * h - rng.normal() * scipy.sparse.identity(h.shape[0])
+            h = h + dynamics._on_modes(dims, {k: np.diag(rng.normal() * m * (m - 1) / 2)})
+    k_op = -1j * h - rng.normal() * np.eye(len(h))
     for c in c_ops:
         k_op = k_op - 0.5 * (c.conj().T @ c)
     dim = h.shape[0]
     r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     if hermitian:
         r = r + r.conj().T
-    _assert_matches_sparse_products(scipy.sparse.csr_matrix(k_op), c_ops, r)
+    _assert_matches_matrix_products(k_op, c_ops, r)
 
 
 def test_lindblad_dense_operators_with_every_diagonal():
     """A dense random H and a dense collapse operator, every diagonal nonzero:
-    the action still matches the sparse products and the propagation the
+    the action still matches the matrix products and the propagation the
     assembled Liouvillian."""
     rng = np.random.default_rng(11)
     dim = 5
@@ -448,9 +472,7 @@ def test_lindblad_dense_operators_with_every_diagonal():
     assert np.all(h != 0) and np.all(c != 0)
     k_op = -1j * h - 0.5 * c.conj().T @ c
     r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    _assert_matches_sparse_products(
-        scipy.sparse.csr_matrix(k_op), [scipy.sparse.csr_matrix(c)], r
-    )
+    _assert_matches_matrix_products(k_op, [c], r)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 /= np.linalg.norm(psi0)
     rho = dynamics.lindblad_evolve(h, [c], psi0, 0.5).final.dm()
@@ -463,6 +485,40 @@ def test_lindblad_names_a_misshaped_operator():
         dynamics.lindblad_evolve(np.eye(4), [np.eye(3)], rho, 1e-6)
     with pytest.raises(ValueError, match="square Hamiltonian H, got shape \\(4, 5\\)"):
         dynamics.lindblad_evolve(np.ones((4, 5)), [], rho, 1e-6)
+
+
+def test_lindblad_copies_a_ket_state_once(monkeypatch):
+    """A ket's density matrix is built once and evolved in place, with no
+    second copy; a density matrix the caller holds is copied once and left
+    untouched.  Building the ket's matrix costs no more memory than that
+    copy: both solves peak within a few vectors of each other."""
+    dims = (6, 4, 6)
+    h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
+    space = hilbert.HilbertSpace(dims, MODE_LABELS)
+    psi0 = product_ket(
+        space, {"cav1": hilbert.coherent(6, 0.5), "cav2": hilbert.coherent(6, -0.5)}
+    )
+    rho0 = psi0.dm()
+    built = []
+    as_dm = hilbert.as_dm
+
+    def recording_as_dm(state):
+        built.append(as_dm(state))
+        return built[-1]
+
+    monkeypatch.setattr(hilbert, "as_dm", recording_as_dm)
+
+    peaks = []
+    for state in (psi0, rho0):
+        tracemalloc.start()
+        try:
+            out = dynamics.lindblad_evolve(h, c_ops, state, 2e-6).final.data
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(out, built[-1]) == (state is psi0)
+    assert np.array_equal(rho0, psi0.dm())
+    assert abs(peaks[0] - peaks[1]) <= 16 * space.dim * 16
 
 
 def test_lindblad_working_memory_stays_small():
@@ -515,6 +571,16 @@ def test_transfer_monotone_in_loss():
     assert eta_low > eta_high
 
 
+def test_transfer_efficiency_takes_arrays_of_times():
+    """Arrays of hold times give, in one propagator call per stage, exactly
+    the efficiencies of one call per pair of times."""
+    t1 = np.linspace(1e-9, 3e-6, 13)
+    t2 = t1[::-1].copy()
+    res = dynamics.transfer_efficiency(G, 600e3, t1=t1, t2=t2)
+    expected = [dynamics.transfer_efficiency(G, 600e3, t1=a, t2=b).eta for a, b in zip(t1, t2)]
+    assert np.array_equal(res.eta, expected)
+
+
 def test_transfer_optimum_is_two_propagators(monkeypatch):
     """The optimum is closed form: one propagator per stage, no search."""
     calls = []
@@ -548,12 +614,12 @@ def _transfer_eta_master_equation(kappa_b, t1, t2):
     g = 2 * math.pi * G
 
     def swap(cav):
-        m = embed(space, {cav: a, "bus": a.conj().T}, sparse=True)
+        m = embed(space, {cav: a, "bus": a.conj().T})
         return g * (m + m.conj().T)
 
     c_ops = []
     if kappa_b > 0:
-        b = embed(space, {"bus": a}, sparse=True)
+        b = embed(space, {"bus": a})
         c_ops = [math.sqrt(2 * math.pi * kappa_b) * b]
     psi0 = product_ket(space, {"cav1": hilbert.fock(2, 1)})
     r1 = dynamics.lindblad_evolve(swap("cav1"), c_ops, psi0, t1)
@@ -580,6 +646,43 @@ def test_linear_propagator_lossless():
     e, q = dynamics.linear_propagator(a, [0.0, 0.0], 1.3e-6)
     assert_allclose(e @ e.conj().T, np.eye(2), atol=1e-12)
     assert_allclose(q, np.zeros((2, 2)), atol=1e-12)
+
+
+def _network_generator(kappa_b, cavity_loss=True):
+    """-iA - Gamma/2 of the three-mode network at the reference coupling."""
+    gammas = np.array([1 / 385e-6, dynamics.TWO_PI * kappa_b, 1 / 520e-6])
+    if not cavity_loss:
+        gammas[[0, 2]] = 0.0
+    return -1j * dynamics.coupling_matrix(G) - np.diag(gammas) / 2, gammas
+
+
+@pytest.mark.parametrize(
+    "kappa_b, cavity_loss",
+    [(600e3, True), (0.0, True), (0.0, False), (dynamics.critical_kappa(G), True), (3e6, True)],
+)
+def test_expm_matches_scipy(kappa_b, cavity_loss):
+    """Pade-13 scaling and squaring against scipy's expm: the 121-time
+    phase-sweep grid (t = 0 gives the identity exactly), a lossless bus,
+    no loss at all, exactly critical damping, a strongly overdamped bus,
+    and t ||M||_1 near 150, five times the longest window the protocol
+    uses.  Both round off about 3e-17 per unit of t ||M||_1 in squaring."""
+    m, _ = _network_generator(kappa_b, cavity_loss)
+    times = np.linspace(0.0, 8e-6, 121)
+    stack = m * times[:, None, None]
+    assert_allclose(dynamics._expm(stack), expm(stack), rtol=0, atol=1e-14)
+    assert np.array_equal(dynamics._expm(stack)[0], np.eye(3))
+    t_long = 150 / np.abs(m).sum(axis=0).max()
+    assert_allclose(dynamics._expm(m * t_long), expm(m * t_long), rtol=0, atol=1e-14)
+
+
+def test_uncoupled_propagator_is_the_exact_diagonal():
+    """With A = 0 the propagator is diag(e^{-gamma t/2}), bit for bit what
+    scipy's expm returns for a diagonal matrix, on a stack of times too."""
+    _, gammas = _network_generator(600e3)
+    m = -np.diag(gammas).astype(complex) / 2
+    for t in (0.0, 0.8e-6, np.linspace(0.0, 8e-6, 7)):
+        e, _ = dynamics.linear_propagator(np.zeros((3, 3)), gammas, t)
+        assert np.array_equal(e, expm(m * np.asarray(t)[..., None, None]))
 
 
 def test_linear_propagator_stacks_times():

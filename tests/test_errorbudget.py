@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from darkbus import errorbudget
 from darkbus.dynamics import SystemParams
+from oracles import optimal_alpha_bounded
 
 
 def test_photon_loss_scaling():
@@ -84,6 +86,30 @@ def test_optimal_alpha():
     # it is a genuine interior minimum of the three-term total
     for probe in (best - 0.05, best + 0.05):
         assert errorbudget.predicted_infidelity(probe).total > bud.total
+
+
+@pytest.mark.parametrize(
+    "params, budget",
+    [
+        (SystemParams(), {}),
+        (SystemParams(t1_cavity=(38.5e-6, 52e-6)), {}),
+        (SystemParams(t_protocol=11e-6), {"p_decode": 0.02, "p_bright_pass": 0.01}),
+        (SystemParams(t1_cavity=(1e-3, 1e-3)), {"p_decode": 0.0, "p_bright_pass": 0.05}),
+    ],
+)
+def test_optimal_alpha_matches_bounded_brent(params, budget):
+    """Golden section against scipy's bounded Brent search on the same total.
+
+    Near its minimum the total is flat to rounding (f'' d^2 / 2 < eps f) for
+    |d| up to about 1e-8, so there any search compares rounding noise: the
+    two land within 1e-8 of each other (the 40-digit minimizer lies within
+    9e-9 of golden section and 1.7e-9 of Brent on these cases) and at the
+    same total to a few ulp."""
+    best, bud = errorbudget.optimal_alpha(params, **budget)
+    ref = optimal_alpha_bounded(params, **budget)
+    assert best == pytest.approx(ref, rel=0, abs=1e-8)
+    ref_total = errorbudget.predicted_infidelity(ref, params=params, **budget).total
+    assert bud.total <= ref_total * (1 + 4 * np.finfo(float).eps)
 
 
 def test_budget_monotonic_pieces():

@@ -158,7 +158,7 @@ def test_amplitude_damp_on_one_mode_matches_master_equation(dims, axis_pick, gt,
     rho = g @ g.conj().T
     rho /= np.trace(rho)
     space = HilbertSpace(dims)
-    a = embed(space, {space.labels[axis]: hilbert.destroy(dims[axis])}, sparse=True)
+    a = embed(space, {space.labels[axis]: hilbert.destroy(dims[axis])})
     t = gt / rate
     ref = dynamics.lindblad_evolve(
         0 * a, [math.sqrt(rate) * a], QuantumState(rho, space), t

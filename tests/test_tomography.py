@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre
 
 from darkbus import cli, codes, dynamics, hilbert, protocol, tomography
@@ -15,9 +14,12 @@ from darkbus.tomography import WignerData, WignerGrid
 from oracles import (
     cat,
     displaced_parity,
+    kernel_stack,
+    kernel_triangle_scipy,
     kerr_twist_angle,
     kerr_unitary,
     materialize_coherent,
+    nelder_mead,
     optimize_basis_reference,
 )
 
@@ -93,6 +95,17 @@ def test_kernel_matches_high_precision_at_grid_corners():
         assert_allclose(m, m.conj().T, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 12, 40])
+def test_kernel_recurrence_matches_scipy_laguerre(dim):
+    """The Laguerre recurrence and cumulative-sum log-factorials against
+    scipy's eval_genlaguerre and gammaln, over the default grid, whose
+    corners reach |beta| = 2 sqrt 2."""
+    betas = WignerGrid.default().betas
+    assert np.abs(betas).max() == pytest.approx(2 * math.sqrt(2))
+    got = tomography._kernel_triangle(dim, betas)
+    assert_allclose(got, kernel_triangle_scipy(dim, betas), rtol=0, atol=1e-12)
+
+
 def test_kernel_truncation_invariance():
     """Each entry is exact in the truncated space: a larger dim only adds entries."""
     for beta in (0.0, 0.45 - 1.3j, 2.0 + 2.0j, -2.0 - 1.5j):
@@ -108,7 +121,7 @@ def test_forward_map_and_adjoint_match_trace():
     rng = np.random.default_rng(3)
     dim = 9
     betas = WignerGrid.default(2.0, 0.5).betas
-    ops = tomography._kernel_stack(dim, betas)
+    ops = kernel_stack(dim, betas)
     forward = tomography._ForwardMap(dim, betas)
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = x @ x.conj().T
@@ -319,7 +332,7 @@ def test_mle_first_order_optimality(counts):
     res = tomography.mle_density(data, dim=10, tol=tol)
     assert res.converged and res.n_iter < 200
 
-    kernels = tomography._kernel_stack(10, data.betas)
+    kernels = kernel_stack(10, data.betas)
     w = np.einsum("kij,ji->k", kernels, res.rho).real
     if counts:
         p = (1 + w) / 2
@@ -464,16 +477,43 @@ def test_optimize_basis_matches_reference_objective(dims):
     assert fit.success == ref.success
 
 
+@pytest.mark.parametrize("maxiter", [2000, 40])
+def test_nelder_mead_reproduces_scipy(maxiter):
+    """On tomo-demo's pair and basis-fit objective, the port takes scipy's
+    steps exactly: the same x, value, evaluation and iteration counts and
+    success flag, which is False when maxiter runs out first."""
+    pair = _tomo_demo_pair((12, 12))
+    rho = hilbert.as_dm(pair)
+
+    def neg_fid(x):
+        alpha, theta_k, theta_r = x
+        if alpha < 0.05:
+            return 1.0 + abs(alpha)
+        words = LogicalBasis(alpha, theta_k=theta_k, theta_r=theta_r).codewords(12)
+        bell = codes.bell_state(words, words)
+        return -float(np.real(bell.conj() @ rho @ bell))
+
+    x0 = np.array([_mean_amplitude(pair, (12, 12)), 0.0, 0.0])
+    simplex = np.array([x0, x0 + [0.15, 0, 0], x0 + [0, 0.25, 0], x0 + [0, 0, 0.25]])
+    got = tomography._nelder_mead(neg_fid, simplex, xatol=1e-7, fatol=1e-12, maxiter=maxiter)
+    ref = nelder_mead(neg_fid, simplex, xatol=1e-7, fatol=1e-12, maxiter=maxiter)
+    assert np.array_equal(got.x, ref.x)
+    assert got.fun == ref.fun
+    assert (got.nfev, got.nit, got.success) == (ref.nfev, ref.nit, ref.success)
+    assert got.success == (maxiter == 2000)
+
+
 def test_optimize_basis_one_search_matches_four_starts(monkeypatch):
     """One search from the state's mean amplitude reaches the best of the
     four Kerr-angle starts on heralded, self-Kerr and twisted pairs."""
     searches = []
+    nelder_mead = tomography._nelder_mead
 
-    def counting_minimize(*args, **kwargs):
+    def counting_nelder_mead(*args, **kwargs):
         searches.append(1)
-        return minimize(*args, **kwargs)
+        return nelder_mead(*args, **kwargs)
 
-    monkeypatch.setattr(tomography, "minimize", counting_minimize)
+    monkeypatch.setattr(tomography, "_nelder_mead", counting_nelder_mead)
     kerr_pair = protocol.run_dmm(
         dynamics.SystemParams(alpha=0.8, dims=(6, 4, 6)), engine="lindblad", include_kerr=True
     ).rho_pass
