@@ -15,7 +15,7 @@ multiround), :mod:`.tomography` (Wigner maps, MLE, basis fitting),
 """
 
 from . import codes, dynamics, errorbudget, hilbert, protocol, tomography
-from .codes import Codewords, LogicalBasis, bell_state, logical_paulis
+from .codes import Codewords, LogicalBasis, bell_state
 from .dynamics import (
     SystemParams,
     auto_dump_time,
@@ -69,7 +69,6 @@ __all__ = [
     "Codewords",
     "LogicalBasis",
     "bell_state",
-    "logical_paulis",
     "SystemParams",
     "auto_dump_time",
     "classify_regime",

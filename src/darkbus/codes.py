@@ -15,6 +15,9 @@ so the computational basis is |0/1>_L = (|+>_L ± |->_L)/sqrt(2) and
 
     X_L = |+><+| - |-><-| ,   Z_L = |+><-| + |-><+| ,   Y_L = i X_L Z_L .
 
+On the amplitudes (c0, c1) of c0|0>_L + c1|1>_L these act as the 2x2 Paulis
+sigma_x, sigma_z and sigma_y.
+
 An analysis basis may additionally carry a Kerr twist and a rotation,
 
     |±>_L(alpha, th_k, th_r) ~ e^{i th_r n} e^{i (th_k/2) n(n-1)} [Pi_novac] (|alpha> ± |-alpha>),
@@ -88,21 +91,6 @@ def codewords(basis: LogicalBasis, dim: int) -> Codewords:
     if np_ == 0 or nm_ == 0:
         raise hilbert.NumericalError(f"codewords vanish at alpha={a}")
     return Codewords(plus / np_, minus / nm_, basis, dim)
-
-
-def logical_paulis(words: Codewords) -> dict:
-    """Logical operators as dim x dim matrices, zero outside the codespace.
-
-    'I' is the codespace projector, so Tr(rho @ paulis['I']) < 1 measures
-    leakage out of the code.
-    """
-    p, m = words.plus, words.minus
-    pp = np.outer(p, p.conj())
-    mm = np.outer(m, m.conj())
-    pm = np.outer(p, m.conj())
-    x = pp - mm
-    z = pm + pm.conj().T
-    return {"I": pp + mm, "X": x, "Z": z, "Y": 1j * x @ z}
 
 
 def bell_state(words1: Codewords, words2: Codewords) -> np.ndarray:

@@ -254,13 +254,19 @@ def t_swap(g_bs: float) -> float:
 def bright_mode_response(g_bs: float, kappa_b: float, times) -> np.ndarray:
     """Normalized bright-cavity amplitude u(t) with u(0)=1, bus empty.
 
-    Closed form of the damped-oscillator initial-value problem:
-    u = e^{-kt/4} [cos(nu t) + (k/4 nu) sin(nu t)], nu^2 = 2 g^2 - k^2/16,
-    valid in all three regimes via the complex branch of nu.
+    Closed form of the damped-oscillator initial-value problem.  Underdamped
+    and critical: u = e^{-kt/4} [cos(nu t) + (k/4 nu) sin(nu t)],
+    nu^2 = 2 g^2 - k^2/16, through the complex branch of nu near critical.
+    Overdamped: u = (f e^{s t} - s e^{f t}) / (f - s) with the two real
+    amplitude rates (s, f) of :func:`damping_rates`; every exponent is <= 0,
+    so u stays finite however large kappa_b is.
     """
     g = TWO_PI * g_bs
     k = TWO_PI * kappa_b
     t = np.atleast_1d(np.asarray(times, dtype=float))
+    if classify_regime(g_bs, kappa_b) == "overdamped":
+        s, f = (r.real for r in damping_rates(g_bs, kappa_b))
+        return (f * np.exp(s * t) - s * np.exp(f * t)) / (f - s)
     nu = np.sqrt(complex(2 * g**2 - (k / 4) ** 2))
     if abs(nu) < 1e-12:  # exactly critical: sin(nu t)/nu -> t
         u = np.exp(-k * t / 4) * (1 + k * t / 4)
@@ -287,11 +293,8 @@ def auto_dump_time(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> f
     if rate == 0:
         raise NumericalError("dynamics: bright mode does not decay (kappa_b = 0)")
     t_hi = math.log(2.0 / residual_tol) / rate
-    f = lambda t: abs(float(bright_mode_response(g_bs, kappa_b, t)[0])) - residual_tol
-    while (f_hi := f(t_hi)) > 0:
+    while abs(float(bright_mode_response(g_bs, kappa_b, t_hi)[0])) > residual_tol:
         t_hi *= 2
-    if math.isnan(f_hi):
-        raise NumericalError("dynamics: bright-mode response overflows before it decays")
     # |u| falls monotonically here: cut the bracket into 32 cells, keep the
     # one where it crosses, and repeat until the bracket stops shrinking
     lo, hi = 1e-12, t_hi

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codes, dynamics, hilbert, tomography
+from . import codes, dynamics, hilbert
 from .codes import Codewords, LogicalBasis
 from .dynamics import CoherentSuperposition, SystemParams
 from .hilbert import HilbertSpace, NumericalError, QuantumState
@@ -481,6 +481,15 @@ def phase_sweep(alpha: float, phis, times, g_bs: float, kappa_b: float) -> np.nd
 # wrong entries here show up immediately as ideal-resource infidelity.
 CORRECTIONS = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
 
+# the logical Paulis (codes module docstring) on the amplitudes (c0, c1) of
+# c0|0>_L + c1|1>_L; each is hermitian, so it is its own correction
+_PAULIS = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+}
+
 CARDINAL_STATES = {
     "zero": (1.0, 0.0),
     "one": (0.0, 1.0),
@@ -523,9 +532,13 @@ def teleport(
     The transmon is never materialized.  Parity P is diagonal and the
     transmon enters only through its X readout, <b|m1|a> = s^(a+b) / 2 with
     s = -1 for m1 = 0 and +1 for m1 = 1, so gate and readout together act
-    on cavity 2 as K = c0 + s c1 P.  The unnormalized cavity-1 state of the
-    record (m1, m2) is Tr_2[O rho12] with O = K^dag M_m2 K / 2, where M_m2
-    is the decode element -- one contraction of the pair per record.
+    on cavity 2 as K = c0 + s c1 P.  The four record elements
+    O[m1, m2] = K^dag M_m2 K / 2, M_m2 the decode element, are stacked and
+    contracted with the pair at once, giving the unnormalized cavity-1 state
+    of every record; the readout errors mix those states along their record
+    axes.  The correction is scored in the logical frame: a logical Pauli
+    acts on the code as the 2x2 Pauli on the amplitudes (c0, c1), so
+    F = <v|rho1|v> / Tr rho1 with v the encoded sigma (c0, c1).
     """
     rho12 = hilbert.as_dm(resource)
     d1, d2 = words1.dim, words2.dim
@@ -537,49 +550,31 @@ def teleport(
         )
     c0, c1 = input_qubit
     norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError(f"input qubit must be finite and nonzero, got {input_qubit}")
     c0, c1 = c0 / norm, c1 / norm
 
-    # cavity-2 logical Z decode; leakage decodes 50/50
+    # cavity-2 logical Z decode, m2 = 0/1 for one/zero; leakage decodes 50/50
     pi_one = np.outer(words2.one, words2.one.conj())
     pi_zero = np.outer(words2.zero, words2.zero.conj())
     leak = np.eye(d2) - pi_one - pi_zero
-    m_c2 = {0: pi_one + 0.5 * leak, 1: pi_zero + 0.5 * leak}
-
-    paulis = codes.logical_paulis(words1)
-    target = words1.ket(c0, c1)
-
-    # unnormalized conditioned cavity-1 states
-    par2 = (-1.0) ** np.arange(d2)
-    ops = {}
-    for m1, s in ((0, -1.0), (1, 1.0)):
-        k = c0 + s * c1 * par2
-        for m2 in (0, 1):
-            ops[(m1, m2)] = 0.5 * k.conj()[:, None] * m_c2[m2] * k
-    split = tomography.conditional_decomposition(rho12, ops, (d1, d2))
-    cond = {key: rho1 for key, (_, rho1) in split.items()}
+    m_c2 = np.stack((pi_one, pi_zero)) + 0.5 * leak
+    k = c0 + np.array([[-1.0], [1.0]]) * c1 * (-1.0) ** np.arange(d2)  # (m1, n2)
+    ops = 0.5 * k.conj()[:, None, :, None] * m_c2 * k[:, None, None, :]
+    cond = np.einsum("ijkl,ablj->abik", rho12.reshape(d1, d2, d1, d2), ops)
 
     # classical readout errors mix the records, not the states
-    if p_flip_m1 > 0:
-        cond = {
-            (m1, m2): (1 - p_flip_m1) * cond[(m1, m2)] + p_flip_m1 * cond[(1 - m1, m2)]
-            for m1 in (0, 1)
-            for m2 in (0, 1)
-        }
-    if p_decode > 0:
-        cond = {
-            (m1, m2): (1 - p_decode) * cond[(m1, m2)] + p_decode * cond[(m1, 1 - m2)]
-            for m1 in (0, 1)
-            for m2 in (0, 1)
-        }
+    cond = (1 - p_flip_m1) * cond + p_flip_m1 * cond[::-1]
+    cond = (1 - p_decode) * cond + p_decode * cond[:, ::-1]
 
+    tr = np.real(np.trace(cond, axis1=2, axis2=3))
+    total = tr.sum()
     probs, fids = {}, {}
-    total = sum(np.real(np.trace(c)) for c in cond.values())
     f_qst = 0.0
-    for key, rho1 in cond.items():
-        p = float(np.real(np.trace(rho1))) / total
-        sigma = paulis[CORRECTIONS[key]]
-        corrected = sigma @ rho1 @ sigma.conj().T
-        f = float(np.real(target.conj() @ corrected @ target) / np.real(np.trace(rho1)))
+    for key, name in CORRECTIONS.items():
+        v = words1.ket(*(_PAULIS[name] @ (c0, c1)))
+        p = float(tr[key] / total)
+        f = float(np.real(v.conj() @ cond[key] @ v) / tr[key])
         probs[key], fids[key] = p, f
         f_qst += p * f
     return TeleportResult(probs=probs, fidelities=fids, f_qst=f_qst, input=(c0, c1))
@@ -690,17 +685,18 @@ def dual_rail_distill(rho_pair) -> tuple[float, np.ndarray]:
     modules, copy B likewise, and module k measures parity of (Ak, Bk)
     jointly.  Double-odd keeps only the both-copies-have-a-photon branch
     and projects it onto (|1001> + |0110>)/sqrt(2).
+
+    Both parity checks are diagonal in the Fock basis, so the heralded
+    state is the two-copy state with every entry zeroed whose row or column
+    has even A1 + B1 or even A2 + B2 photon number.
     """
     rho = hilbert.as_dm(rho_pair)
     d = int(round(math.sqrt(rho.shape[0])))
-    rho2 = np.kron(rho, rho)  # modes (A1, A2, B1, B2)
-    par = np.diag((-1.0) ** np.arange(d)).astype(complex)
-    eye = np.eye(d, dtype=complex)
-    p_mod1 = np.kron(np.kron(par, eye), np.kron(par, eye))
-    p_mod2 = np.kron(np.kron(eye, par), np.kron(eye, par))
-    full = np.eye(d**4)
-    pi = 0.25 * (full - p_mod1) @ (full - p_mod2)
-    heralded = pi @ rho2 @ pi
+    heralded = np.kron(rho, rho)  # modes (A1, A2, B1, B2)
+    a1, a2, b1, b2 = np.indices((d, d, d, d)).reshape(4, -1)
+    even = ((a1 + b1) % 2 == 0) | ((a2 + b2) % 2 == 0)
+    heralded[even] = 0
+    heralded[:, even] = 0
     p = float(np.real(np.trace(heralded)))
     return p, heralded / p if p > 0 else heralded
 

@@ -7,7 +7,9 @@ kernel at one point, cat kets and the copying coherent ket of one mode,
 labelled multi-mode operators and product kets assembled by Kronecker
 products, dense density matrices of coherent superpositions, the
 protocol's initial cat product, free-Kerr evolution, the codewords, Bell
-ket and basis-fit objective in their longer forms, the vacuum check
+ket and basis-fit objective in their longer forms, the logical Paulis as
+cavity matrices, dual-rail distillation by Kronecker-built parity
+projectors, the vacuum check
 applied to a materialized density matrix through explicit projectors,
 expectation values, master-equation expectation values at given times,
 the Liouvillian's action by matrix products, the master equation
@@ -293,6 +295,39 @@ def bell_state_kron(words1: Codewords, words2: Codewords) -> np.ndarray:
     """The logical singlet (|0 1> - |1 0>)/sqrt(2) from two Kronecker products."""
     ket = np.kron(words1.zero, words2.one) - np.kron(words1.one, words2.zero)
     return ket / np.linalg.norm(ket)
+
+
+def logical_paulis(words: Codewords) -> dict:
+    """Logical operators as dim x dim matrices, zero outside the codespace.
+
+    'I' is the codespace projector, so Tr(rho @ paulis['I']) < 1 measures
+    leakage out of the code.
+    """
+    p, m = words.plus, words.minus
+    pp = np.outer(p, p.conj())
+    mm = np.outer(m, m.conj())
+    pm = np.outer(p, m.conj())
+    x = pp - mm
+    z = pm + pm.conj().T
+    return {"I": pp + mm, "X": x, "Z": z, "Y": 1j * x @ z}
+
+
+def dual_rail_distill_kron(rho_pair):
+    """``protocol.dual_rail_distill`` through the projector onto double-odd
+    joint parity, (1 - P_1)(1 - P_2)/4, with each module's parity P_k a
+    Kronecker product over the modes (A1, A2, B1, B2)."""
+    rho = as_dm(rho_pair)
+    d = int(round(math.sqrt(rho.shape[0])))
+    rho2 = np.kron(rho, rho)
+    par = parity(d)
+    eye = np.eye(d, dtype=complex)
+    p_mod1 = np.kron(np.kron(par, eye), np.kron(par, eye))
+    p_mod2 = np.kron(np.kron(eye, par), np.kron(eye, par))
+    full = np.eye(d**4)
+    pi = 0.25 * (full - p_mod1) @ (full - p_mod2)
+    heralded = pi @ rho2 @ pi
+    p = float(np.real(np.trace(heralded)))
+    return p, heralded / p if p > 0 else heralded
 
 
 def optimize_basis_reference(

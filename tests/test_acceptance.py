@@ -235,8 +235,7 @@ def test_ac7_tomography_roundtrip():
     res = protocol.run_dmm(dump_time="auto")
     d1, d2 = res.rho_pass.space.dims
     w2 = res.basis_used[1].codewords(d2)
-    paulis2 = codes.logical_paulis(w2)
-    plus = 0.5 * (paulis2["I"] + paulis2["X"])
+    plus = np.outer(w2.plus, w2.plus.conj())
     _, rho1 = tomography.conditional_decomposition(res.rho_pass, {"+": plus}, (d1, d2))["+"]
     rho1 = rho1 / np.trace(rho1)
 

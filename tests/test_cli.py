@@ -94,6 +94,16 @@ def test_csv_columns_format_like_cells():
         assert list(cli._column(values)) == [cli._cell(x) for x in values]
 
 
+def test_regimes_far_overdamped_bus(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("regimes:\n  kappas: [20e6]\n  include_critical: false\n")
+    assert run(["regimes", "--config", cfg, "--out", tmp_path]) == 0
+    rows = (tmp_path / "regimes.csv").read_text().splitlines()
+    assert rows[1].startswith("20000000.0,overdamped,")
+    curve = np.loadtxt(tmp_path / "regime_curves.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(curve))
+
+
 def test_regimes_without_kappas_writes_headers_only(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("regimes:\n  kappas: []\n  include_critical: false\n")

@@ -15,6 +15,7 @@ from oracles import (
     codewords_four_coherent,
     kerr_twist_angle,
     kerr_unitary,
+    logical_paulis,
     parity,
 )
 
@@ -48,7 +49,7 @@ def test_codeword_parity():
 
 def test_logical_pauli_algebra():
     w = LogicalBasis(1.1).codewords(DIM)
-    p = codes.logical_paulis(w)
+    p = logical_paulis(w)
     eye_l = p["I"]
     for s in ("X", "Y", "Z"):
         assert_allclose(p[s] @ p[s], eye_l, atol=1e-13)
@@ -62,7 +63,7 @@ def test_logical_pauli_algebra():
 
 def test_computational_basis_eigenstates():
     w = LogicalBasis(ALPHA).codewords(DIM)
-    p = codes.logical_paulis(w)
+    p = logical_paulis(w)
     assert_allclose(p["Z"] @ w.zero, w.zero, atol=1e-13)
     assert_allclose(p["Z"] @ w.one, -w.one, atol=1e-13)
     assert_allclose(p["X"] @ w.plus, w.plus, atol=1e-13)
@@ -72,7 +73,7 @@ def test_ket_encoding():
     w = LogicalBasis(ALPHA).codewords(DIM)
     k = w.ket(1 / math.sqrt(2), 1j / math.sqrt(2))
     assert np.linalg.norm(k) == pytest.approx(1.0)
-    p = codes.logical_paulis(w)
+    p = logical_paulis(w)
     assert np.vdot(k, p["Y"] @ k).real == pytest.approx(1.0)
 
 

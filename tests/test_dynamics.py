@@ -153,11 +153,12 @@ def test_auto_dump_time_empties_the_bright_mode():
         assert abs(u) <= 1.0001e-4
 
 
-@pytest.mark.parametrize("kappa_b", [dynamics.critical_kappa(G), 1.2e6, 2000e3, 5e6])
+@pytest.mark.parametrize("kappa_b", [dynamics.critical_kappa(G), 1.2e6, 2000e3, 5e6, 20e6])
 def test_auto_dump_time_matches_brentq(kappa_b):
     """Critical and overdamped: the bracket search lands within brentq's own
     tolerance (xtol 1e-16 s plus 4 ulp) of scipy's root, where |u| equals
-    residual_tol to rounding."""
+    residual_tol to rounding.  At 20 MHz the dump lasts hundreds of
+    microseconds, far past where e^{-kt/4} cosh(|nu| t) would overflow."""
     t = dynamics.auto_dump_time(G, kappa_b)
     ref = auto_dump_time_brentq(G, kappa_b)
     assert abs(t - ref) <= 1e-16 + 4 * np.finfo(float).eps * ref
@@ -165,11 +166,19 @@ def test_auto_dump_time_matches_brentq(kappa_b):
     assert u == pytest.approx(1e-4, rel=1e-12, abs=0)
 
 
-def test_auto_dump_time_refuses_an_overflowing_response():
-    """Far overdamped, the closed-form response overflows (inf * 0) before
-    it decays; the search reports that instead of bisecting on NaN."""
-    with np.errstate(all="ignore"), pytest.raises(hilbert.NumericalError, match="overflows"):
-        dynamics.auto_dump_time(G, 20e6)
+@pytest.mark.parametrize(
+    "kappa_b", [160e3, 600e3, dynamics.critical_kappa(G), 2000e3, 20e6]
+)
+def test_bright_mode_response_matches_linear_propagator(kappa_b):
+    """u(t) is the cavity-1 amplitude E_00 + E_02 of the lossless-cavity
+    network started in the bright mode, from before the dump time to well
+    past it."""
+    times = np.linspace(0.0, 3 * dynamics.auto_dump_time(G, kappa_b), 61)
+    e, _ = dynamics.linear_propagator(
+        dynamics.coupling_matrix(G), (0.0, 2 * math.pi * kappa_b, 0.0), times
+    )
+    u = dynamics.bright_mode_response(G, kappa_b, times)
+    assert_allclose(u, e[:, 0, 0] + e[:, 0, 2], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

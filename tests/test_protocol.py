@@ -13,10 +13,12 @@ from darkbus.protocol import SECTORS, VacuumCheckModel
 from oracles import (
     MODE_LABELS,
     cat_product_ket,
+    dual_rail_distill_kron,
     embed,
     expect,
     kerr_twist_angle,
     lindblad_pair_state,
+    logical_paulis,
     materialize_coherent,
     number,
     parity,
@@ -529,7 +531,7 @@ def _teleport_kron(resource, input_qubit, words1, words2, p_decode=0.0, p_flip_m
         for (m1, m2) in cond
     }
 
-    paulis = codes.logical_paulis(words1)
+    paulis = logical_paulis(words1)
     target = words1.ket(c0, c1)
     total = sum(np.real(np.trace(c)) for c in cond.values())
     probs, fids = {}, {}
@@ -541,24 +543,31 @@ def _teleport_kron(resource, input_qubit, words1, words2, p_decode=0.0, p_flip_m
     return probs, fids, sum(probs[k] * fids[k] for k in cond)
 
 
-def _measured_resource():
-    res = protocol.run_dmm(check=VacuumCheckModel.from_measured())
+def _measured_resource(alpha=None):
+    params = SystemParams() if alpha is None else SystemParams(alpha=alpha)
+    res = protocol.run_dmm(params, check=VacuumCheckModel.from_measured())
     d1, d2 = res.rho_pass.space.dims
     return res.rho_pass, res.basis_used[0].codewords(d1), res.basis_used[1].codewords(d2)
 
 
-@pytest.mark.parametrize("noise", [(0.0, 0.0), (0.02, 0.01)])
-@pytest.mark.parametrize("resource", ["ideal", "measured"])
+_RANDOM_INPUTS = [tuple(z) for z in np.random.default_rng(17).normal(size=(3, 2, 2)) @ [1, 1j]]
+
+
+@pytest.mark.parametrize("noise", [(0.0, 0.0), (0.02, 0.01), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+@pytest.mark.parametrize("resource", ["ideal", "measured", "small-alpha"])
 def test_teleport_matches_three_body_oracle(resource, noise):
     """The pair contraction against the explicit cavity-cavity-transmon
-    construction, every record of every cardinal input."""
+    construction, every record of the cardinal and three seeded random
+    inputs.  The small-alpha pair (alpha 0.5, measured check) has about half
+    of cavity 2 outside the code, so the leakage decode is exercised."""
     if resource == "ideal":
         rho, w1 = _ideal_resource()
         w2 = w1
     else:
-        rho, w1, w2 = _measured_resource()
+        rho, w1, w2 = _measured_resource(0.5 if resource == "small-alpha" else None)
     p_decode, p_flip_m1 = noise
-    for name, q in protocol.CARDINAL_STATES.items():
+    inputs = {**protocol.CARDINAL_STATES, **dict(enumerate(_RANDOM_INPUTS))}
+    for name, q in inputs.items():
         res = protocol.teleport(rho, q, w1, w2, p_decode, p_flip_m1)
         probs, fids, f_qst = _teleport_kron(rho, q, w1, w2, p_decode, p_flip_m1)
         assert list(res.probs) == list(probs) == list(protocol.CORRECTIONS)
@@ -566,6 +575,13 @@ def test_teleport_matches_three_body_oracle(resource, noise):
             assert res.probs[key] == pytest.approx(probs[key], abs=1e-12), (name, key)
             assert res.fidelities[key] == pytest.approx(fids[key], abs=1e-12), (name, key)
         assert res.f_qst == pytest.approx(f_qst, abs=1e-12), name
+
+
+@pytest.mark.parametrize("q", [(0, 0), (0.0, 0j), (math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf)])
+def test_teleport_rejects_a_zero_or_nonfinite_input(q):
+    bell, words = _ideal_resource()
+    with pytest.raises(ValueError, match="input qubit"):
+        protocol.teleport(bell, q, words, words)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +641,15 @@ def test_dual_rail_distill_on_target():
     target = np.zeros(16, dtype=complex)
     target[0b1001], target[0b0110] = 1 / math.sqrt(2), 1 / math.sqrt(2)
     assert np.real(target.conj() @ rho @ target) == pytest.approx(1.0, abs=1e-12)
+    # the parity mask against the Kronecker-built projectors, bit for bit,
+    # on the targets and a random mixed pair with two photons per mode
+    g = np.random.default_rng(5).normal(size=(9, 9, 2)) @ [1, 1j]
+    mixed = g @ g.conj().T / np.trace(g @ g.conj().T)
+    for pair in (protocol.dual_rail_target(2), protocol.dual_rail_target(3), mixed):
+        p, rho = protocol.dual_rail_distill(pair)
+        p_ref, rho_ref = dual_rail_distill_kron(pair)
+        assert p == p_ref
+        assert np.array_equal(rho, rho_ref)
 
 
 def test_dual_rail_dmm_end_to_end():

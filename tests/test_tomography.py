@@ -392,11 +392,10 @@ def test_mle_iteration_cap_flags_not_converged():
 def test_conditional_decomposition_completeness():
     words = LogicalBasis(1.1).codewords(10)
     bell = codes.bell_state(words, words)
-    paulis = codes.logical_paulis(words)
-    leak = np.eye(10) - paulis["I"]
-    plus, minus = 0.5 * (paulis["I"] + paulis["Z"]), 0.5 * (paulis["I"] - paulis["Z"])
+    zero = np.outer(words.zero, words.zero.conj())
+    one = np.outer(words.one, words.one.conj())
     cond = tomography.conditional_decomposition(
-        bell, {"+": plus, "-": minus, "leak": leak}, (10, 10)
+        bell, {"0": zero, "1": one, "leak": np.eye(10) - zero - one}, (10, 10)
     )
     assert sum(p for p, _ in cond.values()) == pytest.approx(1.0, abs=1e-9)
     total = sum(r for _, r in cond.values())
