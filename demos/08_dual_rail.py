@@ -23,7 +23,7 @@ target = protocol.dual_rail_target()
 overlap = hilbert.fidelity(res.rho_pair, target)
 print(f"\nheralded pair vs (singlet + |00>)/2 mixture: F = {overlap:.9f}")
 
-pops = np.real(np.diag(hilbert.as_dm(res.rho_pair)))
+pops = np.real(np.diag(res.rho_pair))
 labels = ["|00>", "|01>", "|10>", "|11>"][: len(pops)]
 print("populations of the coupled rails after the herald:")
 for lb, p in zip(labels, pops):

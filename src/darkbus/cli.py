@@ -324,6 +324,8 @@ def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         sweep = [params.with_(alpha=a) for a in _number(opts, "alphas")]
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad alphas: {e}") from e
+    if not sweep:
+        raise ConfigError("alphas must list at least one amplitude")
     rows = []
     for p in sweep:
         r = _herald(p, opts)

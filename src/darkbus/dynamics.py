@@ -52,7 +52,7 @@ from functools import reduce
 import numpy as np
 
 from . import hilbert
-from .hilbert import HilbertSpace, NumericalError, QuantumState
+from .hilbert import NumericalError
 
 TWO_PI = 2 * math.pi
 
@@ -312,7 +312,9 @@ def auto_dump_time(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> f
 
 @dataclass
 class EvolveResult:
-    final: QuantumState
+    """The evolved density matrix, as ``.final`` (perfbench's tracer reads it there)."""
+
+    final: np.ndarray
 
 
 # theta_m: the largest t ||A||_1 for which m Taylor terms of exp(tA) meet a
@@ -426,11 +428,10 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
         units (rad/s) -- the builders in this module already are.  H must
         be square and every collapse operator the same size.
     state0:
-        QuantumState or raw ket / density matrix.  The final state carries
-        the mode structure of a QuantumState.
+        Ket (1-d) or density matrix (2-d) array of size dim.
     t:
         Duration in seconds, finite and non-negative; ``.final`` is
-        exp(t L) applied to the state.
+        the density matrix exp(t L) rho0, a new array.
 
     The Liouvillian L rho = K rho + rho K^dag + sum c rho c^dag, with
     K = -iH - (1/2) sum c^dag c, is applied matrix-free: the dim^2 x dim^2
@@ -479,13 +480,11 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
             raise ValueError(
                 f"collapse operator {k} has shape {c.shape}, but H is {dim}x{dim}"
             )
-    space = state0.space if isinstance(state0, QuantumState) else None
-
-    rho = hilbert.as_dm(state0)
+    rho = np.array(state0, dtype=complex)  # a copy: the series accumulates into rho
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
     if rho.shape != (dim, dim):
         raise ValueError("state does not match the Hamiltonian dimension")
-    if np.shares_memory(rho, state0.data if space else state0):
-        rho = rho.copy()  # the series accumulates into rho: never into the caller's array
 
     k_diagonals = {o: -1j * u for o, u in _diagonals(h)}
     c_diagonals = [_diagonals(c) for c in cs]
@@ -524,9 +523,7 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
         rho *= eta
     if not np.isfinite(rho).all():
         raise NumericalError("dynamics: master-equation propagation diverged")
-
-    final = QuantumState(rho, space) if space else QuantumState(rho, HilbertSpace((dim,)))
-    return EvolveResult(final=final)
+    return EvolveResult(final=rho)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import SystemParams
-from .protocol import MEASURED_JOINT_FALSE_PASS, dmm_false_positive
+from .protocol import MEASURED_JOINT_FALSE_PASS, dmm_false_positive, success_probability
 
 DEFAULT_P_DECODE = 0.017
 DEFAULT_P_BRIGHT_PASS = MEASURED_JOINT_FALSE_PASS
@@ -44,8 +44,9 @@ def photon_loss_probability(alpha: float, params: SystemParams | None = None) ->
 
 
 def dark_pass_probability(alpha: float) -> float:
-    """P(gg | dark branch) for ideal checks: both cavities non-empty."""
-    return (1 - math.exp(-(alpha**2))) ** 2
+    """P(gg | dark branch) for ideal checks: both cavities non-empty, twice
+    the herald probability, since the dark branch carries half the weight."""
+    return 2 * success_probability(alpha)
 
 
 def heralded_false_pass(alpha: float, p_bright_pass: float = DEFAULT_P_BRIGHT_PASS) -> float:

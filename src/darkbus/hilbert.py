@@ -3,15 +3,17 @@
 Conventions used throughout:
 
 * a "mode" is a harmonic oscillator truncated to ``dim`` Fock levels,
-* multi-mode spaces are Kronecker products in label order,
+* multi-mode spaces are Kronecker products in mode order, described by
+  their tuple of truncations ``dims``,
 * kets are 1-d complex arrays, density matrices 2-d complex arrays,
 * operators act inside the truncated space; population pushed against the
   truncation edge is silently lost by the dynamics, so :func:`edge_population`
   exists to make that visible.
 
 Nothing in here knows about buses, cats or heralding -- it is plain linear
-algebra on numpy arrays, with one thin dataclass wrapper so
-that states carry their mode structure around with them.
+algebra on numpy arrays.  :class:`QuantumState` pairs one density matrix
+with its truncations; the library builds one, the heralded pair of
+:func:`darkbus.protocol.run_dmm`, and every other state is a bare array.
 """
 
 from __future__ import annotations
@@ -32,108 +34,39 @@ class NumericalError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"mode{i}" for i in range(n))
-
-
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Tensor product of truncated oscillator modes.
-
-    Parameters
-    ----------
-    dims:
-        Fock truncation of each mode, in tensor order.
-    labels:
-        Human-readable mode names ("cav1", "bus", ...).  Defaults to
-        ``mode0, mode1, ...``.
-    """
+    """Fock truncation of each mode of a tensor product, in tensor order."""
 
     dims: tuple[int, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims or any(d < 2 for d in dims):
             raise ValueError(f"every mode needs dim >= 2, got {dims}")
-        labels = tuple(self.labels) or _default_labels(len(dims))
-        if len(labels) != len(dims):
-            raise ValueError("need one label per mode")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate mode labels: {labels}")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.dims)
-
-    def axis(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no mode {label!r} in {self.labels}") from None
-
-    def subspace(self, keep: tuple[str, ...]) -> "HilbertSpace":
-        axes = [self.axis(lb) for lb in keep]
-        return HilbertSpace(tuple(self.dims[a] for a in axes), tuple(keep))
 
 
 @dataclass
 class QuantumState:
-    """A ket (1-d) or density matrix (2-d) together with its mode structure."""
+    """A density matrix together with the truncations of its modes."""
 
     data: np.ndarray
     space: HilbertSpace
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
-        if self.data.ndim not in (1, 2):
-            raise ValueError("state must be a ket (1-d) or density matrix (2-d)")
-        if self.data.shape[0] != self.space.dim:
+        dim = math.prod(self.space.dims)
+        if self.data.shape != (dim, dim):
             raise ValueError(
-                f"state of dim {self.data.shape[0]} does not fit space of dim {self.space.dim}"
+                f"state of shape {self.data.shape} is no density matrix on dims {self.space.dims}"
             )
-
-    @property
-    def is_ket(self) -> bool:
-        return self.data.ndim == 1
-
-    def dm(self) -> np.ndarray:
-        """Dense density matrix regardless of the underlying representation."""
-        if self.is_ket:
-            return np.outer(self.data, self.data.conj())
-        return self.data
-
-    @property
-    def trace(self) -> float:
-        if self.is_ket:
-            return float(np.vdot(self.data, self.data).real)
-        return float(np.trace(self.data).real)
-
-    def normalized(self) -> "QuantumState":
-        tr = self.trace
-        if tr <= 0:
-            raise NumericalError("cannot normalize a state with non-positive norm")
-        scale = 1.0 / math.sqrt(tr) if self.is_ket else 1.0 / tr
-        return QuantumState(self.data * scale, self.space)
-
-    def ptrace(self, keep) -> "QuantumState":
-        """Reduced state on the modes named in ``keep`` (order respected)."""
-        keep = (keep,) if isinstance(keep, str) else tuple(keep)
-        axes = [self.space.axis(lb) for lb in keep]
-        rho = partial_trace(self.dm(), self.space.dims, axes)
-        return QuantumState(rho, self.space.subspace(keep))
 
 
 def as_dm(state) -> np.ndarray:
-    """Accept a QuantumState, ket or density matrix; hand back a dense dm."""
+    """Accept a ket, a density matrix or a QuantumState; hand back a dense dm."""
     if isinstance(state, QuantumState):
-        return state.dm()
+        return state.data
     arr = np.asarray(state, dtype=complex)
     return np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
 
@@ -243,9 +176,7 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
 
 def overlap(a, b) -> complex:
     """<a|b> for kets."""
-    av = a.data if isinstance(a, QuantumState) else np.asarray(a)
-    bv = b.data if isinstance(b, QuantumState) else np.asarray(b)
-    return complex(np.vdot(av, bv))
+    return complex(np.vdot(a, b))
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
@@ -257,21 +188,16 @@ def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
 def fidelity(a, b) -> float:
     """State fidelity, squared-overlap convention: F(pure, pure) = |<a|b>|^2.
 
-    For two density matrices this is the Uhlmann fidelity
-    (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+    A 1-d argument is a ket.  For two density matrices this is the Uhlmann
+    fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
     """
-    a_ket = isinstance(a, QuantumState) and a.is_ket or (
-        not isinstance(a, QuantumState) and np.asarray(a).ndim == 1
-    )
-    b_ket = isinstance(b, QuantumState) and b.is_ket or (
-        not isinstance(b, QuantumState) and np.asarray(b).ndim == 1
-    )
+    a_ket, b_ket = np.ndim(a) == 1, np.ndim(b) == 1
     if a_ket and b_ket:
         return float(abs(overlap(a, b)) ** 2)
     if a_ket or b_ket:
         ket, rho = (a, b) if a_ket else (b, a)
-        kv = ket.data if isinstance(ket, QuantumState) else np.asarray(ket)
-        return float(np.real(np.vdot(kv, as_dm(rho) @ kv)))
+        ket = np.asarray(ket)
+        return float(np.real(np.vdot(ket, as_dm(rho) @ ket)))
     ra, rb = as_dm(a), as_dm(b)
     sq = _psd_sqrt(ra)
     inner = _psd_sqrt(sq @ rb @ sq)
@@ -289,28 +215,33 @@ def trace_distance(a, b) -> float:
 # ---------------------------------------------------------------------------
 
 
-def edge_population(state, n_levels: int = 1) -> dict:
-    """Population in the top ``n_levels`` Fock levels of each mode.
+def edge_population(state, dims, n_levels: int = 1) -> tuple[float, ...]:
+    """Population in the top ``n_levels`` Fock levels of each mode of a ket
+    or density matrix on the truncations ``dims``, one value per mode.
 
     This is the honest diagnostic for "was the truncation big enough":
     anything much above float noise means amplitude is piling up against
     the edge and the simulation is quietly lossy.
     """
-    if not isinstance(state, QuantumState):
-        raise TypeError("edge_population needs a QuantumState (mode structure)")
-    out = {}
-    for lb in state.space.labels:
-        reduced = state.ptrace(lb)
-        pops = np.real(np.diag(reduced.dm()))
-        out[lb] = float(pops[-n_levels:].sum())
-    return out
+    dims = tuple(int(d) for d in dims)
+    if not 1 <= n_levels <= min(dims):
+        raise ValueError(f"n_levels must be in [1, {min(dims)}], got {n_levels}")
+    state = np.asarray(state)
+    diag = np.abs(state) ** 2 if state.ndim == 1 else np.real(np.diagonal(state))
+    pops = diag.reshape(dims)
+    out = []
+    for axis in range(len(dims)):
+        marginal = pops.sum(axis=tuple(i for i in range(len(dims)) if i != axis))
+        out.append(float(marginal[-n_levels:].sum()))
+    return tuple(out)
 
 
 def suggest_dim(alpha: float, tol: float = 1e-9) -> int:
-    """Smallest truncation keeping a coherent state's tail mass below tol."""
+    """Smallest truncation (at least 2) keeping a coherent state's tail mass
+    below tol, for tol in (0, 1)."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     lam = abs(alpha) ** 2
-    if lam == 0:
-        return 2
     term = math.exp(-lam)
     cum = term
     n = 0
@@ -318,4 +249,4 @@ def suggest_dim(alpha: float, tol: float = 1e-9) -> int:
         n += 1
         term *= lam / n
         cum += term
-    return n + 1
+    return max(n + 1, 2)

@@ -196,6 +196,10 @@ class DmmResult:
     outcome probabilities; the states of the discarded outcomes are never
     built.  ``sector_probs`` are the V/N sector probabilities the outcomes
     were folded from.
+    ``rho_pass`` is the one state the library keeps wrapped: a
+    :class:`~darkbus.hilbert.QuantumState`, because callers (the CLI, the
+    demos and perfbench's basis fit) read the two cavity truncations from
+    ``rho_pass.space.dims``; its ``.data`` is the density matrix.
     ``p_pass_projective`` is the raw trace of the projected gg branch,
     which retains the interference between the two dark components; the
     difference from ``p_pass`` is below a percent at useful amplitudes.
@@ -380,7 +384,6 @@ def run_dmm(
     stages = [(zero, params.t_pump), (a_mat, t_dump), (zero, t_post)]
     sup = _initial_superposition(params.alpha)
     d1, d2 = params.dims[0], params.dims[2]
-    pair_space = HilbertSpace((d1, d2), ("cav1", "cav2"))
 
     if engine == "coherent":
         for coupling, t in stages:
@@ -404,7 +407,7 @@ def run_dmm(
                 h, c_ops = dynamics.network_operators(coupling, gammas, dims)
                 if include_kerr:
                     h = h + dynamics.kerr_hamiltonian(dims, params.kerr)
-                rho = dynamics.lindblad_evolve(h, c_ops, rho, t).final.data
+                rho = dynamics.lindblad_evolve(h, c_ops, rho, t).final
             else:
                 # H = 0: each mode only decays, exactly amplitude damping
                 for axis, g in enumerate(gammas):
@@ -432,12 +435,11 @@ def run_dmm(
     bell = codes.bell_state(words1, words2)
     fid = float(np.real(bell.conj() @ rho_gg @ bell) / tr)
     rho_gg /= tr  # in place: rho_gg is this call's own array
-    rho_n = QuantumState(rho_gg, pair_space)
 
     return DmmResult(
         p_pass=p_out["gg"],
         p_outcomes=p_out,
-        rho_pass=rho_n,
+        rho_pass=QuantumState(rho_gg, HilbertSpace((d1, d2))),
         bell_fidelity=fid,
         basis_used=basis_pair,
         alpha_dark=alpha_dark,
@@ -621,6 +623,8 @@ class MultiroundStats:
         """Geometric quantile: attempts needed with probability >= q."""
         if not 0 < q < 1:
             raise ValueError("q must be in (0,1)")
+        if self.p_success == 1:
+            return 1  # every attempt succeeds
         return math.ceil(math.log(1 - q) / math.log(1 - self.p_success))
 
 
@@ -655,11 +659,11 @@ def multiround_stats(p_success: float, t_attempt: float, t_reset: float = 0.0) -
 
 @dataclass
 class DualRailResult:
-    rho_pair: QuantumState
+    rho_pair: np.ndarray
     trace_distance: float
     converged: bool
     p_herald: float
-    rho_distilled: QuantumState
+    rho_distilled: np.ndarray
     fidelity: float
 
 
@@ -739,21 +743,19 @@ def dual_rail_dmm(
     phi[0 * d + 1] = psi[2]  # |0 1>
     rho = np.outer(phi, phi.conj())
     rho[0, 0] += 1 - abs(psi[0]) ** 2 - abs(psi[2]) ** 2
-    rho_pair = QuantumState(rho, HilbertSpace((d, d), ("cav1", "cav2")))
-    td = hilbert.trace_distance(rho_pair, dual_rail_target(d))
+    td = hilbert.trace_distance(rho, dual_rail_target(d))
     converged = bool(td < 1e-3)
 
-    p, rho_dist = dual_rail_distill(rho_pair)
+    p, rho_dist = dual_rail_distill(rho)
     target = np.zeros(d**4, dtype=complex)
     target[((1 * d + 0) * d + 0) * d + 1] = 1 / math.sqrt(2)  # |1 0 0 1>
     target[((0 * d + 1) * d + 1) * d + 0] = 1 / math.sqrt(2)  # |0 1 1 0>
     fid = float(np.real(target.conj() @ rho_dist @ target))
-    four_space = HilbertSpace((d, d, d, d), ("A1", "A2", "B1", "B2"))
     return DualRailResult(
-        rho_pair=rho_pair,
+        rho_pair=rho,
         trace_distance=td,
         converged=converged,
         p_herald=p,
-        rho_distilled=QuantumState(rho_dist, four_space),
+        rho_distilled=rho_dist,
         fidelity=fid,
     )

@@ -4,10 +4,11 @@ None of these runs in a darkbus command or demo.  Each is a slow or
 independent route to a quantity the library computes another way: the
 raising, number, parity and displacement operators, the displaced-parity
 kernel at one point, cat kets and the copying coherent ket of one mode,
-labelled multi-mode operators and product kets assembled by Kronecker
-products, dense density matrices of coherent superpositions, the
-protocol's initial cat product, free-Kerr evolution, the codewords, Bell
-ket and basis-fit objective in their longer forms, the logical Paulis as
+multi-mode operators and product kets assembled by Kronecker products
+(modes named by axis, or by cav1, bus, cav2), dense density matrices of
+coherent superpositions, the protocol's initial cat product, free-Kerr
+evolution, the codewords, Bell ket and basis-fit objective in their
+longer forms, the logical Paulis as
 cavity matrices, dual-rail distillation by Kronecker-built parity
 projectors, the vacuum check
 applied to a materialized density matrix through explicit projectors,
@@ -37,10 +38,11 @@ import scipy.special
 from darkbus import dynamics, hilbert, tomography
 from darkbus.codes import Codewords, LogicalBasis
 from darkbus.dynamics import CoherentSuperposition, SystemParams, coherent_overlaps
-from darkbus.hilbert import HilbertSpace, QuantumState, as_dm
+from darkbus.hilbert import as_dm
 from darkbus.protocol import OUTCOMES, SECTORS, VacuumCheckModel, _fold
 
-MODE_LABELS = ("cav1", "bus", "cav2")
+# the protocol's modes by name, as tensor axes
+MODE_AXES = {"cav1": 0, "bus": 1, "cav2": 2}
 
 
 def create(dim: int) -> np.ndarray:
@@ -180,19 +182,29 @@ def tensor(*mats):
     return reduce(np.kron, mats)
 
 
-def embed(space: HilbertSpace, parts: dict, sparse: bool = False):
-    """Lift per-mode matrices into the full space.
+def _axes(parts: dict, n_modes: int) -> dict:
+    """``parts`` keyed by tensor axis: a mode is an axis or a name of MODE_AXES."""
+    out = {MODE_AXES[m] if isinstance(m, str) else m: v for m, v in parts.items()}
+    unknown = set(out) - set(range(n_modes))
+    if unknown:
+        raise KeyError(f"modes {unknown} not among {n_modes} modes")
+    return out
 
-    ``parts`` maps mode label -> single-mode matrix; every unnamed mode gets
-    the identity.  The result is a dense array, or a CSR matrix with
-    ``sparse=True``.
+
+def embed(dims, parts: dict, sparse: bool = False):
+    """Lift per-mode matrices into the space of truncations ``dims``.
+
+    ``parts`` maps mode (axis, or a name of MODE_AXES) -> single-mode matrix;
+    every unnamed mode gets the identity.  The result is a dense array, or a
+    CSR matrix with ``sparse=True``.
     """
+    parts = _axes(parts, len(dims))
     factors = []
-    for lb, d in zip(space.labels, space.dims):
-        if lb in parts:
-            m = parts[lb]
+    for axis, d in enumerate(dims):
+        if axis in parts:
+            m = parts[axis]
             if m.shape != (d, d):
-                raise ValueError(f"matrix for {lb!r} has shape {m.shape}, expected {(d, d)}")
+                raise ValueError(f"matrix for mode {axis} has shape {m.shape}, expected {(d, d)}")
             factors.append(scipy.sparse.csr_matrix(m) if sparse else m)
         else:
             factors.append(
@@ -200,18 +212,17 @@ def embed(space: HilbertSpace, parts: dict, sparse: bool = False):
                 if sparse
                 else np.eye(d, dtype=complex)
             )
-    unknown = set(parts) - set(space.labels)
-    if unknown:
-        raise KeyError(f"labels {unknown} not in space {space.labels}")
     return tensor(*factors)
 
 
-def product_ket(space: HilbertSpace, kets: dict) -> QuantumState:
-    """Tensor product ket from per-mode kets; unnamed modes start in vacuum."""
-    factors = []
-    for lb, d in zip(space.labels, space.dims):
-        factors.append(np.asarray(kets.get(lb, hilbert.fock(d, 0)), dtype=complex))
-    return QuantumState(reduce(np.kron, factors), space)
+def product_ket(dims, kets: dict) -> np.ndarray:
+    """Tensor product ket from per-mode kets (keyed like :func:`embed`);
+    unnamed modes start in vacuum."""
+    kets = _axes(kets, len(dims))
+    factors = [
+        np.asarray(kets.get(i, hilbert.fock(d, 0)), dtype=complex) for i, d in enumerate(dims)
+    ]
+    return reduce(np.kron, factors)
 
 
 def cat_product_ket(dims, alpha: float) -> np.ndarray:
@@ -375,24 +386,26 @@ def optimize_basis_reference(
     return best
 
 
-def vacuum_check(state: QuantumState, model: VacuumCheckModel | None = None):
+def vacuum_check(state, dims, model: VacuumCheckModel | None = None):
     """Apply the two-module vacuum check to a cavity pair.
 
-    Accepts either a two-mode (cav1, cav2) state or the full three-mode
-    (cav1, bus, cav2) state, in which case the bus is traced out first.
-    Returns ``(p_outcomes, states, sector_probs)`` where ``states`` maps each
-    outcome to the normalized post-measurement QuantumState (None when the
-    outcome has zero probability).  Sector probabilities here are the
+    ``state`` is a ket or density matrix on the truncations ``dims``: either
+    the two cavities (cav1, cav2) or the full three-mode (cav1, bus, cav2)
+    state, in which case the bus is traced out first.  Returns
+    ``(p_outcomes, states, sector_probs)`` where ``states`` maps each
+    outcome to the normalized post-measurement density matrix (None when
+    the outcome has zero probability).  Sector probabilities here are the
     projective traces of the V/N decomposition -- on a density matrix there
     is no component structure left to treat classically.
     """
     model = model or VacuumCheckModel.ideal()
-    if state.space.n_modes == 3 and "bus" in state.space.labels:
-        state = state.ptrace(("cav1", "cav2"))
-    if state.space.n_modes != 2:
+    dims = tuple(dims)
+    rho = as_dm(state)
+    if len(dims) == 3:
+        rho = hilbert.partial_trace(rho, dims, [MODE_AXES["cav1"], MODE_AXES["cav2"]])
+        dims = (dims[0], dims[2])
+    if len(dims) != 2:
         raise ValueError("vacuum_check expects a two-cavity state (or cav1/bus/cav2)")
-    dims = state.space.dims
-    rho = state.dm()
     vac = {d: np.diag(np.arange(d) == 0).astype(float) for d in dims}
     proj = {"V": vac, "N": {d: np.eye(d) - v for d, v in vac.items()}}
     sector_probs = {}
@@ -402,21 +415,19 @@ def vacuum_check(state: QuantumState, model: VacuumCheckModel | None = None):
     states = {}
     for o in OUTCOMES:
         p_out, rho_o = _fold(model, sector_probs, rho, dims, o)
-        if p_out[o] > 1e-15:
-            states[o] = QuantumState(rho_o / np.trace(rho_o), state.space)
-        else:
-            states[o] = None
+        states[o] = rho_o / np.trace(rho_o) if p_out[o] > 1e-15 else None
     return p_out, states, sector_probs
 
 
 def expect(op, state) -> complex:
-    """<op> = Tr(op rho) for a dense or sparse matrix op, as a complex number."""
-    if isinstance(state, QuantumState) and state.is_ket:
-        return complex(np.vdot(state.data, op @ state.data))
-    rho = as_dm(state)
+    """<op> = Tr(op rho) for a dense or sparse matrix op and a ket (1-d) or
+    density matrix, as a complex number."""
+    state = np.asarray(state)
+    if state.ndim == 1:
+        return complex(np.vdot(state, op @ state))
     if scipy.sparse.issparse(op):
-        return complex((op @ rho).diagonal().sum())
-    return complex(np.einsum("ij,ji->", op, rho))
+        return complex((op @ state).diagonal().sum())
+    return complex(np.einsum("ij,ji->", op, state))
 
 
 def expect_trajectory(h, c_ops, state0, times, ops) -> np.ndarray:
@@ -494,7 +505,7 @@ def lindblad_pair_state(
     t_post: float,
     cavity_loss: bool = True,
     include_kerr: bool = False,
-) -> QuantumState:
+) -> np.ndarray:
     """Cavity pair after pump, dump and post windows, each one master-equation
     solve on the full cav1-bus-cav2 space (H = 0, then H_dump, then H = 0),
     starting from :func:`cat_product_ket`.
@@ -507,9 +518,9 @@ def lindblad_pair_state(
     h_zero = 0 * h_dump
     if include_kerr:
         h_dump = h_dump + dynamics.kerr_hamiltonian(dims, params.kerr)
-    state = QuantumState(cat_product_ket(dims, params.alpha), HilbertSpace(dims, MODE_LABELS))
+    state = cat_product_ket(dims, params.alpha)
     for h, t in ((h_zero, params.t_pump), (h_dump, t_dump), (h_zero, t_post)):
         if t <= 0:
             continue
         state = dynamics.lindblad_evolve(h, c_ops, state, t).final
-    return state.ptrace(("cav1", "cav2"))
+    return hilbert.partial_trace(as_dm(state), dims, [MODE_AXES["cav1"], MODE_AXES["cav2"]])

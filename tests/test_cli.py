@@ -246,6 +246,15 @@ def test_multiround_rejects_out_of_range_values(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+def test_multiround_certain_success(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("multiround:\n  p_success: 1\n")
+    out = tmp_path / "o"
+    assert run(["multiround", "--config", cfg, "--out", out]) == 0
+    row = (out / "multiround.csv").read_text().splitlines()[1].split(",")
+    assert [float(v) for v in row[3:4] + row[6:]] == [1.0, 1.0, 1.0, 1.0]
+
+
 @pytest.mark.parametrize(
     "command, key, value",
     [
@@ -355,6 +364,14 @@ def test_unknown_engine_is_config_error(tmp_path, capsys):
     assert run(["entangle", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert "engine" in capsys.readouterr().err
     assert not (tmp_path / "o" / "entangle.csv").exists()
+
+
+def test_empty_alpha_sweep_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("alpha-sweep:\n  alphas: []\n")
+    assert run(["alpha-sweep", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "alphas" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "alpha_sweep.csv").exists()
 
 
 def test_negative_alpha_in_sweep_is_config_error(tmp_path, capsys):

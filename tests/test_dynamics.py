@@ -19,7 +19,6 @@ from numpy.testing import assert_allclose
 from darkbus import dynamics, hilbert
 from darkbus.dynamics import SystemParams
 from oracles import (
-    MODE_LABELS,
     auto_dump_time_brentq,
     coherent_trace,
     embed,
@@ -230,13 +229,12 @@ def test_quantum_classical_agreement():
     of a linear lossy network is exactly classical.
     """
     dims = (6, 6, 6)
-    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
     # Amplitudes small enough that dim-6 truncation sits below the 1e-6
     # comparison floor even if the swap concentrates everything in one mode.
     z0 = np.array([0.35, 0.0, -0.2 + 0.1j])
     psi0 = product_ket(
-        space,
+        dims,
         {
             "cav1": hilbert.coherent(dims[0], z0[0]),
             "cav2": hilbert.coherent(dims[2], z0[2]),
@@ -245,8 +243,7 @@ def test_quantum_classical_agreement():
     h, c_ops = params_network(params)
     times = np.linspace(0.0, 2e-6, 5)
     lowering = [
-        embed(space, {lb: hilbert.destroy(d)}, sparse=True)
-        for lb, d in zip(space.labels, dims)
+        embed(dims, {i: hilbert.destroy(d)}, sparse=True) for i, d in enumerate(dims)
     ]
     traj = dynamics.langevin_solve(
         G, params.gamma_cavity, 600e3, z0, times
@@ -293,11 +290,10 @@ def test_network_operators_match_hand_built_krons(dims):
 
 def _small_system():
     dims = (4, 4, 4)
-    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
     h, c_ops = params_network(params)
     psi0 = product_ket(
-        space, {"cav1": hilbert.coherent(4, 0.8), "cav2": hilbert.coherent(4, -0.8)}
+        dims, {"cav1": hilbert.coherent(4, 0.8), "cav2": hilbert.coherent(4, -0.8)}
     )
     return h, c_ops, psi0
 
@@ -305,7 +301,7 @@ def _small_system():
 def test_lindblad_preserves_trace_and_hermiticity():
     h, c_ops, psi0 = _small_system()
     res = dynamics.lindblad_evolve(h, c_ops, psi0, 4e-6)
-    rho = res.final.dm()
+    rho = res.final
     assert abs(np.trace(rho).real - 1.0) < 1e-8
     assert_allclose(rho, rho.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(rho).min() > -1e-9
@@ -325,7 +321,7 @@ def test_lindblad_threads_keep_results_and_caller_rng():
     """Concurrent propagations match the sequential result bit for bit and
     hand the caller's global random stream back untouched."""
     h, c_ops, psi0 = _small_system()
-    expected = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6).final.dm()
+    expected = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6).final
     np.random.seed(7)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -341,37 +337,35 @@ def test_lindblad_threads_keep_results_and_caller_rng():
     np.random.seed(7)
     assert draw == np.random.random()
     for res in results:
-        assert np.array_equal(res.final.dm(), expected)
+        assert np.array_equal(res.final, expected)
 
 
 def test_lindblad_no_loss_stays_pure():
     h, _, psi0 = _small_system()
     res = dynamics.lindblad_evolve(h, [], psi0, 1e-6)
-    rho = res.final.dm()
+    rho = res.final
     assert np.vdot(rho, rho).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_lindblad_thermalizes_to_vacuum():
     dims = (2, 3, 2)
-    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=2000e3, t1_cavity=(1e-6, 1e-6), dims=dims)
     h, c_ops = params_network(params)
-    psi0 = product_ket(space, {"cav1": hilbert.fock(2, 1)})
+    psi0 = product_ket(dims, {"cav1": hilbert.fock(2, 1)})
     res = dynamics.lindblad_evolve(h, c_ops, psi0, 3e-5)
-    vac = np.zeros(space.dim)
+    vac = np.zeros(math.prod(dims))
     vac[0] = 1.0
     assert hilbert.fidelity(vac, res.final) == pytest.approx(1.0, abs=1e-4)
 
 
 def _oracle_system(kappa_b, kerr, cavity_loss=True):
     dims = (3, 3, 3)
-    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=kappa_b, dims=dims)
     h, c_ops = params_network(params, cavity_loss)
     if kerr:
         h = h + dynamics.kerr_hamiltonian(dims, (-230e3, -70e3))
     psi0 = product_ket(
-        space, {"cav1": hilbert.coherent(3, 0.6), "cav2": hilbert.coherent(3, -0.5j)}
+        dims, {"cav1": hilbert.coherent(3, 0.6), "cav2": hilbert.coherent(3, -0.5j)}
     )
     return h, c_ops, psi0
 
@@ -385,15 +379,16 @@ def test_lindblad_matches_assembled_liouvillian(kerr, kappa_b, cavity_loss, t):
     with no collapse operators at all (kappa_b = 0, no cavity loss)."""
     h, c_ops, psi0 = _oracle_system(kappa_b, kerr, cavity_loss)
     assert len(c_ops) == (kappa_b > 0) + 2 * cavity_loss
-    rho = dynamics.lindblad_evolve(h, c_ops, psi0, t).final.dm()
+    rho = dynamics.lindblad_evolve(h, c_ops, psi0, t).final
     assert_allclose(rho, liouvillian_evolve(h, c_ops, psi0, t), rtol=0, atol=1e-12)
 
 
 def test_lindblad_zero_duration_returns_the_input():
     h, c_ops, psi0 = _small_system()
-    res = dynamics.lindblad_evolve(h, c_ops, psi0, 0.0)
-    assert np.array_equal(res.final.dm(), psi0.dm())
-    assert res.final.space == psi0.space
+    rho0 = hilbert.as_dm(psi0)
+    assert np.array_equal(dynamics.lindblad_evolve(h, c_ops, psi0, 0.0).final, rho0)
+    out = dynamics.lindblad_evolve(h, c_ops, rho0, 0.0).final
+    assert np.array_equal(out, rho0) and not np.shares_memory(out, rho0)
 
 
 @pytest.mark.parametrize("t", [-1e-9, math.nan, math.inf, "1e-6", None, np.array([0.0, 1e-6])])
@@ -406,7 +401,7 @@ def test_lindblad_rejects_a_bad_duration(t):
 def test_lindblad_never_touches_the_global_rng(monkeypatch):
     """Nothing in the propagation seeds, reads or restores numpy's global RNG."""
     h, c_ops, psi0 = _small_system()
-    expected = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6).final.dm()
+    expected = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6).final
 
     def forbidden(*args, **kwargs):
         raise AssertionError("lindblad_evolve used numpy's global RNG")
@@ -414,7 +409,7 @@ def test_lindblad_never_touches_the_global_rng(monkeypatch):
     for name in ("seed", "get_state", "set_state"):
         monkeypatch.setattr(np.random, name, forbidden)
     res = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6)
-    assert np.array_equal(res.final.dm(), expected)
+    assert np.array_equal(res.final, expected)
 
 
 def _apply_twice(k_op, cs, r):
@@ -484,7 +479,7 @@ def test_lindblad_dense_operators_with_every_diagonal():
     _assert_matches_matrix_products(k_op, [c], r)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 /= np.linalg.norm(psi0)
-    rho = dynamics.lindblad_evolve(h, [c], psi0, 0.5).final.dm()
+    rho = dynamics.lindblad_evolve(h, [c], psi0, 0.5).final
     assert_allclose(rho, liouvillian_evolve(h, [c], psi0, 0.5), rtol=0, atol=1e-12)
 
 
@@ -496,38 +491,43 @@ def test_lindblad_names_a_misshaped_operator():
         dynamics.lindblad_evolve(np.ones((4, 5)), [], rho, 1e-6)
 
 
-def test_lindblad_copies_a_ket_state_once(monkeypatch):
+def test_lindblad_copies_a_ket_state_once():
     """A ket's density matrix is built once and evolved in place, with no
     second copy; a density matrix the caller holds is copied once and left
     untouched.  Building the ket's matrix costs no more memory than that
-    copy: both solves peak within a few vectors of each other."""
+    copy: both solves peak within a few vectors of each other, where a
+    second dim x dim copy would add 16 dim^2 bytes."""
     dims = (6, 4, 6)
     h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
-    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     psi0 = product_ket(
-        space, {"cav1": hilbert.coherent(6, 0.5), "cav2": hilbert.coherent(6, -0.5)}
+        dims, {"cav1": hilbert.coherent(6, 0.5), "cav2": hilbert.coherent(6, -0.5)}
     )
-    rho0 = psi0.dm()
-    built = []
-    as_dm = hilbert.as_dm
-
-    def recording_as_dm(state):
-        built.append(as_dm(state))
-        return built[-1]
-
-    monkeypatch.setattr(hilbert, "as_dm", recording_as_dm)
-
+    rho0 = hilbert.as_dm(psi0)
+    kept = rho0.copy()
     peaks = []
     for state in (psi0, rho0):
         tracemalloc.start()
         try:
-            out = dynamics.lindblad_evolve(h, c_ops, state, 2e-6).final.data
+            out = dynamics.lindblad_evolve(h, c_ops, state, 2e-6).final
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(out, built[-1]) == (state is psi0)
-    assert np.array_equal(rho0, psi0.dm())
-    assert abs(peaks[0] - peaks[1]) <= 16 * space.dim * 16
+        assert not np.shares_memory(out, state)
+    assert np.array_equal(rho0, kept)
+    assert abs(peaks[0] - peaks[1]) <= 16 * math.prod(dims) * 16
+
+
+def test_lindblad_rejects_a_wrapped_state():
+    """A QuantumState is refused, not unwrapped and evolved in place: the
+    caller's density matrix inside it stays as it was."""
+    h, c_ops, psi0 = _small_system()
+    rho0 = hilbert.as_dm(psi0)
+    kept = rho0.copy()
+    wrapped = hilbert.QuantumState(rho0, hilbert.HilbertSpace((4, 4, 4)))
+    assert wrapped.data is rho0
+    with pytest.raises((TypeError, ValueError)):
+        dynamics.lindblad_evolve(h, c_ops, wrapped, 1e-6)
+    assert np.array_equal(rho0, kept)
 
 
 def test_lindblad_working_memory_stays_small():
@@ -537,9 +537,8 @@ def test_lindblad_working_memory_stays_small():
     per-term temporaries and no stored superoperator diagonals."""
     dims = (6, 4, 6)
     h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
-    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     psi0 = product_ket(
-        space, {"cav1": hilbert.coherent(6, 0.5), "cav2": hilbert.coherent(6, -0.5)}
+        dims, {"cav1": hilbert.coherent(6, 0.5), "cav2": hilbert.coherent(6, -0.5)}
     )
     tracemalloc.start()
     try:
@@ -547,7 +546,7 @@ def test_lindblad_working_memory_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * space.dim**2 * 16
+    assert peak <= 8 * math.prod(dims) ** 2 * 16
 
 
 # ---------------------------------------------------------------------------
@@ -618,22 +617,22 @@ def test_transfer_optimum_beats_its_neighbours(kappa_b):
 
 def _transfer_eta_master_equation(kappa_b, t1, t2):
     """<n_cav2> after the two timed swaps, by the Lindblad oracle at (2, 2, 2)."""
-    space = hilbert.HilbertSpace((2, 2, 2), MODE_LABELS)
+    dims = (2, 2, 2)
     a = hilbert.destroy(2)
     g = 2 * math.pi * G
 
     def swap(cav):
-        m = embed(space, {cav: a, "bus": a.conj().T})
+        m = embed(dims, {cav: a, "bus": a.conj().T})
         return g * (m + m.conj().T)
 
     c_ops = []
     if kappa_b > 0:
-        b = embed(space, {"bus": a})
+        b = embed(dims, {"bus": a})
         c_ops = [math.sqrt(2 * math.pi * kappa_b) * b]
-    psi0 = product_ket(space, {"cav1": hilbert.fock(2, 1)})
+    psi0 = product_ket(dims, {"cav1": hilbert.fock(2, 1)})
     r1 = dynamics.lindblad_evolve(swap("cav1"), c_ops, psi0, t1)
     r2 = dynamics.lindblad_evolve(swap("cav2"), c_ops, r1.final, t2)
-    n2 = embed(space, {"cav2": number(2)}, sparse=True)
+    n2 = embed(dims, {"cav2": number(2)}, sparse=True)
     return float(np.real(expect(n2, r2.final)))
 
 
@@ -768,7 +767,6 @@ def test_ptrace_coherent_matches_fock_ptrace():
 def test_coherent_vs_lindblad_cross_check():
     """The two quantum engines agree on a lossy two-component evolution."""
     dims = (8, 8, 8)
-    space = hilbert.HilbertSpace(dims, MODE_LABELS)
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
     # alpha small enough that the dim-8 Fock tail (the dominant discrepancy
     # between the truncation-free dyad engine and the truncated Lindblad one)
@@ -804,7 +802,7 @@ def test_coherent_vs_lindblad_cross_check():
     psi = np.kron(k1, np.kron(hilbert.fock(dims[1], 0), kp + km))
     psi = psi / np.linalg.norm(psi)
     h, c_ops = params_network(params)
-    res = dynamics.lindblad_evolve(h, c_ops, hilbert.QuantumState(psi, space), t)
+    res = dynamics.lindblad_evolve(h, c_ops, psi, t)
     # the coherent result is normalized in the full space; the truncated
     # materialization loses a little tail mass, so compare after norming
     rho_coh /= np.trace(rho_coh).real

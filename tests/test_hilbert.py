@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -28,21 +29,19 @@ def test_space_validation():
     with pytest.raises(ValueError):
         HilbertSpace((1, 4))
     with pytest.raises(ValueError):
-        HilbertSpace((4, 4), ("a",))
-    with pytest.raises(ValueError):
-        HilbertSpace((4, 4), ("a", "a"))
-    sp = HilbertSpace((3, 5), ("cav", "bus"))
-    assert sp.dim == 15
-    assert sp.axis("bus") == 1
-    with pytest.raises(KeyError):
-        sp.axis("nope")
+        HilbertSpace(())
+    assert HilbertSpace((3.0, 5)).dims == (3, 5)
 
 
-def test_subspace_reorders():
-    sp = HilbertSpace((2, 3, 4), ("a", "b", "c"))
-    sub = sp.subspace(("c", "a"))
-    assert sub.dims == (4, 2)
-    assert sub.labels == ("c", "a")
+def test_state_is_a_density_matrix_on_its_dims():
+    sp = HilbertSpace((2, 3))
+    rho = np.eye(6) / 6
+    st_ = QuantumState(rho, sp)
+    assert st_.data.dtype == complex
+    assert hilbert.as_dm(st_) is st_.data
+    for bad in (np.ones(6) / math.sqrt(6), np.eye(4) / 4, np.ones((6, 4))):
+        with pytest.raises(ValueError):
+            QuantumState(bad, sp)
 
 
 def test_destroy_create_commutator():
@@ -157,12 +156,9 @@ def test_amplitude_damp_on_one_mode_matches_master_equation(dims, axis_pick, gt,
     g = rng.normal(size=(math.prod(dims),) * 2) + 1j * rng.normal(size=(math.prod(dims),) * 2)
     rho = g @ g.conj().T
     rho /= np.trace(rho)
-    space = HilbertSpace(dims)
-    a = embed(space, {space.labels[axis]: hilbert.destroy(dims[axis])})
+    a = embed(dims, {axis: hilbert.destroy(dims[axis])})
     t = gt / rate
-    ref = dynamics.lindblad_evolve(
-        0 * a, [math.sqrt(rate) * a], QuantumState(rho, space), t
-    ).final.dm()
+    ref = dynamics.lindblad_evolve(0 * a, [math.sqrt(rate) * a], rho, t).final
     out = hilbert.amplitude_damp(rho, -math.expm1(-rate * t), dims, axis)
     assert_allclose(out, ref, rtol=0, atol=1e-12)
     assert np.array_equal(hilbert.amplitude_damp(rho, 0.0, dims, axis), rho)
@@ -177,36 +173,30 @@ def test_amplitude_damp_rejects_bad_shapes():
 
 
 def test_embed_and_product_ket():
-    sp = HilbertSpace((2, 3), ("q", "c"))
-    n_c = embed(sp, {"c": number(3)})
-    psi = product_ket(sp, {"c": hilbert.fock(3, 2)})
+    dims = (2, 3)
+    n_c = embed(dims, {1: number(3)})
+    psi = product_ket(dims, {1: hilbert.fock(3, 2)})
     assert expect(n_c, psi).real == pytest.approx(2.0)
+    assert expect(n_c, hilbert.as_dm(psi)).real == pytest.approx(2.0)
     with pytest.raises(KeyError):
-        embed(sp, {"zz": np.eye(2)})
+        embed(dims, {2: np.eye(2)})
     with pytest.raises(ValueError):
-        embed(sp, {"q": np.eye(3)})
+        embed(dims, {0: np.eye(3)})
+    # the protocol's modes by name
+    n_bus = embed((2, 3, 2), {"bus": number(3)})
+    assert_allclose(n_bus, embed((2, 3, 2), {1: number(3)}))
 
 
 def test_partial_trace_pure_product():
-    sp = HilbertSpace((2, 3, 2), ("a", "b", "c"))
-    psi = product_ket(
-        sp, {"a": hilbert.fock(2, 1), "b": hilbert.fock(3, 2)}
-    )
-    red = psi.ptrace(("a",))
-    assert_allclose(red.dm(), np.diag([0, 1.0]), atol=1e-14)
+    dims = (2, 3, 2)
+    psi = product_ket(dims, {0: hilbert.fock(2, 1), 1: hilbert.fock(3, 2)})
+    red = hilbert.partial_trace(hilbert.as_dm(psi), dims, [0])
+    assert_allclose(red, np.diag([0, 1.0]), atol=1e-14)
     # tracing everything but one entangled pair keeps it mixed
     bell = np.zeros(4, dtype=complex)
     bell[0], bell[3] = 1 / math.sqrt(2), 1 / math.sqrt(2)
-    st2 = QuantumState(bell, HilbertSpace((2, 2), ("x", "y")))
-    assert_allclose(st2.ptrace("x").dm(), np.eye(2) / 2, atol=1e-14)
-
-
-def test_ptrace_respects_keep_order():
-    sp = HilbertSpace((2, 3), ("a", "b"))
-    psi = product_ket(sp, {"a": hilbert.fock(2, 1), "b": hilbert.fock(3, 2)})
-    swapped = psi.ptrace(("b", "a"))
-    assert swapped.space.dims == (3, 2)
-    assert swapped.dm()[2 * 2 + 1, 2 * 2 + 1].real == pytest.approx(1.0)
+    red = hilbert.partial_trace(hilbert.as_dm(bell), (2, 2), [0])
+    assert_allclose(red, np.eye(2) / 2, atol=1e-14)
 
 
 def test_fidelity_conventions():
@@ -246,21 +236,21 @@ def test_fidelity_bounds_property(n, m, phase):
     assert t == pytest.approx(math.sqrt(max(1 - f, 0.0)), abs=1e-9)
 
 
-def test_normalized_and_trace():
-    sp = HilbertSpace((4,))
-    k = QuantumState(2.0 * hilbert.fock(4, 1), sp)
-    assert k.trace == pytest.approx(4.0)
-    assert k.normalized().trace == pytest.approx(1.0)
-    with pytest.raises(hilbert.NumericalError):
-        QuantumState(np.zeros(4), sp).normalized()
-
-
 def test_edge_population_flags_truncation():
-    sp = HilbertSpace((8,), ("cav",))
-    small = QuantumState(hilbert.coherent(8, 0.5), sp)
-    big = QuantumState(hilbert.coherent(8, 2.5), sp)
-    assert hilbert.edge_population(small)["cav"] < 1e-6
-    assert hilbert.edge_population(big)["cav"] > 1e-3
+    small = hilbert.coherent(8, 0.5)
+    big = hilbert.coherent(8, 2.5)
+    assert hilbert.edge_population(small, (8,))[0] < 1e-6
+    assert hilbert.edge_population(big, (8,))[0] > 1e-3
+    # per mode of a product, from a ket or its density matrix alike
+    dims = (8, 3, 8)
+    psi = product_ket(dims, {0: small, 1: hilbert.fock(3, 2), 2: big})
+    pops = hilbert.edge_population(psi, dims)
+    assert_allclose(pops, hilbert.edge_population(hilbert.as_dm(psi), dims), atol=1e-15)
+    assert pops[0] < 1e-6 and pops[1] == pytest.approx(1.0) and pops[2] > 1e-3
+    assert hilbert.edge_population(psi, dims, n_levels=3)[1] == pytest.approx(1.0)
+    for n_levels in (0, -1, 4):
+        with pytest.raises(ValueError):
+            hilbert.edge_population(psi, dims, n_levels=n_levels)
 
 
 def test_suggest_dim():
@@ -268,6 +258,28 @@ def test_suggest_dim():
     k = hilbert.coherent(d, math.sqrt(2), normalized=False)
     assert 1 - np.linalg.norm(k) ** 2 < 1e-9
     assert hilbert.suggest_dim(0.0) == 2
+    assert hilbert.suggest_dim(1e-6) == 2
+    for tol in (0.0, -1.0, 1.0, 2.0, math.nan):
+        with pytest.raises(ValueError):
+            hilbert.suggest_dim(1.0, tol=tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e-3)),
+    b=st.floats(0.0, 3.0),
+    tol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+)
+def test_suggest_dim_is_a_valid_truncation(a, b, tol):
+    """At least 2 levels, a Poisson tail beyond them within tol, and never
+    fewer levels for a larger amplitude."""
+    d = hilbert.suggest_dim(a, tol=tol)
+    assert d >= 2
+    # P(n >= d) for a Poisson law of mean a^2 is the regularized gamma P(d, a^2)
+    # (within the rounding of the library's running sum, a few ulps of 1)
+    assert scipy.special.gammainc(d, a * a) <= tol + 1e-14
+    lo, hi = sorted((a, b))
+    assert hilbert.suggest_dim(lo, tol=tol) <= hilbert.suggest_dim(hi, tol=tol)
 
 
 def test_tensor_sparse_dense_mix():

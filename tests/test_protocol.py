@@ -11,7 +11,6 @@ from darkbus import codes, dynamics, hilbert, protocol
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import SECTORS, VacuumCheckModel
 from oracles import (
-    MODE_LABELS,
     cat_product_ket,
     dual_rail_distill_kron,
     embed,
@@ -212,11 +211,10 @@ def test_run_dmm_coherent_matches_materialized_vacuum_check(alpha):
     for coupling, t in ((0 * a_mat, params.t_pump), (a_mat, res.t_dump), (0 * a_mat, t_post)):
         sup = dynamics.propagate_coherent(sup, *dynamics.linear_propagator(coupling, gammas, t))
     pair = dynamics.ptrace_coherent(sup, keep=[0, 2])
-    space = res.rho_pass.space
-    rho = hilbert.QuantumState(materialize_coherent(pair, space.dims), space)
-    _, states, sectors = vacuum_check(rho, check)
+    dims = res.rho_pass.space.dims
+    _, states, sectors = vacuum_check(materialize_coherent(pair, dims), dims, check)
     assert min(sectors.values()) > 1e-3  # every sector reaches the gg state
-    assert_allclose(res.rho_pass.dm(), states["gg"].dm(), rtol=0, atol=1e-12)
+    assert_allclose(res.rho_pass.data, states["gg"], rtol=0, atol=1e-12)
 
 
 def test_initial_superposition_materializes_the_cat_product():
@@ -229,10 +227,9 @@ def test_initial_superposition_materializes_the_cat_product():
     rho /= np.trace(rho).real
     ket = cat_product_ket(dims, alpha)
     assert_allclose(rho, np.outer(ket, ket.conj()), rtol=0, atol=1e-15)
-    space = hilbert.HilbertSpace(dims, MODE_LABELS)
-    n_bus = embed(space, {"bus": number(4)}, sparse=True)
+    n_bus = embed(dims, {"bus": number(4)}, sparse=True)
     assert expect(n_bus, rho).real == pytest.approx(0.0, abs=1e-12)
-    n1 = embed(space, {"cav1": number(16)}, sparse=True)
+    n1 = embed(dims, {"cav1": number(16)}, sparse=True)
     assert expect(n1, rho).real == pytest.approx(alpha**2, abs=1e-6)
 
 
@@ -300,13 +297,14 @@ def test_run_dmm_lindblad_matches_three_window_master_equation(params, kw):
         cavity_loss=kw.get("cavity_loss", True),
         include_kerr=kw.get("include_kerr", False),
     )
-    p_out, states, _ = vacuum_check(pair, kw.get("check"))
+    dims = (params.dims[0], params.dims[2])
+    p_out, states, _ = vacuum_check(pair, dims, kw.get("check"))
     for o in protocol.OUTCOMES:
         assert res.p_outcomes[o] == pytest.approx(p_out[o], abs=1e-12)
-    assert_allclose(res.rho_pass.dm(), states["gg"].dm(), rtol=0, atol=1e-12)
-    words = [b.codewords(d) for b, d in zip(res.basis_used, pair.space.dims)]
+    assert_allclose(res.rho_pass.data, states["gg"], rtol=0, atol=1e-12)
+    words = [b.codewords(d) for b, d in zip(res.basis_used, dims)]
     bell = codes.bell_state(*words)
-    fid = np.real(bell.conj() @ states["gg"].dm() @ bell)
+    fid = np.real(bell.conj() @ states["gg"] @ bell)
     assert res.bell_fidelity == pytest.approx(fid, abs=1e-12)
 
 
@@ -362,9 +360,9 @@ def test_run_dmm_lindblad_ignores_global_rng():
 
 
 def test_vacuum_check_on_vacuum():
-    space = hilbert.HilbertSpace((4, 4), ("cav1", "cav2"))
-    vac = product_ket(space, {})
-    p, states, sectors = vacuum_check(vac)
+    dims = (4, 4)
+    vac = product_ket(dims, {})
+    p, states, sectors = vacuum_check(vac, dims)
     assert p["gg"] == pytest.approx(0.0, abs=1e-15)
     assert p["ee"] == pytest.approx(1.0)
     assert states["gg"] is None
@@ -375,24 +373,24 @@ def test_vacuum_check_product_state():
     # |alpha, 0, -alpha| at alpha = sqrt(2): each cavity occupied with
     # 1 - e^{-2}, so gg fires with (1 - e^{-2})^2 ~ 0.7477
     a = math.sqrt(2)
-    space = hilbert.HilbertSpace((20, 4, 20), MODE_LABELS)
+    dims = (20, 4, 20)
     ket = product_ket(
-        space,
+        dims,
         {"cav1": hilbert.coherent(20, a), "cav2": hilbert.coherent(20, -a)},
     )
-    p, states, _ = vacuum_check(ket)
+    p, states, _ = vacuum_check(ket, dims)
     expected = (1 - math.exp(-2)) ** 2
     assert p["gg"] == pytest.approx(expected, abs=1e-9)
     assert p["gg"] == pytest.approx(0.7477, abs=1e-4)
     assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
     # the pass branch of a product state is the vacuum-removed product
-    assert states["gg"].space.dims == (20, 20)
+    assert states["gg"].shape == (20 * 20, 20 * 20)
 
 
 def test_vacuum_check_measured_false_pass():
-    space = hilbert.HilbertSpace((3, 3), ("cav1", "cav2"))
-    vac = product_ket(space, {})
-    p, _, _ = vacuum_check(vac, VacuumCheckModel.from_measured())
+    dims = (3, 3)
+    vac = product_ket(dims, {})
+    p, _, _ = vacuum_check(vac, dims, VacuumCheckModel.from_measured())
     assert p["gg"] == pytest.approx(0.015)
 
 
@@ -405,11 +403,8 @@ def test_vacuum_check_outcomes_recompose_sectors(d1, d2, seed):
     x = rng.normal(size=(d1 * d2, d1 * d2)) + 1j * rng.normal(size=(d1 * d2, d1 * d2))
     rho = x @ x.conj().T
     rho /= np.trace(rho)
-    space = hilbert.HilbertSpace((d1, d2), ("cav1", "cav2"))
-    p, states, sectors = vacuum_check(
-        hilbert.QuantumState(rho, space), VacuumCheckModel.from_measured()
-    )
-    recomposed = sum(p[o] * states[o].dm() for o in protocol.OUTCOMES)
+    p, states, sectors = vacuum_check(rho, (d1, d2), VacuumCheckModel.from_measured())
+    recomposed = sum(p[o] * states[o] for o in protocol.OUTCOMES)
     vac = {d: np.diag(np.arange(d) == 0).astype(float) for d in (d1, d2)}
     proj = {"V": vac, "N": {d: np.eye(d) - v for d, v in vac.items()}}
     blocks = 0
@@ -422,10 +417,10 @@ def test_vacuum_check_outcomes_recompose_sectors(d1, d2, seed):
 
 
 def test_vacuum_check_rejects_wrong_shape():
-    space = hilbert.HilbertSpace((4,), ("cav1",))
-    vac = product_ket(space, {})
+    dims = (4,)
+    vac = product_ket(dims, {})
     with pytest.raises(ValueError):
-        vacuum_check(vac)
+        vacuum_check(vac, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +601,15 @@ def test_multiround_reset_overhead():
     assert st_.rate_hz == pytest.approx(0.25e6, rel=1e-12)
 
 
+def test_multiround_certain_success():
+    """At p = 1 every attempt succeeds: each quantile is one attempt."""
+    st_ = protocol.multiround_stats(1.0, 8.85e-6, t_reset=1e-6)
+    assert st_.mean_attempts == 1.0
+    assert st_.mean_wait == pytest.approx(8.85e-6, rel=1e-12)
+    for q in (1e-9, 0.5, 0.9, 0.99, 1 - 1e-12):
+        assert st_.attempts_quantile(q) == 1
+
+
 def test_multiround_validation():
     with pytest.raises(ValueError):
         protocol.multiround_stats(0.0, 1e-6)
@@ -679,12 +683,13 @@ def test_dual_rail_lossless_whole_periods_not_converged():
 def _dual_rail_pair_master_equation(kappa_b, t_final):
     """Cavity pair after one photon starts in cav1, by the Lindblad oracle
     at dims (2, 3, 2)."""
-    space = hilbert.HilbertSpace((2, 3, 2), MODE_LABELS)
+    dims = (2, 3, 2)
     h, c_ops = dynamics.network_operators(
-        dynamics.coupling_matrix(160e3), (0.0, 2 * math.pi * kappa_b, 0.0), space.dims
+        dynamics.coupling_matrix(160e3), (0.0, 2 * math.pi * kappa_b, 0.0), dims
     )
-    psi0 = product_ket(space, {"cav1": hilbert.fock(2, 1)})
-    return dynamics.lindblad_evolve(h, c_ops, psi0, t_final).final.ptrace(("cav1", "cav2")).dm()
+    psi0 = product_ket(dims, {"cav1": hilbert.fock(2, 1)})
+    rho = dynamics.lindblad_evolve(h, c_ops, psi0, t_final).final
+    return hilbert.partial_trace(rho, dims, [0, 2])
 
 
 @pytest.mark.parametrize(
@@ -695,7 +700,7 @@ def test_dual_rail_closed_form_matches_master_equation(kappa_b):
     for t_final in (0.7e-6, 3.1e-6, 2.0e-5):
         res = protocol.dual_rail_dmm(SystemParams(kappa_b=kappa_b), t_final=t_final)
         assert_allclose(
-            res.rho_pair.dm(), _dual_rail_pair_master_equation(kappa_b, t_final), atol=1e-12
+            res.rho_pair, _dual_rail_pair_master_equation(kappa_b, t_final), atol=1e-12
         )
 
 
