@@ -183,20 +183,20 @@ def _column(values):
 
 
 class RunContext:
-    def __init__(self, out_dir: Path, seed: int, gnuplot: bool):
+    def __init__(self, out_dir: Path, seed: int):
         self.out = out_dir
         self.seed = seed
-        self.gnuplot = gnuplot
         self.outputs: list[str] = []
 
-    def write_csv(self, name: str, header: list[str], columns) -> Path:
-        """Write a table given column by column in header order; a table of
-        rows is passed as ``zip(*rows)``, which has no columns when there
-        are no rows."""
-        cells = [_column(c) for c in columns]
+    def write_csv(self, name: str, table: dict) -> Path:
+        """Write ``table``, ``{column name: values}``, under a header of its
+        keys in key order.  Every column holds one value per row, so a
+        one-row table passes one-element lists and a table without rows
+        writes the header alone."""
+        cells = [_column(c) for c in table.values()]
         path = self.out / name
         with open(path, "w") as f:
-            f.write(",".join(header) + "\n")
+            f.write(",".join(table) + "\n")
             for row in zip(*cells, strict=True):
                 f.write(",".join(row) + "\n")
         self.outputs.append(name)
@@ -226,33 +226,24 @@ def cmd_regimes(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         if not any(math.isclose(k, kc, rel_tol=1e-6) for k in kappas):
             kappas.append(kc)
         kappas.sort()
-    rows, curves = [], []
-    for k in kappas:
-        regime = dynamics.classify_regime(params.g_bs, k)
-        slow, fast = dynamics.damping_rates(params.g_bs, k)
-        t_auto = dynamics.auto_dump_time(params.g_bs, k)
-        rows.append(
-            (k, regime, abs(slow.real), abs(fast.real), abs(slow.imag), t_auto)
-        )
-        curves.append(dynamics.bright_mode_response(params.g_bs, k, times).real)
-    ctx.write_csv(
-        "regimes.csv",
-        ["kappa_b_hz", "regime", "rate_slow_rad_s", "rate_fast_rad_s", "freq_rad_s", "t_dump_auto_s"],
-        zip(*rows),
-    )
+    rates = [dynamics.damping_rates(params.g_bs, k) for k in kappas]
+    table = {
+        "kappa_b_hz": kappas,
+        "regime": [dynamics.classify_regime(params.g_bs, k) for k in kappas],
+        "rate_slow_rad_s": [abs(slow.real) for slow, _ in rates],
+        "rate_fast_rad_s": [abs(fast.real) for _, fast in rates],
+        "freq_rad_s": [abs(slow.imag) for slow, _ in rates],
+        "t_dump_auto_s": [dynamics.auto_dump_time(params.g_bs, k) for k in kappas],
+    }
+    ctx.write_csv("regimes.csv", table)
+    curves = [dynamics.bright_mode_response(params.g_bs, k, times).real for k in kappas]
     ctx.write_csv(
         "regime_curves.csv",
-        ["kappa_b_hz", "time_s", "response"],
-        [np.repeat(kappas, times.size), np.tile(times, len(kappas)), np.ravel(curves)],
+        {"kappa_b_hz": np.repeat(kappas, times.size), "time_s": np.tile(times, len(kappas)),
+         "response": np.ravel(curves)},
     )
-    if ctx.gnuplot:
-        ctx.write_text(
-            "plot.gp",
-            "set datafile separator ','\nset key autotitle columnhead\n"
-            "plot 'regime_curves.csv' using 2:3 with points pt 7 ps 0.3\n",
-        )
-    for r in rows:
-        print(f"kappa_b = {r[0]/1e3:9.3f} kHz : {r[1]:12s} t_dump(auto) = {r[5]*1e6:.3f} us")
+    for k, regime, t_auto in zip(kappas, table["regime"], table["t_dump_auto_s"]):
+        print(f"kappa_b = {k/1e3:9.3f} kHz : {regime:12s} t_dump(auto) = {t_auto*1e6:.3f} us")
     return {"kappas_hz": kappas, "critical_kappa_hz": dynamics.critical_kappa(params.g_bs)}
 
 
@@ -260,8 +251,8 @@ def cmd_transfer(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     times = np.linspace(1e-9, _number(opts, "t_max", _POSITIVE), _number(opts, "n_times", _COUNT))
     res = dynamics.transfer_efficiency(params.g_bs, params.kappa_b)
     etas = dynamics.transfer_efficiency(params.g_bs, params.kappa_b, t1=times, t2=times).eta
-    ctx.write_csv("transfer.csv", ["t1_s", "t2_s", "eta"], zip(*[(res.t1, res.t2, res.eta)]))
-    ctx.write_csv("transfer_curve.csv", ["t_hold_s", "eta"], [times, etas])
+    ctx.write_csv("transfer.csv", {"t1_s": [res.t1], "t2_s": [res.t2], "eta": [res.eta]})
+    ctx.write_csv("transfer_curve.csv", {"t_hold_s": times, "eta": etas})
     print(
         f"optimal pitch/catch: t1 = {res.t1*1e9:.1f} ns, t2 = {res.t2*1e9:.1f} ns, "
         f"efficiency = {res.eta*100:.3f}%"
@@ -275,15 +266,9 @@ def cmd_phase_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     p_fail = protocol.phase_sweep(params.alpha, phis, times, params.g_bs, params.kappa_b)
     ctx.write_csv(
         "phase_sweep.csv",
-        ["phi_rad", "time_s", "p_fail"],
-        [np.repeat(phis, times.size), np.tile(times, phis.size), p_fail.ravel()],
+        {"phi_rad": np.repeat(phis, times.size), "time_s": np.tile(times, phis.size),
+         "p_fail": p_fail.ravel()},
     )
-    if ctx.gnuplot:
-        ctx.write_text(
-            "plot.gp",
-            "set datafile separator ','\nset key autotitle columnhead\n"
-            "set view map\nsplot 'phase_sweep.csv' using 1:2:3 with points palette pt 5\n",
-        )
     k = len(times) // 2
     dark = p_fail[np.argmin(np.abs(phis - math.pi)), k]
     bright = p_fail[0, k]
@@ -300,17 +285,12 @@ def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     res = _herald(params, opts, engine=opts["engine"])
     ctx.write_csv(
         "entangle.csv",
-        [
-            "p_gg", "p_ge", "p_eg", "p_ee", "fidelity",
-            "alpha_basis_1", "alpha_basis_2", "t_dump_s", "bright_residual",
-        ],
-        zip(*[
-            (
-                res.p_outcomes["gg"], res.p_outcomes["ge"], res.p_outcomes["eg"],
-                res.p_outcomes["ee"], res.bell_fidelity,
-                res.alpha_dark[0], res.alpha_dark[1], res.t_dump, res.bright_residual,
-            )
-        ]),
+        {
+            **{f"p_{o}": [res.p_outcomes[o]] for o in protocol.OUTCOMES},
+            "fidelity": [res.bell_fidelity],
+            "alpha_basis_1": [res.alpha_dark[0]], "alpha_basis_2": [res.alpha_dark[1]],
+            "t_dump_s": [res.t_dump], "bright_residual": [res.bright_residual],
+        },
     )
     print(
         f"herald probability = {res.p_pass:.4f}, Bell fidelity = {res.bell_fidelity:.4f} "
@@ -329,15 +309,14 @@ def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     rows = []
     for p in sweep:
         r = _herald(p, opts)
-        rows.append((p.alpha, r.p_pass, r.bell_fidelity, r.alpha_dark[0], r.alpha_dark[1]))
-    ctx.write_csv(
-        "alpha_sweep.csv",
-        ["alpha", "p_pass", "fidelity", "alpha_basis_1", "alpha_basis_2"],
-        zip(*rows),
-    )
-    best = max(rows, key=lambda r: r[2])
-    print(f"best fidelity {best[2]:.4f} at alpha = {best[0]:.3f} (p_pass = {best[1]:.4f})")
-    return {"alphas": [p.alpha for p in sweep], "best_alpha": best[0], "best_fidelity": best[2]}
+        rows.append({"alpha": p.alpha, "p_pass": r.p_pass, "fidelity": r.bell_fidelity,
+                     "alpha_basis_1": r.alpha_dark[0], "alpha_basis_2": r.alpha_dark[1]})
+    table = {k: [row[k] for row in rows] for k in rows[0]}
+    ctx.write_csv("alpha_sweep.csv", table)
+    best = max(rows, key=lambda row: row["fidelity"])
+    print("best fidelity {fidelity:.4f} at alpha = {alpha:.3f} "
+          "(p_pass = {p_pass:.4f})".format(**best))
+    return {"alphas": table["alpha"], "best_alpha": best["alpha"], "best_fidelity": best["fidelity"]}
 
 
 def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
@@ -348,25 +327,16 @@ def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     out = protocol.avg_qst_fidelity(
         res.rho_pass, w1, w2, p_decode=p_decode, p_flip_m1=p_flip_m1
     )
-    rows = []
-    for name in protocol.CARDINAL_STATES:
-        t = out[name]
-        rows.append(
-            (
-                name,
-                t.probs[(0, 0)], t.probs[(0, 1)], t.probs[(1, 0)], t.probs[(1, 1)],
-                t.fidelities[(0, 0)], t.fidelities[(0, 1)],
-                t.fidelities[(1, 0)], t.fidelities[(1, 1)],
-                t.f_qst,
-            )
-        )
+    runs = [out[name] for name in protocol.CARDINAL_STATES]
     ctx.write_csv(
         "teleport.csv",
-        [
-            "input", "p_00", "p_01", "p_10", "p_11",
-            "f_00", "f_01", "f_10", "f_11", "f_qst",
-        ],
-        zip(*rows),
+        {
+            "input": list(protocol.CARDINAL_STATES),
+            **{f"p_{m1}{m2}": [t.probs[m1, m2] for t in runs] for m1, m2 in protocol.CORRECTIONS},
+            **{f"f_{m1}{m2}": [t.fidelities[m1, m2] for t in runs]
+               for m1, m2 in protocol.CORRECTIONS},
+            "f_qst": [t.f_qst for t in runs],
+        },
     )
     print(f"average teleportation fidelity = {out['favg']:.4f}")
     for name in protocol.CARDINAL_STATES:
@@ -388,28 +358,17 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     grid = tomography.WignerGrid.default(extent, step)
     forward = tomography._ForwardMap(d1, grid.betas)  # one kernel build: map and fit
     w = forward(rho1).reshape(grid.shape)
-    ctx.write_csv(
-        "wigner_ideal.csv",
-        ["re_beta", "im_beta", "value"],
-        [grid.betas.real, grid.betas.imag, w.ravel()],
-    )
+    beta = {"re_beta": grid.betas.real, "im_beta": grid.betas.imag}
+    ctx.write_csv("wigner_ideal.csv", {**beta, "value": w.ravel()})
     counts = tomography.sample_counts(w.ravel(), shots, seed=ctx.seed)
     w_meas = 2 * counts / shots - 1
     ctx.write_csv(
         "wigner_sampled.csv",
-        ["re_beta", "im_beta", "value", "shots", "counts"],
-        [grid.betas.real, grid.betas.imag, w_meas, np.full(counts.size, shots), counts],
+        {**beta, "value": w_meas, "shots": np.full(counts.size, shots), "counts": counts},
     )
     data = tomography.WignerData.from_map(grid, w_meas, shots=shots, counts=counts)
     mle = tomography.mle_density(data, dim=d1, max_iter=max_iter, forward=forward)
     f_rec = hilbert.fidelity(mle.rho, rho1)
-    if ctx.gnuplot:
-        ctx.write_text(
-            "plot.gp",
-            "set datafile separator ','\nset key autotitle columnhead\n"
-            "set view map\nset size square\n"
-            "splot 'wigner_sampled.csv' using 1:2:3 with points palette pt 5\n",
-        )
     print(
         f"conditioned cat (P(+) = {p_plus:.3f}): reconstructed at dim {d1} from "
         f"{counts.size} points x {shots} shots"
@@ -432,8 +391,8 @@ def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     res = protocol.dual_rail_dmm(params, t_final=t_final)
     ctx.write_csv(
         "dual_rail.csv",
-        ["trace_distance", "p_herald", "distilled_fidelity", "converged"],
-        zip(*[(res.trace_distance, res.p_herald, res.fidelity, res.converged)]),
+        {"trace_distance": [res.trace_distance], "p_herald": [res.p_herald],
+         "distilled_fidelity": [res.fidelity], "converged": [res.converged]},
     )
     print(
         f"pair state within {res.trace_distance:.2e} of the half-Bell/half-vacuum mix; "
@@ -458,30 +417,10 @@ def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         _number(opts, "n_alpha", _COUNT),
     )
     p_decode, p_bright = _number(opts, "p_decode", _UNIT), _number(opts, "p_bright_pass", _UNIT)
-    rows = []
-    for a in alphas:
-        b = errorbudget.predicted_infidelity(float(a), p_decode, p_bright, params)
-        rows.append(
-            (
-                b.alpha, b.photon_loss, b.decode_error, b.false_pass, b.total,
-                b.off_resonant, b.single_pass, b.purcell,
-            )
-        )
-    ctx.write_csv(
-        "error_budget.csv",
-        [
-            "alpha", "photon_loss", "decode_error", "false_pass", "total",
-            "off_resonant", "single_pass", "purcell",
-        ],
-        zip(*rows),
-    )
+    budgets = [errorbudget.predicted_infidelity(float(a), p_decode, p_bright, params) for a in alphas]
+    columns = [f.name for f in dataclasses.fields(errorbudget.BudgetBreakdown)]
+    ctx.write_csv("error_budget.csv", {k: [getattr(b, k) for b in budgets] for k in columns})
     a_star, best = errorbudget.optimal_alpha(params, p_decode, p_bright)
-    if ctx.gnuplot:
-        ctx.write_text(
-            "plot.gp",
-            "set datafile separator ','\nset key autotitle columnhead\n"
-            "plot for [c=2:5] 'error_budget.csv' using 1:c with lines\n",
-        )
     print(f"optimal cat amplitude alpha* = {a_star:.4f}, budgeted infidelity {best.total:.4f}")
     return {"optimal_alpha": a_star, "total_at_optimum": best.total}
 
@@ -498,18 +437,12 @@ def cmd_multiround(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     stats = protocol.multiround_stats(p, t_attempt, t_reset)
     ctx.write_csv(
         "multiround.csv",
-        [
-            "p_success", "t_attempt_s", "t_reset_s", "mean_attempts",
-            "mean_wait_s", "rate_hz", "attempts_p50", "attempts_p90", "attempts_p99",
-        ],
-        zip(*[
-            (
-                stats.p_success, stats.t_attempt, stats.t_reset, stats.mean_attempts,
-                stats.mean_wait, stats.rate_hz,
-                stats.attempts_quantile(0.5), stats.attempts_quantile(0.9),
-                stats.attempts_quantile(0.99),
-            )
-        ]),
+        {
+            "p_success": [stats.p_success], "t_attempt_s": [stats.t_attempt],
+            "t_reset_s": [stats.t_reset], "mean_attempts": [stats.mean_attempts],
+            "mean_wait_s": [stats.mean_wait], "rate_hz": [stats.rate_hz],
+            **{f"attempts_p{n}": [stats.attempts_quantile(n / 100)] for n in (50, 90, 99)},
+        },
     )
     print(
         f"p = {stats.p_success:.4f}: {stats.mean_attempts:.2f} attempts, "
@@ -517,6 +450,10 @@ def cmd_multiround(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     )
     return {"mean_wait_s": stats.mean_wait, "rate_hz": stats.rate_hz}
 
+
+# the vacuum check, cavity loss and dump time of the commands that herald a
+# pair; each command overrides what differs
+_HERALD = {"check": "measured", "cavity_loss": True, "dump_time": None}
 
 COMMANDS = {
     "regimes": (
@@ -530,35 +467,17 @@ COMMANDS = {
     ),
     "transfer-efficiency": (cmd_transfer, {"t_max": 3e-6, "n_times": 61}),
     "phase-sweep": (cmd_phase_sweep, {"n_phi": 25, "n_times": 41, "t_max": 8e-6}),
-    "entangle": (
-        cmd_entangle,
-        {"check": "ideal", "cavity_loss": True, "dump_time": None, "engine": "coherent"},
-    ),
+    "entangle": (cmd_entangle, {**_HERALD, "check": "ideal", "engine": "coherent"}),
     "alpha-sweep": (
         cmd_alpha_sweep,
-        {
-            "alphas": [1.0, 1.2, 1.4142135623730951, 1.6, 1.8, 2.0],
-            "check": "measured",
-            "cavity_loss": True,
-            "dump_time": None,
-        },
+        {"alphas": [1.0, 1.2, 1.4142135623730951, 1.6, 1.8, 2.0], **_HERALD},
     ),
-    "teleport": (
-        cmd_teleport,
-        {
-            "check": "measured",
-            "cavity_loss": True,
-            "dump_time": None,
-            "p_decode": 0.02,
-            "p_flip_m1": 0.01,
-        },
-    ),
+    "teleport": (cmd_teleport, {**_HERALD, "p_decode": 0.02, "p_flip_m1": 0.01}),
     "tomo-demo": (
         cmd_tomo_demo,
         {
+            **_HERALD,
             "check": "ideal",
-            "cavity_loss": True,
-            "dump_time": None,
             "extent": 2.0,
             "step": 0.1,
             "shots": 1000,
@@ -580,6 +499,17 @@ COMMANDS = {
         cmd_multiround,
         {"p_success": 1 / 2.6, "t_attempt": 8.85e-6, "t_reset": 0.0},
     ),
+}
+
+# the plot.gp that --gnuplot writes, after a shared preamble, for the
+# commands that have one
+_PLOT_PREAMBLE = "set datafile separator ','\nset key autotitle columnhead\n"
+PLOTS = {
+    "regimes": "plot 'regime_curves.csv' using 2:3 with points pt 7 ps 0.3\n",
+    "phase-sweep": "set view map\nsplot 'phase_sweep.csv' using 1:2:3 with points palette pt 5\n",
+    "tomo-demo": "set view map\nset size square\n"
+    "splot 'wigner_sampled.csv' using 1:2:3 with points palette pt 5\n",
+    "error-budget": "plot for [c=2:5] 'error_budget.csv' using 1:c with lines\n",
 }
 
 
@@ -641,12 +571,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.time()
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config)
         runner, params, opts = resolve(args.command, cfg, args.scenario)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ctx = RunContext(out_dir, args.seed, args.gnuplot)
+        ctx = RunContext(out_dir, args.seed)
         summary = runner(params, opts, ctx)
+        if args.gnuplot and args.command in PLOTS:
+            ctx.write_text("plot.gp", _PLOT_PREAMBLE + PLOTS[args.command])
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

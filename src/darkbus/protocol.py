@@ -25,7 +25,7 @@ coupling, decay rates and initial superposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,8 +194,7 @@ class DmmResult:
     weight of :func:`_fold`, normalized), ``bell_fidelity`` its overlap with
     the logical Bell target in ``basis_used``.  ``p_outcomes`` holds all four
     outcome probabilities; the states of the discarded outcomes are never
-    built.  ``sector_probs`` are the V/N sector probabilities the outcomes
-    were folded from.
+    built.
     ``rho_pass`` is the one state the library keeps wrapped: a
     :class:`~darkbus.hilbert.QuantumState`, because callers (the CLI, the
     demos and perfbench's basis fit) read the two cavity truncations from
@@ -215,7 +214,6 @@ class DmmResult:
     t_dump: float
     engine: str
     p_pass_projective: float = 0.0
-    sector_probs: dict = field(default_factory=dict)
 
 
 def _initial_superposition(alpha: float) -> CoherentSuperposition:
@@ -449,7 +447,6 @@ def run_dmm(
         t_dump=t_dump,
         engine=engine,
         p_pass_projective=_fold(check, projective_probs)[0]["gg"],
-        sector_probs=sector_probs,
     )
 
 
@@ -625,7 +622,9 @@ class MultiroundStats:
             raise ValueError("q must be in (0,1)")
         if self.p_success == 1:
             return 1  # every attempt succeeds
-        return math.ceil(math.log(1 - q) / math.log(1 - self.p_success))
+        # log1p, as 1 - x rounds to 1 for x below about 1e-16; at least one
+        # attempt is always needed
+        return max(1, math.ceil(math.log1p(-q) / math.log1p(-self.p_success)))
 
 
 def multiround_stats(p_success: float, t_attempt: float, t_reset: float = 0.0) -> MultiroundStats:

@@ -57,22 +57,73 @@ def test_multiround_writes_manifest(tmp_path):
     assert m["summary"]["rate_hz"] == pytest.approx(43459.365493263795)
     assert m["params"]["alpha"] == pytest.approx(math.sqrt(2))
     assert m["versions"] == {"python": sys.version.split()[0], "numpy": np.__version__}
-    header = (out / "multiround.csv").read_text().splitlines()[0]
-    assert header == (
-        "p_success,t_attempt_s,t_reset_s,mean_attempts,"
-        "mean_wait_s,rate_hz,attempts_p50,attempts_p90,attempts_p99"
-    )
+
+
+# every file each command writes at its defaults, with each CSV's header;
+# --gnuplot adds plot.gp for the four commands that plot
+SCHEMAS = {
+    "regimes": {
+        "regimes.csv": "kappa_b_hz,regime,rate_slow_rad_s,rate_fast_rad_s,freq_rad_s,t_dump_auto_s",
+        "regime_curves.csv": "kappa_b_hz,time_s,response",
+        "plot.gp": "regime_curves.csv",
+    },
+    "transfer-efficiency": {
+        "transfer.csv": "t1_s,t2_s,eta",
+        "transfer_curve.csv": "t_hold_s,eta",
+    },
+    "phase-sweep": {
+        "phase_sweep.csv": "phi_rad,time_s,p_fail",
+        "plot.gp": "phase_sweep.csv",
+    },
+    "entangle": {
+        "entangle.csv": "p_gg,p_ge,p_eg,p_ee,fidelity,"
+        "alpha_basis_1,alpha_basis_2,t_dump_s,bright_residual",
+    },
+    "alpha-sweep": {"alpha_sweep.csv": "alpha,p_pass,fidelity,alpha_basis_1,alpha_basis_2"},
+    "teleport": {"teleport.csv": "input,p_00,p_01,p_10,p_11,f_00,f_01,f_10,f_11,f_qst"},
+    "tomo-demo": {
+        "wigner_ideal.csv": "re_beta,im_beta,value",
+        "wigner_sampled.csv": "re_beta,im_beta,value,shots,counts",
+        "plot.gp": "wigner_sampled.csv",
+    },
+    "dual-rail": {"dual_rail.csv": "trace_distance,p_herald,distilled_fidelity,converged"},
+    "error-budget": {
+        "error_budget.csv": "alpha,photon_loss,decode_error,false_pass,total,"
+        "off_resonant,single_pass,purcell",
+        "plot.gp": "error_budget.csv",
+    },
+    "multiround": {
+        "multiround.csv": "p_success,t_attempt_s,t_reset_s,mean_attempts,"
+        "mean_wait_s,rate_hz,attempts_p50,attempts_p90,attempts_p99",
+    },
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_csv_schema_is_fixed_per_command(tmp_path, command):
+    """At its defaults with --gnuplot, each command writes exactly its files,
+    in order, each CSV under its fixed header; plot.gp, where there is one,
+    plots a CSV of the same run and is listed and hashed in the manifest."""
+    out = tmp_path / "o"
+    assert run([command, "--gnuplot", "--out", out]) == 0
+    files = SCHEMAS[command]
+    m = read_manifest(out)
+    assert m["outputs"] == list(files)
+    assert set(m["sha256"]) == set(files)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json"])
+    for name, header in files.items():
+        text = (out / name).read_text()
+        if name == "plot.gp":
+            assert text.startswith("set datafile separator ','\nset key autotitle columnhead\n")
+            assert f"'{header}'" in text
+        else:
+            assert text.splitlines()[0] == header
 
 
 def test_entangle_csv(tmp_path):
     out = tmp_path / "ent"
     assert run(["entangle", "--out", out]) == 0
-    lines = (out / "entangle.csv").read_text().splitlines()
-    assert lines[0] == (
-        "p_gg,p_ge,p_eg,p_ee,fidelity,"
-        "alpha_basis_1,alpha_basis_2,t_dump_s,bright_residual"
-    )
-    row = [float(x) for x in lines[1].split(",")]
+    row = [float(x) for x in (out / "entangle.csv").read_text().splitlines()[1].split(",")]
     assert sum(row[:4]) == pytest.approx(1.0, abs=1e-9)
     m = read_manifest(out)
     assert 0.90 < m["summary"]["fidelity"] < 0.97
@@ -121,6 +172,7 @@ def test_error_budget_csv(tmp_path):
     assert len(lines) == 8  # header + 7 amplitudes
     m = read_manifest(out)
     assert m["options"]["n_alpha"] == 7
+    assert m["outputs"] == ["error_budget.csv"]  # no plot.gp without --gnuplot
 
 
 def _photon_loss(out_dir):
@@ -244,6 +296,25 @@ def test_multiround_rejects_out_of_range_values(tmp_path, capsys, key, value):
     cfg.write_text(f"multiround:\n  {key}: {value}\n")
     assert run(["multiround", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_multiround_tiny_success_probability(tmp_path):
+    """p = 1e-17 is below the spacing of floats near 1: a finite number of
+    attempts, not a division by zero."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("multiround:\n  p_success: 1.0e-17\n")
+    out = tmp_path / "o"
+    assert run(["multiround", "--config", cfg, "--out", out]) == 0
+    row = (out / "multiround.csv").read_text().splitlines()[1].split(",")
+    quantiles = [-math.log(1 - q) * 1e17 for q in (0.5, 0.9, 0.99)]
+    assert [int(v) for v in row[6:]] == pytest.approx(quantiles, rel=1e-12)
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["tomo-demo", "--seed", -1, "--out", out]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists() or not list(out.glob("*.csv"))
 
 
 def test_multiround_certain_success(tmp_path):
@@ -512,10 +583,6 @@ def test_tomo_demo_rerun_is_byte_identical(tmp_path):
     # but the noiseless map does not depend on the seed at all
     assert (out1 / "wigner_ideal.csv").read_bytes() == (out3 / "wigner_ideal.csv").read_bytes()
 
-    header = (out1 / "wigner_sampled.csv").read_text().splitlines()[0]
-    assert header == "re_beta,im_beta,value,shots,counts"
-    assert (out1 / "wigner_ideal.csv").read_text().splitlines()[0] == "re_beta,im_beta,value"
-
 
 def test_alpha_sweep_rows_match_run_dmm(tmp_path):
     """Each sweep row is exactly a standalone heralding run at that alpha."""
@@ -528,15 +595,6 @@ def test_alpha_sweep_rows_match_run_dmm(tmp_path):
         r = protocol.run_dmm(SystemParams(alpha=alpha), check=VacuumCheckModel.from_measured())
         expected = (alpha, r.p_pass, r.bell_fidelity, r.alpha_dark[0], r.alpha_dark[1])
         assert line == ",".join(repr(float(x)) for x in expected)
-
-
-def test_gnuplot_flag_emits_script(tmp_path):
-    cfg = tmp_path / "c.yaml"
-    cfg.write_text(TOMO_CFG)
-    out = tmp_path / "o"
-    assert run(["tomo-demo", "--config", cfg, "--gnuplot", "--out", out]) == 0
-    assert (out / "plot.gp").exists()
-    assert "plot.gp" in read_manifest(out)["outputs"]
 
 
 def test_tomo_demo_reports_mle_convergence(tmp_path):

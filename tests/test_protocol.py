@@ -610,6 +610,26 @@ def test_multiround_certain_success():
         assert st_.attempts_quantile(q) == 1
 
 
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [
+        (0.5, 1e-17, 1),
+        (0.5, 1e-300, 1),
+        (1 - 1e-16, 5e-324, 1),
+        (1e-17, 0.5, math.ceil(math.log(2) * 1e17)),
+        (1e-300, 0.5, math.ceil(math.log(2) * 1e300)),
+    ],
+    ids=["q=1e-17", "q=1e-300", "q=5e-324,p=1-1e-16", "p=1e-17", "p=1e-300"],
+)
+def test_multiround_quantile_at_extremes(p, q, expected):
+    """A quantile or success probability below the spacing of floats near 1
+    still needs at least one attempt, and a finite number of them:
+    -log(1 - q) / -log(1 - p) is about q / p when both are small."""
+    n = protocol.multiround_stats(p, 1e-6).attempts_quantile(q)
+    assert isinstance(n, int) and 1 <= n < math.inf
+    assert n == pytest.approx(expected, rel=1e-12)
+
+
 def test_multiround_validation():
     with pytest.raises(ValueError):
         protocol.multiround_stats(0.0, 1e-6)
