@@ -37,8 +37,9 @@ class ConfigError(Exception):
     """Anything wrong with flags, config file, or parameter values."""
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that also reads YAML 1.2 floats.
+class _ConfigLoader(yaml.CSafeLoader):
+    """``yaml.CSafeLoader`` (libyaml's parser, PyYAML's safe constructor)
+    that also reads YAML 1.2 floats.
 
     PyYAML resolves plain scalars by YAML 1.1, where a float needs a dot and
     a signed exponent: 2e6, -23.0e3 and 1e-5 would load as strings.  Quoted
@@ -46,11 +47,13 @@ class _ConfigLoader(yaml.SafeLoader):
     """
 
 
-_ConfigLoader.add_implicit_resolver(
+# the YAML 1.2 floats that YAML 1.1 reads as strings
+_YAML12_FLOAT = (
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
     list("-+0123456789."),
 )
+_ConfigLoader.add_implicit_resolver(*_YAML12_FLOAT)
 
 
 PARAM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
@@ -430,18 +433,20 @@ def cmd_multiround(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         p = protocol.success_probability(params.alpha)
     else:
         p = _number(opts, "p_success")
-    if not 0 < p <= 1:
-        raise ConfigError(f"p_success must be in (0, 1], got {p}")
     t_attempt = _number(opts, "t_attempt", _POSITIVE)
     t_reset = _number(opts, "t_reset", _NON_NEGATIVE)
-    stats = protocol.multiround_stats(p, t_attempt, t_reset)
+    try:  # p_success outside (0, 1], or so small that 1/p or a quantile overflows
+        stats = protocol.multiround_stats(p, t_attempt, t_reset)
+        quantiles = {f"attempts_p{n}": [stats.attempts_quantile(n / 100)] for n in (50, 90, 99)}
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     ctx.write_csv(
         "multiround.csv",
         {
             "p_success": [stats.p_success], "t_attempt_s": [stats.t_attempt],
             "t_reset_s": [stats.t_reset], "mean_attempts": [stats.mean_attempts],
             "mean_wait_s": [stats.mean_wait], "rate_hz": [stats.rate_hz],
-            **{f"attempts_p{n}": [stats.attempts_quantile(n / 100)] for n in (50, 90, 99)},
+            **quantiles,
         },
     )
     print(

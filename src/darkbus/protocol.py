@@ -25,7 +25,9 @@ coupling, decay rates and initial superposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,16 +130,12 @@ def _sector_index(dims) -> np.ndarray:
     return (2 * occupied1[:, None] + occupied2).ravel()
 
 
-def _fold(model: VacuumCheckModel, sector_probs: dict, rho=None, dims=None, outcome="gg"):
+def _fold_weights(model: VacuumCheckModel, sector_probs: dict, outcome="gg"):
     """Fold the ideal projective sectors through the confusion model.
 
-    Returns the outcome probabilities and, when the two-cavity density
-    matrix ``rho`` (mode dims ``dims``) is given, the unnormalized state of
-    ``outcome``: the sum of P(outcome | s) Pi_s rho Pi_s over the sectors.
-    The projectors Pi_s are diagonal and disjoint in the Fock basis, so that
-    sum is rho times one entrywise weight, P(outcome | s) where row and
-    column lie in the same sector s and 0 elsewhere.  Sectors without
-    positive probability contribute nothing.
+    Returns the outcome probabilities and the weight P(outcome | s) of each
+    sector s, in :data:`SECTORS` order.  Sectors without positive
+    probability contribute nothing and get weight 0.
     """
     p_out = dict.fromkeys(OUTCOMES, 0.0)
     weights = np.zeros(len(SECTORS))
@@ -149,8 +147,18 @@ def _fold(model: VacuumCheckModel, sector_probs: dict, rho=None, dims=None, outc
         for o in OUTCOMES:
             p_out[o] += table[o] * ps
         weights[i] = table[outcome]
-    if rho is None:
-        return p_out, None
+    return p_out, weights
+
+
+def _fold(model: VacuumCheckModel, sector_probs: dict, rho, dims, outcome="gg"):
+    """The outcome probabilities of :func:`_fold_weights` and the
+    unnormalized state of ``outcome`` for the two-cavity density matrix
+    ``rho`` (mode dims ``dims``): the sum of P(outcome | s) Pi_s rho Pi_s
+    over the sectors.  The projectors Pi_s are diagonal and disjoint in the
+    Fock basis, so that sum is rho times one entrywise weight, P(outcome | s)
+    where row and column lie in the same sector s and 0 elsewhere.
+    """
+    p_out, weights = _fold_weights(model, sector_probs, outcome)
     idx = _sector_index(dims)
     folded = rho * weights[idx][:, None]
     folded[idx[:, None] != idx] = 0
@@ -195,7 +203,10 @@ class DmmResult:
     the logical Bell target in ``basis_used``.  ``p_outcomes`` holds all four
     outcome probabilities; the states of the discarded outcomes are never
     built.
-    ``rho_pass`` is the one state the library keeps wrapped: a
+    ``rho_pass`` is built on first access and cached: the coherent engine
+    reads ``bell_fidelity`` without the (d1 d2)^2 density matrix, so a
+    caller that only wants the numbers never pays for it.  It is the one
+    state the library keeps wrapped: a
     :class:`~darkbus.hilbert.QuantumState`, because callers (the CLI, the
     demos and perfbench's basis fit) read the two cavity truncations from
     ``rho_pass.space.dims``; its ``.data`` is the density matrix.
@@ -206,14 +217,18 @@ class DmmResult:
 
     p_pass: float
     p_outcomes: dict
-    rho_pass: QuantumState
     bell_fidelity: float
     basis_used: tuple[LogicalBasis, LogicalBasis]
     alpha_dark: tuple[float, float]
     bright_residual: float
     t_dump: float
     engine: str
-    p_pass_projective: float = 0.0
+    p_pass_projective: float
+    _build_rho_pass: Callable[[], QuantumState] = field(repr=False, compare=False)
+
+    @cached_property
+    def rho_pass(self) -> QuantumState:
+        return self._build_rho_pass()
 
 
 def _initial_superposition(alpha: float) -> CoherentSuperposition:
@@ -236,45 +251,70 @@ def _vacuum_amp(z):
     return np.exp(-np.abs(z) ** 2 / 2)
 
 
-def _sector_weights_coherent(sup: CoherentSuperposition, diagonal: bool):
-    """Probabilities of the four (V/N, V/N) cavity sectors.
+def _sector_weights_coherent(sup: CoherentSuperposition):
+    """Probabilities of the four (V/N, V/N) cavity sectors, as the pair
+    (classical, projective) of dicts keyed by :data:`SECTORS`.
 
     The bus has already been traced into the dyad matrix by the caller;
     per-cavity dyad traces are <z_j|z_i> for the full mode, v(z_i) v(z_j)*
     for the vacuum part, and their difference for the not-vacuum part.
 
-    ``diagonal=True`` keeps only the i == j terms -- the components are
-    treated as classical alternatives, which is the bookkeeping of the
-    calibrated check model (per-cavity marginals plus a correlation
-    factor).  ``diagonal=False`` is the full projective trace including
+    The classical probabilities keep only the i == j terms -- the
+    components are treated as classical alternatives, which is the
+    bookkeeping of the calibrated check model (per-cavity marginals plus a
+    correlation factor).  The projective ones are the full trace including
     the interference between overlapping dark components.
     """
-    z1, z2 = sup.labels[:, 0], sup.labels[:, 1]
-    a = np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
-    if diagonal:
-        a = np.diag(np.diag(a))
+    a = _dyads(sup)
 
     def factors(z):
         full = dynamics.coherent_overlaps(z[:, None])
         vac = np.outer(_vacuum_amp(z), _vacuum_amp(z).conj())
         return {"V": vac, "N": full - vac}
 
-    f1, f2 = factors(z1), factors(z2)
-    probs = {}
-    for s in SECTORS:
-        probs[s] = float(np.real(np.sum(a * f1[s[0]] * f2[s[1]])))
-    return probs
+    f1, f2 = factors(sup.labels[:, 0]), factors(sup.labels[:, 1])
+    return tuple(
+        dict(zip(SECTORS, _sector_traces(dyads, f1, f2).tolist()))
+        for dyads in (np.diag(np.diag(a)), a)
+    )
 
 
-def _density_coherent(sup: CoherentSuperposition, dims) -> np.ndarray:
+def _dyads(sup: CoherentSuperposition) -> np.ndarray:
+    """a[i, j] = c_i conj(c_j) w_ij, the weight of the dyad |z_i><z_j|."""
+    return np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
+
+
+def _sector_traces(a: np.ndarray, f1: dict, f2: dict) -> np.ndarray:
+    """Trace of each sector of sum_ij a_ij |z_i><z_j| on a cavity pair, in
+    :data:`SECTORS` order, from per-cavity dyad traces split into vacuum
+    and not-vacuum parts (``f["V"]`` and ``f["N"]``, each indexed [i, j])."""
+    return np.array([np.real(np.sum(a * f1[s1] * f2[s2])) for s1, s2 in SECTORS])
+
+
+def _split_gram(kets: np.ndarray) -> dict:
+    """G[i, j] = <k_j|k_i> of rows of truncated kets, split into the vacuum
+    part and the not-vacuum part."""
+    return {"V": np.outer(kets[:, 0], kets[:, 0].conj()), "N": kets[:, 1:] @ kets[:, 1:].conj().T}
+
+
+def _mode_kets(sup: CoherentSuperposition, dims) -> list[np.ndarray]:
+    """Per mode, one row of unnormalized truncated coherent kets per component."""
+    return [
+        np.array([hilbert.coherent(d, z, normalized=False) for z in sup.labels[:, m]])
+        for m, d in enumerate(dims)
+    ]
+
+
+def _density_coherent(sup: CoherentSuperposition, dims, mode_kets=None) -> np.ndarray:
     """Fock density matrix (prod(dims) square) of a coherent superposition,
-    from one row of unnormalized product kets per component."""
-    kets = np.ones((sup.n_components, 1), dtype=complex)
-    for m, d in enumerate(dims):
-        k = np.array([hilbert.coherent(d, z, normalized=False) for z in sup.labels[:, m]])
+    from one row of unnormalized product kets per component (built from
+    ``mode_kets``, the rows of :func:`_mode_kets`, when given)."""
+    if mode_kets is None:
+        mode_kets = _mode_kets(sup, dims)
+    kets = mode_kets[0]
+    for k in mode_kets[1:]:
         kets = np.einsum("ia,ib->iab", kets, k).reshape(sup.n_components, -1)
-    a = np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
-    return kets.T @ a @ kets.conj()
+    return kets.T @ _dyads(sup) @ kets.conj()
 
 
 def run_dmm(
@@ -303,12 +343,18 @@ def run_dmm(
     alpha = sqrt(2)); that trace is reported as ``p_pass_projective``.
     The lindblad engine has no component decomposition, so its rates are
     projective (diag rho summed by sector) and agree with
-    ``p_pass_projective``, not ``p_pass``.  Both engines then hand
-    :func:`_fold` the cavity-pair density matrix, the coherent engine
-    building it from one matrix of unnormalized coherent kets; the gg state
-    is that matrix times one entrywise sector weight, and the other outcomes
-    are kept as probabilities.  ``params`` is the only source of parameter
-    values: vary alpha with ``params.with_(alpha=...)``.
+    ``p_pass_projective``, not ``p_pass``.  The gg state is the pair's
+    density matrix times the gg weight of its sector (:func:`_fold`); the
+    other outcomes are kept as probabilities.  The lindblad engine folds the
+    matrix it evolved.  The coherent engine never builds the (d1 d2)^2
+    matrix for the fidelity: the pair is sum_ij a_ij |u_i v_i><u_j v_j|
+    over four components with truncated unnormalized coherent kets u_i,
+    v_i, so Tr rho_gg is a sum over sectors of 4x4 Gram matrices of the u
+    and of the v (split into vacuum and not-vacuum parts), and the Bell
+    ket, free of vacuum in either cavity, sees only the both-occupied
+    sector through its overlaps <B|u_i v_i>.  ``rho_pass`` is folded from
+    the same kets on first access.  ``params`` is the only source of
+    parameter values: vary alpha with ``params.with_(alpha=...)``.
 
     Parameters
     ----------
@@ -390,10 +436,18 @@ def run_dmm(
             e, q = dynamics.linear_propagator(coupling, gammas, t)
             sup = dynamics.propagate_coherent(sup, e, q)
         pair = dynamics.ptrace_coherent(sup, keep=[0, 2])
-        rho = _density_coherent(pair, (d1, d2))
-        sector_probs = _sector_weights_coherent(pair, diagonal=True)
-        projective_probs = _sector_weights_coherent(pair, diagonal=False)
+        sector_probs, projective_probs = _sector_weights_coherent(pair)
         alpha_dark = (abs(pair.labels[1, 0]), abs(pair.labels[1, 1]))
+        # Tr rho_gg = sum_s P(gg|s) sum_ij a_ij G1_s[i,j] G2_s[i,j], from the
+        # truncated kets' 4x4 Gram matrices
+        p_out, weights = _fold_weights(check, sector_probs)
+        kets, a = _mode_kets(pair, (d1, d2)), _dyads(pair)
+        tr = float(weights @ _sector_traces(a, _split_gram(kets[0]), _split_gram(kets[1])))
+
+        def build_rho_gg():
+            rho = _density_coherent(pair, (d1, d2), kets)
+            rho_gg = _fold(check, sector_probs, rho, (d1, d2))[1]
+            return rho_gg / float(np.real(np.trace(rho_gg)))
     else:
         dims = params.dims
         rho = _density_coherent(sup, dims)
@@ -418,9 +472,9 @@ def run_dmm(
         # the cavities decay through the pump, dump and post windows alike
         t_exposed = max(params.t_protocol, params.t_pump + t_dump)
         alpha_dark = tuple(params.alpha * math.exp(-g * t_exposed / 2) for g in (gammas[0], gammas[2]))
+        p_out, rho_gg = _fold(check, sector_probs, rho, (d1, d2))
+        tr = float(np.real(np.trace(rho_gg)))
 
-    p_out, rho_gg = _fold(check, sector_probs, rho, (d1, d2))
-    tr = float(np.real(np.trace(rho_gg)))
     if not tr > 0:
         raise NumericalError("protocol: herald has zero probability, nothing to analyze")
 
@@ -431,13 +485,22 @@ def run_dmm(
     words1 = basis_pair[0].codewords(d1)
     words2 = basis_pair[1].codewords(d2)
     bell = codes.bell_state(words1, words2)
-    fid = float(np.real(bell.conj() @ rho_gg @ bell) / tr)
-    rho_gg /= tr  # in place: rho_gg is this call's own array
+    if engine == "coherent":
+        # no codeword has a vacuum component, so the Bell ket lies in the NN
+        # sector: <B|rho_gg|B> = P(gg|NN) sum_ij a_ij beta_i conj(beta_j)
+        # with beta_i = <B|u_i v_i>
+        beta = np.sum((kets[0] @ bell.reshape(d1, d2).conj()) * kets[1], axis=1)
+        fid = float(weights[SECTORS.index(("N", "N"))] * np.real(beta @ a @ beta.conj()) / tr)
+    else:
+        fid = float(np.real(bell.conj() @ rho_gg @ bell) / tr)
+        rho_gg /= tr  # in place: rho_gg is this call's own array
+
+        def build_rho_gg():
+            return rho_gg
 
     return DmmResult(
         p_pass=p_out["gg"],
         p_outcomes=p_out,
-        rho_pass=QuantumState(rho_gg, HilbertSpace((d1, d2))),
         bell_fidelity=fid,
         basis_used=basis_pair,
         alpha_dark=alpha_dark,
@@ -446,7 +509,8 @@ def run_dmm(
         ),
         t_dump=t_dump,
         engine=engine,
-        p_pass_projective=_fold(check, projective_probs)[0]["gg"],
+        p_pass_projective=_fold_weights(check, projective_probs)[0]["gg"],
+        _build_rho_pass=lambda: QuantumState(build_rho_gg(), HilbertSpace((d1, d2))),
     )
 
 
@@ -624,7 +688,12 @@ class MultiroundStats:
             return 1  # every attempt succeeds
         # log1p, as 1 - x rounds to 1 for x below about 1e-16; at least one
         # attempt is always needed
-        return max(1, math.ceil(math.log1p(-q) / math.log1p(-self.p_success)))
+        attempts = math.log1p(-q) / math.log1p(-self.p_success)
+        if attempts == math.inf:
+            raise ValueError(
+                f"the {q} quantile of attempts overflows a float at p_success = {self.p_success}"
+            )
+        return max(1, math.ceil(attempts))
 
 
 def multiround_stats(p_success: float, t_attempt: float, t_reset: float = 0.0) -> MultiroundStats:
@@ -636,7 +705,9 @@ def multiround_stats(p_success: float, t_attempt: float, t_reset: float = 0.0) -
     entanglement rate is p / (t_attempt + t_reset).
     """
     if not 0 < p_success <= 1:
-        raise ValueError("p_success must be in (0, 1]")
+        raise ValueError(f"p_success must be in (0, 1], got {p_success}")
+    if 1 / p_success == math.inf:
+        raise ValueError(f"p_success = {p_success} is too small: 1/p_success overflows a float")
     if t_attempt <= 0 or t_reset < 0:
         raise ValueError("t_attempt must be positive and t_reset non-negative")
     cycle = t_attempt + t_reset

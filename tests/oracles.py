@@ -20,7 +20,9 @@ windows.  scipy is also the reference for each numerical routine the
 library implements itself: the matrix exponential, the displaced-parity
 kernels from its Laguerre polynomials and log-gamma (and the full kernel
 matrices assembled from the library's triangle), the root and
-bounded-minimum searches, and Nelder-Mead.
+bounded-minimum searches, and Nelder-Mead.  PyYAML's pure-Python safe
+loader, with the CLI's YAML 1.2 float resolver, is the reference for the
+CLI's libyaml-based config loader.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
+import yaml
 
-from darkbus import dynamics, hilbert, tomography
+from darkbus import cli, dynamics, hilbert, tomography
 from darkbus.codes import Codewords, LogicalBasis
 from darkbus.dynamics import CoherentSuperposition, SystemParams, coherent_overlaps
 from darkbus.hilbert import as_dm
@@ -43,6 +46,13 @@ from darkbus.protocol import OUTCOMES, SECTORS, VacuumCheckModel, _fold
 
 # the protocol's modes by name, as tensor axes
 MODE_AXES = {"cav1": 0, "bus": 1, "cav2": 2}
+
+
+class PyConfigLoader(yaml.SafeLoader):
+    """The CLI's config loader on PyYAML's pure-Python parser."""
+
+
+PyConfigLoader.add_implicit_resolver(*cli._YAML12_FLOAT)
 
 
 def create(dim: int) -> np.ndarray:
@@ -406,12 +416,15 @@ def vacuum_check(state, dims, model: VacuumCheckModel | None = None):
         dims = (dims[0], dims[2])
     if len(dims) != 2:
         raise ValueError("vacuum_check expects a two-cavity state (or cav1/bus/cav2)")
-    vac = {d: np.diag(np.arange(d) == 0).astype(float) for d in dims}
-    proj = {"V": vac, "N": {d: np.eye(d) - v for d, v in vac.items()}}
+    # the projectors are diagonal: keep their diagonals, and Tr(pi rho pi)
+    # is the diagonal of pi dotted with the diagonal of rho
+    vac = {d: (np.arange(d) == 0).astype(float) for d in dims}
+    proj = {"V": vac, "N": {d: 1 - v for d, v in vac.items()}}
+    diag = np.real(np.diag(rho))
     sector_probs = {}
     for s in SECTORS:
         pi = np.kron(proj[s[0]][dims[0]], proj[s[1]][dims[1]])
-        sector_probs[s] = float(np.real(np.trace(pi @ rho @ pi)))
+        sector_probs[s] = float(pi @ diag)
     states = {}
     for o in OUTCOMES:
         p_out, rho_o = _fold(model, sector_probs, rho, dims, o)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from oracles import PyConfigLoader
 
 import darkbus
 from darkbus import cli, protocol
@@ -127,6 +129,32 @@ def test_entangle_csv(tmp_path):
     assert sum(row[:4]) == pytest.approx(1.0, abs=1e-9)
     m = read_manifest(out)
     assert 0.90 < m["summary"]["fidelity"] < 0.97
+
+
+def test_herald_numbers_never_build_the_pair_matrix(tmp_path, monkeypatch):
+    """``entangle`` and ``alpha-sweep`` read the Bell fidelity without the
+    (d1 d2)^2 density matrix; ``teleport`` consumes the pair and builds it
+    exactly once."""
+    real = protocol._density_coherent
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair density matrix was built")
+
+    monkeypatch.setattr(protocol, "_density_coherent", refuse)
+    for command, csv in (("entangle", "entangle.csv"), ("alpha-sweep", "alpha_sweep.csv")):
+        assert run([command, "--out", tmp_path / command]) == 0
+        assert (tmp_path / command / csv).exists()
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_density_coherent", counted)
+    assert run(["teleport", "--out", tmp_path / "teleport"]) == 0
+    assert (tmp_path / "teleport" / "teleport.csv").exists()
+    assert len(calls) == 1
 
 
 def test_csv_columns_format_like_cells():
@@ -255,6 +283,29 @@ def test_yaml_exponent_floats_are_numbers(tmp_path, capsys):
     assert "chi_bus_transmon must be a (cav1, cav2) pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["2e6", "-23.0e3", "'1e-5'", "1e-5", ".5", "1_000", "0x1F", "yes", "~", "2024-02-29",
+     (Path(__file__).parents[1] / "perfbench" / "workloads.yaml").read_text()],
+    ids=["2e6", "-23.0e3", "quoted", "1e-5", ".5", "1_000", "0x1F", "yes", "null", "date",
+         "workloads.yaml"],
+)
+def test_config_loader_matches_pure_python_parser(text):
+    """The CLI parses configs with libyaml; PyYAML's pure-Python parser,
+    with the same resolvers, gives the same values of the same types."""
+    assert issubclass(cli._ConfigLoader, yaml.CSafeLoader)
+    fast, slow = yaml.load(text, Loader=cli._ConfigLoader), yaml.load(text, Loader=PyConfigLoader)
+
+    def typed(x):
+        if isinstance(x, dict):
+            return {typed(k): typed(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [typed(v) for v in x]
+        return type(x), x
+
+    assert typed(fast) == typed(slow)
+
+
 def test_missing_config_file(tmp_path):
     assert run(["multiround", "--config", tmp_path / "absent.yaml",
                 "--out", tmp_path / "o"]) == 2
@@ -308,6 +359,19 @@ def test_multiround_tiny_success_probability(tmp_path):
     row = (out / "multiround.csv").read_text().splitlines()[1].split(",")
     quantiles = [-math.log(1 - q) * 1e17 for q in (0.5, 0.9, 0.99)]
     assert [int(v) for v in row[6:]] == pytest.approx(quantiles, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", ["1.0e-320", "1.0e-308"])
+def test_multiround_success_probability_too_small(tmp_path, capsys, p):
+    """1/p overflows a float at p = 1e-320, and the 99 % quantile of
+    attempts does at p = 1e-308: a configuration error before any CSV, not
+    a traceback."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"multiround:\n  p_success: {p}\n")
+    out = tmp_path / "o"
+    assert run(["multiround", "--config", cfg, "--out", out]) == 2
+    assert "p_success" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_negative_seed_is_config_error(tmp_path, capsys):

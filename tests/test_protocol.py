@@ -1,5 +1,6 @@
 """Heralding protocol: check model, run_dmm, teleportation, repeat stats."""
 
+import itertools
 import math
 
 import numpy as np
@@ -197,24 +198,70 @@ def test_run_dmm_kerr_needs_lindblad():
         protocol.run_dmm(include_kerr=True)
 
 
-@pytest.mark.parametrize("alpha", [1.0, math.sqrt(2)])
-def test_run_dmm_coherent_matches_materialized_vacuum_check(alpha):
+# every alpha at the small truncations over the full product of check,
+# cavity loss and basis; the 1600 x 1600 pair matrices of dims (40, 16, 40)
+# only with the measured check and cavity loss, in both bases
+_HERALD_ALPHAS = (0.3, 1.0, math.sqrt(2), 2.5)
+_HERALD_CASES = [
+    *itertools.product(
+        _HERALD_ALPHAS, [(12, 16, 12), (3, 2, 5)], ["measured", "ideal"], [True, False],
+        [False, True],
+    ),
+    *itertools.product(_HERALD_ALPHAS, [(40, 16, 40)], ["measured"], [True], [False, True]),
+]
+
+
+def _herald_case_id(case):
+    """alpha, then what differs from dims (12, 16, 12), the measured check,
+    cavity loss and the auto basis."""
+    alpha, dims, check, cavity_loss, twisted = case
+    return "-".join(
+        [str(alpha)]
+        + ["x".join(map(str, dims))] * (dims != (12, 16, 12))
+        + ["ideal"] * (check == "ideal")
+        + ["lossless"] * (not cavity_loss)
+        + ["twisted"] * twisted
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha, dims, check, cavity_loss, twisted",
+    _HERALD_CASES,
+    ids=map(_herald_case_id, _HERALD_CASES),
+)
+def test_run_dmm_coherent_matches_materialized_vacuum_check(
+    alpha, dims, check, cavity_loss, twisted
+):
     """The weighted fold of the coherent engine's pair state is the vacuum
-    check applied, projector by projector, to the materialized pair."""
-    params = SystemParams().with_(alpha=alpha)
-    check = VacuumCheckModel.from_measured()
-    res = protocol.run_dmm(params, check=check)
+    check applied, projector by projector, to the materialized pair; the
+    Bell fidelity read from 4x4 Gram matrices is <B|rho_gg|B> of that
+    materialized state, in the auto basis or a Kerr-twisted, rotated one."""
+    params = SystemParams(dims=dims).with_(alpha=alpha)
+    check = {"ideal": VacuumCheckModel.ideal, "measured": VacuumCheckModel.from_measured}[check]()
+    basis = "auto"
+    if twisted:
+        basis = (codes.LogicalBasis(0.97 * alpha, theta_k=0.05, theta_r=-0.3),
+                 codes.LogicalBasis(0.95 * alpha, theta_k=-0.02, theta_r=0.4))
+    res = protocol.run_dmm(params, check=check, cavity_loss=cavity_loss, basis=basis)
     gammas = (params.gamma_cavity[0], params.kappa_ang, params.gamma_cavity[1])
+    if not cavity_loss:
+        gammas = (0.0, params.kappa_ang, 0.0)
     a_mat = dynamics.coupling_matrix(params.g_bs)
     t_post = max(params.t_protocol - params.t_pump - res.t_dump, 0.0)
     sup = protocol._initial_superposition(alpha)
     for coupling, t in ((0 * a_mat, params.t_pump), (a_mat, res.t_dump), (0 * a_mat, t_post)):
         sup = dynamics.propagate_coherent(sup, *dynamics.linear_propagator(coupling, gammas, t))
     pair = dynamics.ptrace_coherent(sup, keep=[0, 2])
-    dims = res.rho_pass.space.dims
-    _, states, sectors = vacuum_check(materialize_coherent(pair, dims), dims, check)
-    assert min(sectors.values()) > 1e-3  # every sector reaches the gg state
-    assert_allclose(res.rho_pass.data, states["gg"], rtol=0, atol=1e-12)
+    d1, d2 = dims[0], dims[2]
+    _, states, sectors = vacuum_check(materialize_coherent(pair, (d1, d2)), (d1, d2), check)
+    assert min(sectors.values()) > 1e-4  # every sector reaches the gg state
+    rho_gg = states["gg"]
+    bell = codes.bell_state(res.basis_used[0].codewords(d1), res.basis_used[1].codewords(d2))
+    fidelity = np.real(bell.conj() @ rho_gg @ bell) / np.real(np.trace(rho_gg))
+    assert res.bell_fidelity == pytest.approx(fidelity, rel=1e-12, abs=0)
+    assert res.rho_pass.space.dims == (d1, d2)
+    assert_allclose(res.rho_pass.data, rho_gg, rtol=0, atol=1e-12)
+    assert res.rho_pass is res.rho_pass  # built once, on first access
 
 
 def test_initial_superposition_materializes_the_cat_product():
@@ -641,6 +688,12 @@ def test_multiround_validation():
         protocol.multiround_stats(0.5, 1e-6, t_reset=-1e-9)
     with pytest.raises(ValueError):
         protocol.multiround_stats(0.5, 1e-6).attempts_quantile(1.0)
+    # 1/p overflows a float
+    with pytest.raises(ValueError, match="p_success"):
+        protocol.multiround_stats(1e-320, 1e-6)
+    # 1/p is finite, the 99 % quantile of attempts (4.6e308) is not
+    with pytest.raises(ValueError, match="quantile"):
+        protocol.multiround_stats(1e-308, 1e-6).attempts_quantile(0.99)
 
 
 # ---------------------------------------------------------------------------
