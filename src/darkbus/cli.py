@@ -140,12 +140,15 @@ def _dump_time(opts: dict):
     return _number(opts, "dump_time", _NON_NEGATIVE)
 
 
+# built once, not per herald: a model is immutable and builds its table array
+_CHECK_MODELS = {"ideal": VacuumCheckModel.ideal(), "measured": VacuumCheckModel.from_measured()}
+
+
 def _check_model(name) -> VacuumCheckModel:
-    if name == "ideal":
-        return VacuumCheckModel.ideal()
-    if name == "measured":
-        return VacuumCheckModel.from_measured()
-    raise ConfigError(f"check must be 'ideal' or 'measured', got {name!r}")
+    # a tuple, not the dict: a YAML list or mapping is unhashable
+    if name not in ("ideal", "measured"):
+        raise ConfigError(f"check must be 'ideal' or 'measured', got {name!r}")
+    return _CHECK_MODELS[name]
 
 
 def _herald(params: SystemParams, opts: dict, **kw) -> protocol.DmmResult:
@@ -560,14 +563,12 @@ def make_parser() -> argparse.ArgumentParser:
         prog="darkbus",
         description="Simulations of loss-protected entanglement over a standing-wave bus.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", metavar="PATH", help="YAML settings file")
-        p.add_argument("--scenario", metavar="NAME", help="named block under scenarios:")
-        p.add_argument("--seed", type=int, default=0, metavar="N")
-        p.add_argument("--out", default="darkbus-out", metavar="DIR")
-        p.add_argument("--gnuplot", action="store_true", help="also emit a plot.gp script")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", metavar="PATH", help="YAML settings file")
+    parser.add_argument("--scenario", metavar="NAME", help="named block under scenarios:")
+    parser.add_argument("--seed", type=int, default=0, metavar="N")
+    parser.add_argument("--out", default="darkbus-out", metavar="DIR")
+    parser.add_argument("--gnuplot", action="store_true", help="also emit a plot.gp script")
     return parser
 
 

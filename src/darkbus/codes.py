@@ -30,7 +30,7 @@ counted as infidelity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +45,22 @@ class LogicalBasis:
     theta_k: float = 0.0  # Kerr twist angle, applied as e^{i (theta_k/2) n(n-1)}
     theta_r: float = 0.0  # linear rotation angle, applied as e^{i theta_r n}
 
-    def with_(self, **kw) -> "LogicalBasis":
-        return replace(self, **kw)
-
     def codewords(self, dim: int) -> "Codewords":
-        return codewords(self, dim)
+        """Build the codeword kets at truncation ``dim``."""
+        a = self.alpha
+        right = hilbert.coherent(dim, a, normalized=False)
+        left = hilbert.coherent(dim, -a, normalized=False)
+        raw_p = right + left
+        raw_p[0] = 0.0  # vacuum removal on the even branch
+        raw_m = right - left
+        n = np.arange(dim)
+        twist = np.exp(1j * self.theta_r * n + 1j * self.theta_k / 2 * n * (n - 1))
+        plus = twist * raw_p
+        minus = twist * raw_m
+        np_, nm_ = np.linalg.norm(plus), np.linalg.norm(minus)
+        if np_ == 0 or nm_ == 0:
+            raise hilbert.NumericalError(f"codewords vanish at alpha={a}")
+        return Codewords(plus / np_, minus / nm_, self, dim)
 
 
 @dataclass(frozen=True)
@@ -73,24 +84,6 @@ class Codewords:
         """Encoded qubit c0|0>_L + c1|1>_L (normalized)."""
         v = c0 * self.zero + c1 * self.one
         return v / np.linalg.norm(v)
-
-
-def codewords(basis: LogicalBasis, dim: int) -> Codewords:
-    """Build the codeword kets at truncation ``dim``."""
-    a = basis.alpha
-    right = hilbert.coherent(dim, a, normalized=False)
-    left = hilbert.coherent(dim, -a, normalized=False)
-    raw_p = right + left
-    raw_p[0] = 0.0  # vacuum removal on the even branch
-    raw_m = right - left
-    n = np.arange(dim)
-    twist = np.exp(1j * basis.theta_r * n + 1j * basis.theta_k / 2 * n * (n - 1))
-    plus = twist * raw_p
-    minus = twist * raw_m
-    np_, nm_ = np.linalg.norm(plus), np.linalg.norm(minus)
-    if np_ == 0 or nm_ == 0:
-        raise hilbert.NumericalError(f"codewords vanish at alpha={a}")
-    return Codewords(plus / np_, minus / nm_, basis, dim)
 
 
 def bell_state(words1: Codewords, words2: Codewords) -> np.ndarray:

@@ -37,6 +37,9 @@ from .dynamics import CoherentSuperposition, SystemParams
 from .hilbert import HilbertSpace, NumericalError, QuantumState
 
 OUTCOMES = ("gg", "ge", "eg", "ee")
+# (cavity 1, cavity 2) each vacuum or not; every sector probability is a
+# vector in this order
+SECTORS = (("V", "V"), ("V", "N"), ("N", "V"), ("N", "N"))
 
 # measured probability that both modules report ``g`` with both cavities in
 # vacuum: the correlated false pass that lets a dumped bright state through
@@ -68,6 +71,8 @@ class VacuumCheckModel:
         vacuum; measured joint false-pass rates exceed the product of the
         marginals, and this single number captures that.  Marginals are
         preserved by construction.
+
+    :attr:`table` is the whole model as one array, P(outcome | sector).
     """
 
     p_g_given_empty: tuple[float, float] = (0.0, 0.0)
@@ -82,10 +87,9 @@ class VacuumCheckModel:
                     f"per-module probabilities must be two values in [0,1], got {pair}"
                 )
             object.__setattr__(self, name, pair)
-        # the correlated both-vacuum table must still be a distribution
-        p1, p2 = self.p_g_given_empty
-        pgg = self.correlation_factor * p1 * p2
-        if p1 * p2 > 0 and not (0 <= pgg <= min(p1, p2) and 1 - p1 - p2 + pgg >= 0):
+        # the correlated both-vacuum column must still be a distribution (a
+        # NaN entry, from an infinite or NaN factor, fails the test too)
+        if not (self.table[:, 0] >= 0).all():
             raise ValueError("correlation_factor makes the both-vacuum outcome table invalid")
 
     @classmethod
@@ -103,24 +107,19 @@ class VacuumCheckModel:
             correlation_factor=MEASURED_JOINT_FALSE_PASS / (0.07 * 0.05),
         )
 
-    def joint_pass_table(self, sector: tuple[str, str]) -> dict:
-        """P(outcome | sector) for sector in {'V','N'}^2, outcomes gg/ge/eg/ee."""
-        s1, s2 = sector
-        p1 = self.p_g_given_empty[0] if s1 == "V" else 1 - self.p_e_given_occupied[0]
-        p2 = self.p_g_given_empty[1] if s2 == "V" else 1 - self.p_e_given_occupied[1]
-        if sector == ("V", "V"):
-            pgg = self.correlation_factor * p1 * p2
-        else:
-            pgg = p1 * p2
-        return {
-            "gg": pgg,
-            "ge": p1 - pgg,
-            "eg": p2 - pgg,
-            "ee": 1 - p1 - p2 + pgg,
-        }
-
-
-SECTORS = (("V", "V"), ("V", "N"), ("N", "V"), ("N", "N"))
+    @cached_property
+    def table(self) -> np.ndarray:
+        """P(outcome | sector), shape (4, 4) and read-only: rows in
+        :data:`OUTCOMES` order, columns in :data:`SECTORS` order."""
+        # P(module k reports g) on an empty and on an occupied cavity
+        e1, e2 = self.p_g_given_empty
+        o1, o2 = (1 - p for p in self.p_e_given_occupied)
+        g1, g2 = np.array([[e1, e1, o1, o1], [e2, o2, e2, o2]])
+        gg = g1 * g2
+        gg[0] = self.correlation_factor * e1 * e2
+        table = np.array([gg, g1 - gg, g2 - gg, 1 - g1 - g2 + gg])
+        table.flags.writeable = False
+        return table
 
 
 def _sector_index(dims) -> np.ndarray:
@@ -130,35 +129,32 @@ def _sector_index(dims) -> np.ndarray:
     return (2 * occupied1[:, None] + occupied2).ravel()
 
 
-def _fold_weights(model: VacuumCheckModel, sector_probs: dict, outcome="gg"):
-    """Fold the ideal projective sectors through the confusion model.
+def _fold_weights(model: VacuumCheckModel, sector_probs: np.ndarray):
+    """Fold the ideal projective sector probabilities (in :data:`SECTORS`
+    order) through the confusion model.
 
-    Returns the outcome probabilities and the weight P(outcome | s) of each
-    sector s, in :data:`SECTORS` order.  Sectors without positive
-    probability contribute nothing and get weight 0.
+    Returns the outcome probabilities, in :data:`OUTCOMES` order, and the gg
+    weight P(gg | s) of each sector s.  Sectors without positive probability
+    contribute nothing and get weight 0.
     """
-    p_out = dict.fromkeys(OUTCOMES, 0.0)
-    weights = np.zeros(len(SECTORS))
-    for i, s in enumerate(SECTORS):
-        ps = sector_probs[s]
-        if ps <= 0:
-            continue
-        table = model.joint_pass_table(s)
-        for o in OUTCOMES:
-            p_out[o] += table[o] * ps
-        weights[i] = table[outcome]
-    return p_out, weights
+    table = model.table
+    live = sector_probs > 0
+    p_out = np.zeros(len(OUTCOMES))
+    # sector by sector in SECTORS order: a BLAS dot may reorder the sum
+    for s in np.flatnonzero(live):
+        p_out += table[:, s] * sector_probs[s]
+    return p_out, table[0] * live
 
 
-def _fold(model: VacuumCheckModel, sector_probs: dict, rho, dims, outcome="gg"):
+def _fold(model: VacuumCheckModel, sector_probs: np.ndarray, rho, dims):
     """The outcome probabilities of :func:`_fold_weights` and the
-    unnormalized state of ``outcome`` for the two-cavity density matrix
-    ``rho`` (mode dims ``dims``): the sum of P(outcome | s) Pi_s rho Pi_s
-    over the sectors.  The projectors Pi_s are diagonal and disjoint in the
-    Fock basis, so that sum is rho times one entrywise weight, P(outcome | s)
-    where row and column lie in the same sector s and 0 elsewhere.
+    unnormalized gg state of the two-cavity density matrix ``rho`` (mode
+    dims ``dims``): the sum of P(gg | s) Pi_s rho Pi_s over the sectors.
+    The projectors Pi_s are diagonal and disjoint in the Fock basis, so that
+    sum is rho times one entrywise weight, P(gg | s) where row and column
+    lie in the same sector s and 0 elsewhere.
     """
-    p_out, weights = _fold_weights(model, sector_probs, outcome)
+    p_out, weights = _fold_weights(model, sector_probs)
     idx = _sector_index(dims)
     folded = rho * weights[idx][:, None]
     folded[idx[:, None] != idx] = 0
@@ -200,9 +196,10 @@ class DmmResult:
     bookkeeping (see :func:`run_dmm`), ``rho_pass`` the normalized
     two-cavity state that gg heralds (the pair state times the gg sector
     weight of :func:`_fold`, normalized), ``bell_fidelity`` its overlap with
-    the logical Bell target in ``basis_used``.  ``p_outcomes`` holds all four
-    outcome probabilities; the states of the discarded outcomes are never
-    built.
+    the logical Bell target in ``basis_used``.  ``p_outcomes`` maps each of
+    :data:`OUTCOMES` to its probability, the check model's ``table`` applied
+    to the vector of sector probabilities; the states of the discarded
+    outcomes are never built.
     ``rho_pass`` is built on first access and cached: the coherent engine
     reads ``bell_fidelity`` without the (d1 d2)^2 density matrix, so a
     caller that only wants the numbers never pays for it.  It is the one
@@ -253,7 +250,7 @@ def _vacuum_amp(z):
 
 def _sector_weights_coherent(sup: CoherentSuperposition):
     """Probabilities of the four (V/N, V/N) cavity sectors, as the pair
-    (classical, projective) of dicts keyed by :data:`SECTORS`.
+    (classical, projective) of vectors in :data:`SECTORS` order.
 
     The bus has already been traced into the dyad matrix by the caller;
     per-cavity dyad traces are <z_j|z_i> for the full mode, v(z_i) v(z_j)*
@@ -270,13 +267,10 @@ def _sector_weights_coherent(sup: CoherentSuperposition):
     def factors(z):
         full = dynamics.coherent_overlaps(z[:, None])
         vac = np.outer(_vacuum_amp(z), _vacuum_amp(z).conj())
-        return {"V": vac, "N": full - vac}
+        return np.array([vac, full - vac])
 
     f1, f2 = factors(sup.labels[:, 0]), factors(sup.labels[:, 1])
-    return tuple(
-        dict(zip(SECTORS, _sector_traces(dyads, f1, f2).tolist()))
-        for dyads in (np.diag(np.diag(a)), a)
-    )
+    return tuple(_sector_traces(dyads, f1, f2) for dyads in (np.diag(np.diag(a)), a))
 
 
 def _dyads(sup: CoherentSuperposition) -> np.ndarray:
@@ -284,17 +278,18 @@ def _dyads(sup: CoherentSuperposition) -> np.ndarray:
     return np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
 
 
-def _sector_traces(a: np.ndarray, f1: dict, f2: dict) -> np.ndarray:
+def _sector_traces(a: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Trace of each sector of sum_ij a_ij |z_i><z_j| on a cavity pair, in
-    :data:`SECTORS` order, from per-cavity dyad traces split into vacuum
-    and not-vacuum parts (``f["V"]`` and ``f["N"]``, each indexed [i, j])."""
-    return np.array([np.real(np.sum(a * f1[s1] * f2[s2])) for s1, s2 in SECTORS])
+    :data:`SECTORS` order, from per-cavity dyad traces split into the
+    stacked [vacuum, not-vacuum] parts ``f[0]`` and ``f[1]``, each indexed
+    [i, j]."""
+    return np.array([np.real(np.sum(a * f1[v1] * f2[v2])) for v1 in (0, 1) for v2 in (0, 1)])
 
 
-def _split_gram(kets: np.ndarray) -> dict:
-    """G[i, j] = <k_j|k_i> of rows of truncated kets, split into the vacuum
-    part and the not-vacuum part."""
-    return {"V": np.outer(kets[:, 0], kets[:, 0].conj()), "N": kets[:, 1:] @ kets[:, 1:].conj().T}
+def _split_gram(kets: np.ndarray) -> np.ndarray:
+    """G[i, j] = <k_j|k_i> of rows of truncated kets, split into the stacked
+    [vacuum, not-vacuum] parts."""
+    return np.array([np.outer(kets[:, 0], kets[:, 0].conj()), kets[:, 1:] @ kets[:, 1:].conj().T])
 
 
 def _mode_kets(sup: CoherentSuperposition, dims) -> list[np.ndarray]:
@@ -305,12 +300,10 @@ def _mode_kets(sup: CoherentSuperposition, dims) -> list[np.ndarray]:
     ]
 
 
-def _density_coherent(sup: CoherentSuperposition, dims, mode_kets=None) -> np.ndarray:
-    """Fock density matrix (prod(dims) square) of a coherent superposition,
-    from one row of unnormalized product kets per component (built from
-    ``mode_kets``, the rows of :func:`_mode_kets`, when given)."""
-    if mode_kets is None:
-        mode_kets = _mode_kets(sup, dims)
+def _density_coherent(sup: CoherentSuperposition, mode_kets) -> np.ndarray:
+    """Fock density matrix of a coherent superposition, from one row of
+    unnormalized product kets per component, built from ``mode_kets``, the
+    rows of :func:`_mode_kets`."""
     kets = mode_kets[0]
     for k in mode_kets[1:]:
         kets = np.einsum("ia,ib->iab", kets, k).reshape(sup.n_components, -1)
@@ -332,9 +325,10 @@ def run_dmm(
     Outcome rates vs conditioned states, coherent engine: the four coherent
     components are treated as classical alternatives when computing outcome
     probabilities -- each component contributes its own per-cavity
-    vacuum/not-vacuum weights, which the check model's marginals and
-    correlation factor then mix.  This matches how the check is calibrated
-    and makes the ideal p_pass land exactly on
+    vacuum/not-vacuum weights, summed into one probability per sector (a
+    vector in :data:`SECTORS` order), which the check model's ``table``,
+    P(outcome | sector), turns into outcome probabilities.  This matches how
+    the check is calibrated and makes the ideal p_pass land exactly on
     ``success_probability(alpha)``.  The conditioned states keep all
     coherences (full projections), so the ideal pass branch is exactly the
     logical Bell state.  The interference between the two overlapping dark
@@ -344,8 +338,8 @@ def run_dmm(
     The lindblad engine has no component decomposition, so its rates are
     projective (diag rho summed by sector) and agree with
     ``p_pass_projective``, not ``p_pass``.  The gg state is the pair's
-    density matrix times the gg weight of its sector (:func:`_fold`); the
-    other outcomes are kept as probabilities.  The lindblad engine folds the
+    density matrix times the gg weight of its sector, the table's gg row
+    (:func:`_fold`); the other outcomes are kept as probabilities.  The lindblad engine folds the
     matrix it evolved.  The coherent engine never builds the (d1 d2)^2
     matrix for the fidelity: the pair is sum_ij a_ij |u_i v_i><u_j v_j|
     over four components with truncated unnormalized coherent kets u_i,
@@ -445,12 +439,12 @@ def run_dmm(
         tr = float(weights @ _sector_traces(a, _split_gram(kets[0]), _split_gram(kets[1])))
 
         def build_rho_gg():
-            rho = _density_coherent(pair, (d1, d2), kets)
+            rho = _density_coherent(pair, kets)
             rho_gg = _fold(check, sector_probs, rho, (d1, d2))[1]
             return rho_gg / float(np.real(np.trace(rho_gg)))
     else:
         dims = params.dims
-        rho = _density_coherent(sup, dims)
+        rho = _density_coherent(sup, _mode_kets(sup, dims))
         rho /= np.trace(rho).real
         for coupling, t in stages:
             if t <= 0:
@@ -467,7 +461,7 @@ def run_dmm(
         rho = hilbert.partial_trace(rho, dims, [0, 2])
         # projective sector probabilities: diag rho summed by sector
         diag = np.real(np.diag(rho))
-        sector_probs = dict(zip(SECTORS, np.bincount(_sector_index((d1, d2)), diag, 4).tolist()))
+        sector_probs = np.bincount(_sector_index((d1, d2)), diag, len(SECTORS))
         projective_probs = sector_probs
         # the cavities decay through the pump, dump and post windows alike
         t_exposed = max(params.t_protocol, params.t_pump + t_dump)
@@ -490,7 +484,7 @@ def run_dmm(
         # sector: <B|rho_gg|B> = P(gg|NN) sum_ij a_ij beta_i conj(beta_j)
         # with beta_i = <B|u_i v_i>
         beta = np.sum((kets[0] @ bell.reshape(d1, d2).conj()) * kets[1], axis=1)
-        fid = float(weights[SECTORS.index(("N", "N"))] * np.real(beta @ a @ beta.conj()) / tr)
+        fid = float(weights[-1] * np.real(beta @ a @ beta.conj()) / tr)
     else:
         fid = float(np.real(bell.conj() @ rho_gg @ bell) / tr)
         rho_gg /= tr  # in place: rho_gg is this call's own array
@@ -499,8 +493,8 @@ def run_dmm(
             return rho_gg
 
     return DmmResult(
-        p_pass=p_out["gg"],
-        p_outcomes=p_out,
+        p_pass=float(p_out[0]),
+        p_outcomes=dict(zip(OUTCOMES, p_out.tolist())),
         bell_fidelity=fid,
         basis_used=basis_pair,
         alpha_dark=alpha_dark,
@@ -509,7 +503,7 @@ def run_dmm(
         ),
         t_dump=t_dump,
         engine=engine,
-        p_pass_projective=_fold_weights(check, projective_probs)[0]["gg"],
+        p_pass_projective=float(_fold_weights(check, projective_probs)[0][0]),
         _build_rho_pass=lambda: QuantumState(build_rho_gg(), HilbertSpace((d1, d2))),
     )
 

@@ -42,7 +42,7 @@ from darkbus import cli, dynamics, hilbert, tomography
 from darkbus.codes import Codewords, LogicalBasis
 from darkbus.dynamics import CoherentSuperposition, SystemParams, coherent_overlaps
 from darkbus.hilbert import as_dm
-from darkbus.protocol import OUTCOMES, SECTORS, VacuumCheckModel, _fold
+from darkbus.protocol import OUTCOMES, SECTORS, VacuumCheckModel
 
 # the protocol's modes by name, as tensor axes
 MODE_AXES = {"cav1": 0, "bus": 1, "cav2": 2}
@@ -293,7 +293,7 @@ def kerr_unitary(dim: int, kerr_hz: float, t: float) -> np.ndarray:
 
 def codewords_four_coherent(basis: LogicalBasis, dim: int) -> Codewords:
     """The codewords built with four coherent-ket evaluations, two for each
-    branch (what ``codes.codewords`` computes with two)."""
+    branch (what ``LogicalBasis.codewords`` computes with two)."""
     a = basis.alpha
     raw_p = hilbert.coherent(dim, a, normalized=False) + hilbert.coherent(
         dim, -a, normalized=False
@@ -404,9 +404,12 @@ def vacuum_check(state, dims, model: VacuumCheckModel | None = None):
     state, in which case the bus is traced out first.  Returns
     ``(p_outcomes, states, sector_probs)`` where ``states`` maps each
     outcome to the normalized post-measurement density matrix (None when
-    the outcome has zero probability).  Sector probabilities here are the
-    projective traces of the V/N decomposition -- on a density matrix there
-    is no component structure left to treat classically.
+    the outcome has zero probability) and ``sector_probs`` is a vector in
+    :data:`~darkbus.protocol.SECTORS` order.  Sector probabilities here are
+    the projective traces of the V/N decomposition -- on a density matrix
+    there is no component structure left to treat classically.  Each
+    outcome's state is sum_s P(o|s) Pi_s rho Pi_s, read from the model's
+    table, and its probability that state's trace.
     """
     model = model or VacuumCheckModel.ideal()
     dims = tuple(dims)
@@ -420,15 +423,14 @@ def vacuum_check(state, dims, model: VacuumCheckModel | None = None):
     # is the diagonal of pi dotted with the diagonal of rho
     vac = {d: (np.arange(d) == 0).astype(float) for d in dims}
     proj = {"V": vac, "N": {d: 1 - v for d, v in vac.items()}}
-    diag = np.real(np.diag(rho))
-    sector_probs = {}
-    for s in SECTORS:
-        pi = np.kron(proj[s[0]][dims[0]], proj[s[1]][dims[1]])
-        sector_probs[s] = float(pi @ diag)
-    states = {}
-    for o in OUTCOMES:
-        p_out, rho_o = _fold(model, sector_probs, rho, dims, o)
-        states[o] = rho_o / np.trace(rho_o) if p_out[o] > 1e-15 else None
+    pis = [np.kron(proj[s1][dims[0]], proj[s2][dims[1]]) for s1, s2 in SECTORS]
+    sector_probs = np.array([pi @ np.real(np.diag(rho)) for pi in pis])
+    p_out, states = {}, {}
+    for o, row in zip(OUTCOMES, model.table):
+        # Pi rho Pi = rho * outer(pi, pi) for a diagonal projector Pi
+        rho_o = rho * sum(w * np.outer(pi, pi) for w, pi in zip(row, pis))
+        p_out[o] = float(np.real(np.trace(rho_o)))
+        states[o] = rho_o / p_out[o] if p_out[o] > 1e-15 else None
     return p_out, states, sector_probs
 
 

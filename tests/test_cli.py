@@ -234,6 +234,24 @@ def test_error_budget_reads_configured_lifetimes(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_parses_with_every_option(command):
+    args = cli.make_parser().parse_args(
+        [command, "--config", "c.yaml", "--scenario", "s", "--seed", "5", "--out", "o", "--gnuplot"]
+    )
+    assert vars(args) == {
+        "command": command, "config": "c.yaml", "scenario": "s", "seed": 5, "out": "o", "gnuplot": True
+    }
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["--seed", "1"]], ids=["missing", "unknown", "options-only"])
+def test_unknown_or_missing_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "usage: darkbus" in capsys.readouterr().err
+
+
 def test_unknown_scenario_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "c.yaml"
     cfg.write_text("scenarios:\n  slow: {}\n")

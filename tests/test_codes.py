@@ -124,7 +124,7 @@ def test_kerr_absorption_identity():
     evolved = u @ w.ket(0.6, 0.8j)
 
     theta = kerr_twist_angle(kerr_hz, t)
-    w_twisted = base.with_(theta_k=theta).codewords(DIM)
+    w_twisted = LogicalBasis(base.alpha, theta_k=theta).codewords(DIM)
     target = w_twisted.ket(0.6, 0.8j)
     assert abs(np.vdot(target, evolved)) ** 2 == pytest.approx(1.0, abs=1e-9)
     # and the untwisted basis really does see infidelity, so the identity
@@ -143,4 +143,4 @@ def test_basis_with_rotation():
 
 def test_codewords_invalid():
     with pytest.raises(hilbert.NumericalError):
-        codes.codewords(LogicalBasis(0.0), 8)
+        LogicalBasis(0.0).codewords(8)
