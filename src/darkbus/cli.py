@@ -8,8 +8,12 @@ prints a short human summary.  CSV content is a pure function of the
 resolved settings and the seed, so a rerun with the same inputs reproduces
 the same bytes (the manifest carries the timestamp instead).
 
+Every option has one kind by name (:data:`OPTION_KINDS`), checked when the
+settings are resolved, before anything runs.
+
 Exit codes: 0 success, 2 configuration problems (bad flags, bad config
-file, unknown scenario), 3 numerical failure (non-convergence, blow-up).
+file, unknown scenario, an unreadable config or output path), 3 numerical
+failure (non-convergence, blow-up).
 """
 
 from __future__ import annotations
@@ -57,98 +61,113 @@ _ConfigLoader.add_implicit_resolver(*_YAML12_FLOAT)
 
 
 PARAM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
-_TUPLE_FIELDS = {
-    f.name
-    for f in dataclasses.fields(SystemParams)
-    if "tuple" in str(f.type)
-}
 
 
-def _coerce_params(raw: dict) -> dict:
-    unknown = set(raw) - PARAM_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown system parameter(s): {sorted(unknown)}")
-    out = {}
-    for k, v in raw.items():
-        out[k] = tuple(v) if k in _TUPLE_FIELDS and isinstance(v, (list, tuple)) else v
-    return out
+def _merged(known, layers, noun: str) -> dict:
+    """The config blocks ``layers``, later ones winning, with every key in
+    ``known``."""
+    merged: dict = {}
+    for layer in layers:
+        unknown = set(layer) - set(known)
+        if unknown:
+            raise ConfigError(f"unknown {noun}: {sorted(map(str, unknown))}")
+        merged.update(layer)
+    return merged
 
 
 def build_params(*layers: dict) -> SystemParams:
-    merged: dict = {}
-    for layer in layers:
-        merged.update(_coerce_params(layer or {}))
     try:
-        return SystemParams(**merged)
+        return SystemParams(**_merged(PARAM_FIELDS, layers, "system parameter(s)"))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad system parameters: {e}") from e
 
 
 def build_opts(defaults: dict, *layers: dict) -> dict:
-    opts = dict(defaults)
-    for layer in layers:
-        layer = layer or {}
-        unknown = set(layer) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown option(s): {sorted(unknown)}")
-        opts.update(layer)
-    return opts
+    """``defaults`` overlaid by ``layers``, each value checked against, and
+    stored as, the kind of its name in :data:`OPTION_KINDS`."""
+    opts = {**defaults, **_merged(defaults, layers, "option(s)")}
+    return {key: OPTION_KINDS[key](key, value) for key, value in opts.items()}
 
 
-# value ranges for _number: (test, wording, type of the value written back)
-_UNIT = (lambda x: 0 <= x <= 1, "in [0, 1]", float)
-_NON_NEGATIVE = (lambda x: 0 <= x < math.inf, "non-negative and finite", float)
-_POSITIVE = (lambda x: 0 < x < math.inf, "positive and finite", float)
-_COUNT = (lambda x: x >= 1 and x.is_integer(), "a whole number >= 1", int)
+# option kinds: a kind checks the value of one option, given its name, and
+# returns the value that the runner reads and the manifest records
 
 
-def _number(opts: dict, key: str, valid=None):
-    """``opts[key]`` as a number, written back so that the manifest records
-    the value used (a quoted number in the config is a string, "1e-5"), and
-    checked against the range ``valid`` when given.  A list
-    value is checked entry by entry and written back as a list.  A YAML
-    boolean is not a number, although Python would read true as 1."""
-    if isinstance(opts[key], list):
-        opts[key] = [_number({key: v}, key, valid) for v in opts[key]]
-        return opts[key]
-    if isinstance(opts[key], bool):
-        raise ConfigError(f"{key} must be a number, got {opts[key]!r}")
-    try:
-        value = float(opts[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {opts[key]!r}") from None
-    if valid is None:
-        opts[key] = value
-    elif valid[0](value):
-        opts[key] = valid[2](value)
-    else:
-        raise ConfigError(f"{key} must be {valid[1]}, got {opts[key]!r}")
-    return opts[key]
+def _real(test, wording: str, cast=float):
+    """A number that passes ``test``, stored as ``cast`` of it.  A quoted
+    number in the config is a string ("1e-5") and reads as the number it
+    spells; a YAML boolean is not a number, although Python reads true as 1.
+    Whatever is no number reads as NaN, which fails every test."""
+
+    def kind(key, value):
+        try:
+            x = math.nan if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            x = math.nan
+        if not test(x):
+            raise ConfigError(f"{key} must be {wording}, got {value!r}")
+        return cast(x)
+
+    return kind
 
 
-def _flag(opts: dict, key: str) -> bool:
-    """``opts[key]``, which must be a YAML true or false."""
-    if not isinstance(opts[key], bool):
-        raise ConfigError(f"{key} must be true or false, got {opts[key]!r}")
-    return opts[key]
+_UNIT = _real(lambda x: 0 <= x <= 1, "a number in [0, 1]")
+_NON_NEGATIVE = _real(lambda x: 0 <= x < math.inf, "a non-negative finite number")
+_POSITIVE = _real(lambda x: 0 < x < math.inf, "a positive finite number")
+_COUNT = _real(lambda x: x >= 1 and x.is_integer(), "a whole number >= 1", int)
 
 
-def _dump_time(opts: dict):
-    """``opts["dump_time"]``: None, "auto", or seconds."""
-    if opts["dump_time"] is None or opts["dump_time"] == "auto":
-        return opts["dump_time"]
-    return _number(opts, "dump_time", _NON_NEGATIVE)
+def _boolean(key, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _choice(*names: str):
+    def kind(key, value):
+        if value not in names:
+            raise ConfigError(f"{key} must be {' or '.join(map(repr, names))}, got {value!r}")
+        return value
+
+    return kind
+
+
+def _amounts(nonempty: bool = False):
+    """A list of non-negative numbers, with at least one if ``nonempty``."""
+
+    def kind(key, value):
+        if not isinstance(value, list) or (nonempty and not value):
+            what = "a non-empty list" if nonempty else "a list"
+            raise ConfigError(f"{key} must be {what} of non-negative numbers, got {value!r}")
+        return [_NON_NEGATIVE(key, v) for v in value]
+
+    return kind
+
+
+def _or(kind, *names: str):
+    """null, one of ``names``, or a value of ``kind``."""
+    return lambda key, value: value if value is None or value in names else kind(key, value)
 
 
 # built once, not per herald: a model is immutable and builds its table array
 _CHECK_MODELS = {"ideal": VacuumCheckModel.ideal(), "measured": VacuumCheckModel.from_measured()}
 
-
-def _check_model(name) -> VacuumCheckModel:
-    # a tuple, not the dict: a YAML list or mapping is unhashable
-    if name not in ("ideal", "measured"):
-        raise ConfigError(f"check must be 'ideal' or 'measured', got {name!r}")
-    return _CHECK_MODELS[name]
+# the kind of every command option, by name: a name means the same in every
+# command that has it
+OPTION_KINDS = {
+    **dict.fromkeys(("p_decode", "p_flip_m1", "p_bright_pass"), _UNIT),
+    **dict.fromkeys(("alpha_min", "alpha_max", "t_reset"), _NON_NEGATIVE),
+    **dict.fromkeys(("t_max", "t_attempt", "extent", "step"), _POSITIVE),
+    **dict.fromkeys(("n_times", "n_phi", "n_alpha", "shots", "max_iter"), _COUNT),
+    **dict.fromkeys(("include_critical", "cavity_loss"), _boolean),
+    "check": _choice(*_CHECK_MODELS),
+    "engine": _choice("coherent", "lindblad"),
+    "kappas": _amounts(),
+    "alphas": _amounts(nonempty=True),
+    "t_final": _or(_POSITIVE),
+    "p_success": _or(_UNIT),
+    "dump_time": _or(_NON_NEGATIVE, "auto"),
+}
 
 
 def _herald(params: SystemParams, opts: dict, **kw) -> protocol.DmmResult:
@@ -156,9 +175,9 @@ def _herald(params: SystemParams, opts: dict, **kw) -> protocol.DmmResult:
     dump_time options."""
     return protocol.run_dmm(
         params,
-        check=_check_model(opts["check"]),
-        cavity_loss=_flag(opts, "cavity_loss"),
-        dump_time=_dump_time(opts),
+        check=_CHECK_MODELS[opts["check"]],
+        cavity_loss=opts["cavity_loss"],
+        dump_time=opts["dump_time"],
         **kw,
     )
 
@@ -166,26 +185,6 @@ def _herald(params: SystemParams, opts: dict, **kw) -> protocol.DmmResult:
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
-
-
-def _cell(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
-def _column(values):
-    """The cells of one CSV column as text, each the same as :func:`_cell`
-    gives.  A float, integer or boolean array is converted whole by
-    ``tolist()`` to the Python floats, ints and bools that ``_cell`` formats.
-    Lazy, so that a table's text is never held whole."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiub":
-        return map(repr if values.dtype.kind == "f" else str, values.tolist())
-    return map(_cell, values)
 
 
 class RunContext:
@@ -198,8 +197,9 @@ class RunContext:
         """Write ``table``, ``{column name: values}``, under a header of its
         keys in key order.  Every column holds one value per row, so a
         one-row table passes one-element lists and a table without rows
-        writes the header alone."""
-        cells = [_column(c) for c in table.values()]
+        writes the header alone.  A cell is ``str`` of the Python value
+        ``tolist()`` gives, so a float is its shortest repr."""
+        cells = [map(str, np.asarray(c).tolist()) for c in table.values()]
         path = self.out / name
         with open(path, "w") as f:
             f.write(",".join(table) + "\n")
@@ -223,11 +223,9 @@ class RunContext:
 
 
 def cmd_regimes(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    if not isinstance(opts["kappas"], list):
-        raise ConfigError(f"kappas must be a list of numbers, got {opts['kappas']!r}")
-    kappas = list(_number(opts, "kappas", _NON_NEGATIVE))
-    times = np.linspace(0.0, _number(opts, "t_max", _POSITIVE), _number(opts, "n_times", _COUNT))
-    if _flag(opts, "include_critical"):
+    kappas = list(opts["kappas"])  # a copy: the manifest records the configured list
+    times = np.linspace(0.0, opts["t_max"], opts["n_times"])
+    if opts["include_critical"]:
         kc = dynamics.critical_kappa(params.g_bs)
         if not any(math.isclose(k, kc, rel_tol=1e-6) for k in kappas):
             kappas.append(kc)
@@ -254,7 +252,7 @@ def cmd_regimes(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_transfer(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    times = np.linspace(1e-9, _number(opts, "t_max", _POSITIVE), _number(opts, "n_times", _COUNT))
+    times = np.linspace(1e-9, opts["t_max"], opts["n_times"])
     res = dynamics.transfer_efficiency(params.g_bs, params.kappa_b)
     etas = dynamics.transfer_efficiency(params.g_bs, params.kappa_b, t1=times, t2=times).eta
     ctx.write_csv("transfer.csv", {"t1_s": [res.t1], "t2_s": [res.t2], "eta": [res.eta]})
@@ -267,8 +265,8 @@ def cmd_transfer(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_phase_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    phis = np.linspace(0.0, 2 * math.pi, _number(opts, "n_phi", _COUNT))
-    times = np.linspace(0.0, _number(opts, "t_max", _POSITIVE), _number(opts, "n_times", _COUNT))
+    phis = np.linspace(0.0, 2 * math.pi, opts["n_phi"])
+    times = np.linspace(0.0, opts["t_max"], opts["n_times"])
     p_fail = protocol.phase_sweep(params.alpha, phis, times, params.g_bs, params.kappa_b)
     ctx.write_csv(
         "phase_sweep.csv",
@@ -286,8 +284,6 @@ def cmd_phase_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    if opts["engine"] not in ("coherent", "lindblad"):
-        raise ConfigError(f"engine must be 'coherent' or 'lindblad', got {opts['engine']!r}")
     res = _herald(params, opts, engine=opts["engine"])
     ctx.write_csv(
         "entangle.csv",
@@ -306,14 +302,8 @@ def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    try:
-        sweep = [params.with_(alpha=a) for a in _number(opts, "alphas")]
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad alphas: {e}") from e
-    if not sweep:
-        raise ConfigError("alphas must list at least one amplitude")
     rows = []
-    for p in sweep:
+    for p in (params.with_(alpha=a) for a in opts["alphas"]):
         r = _herald(p, opts)
         rows.append({"alpha": p.alpha, "p_pass": r.p_pass, "fidelity": r.bell_fidelity,
                      "alpha_basis_1": r.alpha_dark[0], "alpha_basis_2": r.alpha_dark[1]})
@@ -326,12 +316,11 @@ def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    p_decode, p_flip_m1 = _number(opts, "p_decode", _UNIT), _number(opts, "p_flip_m1", _UNIT)
     res = _herald(params, opts)
     w1 = res.basis_used[0].codewords(res.rho_pass.space.dims[0])
     w2 = res.basis_used[1].codewords(res.rho_pass.space.dims[1])
     out = protocol.avg_qst_fidelity(
-        res.rho_pass, w1, w2, p_decode=p_decode, p_flip_m1=p_flip_m1
+        res.rho_pass, w1, w2, p_decode=opts["p_decode"], p_flip_m1=opts["p_flip_m1"]
     )
     runs = [out[name] for name in protocol.CARDINAL_STATES]
     ctx.write_csv(
@@ -351,8 +340,7 @@ def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    extent, step = _number(opts, "extent", _POSITIVE), _number(opts, "step", _POSITIVE)
-    shots, max_iter = _number(opts, "shots", _COUNT), _number(opts, "max_iter", _COUNT)
+    shots = opts["shots"]
     res = _herald(params, opts)
     d1, d2 = res.rho_pass.space.dims
     w2 = res.basis_used[1].codewords(d2)
@@ -361,7 +349,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     p_plus, rho1 = cond["+"]
     rho1 = rho1 / np.trace(rho1)
 
-    grid = tomography.WignerGrid.default(extent, step)
+    grid = tomography.WignerGrid.default(opts["extent"], opts["step"])
     forward = tomography._ForwardMap(d1, grid.betas)  # one kernel build: map and fit
     w = forward(rho1).reshape(grid.shape)
     beta = {"re_beta": grid.betas.real, "im_beta": grid.betas.imag}
@@ -373,7 +361,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         {**beta, "value": w_meas, "shots": np.full(counts.size, shots), "counts": counts},
     )
     data = tomography.WignerData.from_map(grid, w_meas, shots=shots, counts=counts)
-    mle = tomography.mle_density(data, dim=d1, max_iter=max_iter, forward=forward)
+    mle = tomography.mle_density(data, dim=d1, max_iter=opts["max_iter"], forward=forward)
     f_rec = hilbert.fidelity(mle.rho, rho1)
     print(
         f"conditioned cat (P(+) = {p_plus:.3f}): reconstructed at dim {d1} from "
@@ -393,8 +381,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    t_final = None if opts["t_final"] is None else _number(opts, "t_final", _POSITIVE)
-    res = protocol.dual_rail_dmm(params, t_final=t_final)
+    res = protocol.dual_rail_dmm(params, t_final=opts["t_final"])
     ctx.write_csv(
         "dual_rail.csv",
         {"trace_distance": [res.trace_distance], "p_herald": [res.p_herald],
@@ -417,12 +404,8 @@ def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    alphas = np.linspace(
-        _number(opts, "alpha_min", _NON_NEGATIVE),
-        _number(opts, "alpha_max", _NON_NEGATIVE),
-        _number(opts, "n_alpha", _COUNT),
-    )
-    p_decode, p_bright = _number(opts, "p_decode", _UNIT), _number(opts, "p_bright_pass", _UNIT)
+    alphas = np.linspace(opts["alpha_min"], opts["alpha_max"], opts["n_alpha"])
+    p_decode, p_bright = opts["p_decode"], opts["p_bright_pass"]
     budgets = [errorbudget.predicted_infidelity(float(a), p_decode, p_bright, params) for a in alphas]
     columns = [f.name for f in dataclasses.fields(errorbudget.BudgetBreakdown)]
     ctx.write_csv("error_budget.csv", {k: [getattr(b, k) for b in budgets] for k in columns})
@@ -432,14 +415,12 @@ def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_multiround(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    if opts["p_success"] is None:
-        p = protocol.success_probability(params.alpha)
-    else:
-        p = _number(opts, "p_success")
-    t_attempt = _number(opts, "t_attempt", _POSITIVE)
-    t_reset = _number(opts, "t_reset", _NON_NEGATIVE)
-    try:  # p_success outside (0, 1], or so small that 1/p or a quantile overflows
-        stats = protocol.multiround_stats(p, t_attempt, t_reset)
+    p = opts["p_success"]
+    try:  # p_success 0, or so small that 1/p or a quantile overflows
+        stats = protocol.multiround_stats(
+            protocol.success_probability(params.alpha) if p is None else p,
+            opts["t_attempt"], opts["t_reset"],
+        )
         quantiles = {f"attempts_p{n}": [stats.attempts_quantile(n / 100)] for n in (50, 90, 99)}
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -529,32 +510,39 @@ PLOTS = {
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = yaml.load(p.read_text(), Loader=_ConfigLoader)
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"could not read config file {path}: {e}") from None
+    try:
+        cfg = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as e:
         raise ConfigError(f"could not parse {path}: {e}") from e
-    if cfg is None:
+    return _block(cfg, f"the top level of {path}")
+
+
+def _block(value, name: str) -> dict:
+    """A config block: a mapping, or null for an empty one."""
+    if value is None:
         return {}
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"top level of {path} must be a mapping")
-    return cfg
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping or null, got {value!r}")
+    return value
 
 
 def resolve(command: str, cfg: dict, scenario: str | None):
-    """Layer defaults < config.params < config.<command> < scenario < flags."""
+    """Layer defaults < config.params < config.<command> < scenario < flags,
+    and check every option against its kind."""
     runner, defaults = COMMANDS[command]
-    scen_cfg = {}
+    layers = {"": cfg}  # each layer by the prefix that names its blocks
     if scenario is not None:
-        scenarios = cfg.get("scenarios") or {}
+        scenarios = _block(cfg.get("scenarios"), "scenarios")
         if scenario not in scenarios:
-            known = sorted(scenarios) or ["(none defined)"]
+            known = sorted(map(str, scenarios)) or ["(none defined)"]
             raise ConfigError(f"unknown scenario {scenario!r}; config defines: {', '.join(known)}")
-        scen_cfg = scenarios[scenario] or {}
-    params = build_params(cfg.get("params"), scen_cfg.get("params"))
-    opts = build_opts(defaults, cfg.get(command), scen_cfg.get(command))
+        layers[f"scenarios.{scenario}."] = _block(scenarios[scenario], f"scenarios.{scenario}")
+    params = build_params(*(_block(c.get("params"), at + "params") for at, c in layers.items()))
+    opts = build_opts(defaults, *(_block(c.get(command), at + command) for at, c in layers.items()))
     return runner, params, opts
 
 
@@ -582,7 +570,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         runner, params, opts = resolve(args.command, cfg, args.scenario)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"could not make output directory {out_dir}: {e}") from None
         ctx = RunContext(out_dir, args.seed)
         summary = runner(params, opts, ctx)
         if args.gnuplot and args.command in PLOTS:
@@ -603,7 +594,7 @@ def main(argv=None) -> int:
         "scenario": args.scenario,
         "config": args.config,
         "params": dataclasses.asdict(params),
-        "options": {k: (list(v) if isinstance(v, tuple) else v) for k, v in opts.items()},
+        "options": opts,
         "outputs": ctx.outputs,
         "sha256": digests,
         "summary": summary,

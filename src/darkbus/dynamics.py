@@ -61,6 +61,10 @@ TWO_PI = 2 * math.pi
 # ---------------------------------------------------------------------------
 
 
+# the SystemParams fields that hold one value per cavity
+_PAIR_FIELDS = ("t1_cavity", "kerr", "chi_cav_transmon", "chi_bus_transmon", "anharmonicity")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Hardware-style parameter set (frequencies in Hz, times in seconds).
@@ -87,9 +91,12 @@ class SystemParams:
     anharmonicity: tuple[float, float] = (-182e6, -187e6)
 
     def __post_init__(self):
+        for name in ("dims", *_PAIR_FIELDS):  # a list, as from YAML, is stored as a tuple
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         real = (int, float, np.integer, np.floating)
         for name, value in vars(self).items():
-            for v in value if isinstance(value, (tuple, list)) else (value,):
+            for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, bool) or not (isinstance(v, real) and math.isfinite(v)):
                     raise ValueError(f"{name} must be finite real numbers, got {value!r}")
         if self.g_bs <= 0:
@@ -97,13 +104,13 @@ class SystemParams:
         for name in ("kappa_b", "alpha", "t_pump", "t_dump", "t_protocol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
-        if len(self.dims) != 3 or any(
+        if not isinstance(self.dims, tuple) or len(self.dims) != 3 or any(
             not isinstance(d, (int, np.integer)) or d < 2 for d in self.dims
         ):
             raise ValueError(f"dims must be three integer truncations >= 2, got {self.dims}")
-        for name in ("t1_cavity", "kerr", "chi_cav_transmon", "chi_bus_transmon", "anharmonicity"):
+        for name in _PAIR_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, (tuple, list)) or len(value) != 2:
+            if not isinstance(value, tuple) or len(value) != 2:
                 raise ValueError(f"{name} must be a (cav1, cav2) pair, got {value!r}")
         if any(t <= 0 for t in self.t1_cavity):
             raise ValueError("cavity T1 must be positive")

@@ -157,8 +157,21 @@ def test_herald_numbers_never_build_the_pair_matrix(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_csv_columns_format_like_cells():
-    """A column formatted whole holds, cell by cell, the text of ``_cell``."""
+def cell_text(x) -> str:
+    """What a CSV cell holds: a string as it is, a boolean as True or False,
+    an integer's digits, and a float's shortest repr."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def test_csv_cells_are_the_text_of_each_value(tmp_path):
+    """Each column of ``write_csv``, whether an array of any dtype or a list
+    of scalars, holds cell by cell the text of its value."""
     columns = [
         np.array([0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan]),
         np.array([0.1, 3.5, -2e-8], dtype=np.float32),
@@ -169,8 +182,10 @@ def test_csv_columns_format_like_cells():
         [1, 2.5, True, np.float64(0.3), np.int64(4), "s", np.bool_(False)],
         (),
     ]
+    ctx = cli.RunContext(tmp_path, seed=0)
     for values in columns:
-        assert list(cli._column(values)) == [cli._cell(x) for x in values]
+        text = ctx.write_csv("c.csv", {"c": values}).read_text()
+        assert text.splitlines() == ["c", *(cell_text(x) for x in values)]
 
 
 def test_regimes_far_overdamped_bus(tmp_path):
@@ -476,6 +491,7 @@ def test_dump_time_rejects_bad_values(tmp_path, capsys, command, value):
         ("error-budget", "alpha_min", "abc"),
         ("error-budget", "alpha_max", "-1.0"),
         ("error-budget", "n_alpha", "-3"),
+        ("error-budget", "n_alpha", "1" + "0" * 400),
         ("tomo-demo", "extent", "-2.0"),
         ("tomo-demo", "step", "0.0"),
         ("tomo-demo", "shots", "0"),
@@ -509,6 +525,105 @@ def test_flags_take_only_true_or_false(tmp_path, capsys, command, key, value):
     cfg.write_text(f"{command}:\n  {key}: no\n")
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 0
     assert read_manifest(tmp_path / "o")["options"][key] is False
+
+
+def wrong_kinds(default):
+    """Values of another kind than an option whose default is ``default``:
+    a scalar for a list, a string, list or number for a flag, a list for a
+    named choice, and a one-element list or a boolean for a number."""
+    if isinstance(default, list):
+        return [1.0, "abc"]
+    if isinstance(default, bool):
+        return ["true", [True], 1]
+    if isinstance(default, str):
+        return [[default], True]
+    return [[1.0 if default is None else default], True]
+
+
+WRONG_KINDS = [
+    (command, key, value)
+    for command, (_, defaults) in cli.COMMANDS.items()
+    for key, default in defaults.items()
+    for value in wrong_kinds(default)
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, value", WRONG_KINDS, ids=[f"{c}-{k}-{v!r}" for c, k, v in WRONG_KINDS]
+)
+def test_every_option_refuses_a_value_of_another_kind(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({command: {key: value}}))
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert key in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_option_kinds_name_every_option_and_keep_the_defaults():
+    """The kind table names exactly the options of the commands, and each
+    command's defaults pass their kinds unchanged in value and type, so the
+    manifest records them as they are written."""
+    assert set(cli.OPTION_KINDS) == {k for _, defaults in cli.COMMANDS.values() for k in defaults}
+
+    def typed(x):
+        if isinstance(x, dict):
+            return {k: typed(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [typed(v) for v in x]
+        return type(x), x
+
+    for _, defaults in cli.COMMANDS.values():
+        assert typed(cli.build_opts(defaults)) == typed(defaults)
+
+
+@pytest.mark.parametrize(
+    "text, block",
+    [
+        ("multiround: 5\n", "multiround"),
+        ("params: 5\n", "params"),
+        ("params: [alpha]\n", "params"),
+        ("scenarios: [s]\n", "scenarios"),
+        ("scenarios: {s: 5}\n", "scenarios.s"),
+        ("scenarios: {s: {multiround: 7}}\n", "scenarios.s.multiround"),
+        ("scenarios: {s: {params: [alpha]}}\n", "scenarios.s.params"),
+    ],
+)
+def test_config_blocks_must_be_mappings(tmp_path, capsys, text, block):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    scenario = ["--scenario", "s"] if "scenarios" in text else []
+    assert run(["multiround", "--config", cfg, *scenario, "--out", out]) == 2
+    assert f"{block} must be a mapping or null" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_null_blocks_are_empty(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("params: ~\nmultiround: ~\nscenarios:\n  s: {params: ~, multiround: ~}\n")
+    for scenario in ([], ["--scenario", "s"]):
+        out = tmp_path / f"o{len(scenario)}"
+        assert run(["multiround", "--config", cfg, *scenario, "--out", out]) == 0
+        assert read_manifest(out)["options"] == cli.COMMANDS["multiround"][1]
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "config-is-a-directory", "config-not-utf8"])
+def test_unreadable_paths_are_config_errors(tmp_path, capsys, case):
+    """A path the CLI cannot read or make is named in a configuration
+    error, and nothing is written."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes("multiround:  # \u00e9\n  t_reset: 0.0\n".encode("latin-1"))
+    argv, path = {
+        "out-is-a-file": (["--out", taken], taken),
+        "config-is-a-directory": (["--config", tmp_path, "--out", tmp_path / "o"], tmp_path),
+        "config-not-utf8": (["--config", latin1, "--out", tmp_path / "o"], latin1),
+    }[case]
+    assert run(["multiround", *argv]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and taken.read_text() == ""
 
 
 def test_unknown_engine_is_config_error(tmp_path, capsys):

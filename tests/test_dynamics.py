@@ -73,9 +73,21 @@ def test_params_validation():
         ("chi_cav_transmon", (-3.75e6,)),
         ("chi_bus_transmon", (-2.1e6, -2.5e6, -2.5e6)),
         ("anharmonicity", ()),
+        # a list where one number belongs
+        ("delta_fsr", [2e9]),
+        ("alpha", [1.0]),
+        ("dims", 12),
     ]:
         with pytest.raises(ValueError, match=name):
             SystemParams(**{name: value})
+
+
+def test_params_store_lists_as_hashable_tuples():
+    """``dims`` and the per-cavity pairs given as lists, as YAML gives them,
+    are stored as tuples, so a parameter set stays hashable."""
+    p = SystemParams(dims=[6, 4, 6], kerr=[0, 0])
+    assert p.dims == (6, 4, 6) and p.kerr == (0, 0)
+    assert hash(p) == hash(SystemParams(dims=(6, 4, 6), kerr=(0, 0)))
 
 
 def test_angular_conversions():
