@@ -40,9 +40,7 @@ print(f"  input |plus>: F_qst drops to {t.f_qst:.4f}")
 print("\nheralded (noisy) resource, decode error 2%, m1 flip 1%:")
 res = protocol.run_dmm(SystemParams(alpha=ALPHA), check=VacuumCheckModel.from_measured(),
                        dump_time="auto")
-d1, d2 = res.rho_pass.space.dims
-w1 = res.basis_used[0].codewords(d1)
-w2 = res.basis_used[1].codewords(d2)
+w1, w2 = res.codewords
 noisy = protocol.avg_qst_fidelity(res.rho_pass, w1, w2,
                                   p_decode=0.02, p_flip_m1=0.01)
 probs = np.array([[p for p in noisy[name].probs.values()]

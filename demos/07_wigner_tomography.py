@@ -16,10 +16,9 @@ SHOTS = 2000
 SEED = 11
 
 res = protocol.run_dmm(dump_time="auto")
-d1, d2 = res.rho_pass.space.dims
-w2 = res.basis_used[1].codewords(d2)
-meas = {"x+": np.outer(w2.plus, w2.plus.conj())}
-p_plus, rho1 = tomography.conditional_decomposition(res.rho_pass, meas, (d1, d2))["x+"]
+w1, w2 = res.codewords
+rho1 = hilbert.condition(res.rho_pass, (w1.dim, w2.dim), np.outer(w2.plus, w2.plus.conj()))
+p_plus = np.trace(rho1).real
 rho1 = rho1 / np.trace(rho1)
 print(f"conditioning on logical X = +1 in cavity 2 (P = {p_plus:.3f})")
 
@@ -38,7 +37,7 @@ print(f"\nsampled every point with {SHOTS} shots "
       f"(rms shot noise {np.std(w_hat - w):.4f})")
 
 data = WignerData.from_map(grid, w_hat, shots=SHOTS, counts=counts)
-mle = tomography.mle_density(data, dim=d1)
+mle = tomography.mle_density(data, dim=w1.dim)
 f = hilbert.fidelity(mle.rho, rho1)
 print(f"MLE: {mle.n_iter} iterations, converged = {mle.converged}, "
       f"rms residual {mle.rms_residual:.4f}")

@@ -11,9 +11,13 @@ the same bytes (the manifest carries the timestamp instead).
 Every option has one kind by name (:data:`OPTION_KINDS`), checked when the
 settings are resolved, before anything runs.
 
+Every number in a config is a YAML number: a quoted one ("600e3") is a
+string, refused like any other value of the wrong kind.
+
 Exit codes: 0 success, 2 configuration problems (bad flags, bad config
-file, unknown scenario, an unreadable config or output path), 3 numerical
-failure (non-convergence, blow-up).
+file, unknown scenario, an unreadable config or output path, or settings
+that ask numpy for an array larger than memory), 3 numerical failure
+(non-convergence, blow-up, a float overflow).
 """
 
 from __future__ import annotations
@@ -94,15 +98,16 @@ def build_opts(defaults: dict, *layers: dict) -> dict:
 
 
 def _real(test, wording: str, cast=float):
-    """A number that passes ``test``, stored as ``cast`` of it.  A quoted
-    number in the config is a string ("1e-5") and reads as the number it
-    spells; a YAML boolean is not a number, although Python reads true as 1.
-    Whatever is no number reads as NaN, which fails every test."""
+    """A YAML number that passes ``test``, stored as ``cast`` of it.  A
+    quoted number ("1e-5") is a string and a YAML boolean is no number,
+    although Python reads true as 1; both read as NaN, like an int beyond
+    the float range, and NaN fails every test."""
 
     def kind(key, value):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
         try:
-            x = math.nan if isinstance(value, bool) else float(value)
-        except (TypeError, ValueError, OverflowError):
+            x = float(value) if number else math.nan
+        except OverflowError:
             x = math.nan
         if not test(x):
             raise ConfigError(f"{key} must be {wording}, got {value!r}")
@@ -317,8 +322,7 @@ def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     res = _herald(params, opts)
-    w1 = res.basis_used[0].codewords(res.rho_pass.space.dims[0])
-    w2 = res.basis_used[1].codewords(res.rho_pass.space.dims[1])
+    w1, w2 = res.codewords
     out = protocol.avg_qst_fidelity(
         res.rho_pass, w1, w2, p_decode=opts["p_decode"], p_flip_m1=opts["p_flip_m1"]
     )
@@ -342,15 +346,13 @@ def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     shots = opts["shots"]
     res = _herald(params, opts)
-    d1, d2 = res.rho_pass.space.dims
-    w2 = res.basis_used[1].codewords(d2)
-    plus = np.outer(w2.plus, w2.plus.conj())
-    cond = tomography.conditional_decomposition(res.rho_pass, {"+": plus}, (d1, d2))
-    p_plus, rho1 = cond["+"]
+    w1, w2 = res.codewords
+    rho1 = hilbert.condition(res.rho_pass, (w1.dim, w2.dim), np.outer(w2.plus, w2.plus.conj()))
+    p_plus = float(np.real(np.trace(rho1)))
     rho1 = rho1 / np.trace(rho1)
 
     grid = tomography.WignerGrid.default(opts["extent"], opts["step"])
-    forward = tomography._ForwardMap(d1, grid.betas)  # one kernel build: map and fit
+    forward = tomography._ForwardMap(w1.dim, grid.betas)  # one kernel build: map and fit
     w = forward(rho1).reshape(grid.shape)
     beta = {"re_beta": grid.betas.real, "im_beta": grid.betas.imag}
     ctx.write_csv("wigner_ideal.csv", {**beta, "value": w.ravel()})
@@ -361,10 +363,10 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         {**beta, "value": w_meas, "shots": np.full(counts.size, shots), "counts": counts},
     )
     data = tomography.WignerData.from_map(grid, w_meas, shots=shots, counts=counts)
-    mle = tomography.mle_density(data, dim=d1, max_iter=opts["max_iter"], forward=forward)
+    mle = tomography.mle_density(data, dim=w1.dim, max_iter=opts["max_iter"], forward=forward)
     f_rec = hilbert.fidelity(mle.rho, rho1)
     print(
-        f"conditioned cat (P(+) = {p_plus:.3f}): reconstructed at dim {d1} from "
+        f"conditioned cat (P(+) = {p_plus:.3f}): reconstructed at dim {w1.dim} from "
         f"{counts.size} points x {shots} shots"
     )
     print(
@@ -581,8 +583,11 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
+    except MemoryError as e:  # numpy refuses an array larger than memory
+        print(f"error: {args.command} asks for more memory than there is: {e}", file=sys.stderr)
+        return 2
+    except (NumericalError, OverflowError) as e:
+        print(f"numerical failure in {args.command}: {e}", file=sys.stderr)
         return 3
 
     digests = {}

@@ -169,6 +169,15 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     return reduced.reshape(d, d)
 
 
+def condition(rho, dims, ops) -> np.ndarray:
+    """Tr_2[(1 x O) rho] of a two-mode ket or density matrix on ``dims``, for
+    mode-2 operators O stacked along the leading axes of ``ops``: the
+    unnormalized mode-1 state left by the measurement element O, with the
+    outcome's probability as its trace."""
+    d1, d2 = dims
+    return np.einsum("ijkl,...lj->...ik", as_dm(rho).reshape(d1, d2, d1, d2), ops)
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------

@@ -196,7 +196,9 @@ class DmmResult:
     bookkeeping (see :func:`run_dmm`), ``rho_pass`` the normalized
     two-cavity state that gg heralds (the pair state times the gg sector
     weight of :func:`_fold`, normalized), ``bell_fidelity`` its overlap with
-    the logical Bell target in ``basis_used``.  ``p_outcomes`` maps each of
+    the logical Bell target of ``codewords``, the two cavities' codewords
+    (each with its ``basis`` and truncation ``dim``) that every consumer of
+    the pair reads.  ``p_outcomes`` maps each of
     :data:`OUTCOMES` to its probability, the check model's ``table`` applied
     to the vector of sector probabilities; the states of the discarded
     outcomes are never built.
@@ -204,9 +206,9 @@ class DmmResult:
     reads ``bell_fidelity`` without the (d1 d2)^2 density matrix, so a
     caller that only wants the numbers never pays for it.  It is the one
     state the library keeps wrapped: a
-    :class:`~darkbus.hilbert.QuantumState`, because callers (the CLI, the
-    demos and perfbench's basis fit) read the two cavity truncations from
-    ``rho_pass.space.dims``; its ``.data`` is the density matrix.
+    :class:`~darkbus.hilbert.QuantumState`, because perfbench's basis fit
+    reads the two cavity truncations from ``rho_pass.space.dims``; its
+    ``.data`` is the density matrix.
     ``p_pass_projective`` is the raw trace of the projected gg branch,
     which retains the interference between the two dark components; the
     difference from ``p_pass`` is below a percent at useful amplitudes.
@@ -215,7 +217,7 @@ class DmmResult:
     p_pass: float
     p_outcomes: dict
     bell_fidelity: float
-    basis_used: tuple[LogicalBasis, LogicalBasis]
+    codewords: tuple[Codewords, Codewords]
     alpha_dark: tuple[float, float]
     bright_residual: float
     t_dump: float
@@ -473,11 +475,8 @@ def run_dmm(
         raise NumericalError("protocol: herald has zero probability, nothing to analyze")
 
     if basis == "auto":
-        basis_pair = (LogicalBasis(alpha_dark[0]), LogicalBasis(alpha_dark[1]))
-    else:
-        basis_pair = tuple(basis)
-    words1 = basis_pair[0].codewords(d1)
-    words2 = basis_pair[1].codewords(d2)
+        basis = [LogicalBasis(a) for a in alpha_dark]
+    words1, words2 = basis[0].codewords(d1), basis[1].codewords(d2)
     bell = codes.bell_state(words1, words2)
     if engine == "coherent":
         # no codeword has a vacuum component, so the Bell ket lies in the NN
@@ -496,7 +495,7 @@ def run_dmm(
         p_pass=float(p_out[0]),
         p_outcomes=dict(zip(OUTCOMES, p_out.tolist())),
         bell_fidelity=fid,
-        basis_used=basis_pair,
+        codewords=(words1, words2),
         alpha_dark=alpha_dark,
         bright_residual=float(
             dynamics.bright_mode_response(params.g_bs, params.kappa_b, t_dump)[0]
@@ -591,9 +590,9 @@ def teleport(
     s = -1 for m1 = 0 and +1 for m1 = 1, so gate and readout together act
     on cavity 2 as K = c0 + s c1 P.  The four record elements
     O[m1, m2] = K^dag M_m2 K / 2, M_m2 the decode element, are stacked and
-    contracted with the pair at once, giving the unnormalized cavity-1 state
-    of every record; the readout errors mix those states along their record
-    axes.  The correction is scored in the logical frame: a logical Pauli
+    contracted with the pair at once (:func:`~darkbus.hilbert.condition`),
+    giving the unnormalized cavity-1 state of every record; the readout
+    errors mix those states along their record axes.  The correction is scored in the logical frame: a logical Pauli
     acts on the code as the 2x2 Pauli on the amplitudes (c0, c1), so
     F = <v|rho1|v> / Tr rho1 with v the encoded sigma (c0, c1).
     """
@@ -618,7 +617,7 @@ def teleport(
     m_c2 = np.stack((pi_one, pi_zero)) + 0.5 * leak
     k = c0 + np.array([[-1.0], [1.0]]) * c1 * (-1.0) ** np.arange(d2)  # (m1, n2)
     ops = 0.5 * k.conj()[:, None, :, None] * m_c2 * k[:, None, None, :]
-    cond = np.einsum("ijkl,ablj->abik", rho12.reshape(d1, d2, d1, d2), ops)
+    cond = hilbert.condition(rho12, (d1, d2), ops)
 
     # classical readout errors mix the records, not the states
     cond = (1 - p_flip_m1) * cond + p_flip_m1 * cond[::-1]

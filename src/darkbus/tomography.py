@@ -16,8 +16,9 @@ sum_k c_k M_k is its transpose.
 
 Reconstruction is maximum likelihood by accelerated projected gradient:
 a binomial likelihood when shot counts are available, least squares when
-only noiseless maps are.  Logical-level analysis (conditional states of a
-pair, analysis-basis fitting) lives at the bottom of the module.
+only noiseless maps are.  Analysis-basis fitting of a pair lives at the
+bottom of the module; a cavity's state conditioned on a measurement of the
+other is :func:`darkbus.hilbert.condition`.
 """
 
 from __future__ import annotations
@@ -354,29 +355,6 @@ def mle_density(
         rms_residual=float(np.sqrt(np.mean((w - w_obs) ** 2))),
         loglik=_binomial_loglik((1 + w) / 2, counts, shots) if have_counts else math.nan,
     )
-
-
-# ---------------------------------------------------------------------------
-# logical-level analysis
-# ---------------------------------------------------------------------------
-
-
-def conditional_decomposition(state, meas_ops: dict, dims: tuple[int, int]) -> dict:
-    """Split a two-mode state by a measurement on mode 2.
-
-    meas_ops maps outcome name -> POVM element on mode 2; returns
-    outcome -> (probability, unnormalized mode-1 density matrix).  Tracing
-    the measured mode with the POVM element inserted is exactly the
-    unnormalized conditional state of the kept mode.
-    """
-    rho = hilbert.as_dm(state)
-    d1, d2 = dims
-    rho4 = rho.reshape(d1, d2, d1, d2)
-    out = {}
-    for name, m in meas_ops.items():
-        rho1 = np.einsum("ijkl,lj->ik", rho4, np.asarray(m, complex))
-        out[name] = (float(np.real(np.trace(rho1))), rho1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -203,9 +203,7 @@ def test_ac6_teleportation():
 
     # heralded (noisy) resource with readout imperfections
     res = protocol.run_dmm(check=VacuumCheckModel.from_measured(), dump_time="auto")
-    d1, d2 = res.rho_pass.space.dims
-    w1 = res.basis_used[0].codewords(d1)
-    w2 = res.basis_used[1].codewords(d2)
+    w1, w2 = res.codewords
     out = protocol.avg_qst_fidelity(res.rho_pass, w1, w2, p_decode=0.02, p_flip_m1=0.01)
     favg = out["favg"]
     ok &= 0.88 <= favg <= 0.92
@@ -230,16 +228,14 @@ def test_ac6_teleportation():
 def test_ac7_tomography_roundtrip():
     # conditioned single-cavity cat from a heralded run
     res = protocol.run_dmm(dump_time="auto")
-    d1, d2 = res.rho_pass.space.dims
-    w2 = res.basis_used[1].codewords(d2)
-    plus = np.outer(w2.plus, w2.plus.conj())
-    _, rho1 = tomography.conditional_decomposition(res.rho_pass, {"+": plus}, (d1, d2))["+"]
+    w1, w2 = res.codewords
+    rho1 = hilbert.condition(res.rho_pass, (w1.dim, w2.dim), np.outer(w2.plus, w2.plus.conj()))
     rho1 = rho1 / np.trace(rho1)
 
     grid = WignerGrid.default(2.0, 0.1)  # 41 x 41
     w = tomography.wigner_map(rho1, grid)
     data = WignerData.from_map(grid, w)
-    mle = tomography.mle_density(data, dim=d1)
+    mle = tomography.mle_density(data, dim=w1.dim)
     f_exact = hilbert.fidelity(mle.rho, rho1)
     ok = f_exact >= 0.99
 
@@ -248,7 +244,7 @@ def test_ac7_tomography_roundtrip():
     noisy = WignerData.from_map(
         grid, (2 * counts / shots - 1).reshape(grid.shape), shots=shots, counts=counts
     )
-    mle_n = tomography.mle_density(noisy, dim=d1)
+    mle_n = tomography.mle_density(noisy, dim=w1.dim)
     f_shots = hilbert.fidelity(mle_n.rho, rho1)
     ok &= f_shots >= 0.97
 

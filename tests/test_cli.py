@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import yaml
 from oracles import PyConfigLoader
 
 import darkbus
-from darkbus import cli, protocol
+from darkbus import cli, codes, protocol
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import VacuumCheckModel
 
@@ -155,6 +156,24 @@ def test_herald_numbers_never_build_the_pair_matrix(tmp_path, monkeypatch):
     assert run(["teleport", "--out", tmp_path / "teleport"]) == 0
     assert (tmp_path / "teleport" / "teleport.csv").exists()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["teleport", "tomo-demo"])
+def test_pair_consumers_read_the_heralds_codewords(tmp_path, monkeypatch, command):
+    """The herald builds the codewords of each cavity once; ``teleport`` and
+    ``tomo-demo`` read them from ``DmmResult.codewords`` instead of building
+    their own."""
+    real = codes.LogicalBasis.codewords
+    dims = []
+
+    def counted(basis, dim):
+        dims.append(dim)
+        return real(basis, dim)
+
+    monkeypatch.setattr(codes.LogicalBasis, "codewords", counted)
+    assert run([command, "--out", tmp_path / "o"]) == 0
+    params = SystemParams()
+    assert dims == [params.dims[0], params.dims[2]]
 
 
 def cell_text(x) -> str:
@@ -529,15 +548,18 @@ def test_flags_take_only_true_or_false(tmp_path, capsys, command, key, value):
 
 def wrong_kinds(default):
     """Values of another kind than an option whose default is ``default``:
-    a scalar for a list, a string, list or number for a flag, a list for a
-    named choice, and a one-element list or a boolean for a number."""
+    a scalar or a list with a quoted number for a list, a string, list or
+    number for a flag, a list for a named choice, and a one-element list, a
+    boolean or a quoted number for a number.  A quoted number is the text of
+    a valid value, padded with spaces so that the YAML dump quotes it."""
     if isinstance(default, list):
-        return [1.0, "abc"]
+        return [1.0, "abc", [f" {default[0]} "]]
     if isinstance(default, bool):
         return ["true", [True], 1]
     if isinstance(default, str):
         return [[default], True]
-    return [[1.0 if default is None else default], True]
+    number = 1.0 if default is None else default
+    return [[number], True, f" {number} "]
 
 
 WRONG_KINDS = [
@@ -678,16 +700,25 @@ def test_dual_rail_reads_t_final_without_a_dot(tmp_path):
     assert (outs[0] / "dual_rail.csv").read_bytes() == (outs[1] / "dual_rail.csv").read_bytes()
 
 
-def test_manifest_records_numbers_read_as_strings(tmp_path):
-    """A quoted number is a string; the manifest records the float used."""
+@pytest.mark.parametrize(
+    "command, block, key",
+    [
+        ("dual-rail", 'dual-rail:\n  t_final: "1e-5"\n', "t_final"),
+        ("multiround", 'multiround:\n  t_attempt: " 8.85e-6 "\n', "t_attempt"),
+        ("regimes", 'regimes:\n  kappas: ["600e3"]\n', "kappas"),
+        ("regimes", 'params:\n  kappa_b: "600e3"\n', "kappa_b"),
+    ],
+    ids=["t_final", "t_attempt", "kappas-entry", "params-kappa_b"],
+)
+def test_quoted_numbers_are_config_errors(tmp_path, capsys, command, block, key):
+    """A quoted number is a string, in an option as in ``params:``: the run
+    stops with a configuration error naming the key, before any CSV."""
     cfg = tmp_path / "c.yaml"
-    cfg.write_text('dual-rail:\n  t_final: "1e-5"\nmultiround:\n  t_attempt: "9e-6"\n')
-    assert run(["dual-rail", "--config", cfg, "--out", tmp_path / "dr"]) == 0
-    assert run(["multiround", "--config", cfg, "--out", tmp_path / "mr"]) == 0
-    assert read_manifest(tmp_path / "dr")["options"]["t_final"] == 1e-5
-    options = read_manifest(tmp_path / "mr")["options"]
-    assert options["t_attempt"] == 9e-6
-    assert options["t_reset"] == 0.0 and options["p_success"] == 1 / 2.6
+    cfg.write_text(block)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert key in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +731,35 @@ def test_dual_rail_unconverged_is_numerical_failure(tmp_path, capsys):
     cfg.write_text("dual-rail:\n  t_final: 1.0e-7\n")
     assert run(["dual-rail", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, block, code, message",
+    [
+        ("transfer-efficiency", "transfer-efficiency:\n  n_times: 1.0e+18\n", 2,
+         "error: transfer-efficiency asks for more memory than there is"),
+        ("tomo-demo", "tomo-demo:\n  step: 1.0e-16\n", 2,
+         "error: tomo-demo asks for more memory than there is"),
+        *[(command, "params:\n  kappa_b: 1.0e+300\n", 3, f"numerical failure in {command}")
+          for command in ("transfer-efficiency", "dual-rail", "entangle")],
+        ("regimes", "regimes:\n  kappas: [1.0e+300]\n", 3, "numerical failure in regimes"),
+        ("regimes", "params:\n  g_bs: 1.0e+300\n", 3, "numerical failure in regimes"),
+    ],
+    ids=["transfer-n_times", "tomo-demo-step", "transfer-kappa_b", "dual-rail-kappa_b",
+         "entangle-kappa_b", "regimes-kappas", "regimes-g_bs"],
+)
+def test_arithmetic_limits_end_in_an_exit_code(tmp_path, capsys, command, block, code, message):
+    """An array numpy cannot allocate is a configuration error (exit 2), a
+    float overflow a numerical failure (exit 3); either message names the
+    command, there is no traceback and no CSV.  Every size here is refused
+    before anything is allocated."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(block)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_dual_rail_lossless_whole_periods_is_numerical_failure(tmp_path, capsys):
@@ -779,6 +839,22 @@ def test_tomo_demo_rerun_is_byte_identical(tmp_path):
     assert (out1 / "wigner_sampled.csv").read_bytes() != (out3 / "wigner_sampled.csv").read_bytes()
     # but the noiseless map does not depend on the seed at all
     assert (out1 / "wigner_ideal.csv").read_bytes() == (out3 / "wigner_ideal.csv").read_bytes()
+
+
+def test_every_command_reruns_byte_identical(tmp_path):
+    """Two runs of ``tools/cli_outputs.py``, the ten commands at their
+    defaults and the benchmark's scenarios at one seed, write the same files
+    with the same bytes; the manifests drop only their timestamp and wall
+    time."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
+    tool = runpy.run_path(str(tool))
+    a, b = (tmp_path / "a").resolve(), (tmp_path / "b").resolve()
+    files_a, files_b = tool["write_outputs"](a), tool["write_outputs"](b)
+    assert [f.relative_to(a) for f in files_a] == [f.relative_to(b) for f in files_b]
+    manifests = {f.parent for f in files_a if f.name == "manifest.json"}
+    assert manifests == {f.parent for f in files_a} == {a / run for run in tool["runs"]()}
+    for fa, fb in zip(files_a, files_b):
+        assert fa.read_bytes() == fb.read_bytes(), fa.relative_to(a)
 
 
 def test_alpha_sweep_rows_match_run_dmm(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from darkbus import dynamics, hilbert
+from darkbus import codes, dynamics, hilbert
 from darkbus.hilbert import HilbertSpace, QuantumState
 from oracles import (
     cat,
@@ -197,6 +197,42 @@ def test_partial_trace_pure_product():
     bell[0], bell[3] = 1 / math.sqrt(2), 1 / math.sqrt(2)
     red = hilbert.partial_trace(hilbert.as_dm(bell), (2, 2), [0])
     assert_allclose(red, np.eye(2) / 2, atol=1e-14)
+
+
+def test_condition_matches_kronecker_trace():
+    """Tr_2[(1 x O) rho], built by a Kronecker product and a partial trace,
+    for each operator of a (2, 3) stack on unequal dims, from a density
+    matrix and from a ket."""
+    rng = np.random.default_rng(5)
+    dims = (3, 4)
+    ket = rng.normal(size=12) + 1j * rng.normal(size=12)
+    ket /= np.linalg.norm(ket)
+    a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    ops = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    for state in (rho, ket):
+        out = hilbert.condition(state, dims, ops)
+        assert out.shape == (2, 3, 3, 3)
+        for idx in np.ndindex(2, 3):
+            full = np.kron(np.eye(3), ops[idx]) @ hilbert.as_dm(state)
+            assert_allclose(out[idx], hilbert.partial_trace(full, dims, [0]), rtol=0, atol=1e-13)
+    assert hilbert.condition(rho, dims, ops[0, 0]).shape == (3, 3)
+
+
+def test_condition_completeness():
+    """A complete measurement of mode 2 (the logical |0> and |1> and the
+    leakage rest) splits mode 1's reduced state into conditioned parts whose
+    traces sum to 1; the ideal cat Bell pair never leaks."""
+    words = codes.LogicalBasis(1.1).codewords(10)
+    bell = codes.bell_state(words, words)
+    zero = np.outer(words.zero, words.zero.conj())
+    one = np.outer(words.one, words.one.conj())
+    cond = hilbert.condition(bell, (10, 10), np.stack((zero, one, np.eye(10) - zero - one)))
+    probs = np.real(np.trace(cond, axis1=1, axis2=2))
+    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+    rdm1 = hilbert.partial_trace(hilbert.as_dm(bell), (10, 10), keep=[0])
+    assert_allclose(cond.sum(axis=0), rdm1, atol=1e-12)
+    assert probs[2] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fidelity_conventions():

@@ -185,7 +185,7 @@ def test_run_dmm_explicit_basis():
     res = protocol.run_dmm(
         SystemParams(alpha=1.2), cavity_loss=False, dump_time="auto", basis=basis
     )
-    assert res.basis_used == basis
+    assert tuple(w.basis for w in res.codewords) == basis
     assert res.bell_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -202,7 +202,8 @@ def test_run_dmm_kerr_needs_lindblad():
 
 # every alpha at the small truncations over the full product of check,
 # cavity loss and basis; the 1600 x 1600 pair matrices of dims (40, 16, 40)
-# only with the measured check and cavity loss, in both bases
+# only with the measured check and cavity loss, in both bases, and so the
+# unequal dims (8, 4, 10) at the reference alpha
 _HERALD_ALPHAS = (0.3, 1.0, math.sqrt(2), 2.5)
 _HERALD_CASES = [
     *itertools.product(
@@ -210,6 +211,7 @@ _HERALD_CASES = [
         [False, True],
     ),
     *itertools.product(_HERALD_ALPHAS, [(40, 16, 40)], ["measured"], [True], [False, True]),
+    *itertools.product([math.sqrt(2)], [(8, 4, 10)], ["measured"], [True], [False, True]),
 ]
 
 
@@ -237,7 +239,9 @@ def test_run_dmm_coherent_matches_materialized_vacuum_check(
     """The weighted fold of the coherent engine's pair state is the vacuum
     check applied, projector by projector, to the materialized pair; the
     Bell fidelity read from 4x4 Gram matrices is <B|rho_gg|B> of that
-    materialized state, in the auto basis or a Kerr-twisted, rotated one."""
+    materialized state, in the auto basis or a Kerr-twisted, rotated one.
+    The codewords handed off are those of the basis used at each cavity's
+    truncation, and their Bell ket scores ``rho_pass`` at ``bell_fidelity``."""
     params = SystemParams(dims=dims).with_(alpha=alpha)
     check = {"ideal": VacuumCheckModel.ideal, "measured": VacuumCheckModel.from_measured}[check]()
     basis = "auto"
@@ -258,12 +262,28 @@ def test_run_dmm_coherent_matches_materialized_vacuum_check(
     _, states, sectors = vacuum_check(materialize_coherent(pair, (d1, d2)), (d1, d2), check)
     assert sectors.min() > 1e-4  # every sector reaches the gg state
     rho_gg = states["gg"]
-    bell = codes.bell_state(res.basis_used[0].codewords(d1), res.basis_used[1].codewords(d2))
+    _assert_codewords(res, (d1, d2), basis)
+    bell = codes.bell_state(*res.codewords)
     fidelity = np.real(bell.conj() @ rho_gg @ bell) / np.real(np.trace(rho_gg))
     assert res.bell_fidelity == pytest.approx(fidelity, rel=1e-12, abs=0)
     assert res.rho_pass.space.dims == (d1, d2)
     assert_allclose(res.rho_pass.data, rho_gg, rtol=0, atol=1e-12)
     assert res.rho_pass is res.rho_pass  # built once, on first access
+    assert res.bell_fidelity == pytest.approx(
+        np.real(bell.conj() @ res.rho_pass.data @ bell), rel=1e-12, abs=0
+    )
+
+
+def _assert_codewords(res, dims, basis):
+    """``res.codewords`` are the codewords of ``basis`` ("auto": the cat
+    amplitudes of ``res.alpha_dark``) at the cavity truncations ``dims``."""
+    if basis == "auto":
+        basis = tuple(codes.LogicalBasis(a) for a in res.alpha_dark)
+    assert tuple(w.basis for w in res.codewords) == basis
+    assert tuple(w.dim for w in res.codewords) == dims
+    for w, b, d in zip(res.codewords, basis, dims):
+        expected = b.codewords(d)
+        assert np.array_equal(w.plus, expected.plus) and np.array_equal(w.minus, expected.minus)
 
 
 def test_initial_superposition_materializes_the_cat_product():
@@ -322,6 +342,8 @@ def test_run_dmm_self_kerr():
 
 
 _SMALL = SystemParams(alpha=0.5, dims=(4, 3, 4))
+_TWISTED = (codes.LogicalBasis(0.45, theta_k=0.1, theta_r=-0.2),
+            codes.LogicalBasis(0.48, theta_k=-0.05, theta_r=0.3))
 
 
 @pytest.mark.parametrize(
@@ -333,11 +355,14 @@ _SMALL = SystemParams(alpha=0.5, dims=(4, 3, 4))
         (_SMALL, {"include_kerr": True}),
         (_SMALL, {"dump_time": 0.0}),
         (_SMALL, {"check": VacuumCheckModel.from_measured()}),
+        (_SMALL.with_(dims=(6, 3, 4)), {}),
+        (_SMALL.with_(dims=(6, 3, 4)), {"basis": _TWISTED}),
     ],
 )
 def test_run_dmm_lindblad_matches_three_window_master_equation(params, kw):
     """Kraus maps for the pump and post windows reproduce the master equation
-    solved through all three windows on the full space."""
+    solved through all three windows on the full space; the codewords
+    handed off are those of the basis used at each cavity's truncation."""
     res = protocol.run_dmm(params, engine="lindblad", **kw)
     t_post = max(params.t_protocol - params.t_pump - res.t_dump, 0.0)
     pair = lindblad_pair_state(
@@ -352,10 +377,13 @@ def test_run_dmm_lindblad_matches_three_window_master_equation(params, kw):
     for o in protocol.OUTCOMES:
         assert res.p_outcomes[o] == pytest.approx(p_out[o], abs=1e-12)
     assert_allclose(res.rho_pass.data, states["gg"], rtol=0, atol=1e-12)
-    words = [b.codewords(d) for b, d in zip(res.basis_used, dims)]
-    bell = codes.bell_state(*words)
+    _assert_codewords(res, dims, kw.get("basis", "auto"))
+    bell = codes.bell_state(*res.codewords)
     fid = np.real(bell.conj() @ states["gg"] @ bell)
     assert res.bell_fidelity == pytest.approx(fid, abs=1e-12)
+    assert res.bell_fidelity == pytest.approx(
+        np.real(bell.conj() @ res.rho_pass.data @ bell), rel=1e-12, abs=0
+    )
 
 
 @pytest.mark.parametrize("dump_time, solves", [(None, 1), (0.0, 0)])
@@ -380,7 +408,7 @@ def test_run_dmm_lindblad_basis_covers_a_long_dump():
     assert t_exposed > _SMALL.t_protocol
     expected = [_SMALL.alpha * math.exp(-g * t_exposed / 2) for g in _SMALL.gamma_cavity]
     assert_allclose(res.alpha_dark, expected, rtol=1e-14)
-    assert res.alpha_dark == tuple(b.alpha for b in res.basis_used)
+    assert res.alpha_dark == tuple(w.basis.alpha for w in res.codewords)
 
 
 def test_run_dmm_lindblad_ignores_global_rng():
@@ -591,8 +619,7 @@ def _teleport_kron(resource, input_qubit, words1, words2, p_decode=0.0, p_flip_m
 def _measured_resource(alpha=None):
     params = SystemParams() if alpha is None else SystemParams(alpha=alpha)
     res = protocol.run_dmm(params, check=VacuumCheckModel.from_measured())
-    d1, d2 = res.rho_pass.space.dims
-    return res.rho_pass, res.basis_used[0].codewords(d1), res.basis_used[1].codewords(d2)
+    return (res.rho_pass, *res.codewords)
 
 
 _RANDOM_INPUTS = [tuple(z) for z in np.random.default_rng(17).normal(size=(3, 2, 2)) @ [1, 1j]]

@@ -385,27 +385,6 @@ def test_mle_iteration_cap_flags_not_converged():
 
 
 # ---------------------------------------------------------------------------
-# logical-level analysis
-# ---------------------------------------------------------------------------
-
-
-def test_conditional_decomposition_completeness():
-    words = LogicalBasis(1.1).codewords(10)
-    bell = codes.bell_state(words, words)
-    zero = np.outer(words.zero, words.zero.conj())
-    one = np.outer(words.one, words.one.conj())
-    cond = tomography.conditional_decomposition(
-        bell, {"0": zero, "1": one, "leak": np.eye(10) - zero - one}, (10, 10)
-    )
-    assert sum(p for p, _ in cond.values()) == pytest.approx(1.0, abs=1e-9)
-    total = sum(r for _, r in cond.values())
-    rdm1 = hilbert.partial_trace(hilbert.as_dm(bell), (10, 10), keep=[0])
-    assert_allclose(total, rdm1, atol=1e-12)
-    # the ideal Bell state never leaks
-    assert cond["leak"][0] == pytest.approx(0.0, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # analysis-basis fitting
 # ---------------------------------------------------------------------------
 
