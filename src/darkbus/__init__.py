@@ -40,6 +40,7 @@ from .protocol import (
     MultiroundStats,
     TeleportResult,
     VacuumCheckModel,
+    alpha_sweep,
     avg_qst_fidelity,
     dual_rail_dmm,
     multiround_stats,
@@ -90,6 +91,7 @@ __all__ = [
     "MultiroundStats",
     "TeleportResult",
     "VacuumCheckModel",
+    "alpha_sweep",
     "avg_qst_fidelity",
     "dual_rail_dmm",
     "multiround_stats",

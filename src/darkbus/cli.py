@@ -175,16 +175,14 @@ OPTION_KINDS = {
 }
 
 
-def _herald(params: SystemParams, opts: dict, **kw) -> protocol.DmmResult:
-    """:func:`protocol.run_dmm` with the command's check, cavity_loss and
-    dump_time options."""
-    return protocol.run_dmm(
-        params,
-        check=_CHECK_MODELS[opts["check"]],
-        cavity_loss=opts["cavity_loss"],
-        dump_time=opts["dump_time"],
-        **kw,
-    )
+def _herald(opts: dict) -> dict:
+    """The command's check, cavity_loss and dump_time options, as the keyword
+    arguments of :func:`protocol.run_dmm` and :func:`protocol.alpha_sweep`."""
+    return {
+        "check": _CHECK_MODELS[opts["check"]],
+        "cavity_loss": opts["cavity_loss"],
+        "dump_time": opts["dump_time"],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +287,7 @@ def cmd_phase_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    res = _herald(params, opts, engine=opts["engine"])
+    res = protocol.run_dmm(params, engine=opts["engine"], **_herald(opts))
     ctx.write_csv(
         "entangle.csv",
         {
@@ -307,21 +305,21 @@ def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 
 def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    rows = []
-    for p in (params.with_(alpha=a) for a in opts["alphas"]):
-        r = _herald(p, opts)
-        rows.append({"alpha": p.alpha, "p_pass": r.p_pass, "fidelity": r.bell_fidelity,
-                     "alpha_basis_1": r.alpha_dark[0], "alpha_basis_2": r.alpha_dark[1]})
-    table = {k: [row[k] for row in rows] for k in rows[0]}
-    ctx.write_csv("alpha_sweep.csv", table)
-    best = max(rows, key=lambda row: row["fidelity"])
-    print("best fidelity {fidelity:.4f} at alpha = {alpha:.3f} "
-          "(p_pass = {p_pass:.4f})".format(**best))
-    return {"alphas": table["alpha"], "best_alpha": best["alpha"], "best_fidelity": best["fidelity"]}
+    alphas = opts["alphas"]
+    p_pass, fidelity, alpha_dark = protocol.alpha_sweep(params, alphas, **_herald(opts))
+    ctx.write_csv(
+        "alpha_sweep.csv",
+        {"alpha": alphas, "p_pass": p_pass, "fidelity": fidelity,
+         "alpha_basis_1": alpha_dark[:, 0], "alpha_basis_2": alpha_dark[:, 1]},
+    )
+    best = int(np.argmax(fidelity))
+    print(f"best fidelity {fidelity[best]:.4f} at alpha = {alphas[best]:.3f} "
+          f"(p_pass = {p_pass[best]:.4f})")
+    return {"alphas": alphas, "best_alpha": alphas[best], "best_fidelity": float(fidelity[best])}
 
 
 def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
-    res = _herald(params, opts)
+    res = protocol.run_dmm(params, **_herald(opts))
     w1, w2 = res.codewords
     out = protocol.avg_qst_fidelity(
         res.rho_pass, w1, w2, p_decode=opts["p_decode"], p_flip_m1=opts["p_flip_m1"]
@@ -345,7 +343,7 @@ def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     shots = opts["shots"]
-    res = _herald(params, opts)
+    res = protocol.run_dmm(params, **_herald(opts))
     w1, w2 = res.codewords
     rho1 = hilbert.condition(res.rho_pass, (w1.dim, w2.dim), np.outer(w2.plus, w2.plus.conj()))
     p_plus = float(np.real(np.trace(rho1)))

@@ -46,26 +46,31 @@ class LogicalBasis:
     theta_r: float = 0.0  # linear rotation angle, applied as e^{i theta_r n}
 
     def codewords(self, dim: int) -> "Codewords":
-        """Build the codeword kets at truncation ``dim``."""
-        a = self.alpha
-        right = hilbert.coherent(dim, a, normalized=False)
-        left = hilbert.coherent(dim, -a, normalized=False)
-        raw_p = right + left
-        raw_p[0] = 0.0  # vacuum removal on the even branch
-        raw_m = right - left
+        """Build the codeword kets at truncation ``dim``.
+
+        ``alpha`` may also be an array of amplitudes that share the twist
+        and the rotation: the kets then stack along its axes, shape
+        ``np.shape(alpha) + (dim,)``, each exactly the ket of its amplitude
+        alone."""
+        # |alpha> and |-alpha>, then their sum and difference, stacked on the
+        # second-to-last axis
+        pair = hilbert.coherent(dim, np.multiply.outer(self.alpha, [1.0, -1.0]), normalized=False)
+        raw = pair[..., :1, :] + [[1.0], [-1.0]] * pair[..., 1:, :]
+        raw[..., 0, 0] = 0.0  # vacuum removal on the even branch
         n = np.arange(dim)
         twist = np.exp(1j * self.theta_r * n + 1j * self.theta_k / 2 * n * (n - 1))
-        plus = twist * raw_p
-        minus = twist * raw_m
-        np_, nm_ = np.linalg.norm(plus), np.linalg.norm(minus)
-        if np_ == 0 or nm_ == 0:
-            raise hilbert.NumericalError(f"codewords vanish at alpha={a}")
-        return Codewords(plus / np_, minus / nm_, self, dim)
+        kets = twist * raw
+        norms = hilbert.norm(kets)
+        if not norms.all():
+            raise hilbert.NumericalError(f"codewords vanish at alpha={self.alpha}")
+        kets /= norms
+        return Codewords(kets[..., 0, :], kets[..., 1, :], self, dim)
 
 
 @dataclass(frozen=True)
 class Codewords:
-    """Normalized codeword kets of a :class:`LogicalBasis` at a truncation."""
+    """Normalized codeword kets of a :class:`LogicalBasis` at a truncation,
+    stacked along leading axes when the basis holds an array of amplitudes."""
 
     plus: np.ndarray
     minus: np.ndarray
@@ -91,6 +96,9 @@ def bell_state(words1: Codewords, words2: Codewords) -> np.ndarray:
     two-cavity Fock ket.  This is the state the heralded protocol targets;
     being the singlet it looks the same in the |±>_L basis.  The flattened
     outer products are the entries np.kron gives for kets, without its
-    reshaping overhead."""
-    ket = (np.outer(words1.zero, words2.one) - np.outer(words1.one, words2.zero)).ravel()
-    return ket / np.linalg.norm(ket)
+    reshaping overhead.  Stacked codewords give the Bell kets stacked
+    along the same axes."""
+    zero1, one1 = words1.zero[..., :, None], words1.one[..., :, None]
+    ket = zero1 * words2.one[..., None, :] - one1 * words2.zero[..., None, :]
+    ket = ket.reshape(ket.shape[:-2] + (-1,))
+    return ket / hilbert.norm(ket)

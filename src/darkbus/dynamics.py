@@ -232,8 +232,9 @@ def damping_rates(g_bs: float, kappa_b: float) -> tuple[complex, complex]:
     g = TWO_PI * g_bs
     k = TWO_PI * kappa_b
     disc = np.sqrt(complex((k / 4) ** 2 - 2 * g**2))
-    slow = -k / 4 + disc
     fast = -k / 4 - disc
+    # the roots multiply to 2 g^2; when they are real, -k/4 + disc cancels
+    slow = -k / 4 + disc if disc.imag else 2 * g**2 / fast
     return slow, fast
 
 
@@ -711,26 +712,32 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r.reshape(shape)
 
 
-def propagate_coherent(sup: CoherentSuperposition, e: np.ndarray, q: np.ndarray) -> CoherentSuperposition:
-    """Apply one (E, Q) stage to a coherent superposition (exact)."""
-    z = sup.labels
+def dyad_log_weights(labels: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """ln w_ij = z_j^dag Q z_i - (1/2) z_i^dag Q z_i - (1/2) z_j^dag Q z_j for
+    rows z_i of ``labels``: the log-weight one (E, Q) stage of
+    :func:`linear_propagator` gives the dyad |z_i><z_j|.  It is a Hermitian
+    form in the labels, so it scales as |alpha|^2 when they scale as alpha;
+    Q = I gives the log-overlaps ln <z_j|z_i>."""
+    z = labels
     y = z @ q.T                      # y[i] = Q z_i
     cross = y @ z.conj().T           # cross[i, j] = z_j^dag Q z_i
     diag = np.real(np.diag(cross))
-    lnw = cross - 0.5 * (diag[:, None] + diag[None, :])
+    return cross - 0.5 * (diag[:, None] + diag[None, :])
+
+
+def propagate_coherent(sup: CoherentSuperposition, e: np.ndarray, q: np.ndarray) -> CoherentSuperposition:
+    """Apply one (E, Q) stage to a coherent superposition (exact)."""
     return CoherentSuperposition(
-        labels=z @ e.T,
+        labels=sup.labels @ e.T,
         coeffs=sup.coeffs.copy(),
-        weights=sup.weights * np.exp(lnw),
+        weights=sup.weights * np.exp(dyad_log_weights(sup.labels, q)),
     )
 
 
 def coherent_overlaps(labels: np.ndarray) -> np.ndarray:
     """O[i, j] = <z_j|z_i> for rows of multi-mode coherent labels."""
     z = np.atleast_2d(labels)
-    g = z @ z.conj().T
-    n = np.real(np.diag(g))
-    return np.exp(g - 0.5 * (n[:, None] + n[None, :]))
+    return np.exp(dyad_log_weights(z, np.eye(z.shape[1])))
 
 
 def ptrace_coherent(sup: CoherentSuperposition, keep) -> CoherentSuperposition:

@@ -89,24 +89,45 @@ def fock(dim: int, n: int) -> np.ndarray:
     return ket
 
 
-def coherent(dim: int, alpha: complex, normalized: bool = True) -> np.ndarray:
+def coherent(dim: int, alpha, normalized: bool = True) -> np.ndarray:
     """Coherent state amplitudes e^{-|a|^2/2} alpha^n / sqrt(n!).
 
     With ``normalized=False`` the amplitudes are the exact projection of the
     infinite-dimensional state onto the truncated space (norm < 1); this is
     what the exact coherent-superposition engine wants.  The default
     renormalizes inside the truncation, which is what state preparation wants.
+    ``alpha`` may be an array: the kets then stack along its axes, shape
+    ``np.shape(alpha) + (dim,)``, each exactly the ket of its amplitude alone.
     """
-    if alpha == 0:
-        return fock(dim, 0)
+    alpha = np.asarray(alpha)[..., None]
+    r = np.hypot(alpha.real, alpha.imag)  # what abs() gives for one amplitude
+    # -|alpha|^2 / 2 as Python gives it for one float (its ** is libm pow,
+    # from which numpy's square of an array can differ in the last bit)
+    half = np.array([-(x**2) / 2 for x in r.ravel().tolist()]).reshape(r.shape)
     n = np.arange(dim)
-    # log-space to stay finite for large alpha and dim
-    logmag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha))
+    # log-space to stay finite for large alpha and dim; at alpha = 0 every
+    # n > 0 term is e^{-inf} = 0, and the n = 0 term, 0 * log 0, is set to
+    # the 0 it is for any other alpha, which leaves the vacuum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = half + n * np.log(r)
+    logmag[..., :1] = half
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
     amp = np.exp(logmag - log_fact / 2) * np.exp(1j * n * np.angle(alpha))
     if normalized:
-        amp /= np.linalg.norm(amp)
+        amp /= norm(amp)
     return amp
+
+
+def norm(kets: np.ndarray):
+    """2-norm of each ket along the last axis, shaped so that
+    ``kets / norm(kets)`` normalizes each: ``np.linalg.norm`` of one ket
+    (the dot products of its real and its imaginary part, summed), and the
+    same two dot products, as 1 x n by n x 1 matrix products, for each ket
+    of a stack, kept as an axis of length 1."""
+    if kets.ndim == 1:
+        return np.linalg.norm(kets)
+    re, im = kets.real[..., None, :], kets.imag[..., None, :]
+    return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
 
 
 def amplitude_damp(rho: np.ndarray, gamma: float, dims=None, axis: int = 0) -> np.ndarray:

@@ -28,6 +28,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,18 +132,20 @@ def _sector_index(dims) -> np.ndarray:
 
 def _fold_weights(model: VacuumCheckModel, sector_probs: np.ndarray):
     """Fold the ideal projective sector probabilities (in :data:`SECTORS`
-    order) through the confusion model.
+    order, along the last axis) through the confusion model.
 
     Returns the outcome probabilities, in :data:`OUTCOMES` order, and the gg
-    weight P(gg | s) of each sector s.  Sectors without positive probability
-    contribute nothing and get weight 0.
+    weight P(gg | s) of each sector s, both stacked along the leading axes
+    of ``sector_probs``.  Sectors without positive probability contribute
+    nothing and get weight 0.
     """
     table = model.table
     live = sector_probs > 0
-    p_out = np.zeros(len(OUTCOMES))
+    probs = np.where(live, sector_probs, 0.0)
+    p_out = np.zeros(probs.shape[:-1] + (len(OUTCOMES),))
     # sector by sector in SECTORS order: a BLAS dot may reorder the sum
-    for s in np.flatnonzero(live):
-        p_out += table[:, s] * sector_probs[s]
+    for s in range(len(SECTORS)):
+        p_out += table[:, s] * probs[..., s, None]
     return p_out, table[0] * live
 
 
@@ -245,36 +248,6 @@ def _initial_superposition(alpha: float) -> CoherentSuperposition:
     return CoherentSuperposition(labels=labels, coeffs=coeffs)
 
 
-def _vacuum_amp(z):
-    """<0|z> for unnormalized-exact coherent amplitudes."""
-    return np.exp(-np.abs(z) ** 2 / 2)
-
-
-def _sector_weights_coherent(sup: CoherentSuperposition):
-    """Probabilities of the four (V/N, V/N) cavity sectors, as the pair
-    (classical, projective) of vectors in :data:`SECTORS` order.
-
-    The bus has already been traced into the dyad matrix by the caller;
-    per-cavity dyad traces are <z_j|z_i> for the full mode, v(z_i) v(z_j)*
-    for the vacuum part, and their difference for the not-vacuum part.
-
-    The classical probabilities keep only the i == j terms -- the
-    components are treated as classical alternatives, which is the
-    bookkeeping of the calibrated check model (per-cavity marginals plus a
-    correlation factor).  The projective ones are the full trace including
-    the interference between overlapping dark components.
-    """
-    a = _dyads(sup)
-
-    def factors(z):
-        full = dynamics.coherent_overlaps(z[:, None])
-        vac = np.outer(_vacuum_amp(z), _vacuum_amp(z).conj())
-        return np.array([vac, full - vac])
-
-    f1, f2 = factors(sup.labels[:, 0]), factors(sup.labels[:, 1])
-    return tuple(_sector_traces(dyads, f1, f2) for dyads in (np.diag(np.diag(a)), a))
-
-
 def _dyads(sup: CoherentSuperposition) -> np.ndarray:
     """a[i, j] = c_i conj(c_j) w_ij, the weight of the dyad |z_i><z_j|."""
     return np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
@@ -282,34 +255,145 @@ def _dyads(sup: CoherentSuperposition) -> np.ndarray:
 
 def _sector_traces(a: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Trace of each sector of sum_ij a_ij |z_i><z_j| on a cavity pair, in
-    :data:`SECTORS` order, from per-cavity dyad traces split into the
-    stacked [vacuum, not-vacuum] parts ``f[0]`` and ``f[1]``, each indexed
-    [i, j]."""
-    return np.array([np.real(np.sum(a * f1[v1] * f2[v2])) for v1 in (0, 1) for v2 in (0, 1)])
+    :data:`SECTORS` order along a new last axis, from per-cavity dyad traces
+    split into the stacked [vacuum, not-vacuum] parts ``f[0]`` and ``f[1]``,
+    each indexed [..., i, j]."""
+    return np.stack(
+        [np.real(np.sum(a * f1[v1] * f2[v2], axis=(-2, -1))) for v1 in (0, 1) for v2 in (0, 1)],
+        axis=-1,
+    )
 
 
 def _split_gram(kets: np.ndarray) -> np.ndarray:
-    """G[i, j] = <k_j|k_i> of rows of truncated kets, split into the stacked
-    [vacuum, not-vacuum] parts."""
-    return np.array([np.outer(kets[:, 0], kets[:, 0].conj()), kets[:, 1:] @ kets[:, 1:].conj().T])
+    """G[..., i, j] = <k_j|k_i> of rows of truncated kets (..., i, n), split
+    into the stacked [vacuum, not-vacuum] parts."""
+    vac = kets[..., :, None, 0] * kets[..., None, :, 0].conj()
+    return np.array([vac, kets[..., 1:] @ np.swapaxes(kets[..., 1:].conj(), -1, -2)])
 
 
-def _mode_kets(sup: CoherentSuperposition, dims) -> list[np.ndarray]:
-    """Per mode, one row of unnormalized truncated coherent kets per component."""
-    return [
-        np.array([hilbert.coherent(d, z, normalized=False) for z in sup.labels[:, m]])
-        for m, d in enumerate(dims)
-    ]
+def _mode_kets(labels: np.ndarray, dims) -> list[np.ndarray]:
+    """Per mode, the unnormalized truncated coherent kets of ``labels``
+    (..., mode), stacked (..., n) along its leading axes."""
+    return [hilbert.coherent(d, labels[..., m], normalized=False) for m, d in enumerate(dims)]
 
 
-def _density_coherent(sup: CoherentSuperposition, mode_kets) -> np.ndarray:
-    """Fock density matrix of a coherent superposition, from one row of
-    unnormalized product kets per component, built from ``mode_kets``, the
-    rows of :func:`_mode_kets`."""
+def _density_coherent(dyads: np.ndarray, mode_kets) -> np.ndarray:
+    """Fock density matrix sum_ij dyads_ij |k_i><k_j| of a coherent
+    superposition, from one row of unnormalized product kets k_i per
+    component, built from ``mode_kets``, the rows of :func:`_mode_kets`."""
     kets = mode_kets[0]
     for k in mode_kets[1:]:
-        kets = np.einsum("ia,ib->iab", kets, k).reshape(sup.n_components, -1)
-    return kets.T @ _dyads(sup) @ kets.conj()
+        kets = np.einsum("ia,ib->iab", kets, k).reshape(len(dyads), -1)
+    return kets.T @ dyads @ kets.conj()
+
+
+def _windows(params: SystemParams, cavity_loss: bool, dump_time):
+    """The dump time, the decay rate of each mode and the (coupling,
+    duration) stages of one attempt: the pump, dump and post windows of one
+    passive network whose coupling A is open only during the dump."""
+    if dump_time == "auto":
+        t_dump = dynamics.auto_dump_time(params.g_bs, params.kappa_b)
+    else:
+        t_dump = params.t_dump if dump_time is None else float(dump_time)
+        if not 0 <= t_dump < math.inf:
+            raise ValueError(f"dump_time must be non-negative and finite, got {dump_time!r}")
+    t_post = max(params.t_protocol - params.t_pump - t_dump, 0.0)
+    gammas = np.array(
+        [params.gamma_cavity[0], params.kappa_ang, params.gamma_cavity[1]]
+    )
+    if not cavity_loss:
+        gammas = gammas * np.array([0.0, 1.0, 0.0])
+    a_mat = dynamics.coupling_matrix(params.g_bs)
+    zero = np.zeros_like(a_mat)
+    return t_dump, gammas, [(zero, params.t_pump), (a_mat, t_dump), (zero, t_post)]
+
+
+def _unit_pair(gammas, stages):
+    """The coherent engine's network, propagated once for every alpha: the
+    component coefficients of :func:`_initial_superposition` and, at
+    alpha = 1, the cavity pair's labels z_i(1) (4, 2) and dyad log-weights
+    L(1) (4, 4) with the bus traced out.  Both stages and trace add
+    Hermitian forms in the labels, so at amplitude alpha the labels are
+    alpha z_i(1) and the weights exp(alpha^2 L(1))."""
+    sup = _initial_superposition(1.0)
+    z = sup.labels
+    log_w = np.zeros((len(z), len(z)), dtype=complex)
+    for coupling, t in stages:
+        if t <= 0:
+            continue
+        e, q = dynamics.linear_propagator(coupling, gammas, t)
+        log_w += dynamics.dyad_log_weights(z, q)
+        z = z @ e.T
+    log_w += dynamics.dyad_log_weights(z[:, 1:2], np.eye(1))  # <z_j,bus|z_i,bus>
+    return sup.coeffs, z[:, [0, 2]], log_w
+
+
+class _Herald(NamedTuple):
+    """The coherent engine's herald, stacked along the axes of alpha."""
+
+    p_out: np.ndarray         # (..., 4), OUTCOMES order
+    p_projective: np.ndarray  # (...)
+    fidelity: np.ndarray      # (...)
+    alpha_dark: np.ndarray    # (..., 2)
+    codewords: tuple          # per cavity, kets (..., d)
+    dyads: np.ndarray         # (..., 4, 4), the pair's a_ij
+    kets: list                # per cavity, (..., 4, d): the truncated u_i, v_i
+    sector_probs: np.ndarray  # (..., 4), SECTORS order
+
+
+def _coherent_herald(alpha, pair, check: VacuumCheckModel, dims, basis) -> _Herald:
+    """The coherent engine's analysis of the gg branch (see :func:`run_dmm`)
+    of the :func:`_unit_pair` ``pair`` at cat amplitude ``alpha``, a number
+    or an array; each result stacks along its axes and is exactly what its
+    amplitude alone gives.  The exact dyad traces <z_j|z_i> behind the
+    sector probabilities are exp(alpha^2 x) of their unit-alpha exponent x,
+    like the weights."""
+    coeffs, labels, log_w = pair
+    alpha = np.asarray(alpha, dtype=float)
+    a2 = alpha[..., None, None] ** 2
+    dyads = np.outer(coeffs, coeffs.conj()) * np.exp(a2 * log_w)
+    splits = []
+    for z in labels.T:
+        n = np.abs(z) ** 2
+        half = 0.5 * (n[:, None] + n[None, :])
+        vac = np.exp(-a2 * half)
+        splits.append(np.array([vac, np.exp(a2 * (np.outer(z, z.conj()) - half)) - vac]))
+    # the classical probabilities keep only the i == j terms (see run_dmm)
+    sector_probs = _sector_traces(dyads * np.eye(len(coeffs)), *splits)
+    p_out, weights = _fold_weights(check, sector_probs)
+    p_projective = _fold_weights(check, _sector_traces(dyads, *splits))[0][..., 0]
+
+    # Tr rho_gg = sum_s P(gg|s) sum_ij a_ij G1_s[i,j] G2_s[i,j], from the
+    # truncated kets' 4x4 Gram matrices
+    kets = _mode_kets(alpha[..., None, None] * labels, dims)
+    tr = np.sum(weights * _sector_traces(dyads, *map(_split_gram, kets)), axis=-1)
+    _require_herald(tr)
+
+    alpha_dark = np.abs(alpha[..., None] * labels[1])  # component (a, 0, -a)
+    words = _codewords(basis, alpha_dark, dims)
+    # no codeword has a vacuum component, so the Bell ket lies in the NN
+    # sector: <B|rho_gg|B> = P(gg|NN) sum_ij a_ij beta_i conj(beta_j)
+    # with beta_i = <B|u_i v_i>
+    bell = codes.bell_state(*words).reshape(alpha.shape + tuple(dims))
+    beta = np.sum((kets[0] @ bell.conj()) * kets[1], axis=-1)
+    bab = np.sum(beta[..., :, None] * dyads * beta.conj()[..., None, :], axis=(-2, -1))
+    fidelity = weights[..., -1] * np.real(bab) / tr
+    return _Herald(p_out, p_projective, fidelity, alpha_dark, words, dyads, kets, sector_probs)
+
+
+def _require_herald(tr) -> None:
+    if not np.all(tr > 0):
+        raise NumericalError("protocol: herald has zero probability, nothing to analyze")
+
+
+def _codewords(basis, alpha_dark: np.ndarray, dims) -> tuple[Codewords, Codewords]:
+    """Each cavity's codewords at its truncation in ``dims``: those of
+    ``basis``, a (LogicalBasis, LogicalBasis) pair, or for "auto" those of
+    the cat amplitudes ``alpha_dark`` (..., 2) of the surviving dark
+    component, stacked along its leading axes."""
+    if basis == "auto":
+        basis = [LogicalBasis(a) for a in np.moveaxis(alpha_dark, -1, 0).tolist()]
+    return tuple(b.codewords(d) for b, d in zip(basis, dims))
 
 
 def run_dmm(
@@ -341,8 +425,12 @@ def run_dmm(
     projective (diag rho summed by sector) and agree with
     ``p_pass_projective``, not ``p_pass``.  The gg state is the pair's
     density matrix times the gg weight of its sector, the table's gg row
-    (:func:`_fold`); the other outcomes are kept as probabilities.  The lindblad engine folds the
-    matrix it evolved.  The coherent engine never builds the (d1 d2)^2
+    (:func:`_fold`); the other outcomes are kept as probabilities.  The
+    lindblad engine folds the matrix it evolved.  The coherent engine
+    propagates the network once, at alpha = 1, and scales it to
+    ``params.alpha``: the network is linear, so the labels scale as alpha
+    and every dyad log-weight as alpha^2; :func:`alpha_sweep` runs the same
+    analysis on many amplitudes at once.  It never builds the (d1 d2)^2
     matrix for the fidelity: the pair is sum_ij a_ij |u_i v_i><u_j v_j|
     over four components with truncated unnormalized coherent kets u_i,
     v_i, so Tr rho_gg is a sum over sectors of 4x4 Gram matrices of the u
@@ -397,13 +485,7 @@ def run_dmm(
     """
     params = params or SystemParams()
     check = check or VacuumCheckModel.ideal()
-    if dump_time == "auto":
-        t_dump = dynamics.auto_dump_time(params.g_bs, params.kappa_b)
-    else:
-        t_dump = params.t_dump if dump_time is None else float(dump_time)
-        if not 0 <= t_dump < math.inf:
-            raise ValueError(f"dump_time must be non-negative and finite, got {dump_time!r}")
-    t_post = max(params.t_protocol - params.t_pump - t_dump, 0.0)
+    t_dump, gammas, stages = _windows(params, cavity_loss, dump_time)
     if engine not in ("coherent", "lindblad"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "coherent" and include_kerr:
@@ -411,42 +493,21 @@ def run_dmm(
             "the coherent engine cannot evolve self-Kerr; use engine='lindblad' "
             "or absorb Kerr into the analysis basis"
         )
-
-    # the pump, dump and post windows of one passive network: coupling A
-    # (open only during the dump) and a decay rate per mode
-    gammas = np.array(
-        [params.gamma_cavity[0], params.kappa_ang, params.gamma_cavity[1]]
-    )
-    if not cavity_loss:
-        gammas = gammas * np.array([0.0, 1.0, 0.0])
-    a_mat = dynamics.coupling_matrix(params.g_bs)
-    zero = np.zeros_like(a_mat)
-    stages = [(zero, params.t_pump), (a_mat, t_dump), (zero, t_post)]
-    sup = _initial_superposition(params.alpha)
     d1, d2 = params.dims[0], params.dims[2]
 
     if engine == "coherent":
-        for coupling, t in stages:
-            if t <= 0:
-                continue
-            e, q = dynamics.linear_propagator(coupling, gammas, t)
-            sup = dynamics.propagate_coherent(sup, e, q)
-        pair = dynamics.ptrace_coherent(sup, keep=[0, 2])
-        sector_probs, projective_probs = _sector_weights_coherent(pair)
-        alpha_dark = (abs(pair.labels[1, 0]), abs(pair.labels[1, 1]))
-        # Tr rho_gg = sum_s P(gg|s) sum_ij a_ij G1_s[i,j] G2_s[i,j], from the
-        # truncated kets' 4x4 Gram matrices
-        p_out, weights = _fold_weights(check, sector_probs)
-        kets, a = _mode_kets(pair, (d1, d2)), _dyads(pair)
-        tr = float(weights @ _sector_traces(a, _split_gram(kets[0]), _split_gram(kets[1])))
+        h = _coherent_herald(params.alpha, _unit_pair(gammas, stages), check, (d1, d2), basis)
+        p_out, p_projective, fid, words = h.p_out, h.p_projective, h.fidelity, h.codewords
+        alpha_dark = tuple(h.alpha_dark.tolist())
 
         def build_rho_gg():
-            rho = _density_coherent(pair, kets)
-            rho_gg = _fold(check, sector_probs, rho, (d1, d2))[1]
+            rho = _density_coherent(h.dyads, h.kets)
+            rho_gg = _fold(check, h.sector_probs, rho, (d1, d2))[1]
             return rho_gg / float(np.real(np.trace(rho_gg)))
     else:
         dims = params.dims
-        rho = _density_coherent(sup, _mode_kets(sup, dims))
+        sup = _initial_superposition(params.alpha)
+        rho = _density_coherent(_dyads(sup), _mode_kets(sup.labels, dims))
         rho /= np.trace(rho).real
         for coupling, t in stages:
             if t <= 0:
@@ -464,27 +525,15 @@ def run_dmm(
         # projective sector probabilities: diag rho summed by sector
         diag = np.real(np.diag(rho))
         sector_probs = np.bincount(_sector_index((d1, d2)), diag, len(SECTORS))
-        projective_probs = sector_probs
         # the cavities decay through the pump, dump and post windows alike
         t_exposed = max(params.t_protocol, params.t_pump + t_dump)
         alpha_dark = tuple(params.alpha * math.exp(-g * t_exposed / 2) for g in (gammas[0], gammas[2]))
         p_out, rho_gg = _fold(check, sector_probs, rho, (d1, d2))
+        p_projective = p_out[0]
         tr = float(np.real(np.trace(rho_gg)))
-
-    if not tr > 0:
-        raise NumericalError("protocol: herald has zero probability, nothing to analyze")
-
-    if basis == "auto":
-        basis = [LogicalBasis(a) for a in alpha_dark]
-    words1, words2 = basis[0].codewords(d1), basis[1].codewords(d2)
-    bell = codes.bell_state(words1, words2)
-    if engine == "coherent":
-        # no codeword has a vacuum component, so the Bell ket lies in the NN
-        # sector: <B|rho_gg|B> = P(gg|NN) sum_ij a_ij beta_i conj(beta_j)
-        # with beta_i = <B|u_i v_i>
-        beta = np.sum((kets[0] @ bell.reshape(d1, d2).conj()) * kets[1], axis=1)
-        fid = float(weights[-1] * np.real(beta @ a @ beta.conj()) / tr)
-    else:
+        _require_herald(tr)
+        words = _codewords(basis, alpha_dark, (d1, d2))
+        bell = codes.bell_state(*words)
         fid = float(np.real(bell.conj() @ rho_gg @ bell) / tr)
         rho_gg /= tr  # in place: rho_gg is this call's own array
 
@@ -494,17 +543,48 @@ def run_dmm(
     return DmmResult(
         p_pass=float(p_out[0]),
         p_outcomes=dict(zip(OUTCOMES, p_out.tolist())),
-        bell_fidelity=fid,
-        codewords=(words1, words2),
+        bell_fidelity=float(fid),
+        codewords=words,
         alpha_dark=alpha_dark,
         bright_residual=float(
             dynamics.bright_mode_response(params.g_bs, params.kappa_b, t_dump)[0]
         ),
         t_dump=t_dump,
         engine=engine,
-        p_pass_projective=float(_fold_weights(check, projective_probs)[0][0]),
+        p_pass_projective=float(p_projective),
         _build_rho_pass=lambda: QuantumState(build_rho_gg(), HilbertSpace((d1, d2))),
     )
+
+
+def alpha_sweep(
+    params: SystemParams,
+    alphas,
+    *,
+    check: VacuumCheckModel | None = None,
+    cavity_loss: bool = True,
+    dump_time=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`run_dmm`'s herald numbers over an array of cat amplitudes, in
+    the auto basis, from one propagation of the network.
+
+    The network is linear, so alpha only scales the labels and, squared,
+    the dyad log-weights of the pair propagated once at alpha = 1; the
+    analysis then runs on all the amplitudes at once.  Returns ``p_pass``
+    and ``bell_fidelity``, each of shape (len(alphas),), and ``alpha_dark``
+    of shape (len(alphas), 2).  Row k is exactly what
+    ``run_dmm(params.with_(alpha=alphas[k]), check=check,
+    cavity_loss=cavity_loss, dump_time=dump_time)`` reports;
+    ``params.alpha`` itself is not read.  Like ``run_dmm``, an amplitude
+    with no herald or no codewords (alpha = 0) raises ``NumericalError``.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or not np.all(np.isfinite(alphas) & (alphas >= 0)):
+        raise ValueError(f"alphas must be one list of finite non-negative numbers, got {alphas}")
+    _, gammas, stages = _windows(params, cavity_loss, dump_time)
+    dims = (params.dims[0], params.dims[2])
+    check = check or VacuumCheckModel.ideal()
+    h = _coherent_herald(alphas, _unit_pair(gammas, stages), check, dims, "auto")
+    return h.p_out[:, 0], h.fidelity, h.alpha_dark
 
 
 def phase_sweep(alpha: float, phis, times, g_bs: float, kappa_b: float) -> np.ndarray:

@@ -217,6 +217,22 @@ def test_regimes_far_overdamped_bus(tmp_path):
     assert np.all(np.isfinite(curve))
 
 
+def test_regimes_bus_far_past_critical(tmp_path):
+    """At kappa_b = 1 THz and 1 PHz the slow bright rate is the
+    coupling-squared-over-linewidth pole 4 g^2 / k (angular), not a root
+    cancelled to 0 that stops the auto dump time."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("regimes:\n  kappas: [1.0e+12, 1.0e+15]\n  include_critical: false\n")
+    assert run(["regimes", "--config", cfg, "--out", tmp_path]) == 0
+    header, *rows = (tmp_path / "regimes.csv").read_text().splitlines()
+    assert header.split(",")[:3] == ["kappa_b_hz", "regime", "rate_slow_rad_s"]
+    g = 2 * math.pi * 160e3
+    for row, kappa in zip(rows, (1e12, 1e15), strict=True):
+        cells = row.split(",")
+        assert cells[1] == "overdamped"
+        assert float(cells[2]) == pytest.approx(4 * g**2 / (2 * math.pi * kappa), rel=1e-6)
+
+
 def test_regimes_without_kappas_writes_headers_only(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("regimes:\n  kappas: []\n  include_critical: false\n")
@@ -857,17 +873,39 @@ def test_every_command_reruns_byte_identical(tmp_path):
         assert fa.read_bytes() == fb.read_bytes(), fa.relative_to(a)
 
 
-def test_alpha_sweep_rows_match_run_dmm(tmp_path):
+@pytest.mark.parametrize(
+    "options, kw",
+    [
+        ("", {}),
+        ("  check: ideal\n", {"check": VacuumCheckModel.ideal()}),
+        ("  cavity_loss: false\n", {"cavity_loss": False}),
+        ("  dump_time: auto\n", {"dump_time": "auto"}),
+    ],
+    ids=["defaults", "ideal", "lossless", "auto-dump"],
+)
+def test_alpha_sweep_rows_match_run_dmm(tmp_path, options, kw):
     """Each sweep row is exactly a standalone heralding run at that alpha."""
     cfg = tmp_path / "c.yaml"
-    cfg.write_text("alpha-sweep:\n  alphas: [1.0, 1.3, 1.6]\n")
+    cfg.write_text("alpha-sweep:\n  alphas: [1.0, 1.3, 1.6]\n" + options)
     assert run(["alpha-sweep", "--config", cfg, "--out", tmp_path / "o"]) == 0
     lines = (tmp_path / "o" / "alpha_sweep.csv").read_text().splitlines()[1:]
     assert len(lines) == 3
+    kw = {"check": VacuumCheckModel.from_measured(), **kw}
     for line, alpha in zip(lines, (1.0, 1.3, 1.6)):
-        r = protocol.run_dmm(SystemParams(alpha=alpha), check=VacuumCheckModel.from_measured())
+        r = protocol.run_dmm(SystemParams(alpha=alpha), **kw)
         expected = (alpha, r.p_pass, r.bell_fidelity, r.alpha_dark[0], r.alpha_dark[1])
         assert line == ",".join(repr(float(x)) for x in expected)
+
+
+@pytest.mark.parametrize("check", ["ideal", "measured"])
+def test_alpha_sweep_with_one_zero_alpha_writes_no_table(tmp_path, capsys, check):
+    """alpha = 0 among valid amplitudes fails the whole sweep (no herald with
+    the ideal check, no codewords with the measured one): exit 3, no CSV."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"alpha-sweep:\n  alphas: [1.0, 0.0]\n  check: {check}\n")
+    assert run(["alpha-sweep", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "numerical failure in alpha-sweep" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "alpha_sweep.csv").exists()
 
 
 def test_tomo_demo_reports_mle_convergence(tmp_path):

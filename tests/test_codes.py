@@ -90,7 +90,8 @@ _ANGLE = st.floats(0.01, 3.0) | st.floats(-3.0, -0.01)
 @example(alpha=1.4, theta_k=0.7, theta_r=-0.3, dims=(8, 12))
 def test_codewords_and_bell_state_match_long_forms(alpha, theta_k, theta_r, dims):
     """Two coherent kets per codeword build and the flattened outer products
-    of the Bell ket give exactly the bits of four coherent kets and np.kron."""
+    of the Bell ket give exactly the bits of four coherent kets and np.kron;
+    a stack of amplitudes gives each amplitude's own bits."""
     basis = LogicalBasis(alpha, theta_k=theta_k, theta_r=theta_r)
     w1, w2 = (basis.codewords(d) for d in dims)
     r1, r2 = (codewords_four_coherent(basis, d) for d in dims)
@@ -99,6 +100,14 @@ def test_codewords_and_bell_state_match_long_forms(alpha, theta_k, theta_r, dims
         assert np.array_equal(w.minus, r.minus)
     assert np.array_equal(codes.bell_state(w1, w2), bell_state_kron(r1, r2))
     assert np.array_equal(codes.bell_state(w2, w1), bell_state_kron(r2, r1))
+    amps = np.array([alpha, 0.5 * alpha, 3.0 - alpha])
+    stack = LogicalBasis(amps, theta_k=theta_k, theta_r=theta_r).codewords(dims[0])
+    bells = codes.bell_state(stack, w2)
+    for k, a in enumerate(amps):
+        one = LogicalBasis(a, theta_k=theta_k, theta_r=theta_r).codewords(dims[0])
+        assert np.array_equal(stack.plus[k], one.plus)
+        assert np.array_equal(stack.minus[k], one.minus)
+        assert np.array_equal(bells[k], codes.bell_state(one, w2))
 
 
 def test_bell_state_is_singlet_in_both_bases():
@@ -144,3 +153,5 @@ def test_basis_with_rotation():
 def test_codewords_invalid():
     with pytest.raises(hilbert.NumericalError):
         LogicalBasis(0.0).codewords(8)
+    with pytest.raises(hilbert.NumericalError):
+        LogicalBasis(np.array([1.0, 0.0])).codewords(8)

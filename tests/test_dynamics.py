@@ -130,6 +130,20 @@ def test_damping_rates_limits():
     assert slow2.imag == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("kappa_b", [2000e3, 1e12, 1e15])
+def test_damping_rates_overdamped_match_mpmath(kappa_b):
+    """Both real roots of s^2 + (k/2) s + 2 g^2 = 0 to 1e-12, also where
+    -k/4 + sqrt(k^2/16 - 2 g^2) cancels in doubles (to 0 at 1 PHz)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        g, k = mp.mpf(dynamics.TWO_PI) * G, mp.mpf(dynamics.TWO_PI) * kappa_b
+        disc = mp.sqrt((k / 4) ** 2 - 2 * g**2)
+        roots = [float(-k / 4 + disc), float(-k / 4 - disc)]
+    for got, want in zip(dynamics.damping_rates(G, kappa_b), roots):
+        assert got.imag == 0
+        assert got.real == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_bright_mode_response_initial_conditions():
     for k in (0.0, 160e3, 905096.6799187809, 3000e3):
         u = dynamics.bright_mode_response(G, k, [0.0, 1e-10, 2e-10])

@@ -90,10 +90,16 @@ def test_coherent_is_destroy_eigenvector():
     normalized=st.booleans(),
 )
 def test_coherent_matches_the_copying_version(alpha, dim, normalized):
-    """No final astype copy: the same complex amplitudes, bit for bit."""
+    """No final astype copy: the same complex amplitudes, bit for bit, also
+    for each amplitude of a stack."""
     ket = hilbert.coherent(dim, alpha, normalized=normalized)
     assert ket.dtype == complex
     assert np.array_equal(ket, coherent_copying(dim, alpha, normalized=normalized))
+    amps = np.array([[alpha, 0.0], [-alpha, 0.5j * alpha]])
+    stack = hilbert.coherent(dim, amps, normalized=normalized)
+    assert stack.shape == (2, 2, dim)
+    for row, a in zip(stack.reshape(-1, dim), amps.ravel()):
+        assert np.array_equal(row, coherent_copying(dim, a, normalized=normalized))
 
 
 def test_displacement_unitary_and_action():

@@ -16,6 +16,7 @@ from oracles import (
     dual_rail_distill_kron,
     embed,
     expect,
+    herald_by_stages,
     kerr_twist_angle,
     lindblad_pair_state,
     logical_paulis,
@@ -189,6 +190,45 @@ def test_run_dmm_explicit_basis():
     assert res.bell_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
+_CHECKS = {"measured": VacuumCheckModel.from_measured(), "ideal": VacuumCheckModel.ideal()}
+
+
+@pytest.mark.parametrize("dump_time", [None, "auto"])
+@pytest.mark.parametrize("cavity_loss", [True, False], ids=["loss", "lossless"])
+@pytest.mark.parametrize("check", sorted(_CHECKS))
+def test_alpha_sweep_matches_the_herald_propagated_at_each_alpha(check, cavity_loss, dump_time):
+    """One propagation at alpha = 1 serves the whole sweep: each row is the
+    herald propagated window by window at its own amplitude, to 1e-13."""
+    alphas = np.linspace(0.3, 2.5, 41)
+    kw = dict(check=_CHECKS[check], cavity_loss=cavity_loss, dump_time=dump_time)
+    p_pass, fidelity, alpha_dark = protocol.alpha_sweep(SystemParams(), alphas, **kw)
+    assert p_pass.shape == fidelity.shape == (41,) and alpha_dark.shape == (41, 2)
+    for k, alpha in enumerate(alphas):
+        want = herald_by_stages(SystemParams(alpha=alpha), **kw)
+        assert p_pass[k] == pytest.approx(want[0], rel=1e-13, abs=0)
+        assert fidelity[k] == pytest.approx(want[1], rel=1e-13, abs=0)
+        assert_allclose(alpha_dark[k], want[2], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("check", sorted(_CHECKS))
+def test_run_dmm_twisted_basis_matches_the_herald_propagated_at_its_alpha(check):
+    """An explicit, Kerr-twisted and rotated basis on both cavities."""
+    basis = (codes.LogicalBasis(1.3, theta_k=0.05, theta_r=-0.3),
+             codes.LogicalBasis(1.35, theta_k=-0.02, theta_r=0.4))
+    params = SystemParams(alpha=1.4)
+    res = protocol.run_dmm(params, check=_CHECKS[check], basis=basis)
+    p_pass, fidelity, alpha_dark = herald_by_stages(params, _CHECKS[check], basis=basis)
+    assert res.p_pass == pytest.approx(p_pass, rel=1e-13, abs=0)
+    assert res.bell_fidelity == pytest.approx(fidelity, rel=1e-13, abs=0)
+    assert_allclose(res.alpha_dark, alpha_dark, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("alphas", [[1.0, -0.5], [1.0, math.nan], [[1.0]]])
+def test_alpha_sweep_rejects_alphas_that_are_no_amplitudes(alphas):
+    with pytest.raises(ValueError, match="alphas"):
+        protocol.alpha_sweep(SystemParams(), alphas)
+
+
 @pytest.mark.parametrize("dump_time", [-1e-6, math.inf, math.nan])
 def test_run_dmm_rejects_bad_dump_time(dump_time):
     with pytest.raises(ValueError, match="dump_time"):
@@ -293,7 +333,7 @@ def test_initial_superposition_materializes_the_cat_product():
     terms of <a^dag a> over |a> + i|-a> cancel)."""
     dims, alpha = (16, 4, 16), math.sqrt(2)
     sup = protocol._initial_superposition(alpha)
-    rho = protocol._density_coherent(sup, protocol._mode_kets(sup, dims))
+    rho = protocol._density_coherent(protocol._dyads(sup), protocol._mode_kets(sup.labels, dims))
     rho /= np.trace(rho).real
     ket = cat_product_ket(dims, alpha)
     assert_allclose(rho, np.outer(ket, ket.conj()), rtol=0, atol=1e-15)

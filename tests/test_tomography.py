@@ -435,7 +435,7 @@ def _mean_amplitude(rho, dims):
 def _tomo_demo_pair(dims):
     opts = dict(cli.COMMANDS["tomo-demo"][1])
     params = dynamics.SystemParams().with_(dims=(dims[0], 16, dims[1]))
-    return cli._herald(params, opts).rho_pass
+    return protocol.run_dmm(params, **cli._herald(opts)).rho_pass
 
 
 @pytest.mark.parametrize("dims", [(12, 12), (8, 10)])
