@@ -51,7 +51,14 @@ class LogicalBasis:
         ``alpha`` may also be an array of amplitudes that share the twist
         and the rotation: the kets then stack along its axes, shape
         ``np.shape(alpha) + (dim,)``, each exactly the ket of its amplitude
-        alone."""
+        alone.  ``dim`` must be at least 3: the plus codeword, with its
+        vacuum removed, has no support below |2>, so at dim 2 it is zero
+        and only rounding would be left to normalize."""
+        if dim < 3:
+            raise hilbert.NumericalError(
+                f"codewords need a cavity truncation of at least 3, got {dim}: "
+                "the plus codeword has no support below |2>"
+            )
         # |alpha> and |-alpha>, then their sum and difference, stacked on the
         # second-to-last axis
         pair = hilbert.coherent(dim, np.multiply.outer(self.alpha, [1.0, -1.0]), normalized=False)

@@ -26,12 +26,13 @@ coupling (:func:`coupling_matrix` for the full network).  Built on it:
 * :func:`langevin_solve` -- exact classical amplitude trajectories,
   z(t) = E(t) z0;
 * :func:`transfer_efficiency` -- one photon moved by two timed swaps;
-* the coherent-superposition engine (:class:`CoherentSuperposition`) --
+* :func:`dyad_log_weights` on the (E, Q) of :func:`linear_propagator` --
   exact quantum evolution for superpositions of coherent states, with no
   Fock truncation at all.  Linear collapse operators plus a passive
   quadratic Hamiltonian keep such superpositions closed under the master
-  equation; labels follow the classical flow and each dyad picks up an
-  analytically known weight.
+  equation: labels follow the classical flow, z -> E z, and each dyad
+  |z_i><z_j| picks up an analytically known log-weight from Q.  Q = I
+  gives the log-overlaps ln <z_j|z_i> that trace a mode out.
 
 :func:`lindblad_evolve` -- exact density-matrix propagation under the
 Liouvillian over a duration, one matrix-free truncated Taylor series whose
@@ -604,36 +605,6 @@ def transfer_efficiency(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoherentSuperposition:
-    """rho = sum_ij coeffs_i conj(coeffs_j) weights_ij |z_i><z_j|.
-
-    ``labels`` holds one row of per-mode coherent amplitudes per component.
-    ``weights`` starts at ones for a pure superposition and decays under
-    loss -- it carries exactly the which-path information the environment
-    has acquired.
-    """
-
-    labels: np.ndarray   # (n_components, n_modes) complex
-    coeffs: np.ndarray   # (n_components,) complex
-    weights: np.ndarray = None  # (n, n) complex, defaults to ones
-
-    def __post_init__(self):
-        self.labels = np.atleast_2d(np.asarray(self.labels, dtype=complex))
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        n = len(self.coeffs)
-        if self.labels.shape[0] != n:
-            raise ValueError("one label row per coefficient required")
-        if self.weights is None:
-            self.weights = np.ones((n, n), dtype=complex)
-        else:
-            self.weights = np.asarray(self.weights, dtype=complex)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.coeffs)
-
-
 def linear_propagator(coupling: np.ndarray, gammas, t):
     """(E, Q) for evolution time t of the linear lossy network.
 
@@ -723,35 +694,3 @@ def dyad_log_weights(labels: np.ndarray, q: np.ndarray) -> np.ndarray:
     cross = y @ z.conj().T           # cross[i, j] = z_j^dag Q z_i
     diag = np.real(np.diag(cross))
     return cross - 0.5 * (diag[:, None] + diag[None, :])
-
-
-def propagate_coherent(sup: CoherentSuperposition, e: np.ndarray, q: np.ndarray) -> CoherentSuperposition:
-    """Apply one (E, Q) stage to a coherent superposition (exact)."""
-    return CoherentSuperposition(
-        labels=sup.labels @ e.T,
-        coeffs=sup.coeffs.copy(),
-        weights=sup.weights * np.exp(dyad_log_weights(sup.labels, q)),
-    )
-
-
-def coherent_overlaps(labels: np.ndarray) -> np.ndarray:
-    """O[i, j] = <z_j|z_i> for rows of multi-mode coherent labels."""
-    z = np.atleast_2d(labels)
-    return np.exp(dyad_log_weights(z, np.eye(z.shape[1])))
-
-
-def ptrace_coherent(sup: CoherentSuperposition, keep) -> CoherentSuperposition:
-    """Trace out all modes not in ``keep`` (axis indices), in closed form.
-
-    Dropped modes contribute their dyad overlaps <z_j,m|z_i,m> to the
-    weights; the kept labels are untouched.
-    """
-    keep = sorted(keep)
-    drop = [m for m in range(sup.labels.shape[1]) if m not in keep]
-    w = sup.weights.copy()
-    if drop:
-        zd = sup.labels[:, drop]
-        w = w * coherent_overlaps(zd)
-    return CoherentSuperposition(
-        labels=sup.labels[:, keep], coeffs=sup.coeffs.copy(), weights=w
-    )

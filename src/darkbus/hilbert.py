@@ -94,7 +94,7 @@ def coherent(dim: int, alpha, normalized: bool = True) -> np.ndarray:
 
     With ``normalized=False`` the amplitudes are the exact projection of the
     infinite-dimensional state onto the truncated space (norm < 1); this is
-    what the exact coherent-superposition engine wants.  The default
+    what the coherent engine's herald analysis wants.  The default
     renormalizes inside the truncation, which is what state preparation wants.
     ``alpha`` may be an array: the kets then stack along its axes, shape
     ``np.shape(alpha) + (dim,)``, each exactly the ket of its amplitude alone.
@@ -267,16 +267,38 @@ def edge_population(state, dims, n_levels: int = 1) -> tuple[float, ...]:
 
 
 def suggest_dim(alpha: float, tol: float = 1e-9) -> int:
-    """Smallest truncation (at least 2) keeping a coherent state's tail mass
-    below tol, for tol in (0, 1)."""
+    """Smallest truncation d (at least 2) whose tail mass P(n >= d) of a
+    coherent state's photon number is at most tol, for tol in (0, 1) and
+    |alpha| <= 1e4 (no dense state holds the 1e8 levels beyond that).
+
+    The Poisson terms ln p_n = n ln|alpha|^2 - |alpha|^2 - ln n! are summed
+    in log space from the far tail inward, so nothing underflows: p_0 =
+    e^{-|alpha|^2} alone is subnormal beyond |alpha| ~ 26.6 and 0 beyond
+    27.3.  Past n > |alpha|^2 the terms fall faster than a geometric series
+    of ratio |alpha|^2 / (n + 1), which bounds the tail left unsummed.
+    """
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     lam = abs(alpha) ** 2
-    term = math.exp(-lam)
-    cum = term
-    n = 0
-    while 1 - cum > tol and n < 10_000:
-        n += 1
-        term *= lam / n
-        cum += term
-    return max(n + 1, 2)
+    if not lam <= 1e8:
+        raise ValueError(f"suggest_dim needs |alpha| <= 1e4, got {alpha!r}")
+    if lam == 0:
+        return 2
+    log_lam, log_tol = math.log(lam), math.log(tol)
+
+    def log_p(n):
+        return n * log_lam - lam - math.lgamma(n + 1)
+
+    # out from the mean m in doubling steps, to a top whose whole tail, at
+    # most p_top / (1 - |alpha|^2 / (top + 1)), is below tol e^-40
+    m = math.ceil(lam)
+    step = math.isqrt(m) + 1
+    while log_p(m + step) - math.log1p(-lam / (m + step + 1)) > log_tol - 40:
+        step *= 2
+    d, log_tail = m + step, -math.inf
+    while d > 2:
+        log_tail = float(np.logaddexp(log_tail, log_p(d - 1)))  # ln P(n >= d - 1)
+        if log_tail > log_tol:
+            break
+        d -= 1
+    return d

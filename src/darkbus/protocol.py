@@ -14,9 +14,12 @@ Sequence being modeled:
    or repeated rounds.
 
 Since bus and cavity loss are linear and the dump Hamiltonian is passive,
-the entire pre-measurement evolution is solved exactly by the
-coherent-superposition engine in :mod:`.dynamics` -- four coherent
-components, no Fock truncation, milliseconds of work.  The master-equation
+the entire pre-measurement evolution is solved exactly by
+:func:`_unit_pair` on the linear core of :mod:`.dynamics`
+(:func:`~.dynamics.linear_propagator` and
+:func:`~.dynamics.dyad_log_weights`) -- four coherent components, no Fock
+truncation, milliseconds of work; only the analysis of the heralded pair
+reads kets truncated at ``params.dims``.  The master-equation
 density-matrix engine is kept behind ``engine="lindblad"`` as an
 independent cross-check at reduced truncations, built from the same
 coupling, decay rates and initial superposition.
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import codes, dynamics, hilbert
 from .codes import Codewords, LogicalBasis
-from .dynamics import CoherentSuperposition, SystemParams
+from .dynamics import SystemParams
 from .hilbert import HilbertSpace, NumericalError, QuantumState
 
 OUTCOMES = ("gg", "ge", "eg", "ee")
@@ -45,6 +48,15 @@ SECTORS = (("V", "V"), ("V", "N"), ("N", "V"), ("N", "N"))
 # measured probability that both modules report ``g`` with both cavities in
 # vacuum: the correlated false pass that lets a dumped bright state through
 MEASURED_JOINT_FALSE_PASS = 0.015
+
+# (|a> + i|-a>)_1 |0>_b (|a> - i|-a>)_2 at a = 1 as four coherent components:
+# one row of (cav1, bus, cav2) labels each, scaled by a at amplitude a, and
+# their coefficients.  Components (a,0,a) and (-a,0,-a) are purely bright,
+# (a,0,-a) and (-a,0,a) purely dark; the cross norms make the overall norm
+# exactly 2, hence the coefficient 1/2.
+_CAT_LABELS = np.array([[1, 0, 1], [1, 0, -1], [-1, 0, 1], [-1, 0, -1]], dtype=complex)
+_CAT_COEFFS = np.array([1, -1j, 1j, 1], dtype=complex) / 2
+_CAT_LABELS.flags.writeable = _CAT_COEFFS.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -233,26 +245,6 @@ class DmmResult:
         return self._build_rho_pass()
 
 
-def _initial_superposition(alpha: float) -> CoherentSuperposition:
-    """(|a> + i|-a>)_1 |0>_b (|a> - i|-a>)_2 as four coherent components.
-
-    Components (a,0,a) and (-a,0,-a) are purely bright, (a,0,-a) and
-    (-a,0,a) purely dark; the cross norms make the overall norm exactly 2,
-    hence the coefficient 1/2.
-    """
-    a = alpha
-    labels = np.array(
-        [[a, 0, a], [a, 0, -a], [-a, 0, a], [-a, 0, -a]], dtype=complex
-    )
-    coeffs = np.array([1, -1j, 1j, 1], dtype=complex) / 2
-    return CoherentSuperposition(labels=labels, coeffs=coeffs)
-
-
-def _dyads(sup: CoherentSuperposition) -> np.ndarray:
-    """a[i, j] = c_i conj(c_j) w_ij, the weight of the dyad |z_i><z_j|."""
-    return np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
-
-
 def _sector_traces(a: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Trace of each sector of sum_ij a_ij |z_i><z_j| on a cavity pair, in
     :data:`SECTORS` order along a new last axis, from per-cavity dyad traces
@@ -310,13 +302,12 @@ def _windows(params: SystemParams, cavity_loss: bool, dump_time):
 
 def _unit_pair(gammas, stages):
     """The coherent engine's network, propagated once for every alpha: the
-    component coefficients of :func:`_initial_superposition` and, at
-    alpha = 1, the cavity pair's labels z_i(1) (4, 2) and dyad log-weights
-    L(1) (4, 4) with the bus traced out.  Both stages and trace add
-    Hermitian forms in the labels, so at amplitude alpha the labels are
-    alpha z_i(1) and the weights exp(alpha^2 L(1))."""
-    sup = _initial_superposition(1.0)
-    z = sup.labels
+    component coefficients :data:`_CAT_COEFFS` and, from the labels
+    :data:`_CAT_LABELS` at alpha = 1, the cavity pair's labels z_i(1) (4, 2)
+    and dyad log-weights L(1) (4, 4) with the bus traced out.  Both stages
+    and trace add Hermitian forms in the labels, so at amplitude alpha the
+    labels are alpha z_i(1) and the weights exp(alpha^2 L(1))."""
+    z = _CAT_LABELS
     log_w = np.zeros((len(z), len(z)), dtype=complex)
     for coupling, t in stages:
         if t <= 0:
@@ -325,7 +316,7 @@ def _unit_pair(gammas, stages):
         log_w += dynamics.dyad_log_weights(z, q)
         z = z @ e.T
     log_w += dynamics.dyad_log_weights(z[:, 1:2], np.eye(1))  # <z_j,bus|z_i,bus>
-    return sup.coeffs, z[:, [0, 2]], log_w
+    return _CAT_COEFFS, z[:, [0, 2]], log_w
 
 
 class _Herald(NamedTuple):
@@ -463,7 +454,12 @@ def run_dmm(
         (LogicalBasis, LogicalBasis) pair.
     engine:
         "coherent" -- exact, truncation-free propagation of the four-component
-        coherent superposition (the default; fast at any dims);
+        coherent superposition (the default; fast at any dims).  The
+        analysis is not truncation-free: Tr rho_gg, the overlaps
+        <B|u_i v_i> and the codewords use kets truncated at params.dims, so
+        ``bell_fidelity`` moves with dims once the cats reach the
+        truncation (by 7.7e-3 at alpha = 3 between cavity dims 12 and 40,
+        with the measured check);
         "lindblad" -- exact density-matrix propagation at params.dims, kept
         as an independent cross-check.  Both engines read the same network:
         the stage list of couplings and durations, the per-mode decay rates
@@ -506,8 +502,8 @@ def run_dmm(
             return rho_gg / float(np.real(np.trace(rho_gg)))
     else:
         dims = params.dims
-        sup = _initial_superposition(params.alpha)
-        rho = _density_coherent(_dyads(sup), _mode_kets(sup.labels, dims))
+        dyads = np.outer(_CAT_COEFFS, _CAT_COEFFS.conj())
+        rho = _density_coherent(dyads, _mode_kets(params.alpha * _CAT_LABELS, dims))
         rho /= np.trace(rho).real
         for coupling, t in stages:
             if t <= 0:

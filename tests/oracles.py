@@ -17,8 +17,10 @@ the Liouvillian's action by matrix products, the master equation
 propagated by scipy on the assembled sparse Liouvillian, and the
 heralding attempt propagated by the master equation through all three
 windows, and the coherent engine's herald propagated window by window at
-one cat amplitude.  scipy is also the reference for each numerical routine the
-library implements itself: the matrix exponential, the displaced-parity
+one cat amplitude on the linear core (``linear_propagator`` and
+``dyad_log_weights``), each window's dyad weights multiplied in.  scipy
+is also the reference for each numerical routine the library implements
+itself: the matrix exponential, the displaced-parity
 kernels from its Laguerre polynomials and log-gamma (and the full kernel
 matrices assembled from the library's triangle), the root and
 bounded-minimum searches, and Nelder-Mead.  PyYAML's pure-Python safe
@@ -41,7 +43,7 @@ import yaml
 
 from darkbus import cli, dynamics, hilbert, tomography
 from darkbus.codes import Codewords, LogicalBasis
-from darkbus.dynamics import CoherentSuperposition, SystemParams, coherent_overlaps
+from darkbus.dynamics import SystemParams
 from darkbus.hilbert import as_dm
 from darkbus.protocol import OUTCOMES, SECTORS, VacuumCheckModel
 
@@ -248,15 +250,18 @@ def cat_product_ket(dims, alpha: float) -> np.ndarray:
     return ket / np.linalg.norm(ket)
 
 
-def coherent_trace(sup: CoherentSuperposition) -> float:
-    """Tr rho of the superposition, computed in closed form (no truncation)."""
-    o = coherent_overlaps(sup.labels)
-    a = np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
+def coherent_trace(coeffs, labels, weights) -> float:
+    """Tr rho of sum_ij c_i conj(c_j) w_ij |z_i><z_j| for rows z_i of
+    ``labels``, computed in closed form (no truncation) from the overlaps
+    <z_j|z_i>, the dyad log-weights at Q = I."""
+    o = np.exp(dynamics.dyad_log_weights(labels, np.eye(labels.shape[1])))
+    a = np.outer(coeffs, coeffs.conj()) * weights
     return float(np.real(np.sum(a * o)))
 
 
-def materialize_coherent(sup: CoherentSuperposition, dims) -> np.ndarray:
-    """Dense density matrix of the superposition at the given truncations.
+def materialize_coherent(coeffs, labels, weights, dims) -> np.ndarray:
+    """Dense density matrix of sum_ij c_i conj(c_j) w_ij |z_i><z_j| at the
+    given truncations, for rows z_i of per-mode ``labels``.
 
     The per-component kets are exact Fock-space projections (unnormalized
     coherent amplitudes), so this is the projection of the true state onto
@@ -265,14 +270,14 @@ def materialize_coherent(sup: CoherentSuperposition, dims) -> np.ndarray:
     """
     dims = tuple(dims)
     kets = []
-    for z in sup.labels:
+    for z in labels:
         factors = [hilbert.coherent(d, zi, normalized=False) for d, zi in zip(dims, z)]
         ket = factors[0]
         for f in factors[1:]:
             ket = np.kron(ket, f)
         kets.append(ket)
     kets = np.array(kets)
-    a = np.outer(sup.coeffs, sup.coeffs.conj()) * sup.weights
+    a = np.outer(coeffs, coeffs.conj()) * weights
     return kets.T @ a @ kets.conj()
 
 
@@ -286,8 +291,9 @@ def herald_by_stages(
     """(p_pass, bell_fidelity, alpha_dark) of the coherent engine's herald
     at ``params.alpha`` alone, with no scaling from alpha = 1: the four
     components of (|a> + i|-a>)_1 |0>_bus (|a> - i|-a>)_2 propagated window
-    by window (pump, dump, post) at their own amplitude, the bus traced
-    out, the classical sector probabilities from exact coherent overlaps,
+    by window (pump, dump, post) at their own amplitude, each window's dyad
+    weights multiplied in, the bus traced out through its overlaps, the
+    classical sector probabilities from exact coherent overlaps,
     and Tr rho_gg and <B|rho_gg|B> from each component's truncated kets,
     with the Bell ket of two Kronecker products."""
     if dump_time == "auto":
@@ -299,21 +305,23 @@ def herald_by_stages(
     gammas = (loss * params.gamma_cavity[0], params.kappa_ang, loss * params.gamma_cavity[1])
     a_mat = dynamics.coupling_matrix(params.g_bs)
     a = params.alpha
-    sup = CoherentSuperposition(
-        labels=[[a, 0, a], [a, 0, -a], [-a, 0, a], [-a, 0, -a]],
-        coeffs=np.array([1, -1j, 1j, 1]) / 2,
-    )
+    z = np.array([[a, 0, a], [a, 0, -a], [-a, 0, a], [-a, 0, -a]], dtype=complex)
+    coeffs = np.array([1, -1j, 1j, 1]) / 2
+    weights = np.ones((4, 4), dtype=complex)
     for coupling, t in ((0 * a_mat, params.t_pump), (a_mat, t_dump), (0 * a_mat, t_post)):
         if t > 0:
-            sup = dynamics.propagate_coherent(sup, *dynamics.linear_propagator(coupling, gammas, t))
-    pair = dynamics.ptrace_coherent(sup, keep=[0, 2])
-    dyads = np.outer(pair.coeffs, pair.coeffs.conj()) * pair.weights
+            e, q = dynamics.linear_propagator(coupling, gammas, t)
+            weights *= np.exp(dynamics.dyad_log_weights(z, q))
+            z = z @ e.T
+    weights *= np.exp(dynamics.dyad_log_weights(z[:, 1:2], np.eye(1)))  # <z_j,bus|z_i,bus>
+    labels = z[:, [0, 2]]
+    dyads = np.outer(coeffs, coeffs.conj()) * weights
     dims = (params.dims[0], params.dims[2])
 
     # per cavity, [vacuum, not vacuum] parts of the exact dyad traces
     # <z_j|z_i> and of the truncated kets' Gram matrices
     exact, gram, kets = [], [], []
-    for z, d in zip(pair.labels.T, dims):
+    for z, d in zip(labels.T, dims):
         n = np.abs(z) ** 2
         overlaps = np.exp(np.outer(z, z.conj()) - (n[:, None] + n[None, :]) / 2)
         vac = np.outer(np.exp(-n / 2), np.exp(-n / 2))
@@ -333,7 +341,7 @@ def herald_by_stages(
         for w, (v1, v2) in zip(gg_weight, sectors)
     )
 
-    alpha_dark = (abs(pair.labels[1, 0]), abs(pair.labels[1, 1]))
+    alpha_dark = (abs(labels[1, 0]), abs(labels[1, 1]))
     if basis == "auto":
         basis = [LogicalBasis(x) for x in alpha_dark]
     bell = bell_state_kron(basis[0].codewords(dims[0]), basis[1].codewords(dims[1]))

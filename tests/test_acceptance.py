@@ -253,13 +253,12 @@ def test_ac7_tomography_roundtrip():
     kerr_hz, t_kerr = -23e3, 3.4e-6
     labels = np.array([[-ROOT2, ROOT2], [ROOT2, -ROOT2]], dtype=complex)
     coeffs = np.array([1.0, -1.0], dtype=complex)
-    n2 = np.real(
-        np.sum(np.outer(coeffs, coeffs.conj()) * dynamics.coherent_overlaps(labels))
-    )
-    sup = dynamics.CoherentSuperposition(labels=labels, coeffs=coeffs / math.sqrt(n2))
+    overlaps = np.exp(dynamics.dyad_log_weights(labels, np.eye(2)))
+    n2 = np.real(np.sum(np.outer(coeffs, coeffs.conj()) * overlaps))
     rate = -math.log(1 - gamma)
     e, q = dynamics.linear_propagator(np.zeros((2, 2), complex), [rate, rate], 1.0)
-    rho = materialize_coherent(dynamics.propagate_coherent(sup, e, q), (14, 14))
+    weights = np.exp(dynamics.dyad_log_weights(labels, q))
+    rho = materialize_coherent(coeffs / math.sqrt(n2), labels @ e.T, weights, (14, 14))
     u = kerr_unitary(14, kerr_hz, t_kerr)
     u2 = np.kron(u, u)
     rho = u2 @ rho @ u2.conj().T

@@ -705,6 +705,17 @@ def test_alpha_zero_is_numerical_failure(tmp_path, capsys, command, block):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", ["[2, 16, 2]", "[12, 16, 2]"])
+def test_cavity_truncation_two_is_numerical_failure(tmp_path, capsys, dims):
+    """A cavity truncated at 2 levels holds no plus codeword: a clean exit 3
+    naming the truncation and no CSV, never a perfect Bell pair."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"params:\n  dims: {dims}\n")
+    assert run(["entangle", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "truncation of at least 3" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "entangle.csv").exists()
+
+
 def test_dual_rail_reads_t_final_without_a_dot(tmp_path):
     """1e-5, with no dot, means 1.0e-5 seconds."""
     outs = []

@@ -155,3 +155,10 @@ def test_codewords_invalid():
         LogicalBasis(0.0).codewords(8)
     with pytest.raises(hilbert.NumericalError):
         LogicalBasis(np.array([1.0, 0.0])).codewords(8)
+    # below dim 3 the vacuum-free plus codeword is exactly zero: refused,
+    # never rounding normalized into a unit ket
+    for alpha in (math.sqrt(2), np.array([1.0, 2.0])):
+        for dim in (1, 2):
+            with pytest.raises(hilbert.NumericalError, match="truncation of at least 3"):
+                LogicalBasis(alpha).codewords(dim)
+    assert LogicalBasis(math.sqrt(2)).codewords(3).plus[2] == pytest.approx(1.0)

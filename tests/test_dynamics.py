@@ -671,7 +671,7 @@ def test_transfer_closed_form_matches_master_equation(kappa_b):
 
 
 # ---------------------------------------------------------------------------
-# exact coherent-superposition engine
+# the linear core: exact propagation of coherent superpositions
 # ---------------------------------------------------------------------------
 
 
@@ -739,86 +739,75 @@ def test_single_mode_decay_label_and_weight():
     t = 0.8e-6
     e, q = dynamics.linear_propagator(np.zeros((1, 1)), [kappa], t)
     assert e[0, 0] == pytest.approx(math.exp(-kappa * t / 2), rel=1e-12)
-    sup = dynamics.CoherentSuperposition(
-        labels=np.array([[1.0], [-1.0]], dtype=complex),
-        coeffs=np.array([1, 1], dtype=complex) / math.sqrt(2),
-    )
-    out = dynamics.propagate_coherent(sup, e, q)
+    weights = np.exp(dynamics.dyad_log_weights(np.array([[1.0], [-1.0]], dtype=complex), q))
     eta = 1 - math.exp(-kappa * t)
     # <z2|z1> overlap of the lost environment states, z = +-1
     expected = math.exp(-0.5 * eta * abs(1 - (-1)) ** 2)
-    assert abs(out.weights[0, 1]) == pytest.approx(expected, rel=1e-12)
-    assert out.weights[0, 0] == pytest.approx(1.0)
+    assert abs(weights[0, 1]) == pytest.approx(expected, rel=1e-12)
+    assert weights[0, 0] == pytest.approx(1.0)
 
 
 def test_coherent_trace_preserved_through_stages():
     rng = np.random.default_rng(7)
     labels = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
-    sup = dynamics.CoherentSuperposition(labels=labels, coeffs=coeffs)
-    tr0 = coherent_trace(sup)
+    weights = np.ones((3, 3), dtype=complex)
+    tr0 = coherent_trace(coeffs, labels, weights)
     a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * 1e6
     for t, gam in ((0.3e-6, [0, 3e6, 0]), (0.9e-6, [1e4, 2e6, 1e4])):
         e, q = dynamics.linear_propagator(a, gam, t)
-        sup = dynamics.propagate_coherent(sup, e, q)
-        assert coherent_trace(sup) == pytest.approx(tr0, rel=1e-12)
+        weights = weights * np.exp(dynamics.dyad_log_weights(labels, q))
+        labels = labels @ e.T
+        assert coherent_trace(coeffs, labels, weights) == pytest.approx(tr0, rel=1e-12)
 
 
 def test_materialize_matches_direct_construction():
     alpha = 0.9
-    sup = dynamics.CoherentSuperposition(
-        labels=np.array([[alpha], [-alpha]], dtype=complex),
-        coeffs=np.array([1, 1j], dtype=complex) / 2,
-    )
-    rho = materialize_coherent(sup, (20,))
+    labels = np.array([[alpha], [-alpha]], dtype=complex)
+    coeffs = np.array([1, 1j], dtype=complex) / 2
+    rho = materialize_coherent(coeffs, labels, np.ones((2, 2)), (20,))
     k1 = hilbert.coherent(20, alpha, normalized=False)
     k2 = hilbert.coherent(20, -alpha, normalized=False)
     ket = (k1 + 1j * k2) / 2
     assert_allclose(rho, np.outer(ket, ket.conj()), atol=1e-14)
 
 
-def test_ptrace_coherent_matches_fock_ptrace():
+def test_trace_by_overlaps_matches_fock_ptrace():
+    """Tracing a mode out multiplies each dyad weight by the mode's overlap
+    <z_j|z_i>, the dyad log-weights at Q = I."""
     rng = np.random.default_rng(3)
     labels = 0.45 * (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
     coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
     coeffs /= math.sqrt(abs(np.vdot(coeffs, coeffs)))
-    sup = dynamics.CoherentSuperposition(labels=labels, coeffs=coeffs)
+    weights = np.ones((3, 3), dtype=complex)
     dims = (18, 18)
-    full = materialize_coherent(sup, dims)
+    full = materialize_coherent(coeffs, labels, weights, dims)
     direct = hilbert.partial_trace(full, dims, keep=[0])
-    reduced = dynamics.ptrace_coherent(sup, keep=[0])
-    assert_allclose(materialize_coherent(reduced, (18,)), direct, atol=1e-10)
+    traced = weights * np.exp(dynamics.dyad_log_weights(labels[:, 1:], np.eye(1)))
+    assert_allclose(materialize_coherent(coeffs, labels[:, :1], traced, (18,)), direct, atol=1e-10)
 
 
 def test_coherent_vs_lindblad_cross_check():
-    """The two quantum engines agree on a lossy two-component evolution."""
+    """The linear core and the master equation agree on a lossy
+    two-component evolution."""
     dims = (8, 8, 8)
     params = SystemParams(g_bs=G, kappa_b=600e3, dims=dims)
     # alpha small enough that the dim-8 Fock tail (the dominant discrepancy
-    # between the truncation-free dyad engine and the truncated Lindblad one)
+    # between the truncation-free linear core and the truncated Lindblad one)
     # stays below the comparison threshold
     alpha = 0.5
     t = 1.1e-6
 
-    # coherent engine
+    # linear core
     labels = np.array([[alpha, 0, alpha], [alpha, 0, -alpha]], dtype=complex)
     coeffs = np.array([1.0, 1.0], dtype=complex)
-    coeffs = coeffs / math.sqrt(
-        float(
-            np.real(
-                np.sum(
-                    np.outer(coeffs, coeffs.conj())
-                    * dynamics.coherent_overlaps(labels)
-                )
-            )
-        )
-    )
-    sup = dynamics.CoherentSuperposition(labels=labels, coeffs=coeffs)
+    overlaps = np.exp(dynamics.dyad_log_weights(labels, np.eye(3)))
+    coeffs = coeffs / math.sqrt(float(np.real(np.sum(np.outer(coeffs, coeffs.conj()) * overlaps))))
     a_mat = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * params.g_ang
     gammas = [params.gamma_cavity[0], params.kappa_ang, params.gamma_cavity[1]]
     e, q = dynamics.linear_propagator(a_mat, gammas, t)
     rho_coh = materialize_coherent(
-        dynamics.propagate_coherent(sup, e, q), dims
+        coeffs, labels @ e.T, np.exp(dynamics.dyad_log_weights(labels, q)), dims
     )
 
     # master-equation engine
@@ -840,10 +829,6 @@ def test_coherent_vs_lindblad_cross_check():
 def test_propagator_weights_bounded(alpha, kappa):
     """|w_ij| <= 1 always: loss can only destroy coherence, not create it."""
     e, q = dynamics.linear_propagator(np.zeros((1, 1)), [kappa], 1e-6)
-    sup = dynamics.CoherentSuperposition(
-        labels=np.array([[alpha], [-alpha]], dtype=complex),
-        coeffs=np.array([0.5, 0.5], dtype=complex),
-    )
-    out = dynamics.propagate_coherent(sup, e, q)
-    assert np.all(np.abs(out.weights) <= 1 + 1e-12)
+    weights = np.exp(dynamics.dyad_log_weights(np.array([[alpha], [-alpha]], dtype=complex), q))
+    assert np.all(np.abs(weights) <= 1 + 1e-12)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -304,6 +305,9 @@ def test_suggest_dim():
     for tol in (0.0, -1.0, 1.0, 2.0, math.nan):
         with pytest.raises(ValueError):
             hilbert.suggest_dim(1.0, tol=tol)
+    for alpha in (1.0001e4, math.inf, math.nan):  # beyond any truncation a state can hold
+        with pytest.raises(ValueError):
+            hilbert.suggest_dim(alpha)
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,10 +322,25 @@ def test_suggest_dim_is_a_valid_truncation(a, b, tol):
     d = hilbert.suggest_dim(a, tol=tol)
     assert d >= 2
     # P(n >= d) for a Poisson law of mean a^2 is the regularized gamma P(d, a^2)
-    # (within the rounding of the library's running sum, a few ulps of 1)
+    # (within rounding: the library sums ln p_n in log space)
     assert scipy.special.gammainc(d, a * a) <= tol + 1e-14
     lo, hi = sorted((a, b))
     assert hilbert.suggest_dim(lo, tol=tol) <= hilbert.suggest_dim(hi, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-15])
+def test_suggest_dim_is_exact_at_large_amplitudes(tol):
+    """d is the smallest truncation with P(n >= d) <= tol, checked against
+    scipy's Poisson tail on a grid up to |alpha| = 150, through the range
+    where e^{-|alpha|^2} is subnormal (|alpha| > 26.6) or 0 (> 27.3)."""
+    grid = np.concatenate([np.linspace(0.01, 150, 151), [27.0, 27.1, 27.2, 28.0]])
+    for alpha in grid:
+        d = hilbert.suggest_dim(alpha, tol=tol)
+        lam = alpha**2
+        # sf(k) = P(n > k): the tail from d is within tol, the one from d - 1 is not
+        assert scipy.stats.poisson.sf(d - 1, lam) <= tol
+        assert d == 2 or scipy.stats.poisson.sf(d - 2, lam) > tol
+    assert [hilbert.suggest_dim(a) for a in (27.0, 27.1, 28.0, 150.0)] == [898, 904, 959, 23406]
 
 
 def test_tensor_sparse_dense_mix():

@@ -235,6 +235,14 @@ def test_run_dmm_rejects_bad_dump_time(dump_time):
         protocol.run_dmm(dump_time=dump_time)
 
 
+@pytest.mark.parametrize("engine", ["coherent", "lindblad"])
+def test_run_dmm_refuses_cavity_truncation_two(engine):
+    """Both engines refuse a two-level cavity instead of scoring the pair
+    against a plus codeword made of rounding."""
+    with pytest.raises(hilbert.NumericalError, match="truncation of at least 3"):
+        protocol.run_dmm(SystemParams(dims=(2, 4, 2)), engine=engine)
+
+
 def test_run_dmm_kerr_needs_lindblad():
     with pytest.raises(ValueError):
         protocol.run_dmm(include_kerr=True)
@@ -294,12 +302,16 @@ def test_run_dmm_coherent_matches_materialized_vacuum_check(
         gammas = (0.0, params.kappa_ang, 0.0)
     a_mat = dynamics.coupling_matrix(params.g_bs)
     t_post = max(params.t_protocol - params.t_pump - res.t_dump, 0.0)
-    sup = protocol._initial_superposition(alpha)
+    z = alpha * protocol._CAT_LABELS
+    weights = np.ones((4, 4), dtype=complex)
     for coupling, t in ((0 * a_mat, params.t_pump), (a_mat, res.t_dump), (0 * a_mat, t_post)):
-        sup = dynamics.propagate_coherent(sup, *dynamics.linear_propagator(coupling, gammas, t))
-    pair = dynamics.ptrace_coherent(sup, keep=[0, 2])
+        e, q = dynamics.linear_propagator(coupling, gammas, t)
+        weights = weights * np.exp(dynamics.dyad_log_weights(z, q))
+        z = z @ e.T
+    weights = weights * np.exp(dynamics.dyad_log_weights(z[:, 1:2], np.eye(1)))  # trace the bus
     d1, d2 = dims[0], dims[2]
-    _, states, sectors = vacuum_check(materialize_coherent(pair, (d1, d2)), (d1, d2), check)
+    pair = materialize_coherent(protocol._CAT_COEFFS, z[:, [0, 2]], weights, (d1, d2))
+    _, states, sectors = vacuum_check(pair, (d1, d2), check)
     assert sectors.min() > 1e-4  # every sector reaches the gg state
     rho_gg = states["gg"]
     _assert_codewords(res, (d1, d2), basis)
@@ -326,14 +338,18 @@ def _assert_codewords(res, dims, basis):
         assert np.array_equal(w.plus, expected.plus) and np.array_equal(w.minus, expected.minus)
 
 
-def test_initial_superposition_materializes_the_cat_product():
-    """The four components, materialized and normalized as the lindblad
-    engine starts from them, are (|a> + i|-a>)_1 |0>_bus (|a> - i|-a>)_2:
-    the bus starts empty and each cavity holds |alpha|^2 photons (the cross
-    terms of <a^dag a> over |a> + i|-a> cancel)."""
-    dims, alpha = (16, 4, 16), math.sqrt(2)
-    sup = protocol._initial_superposition(alpha)
-    rho = protocol._density_coherent(protocol._dyads(sup), protocol._mode_kets(sup.labels, dims))
+@pytest.mark.parametrize("alpha", [0.3, 1.0, math.sqrt(2)])
+def test_cat_components_materialize_the_cat_product(alpha):
+    """The four components, scaled to alpha, materialized and normalized as
+    the lindblad engine starts from them, are
+    (|a> + i|-a>)_1 |0>_bus (|a> - i|-a>)_2: the bus starts empty and each
+    cavity holds |alpha|^2 photons (the cross terms of <a^dag a> over
+    |a> + i|-a> cancel)."""
+    dims = (16, 4, 16)
+    coeffs = protocol._CAT_COEFFS
+    rho = protocol._density_coherent(
+        np.outer(coeffs, coeffs.conj()), protocol._mode_kets(alpha * protocol._CAT_LABELS, dims)
+    )
     rho /= np.trace(rho).real
     ket = cat_product_ket(dims, alpha)
     assert_allclose(rho, np.outer(ket, ket.conj()), rtol=0, atol=1e-15)

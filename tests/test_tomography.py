@@ -398,11 +398,12 @@ def _damped_twisted_bell(alpha, gamma, kerr_hz, t, dim):
     """
     labels = np.array([[-alpha, alpha], [alpha, -alpha]], dtype=complex)
     coeffs = np.array([1.0, -1.0], dtype=complex)
-    n2 = np.real(np.sum(np.outer(coeffs, coeffs.conj()) * dynamics.coherent_overlaps(labels)))
-    sup = dynamics.CoherentSuperposition(labels=labels, coeffs=coeffs / math.sqrt(n2))
+    overlaps = np.exp(dynamics.dyad_log_weights(labels, np.eye(2)))
+    n2 = np.real(np.sum(np.outer(coeffs, coeffs.conj()) * overlaps))
     rate_t = -math.log(1 - gamma)  # e^{-rate t} = 1 - gamma
     e, q = dynamics.linear_propagator(np.zeros((2, 2), complex), [rate_t, rate_t], 1.0)
-    rho = materialize_coherent(dynamics.propagate_coherent(sup, e, q), (dim, dim))
+    weights = np.exp(dynamics.dyad_log_weights(labels, q))
+    rho = materialize_coherent(coeffs / math.sqrt(n2), labels @ e.T, weights, (dim, dim))
     u = kerr_unitary(dim, kerr_hz, t)
     u2 = np.kron(u, u)
     return u2 @ rho @ u2.conj().T
