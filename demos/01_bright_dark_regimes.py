@@ -12,10 +12,12 @@ Run:  python3 demos/01_bright_dark_regimes.py
 import numpy as np
 
 from darkbus import dynamics
+from darkbus.dynamics import SystemParams
 
-G_BS = 160e3  # beam-splitter rate, Hz
+PARAMS = SystemParams()
+G_BS = PARAMS.g_bs  # beam-splitter rate, Hz
 
-kappas = [160e3, 600e3, 905e3, 2000e3]
+kappas = [160e3, PARAMS.kappa_b, 905e3, 2000e3]
 times = np.linspace(0.0, 8e-6, 801)
 
 print(f"critical bus linewidth for g_bs = {G_BS/1e3:.0f} kHz: "

@@ -10,15 +10,15 @@ drops to the floor set by the cavities' own occupation.
 import numpy as np
 
 from darkbus import protocol
+from darkbus.dynamics import SystemParams
 
 ALPHA = 1.0
-G_BS = 160e3
-KAPPA_B = 600e3
+PARAMS = SystemParams()
 
 phis = np.linspace(0.0, 2 * np.pi, 33)
 times = np.linspace(0.0, 8e-6, 41)
 
-p_click = protocol.phase_sweep(ALPHA, phis, times, G_BS, KAPPA_B)
+p_click = protocol.phase_sweep(ALPHA, phis, times, PARAMS.g_bs, PARAMS.kappa_b)
 
 # crude terminal heat map, one row per phase, '#' where the check fires often
 ramp = " .:-=+*#"

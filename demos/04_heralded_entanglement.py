@@ -22,8 +22,9 @@ for label, check in [("ideal detector", VacuumCheckModel.ideal()),
     print(f"herald (gg) rate:      {res.p_pass:.4f}   "
           f"(ideal limit 0.5 minus the even-cat vacuum overlap)")
     print(f"kept-state fidelity to the odd-cat singlet: {res.bell_fidelity:.4f}")
+    a1, a2 = (w.basis.alpha for w in res.codewords)
     print(f"fitted codeword amplitude after loss: "
-          f"({res.alpha_dark[0]:.4f}, {res.alpha_dark[1]:.4f})  [started at {ALPHA:.4f}]")
+          f"({a1:.4f}, {a2:.4f})  [started at {ALPHA:.4f}]")
     print(f"bus residual at the check: {res.bright_residual:.2e}, "
           f"dump wait {res.t_dump*1e6:.2f} us")
     print()

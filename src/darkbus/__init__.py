@@ -24,7 +24,6 @@ from .dynamics import (
     damping_rates,
     langevin_solve,
     lindblad_evolve,
-    t_swap,
     transfer_efficiency,
 )
 from .errorbudget import BudgetBreakdown, optimal_alpha, predicted_infidelity
@@ -77,7 +76,6 @@ __all__ = [
     "damping_rates",
     "langevin_solve",
     "lindblad_evolve",
-    "t_swap",
     "transfer_efficiency",
     "BudgetBreakdown",
     "optimal_alpha",

@@ -154,6 +154,13 @@ def _or(kind, *names: str):
     return lambda key, value: value if value is None or value in names else kind(key, value)
 
 
+def _dump_time(key, value):
+    """null, for the system parameter ``t_dump``, or "auto"."""
+    if value is None or value == "auto":
+        return value
+    raise ConfigError(f"{key} must be null or 'auto', got {value!r}; a fixed window is t_dump")
+
+
 # built once, not per herald: a model is immutable and builds its table array
 _CHECK_MODELS = {"ideal": VacuumCheckModel.ideal(), "measured": VacuumCheckModel.from_measured()}
 
@@ -171,7 +178,7 @@ OPTION_KINDS = {
     "alphas": _amounts(nonempty=True),
     "t_final": _or(_POSITIVE),
     "p_success": _or(_UNIT),
-    "dump_time": _or(_NON_NEGATIVE, "auto"),
+    "dump_time": _dump_time,
 }
 
 
@@ -288,12 +295,13 @@ def cmd_phase_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
 def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     res = protocol.run_dmm(params, engine=opts["engine"], **_herald(opts))
+    w1, w2 = res.codewords
     ctx.write_csv(
         "entangle.csv",
         {
             **{f"p_{o}": [res.p_outcomes[o]] for o in protocol.OUTCOMES},
             "fidelity": [res.bell_fidelity],
-            "alpha_basis_1": [res.alpha_dark[0]], "alpha_basis_2": [res.alpha_dark[1]],
+            "alpha_basis_1": [w1.basis.alpha], "alpha_basis_2": [w2.basis.alpha],
             "t_dump_s": [res.t_dump], "bright_residual": [res.bright_residual],
         },
     )

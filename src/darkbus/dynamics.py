@@ -116,13 +116,9 @@ class SystemParams:
         if any(t <= 0 for t in self.t1_cavity):
             raise ValueError("cavity T1 must be positive")
 
-    # angular versions, used by everything internal
-    @property
-    def g_ang(self) -> float:
-        return TWO_PI * self.g_bs
-
     @property
     def kappa_ang(self) -> float:
+        """Bus energy decay rate 2pi kappa_b in 1/s."""
         return TWO_PI * self.kappa_b
 
     @property
@@ -252,14 +248,6 @@ def classify_regime(g_bs: float, kappa_b: float, rtol: float = 1e-3) -> str:
     return "underdamped" if kappa_b < kc else "overdamped"
 
 
-def t_swap(g_bs: float) -> float:
-    """Half-period of the bright-mode vacuum Rabi swap, pi/(2 sqrt(2) g_ang).
-
-    At kappa_b = 0 this is when the bright excitation sits entirely in the
-    bus (and the first zero of the bright cavity amplitude)."""
-    return math.pi / (2 * math.sqrt(2) * TWO_PI * g_bs)
-
-
 def bright_mode_response(g_bs: float, kappa_b: float, times) -> np.ndarray:
     """Normalized bright-cavity amplitude u(t) with u(0)=1, bus empty.
 
@@ -287,8 +275,10 @@ def bright_mode_response(g_bs: float, kappa_b: float, times) -> np.ndarray:
 def auto_dump_time(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> float:
     """Bus-coupling duration that empties the bright mode.
 
-    Underdamped: the first exact zero of u(t), nu t = pi - atan2(4 nu, k)
-    (reduces to t_swap at kappa_b = 0).  Critical/overdamped: u never
+    Underdamped: the first exact zero of u(t), nu t = pi - atan2(4 nu, k);
+    at kappa_b = 0 that is pi/(2 sqrt(2) g), with g = 2pi g_bs, the
+    half-period of the bright mode's vacuum Rabi swap, when the bright
+    excitation sits entirely in the bus.  Critical/overdamped: u never
     crosses zero, so the first time |u| <= residual_tol, to rounding.
     """
     g = TWO_PI * g_bs
@@ -547,7 +537,7 @@ class TransferResult:
     eta: float
 
 
-def _transfer_eta(g_ang, kappa_ang, t1, t2):
+def _transfer_eta(g, kappa, t1, t2):
     """<n_cav2> after sequential swap cav1->bus (t1) then bus->cav2 (t2).
 
     One photon in a passive lossy network: its amplitudes follow the labels
@@ -555,9 +545,9 @@ def _transfer_eta(g_ang, kappa_ang, t1, t2):
     eta = |(E2 E1)[cav2, cav1]|^2 is exact.  Arrays of times (of one shape)
     give an array of efficiencies.
     """
-    stage1 = np.array([[0, g_ang, 0], [g_ang, 0, 0], [0, 0, 0]], dtype=complex)
-    stage2 = np.array([[0, 0, 0], [0, 0, g_ang], [0, g_ang, 0]], dtype=complex)
-    gammas = (0.0, kappa_ang, 0.0)
+    stage1 = np.array([[0, g, 0], [g, 0, 0], [0, 0, 0]], dtype=complex)
+    stage2 = np.array([[0, 0, 0], [0, 0, g], [0, g, 0]], dtype=complex)
+    gammas = (0.0, kappa, 0.0)
     e1, _ = linear_propagator(stage1, gammas, t1)
     e2, _ = linear_propagator(stage2, gammas, t2)
     eta = np.abs((e2 @ e1)[..., 2, 0]) ** 2
@@ -578,11 +568,11 @@ def transfer_efficiency(
     touches cav2 and stage 2 never touches cav1, so eta(t1, t2) =
     f(t1) f(t2) with f(t) = |E(t)[bus, cav1]|^2, and each factor peaks at
     the single-stage optimum t* = atan(4 nu / kappa)/nu, nu^2 = g^2 - kappa^2/16 (t* = 4/kappa
-    at critical damping, pi/(2 g_ang) at kappa_b = 0).
+    at critical damping, pi/(2 g) at kappa_b = 0; g and kappa angular).
     Through a lossy bus each stage transfers at most
     (g/nu) e^{-kappa t*/4} sin(nu t*), so eta through two stages is that
     fourth power -- a few percent for kappa ~ 4g -- while kappa_b = 0 gives
-    eta = 1 at t1 = t2 = pi/(2 g_ang).
+    eta = 1 at t1 = t2 = pi/(2 g).
     """
     g = TWO_PI * g_bs
     k = TWO_PI * kappa_b

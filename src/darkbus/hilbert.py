@@ -81,14 +81,6 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
-def fock(dim: int, n: int) -> np.ndarray:
-    if not 0 <= n < dim:
-        raise ValueError(f"Fock level {n} outside truncation {dim}")
-    ket = np.zeros(dim, dtype=complex)
-    ket[n] = 1.0
-    return ket
-
-
 def coherent(dim: int, alpha, normalized: bool = True) -> np.ndarray:
     """Coherent state amplitudes e^{-|a|^2/2} alpha^n / sqrt(n!).
 

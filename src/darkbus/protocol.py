@@ -212,11 +212,11 @@ class DmmResult:
     two-cavity state that gg heralds (the pair state times the gg sector
     weight of :func:`_fold`, normalized), ``bell_fidelity`` its overlap with
     the logical Bell target of ``codewords``, the two cavities' codewords
-    (each with its ``basis`` and truncation ``dim``) that every consumer of
-    the pair reads.  ``p_outcomes`` maps each of
-    :data:`OUTCOMES` to its probability, the check model's ``table`` applied
-    to the vector of sector probabilities; the states of the discarded
-    outcomes are never built.
+    that every consumer of the pair reads: each at its truncation ``dim``,
+    in the basis of its surviving dark amplitude ``basis.alpha``.
+    ``p_outcomes`` maps each of :data:`OUTCOMES` to its probability, the
+    check model's ``table`` applied to the vector of sector probabilities;
+    the states of the discarded outcomes are never built.
     ``rho_pass`` is built on first access and cached: the coherent engine
     reads ``bell_fidelity`` without the (d1 d2)^2 density matrix, so a
     caller that only wants the numbers never pays for it.  It is the one
@@ -233,7 +233,6 @@ class DmmResult:
     p_outcomes: dict
     bell_fidelity: float
     codewords: tuple[Codewords, Codewords]
-    alpha_dark: tuple[float, float]
     bright_residual: float
     t_dump: float
     engine: str
@@ -285,10 +284,13 @@ def _windows(params: SystemParams, cavity_loss: bool, dump_time):
     passive network whose coupling A is open only during the dump."""
     if dump_time == "auto":
         t_dump = dynamics.auto_dump_time(params.g_bs, params.kappa_b)
+    elif dump_time is None:
+        t_dump = params.t_dump
     else:
-        t_dump = params.t_dump if dump_time is None else float(dump_time)
-        if not 0 <= t_dump < math.inf:
-            raise ValueError(f"dump_time must be non-negative and finite, got {dump_time!r}")
+        raise ValueError(
+            f"dump_time must be None or 'auto', got {dump_time!r}; "
+            "a fixed dump window is params.t_dump"
+        )
     t_post = max(params.t_protocol - params.t_pump - t_dump, 0.0)
     gammas = np.array(
         [params.gamma_cavity[0], params.kappa_ang, params.gamma_cavity[1]]
@@ -332,7 +334,7 @@ class _Herald(NamedTuple):
     sector_probs: np.ndarray  # (..., 4), SECTORS order
 
 
-def _coherent_herald(alpha, pair, check: VacuumCheckModel, dims, basis) -> _Herald:
+def _coherent_herald(alpha, pair, check: VacuumCheckModel, dims) -> _Herald:
     """The coherent engine's analysis of the gg branch (see :func:`run_dmm`)
     of the :func:`_unit_pair` ``pair`` at cat amplitude ``alpha``, a number
     or an array; each result stacks along its axes and is exactly what its
@@ -361,7 +363,7 @@ def _coherent_herald(alpha, pair, check: VacuumCheckModel, dims, basis) -> _Hera
     _require_herald(tr)
 
     alpha_dark = np.abs(alpha[..., None] * labels[1])  # component (a, 0, -a)
-    words = _codewords(basis, alpha_dark, dims)
+    words = _codewords(alpha_dark, dims)
     # no codeword has a vacuum component, so the Bell ket lies in the NN
     # sector: <B|rho_gg|B> = P(gg|NN) sum_ij a_ij beta_i conj(beta_j)
     # with beta_i = <B|u_i v_i>
@@ -377,14 +379,12 @@ def _require_herald(tr) -> None:
         raise NumericalError("protocol: herald has zero probability, nothing to analyze")
 
 
-def _codewords(basis, alpha_dark: np.ndarray, dims) -> tuple[Codewords, Codewords]:
-    """Each cavity's codewords at its truncation in ``dims``: those of
-    ``basis``, a (LogicalBasis, LogicalBasis) pair, or for "auto" those of
-    the cat amplitudes ``alpha_dark`` (..., 2) of the surviving dark
+def _codewords(alpha_dark, dims) -> tuple[Codewords, Codewords]:
+    """Each cavity's codewords at its truncation in ``dims``, in the basis
+    of the cat amplitudes ``alpha_dark`` (..., 2) of the surviving dark
     component, stacked along its leading axes."""
-    if basis == "auto":
-        basis = [LogicalBasis(a) for a in np.moveaxis(alpha_dark, -1, 0).tolist()]
-    return tuple(b.codewords(d) for b, d in zip(basis, dims))
+    alphas = np.moveaxis(alpha_dark, -1, 0).tolist()
+    return tuple(LogicalBasis(a).codewords(d) for a, d in zip(alphas, dims))
 
 
 def run_dmm(
@@ -393,7 +393,6 @@ def run_dmm(
     check: VacuumCheckModel | None = None,
     cavity_loss: bool = True,
     dump_time=None,
-    basis="auto",
     engine: str = "coherent",
     include_kerr: bool = False,
 ) -> DmmResult:
@@ -428,8 +427,13 @@ def run_dmm(
     and of the v (split into vacuum and not-vacuum parts), and the Bell
     ket, free of vacuum in either cavity, sees only the both-occupied
     sector through its overlaps <B|u_i v_i>.  ``rho_pass`` is folded from
-    the same kets on first access.  ``params`` is the only source of
-    parameter values: vary alpha with ``params.with_(alpha=...)``.
+    the same kets on first access.  The analysis basis of each cavity is
+    the cat amplitude of its surviving dark component (absorbing the
+    deterministic shrinkage, as an experiment's basis calibration would);
+    :func:`~darkbus.tomography.optimize_basis` fits another one to
+    ``rho_pass``.  ``params`` is the only source of parameter values: vary
+    alpha with ``params.with_(alpha=...)``, the fixed dump window with
+    ``params.with_(t_dump=...)``.
 
     Parameters
     ----------
@@ -443,15 +447,10 @@ def run_dmm(
         readout windows (max(t_protocol, t_pump + t_dump) of exposure in
         total).
     dump_time:
-        Seconds (non-negative and finite), or "auto" to hold the coupling
-        until the bright mode is actually empty (first zero of its response
-        when underdamped, decay below 1e-4 otherwise), or None for
-        params.t_dump.
-    basis:
-        "auto" sets the analysis cat amplitude to the surviving dark
-        component of each cavity (absorbing deterministic shrinkage, as an
-        experiment's basis calibration would); or pass a
-        (LogicalBasis, LogicalBasis) pair.
+        None for params.t_dump, or "auto" to hold the coupling until the
+        bright mode is actually empty (first zero of its response when
+        underdamped, decay below 1e-4 otherwise); anything else raises
+        ``ValueError``.
     engine:
         "coherent" -- exact, truncation-free propagation of the four-component
         coherent superposition (the default; fast at any dims).  The
@@ -492,9 +491,8 @@ def run_dmm(
     d1, d2 = params.dims[0], params.dims[2]
 
     if engine == "coherent":
-        h = _coherent_herald(params.alpha, _unit_pair(gammas, stages), check, (d1, d2), basis)
+        h = _coherent_herald(params.alpha, _unit_pair(gammas, stages), check, (d1, d2))
         p_out, p_projective, fid, words = h.p_out, h.p_projective, h.fidelity, h.codewords
-        alpha_dark = tuple(h.alpha_dark.tolist())
 
         def build_rho_gg():
             rho = _density_coherent(h.dyads, h.kets)
@@ -528,7 +526,7 @@ def run_dmm(
         p_projective = p_out[0]
         tr = float(np.real(np.trace(rho_gg)))
         _require_herald(tr)
-        words = _codewords(basis, alpha_dark, (d1, d2))
+        words = _codewords(alpha_dark, (d1, d2))
         bell = codes.bell_state(*words)
         fid = float(np.real(bell.conj() @ rho_gg @ bell) / tr)
         rho_gg /= tr  # in place: rho_gg is this call's own array
@@ -541,7 +539,6 @@ def run_dmm(
         p_outcomes=dict(zip(OUTCOMES, p_out.tolist())),
         bell_fidelity=float(fid),
         codewords=words,
-        alpha_dark=alpha_dark,
         bright_residual=float(
             dynamics.bright_mode_response(params.g_bs, params.kappa_b, t_dump)[0]
         ),
@@ -560,16 +557,17 @@ def alpha_sweep(
     cavity_loss: bool = True,
     dump_time=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`run_dmm`'s herald numbers over an array of cat amplitudes, in
-    the auto basis, from one propagation of the network.
+    """:func:`run_dmm`'s herald numbers over an array of cat amplitudes,
+    from one propagation of the network.
 
     The network is linear, so alpha only scales the labels and, squared,
     the dyad log-weights of the pair propagated once at alpha = 1; the
     analysis then runs on all the amplitudes at once.  Returns ``p_pass``
     and ``bell_fidelity``, each of shape (len(alphas),), and ``alpha_dark``
-    of shape (len(alphas), 2).  Row k is exactly what
-    ``run_dmm(params.with_(alpha=alphas[k]), check=check,
-    cavity_loss=cavity_loss, dump_time=dump_time)`` reports;
+    of shape (len(alphas), 2), each cavity's analysis-basis amplitude.  Row
+    k is exactly what ``run_dmm(params.with_(alpha=alphas[k]), check=check,
+    cavity_loss=cavity_loss, dump_time=dump_time)`` reports, its
+    ``alpha_dark`` row the ``basis.alpha`` of that run's ``codewords``;
     ``params.alpha`` itself is not read.  Like ``run_dmm``, an amplitude
     with no herald or no codewords (alpha = 0) raises ``NumericalError``.
     """
@@ -579,7 +577,7 @@ def alpha_sweep(
     _, gammas, stages = _windows(params, cavity_loss, dump_time)
     dims = (params.dims[0], params.dims[2])
     check = check or VacuumCheckModel.ideal()
-    h = _coherent_herald(alphas, _unit_pair(gammas, stages), check, dims, "auto")
+    h = _coherent_herald(alphas, _unit_pair(gammas, stages), check, dims)
     return h.p_out[:, 0], h.fidelity, h.alpha_dark
 
 

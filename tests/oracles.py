@@ -1,7 +1,8 @@
 """Reference implementations the tests compare library results against.
 
 None of these runs in a darkbus command or demo.  Each is a slow or
-independent route to a quantity the library computes another way: the
+independent route to a quantity the library computes another way, or a
+building block only the tests need: Fock kets, the
 raising, number, parity and displacement operators, the displaced-parity
 kernel at one point, cat kets and the copying coherent ket of one mode,
 multi-mode operators and product kets assembled by Kronecker products
@@ -56,6 +57,15 @@ class PyConfigLoader(yaml.SafeLoader):
 
 
 PyConfigLoader.add_implicit_resolver(*cli._YAML12_FLOAT)
+
+
+def fock(dim: int, n: int) -> np.ndarray:
+    """The Fock ket |n> at truncation ``dim``."""
+    if not 0 <= n < dim:
+        raise ValueError(f"Fock level {n} outside truncation {dim}")
+    ket = np.zeros(dim, dtype=complex)
+    ket[n] = 1.0
+    return ket
 
 
 def create(dim: int) -> np.ndarray:
@@ -164,7 +174,7 @@ def coherent_copying(dim: int, alpha: complex, normalized: bool = True) -> np.nd
     normalization and a final ``astype(complex)`` copy of an array that is
     already complex."""
     if alpha == 0:
-        return hilbert.fock(dim, 0)
+        return fock(dim, 0)
     n = np.arange(dim)
     logmag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha))
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
@@ -233,7 +243,7 @@ def product_ket(dims, kets: dict) -> np.ndarray:
     unnamed modes start in vacuum."""
     kets = _axes(kets, len(dims))
     factors = [
-        np.asarray(kets.get(i, hilbert.fock(d, 0)), dtype=complex) for i, d in enumerate(dims)
+        np.asarray(kets.get(i, fock(d, 0)), dtype=complex) for i, d in enumerate(dims)
     ]
     return reduce(np.kron, factors)
 
@@ -246,7 +256,7 @@ def cat_product_ket(dims, alpha: float) -> np.ndarray:
             d, -alpha, normalized=False
         )
 
-    ket = np.kron(np.kron(cat(dims[0], 1j), hilbert.fock(dims[1], 0)), cat(dims[2], -1j))
+    ket = np.kron(np.kron(cat(dims[0], 1j), fock(dims[1], 0)), cat(dims[2], -1j))
     return ket / np.linalg.norm(ket)
 
 
@@ -286,7 +296,6 @@ def herald_by_stages(
     check: VacuumCheckModel,
     cavity_loss: bool = True,
     dump_time=None,
-    basis="auto",
 ) -> tuple[float, float, tuple[float, float]]:
     """(p_pass, bell_fidelity, alpha_dark) of the coherent engine's herald
     at ``params.alpha`` alone, with no scaling from alpha = 1: the four
@@ -295,11 +304,12 @@ def herald_by_stages(
     weights multiplied in, the bus traced out through its overlaps, the
     classical sector probabilities from exact coherent overlaps,
     and Tr rho_gg and <B|rho_gg|B> from each component's truncated kets,
-    with the Bell ket of two Kronecker products."""
+    with the Bell ket of two Kronecker products in the basis of the dark
+    amplitudes.  ``dump_time`` is None, for ``params.t_dump``, or "auto"."""
     if dump_time == "auto":
         t_dump = dynamics.auto_dump_time(params.g_bs, params.kappa_b)
     else:
-        t_dump = params.t_dump if dump_time is None else dump_time
+        t_dump = params.t_dump
     t_post = max(params.t_protocol - params.t_pump - t_dump, 0.0)
     loss = 1.0 if cavity_loss else 0.0
     gammas = (loss * params.gamma_cavity[0], params.kappa_ang, loss * params.gamma_cavity[1])
@@ -342,9 +352,8 @@ def herald_by_stages(
     )
 
     alpha_dark = (abs(labels[1, 0]), abs(labels[1, 1]))
-    if basis == "auto":
-        basis = [LogicalBasis(x) for x in alpha_dark]
-    bell = bell_state_kron(basis[0].codewords(dims[0]), basis[1].codewords(dims[1]))
+    words = [LogicalBasis(x).codewords(d) for x, d in zip(alpha_dark, dims)]
+    bell = bell_state_kron(*words)
     beta = np.array([np.vdot(bell, np.kron(u, v)) for u, v in zip(*kets)])
     nn = SECTORS.index(("N", "N"))
     fidelity = gg_weight[nn] * np.real(beta @ dyads @ beta.conj()) / tr

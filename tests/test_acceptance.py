@@ -18,6 +18,7 @@ from darkbus.tomography import WignerData, WignerGrid
 from oracles import (
     embed,
     expect_trajectory,
+    fock,
     kerr_twist_angle,
     kerr_unitary,
     materialize_coherent,
@@ -337,7 +338,7 @@ def test_ac10_numerical_properties(tmp_path):
     ok &= dd < 1e-10
 
     # Wigner linearity
-    k1, k2 = hilbert.coherent(8, 0.5), hilbert.fock(8, 2)
+    k1, k2 = hilbert.coherent(8, 0.5), fock(8, 2)
     rho1, rho2 = np.outer(k1, k1.conj()), np.outer(k2, k2.conj())
     wgrid = WignerGrid.default(1.0, 0.5)
     lin_err = float(

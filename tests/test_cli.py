@@ -500,12 +500,16 @@ def test_non_finite_or_malformed_params_are_config_errors(tmp_path, capsys, para
 
 
 @pytest.mark.parametrize("command", ["entangle", "alpha-sweep", "teleport", "tomo-demo"])
-@pytest.mark.parametrize("value", ["-1.0e-6", ".inf", "abc", "false"])
+@pytest.mark.parametrize("value", ["1.0e-6", "0.0", "-1.0e-6", ".inf", "abc", "false"])
 def test_dump_time_rejects_bad_values(tmp_path, capsys, command, value):
+    """dump_time is null or auto; a number, even a valid window, exits 2 and
+    the message points to the parameter t_dump that sets a fixed window."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text(f"{command}:\n  dump_time: {value}\n")
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
-    assert "dump_time" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dump_time" in err and "t_dump" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -904,7 +908,8 @@ def test_alpha_sweep_rows_match_run_dmm(tmp_path, options, kw):
     kw = {"check": VacuumCheckModel.from_measured(), **kw}
     for line, alpha in zip(lines, (1.0, 1.3, 1.6)):
         r = protocol.run_dmm(SystemParams(alpha=alpha), **kw)
-        expected = (alpha, r.p_pass, r.bell_fidelity, r.alpha_dark[0], r.alpha_dark[1])
+        w1, w2 = r.codewords
+        expected = (alpha, r.p_pass, r.bell_fidelity, w1.basis.alpha, w2.basis.alpha)
         assert line == ",".join(repr(float(x)) for x in expected)
 
 

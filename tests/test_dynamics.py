@@ -25,6 +25,7 @@ from oracles import (
     expect,
     expect_trajectory,
     expm,
+    fock,
     lindblad_action,
     liouvillian_evolve,
     materialize_coherent,
@@ -92,13 +93,15 @@ def test_params_store_lists_as_hashable_tuples():
 
 def test_angular_conversions():
     p = SystemParams(g_bs=G, kappa_b=600e3)
-    assert p.g_ang == pytest.approx(2 * math.pi * G)
+    assert p.kappa_ang == pytest.approx(2 * math.pi * 600e3)
     assert p.gamma_cavity[0] == pytest.approx(1 / 385e-6)
 
 
-def test_t_swap_frozen():
-    # pi / (2 sqrt(2) * 2 pi * 160 kHz)
-    assert dynamics.t_swap(G) == pytest.approx(1.1048543456039805e-06, rel=1e-12)
+def test_auto_dump_time_lossless_is_the_half_swap():
+    # pi / (2 sqrt(2) * 2 pi * 160 kHz): the bright mode's vacuum Rabi half-period
+    half_swap = math.pi / (2 * math.sqrt(2) * 2 * math.pi * G)
+    assert half_swap == pytest.approx(1.1048543456039805e-06, rel=1e-12)
+    assert dynamics.auto_dump_time(G, 0.0) == pytest.approx(half_swap, rel=1e-12)
 
 
 def test_critical_kappa_frozen():
@@ -167,7 +170,7 @@ def test_auto_dump_time_frozen_values():
     assert dynamics.auto_dump_time(G, 600e3) == pytest.approx(2.1565335857947047e-06, rel=1e-9)
     # lossless limit reduces to the half-swap
     assert dynamics.auto_dump_time(G, 0.0 + 1e-12) == pytest.approx(
-        dynamics.t_swap(G), rel=1e-6
+        math.pi / (2 * math.sqrt(2) * 2 * math.pi * G), rel=1e-6
     )
 
 
@@ -377,7 +380,7 @@ def test_lindblad_thermalizes_to_vacuum():
     dims = (2, 3, 2)
     params = SystemParams(g_bs=G, kappa_b=2000e3, t1_cavity=(1e-6, 1e-6), dims=dims)
     h, c_ops = params_network(params)
-    psi0 = product_ket(dims, {"cav1": hilbert.fock(2, 1)})
+    psi0 = product_ket(dims, {"cav1": fock(2, 1)})
     res = dynamics.lindblad_evolve(h, c_ops, psi0, 3e-5)
     vac = np.zeros(math.prod(dims))
     vac[0] = 1.0
@@ -655,7 +658,7 @@ def _transfer_eta_master_equation(kappa_b, t1, t2):
     if kappa_b > 0:
         b = embed(dims, {"bus": a})
         c_ops = [math.sqrt(2 * math.pi * kappa_b) * b]
-    psi0 = product_ket(dims, {"cav1": hilbert.fock(2, 1)})
+    psi0 = product_ket(dims, {"cav1": fock(2, 1)})
     r1 = dynamics.lindblad_evolve(swap("cav1"), c_ops, psi0, t1)
     r2 = dynamics.lindblad_evolve(swap("cav2"), c_ops, r1.final, t2)
     n2 = embed(dims, {"cav2": number(2)}, sparse=True)
@@ -803,7 +806,7 @@ def test_coherent_vs_lindblad_cross_check():
     coeffs = np.array([1.0, 1.0], dtype=complex)
     overlaps = np.exp(dynamics.dyad_log_weights(labels, np.eye(3)))
     coeffs = coeffs / math.sqrt(float(np.real(np.sum(np.outer(coeffs, coeffs.conj()) * overlaps))))
-    a_mat = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * params.g_ang
+    a_mat = dynamics.coupling_matrix(params.g_bs)
     gammas = [params.gamma_cavity[0], params.kappa_ang, params.gamma_cavity[1]]
     e, q = dynamics.linear_propagator(a_mat, gammas, t)
     rho_coh = materialize_coherent(
@@ -814,7 +817,7 @@ def test_coherent_vs_lindblad_cross_check():
     k1 = hilbert.coherent(dims[0], alpha, normalized=False)
     kp = hilbert.coherent(dims[2], alpha, normalized=False)
     km = hilbert.coherent(dims[2], -alpha, normalized=False)
-    psi = np.kron(k1, np.kron(hilbert.fock(dims[1], 0), kp + km))
+    psi = np.kron(k1, np.kron(fock(dims[1], 0), kp + km))
     psi = psi / np.linalg.norm(psi)
     h, c_ops = params_network(params)
     res = dynamics.lindblad_evolve(h, c_ops, psi, t)

@@ -19,6 +19,7 @@ from oracles import (
     displacement,
     embed,
     expect,
+    fock,
     number,
     parity,
     product_ket,
@@ -108,7 +109,7 @@ def test_displacement_unitary_and_action():
     beta = 0.7 - 0.3j
     dd = displacement(d, beta)
     assert_allclose(dd @ dd.conj().T, np.eye(d), atol=1e-9)
-    moved = dd @ hilbert.fock(d, 0)
+    moved = dd @ fock(d, 0)
     assert abs(hilbert.overlap(moved, hilbert.coherent(d, beta))) == pytest.approx(
         1.0, abs=1e-9
     )
@@ -138,7 +139,7 @@ def test_amplitude_damp_coherent_shrinks():
 
 def test_amplitude_damp_limits():
     d = 8
-    rho = hilbert.as_dm(hilbert.fock(d, 3))
+    rho = hilbert.as_dm(fock(d, 3))
     assert_allclose(hilbert.amplitude_damp(rho, 0.0), rho)
     gone = hilbert.amplitude_damp(rho, 1.0)
     assert gone[0, 0].real == pytest.approx(1.0)
@@ -182,7 +183,7 @@ def test_amplitude_damp_rejects_bad_shapes():
 def test_embed_and_product_ket():
     dims = (2, 3)
     n_c = embed(dims, {1: number(3)})
-    psi = product_ket(dims, {1: hilbert.fock(3, 2)})
+    psi = product_ket(dims, {1: fock(3, 2)})
     assert expect(n_c, psi).real == pytest.approx(2.0)
     assert expect(n_c, hilbert.as_dm(psi)).real == pytest.approx(2.0)
     with pytest.raises(KeyError):
@@ -196,7 +197,7 @@ def test_embed_and_product_ket():
 
 def test_partial_trace_pure_product():
     dims = (2, 3, 2)
-    psi = product_ket(dims, {0: hilbert.fock(2, 1), 1: hilbert.fock(3, 2)})
+    psi = product_ket(dims, {0: fock(2, 1), 1: fock(3, 2)})
     red = hilbert.partial_trace(hilbert.as_dm(psi), dims, [0])
     assert_allclose(red, np.diag([0, 1.0]), atol=1e-14)
     # tracing everything but one entangled pair keeps it mixed
@@ -244,8 +245,8 @@ def test_condition_completeness():
 
 def test_fidelity_conventions():
     d = 6
-    k0 = hilbert.fock(d, 0)
-    k1 = hilbert.fock(d, 1)
+    k0 = fock(d, 0)
+    k1 = fock(d, 1)
     plus = (k0 + k1) / math.sqrt(2)
     assert hilbert.fidelity(k0, k0) == pytest.approx(1.0)
     assert hilbert.fidelity(k0, k1) == pytest.approx(0.0)
@@ -257,7 +258,7 @@ def test_fidelity_conventions():
 
 
 def test_trace_distance_orthogonal_and_equal():
-    k0, k1 = hilbert.fock(4, 0), hilbert.fock(4, 1)
+    k0, k1 = fock(4, 0), fock(4, 1)
     assert hilbert.trace_distance(k0, k1) == pytest.approx(1.0)
     assert hilbert.trace_distance(k0, k0) == pytest.approx(0.0, abs=1e-12)
 
@@ -270,8 +271,8 @@ def test_trace_distance_orthogonal_and_equal():
 )
 def test_fidelity_bounds_property(n, m, phase):
     d = 5
-    a = hilbert.fock(d, n)
-    b = (hilbert.fock(d, m) + np.exp(1j * phase) * hilbert.fock(d, (m + 1) % d)) / math.sqrt(2)
+    a = fock(d, n)
+    b = (fock(d, m) + np.exp(1j * phase) * fock(d, (m + 1) % d)) / math.sqrt(2)
     f = hilbert.fidelity(a, b)
     assert -1e-12 <= f <= 1 + 1e-12
     t = hilbert.trace_distance(a, b)
@@ -286,7 +287,7 @@ def test_edge_population_flags_truncation():
     assert hilbert.edge_population(big, (8,))[0] > 1e-3
     # per mode of a product, from a ket or its density matrix alike
     dims = (8, 3, 8)
-    psi = product_ket(dims, {0: small, 1: hilbert.fock(3, 2), 2: big})
+    psi = product_ket(dims, {0: small, 1: fock(3, 2), 2: big})
     pops = hilbert.edge_population(psi, dims)
     assert_allclose(pops, hilbert.edge_population(hilbert.as_dm(psi), dims), atol=1e-15)
     assert pops[0] < 1e-6 and pops[1] == pytest.approx(1.0) and pops[2] > 1e-3

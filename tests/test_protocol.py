@@ -16,6 +16,7 @@ from oracles import (
     dual_rail_distill_kron,
     embed,
     expect,
+    fock,
     herald_by_stages,
     kerr_twist_angle,
     lindblad_pair_state,
@@ -147,8 +148,8 @@ def test_run_dmm_ideal(alpha):
     assert sum(res.p_outcomes.values()) == pytest.approx(1.0, abs=1e-12)
     assert np.trace(res.rho_pass.data).real == pytest.approx(1.0, abs=1e-10)
     # without cavity loss the dark amplitude survives untouched
-    assert res.alpha_dark[0] == pytest.approx(alpha, rel=1e-12)
-    assert res.alpha_dark[1] == pytest.approx(alpha, rel=1e-12)
+    for w in res.codewords:
+        assert w.basis.alpha == pytest.approx(alpha, rel=1e-12)
     assert res.bright_residual < 1e-4
 
 
@@ -163,7 +164,7 @@ def test_run_dmm_lossy_frozen():
     assert res.p_pass_projective == pytest.approx(0.36439196646309835, rel=1e-9)
     assert res.bell_fidelity == pytest.approx(0.9504215760171434, rel=1e-9)
     # deterministic T1 shrinkage over the exposure window
-    assert res.alpha_dark[0] == pytest.approx(1.4044377954352587, rel=1e-6)
+    assert res.codewords[0].basis.alpha == pytest.approx(1.4044377954352587, rel=1e-6)
     meas = protocol.run_dmm(check=VacuumCheckModel.from_measured(), dump_time="auto")
     assert meas.p_pass == pytest.approx(0.3563087844308063, rel=1e-9)
     assert meas.bell_fidelity == pytest.approx(0.9090903213248313, rel=1e-9)
@@ -179,15 +180,6 @@ def test_run_dmm_bus_loss_immunity():
         res = protocol.run_dmm(p, cavity_loss=False, dump_time="auto")
         fids.append(res.bell_fidelity)
     assert all(f >= 1 - 1e-6 for f in fids)
-
-
-def test_run_dmm_explicit_basis():
-    basis = (codes.LogicalBasis(1.2), codes.LogicalBasis(1.2))
-    res = protocol.run_dmm(
-        SystemParams(alpha=1.2), cavity_loss=False, dump_time="auto", basis=basis
-    )
-    assert tuple(w.basis for w in res.codewords) == basis
-    assert res.bell_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 _CHECKS = {"measured": VacuumCheckModel.from_measured(), "ideal": VacuumCheckModel.ideal()}
@@ -210,29 +202,20 @@ def test_alpha_sweep_matches_the_herald_propagated_at_each_alpha(check, cavity_l
         assert_allclose(alpha_dark[k], want[2], rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("check", sorted(_CHECKS))
-def test_run_dmm_twisted_basis_matches_the_herald_propagated_at_its_alpha(check):
-    """An explicit, Kerr-twisted and rotated basis on both cavities."""
-    basis = (codes.LogicalBasis(1.3, theta_k=0.05, theta_r=-0.3),
-             codes.LogicalBasis(1.35, theta_k=-0.02, theta_r=0.4))
-    params = SystemParams(alpha=1.4)
-    res = protocol.run_dmm(params, check=_CHECKS[check], basis=basis)
-    p_pass, fidelity, alpha_dark = herald_by_stages(params, _CHECKS[check], basis=basis)
-    assert res.p_pass == pytest.approx(p_pass, rel=1e-13, abs=0)
-    assert res.bell_fidelity == pytest.approx(fidelity, rel=1e-13, abs=0)
-    assert_allclose(res.alpha_dark, alpha_dark, rtol=1e-13, atol=0)
-
-
 @pytest.mark.parametrize("alphas", [[1.0, -0.5], [1.0, math.nan], [[1.0]]])
 def test_alpha_sweep_rejects_alphas_that_are_no_amplitudes(alphas):
     with pytest.raises(ValueError, match="alphas"):
         protocol.alpha_sweep(SystemParams(), alphas)
 
 
-@pytest.mark.parametrize("dump_time", [-1e-6, math.inf, math.nan])
+@pytest.mark.parametrize("dump_time", [1e-6, 0.0, -1e-6, math.inf, math.nan, "fixed"])
 def test_run_dmm_rejects_bad_dump_time(dump_time):
-    with pytest.raises(ValueError, match="dump_time"):
+    """dump_time is None (params.t_dump) or "auto"; a number is refused
+    with a pointer to t_dump, in the herald and in the sweep alike."""
+    with pytest.raises(ValueError, match="dump_time.*t_dump"):
         protocol.run_dmm(dump_time=dump_time)
+    with pytest.raises(ValueError, match="dump_time.*t_dump"):
+        protocol.alpha_sweep(SystemParams(), [1.0], dump_time=dump_time)
 
 
 @pytest.mark.parametrize("engine", ["coherent", "lindblad"])
@@ -248,55 +231,45 @@ def test_run_dmm_kerr_needs_lindblad():
         protocol.run_dmm(include_kerr=True)
 
 
-# every alpha at the small truncations over the full product of check,
-# cavity loss and basis; the 1600 x 1600 pair matrices of dims (40, 16, 40)
-# only with the measured check and cavity loss, in both bases, and so the
-# unequal dims (8, 4, 10) at the reference alpha
+# every alpha at the small truncations over the full product of check and
+# cavity loss; the 1600 x 1600 pair matrices of dims (40, 16, 40) only with
+# the measured check and cavity loss, and so the unequal dims (8, 4, 10) at
+# the reference alpha
 _HERALD_ALPHAS = (0.3, 1.0, math.sqrt(2), 2.5)
 _HERALD_CASES = [
     *itertools.product(
-        _HERALD_ALPHAS, [(12, 16, 12), (3, 2, 5)], ["measured", "ideal"], [True, False],
-        [False, True],
+        _HERALD_ALPHAS, [(12, 16, 12), (3, 2, 5)], ["measured", "ideal"], [True, False]
     ),
-    *itertools.product(_HERALD_ALPHAS, [(40, 16, 40)], ["measured"], [True], [False, True]),
-    *itertools.product([math.sqrt(2)], [(8, 4, 10)], ["measured"], [True], [False, True]),
+    *itertools.product(_HERALD_ALPHAS, [(40, 16, 40)], ["measured"], [True]),
+    *itertools.product([math.sqrt(2)], [(8, 4, 10)], ["measured"], [True]),
 ]
 
 
 def _herald_case_id(case):
-    """alpha, then what differs from dims (12, 16, 12), the measured check,
-    cavity loss and the auto basis."""
-    alpha, dims, check, cavity_loss, twisted = case
+    """alpha, then what differs from dims (12, 16, 12), the measured check
+    and cavity loss."""
+    alpha, dims, check, cavity_loss = case
     return "-".join(
         [str(alpha)]
         + ["x".join(map(str, dims))] * (dims != (12, 16, 12))
         + ["ideal"] * (check == "ideal")
         + ["lossless"] * (not cavity_loss)
-        + ["twisted"] * twisted
     )
 
 
 @pytest.mark.parametrize(
-    "alpha, dims, check, cavity_loss, twisted",
-    _HERALD_CASES,
-    ids=map(_herald_case_id, _HERALD_CASES),
+    "alpha, dims, check, cavity_loss", _HERALD_CASES, ids=map(_herald_case_id, _HERALD_CASES)
 )
-def test_run_dmm_coherent_matches_materialized_vacuum_check(
-    alpha, dims, check, cavity_loss, twisted
-):
+def test_run_dmm_coherent_matches_materialized_vacuum_check(alpha, dims, check, cavity_loss):
     """The weighted fold of the coherent engine's pair state is the vacuum
     check applied, projector by projector, to the materialized pair; the
     Bell fidelity read from 4x4 Gram matrices is <B|rho_gg|B> of that
-    materialized state, in the auto basis or a Kerr-twisted, rotated one.
-    The codewords handed off are those of the basis used at each cavity's
-    truncation, and their Bell ket scores ``rho_pass`` at ``bell_fidelity``."""
+    materialized state.  The codewords handed off are those of each
+    cavity's surviving dark amplitude at its truncation, and their Bell ket
+    scores ``rho_pass`` at ``bell_fidelity``."""
     params = SystemParams(dims=dims).with_(alpha=alpha)
     check = {"ideal": VacuumCheckModel.ideal, "measured": VacuumCheckModel.from_measured}[check]()
-    basis = "auto"
-    if twisted:
-        basis = (codes.LogicalBasis(0.97 * alpha, theta_k=0.05, theta_r=-0.3),
-                 codes.LogicalBasis(0.95 * alpha, theta_k=-0.02, theta_r=0.4))
-    res = protocol.run_dmm(params, check=check, cavity_loss=cavity_loss, basis=basis)
+    res = protocol.run_dmm(params, check=check, cavity_loss=cavity_loss)
     gammas = (params.gamma_cavity[0], params.kappa_ang, params.gamma_cavity[1])
     if not cavity_loss:
         gammas = (0.0, params.kappa_ang, 0.0)
@@ -314,7 +287,7 @@ def test_run_dmm_coherent_matches_materialized_vacuum_check(
     _, states, sectors = vacuum_check(pair, (d1, d2), check)
     assert sectors.min() > 1e-4  # every sector reaches the gg state
     rho_gg = states["gg"]
-    _assert_codewords(res, (d1, d2), basis)
+    _assert_codewords(res, (d1, d2), np.abs(z[1, [0, 2]]))  # the dark component (a, 0, -a)
     bell = codes.bell_state(*res.codewords)
     fidelity = np.real(bell.conj() @ rho_gg @ bell) / np.real(np.trace(rho_gg))
     assert res.bell_fidelity == pytest.approx(fidelity, rel=1e-12, abs=0)
@@ -326,15 +299,15 @@ def test_run_dmm_coherent_matches_materialized_vacuum_check(
     )
 
 
-def _assert_codewords(res, dims, basis):
-    """``res.codewords`` are the codewords of ``basis`` ("auto": the cat
-    amplitudes of ``res.alpha_dark``) at the cavity truncations ``dims``."""
-    if basis == "auto":
-        basis = tuple(codes.LogicalBasis(a) for a in res.alpha_dark)
-    assert tuple(w.basis for w in res.codewords) == basis
+def _assert_codewords(res, dims, alpha_dark):
+    """``res.codewords`` are the codewords, untwisted and unrotated, of each
+    cavity's surviving dark amplitude, ``alpha_dark`` to 1e-12, at the
+    cavity truncations ``dims``."""
     assert tuple(w.dim for w in res.codewords) == dims
-    for w, b, d in zip(res.codewords, basis, dims):
-        expected = b.codewords(d)
+    assert_allclose([w.basis.alpha for w in res.codewords], alpha_dark, rtol=1e-12, atol=0)
+    for w, d in zip(res.codewords, dims):
+        expected = codes.LogicalBasis(w.basis.alpha).codewords(d)
+        assert w.basis == expected.basis
         assert np.array_equal(w.plus, expected.plus) and np.array_equal(w.minus, expected.minus)
 
 
@@ -376,10 +349,10 @@ def test_run_dmm_engine_cross_check():
 def test_run_dmm_self_kerr():
     """Self-Kerr in the dump window twists the cats and costs Bell fidelity.
 
-    Zero Kerr changes nothing.  Decoding in the basis twisted by the
-    free-Kerr angle of the dump window wins most of the loss back; the rest
-    is Kerr acting while the exchange with the bus runs, which a twist of
-    the basis cannot undo.
+    Zero Kerr changes nothing.  Scoring the pair in the basis twisted by
+    the free-Kerr angle of the dump window wins most of the loss back; the
+    rest is Kerr acting while the exchange with the bus runs, which a twist
+    of the basis cannot undo.
     """
     p = SystemParams(alpha=0.8, dims=(6, 4, 6))
     plain = protocol.run_dmm(p, engine="lindblad")
@@ -388,18 +361,15 @@ def test_run_dmm_self_kerr():
     kerr = protocol.run_dmm(p, engine="lindblad", include_kerr=True)
     assert plain.bell_fidelity == pytest.approx(0.969, abs=1e-3)
     assert kerr.bell_fidelity == pytest.approx(0.912, abs=1e-3)
-    basis = tuple(
-        codes.LogicalBasis(a, theta_k=kerr_twist_angle(k, kerr.t_dump))
-        for a, k in zip(kerr.alpha_dark, p.kerr)
-    )
-    twisted = protocol.run_dmm(p, engine="lindblad", include_kerr=True, basis=basis)
-    assert twisted.p_outcomes == kerr.p_outcomes
-    assert twisted.bell_fidelity == pytest.approx(0.946, abs=1e-3)
+    twisted = [
+        codes.LogicalBasis(w.basis.alpha, theta_k=kerr_twist_angle(k, kerr.t_dump)).codewords(w.dim)
+        for w, k in zip(kerr.codewords, p.kerr)
+    ]
+    bell = codes.bell_state(*twisted)
+    assert np.real(bell.conj() @ kerr.rho_pass.data @ bell) == pytest.approx(0.946, abs=1e-3)
 
 
 _SMALL = SystemParams(alpha=0.5, dims=(4, 3, 4))
-_TWISTED = (codes.LogicalBasis(0.45, theta_k=0.1, theta_r=-0.2),
-            codes.LogicalBasis(0.48, theta_k=-0.05, theta_r=0.3))
 
 
 @pytest.mark.parametrize(
@@ -409,16 +379,16 @@ _TWISTED = (codes.LogicalBasis(0.45, theta_k=0.1, theta_r=-0.2),
         (_SMALL, {"cavity_loss": False}),
         (_SMALL.with_(kappa_b=0.0), {}),
         (_SMALL, {"include_kerr": True}),
-        (_SMALL, {"dump_time": 0.0}),
+        (_SMALL.with_(t_dump=0.0), {}),
         (_SMALL, {"check": VacuumCheckModel.from_measured()}),
         (_SMALL.with_(dims=(6, 3, 4)), {}),
-        (_SMALL.with_(dims=(6, 3, 4)), {"basis": _TWISTED}),
     ],
 )
 def test_run_dmm_lindblad_matches_three_window_master_equation(params, kw):
     """Kraus maps for the pump and post windows reproduce the master equation
     solved through all three windows on the full space; the codewords
-    handed off are those of the basis used at each cavity's truncation."""
+    handed off are those of each cavity's amplitude after its T1 decay over
+    the exposure, at its truncation."""
     res = protocol.run_dmm(params, engine="lindblad", **kw)
     t_post = max(params.t_protocol - params.t_pump - res.t_dump, 0.0)
     pair = lindblad_pair_state(
@@ -433,7 +403,9 @@ def test_run_dmm_lindblad_matches_three_window_master_equation(params, kw):
     for o in protocol.OUTCOMES:
         assert res.p_outcomes[o] == pytest.approx(p_out[o], abs=1e-12)
     assert_allclose(res.rho_pass.data, states["gg"], rtol=0, atol=1e-12)
-    _assert_codewords(res, dims, kw.get("basis", "auto"))
+    t_exposed = max(params.t_protocol, params.t_pump + res.t_dump)
+    gammas = params.gamma_cavity if kw.get("cavity_loss", True) else (0.0, 0.0)
+    _assert_codewords(res, dims, [params.alpha * math.exp(-g * t_exposed / 2) for g in gammas])
     bell = codes.bell_state(*res.codewords)
     fid = np.real(bell.conj() @ states["gg"] @ bell)
     assert res.bell_fidelity == pytest.approx(fid, abs=1e-12)
@@ -442,8 +414,8 @@ def test_run_dmm_lindblad_matches_three_window_master_equation(params, kw):
     )
 
 
-@pytest.mark.parametrize("dump_time, solves", [(None, 1), (0.0, 0)])
-def test_run_dmm_lindblad_solves_only_the_dump_window(monkeypatch, dump_time, solves):
+@pytest.mark.parametrize("t_dump, solves", [(_SMALL.t_dump, 1), (0.0, 0)])
+def test_run_dmm_lindblad_solves_only_the_dump_window(monkeypatch, t_dump, solves):
     calls = []
     evolve = dynamics.lindblad_evolve
 
@@ -452,19 +424,18 @@ def test_run_dmm_lindblad_solves_only_the_dump_window(monkeypatch, dump_time, so
         return evolve(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "lindblad_evolve", counted)
-    res = protocol.run_dmm(_SMALL, engine="lindblad", dump_time=dump_time)
+    res = protocol.run_dmm(_SMALL.with_(t_dump=t_dump), engine="lindblad")
     assert calls == [res.t_dump] * solves
 
 
 def test_run_dmm_lindblad_basis_covers_a_long_dump():
     """With the dump running past t_protocol the cavities decay for
     t_pump + t_dump, and the auto basis shrinks alpha over that time."""
-    res = protocol.run_dmm(_SMALL, engine="lindblad", dump_time=6e-6)
+    res = protocol.run_dmm(_SMALL.with_(t_dump=6e-6), engine="lindblad")
     t_exposed = _SMALL.t_pump + 6e-6
     assert t_exposed > _SMALL.t_protocol
     expected = [_SMALL.alpha * math.exp(-g * t_exposed / 2) for g in _SMALL.gamma_cavity]
-    assert_allclose(res.alpha_dark, expected, rtol=1e-14)
-    assert res.alpha_dark == tuple(w.basis.alpha for w in res.codewords)
+    assert_allclose([w.basis.alpha for w in res.codewords], expected, rtol=1e-14)
 
 
 def test_run_dmm_lindblad_ignores_global_rng():
@@ -846,7 +817,7 @@ def _dual_rail_pair_master_equation(kappa_b, t_final):
     h, c_ops = dynamics.network_operators(
         dynamics.coupling_matrix(160e3), (0.0, 2 * math.pi * kappa_b, 0.0), dims
     )
-    psi0 = product_ket(dims, {"cav1": hilbert.fock(2, 1)})
+    psi0 = product_ket(dims, {"cav1": fock(2, 1)})
     rho = dynamics.lindblad_evolve(h, c_ops, psi0, t_final).final
     return hilbert.partial_trace(rho, dims, [0, 2])
 

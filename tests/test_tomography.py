@@ -14,6 +14,7 @@ from darkbus.tomography import WignerData, WignerGrid
 from oracles import (
     cat,
     displaced_parity,
+    fock,
     kernel_stack,
     kernel_triangle_scipy,
     kerr_twist_angle,
@@ -143,14 +144,14 @@ def test_forward_map_and_adjoint_match_trace():
 
 def test_wigner_vacuum():
     grid = WignerGrid.default(1.5, 0.25)
-    w = tomography.wigner_map(hilbert.fock(12, 0), grid)
+    w = tomography.wigner_map(fock(12, 0), grid)
     b = grid.betas.reshape(grid.shape)
     assert_allclose(w, np.exp(-2 * np.abs(b) ** 2), atol=1e-12)
 
 
 def test_wigner_fock1():
     grid = WignerGrid.default(1.5, 0.25)
-    w = tomography.wigner_map(hilbert.fock(12, 1), grid)
+    w = tomography.wigner_map(fock(12, 1), grid)
     b2 = np.abs(grid.betas.reshape(grid.shape)) ** 2
     assert_allclose(w, (4 * b2 - 1) * np.exp(-2 * b2), atol=1e-12)
 
