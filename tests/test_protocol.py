@@ -231,42 +231,51 @@ def test_run_dmm_kerr_needs_lindblad():
         protocol.run_dmm(include_kerr=True)
 
 
-# every alpha at the small truncations over the full product of check and
-# cavity loss; the 1600 x 1600 pair matrices of dims (40, 16, 40) only with
-# the measured check and cavity loss, and so the unequal dims (8, 4, 10) at
-# the reference alpha
+# every alpha at the small truncations over the full product of check,
+# cavity loss and scoring basis; the 1600 x 1600 pair matrices of dims
+# (40, 16, 40) only with the measured check and cavity loss, in both bases,
+# and so the unequal dims (8, 4, 10) at the reference alpha
 _HERALD_ALPHAS = (0.3, 1.0, math.sqrt(2), 2.5)
 _HERALD_CASES = [
     *itertools.product(
-        _HERALD_ALPHAS, [(12, 16, 12), (3, 2, 5)], ["measured", "ideal"], [True, False]
+        _HERALD_ALPHAS, [(12, 16, 12), (3, 2, 5)], ["measured", "ideal"], [True, False],
+        [False, True],
     ),
-    *itertools.product(_HERALD_ALPHAS, [(40, 16, 40)], ["measured"], [True]),
-    *itertools.product([math.sqrt(2)], [(8, 4, 10)], ["measured"], [True]),
+    *itertools.product(_HERALD_ALPHAS, [(40, 16, 40)], ["measured"], [True], [False, True]),
+    *itertools.product([math.sqrt(2)], [(8, 4, 10)], ["measured"], [True], [False, True]),
 ]
 
 
 def _herald_case_id(case):
-    """alpha, then what differs from dims (12, 16, 12), the measured check
-    and cavity loss."""
-    alpha, dims, check, cavity_loss = case
+    """alpha, then what differs from dims (12, 16, 12), the measured check,
+    cavity loss and scoring in the auto basis only."""
+    alpha, dims, check, cavity_loss, twisted = case
     return "-".join(
         [str(alpha)]
         + ["x".join(map(str, dims))] * (dims != (12, 16, 12))
         + ["ideal"] * (check == "ideal")
         + ["lossless"] * (not cavity_loss)
+        + ["twisted"] * twisted
     )
 
 
 @pytest.mark.parametrize(
-    "alpha, dims, check, cavity_loss", _HERALD_CASES, ids=map(_herald_case_id, _HERALD_CASES)
+    "alpha, dims, check, cavity_loss, twisted",
+    _HERALD_CASES,
+    ids=map(_herald_case_id, _HERALD_CASES),
 )
-def test_run_dmm_coherent_matches_materialized_vacuum_check(alpha, dims, check, cavity_loss):
+def test_run_dmm_coherent_matches_materialized_vacuum_check(
+    alpha, dims, check, cavity_loss, twisted
+):
     """The weighted fold of the coherent engine's pair state is the vacuum
     check applied, projector by projector, to the materialized pair; the
     Bell fidelity read from 4x4 Gram matrices is <B|rho_gg|B> of that
     materialized state.  The codewords handed off are those of each
     cavity's surviving dark amplitude at its truncation, and their Bell ket
-    scores ``rho_pass`` at ``bell_fidelity``."""
+    scores ``rho_pass`` at ``bell_fidelity``.  A pair scored in a
+    Kerr-twisted, rotated basis is scored from ``rho_pass`` (as
+    ``tomography.optimize_basis`` does), and there too it matches the
+    materialized pair."""
     params = SystemParams(dims=dims).with_(alpha=alpha)
     check = {"ideal": VacuumCheckModel.ideal, "measured": VacuumCheckModel.from_measured}[check]()
     res = protocol.run_dmm(params, check=check, cavity_loss=cavity_loss)
@@ -297,6 +306,15 @@ def test_run_dmm_coherent_matches_materialized_vacuum_check(alpha, dims, check, 
     assert res.bell_fidelity == pytest.approx(
         np.real(bell.conj() @ res.rho_pass.data @ bell), rel=1e-12, abs=0
     )
+    if twisted:
+        bell = codes.bell_state(
+            codes.LogicalBasis(0.97 * alpha, theta_k=0.05, theta_r=-0.3).codewords(d1),
+            codes.LogicalBasis(0.95 * alpha, theta_k=-0.02, theta_r=0.4).codewords(d2),
+        )
+        fidelity = np.real(bell.conj() @ rho_gg @ bell) / np.real(np.trace(rho_gg))
+        assert np.real(bell.conj() @ res.rho_pass.data @ bell) == pytest.approx(
+            fidelity, rel=1e-12, abs=0
+        )
 
 
 def _assert_codewords(res, dims, alpha_dark):
