@@ -25,11 +25,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -197,32 +199,62 @@ def _herald(opts: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# np.unique's ~15 us pays back from about 64 rows of values each repeated twice
+_DEDUP_ROWS = 64
+# rows joined into one write: the text of a long table is never held whole
+_CHUNK_ROWS = 1024
+
+
+def _cells(a: np.ndarray) -> Iterable[str]:
+    """The text of each value of ``a`` in order, ``str`` of what ``tolist()``
+    gives.  A long float64 column formats each distinct bit pattern once, so
+    -0.0 and 0.0 stay apart and so does each NaN payload."""
+    if a.dtype != np.float64 or a.ndim != 1 or a.size < _DEDUP_ROWS:
+        return map(str, a.tolist())
+    bits, where = np.unique(a.view(np.uint64), return_inverse=True)
+    return np.array(list(map(str, bits.view(np.float64).tolist())), dtype=object)[where]
+
+
+def _csv_pieces(header, columns: list[Iterable[str]]) -> Iterator[str]:
+    """The CSV text of ``columns`` under ``header``: the header line, then
+    the rows, at most ``_CHUNK_ROWS`` to a piece."""
+    yield ",".join(header) + "\n"
+    rows = map(",".join, zip(*columns))
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        yield "\n".join(chunk) + "\n"
+
+
 class RunContext:
     def __init__(self, out_dir: Path, seed: int):
         self.out = out_dir
         self.seed = seed
-        self.outputs: list[str] = []
+        self.outputs: dict[str, str] = {}  # the SHA-256 of each file's bytes, by name
 
     def write_csv(self, name: str, table: dict) -> Path:
         """Write ``table``, ``{column name: values}``, under a header of its
         keys in key order.  Every column holds one value per row, so a
         one-row table passes one-element lists and a table without rows
-        writes the header alone.  A cell is ``str`` of the Python value
-        ``tolist()`` gives, so a float is its shortest repr."""
-        cells = [map(str, np.asarray(c).tolist()) for c in table.values()]
-        path = self.out / name
-        with open(path, "w") as f:
-            f.write(",".join(table) + "\n")
-            for row in zip(*cells, strict=True):
-                f.write(",".join(row) + "\n")
-        self.outputs.append(name)
-        print(f"wrote {path}")
-        return path
+        writes the header alone; a ragged table raises ``ValueError`` before
+        any file is opened.  A cell is ``str`` of the Python value
+        ``tolist()`` gives, so a float is its shortest repr; the distinct
+        floats of a long float64 column are formatted once each."""
+        arrays = [np.asarray(c) for c in table.values()]
+        lengths = {key: len(a) for key, a in zip(table, arrays)}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"{name}: columns of unequal length {lengths}")
+        return self.write_text(name, _csv_pieces(table, [_cells(a) for a in arrays]))
 
-    def write_text(self, name: str, text: str) -> Path:
+    def write_text(self, name: str, pieces: Iterable[str]) -> Path:
+        """Write the strings ``pieces``, one after another, as UTF-8 and
+        record the SHA-256 of the bytes written."""
+        digest = hashlib.sha256()
         path = self.out / name
-        path.write_text(text)
-        self.outputs.append(name)
+        with open(path, "wb") as f:
+            for piece in pieces:
+                data = piece.encode()
+                f.write(data)
+                digest.update(data)
+        self.outputs[name] = digest.hexdigest()
         print(f"wrote {path}")
         return path
 
@@ -585,7 +617,7 @@ def main(argv=None) -> int:
         ctx = RunContext(out_dir, args.seed)
         summary = runner(params, opts, ctx)
         if args.gnuplot and args.command in PLOTS:
-            ctx.write_text("plot.gp", _PLOT_PREAMBLE + PLOTS[args.command])
+            ctx.write_text("plot.gp", [_PLOT_PREAMBLE, PLOTS[args.command]])
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -596,9 +628,6 @@ def main(argv=None) -> int:
         print(f"numerical failure in {args.command}: {e}", file=sys.stderr)
         return 3
 
-    digests = {}
-    for name in ctx.outputs:
-        digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
     manifest = {
         "command": args.command,
         "seed": args.seed,
@@ -606,8 +635,8 @@ def main(argv=None) -> int:
         "config": args.config,
         "params": dataclasses.asdict(params),
         "options": opts,
-        "outputs": ctx.outputs,
-        "sha256": digests,
+        "outputs": list(ctx.outputs),
+        "sha256": ctx.outputs,
         "summary": summary,
         "elapsed_s": round(time.time() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

@@ -26,7 +26,8 @@ kernels from its Laguerre polynomials and log-gamma (and the full kernel
 matrices assembled from the library's triangle), the root and
 bounded-minimum searches, and Nelder-Mead.  PyYAML's pure-Python safe
 loader, with the CLI's YAML 1.2 float resolver, is the reference for the
-CLI's libyaml-based config loader.
+CLI's libyaml-based config loader, and a writer that formats every cell
+on its own, row by row, is the reference for the CLI's CSV text.
 """
 
 from __future__ import annotations
@@ -57,6 +58,17 @@ class PyConfigLoader(yaml.SafeLoader):
 
 
 PyConfigLoader.add_implicit_resolver(*cli._YAML12_FLOAT)
+
+
+def csv_text(table: dict) -> str:
+    """The text ``RunContext.write_csv`` writes for ``table``, one row at a
+    time: the header of its keys, then each row's cells joined by commas, a
+    cell ``str`` of the value ``tolist()`` gives."""
+    cells = [map(str, np.asarray(c).tolist()) for c in table.values()]
+    lines = [",".join(table) + "\n"]
+    for row in zip(*cells, strict=True):
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
 
 
 def fock(dim: int, n: int) -> np.ndarray:

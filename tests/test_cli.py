@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from oracles import PyConfigLoader
+from oracles import PyConfigLoader, csv_text
 
 import darkbus
 from darkbus import cli, codes, protocol
@@ -106,7 +106,8 @@ SCHEMAS = {
 def test_csv_schema_is_fixed_per_command(tmp_path, command):
     """At its defaults with --gnuplot, each command writes exactly its files,
     in order, each CSV under its fixed header; plot.gp, where there is one,
-    plots a CSV of the same run and is listed and hashed in the manifest."""
+    plots a CSV of the same run.  The manifest lists and hashes every file,
+    each digest that of the bytes on disk."""
     out = tmp_path / "o"
     assert run([command, "--gnuplot", "--out", out]) == 0
     files = SCHEMAS[command]
@@ -115,7 +116,9 @@ def test_csv_schema_is_fixed_per_command(tmp_path, command):
     assert set(m["sha256"]) == set(files)
     assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json"])
     for name, header in files.items():
-        text = (out / name).read_text()
+        data = (out / name).read_bytes()
+        assert m["sha256"][name] == hashlib.sha256(data).hexdigest(), name
+        text = data.decode()
         if name == "plot.gp":
             assert text.startswith("set datafile separator ','\nset key autotitle columnhead\n")
             assert f"'{header}'" in text
@@ -188,9 +191,35 @@ def cell_text(x) -> str:
     return repr(float(x))
 
 
+def _nan(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+# float64 values whose text is easy to get wrong when equal texts are shared:
+# both zeros, NaNs of either sign and of other payloads, the infinities,
+# subnormals and the largest double
+_SPECIAL = np.array(
+    [0.0, -0.0, np.nan, -np.nan, _nan(0x7FF8_0000_0000_0ABC), _nan(0x7FF0_0000_0000_0001),
+     np.inf, -np.inf, 5e-324, 1e-310, 1.7976931348623157e308, 0.1, -1 / 3, 1e22, 2.5e-7]
+)
+
+
+def _float_columns(n_rows: int) -> list:
+    """float64 columns of ``n_rows`` values: the special values repeated
+    in shuffled order, and the same in a strided view."""
+    rng = np.random.default_rng(n_rows)
+    repeated = rng.permutation(np.resize(_SPECIAL, n_rows))
+    return [repeated, np.repeat(repeated, 2)[::2]]
+
+
 def test_csv_cells_are_the_text_of_each_value(tmp_path):
     """Each column of ``write_csv``, whether an array of any dtype or a list
-    of scalars, holds cell by cell the text of its value."""
+    of scalars, holds cell by cell the text of its value.  The float64
+    columns of at least ``cli._DEDUP_ROWS`` rows, whose distinct values are
+    formatted once each, are checked with heavy repeats, all-distinct values
+    and the special values, at the floor, just below it and well above it,
+    and across whole pieces of ``cli._CHUNK_ROWS`` rows."""
+    floor = cli._DEDUP_ROWS
     columns = [
         np.array([0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan]),
         np.array([0.1, 3.5, -2e-8], dtype=np.float32),
@@ -200,11 +229,62 @@ def test_csv_cells_are_the_text_of_each_value(tmp_path):
         np.array(["critical", "x"]),
         [1, 2.5, True, np.float64(0.3), np.int64(4), "s", np.bool_(False)],
         (),
+        *_float_columns(floor - 1),
+        *_float_columns(floor),
+        *_float_columns(40 * floor),
+        np.random.default_rng(0).standard_normal(3 * floor) * 1e-6,
+        np.linspace(0.0, 1.0, 2 * cli._CHUNK_ROWS).tolist(),
     ]
     ctx = cli.RunContext(tmp_path, seed=0)
     for values in columns:
         text = ctx.write_csv("c.csv", {"c": values}).read_text()
-        assert text.splitlines() == ["c", *(cell_text(x) for x in values)]
+        assert text == "".join(f"{cell}\n" for cell in ["c", *map(cell_text, values)])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [{"a": [1.0, 2.0], "b": [3.0]}, {"a": np.zeros(100), "b": np.arange(99.0)}],
+    ids=["short", "long-float"],
+)
+def test_ragged_table_writes_nothing(tmp_path, table):
+    """A table whose columns differ in length raises ValueError before its
+    file is opened: no partial CSV is left on disk and nothing is recorded."""
+    ctx = cli.RunContext(tmp_path, seed=0)
+    ctx.write_csv("kept.csv", {"a": [1.0]})
+    with pytest.raises(ValueError):
+        ctx.write_csv("ragged.csv", table)
+    assert not (tmp_path / "ragged.csv").exists()
+    assert list(ctx.outputs) == ["kept.csv"]
+
+
+def test_csv_bytes_match_the_row_by_row_writer(tmp_path, monkeypatch):
+    """The CSVs of phase-sweep, on the benchmark's 73 x 121 grid, and of
+    tomo-demo, at its defaults, hold byte for byte what a writer that formats
+    every cell on its own writes.  phase-sweep's table is rebuilt from
+    ``protocol.phase_sweep``; tomo-demo's tables are those it passes to
+    ``write_csv``."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("phase-sweep:\n  n_phi: 73\n  n_times: 121\n")
+    assert run(["phase-sweep", "--config", cfg, "--out", tmp_path / "ps"]) == 0
+    params = SystemParams()
+    phis, times = np.linspace(0.0, 2 * math.pi, 73), np.linspace(0.0, 8e-6, 121)
+    p_fail = protocol.phase_sweep(params.alpha, phis, times, params.g_bs, params.kappa_b)
+    table = {"phi_rad": np.repeat(phis, times.size), "time_s": np.tile(times, phis.size),
+             "p_fail": p_fail.ravel()}
+    assert (tmp_path / "ps" / "phase_sweep.csv").read_bytes() == csv_text(table).encode()
+
+    tables = {}
+    write_csv = cli.RunContext.write_csv
+
+    def recorded(ctx, name, table):
+        tables[name] = table
+        return write_csv(ctx, name, table)
+
+    monkeypatch.setattr(cli.RunContext, "write_csv", recorded)
+    assert run(["tomo-demo", "--out", tmp_path / "tomo"]) == 0
+    assert set(tables) == {"wigner_ideal.csv", "wigner_sampled.csv"}
+    for name, table in tables.items():
+        assert (tmp_path / "tomo" / name).read_bytes() == csv_text(table).encode(), name
 
 
 def test_regimes_far_overdamped_bus(tmp_path):
