@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -381,6 +382,17 @@ def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     return {"favg": out["favg"], "resource_fidelity": res.bell_fidelity}
 
 
+def _require_memory(nbytes: int, what: str) -> None:
+    """Raise MemoryError, before anything is allocated, when ``what`` needs
+    more bytes than the machine's physical memory (when the OS reports it)."""
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: numpy's own refusal remains
+        return
+    if nbytes > total:
+        raise MemoryError(f"{what} needs {nbytes:.3g} bytes, physical memory is {total:.3g}")
+
+
 def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     shots = opts["shots"]
     res = protocol.run_dmm(params, **_herald(opts))
@@ -389,6 +401,8 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     p_plus = float(np.real(np.trace(rho1)))
     rho1 = rho1 / np.trace(rho1)
 
+    n = tomography.WignerGrid.axis_points(opts["extent"], opts["step"])
+    _require_memory(n * n * w1.dim**2 * 8, "its Wigner forward map")
     grid = tomography.WignerGrid.default(opts["extent"], opts["step"])
     forward = tomography._ForwardMap(w1.dim, grid.betas)  # one kernel build: map and fit
     w = forward(rho1).reshape(grid.shape)

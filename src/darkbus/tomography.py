@@ -48,10 +48,14 @@ class WignerGrid:
         object.__setattr__(self, "re_beta", np.atleast_1d(np.asarray(self.re_beta, float)))
         object.__setattr__(self, "im_beta", np.atleast_1d(np.asarray(self.im_beta, float)))
 
+    @staticmethod
+    def axis_points(extent: float, step: float) -> int:
+        """Points on each axis of :meth:`default`'s grid."""
+        return int(round(2 * extent / step)) + 1
+
     @classmethod
     def default(cls, extent: float = 2.0, step: float = 0.1) -> "WignerGrid":
-        n = int(round(2 * extent / step)) + 1
-        ax = np.linspace(-extent, extent, n)
+        ax = np.linspace(-extent, extent, cls.axis_points(extent, step))
         return cls(ax, ax.copy())
 
     @property

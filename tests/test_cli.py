@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -851,23 +852,37 @@ def test_dual_rail_unconverged_is_numerical_failure(tmp_path, capsys):
          "error: transfer-efficiency asks for more memory than there is"),
         ("tomo-demo", "tomo-demo:\n  step: 1.0e-16\n", 2,
          "error: tomo-demo asks for more memory than there is"),
+        ("tomo-demo", "tomo-demo:\n  step: 1.0e-7\n", 2,
+         "error: tomo-demo asks for more memory than there is"),
         *[(command, "params:\n  kappa_b: 1.0e+300\n", 3, f"numerical failure in {command}")
           for command in ("transfer-efficiency", "dual-rail", "entangle")],
         ("regimes", "regimes:\n  kappas: [1.0e+300]\n", 3, "numerical failure in regimes"),
         ("regimes", "params:\n  g_bs: 1.0e+300\n", 3, "numerical failure in regimes"),
     ],
-    ids=["transfer-n_times", "tomo-demo-step", "transfer-kappa_b", "dual-rail-kappa_b",
+    ids=["transfer-n_times", "tomo-demo-step", "tomo-demo-step-1e-7", "transfer-kappa_b",
+         "dual-rail-kappa_b",
          "entangle-kappa_b", "regimes-kappas", "regimes-g_bs"],
 )
 def test_arithmetic_limits_end_in_an_exit_code(tmp_path, capsys, command, block, code, message):
     """An array numpy cannot allocate is a configuration error (exit 2), a
     float overflow a numerical failure (exit 3); either message names the
     command, there is no traceback and no CSV.  Every size here is refused
-    before anything is allocated."""
+    before anything is allocated.  tomo-demo checks its forward map's size
+    itself, so it peaks under 64 MB also where the request would fit in
+    memory piecemeal (at step 1e-7, two 4e7-point grid axes of 320 MB each
+    come before the 1.8e18-byte map); where numpy refuses, tracemalloc
+    counts the refused request, so the peak is not checked there."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text(block)
     out = tmp_path / "o"
-    assert run([command, "--config", cfg, "--out", out]) == code
+    tracemalloc.start()
+    try:
+        assert run([command, "--config", cfg, "--out", out]) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if command == "tomo-demo":
+        assert peak < 64 * 2**20
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not list(out.glob("*.csv"))
@@ -966,6 +981,39 @@ def test_every_command_reruns_byte_identical(tmp_path):
     assert manifests == {f.parent for f in files_a} == {a / run for run in tool["runs"]()}
     for fa, fb in zip(files_a, files_b):
         assert fa.read_bytes() == fb.read_bytes(), fa.relative_to(a)
+
+
+def test_cli_outputs_diff_names_each_moved_value(tmp_path, capsys, monkeypatch):
+    """``tools/cli_outputs.py --diff``: identical trees print nothing; one
+    edited CSV cell prints exactly that cell, within tolerance or marked
+    outside it, and a moved manifest value prints its key."""
+    tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"))
+    before, after = tmp_path / "before" / "run", tmp_path / "after" / "run"
+    for root in (before, after):
+        root.mkdir(parents=True)
+        (root / "out.csv").write_text("alpha,fidelity\n0.5,0.9742290461870651\n1.0,0.9\n")
+        (root / "manifest.json").write_text(
+            '{"summary": {"fidelity": 0.9}, "sha256": {"out.csv": "ab"}}'
+        )
+        (root / "plot.gp").write_text("plot 'out.csv'\n")
+
+    argv = ["cli_outputs.py", "--diff", str(before.parent), str(after.parent)]
+    monkeypatch.setattr(sys, "argv", argv)
+
+    def diff():
+        code = tool["main"]()
+        return code, capsys.readouterr().out.splitlines()
+
+    assert diff() == (0, [])
+    (after / "out.csv").write_text("alpha,fidelity\n0.5,0.9742290461870642\n1.0,0.9\n")
+    assert diff() == (0, ["run/out.csv fidelity row 0: 0.9742290461870651 -> 0.9742290461870642"])
+    (after / "out.csv").write_text("alpha,fidelity\n0.5,0.9742290461870651\n1.0,0.91\n")
+    assert diff() == (1, ["run/out.csv fidelity row 1: 0.9 -> 0.91" + tool["OUTSIDE"]])
+    (after / "out.csv").write_text("alpha,fidelity\n0.5,0.9742290461870651\n1.0,0.9\n")
+    (after / "manifest.json").write_text(
+        '{"summary": {"fidelity": 0.9000000001}, "sha256": {"out.csv": "cd"}}'
+    )
+    assert diff() == (0, ["run/manifest.json summary.fidelity: 0.9 -> 0.9000000001"])
 
 
 @pytest.mark.parametrize(

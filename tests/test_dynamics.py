@@ -21,6 +21,7 @@ from darkbus.dynamics import SystemParams
 from oracles import (
     auto_dump_time_brentq,
     coherent_trace,
+    diagonal_blocks,
     embed,
     expect,
     expect_trajectory,
@@ -333,6 +334,7 @@ def test_lindblad_preserves_trace_and_hermiticity():
     rho = res.final
     assert abs(np.trace(rho).real - 1.0) < 1e-8
     assert_allclose(rho, rho.conj().T, atol=1e-12)
+    assert np.array_equal(rho, rho.conj().T)
     assert np.linalg.eigvalsh(rho).min() > -1e-9
 
 
@@ -443,16 +445,23 @@ def test_lindblad_never_touches_the_global_rng(monkeypatch):
 
 def _apply_twice(k_op, cs, r):
     """The diagonal-by-diagonal action on r, then on its own result, with the
-    two buffers swapped as the Taylor loop swaps them."""
+    two buffers swapped as the Taylor loop swaps them.  The action takes a
+    Hermitian matrix, so a general r = A + iB, with A and B Hermitian, goes
+    through it as apply(A) + i apply(B); a Hermitian r has B = 0."""
     k_diagonals = dict(dynamics._diagonals(k_op))
     kd = k_diagonals.pop(0, np.zeros(len(k_op), dtype=complex))
     liou = dynamics._Liouvillian(
         kd, list(k_diagonals.items()), [dynamics._diagonals(c) for c in cs]
     )
     src, dst = liou.buffer(), liou.buffer()
-    liou.view(src)[...] = r
-    once = liou.apply(src, dst).copy()
-    return once, liou.apply(dst, src)
+
+    def twice(x):
+        liou.view(src)[...] = x
+        once = liou.apply(src, dst).copy()
+        return once, liou.apply(dst, src).copy()
+
+    (a1, a2), (b1, b2) = twice((r + r.conj().T) / 2), twice((r - r.conj().T) / 2j)
+    return a1 + 1j * b1, a2 + 1j * b2
 
 
 def _assert_matches_matrix_products(k_op, cs, r):
@@ -473,7 +482,8 @@ def _assert_matches_matrix_products(k_op, cs, r):
 def test_liouvillian_matches_sparse_products(dims, seed, kerr, hermitian):
     """K r + r K^dag + sum c r c^dag one diagonal at a time equals the same
     action by matrix products: random Hermitian couplings, some decay
-    rates 0, with and without self-Kerr, Hermitian and general r."""
+    rates 0, with and without self-Kerr, Hermitian and general r (the
+    latter as apply(A) + i apply(B) for r = A + iB)."""
     rng = np.random.default_rng(seed)
     n = len(dims)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -512,6 +522,107 @@ def test_lindblad_dense_operators_with_every_diagonal():
     assert_allclose(rho, liouvillian_evolve(h, [c], psi0, 0.5), rtol=0, atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    n_diagonals=st.integers(0, 5),
+)
+def test_blocks_are_connected_components(dim, seed, n_diagonals):
+    """Random sparsity patterns, one-sided diagonals included: the blocks are
+    scipy's connected components, numbered by lowest state, and positions
+    count the states of each block in order."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.choice(np.arange(1 - dim, dim), size=min(n_diagonals, 2 * dim - 1), replace=False)
+    diagonals = []
+    for o in offsets.tolist():
+        u = np.zeros(dim, dtype=complex)
+        u[max(-o, 0):dim - max(o, 0)] = rng.random(dim - abs(o)) < 0.4
+        diagonals.append((o, u))
+    block, position = dynamics._blocks(diagonals, dim)
+    assert np.array_equal(block, diagonal_blocks(diagonals, dim))
+    for b in range(block.max() + 1):
+        assert np.array_equal(position[block == b], np.arange(np.count_nonzero(block == b)))
+
+
+def test_two_norm_bound_stacks_blocks_by_size():
+    """One dense 60-state block among 340 single states: the bound matches the
+    SVD, and the stacks stay a few dim^2 entries (padding every block to 60
+    states would take 341 x 60^2 = 7.7 dim^2)."""
+    rng = np.random.default_rng(5)
+    dim, n = 400, 60
+    a = np.diag(rng.normal(size=dim)).astype(complex)
+    a[:n, :n] += rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    diagonals = dynamics._diagonals(a)
+    tracemalloc.start()
+    try:
+        got = dynamics._two_norm_bound(diagonals, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    exact = np.linalg.norm(a, 2)
+    assert exact * (1 - 1e-12) <= got <= exact * n ** (1 / 2048)
+    assert peak <= 4 * dim**2 * 16
+
+
+def _assert_step_bound_covers_the_superoperator(h, cs):
+    """The step bound is at least ||L - mu||_2 of the assembled dim^2 x dim^2
+    superoperator, and mu is its exact trace over dim^2.  Its ||K'||_2 part
+    is within the factor b^(1/2048) of the SVD's, for blocks of b states."""
+    mu, kd, k_off, c_diagonals = dynamics._generator(h, cs)
+    bound = dynamics._step_bound(kd, k_off, c_diagonals)
+    k_op = -1j * h - 0.5 * sum((c.conj().T @ c for c in cs), np.zeros_like(h))
+    act = lindblad_action(k_op, cs)
+    dim = len(h)
+    n = dim**2
+    superop = np.stack([act(e) for e in np.eye(n, dtype=complex)], axis=1)
+    assert mu == pytest.approx(np.trace(superop).real / n, rel=1e-12, abs=1e-12)
+    exact = np.linalg.norm(superop - mu * np.eye(n), 2)
+    assert exact <= bound * (1 + 1e-12)
+
+    k_norm = np.linalg.norm(k_op - mu / 2 * np.eye(dim), 2)
+    diagonals = [(0, kd), *k_off]
+    b = dynamics._blocks(diagonals, dim)[1].max() + 1
+    got = dynamics._two_norm_bound(diagonals, dim)
+    assert k_norm * (1 - 1e-12) <= got <= k_norm * b ** (1 / 2048) * (1 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=3).filter(
+        lambda d: math.prod(d) <= 30
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    kerr=st.booleans(),
+)
+def test_step_bound_covers_the_exact_two_norm(dims, seed, kerr):
+    """2 ||K'||_2 + sum ||c||_1 ||c||_inf >= ||L - mu||_2 on random networks:
+    Hermitian couplings, some decay rates 0, with and without self-Kerr.
+    Each mode goes up to 5 levels, the whole space up to 30, where the
+    superoperator is a 900 x 900 matrix."""
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    gammas = rng.uniform(0.1, 2.0, n) * (rng.random(n) < 0.6)
+    h, c_ops = dynamics.network_operators(a + a.conj().T, gammas, dims)
+    if kerr:
+        for k, d in enumerate(dims):
+            m = np.arange(d)
+            h = h + dynamics._on_modes(dims, {k: np.diag(rng.normal() * m * (m - 1) / 2)})
+    _assert_step_bound_covers_the_superoperator(h, c_ops)
+
+
+def test_step_bound_covers_dense_operators():
+    """The same with the dense H and c of
+    test_lindblad_dense_operators_with_every_diagonal, where each ||c||_2 is
+    strictly below sqrt(||c||_1 ||c||_inf)."""
+    rng = np.random.default_rng(11)
+    dim = 5
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    c = 0.5 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    _assert_step_bound_covers_the_superoperator(a + a.conj().T, [c])
+
+
 def test_lindblad_names_a_misshaped_operator():
     rho = np.eye(4) / 4
     with pytest.raises(ValueError, match="collapse operator 0 has shape \\(3, 3\\)"):
@@ -546,6 +657,18 @@ def test_lindblad_copies_a_ket_state_once():
     assert abs(peaks[0] - peaks[1]) <= 16 * math.prod(dims) * 16
 
 
+def test_lindblad_refuses_a_non_hermitian_state():
+    """A density matrix whose anti-Hermitian part exceeds rounding is
+    refused by name, and the caller's array stays as it was."""
+    h, c_ops, psi0 = _small_system()
+    rho0 = hilbert.as_dm(psi0)
+    rho0[0, 1] += 1e-9
+    kept = rho0.copy()
+    with pytest.raises(ValueError, match="Hermitian"):
+        dynamics.lindblad_evolve(h, c_ops, rho0, 1e-6)
+    assert np.array_equal(rho0, kept)
+
+
 def test_lindblad_rejects_a_wrapped_state():
     """A QuantumState is refused, not unwrapped and evolved in place: the
     caller's density matrix inside it stays as it was."""
@@ -561,9 +684,9 @@ def test_lindblad_rejects_a_wrapped_state():
 
 def test_lindblad_working_memory_stays_small():
     """One 144-dim solve, the entangle-lindblad one, peaks at no more than
-    eight dim x dim complex arrays: the state, the main-diagonal weight, two
-    padded term buffers, one work array for products and the magnitudes, with no
-    per-term temporaries and no stored superoperator diagonals."""
+    eight dim x dim complex arrays: the state, the half-application, two
+    padded term buffers, with no per-term temporaries and no stored
+    superoperator diagonals."""
     dims = (6, 4, 6)
     h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
     psi0 = product_ket(
