@@ -329,6 +329,7 @@ _TAYLOR_THETA = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
+_MAX_APPLICATIONS = 10**6  # of L per solve; the benchmark plans 330, the tests at most 6820
 
 
 def _shifted(v: np.ndarray, o: int) -> np.ndarray:
@@ -382,85 +383,24 @@ def _generator(h: np.ndarray, cs: list[np.ndarray]):
     return mu, kd - mu / 2, k_off, c_diagonals
 
 
-def _blocks(diagonals, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The block A splits into and the position in it of each basis state:
-    states i and i + o share a block wherever a diagonal (o, u) of A has
-    u[i] != 0.  Blocks are numbered by their lowest state, positions in
-    increasing state order."""
-    edges = [(i, i + o) for o, u in diagonals for i in [np.flatnonzero(u)]]
-    root = np.arange(dim)  # the lowest state known to share each state's block
-    while True:
-        before = root.copy()
-        for i, j in edges:
-            root[i] = np.minimum(root[i], root[j])
-            root[j] = np.minimum(root[j], root[i])
-        root = root[root]
-        if np.array_equal(root, before):
-            break
-    is_root = root == np.arange(dim)
-    block = (np.cumsum(is_root) - 1)[root]
-    position, count = [], [0] * int(is_root.sum())
-    for b in block.tolist():
-        position.append(count[b])
-        count[b] += 1
-    return block, np.array(position)
-
-
-_SQUARINGS = 9  # r = 2^9 below: ||A||_2 overestimated by at most b^(1/2048), 1.0015 at b = 20
-
-
-def _two_norm_bound(diagonals, dim: int) -> float:
-    """||G^r||_F^(1/2r) >= ||A||_2 for G = A^dag A and r = 2^_SQUARINGS, the
-    largest over the blocks of A (:func:`_blocks`).  Blocks within a factor
-    of 2 in size are zero-padded to one size and squared as one stack of
-    small matrices, so the stacks hold at most 4 dim^2 entries in all.
-
-    lambda_max(G)^r <= ||G^r||_F, so this is a rigorous upper bound; it
-    exceeds ||A||_2 by at most b^(1/4r) for blocks of b states, and by
-    rounding only once lambda_max leads the rest of its block's spectrum.
-    No dense dim x dim matrix is formed for a matrix that splits into
-    blocks, and no LAPACK routine runs: an SVD or eigensolver pages in about
-    1 MB of library code, more than the Hermitian half-application saves in
-    a solve's peak memory.
-    """
-    gram = _gram(diagonals)
-    block, position = _blocks(diagonals, dim)
-    size = np.bincount(block)
-    group = np.frexp(size)[1]  # sizes in [2^(e-1), 2^e) share the stack e
-    r = 2**_SQUARINGS
-    bound = 0.0
-    for e in set(group.tolist()):
-        member = group == e
-        slot = np.cumsum(member) - 1
-        b = size[member].max()
-        g = np.zeros((np.count_nonzero(member), b, b), dtype=complex)
-        for o, u in gram.items():
-            i = np.flatnonzero(u)
-            i = i[member[block[i]]]
-            g[slot[block[i]], position[i], position[i + o]] = u[i]
-        log_scale = np.zeros(len(g))  # G^(2^k) = g exp(log_scale), block by block
-        for _ in range(_SQUARINGS):
-            scale = np.abs(g).max(axis=(1, 2))
-            scale[scale == 0] = 1
-            g /= scale[:, None, None]
-            log_scale = 2 * (log_scale + np.log(scale))
-            g = g @ g
-        frobenius = np.sqrt((g.real**2 + g.imag**2).sum(axis=(1, 2)))
-        bound = max(bound, float((frobenius ** (1 / (2 * r)) * np.exp(log_scale / (2 * r))).max()))
-    return bound
-
-
 def _step_bound(kd, k_off, c_diagonals) -> float:
-    """2 ||K'||_2 + sum ||c||_1 ||c||_inf, an upper bound on ||L - mu||_2.
+    """2 ||K'||_2 + sum ||c||_1 ||c||_inf, an upper bound on ||L - mu||_2,
+    or inf where K' is not finite.
 
     L - mu = K' (x) 1 + 1 (x) conj(K') + sum c (x) conj(c) on the row-major
-    vec, and ||A (x) B||_2 = ||A||_2 ||B||_2.  ||K'||_2 comes from
-    :func:`_two_norm_bound`, exact to rounding for these operators.  Each
-    ||c||_2^2 is bounded by ||c||_1 ||c||_inf, the largest column and row
-    sums of |u| over its diagonals, which is exact for a ladder operator.
+    vec, and ||A (x) B||_2 = ||A||_2 ||B||_2.  ||K'||_2 is the largest
+    singular value of the dense K', freed on return.  Each ||c||_2^2 is
+    bounded by ||c||_1 ||c||_inf, the largest column and row sums of |u|
+    over its diagonals, which is exact for a ladder operator.
     """
     dim = len(kd)
-    bound = 2 * _two_norm_bound([(0, kd), *k_off], dim)
+    k = np.zeros((dim, dim), dtype=complex)
+    for o, u in [(0, kd), *k_off]:
+        i = np.arange(max(-o, 0), dim - max(o, 0))
+        k[i, i + o] = u[i]
+    if not np.isfinite(k).all():
+        return math.inf
+    bound = 2 * float(np.linalg.norm(k, 2))
     for diagonals in c_diagonals:
         rows = sum((np.abs(u) for _, u in diagonals), np.zeros(dim))
         cols = sum((_shifted(np.abs(u), o) for o, u in diagonals), np.zeros(dim))
@@ -533,9 +473,16 @@ def _propagate(rho: np.ndarray, h: np.ndarray, cs: list[np.ndarray], t: float) -
     :func:`lindblad_evolve`, whose docstring describes the method."""
     mu, kd, k_off, c_diagonals = _generator(h, cs)
     bound = _step_bound(kd, k_off, c_diagonals)
+    if not math.isfinite(t * bound):
+        raise NumericalError(f"dynamics: the Taylor step bound t ||L - mu||_2 is {t * bound}")
     steps = {m: max(math.ceil(t * bound / theta), 1) for m, theta in _TAYLOR_THETA.items()}
     m = min(steps, key=lambda m: m * steps[m])
     s = steps[m]
+    if m * s > _MAX_APPLICATIONS:
+        raise NumericalError(
+            f"dynamics: the master equation needs {m} x {s:.3g} applications of L, "
+            f"more than {_MAX_APPLICATIONS:.0e}"
+        )
 
     liou = _Liouvillian(kd, k_off, c_diagonals)
     src, dst = liou.buffer(), liou.buffer()
@@ -588,12 +535,12 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     Liouvillian is L - mu = K' (x) 1 + 1 (x) conj(K') + sum c (x) conj(c)
     with K' = K - mu/2, so its 2-norm is at most
     2 ||K'||_2 + sum ||c||_1 ||c||_inf (:func:`_step_bound`, with ||K'||_2
-    bounded block by block, exact to rounding here); (m, s) minimize m s
-    subject to t * bound / s <= theta_m, m <= 55.  The
-    theta_m backward-error analysis holds in any consistent norm, and the
-    2-norm bound is tighter than the 1-norm one (2.96e7 against 3.99e7 s^-1
-    for the entangle-lindblad operators: 153 applications against 191).
-    The bound is rigorous, so no norm is estimated and nothing random is
+    the exact largest singular value); (m, s) minimize m s subject to
+    t * bound / s <= theta_m, m <= 55.  The theta_m backward-error
+    analysis holds in any consistent norm, and the 2-norm bound is tighter
+    than the 1-norm one (2.96e7 against 3.99e7 s^-1 for the
+    entangle-lindblad operators: 153 applications against 191).  The bound
+    is rigorous, so no norm is estimated and nothing random is
     drawn: the result is a pure function of the inputs.  No renormalization
     is applied -- trace drift is a real error signal, not something to hide.
 
@@ -613,9 +560,13 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     are cheap, while a dense operator of n nonzero diagonals costs
     n^2 dim^2.  Besides the input, the working memory is four dim^2 complex
     arrays (the state, the half X and the two padded term buffers), all
-    local to the call; the step bound forms only matrices the size of K''s
-    blocks.  A ket's density matrix is built once and evolved in place; a
-    density matrix the caller holds is copied once.
+    local to the call; the step bound's dense K' is freed before the term
+    buffers exist.  A ket's density matrix is built once and evolved in
+    place; a density matrix the caller holds is copied once.
+
+    ``NumericalError`` names an H or c that is not finite, and a solve whose
+    bound is not finite or that plans more than 10^6 applications of L;
+    both are refused before any term buffer is allocated.
     """
     if not (isinstance(t, (int, float, np.integer, np.floating)) and 0 <= t < math.inf):
         raise ValueError(f"lindblad_evolve needs a finite duration t >= 0, got {t!r}")
@@ -623,12 +574,16 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"lindblad_evolve needs a square Hamiltonian H, got shape {h.shape}")
     dim = len(h)
+    if not np.isfinite(h).all():
+        raise NumericalError("dynamics: the Hamiltonian H is not finite")
     cs = [np.asarray(c, dtype=complex) for c in (c_ops or [])]
     for k, c in enumerate(cs):
         if c.shape != (dim, dim):
             raise ValueError(
                 f"collapse operator {k} has shape {c.shape}, but H is {dim}x{dim}"
             )
+        if not np.isfinite(c).all():
+            raise NumericalError(f"dynamics: collapse operator {k} is not finite")
     rho = np.array(state0, dtype=complex)  # a copy: the series accumulates into rho
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())

@@ -21,8 +21,7 @@ windows, and the coherent engine's herald propagated window by window at
 one cat amplitude on the linear core (``linear_propagator`` and
 ``dyad_log_weights``), each window's dyad weights multiplied in.  scipy
 is also the reference for each numerical routine the library implements
-itself: the matrix exponential, the blocks of a matrix given by its
-diagonals (connected components), the displaced-parity
+itself: the matrix exponential, the displaced-parity
 kernels from its Laguerre polynomials and log-gamma (and the full kernel
 matrices assembled from the library's triangle), the root and
 bounded-minimum searches, and Nelder-Mead.  PyYAML's pure-Python safe
@@ -40,7 +39,6 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
-import scipy.sparse.csgraph
 import scipy.sparse.linalg
 import scipy.special
 import yaml
@@ -577,18 +575,6 @@ def lindblad_action(k_op, cs):
         return out.ravel()
 
     return act
-
-
-def diagonal_blocks(diagonals, dim: int) -> np.ndarray:
-    """scipy's connected components of the graph joining states i and i + o
-    wherever a diagonal (o, u) has u[i] != 0, numbered by lowest state."""
-    rows = [np.flatnonzero(u) for _, u in diagonals]
-    cols = [i + o for i, (o, _) in zip(rows, diagonals)]
-    rows, cols = np.concatenate([np.zeros(0, int), *rows]), np.concatenate([np.zeros(0, int), *cols])
-    adjacency = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
-    _, labels = scipy.sparse.csgraph.connected_components(adjacency, directed=False)
-    _, first = np.unique(labels, return_index=True)
-    return np.argsort(np.argsort(first))[labels]
 
 
 def liouvillian_evolve(h, c_ops, state0, t) -> np.ndarray:

@@ -845,6 +845,18 @@ def test_dual_rail_unconverged_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# entangle-lindblad past float range: 2 pi kappa_b = inf gives an infinite
+# c, 2 pi g_bs = inf an infinite H, and c^dag c = inf an infinite K; and
+# rates of 1e150 Hz, which would take some 1e146 applications of L
+_LINDBLAD_LIMITS = [
+    ("kappa_b: 1.0e+308", "collapse operator 1 is not finite"),
+    ("g_bs: 1.0e+308", "the Hamiltonian H is not finite"),
+    ("kappa_b: 2.0e+307", "the Taylor step bound t ||L - mu||_2 is inf"),
+    ("g_bs: 1.0e+150", "the master equation needs 55 x "),
+    ("kappa_b: 1.0e+150", "the master equation needs 55 x "),
+]
+
+
 @pytest.mark.parametrize(
     "command, block, code, message",
     [
@@ -858,20 +870,27 @@ def test_dual_rail_unconverged_is_numerical_failure(tmp_path, capsys):
           for command in ("transfer-efficiency", "dual-rail", "entangle")],
         ("regimes", "regimes:\n  kappas: [1.0e+300]\n", 3, "numerical failure in regimes"),
         ("regimes", "params:\n  g_bs: 1.0e+300\n", 3, "numerical failure in regimes"),
+        *[("entangle", f"params:\n  {p}\n  alpha: 0.5\n  dims: [3, 3, 3]\n"
+           "entangle:\n  engine: lindblad\n", 3,
+           f"numerical failure in entangle: dynamics: {message}")
+          for p, message in _LINDBLAD_LIMITS],
     ],
     ids=["transfer-n_times", "tomo-demo-step", "tomo-demo-step-1e-7", "transfer-kappa_b",
          "dual-rail-kappa_b",
-         "entangle-kappa_b", "regimes-kappas", "regimes-g_bs"],
+         "entangle-kappa_b", "regimes-kappas", "regimes-g_bs",
+         *(f"lindblad-{p.replace(': ', '-')}" for p, _ in _LINDBLAD_LIMITS)],
 )
 def test_arithmetic_limits_end_in_an_exit_code(tmp_path, capsys, command, block, code, message):
     """An array numpy cannot allocate is a configuration error (exit 2), a
     float overflow a numerical failure (exit 3); either message names the
     command, there is no traceback and no CSV.  Every size here is refused
-    before anything is allocated.  tomo-demo checks its forward map's size
-    itself, so it peaks under 64 MB also where the request would fit in
-    memory piecemeal (at step 1e-7, two 4e7-point grid axes of 320 MB each
-    come before the 1.8e18-byte map); where numpy refuses, tracemalloc
-    counts the refused request, so the peak is not checked there."""
+    before anything is allocated, and the master equation refuses its
+    operators before the Taylor series allocates a term buffer.  tomo-demo
+    checks its forward map's size itself, so it peaks under 64 MB also where
+    the request would fit in memory piecemeal (at step 1e-7, two 4e7-point
+    grid axes of 320 MB each come before the 1.8e18-byte map); where numpy
+    refuses, tracemalloc counts the refused request, so the peak is not
+    checked there."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text(block)
     out = tmp_path / "o"
