@@ -164,16 +164,19 @@ def network_operators(coupling, gammas, dims):
     lowering = [hilbert.destroy(d) for d in dims]
     dim = math.prod(dims)
     h = np.zeros((dim, dim), dtype=complex)
-    for k, l in zip(*np.nonzero(coupling)):
-        a_dag = lowering[k].conj().T
-        term = _on_modes(dims, {k: a_dag, l: lowering[l]} if k != l else {k: a_dag @ lowering[k]})
-        term *= coupling[k, l]
-        h += term
     c_ops = []
-    for k, (g, a) in enumerate(zip(gammas, lowering)):
-        if g > 0:
-            c_ops.append(_on_modes(dims, {k: a}))
-            c_ops[-1] *= math.sqrt(g)
+    # 0 * inf is NaN where a rate is infinite; lindblad_evolve names that operator.
+    with np.errstate(invalid="ignore"):
+        for k, l in zip(*np.nonzero(coupling)):
+            a_dag = lowering[k].conj().T
+            ops = {k: a_dag, l: lowering[l]} if k != l else {k: a_dag @ lowering[k]}
+            term = _on_modes(dims, ops)
+            term *= coupling[k, l]
+            h += term
+        for k, (g, a) in enumerate(zip(gammas, lowering)):
+            if g > 0:
+                c_ops.append(_on_modes(dims, {k: a}))
+                c_ops[-1] *= math.sqrt(g)
     return h, c_ops
 
 
@@ -332,14 +335,6 @@ _TAYLOR_THETA = {
 _MAX_APPLICATIONS = 10**6  # of L per solve; the benchmark plans 330, the tests at most 6820
 
 
-def _shifted(v: np.ndarray, o: int) -> np.ndarray:
-    """w[j] = v[j - o], and 0 where j - o falls outside v."""
-    w = np.zeros_like(v)
-    n = len(v)
-    w[max(o, 0):n + min(o, 0)] = v[max(-o, 0):n - max(o, 0)]
-    return w
-
-
 def _diagonals(a) -> list[tuple[int, np.ndarray]]:
     """(o, u) for each nonzero diagonal of the square matrix ``a``, in
     increasing o, with u[i] = a[i, i + o] and u[i] = 0 where i + o falls
@@ -354,88 +349,58 @@ def _diagonals(a) -> list[tuple[int, np.ndarray]]:
     return diagonals
 
 
-def _gram(diagonals) -> dict[int, np.ndarray]:
-    """The diagonals of A^dag A, by offset, for the matrix A with these (o, u)
-    diagonals: a pair (o1, u1), (o2, u2) puts conj(u1) u2, shifted by o1, on
-    diagonal o2 - o1, so no dim x dim product is formed."""
-    gram = {}
-    for o1, u1 in diagonals:
-        for o2, u2 in diagonals:
-            gram[o2 - o1] = gram.get(o2 - o1, 0) + _shifted(u1.conj() * u2, o1)
-    return gram
-
-
-def _generator(h: np.ndarray, cs: list[np.ndarray]):
-    """(mu, kd, k_off, c_diagonals) of L rho = K rho + rho K^dag + sum c rho c^dag,
-    K = -iH - (1/2) sum c^dag c: the trace shift mu = Tr L / dim^2, the main
-    diagonal kd of K' = K - mu/2, its other nonzero (o, u) diagonals in
-    increasing o, and the diagonals of each c as :func:`_diagonals` gives
-    them."""
-    dim = len(h)
-    k_diagonals = {o: -1j * u for o, u in _diagonals(h)}
-    c_diagonals = [_diagonals(c) for c in cs]
-    for diagonals in c_diagonals:
-        for o, u in _gram(diagonals).items():
-            k_diagonals[o] = k_diagonals.get(o, 0) - 0.5 * u
-    kd = k_diagonals.pop(0, np.zeros(dim, dtype=complex))
-    mu = (2 * dim * kd.sum().real + sum(abs(np.trace(c)) ** 2 for c in cs)) / dim**2
-    k_off = [(o, k_diagonals[o]) for o in sorted(k_diagonals) if k_diagonals[o].any()]
-    return mu, kd - mu / 2, k_off, c_diagonals
-
-
-def _step_bound(kd, k_off, c_diagonals) -> float:
-    """2 ||K'||_2 + sum ||c||_1 ||c||_inf, an upper bound on ||L - mu||_2,
-    or inf where K' is not finite.
-
-    L - mu = K' (x) 1 + 1 (x) conj(K') + sum c (x) conj(c) on the row-major
-    vec, and ||A (x) B||_2 = ||A||_2 ||B||_2.  ||K'||_2 is the largest
-    singular value of the dense K', freed on return.  Each ||c||_2^2 is
-    bounded by ||c||_1 ||c||_inf, the largest column and row sums of |u|
-    over its diagonals, which is exact for a ladder operator.
-    """
-    dim = len(kd)
-    k = np.zeros((dim, dim), dtype=complex)
-    for o, u in [(0, kd), *k_off]:
-        i = np.arange(max(-o, 0), dim - max(o, 0))
-        k[i, i + o] = u[i]
-    if not np.isfinite(k).all():
-        return math.inf
-    bound = 2 * float(np.linalg.norm(k, 2))
-    for diagonals in c_diagonals:
-        rows = sum((np.abs(u) for _, u in diagonals), np.zeros(dim))
-        cols = sum((_shifted(np.abs(u), o) for o, u in diagonals), np.zeros(dim))
-        bound += float(rows.max() * cols.max())
-    return bound
-
-
 class _Liouvillian:
-    """r -> X + X^dag with X = K r + (1/2) sum_c c r c^dag, which is
-    K r + r K^dag + sum_c c r c^dag for a Hermitian r, one operator diagonal
-    at a time.
+    """L - mu for L rho = K rho + rho K^dag + sum_c c rho c^dag,
+    K = -iH - (1/2) sum_c c^dag c, applied as r -> X + X^dag with
+    X = K' r + (1/2) sum_c c r c^dag and K' = K - mu/2, which is
+    K' r + r K'^dag + sum_c c r c^dag for a Hermitian r, one operator
+    diagonal at a time.
 
-    On the row-major vec of r, a diagonal u of K at offset o reads r shifted
-    by o dim and scales rows by u; a pair of diagonals (o1, u1), (o2, u2) of
-    c gives c r c^dag a shift of o1 dim + o2, rows scaled by u1 / 2 and
-    columns by conj(u2); the main diagonal kd of K scales the rows of r
-    unshifted.  Every vector lives inside a buffer padded with zeros by the
-    largest shift, so each shifted read is a contiguous dim x dim view; an
-    entry that crosses an edge meets a factor of 0.  X + X^dag is one
-    conjugate transpose and one add, and is exactly Hermitian.
+    ``mu`` is Tr L / dim^2, from the exact trace 2 dim Re Tr K + sum |Tr c|^2.
+    ``bound`` is 2 ||K'||_2 + sum ||c||_1 ||c||_inf >= ||L - mu||_2, or inf
+    where K' is not finite: ||K'||_2 is the largest singular value of the
+    dense K', assembled once and freed before the action's arrays exist,
+    and ||c||_1 ||c||_inf, the largest column sum of |c| times its largest
+    row sum, bounds ||c||_2^2, exactly for a ladder operator.
+
+    On the row-major vec of r, a diagonal u of K' at offset o reads r
+    shifted by o dim and scales rows by u; a pair of diagonals (o1, u1),
+    (o2, u2) of c gives c r c^dag a shift of o1 dim + o2, rows scaled by
+    u1 / 2 and columns by conj(u2); the main diagonal kd of K' scales the
+    rows of r unshifted.  Every vector lives inside a buffer padded with
+    zeros by the largest shift, so each shifted read is a contiguous
+    dim x dim view; an entry that crosses an edge meets a factor of 0.
+    X + X^dag is one conjugate transpose and one add, and is exactly
+    Hermitian.
     """
 
-    def __init__(self, kd, k_diagonals, c_diagonals):
-        """``kd`` is the main diagonal of K, ``k_diagonals`` its other (o, u)
-        diagonals and ``c_diagonals`` holds one list of (o, u) diagonals per
-        collapse operator, each in the form :func:`_diagonals` returns."""
-        self.dim = dim = len(kd)
+    def __init__(self, h: np.ndarray, cs: list[np.ndarray]):
+        """``h`` and each collapse operator in ``cs`` are dim x dim arrays."""
+        self.dim = dim = len(h)
+        c_terms, c_norms = [], []
+        # An overflow here shows up as bound = inf, which the caller reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = -1j * h
+            for diagonals in map(_diagonals, cs):
+                rows, cols = np.zeros(dim), np.zeros(dim)
+                for o1, u1 in diagonals:
+                    rows += np.abs(u1)
+                    cols[max(o1, 0):dim + min(o1, 0)] += np.abs(u1[max(-o1, 0):dim - max(o1, 0)])
+                    for o2, u2 in diagonals:
+                        i = np.arange(max(0, -o1, -o2), dim - max(0, o1, o2))
+                        k[i + o1, i + o2] -= 0.5 * (u1[i].conj() * u2[i])
+                        c_terms.append((o1 * dim + o2, 0.5 * u1[:, None], u2.conj()))
+                c_norms.append(float(rows.max() * cols.max()))
+            kd = k.diagonal().copy()
+            self.mu = (2 * dim * kd.sum().real + sum(abs(np.trace(c)) ** 2 for c in cs)) / dim**2
+            kd -= self.mu / 2
+            np.fill_diagonal(k, kd)
+            self.bound = math.inf
+            if np.isfinite(k).all():
+                self.bound = sum(c_norms, 2 * float(np.linalg.norm(k, 2)))
         self.kd = kd[:, None]
-        self.terms = [(o * dim, u[:, None], None) for o, u in k_diagonals]
-        for diagonals in c_diagonals:
-            self.terms += [
-                (o1 * dim + o2, 0.5 * u1[:, None], u2.conj())
-                for o1, u1 in diagonals
-                for o2, u2 in diagonals
-            ]
+        self.terms = [(o * dim, u[:, None], None) for o, u in _diagonals(k) if o] + c_terms
+        del k
         self.pad = max((abs(shift) for shift, _, _ in self.terms), default=0)
         self.half = np.empty((dim, dim), dtype=complex)
 
@@ -471,11 +436,10 @@ def _frobenius(x: np.ndarray) -> float:
 def _propagate(rho: np.ndarray, h: np.ndarray, cs: list[np.ndarray], t: float) -> None:
     """rho <- exp(t L) rho in place, for t > 0 and the checked inputs of
     :func:`lindblad_evolve`, whose docstring describes the method."""
-    mu, kd, k_off, c_diagonals = _generator(h, cs)
-    bound = _step_bound(kd, k_off, c_diagonals)
-    if not math.isfinite(t * bound):
-        raise NumericalError(f"dynamics: the Taylor step bound t ||L - mu||_2 is {t * bound}")
-    steps = {m: max(math.ceil(t * bound / theta), 1) for m, theta in _TAYLOR_THETA.items()}
+    liou = _Liouvillian(h, cs)
+    if not math.isfinite(t * liou.bound):
+        raise NumericalError(f"dynamics: the Taylor step bound t ||L - mu||_2 is {t * liou.bound}")
+    steps = {m: max(math.ceil(t * liou.bound / theta), 1) for m, theta in _TAYLOR_THETA.items()}
     m = min(steps, key=lambda m: m * steps[m])
     s = steps[m]
     if m * s > _MAX_APPLICATIONS:
@@ -484,13 +448,12 @@ def _propagate(rho: np.ndarray, h: np.ndarray, cs: list[np.ndarray], t: float) -
             f"more than {_MAX_APPLICATIONS:.0e}"
         )
 
-    liou = _Liouvillian(kd, k_off, c_diagonals)
     src, dst = liou.buffer(), liou.buffer()
     adjoint = liou.view(dst)
     np.conjugate(rho.T, out=adjoint)
     rho += adjoint
     rho *= 0.5  # exactly Hermitian from here on, and so is every term
-    eta = math.exp(t * mu / s)
+    eta = math.exp(t * liou.mu / s)
     for _ in range(s):
         liou.view(src)[...] = rho
         c1 = _frobenius(rho)
@@ -534,18 +497,17 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     the running sum, all three in the Frobenius norm.  The shifted
     Liouvillian is L - mu = K' (x) 1 + 1 (x) conj(K') + sum c (x) conj(c)
     with K' = K - mu/2, so its 2-norm is at most
-    2 ||K'||_2 + sum ||c||_1 ||c||_inf (:func:`_step_bound`, with ||K'||_2
-    the exact largest singular value); (m, s) minimize m s subject to
-    t * bound / s <= theta_m, m <= 55.  The theta_m backward-error
-    analysis holds in any consistent norm, and the 2-norm bound is tighter
-    than the 1-norm one (2.96e7 against 3.99e7 s^-1 for the
-    entangle-lindblad operators: 153 applications against 191).  The bound
-    is rigorous, so no norm is estimated and nothing random is
-    drawn: the result is a pure function of the inputs.  No renormalization
-    is applied -- trace drift is a real error signal, not something to hide.
+    2 ||K'||_2 + sum ||c||_1 ||c||_inf, with ||K'||_2 the exact largest
+    singular value; (m, s) minimize m s subject to t * bound / s <= theta_m,
+    m <= 55.  The theta_m backward-error analysis holds in any consistent
+    norm.  The bound is rigorous, so no norm is estimated and nothing
+    random is drawn: the result is a pure function of the inputs.  No
+    renormalization is applied -- trace drift is a real error signal, not
+    something to hide.
 
-    Everything works on the operators' nonzero diagonals, read once from H
-    and each c (:func:`_generator`).  The state is made exactly Hermitian
+    :class:`_Liouvillian` assembles the dense K' once, for mu and the
+    bound, and keeps only its nonzero diagonals and those of each c, read
+    once from the operators.  The state is made exactly Hermitian
     once, so every Taylor term is too, and each application of L - mu
     builds only the half X = K' r + (1/2) sum c r c^dag and returns
     X + X^dag (:class:`_Liouvillian`), one diagonal at a time: every
@@ -560,8 +522,8 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     are cheap, while a dense operator of n nonzero diagonals costs
     n^2 dim^2.  Besides the input, the working memory is four dim^2 complex
     arrays (the state, the half X and the two padded term buffers), all
-    local to the call; the step bound's dense K' is freed before the term
-    buffers exist.  A ket's density matrix is built once and evolved in
+    local to the call; the dense K' is freed before the half X and the
+    term buffers exist.  A ket's density matrix is built once and evolved in
     place; a density matrix the caller holds is copied once.
 
     ``NumericalError`` names an H or c that is not finite, and a solve whose

@@ -8,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -890,13 +891,16 @@ def test_arithmetic_limits_end_in_an_exit_code(tmp_path, capsys, command, block,
     the request would fit in memory piecemeal (at step 1e-7, two 4e7-point
     grid axes of 320 MB each come before the 1.8e18-byte map); where numpy
     refuses, tracemalloc counts the refused request, so the peak is not
-    checked there."""
+    checked there.  No numpy RuntimeWarning comes before the message: the
+    exit code and the message report the failure."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text(block)
     out = tmp_path / "o"
     tracemalloc.start()
     try:
-        assert run([command, "--config", cfg, "--out", out]) == code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([command, "--config", cfg, "--out", out]) == code
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -905,6 +909,7 @@ def test_arithmetic_limits_end_in_an_exit_code(tmp_path, capsys, command, block,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not list(out.glob("*.csv"))
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_dual_rail_lossless_whole_periods_is_numerical_failure(tmp_path, capsys):

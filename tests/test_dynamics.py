@@ -442,16 +442,13 @@ def test_lindblad_never_touches_the_global_rng(monkeypatch):
     assert np.array_equal(res.final, expected)
 
 
-def _apply_twice(k_op, cs, r):
-    """The diagonal-by-diagonal action on r, then on its own result, with the
-    two buffers swapped as the Taylor loop swaps them.  The action takes a
-    Hermitian matrix, so a general r = A + iB, with A and B Hermitian, goes
-    through it as apply(A) + i apply(B); a Hermitian r has B = 0."""
-    k_diagonals = dict(dynamics._diagonals(k_op))
-    kd = k_diagonals.pop(0, np.zeros(len(k_op), dtype=complex))
-    liou = dynamics._Liouvillian(
-        kd, list(k_diagonals.items()), [dynamics._diagonals(c) for c in cs]
-    )
+def _apply_twice(h, cs, r):
+    """mu, and the diagonal-by-diagonal action of L - mu on r, then on its
+    own result, with the two buffers swapped as the Taylor loop swaps them.
+    The action takes a Hermitian matrix, so a general r = A + iB, with A and
+    B Hermitian, goes through it as apply(A) + i apply(B); a Hermitian r has
+    B = 0."""
+    liou = dynamics._Liouvillian(h, cs)
     src, dst = liou.buffer(), liou.buffer()
 
     def twice(x):
@@ -460,14 +457,18 @@ def _apply_twice(k_op, cs, r):
         return once, liou.apply(dst, src).copy()
 
     (a1, a2), (b1, b2) = twice((r + r.conj().T) / 2), twice((r - r.conj().T) / 2j)
-    return a1 + 1j * b1, a2 + 1j * b2
+    return liou.mu, (a1 + 1j * b1, a2 + 1j * b2)
 
 
-def _assert_matches_matrix_products(k_op, cs, r):
+def _assert_matches_matrix_products(h, cs, r):
+    mu, (once, twice) = _apply_twice(h, cs, r)
+    k_op = -1j * h - mu / 2 * np.eye(len(h))
+    for c in cs:
+        k_op = k_op - 0.5 * (c.conj().T @ c)
     act = lindblad_action(k_op, cs)
     expected_once = act(r.ravel()).reshape(r.shape)
     expected_twice = act(expected_once.ravel()).reshape(r.shape)
-    for got, expected in zip(_apply_twice(k_op, cs, r), (expected_once, expected_twice)):
+    for got, expected in zip((once, twice), (expected_once, expected_twice)):
         assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
@@ -479,10 +480,10 @@ def _assert_matches_matrix_products(k_op, cs, r):
     hermitian=st.booleans(),
 )
 def test_liouvillian_matches_sparse_products(dims, seed, kerr, hermitian):
-    """K r + r K^dag + sum c r c^dag one diagonal at a time equals the same
-    action by matrix products: random Hermitian couplings, some decay
-    rates 0, with and without self-Kerr, Hermitian and general r (the
-    latter as apply(A) + i apply(B) for r = A + iB)."""
+    """K' r + r K'^dag + sum c r c^dag, K' = K - mu/2, one diagonal at a
+    time equals the same action by matrix products: random Hermitian
+    couplings, some decay rates 0, with and without self-Kerr, Hermitian
+    and general r (the latter as apply(A) + i apply(B) for r = A + iB)."""
     rng = np.random.default_rng(seed)
     n = len(dims)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -492,14 +493,11 @@ def test_liouvillian_matches_sparse_products(dims, seed, kerr, hermitian):
         for k, d in enumerate(dims):
             m = np.arange(d)
             h = h + dynamics._on_modes(dims, {k: np.diag(rng.normal() * m * (m - 1) / 2)})
-    k_op = -1j * h - rng.normal() * np.eye(len(h))
-    for c in c_ops:
-        k_op = k_op - 0.5 * (c.conj().T @ c)
     dim = h.shape[0]
     r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     if hermitian:
         r = r + r.conj().T
-    _assert_matches_matrix_products(k_op, c_ops, r)
+    _assert_matches_matrix_products(h, c_ops, r)
 
 
 def test_lindblad_dense_operators_with_every_diagonal():
@@ -512,9 +510,8 @@ def test_lindblad_dense_operators_with_every_diagonal():
     h = a + a.conj().T
     c = 0.5 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     assert np.all(h != 0) and np.all(c != 0)
-    k_op = -1j * h - 0.5 * c.conj().T @ c
     r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    _assert_matches_matrix_products(k_op, [c], r)
+    _assert_matches_matrix_products(h, [c], r)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 /= np.linalg.norm(psi0)
     rho = dynamics.lindblad_evolve(h, [c], psi0, 0.5).final
@@ -525,8 +522,8 @@ def _assert_step_bound_covers_the_superoperator(h, cs):
     """The step bound is at least ||L - mu||_2 of the assembled dim^2 x dim^2
     superoperator, and mu is its exact trace over dim^2.  Less its
     sum ||c||_1 ||c||_inf, it is 2 ||K'||_2 of the SVD of the dense K'."""
-    mu, kd, k_off, c_diagonals = dynamics._generator(h, cs)
-    bound = dynamics._step_bound(kd, k_off, c_diagonals)
+    liou = dynamics._Liouvillian(h, cs)
+    mu, bound = liou.mu, liou.bound
     k_op = -1j * h - 0.5 * sum((c.conj().T @ c for c in cs), np.zeros_like(h))
     act = lindblad_action(k_op, cs)
     dim = len(h)

@@ -449,18 +449,18 @@ def test_run_dmm_lindblad_solves_only_the_dump_window(monkeypatch, t_dump, solve
 def test_entangle_lindblad_needs_few_liouvillian_applications(monkeypatch):
     """The benchmark's entangle-lindblad herald (alpha 0.5, dims (6, 4, 6),
     one 144-dim solve over t_dump = 2 us) takes its Taylor schedule from
-    the 2-norm bound on L - mu, 2.96e7 s^-1: 153 applications.  The 1-norm
-    bound, 3.99e7 s^-1, took 191."""
+    the 2-norm bound on L - mu, 2.96e7 s^-1: 153 applications."""
     calls = []
     apply = dynamics._Liouvillian.apply
 
     def counted(self, src, dst):
-        calls.append(None)
+        calls.append(self.bound)
         return apply(self, src, dst)
 
     monkeypatch.setattr(dynamics._Liouvillian, "apply", counted)
     res = protocol.run_dmm(SystemParams(alpha=0.5, dims=(6, 4, 6)), engine="lindblad")
     assert res.t_dump == pytest.approx(2e-6, rel=1e-12)
+    assert calls[0] == pytest.approx(29635165.26255591, rel=1e-12)
     assert len(calls) <= 160
 
 
