@@ -402,7 +402,7 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     rho1 = rho1 / np.trace(rho1)
 
     n = tomography.WignerGrid.axis_points(opts["extent"], opts["step"])
-    _require_memory(n * n * w1.dim**2 * 8, "its Wigner forward map")
+    _require_memory(tomography._ForwardMap.build_bytes(w1.dim, n * n), "its Wigner forward map")
     grid = tomography.WignerGrid.default(opts["extent"], opts["step"])
     forward = tomography._ForwardMap(w1.dim, grid.betas)  # one kernel build: map and fit
     w = forward(rho1).reshape(grid.shape)

@@ -12,7 +12,11 @@ vectorized over all grid points; each entry is exact in the truncated
 space, with no padding.  For forward maps and reconstruction the stack of
 kernels becomes one real design matrix over the hermitian coordinates of
 rho, so Tr(M_k rho) for every point is a single matrix-vector product and
-sum_k c_k M_k is its transpose.
+sum_k c_k M_k is its transpose.  The matrix is allocated once and written in
+place, one Laguerre run at a time (the kernels' column n on and below the
+diagonal, n = 0, 1, ...), bit for bit the values of the whole kernel
+triangle built at once; a build for K points holds the K x dim^2 matrix
+plus O(K dim) scratch.
 
 Reconstruction is maximum likelihood by accelerated projected gradient:
 a binomial likelihood when shot counts are available, least squares when
@@ -68,10 +72,12 @@ class WignerGrid:
         return (self.re_beta[:, None] + 1j * self.im_beta[None, :]).ravel()
 
 
-def _kernel_triangle(dim: int, betas: np.ndarray) -> np.ndarray:
-    """The kernels M(beta) = D(2 beta) P on and below the diagonal, shape
-    (len(betas), dim (dim + 1) / 2): column j holds M[m, n] for the j-th
-    pair (n, m) of ``np.triu_indices(dim)``, so n runs slowest and m >= n.
+def _kernel_runs(dim: int, betas: np.ndarray):
+    """The kernels M(beta) = D(2 beta) P on and below the diagonal, one run
+    of columns at a time: for n = 0, ..., dim - 1 in turn, a
+    (len(betas), dim - n) complex array whose column k holds M[n + k, n].
+    Side by side the runs are the pairs (n, m) of ``np.triu_indices(dim)``,
+    n slowest and m >= n.
 
     Cahill-Glauber form: for m >= n and z = 2 beta,
     <m|D(z)|n> = sqrt(n!/m!) z^(m-n) e^(-|z|^2/2) L_n^(m-n)(|z|^2),
@@ -79,43 +85,66 @@ def _kernel_triangle(dim: int, betas: np.ndarray) -> np.ndarray:
     conjugate.  The log-factorials come from a cumulative sum, and the
     Laguerre polynomials from the three-term recurrence
     (n + 1) L_(n+1)^(k) = (2n + 1 + k - x) L_n^(k) - (n + k) L_(n-1)^(k),
-    for every order k < dim - n at once: its n-th step is the n-th run of
-    columns.
+    for every order k < dim - n at once: its n-th step gives the n-th run,
+    and only L_(n-1) and L_n are kept.  Every entry takes the same
+    operations in the same order as it would in the whole triangle built at
+    once, so the runs hold exactly its values; between runs the scratch is
+    a few (len(betas), dim) arrays.
     """
     z = 2 * np.asarray(betas, dtype=complex).reshape(-1, 1)
     x = np.abs(z) ** 2
     k = np.arange(dim)
-    lag = [np.ones((len(z), dim)), 1 + k[:-1] - x]  # L_n^(k)(x) for k < dim - n
-    for j in range(1, dim - 1):
-        kj = k[:dim - j - 1]
-        step = (2 * j + 1 + kj - x) * lag[j][:, :-1] - (j + kj) * lag[j - 1][:, :-2]
-        lag.append(step / (j + 1))
-    n, m = np.triu_indices(dim)
+    z_pow = z ** k
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
-    real = np.exp(0.5 * (log_fact[n] - log_fact[m]) - x / 2)
-    real *= np.concatenate(lag, axis=1)
-    real *= (-1.0) ** n
-    out = (z ** k)[:, m - n]
-    out *= real
-    return out
+    # L_(n-1)^(k) and L_n^(k)(x) for k < dim - n, from L_(-1) = 0 and L_0 = 1
+    prev, lag = np.zeros((len(z), dim + 1)), np.ones((len(z), dim))
+    for n in range(dim):
+        real = np.exp(0.5 * (log_fact[n] - log_fact[n:]) - x / 2)
+        real *= lag
+        real *= (-1.0) ** n
+        yield z_pow[:, : dim - n] * real
+        kn = k[: dim - n - 1]
+        step = (2 * n + 1 + kn - x) * lag[:, :-1] - (n + kn) * prev[:, :-2]
+        step /= n + 1
+        prev, lag = lag, step
 
 
 class _ForwardMap:
     """Tr(M_k rho) over a stack of kernels as one real K x dim^2 matrix.
 
     The coordinates of a hermitian rho are its diagonal and the real and
-    imaginary parts of its upper triangle; row k holds M_k's diagonal and
-    2 Re, 2 Im of its upper triangle, the conjugate of what
-    :func:`_kernel_triangle` gives below it.  The adjoint is the transpose
-    product.
+    imaginary parts of its upper triangle (the pairs n < m of
+    ``np.triu_indices``, in order); row k holds M_k's diagonal and 2 Re,
+    -2 Im of M_k below it, which are 2 Re, 2 Im of its upper triangle.  The
+    matrix is allocated once and filled run by run from
+    :func:`_kernel_runs`, so the build peaks at the matrix plus a few
+    (K, dim) arrays (:meth:`build_bytes`).  The adjoint is the transpose
+    product.  ``betas`` are the points the map was built for.
     """
 
     def __init__(self, dim: int, betas: np.ndarray):
-        tri = _kernel_triangle(dim, betas)
-        n, m = np.triu_indices(dim)
+        self.betas = np.array(betas, dtype=complex)
         self._dim, self._iu = dim, np.triu_indices(dim, 1)  # the pairs n < m, in order
-        upper = tri[:, n < m]
-        self.matrix = np.concatenate([tri[:, n == m].real, 2 * upper.real, -2 * upper.imag], axis=1)
+        pairs = len(self._iu[0])
+        # column-major: a run's columns are contiguous, and the BLAS products
+        # with the matrix sum in the order this layout sets
+        self.matrix = np.empty((len(self.betas), dim * dim), order="F")
+        start = dim  # the run's first real upper column
+        for run in _kernel_runs(dim, self.betas):  # no enumerate: its tuple keeps the run
+            n = dim - run.shape[1]
+            self.matrix[:, n] = run[:, 0].real
+            stop = start + run.shape[1] - 1
+            np.multiply(run[:, 1:].real, 2, out=self.matrix[:, start:stop])
+            np.multiply(run[:, 1:].imag, -2, out=self.matrix[:, start + pairs : stop + pairs])
+            start = stop
+            del run  # before the next run is computed
+
+    @staticmethod
+    def build_bytes(dim: int, points: int) -> int:
+        """Bytes a build for ``points`` grid points may hold at its peak:
+        the float64 design matrix and six (points, dim) complex arrays of
+        scratch."""
+        return points * dim * dim * 8 + 6 * points * dim * 16
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         """Re Tr(M_k rho) for every k: the hermitian part of rho is used."""
@@ -310,9 +339,18 @@ def mle_density(
     the gap is met; a good-enough state is still useful.
 
     ``forward`` is a prebuilt ``_ForwardMap(dim, data.betas)`` for callers
-    that already have one.
+    that already have one; a map built for another dim or other points
+    raises ValueError.
     """
-    forward = forward or _ForwardMap(dim, data.betas)
+    if forward is None:
+        forward = _ForwardMap(dim, data.betas)
+    elif forward._dim != dim:
+        raise ValueError(f"forward map is for dim {forward._dim}, the fit for dim {dim}")
+    elif not np.array_equal(forward.betas, data.betas):
+        raise ValueError(
+            f"forward map is for other points than the data "
+            f"({len(forward.betas)} and {len(data.betas)} points)"
+        )
     have_counts = data.counts is not None
     if have_counts:
         counts = np.asarray(data.counts, float)

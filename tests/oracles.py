@@ -23,16 +23,20 @@ one cat amplitude on the linear core (``linear_propagator`` and
 is also the reference for each numerical routine the library implements
 itself: the matrix exponential, the displaced-parity
 kernels from its Laguerre polynomials and log-gamma (and the full kernel
-matrices assembled from the library's triangle), the root and
+matrices assembled from the library's Laguerre runs), the root and
 bounded-minimum searches, and Nelder-Mead.  PyYAML's pure-Python safe
 loader, with the CLI's YAML 1.2 float resolver, is the reference for the
 CLI's libyaml-based config loader, and a writer that formats every cell
-on its own, row by row, is the reference for the CLI's CSV text.
+on its own, row by row, is the reference for the CLI's CSV text.  The
+Wigner design matrix built whole (the kernel triangle first, then its
+parts concatenated) is the reference for the library's run-by-run build,
+and ``traced_peak`` measures the memory a call peaks at.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -109,8 +113,27 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes tracemalloc saw while it
+    ran, tracing stopped however the call ends."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def kernel_triangle(dim: int, betas: np.ndarray) -> np.ndarray:
+    """The library's Laguerre runs side by side: the kernels on and below
+    the diagonal, shape (len(betas), dim (dim + 1) / 2), column j holding
+    M[m, n] for the j-th pair (n, m) of ``np.triu_indices(dim)``."""
+    return np.concatenate(list(tomography._kernel_runs(dim, betas)), axis=1)
+
+
 def kernel_triangle_scipy(dim: int, betas: np.ndarray) -> np.ndarray:
-    """``tomography._kernel_triangle`` from scipy's generalized Laguerre
+    """:func:`kernel_triangle` from scipy's generalized Laguerre
     polynomials and log-gamma: sqrt(n!/m!) z^(m-n) e^(-|z|^2/2)
     L_n^(m-n)(|z|^2) (-1)^n, z = 2 beta, for the pairs (n, m) of
     ``np.triu_indices(dim)``."""
@@ -128,12 +151,35 @@ def kernel_triangle_scipy(dim: int, betas: np.ndarray) -> np.ndarray:
 def kernel_stack(dim: int, betas: np.ndarray) -> np.ndarray:
     """The full hermitian kernels M(beta), shape (len(betas), dim, dim),
     from the library's triangle and its conjugate."""
-    tri = tomography._kernel_triangle(dim, betas)
+    tri = kernel_triangle(dim, betas)
     n, m = np.triu_indices(dim)
     out = np.empty((len(tri), dim, dim), dtype=complex)
     out[:, n, m] = tri.conj()
     out[:, m, n] = tri
     return out
+
+
+def forward_matrix_concatenated(dim: int, betas: np.ndarray) -> np.ndarray:
+    """``tomography._ForwardMap``'s design matrix built whole: the kernel
+    triangle by the Laguerre recurrence over every n at once, then its
+    diagonal, 2 Re and -2 Im of its pairs n < m concatenated."""
+    z = 2 * np.asarray(betas, dtype=complex).reshape(-1, 1)
+    x = np.abs(z) ** 2
+    k = np.arange(dim)
+    lag = [np.ones((len(z), dim)), 1 + k[:-1] - x]  # L_n^(k)(x) for k < dim - n
+    for j in range(1, dim - 1):
+        kj = k[:dim - j - 1]
+        step = (2 * j + 1 + kj - x) * lag[j][:, :-1] - (j + kj) * lag[j - 1][:, :-2]
+        lag.append(step / (j + 1))
+    n, m = np.triu_indices(dim)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
+    real = np.exp(0.5 * (log_fact[n] - log_fact[m]) - x / 2)
+    real *= np.concatenate(lag, axis=1)
+    real *= (-1.0) ** n
+    tri = (z ** k)[:, m - n]
+    tri *= real
+    upper = tri[:, n < m]
+    return np.concatenate([tri[:, n == m].real, 2 * upper.real, -2 * upper.imag], axis=1)
 
 
 def auto_dump_time_brentq(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> float:

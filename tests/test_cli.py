@@ -7,17 +7,16 @@ import os
 import runpy
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from oracles import PyConfigLoader, csv_text
+from oracles import PyConfigLoader, csv_text, traced_peak
 
 import darkbus
-from darkbus import cli, codes, protocol
+from darkbus import cli, codes, protocol, tomography
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import VacuumCheckModel
 
@@ -896,20 +895,37 @@ def test_arithmetic_limits_end_in_an_exit_code(tmp_path, capsys, command, block,
     cfg = tmp_path / "c.yaml"
     cfg.write_text(block)
     out = tmp_path / "o"
-    tracemalloc.start()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run([command, "--config", cfg, "--out", out]) == code
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, peak = traced_peak(run, [command, "--config", cfg, "--out", out])
+    assert status == code
     if command == "tomo-demo":
         assert peak < 64 * 2**20
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not list(out.glob("*.csv"))
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_tomo_demo_memory_guard_counts_the_build_scratch(tmp_path, capsys, monkeypatch):
+    """With physical memory between the design matrix alone and the matrix
+    plus the build's per-run scratch, tomo-demo refuses before building:
+    exit 2, the memory message, no CSV."""
+    dim = SystemParams().dims[0]
+    opts = cli.COMMANDS["tomo-demo"][1]
+    points = tomography.WignerGrid.axis_points(opts["extent"], opts["step"]) ** 2
+    matrix = points * dim**2 * 8
+    total = matrix + 3 * points * dim * 16
+    assert matrix < total < tomography._ForwardMap.build_bytes(dim, points)
+    sysconf = os.sysconf
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": total}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+    out = tmp_path / "o"
+    assert run(["tomo-demo", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: tomo-demo asks for more memory than there is" in err
+    assert "Traceback" not in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_dual_rail_lossless_whole_periods_is_numerical_failure(tmp_path, capsys):

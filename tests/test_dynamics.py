@@ -7,7 +7,6 @@ where that redundancy pays off.
 
 import math
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,6 +31,7 @@ from oracles import (
     number,
     params_network,
     product_ket,
+    traced_peak,
 )
 
 G = 160e3  # reference coupling, Hz
@@ -597,13 +597,9 @@ def test_lindblad_copies_a_ket_state_once():
     kept = rho0.copy()
     peaks = []
     for state in (psi0, rho0):
-        tracemalloc.start()
-        try:
-            out = dynamics.lindblad_evolve(h, c_ops, state, 2e-6).final
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert not np.shares_memory(out, state)
+        res, peak = traced_peak(dynamics.lindblad_evolve, h, c_ops, state, 2e-6)
+        peaks.append(peak)
+        assert not np.shares_memory(res.final, state)
     assert np.array_equal(rho0, kept)
     assert abs(peaks[0] - peaks[1]) <= 16 * math.prod(dims) * 16
 
@@ -643,12 +639,7 @@ def test_lindblad_working_memory_stays_small():
     psi0 = product_ket(
         dims, {"cav1": hilbert.coherent(6, 0.5), "cav2": hilbert.coherent(6, -0.5)}
     )
-    tracemalloc.start()
-    try:
-        dynamics.lindblad_evolve(h, c_ops, psi0, 2e-6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(dynamics.lindblad_evolve, h, c_ops, psi0, 2e-6)
     assert peak <= 8 * math.prod(dims) ** 2 * 16
 
 

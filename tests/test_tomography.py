@@ -15,13 +15,16 @@ from oracles import (
     cat,
     displaced_parity,
     fock,
+    forward_matrix_concatenated,
     kernel_stack,
+    kernel_triangle,
     kernel_triangle_scipy,
     kerr_twist_angle,
     kerr_unitary,
     materialize_coherent,
     nelder_mead,
     optimize_basis_reference,
+    traced_peak,
 )
 
 
@@ -103,8 +106,36 @@ def test_kernel_recurrence_matches_scipy_laguerre(dim):
     corners reach |beta| = 2 sqrt 2."""
     betas = WignerGrid.default().betas
     assert np.abs(betas).max() == pytest.approx(2 * math.sqrt(2))
-    got = tomography._kernel_triangle(dim, betas)
+    got = kernel_triangle(dim, betas)
     assert_allclose(got, kernel_triangle_scipy(dim, betas), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 12, 40])
+@pytest.mark.parametrize("betas", [WignerGrid.default().betas, np.array([0.45 - 1.3j])],
+                         ids=["default-grid", "one-point"])
+def test_forward_matrix_written_in_place_is_bit_identical(dim, betas):
+    """Writing the design matrix run by run gives exactly the matrix built
+    from the whole kernel triangle by concatenation, in the same
+    column-major layout, so the BLAS products with it sum in the same order
+    and the Wigner maps keep every bit."""
+    got = tomography._ForwardMap(dim, betas).matrix
+    want = forward_matrix_concatenated(dim, betas)
+    assert np.array_equal(got, want)
+    assert (got.flags.f_contiguous, got.flags.c_contiguous) == (
+        want.flags.f_contiguous, want.flags.c_contiguous
+    )
+
+
+@pytest.mark.parametrize("dim", [12, 40])
+def test_forward_map_build_holds_the_matrix_and_a_few_runs(dim):
+    """The build peaks at the design matrix plus six (K, dim) complex
+    arrays, the bytes tomo-demo's memory guard asks for; building the whole
+    kernel triangle first peaks at about four times the matrix."""
+    betas = WignerGrid.default().betas
+    forward, peak = traced_peak(tomography._ForwardMap, dim, betas)
+    bound = forward.matrix.nbytes + 6 * len(betas) * dim * 16
+    assert tomography._ForwardMap.build_bytes(dim, len(betas)) == bound
+    assert peak <= bound
 
 
 def test_kernel_truncation_invariance():
@@ -356,6 +387,25 @@ def test_mle_reuses_a_given_forward_map():
     a = tomography.mle_density(data, dim=10)
     b = tomography.mle_density(data, dim=10, forward=forward)
     assert np.array_equal(a.rho, b.rho) and a.n_iter == b.n_iter and a.loglik == b.loglik
+
+
+def test_mle_refuses_a_forward_map_for_another_dim():
+    data = _cat_data(counts=True)
+    forward = tomography._ForwardMap(8, data.betas)
+    with pytest.raises(ValueError, match="forward map is for dim 8, the fit for dim 10"):
+        tomography.mle_density(data, dim=10, forward=forward)
+
+
+def test_mle_refuses_a_forward_map_for_other_points():
+    """A grid of as many points elsewhere, and one of another size."""
+    data = _cat_data(counts=True)
+    k = len(data.betas)
+    shifted = tomography._ForwardMap(10, data.betas + 0.05)
+    with pytest.raises(ValueError, match=rf"other points than the data \({k} and {k} points\)"):
+        tomography.mle_density(data, dim=10, forward=shifted)
+    fewer = tomography._ForwardMap(10, data.betas[:-1])
+    with pytest.raises(ValueError, match=rf"other points than the data \({k - 1} and {k} points"):
+        tomography.mle_density(data, dim=10, forward=fewer)
 
 
 @settings(max_examples=60, deadline=None)
