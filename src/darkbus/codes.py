@@ -37,6 +37,16 @@ import numpy as np
 from . import hilbert
 
 
+def _check_truncation(dim: int) -> None:
+    """Raise NumericalError for a cavity truncation the codewords cannot live
+    in: the plus codeword, with its vacuum removed, has no support below |2>."""
+    if dim < 3:
+        raise hilbert.NumericalError(
+            f"codewords need a cavity truncation of at least 3, got {dim}: "
+            "the plus codeword has no support below |2>"
+        )
+
+
 @dataclass(frozen=True)
 class LogicalBasis:
     """Parameters of the single-cavity cat-code analysis basis."""
@@ -54,11 +64,7 @@ class LogicalBasis:
         alone.  ``dim`` must be at least 3: the plus codeword, with its
         vacuum removed, has no support below |2>, so at dim 2 it is zero
         and only rounding would be left to normalize."""
-        if dim < 3:
-            raise hilbert.NumericalError(
-                f"codewords need a cavity truncation of at least 3, got {dim}: "
-                "the plus codeword has no support below |2>"
-            )
+        _check_truncation(dim)
         # |alpha> and |-alpha>, then their sum and difference, stacked on the
         # second-to-last axis
         pair = hilbert.coherent(dim, np.multiply.outer(self.alpha, [1.0, -1.0]), normalized=False)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codes, hilbert
-from .codes import LogicalBasis
+from . import hilbert
+from .codes import LogicalBasis, _check_truncation
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +119,17 @@ class _ForwardMap:
     matrix is allocated once and filled run by run from
     :func:`_kernel_runs`, so the build peaks at the matrix plus a few
     (K, dim) arrays (:meth:`build_bytes`).  The adjoint is the transpose
-    product.  ``betas`` are the points the map was built for.
+    product.  ``betas`` are the points the map was built for.  Both products
+    read and write rho through flat indices of its diagonal, its upper
+    triangle and the transposed upper triangle, fixed at construction.
     """
 
     def __init__(self, dim: int, betas: np.ndarray):
         self.betas = np.array(betas, dtype=complex)
-        self._dim, self._iu = dim, np.triu_indices(dim, 1)  # the pairs n < m, in order
-        pairs = len(self._iu[0])
+        self._dim = dim
+        i, j = np.triu_indices(dim, 1)  # the pairs n < m, in order
+        self._diag, self._upper, self._lower = np.arange(dim) * (dim + 1), i * dim + j, j * dim + i
+        pairs = len(i)
         # column-major: a run's columns are contiguous, and the BLAS products
         # with the matrix sum in the order this layout sets
         self.matrix = np.empty((len(self.betas), dim * dim), order="F")
@@ -148,16 +152,18 @@ class _ForwardMap:
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         """Re Tr(M_k rho) for every k: the hermitian part of rho is used."""
-        i, j = self._iu
-        upper = 0.5 * (rho[i, j] + rho[j, i].conj())
-        return self.matrix @ np.concatenate([rho.diagonal().real, upper.real, upper.imag])
+        flat = rho.reshape(-1)
+        upper = 0.5 * (flat[self._upper] + flat[self._lower].conj())
+        return self.matrix @ np.concatenate([flat[self._diag].real, upper.real, upper.imag])
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
         """sum_k c_k M_k for real weights c."""
         v = self.matrix.T @ c
-        d, n = self._dim, len(self._iu[0])
-        h = np.diag(v[:d] / 2).astype(complex)
-        h[self._iu] = (v[d : d + n] + 1j * v[d + n :]) / 2
+        d, n = self._dim, len(self._upper)
+        h = np.zeros(d * d, dtype=complex)
+        h[self._diag] = v[:d] / 2
+        h[self._upper] = (v[d : d + n] + 1j * v[d + n :]) / 2
+        h = h.reshape(d, d)
         return h + h.conj().T
 
 
@@ -269,34 +275,37 @@ def _project_density(h: np.ndarray) -> np.ndarray:
 def _binomial_objective(counts, shots):
     """Negative log-likelihood per shot, as functions of the parity map w.
 
-    grad(w) is df/dw; change(w, w0) is (f(w) - f(w0), f(w) - f(w0) -
-    grad(w0).(w - w0)), summed term by term through log1p so that both
-    stay accurate when w is close to w0.
+    at(w) is what the other two read of w: its +1 outcome probabilities,
+    clipped away from 0 and 1.  grad(at(w)) is df/dw; change(at(w),
+    at(w0)) is (f(w) - f(w0), f(w) - f(w0) - grad(w0).(w - w0)), summed
+    term by term through log1p so that both stay accurate when w is close
+    to w0.
     """
     misses, total = shots - counts, float(np.sum(shots))
 
-    def prob(w):
+    def at(w):
         return np.clip((1 + w) / 2, 1e-12, 1 - 1e-12)
 
-    def grad(w):
-        p = prob(w)
+    def grad(p):
         return (misses / (1 - p) - counts / p) / (2 * total)
 
-    def change(w, w0):
-        p, p0 = prob(w), prob(w0)
+    def change(p, p0):
         x_hit, x_miss = (p - p0) / p0, (p0 - p) / (1 - p0)
         l_hit, l_miss = np.log1p(x_hit), np.log1p(x_miss)
         rise = -float(counts @ l_hit + misses @ l_miss) / total
         bregman = float(counts @ (x_hit - l_hit) + misses @ (x_miss - l_miss)) / total
         return rise, bregman
 
-    return grad, change
+    return at, grad, change
 
 
 def _squared_objective(w_obs):
     """Half the mean squared misfit to w_obs, in the form of
-    ``_binomial_objective``."""
+    ``_binomial_objective``; at(w) is w itself."""
     k = len(w_obs)
+
+    def at(w):
+        return w
 
     def grad(w):
         return (w - w_obs) / k
@@ -305,7 +314,7 @@ def _squared_objective(w_obs):
         dw = w - w0
         return float(dw @ (w0 - w_obs + dw / 2)) / k, float(dw @ dw) / (2 * k)
 
-    return grad, change
+    return at, grad, change
 
 
 def mle_density(
@@ -330,6 +339,9 @@ def mle_density(
     until f lies under its quadratic upper bound there and grows by 1.25
     after each accepted iterate.  When f rises the momentum is dropped and
     the iteration repeats from the last iterate, so f never increases.
+    Each parity map (of the iterate, the extrapolated point and each
+    candidate) is turned into its clipped outcome probabilities once; the
+    gradient and both tests of f's change read those.
 
     Stopping rule: converged when the optimality gap at the iterate,
     Tr(G rho) - lambda_min(G) with G the gradient of f, is at most tol.
@@ -356,35 +368,39 @@ def mle_density(
         counts = np.asarray(data.counts, float)
         shots = np.asarray(data.shots, float)
         w_obs = 2 * counts / shots - 1
-        grad, change = _binomial_objective(counts, shots)
+        at, grad, change = _binomial_objective(counts, shots)
     else:
         w_obs = np.asarray(data.value, float)
-        grad, change = _squared_objective(w_obs)
+        at, grad, change = _squared_objective(w_obs)
 
+    # each map w is read through at(w) once: q, q_theta, q_cand
     rho = np.eye(dim, dtype=complex) / dim
     w = forward(rho)
-    theta, w_theta, momentum = rho, w, 1.0
+    q = at(w)
+    theta, w_theta, q_theta, momentum = rho, w, q, 1.0
     step, converged, it = 1.0, False, 0
     for it in range(1, max_iter + 1):
-        g = forward.adjoint(grad(w_theta))
+        g = forward.adjoint(grad(q_theta))
         while True:
             cand = _project_density(theta - step * g)
             w_cand = forward(cand)
+            q_cand = at(w_cand)
             d = cand - theta
-            if change(w_cand, w_theta)[1] <= np.vdot(d, d).real / (2 * step):
+            if change(q_cand, q_theta)[1] <= np.vdot(d, d).real / (2 * step):
                 break
             step /= 2
-        if change(w_cand, w)[0] > 0:
+        if change(q_cand, q)[0] > 0:
             if momentum == 1.0:
                 break  # a plain gradient step from rho cannot descend
-            theta, w_theta, momentum = rho, w, 1.0
+            theta, w_theta, q_theta, momentum = rho, w, q, 1.0
             continue
-        g = forward.adjoint(grad(w_cand))
+        g = forward.adjoint(grad(q_cand))
         gap = np.vdot(g, cand).real - np.linalg.eigvalsh(g)[0]
         nxt = (1 + math.sqrt(1 + 4 * momentum**2)) / 2
         beta = (momentum - 1) / nxt
         theta, w_theta = cand + beta * (cand - rho), w_cand + beta * (w_cand - w)
-        rho, w, momentum = cand, w_cand, nxt
+        q_theta = at(w_theta)
+        rho, w, q, momentum = cand, w_cand, q_cand, nxt
         if gap <= tol:
             converged = True
             break
@@ -426,31 +442,95 @@ def optimize_basis(state, dims: tuple[int, int]) -> OptimizedBasis:
     to 5.8 rad, it reaches the best fidelity of four searches started at
     Kerr angles 0, 0.25, 0.5 and -0.5 to within 3e-15.
 
-    Each evaluation builds the codewords once per distinct truncation (once
-    in all when ``dims`` are equal: the two cavities share them) and one Bell
-    ket; ``Tr rho`` is computed once per fit, outside the objective.
+    The objective is :func:`_basis_objective`: the singlet has support only
+    on the Fock pairs of opposite parity with no vacuum, so rho's block on
+    them is cut out once per fit, and one evaluation is each cavity's
+    codeword amplitudes in closed form (a few length-dim array operations)
+    and one product of that block with the singlet's amplitudes there.  A
+    truncation below 3 raises NumericalError before the search.
     """
     rho = hilbert.as_dm(state)
     d1, d2 = dims
+    fidelity = _basis_objective(rho, dims)
     tr = float(np.real(np.trace(rho)))
     pops = rho.diagonal().real.reshape(d1, d2)
     n_mean = (np.arange(d1) @ pops.sum(1) + np.arange(d2) @ pops.sum(0)) / (2 * tr)
 
     def neg_fid(x):
-        alpha, theta_k, theta_r = x
+        alpha = x[0]
         if alpha < 0.05:
             return 1.0 + abs(alpha)
-        basis = LogicalBasis(alpha, theta_k=theta_k, theta_r=theta_r)
-        w1 = basis.codewords(d1)
-        w2 = w1 if d2 == d1 else basis.codewords(d2)
-        bell = codes.bell_state(w1, w2)
-        return -float(np.real(bell.conj() @ rho @ bell) / tr)
+        return -fidelity(x)
 
     x0 = np.array([math.sqrt(n_mean), 0.0, 0.0])
     simplex = np.array([x0, x0 + [0.15, 0, 0], x0 + [0, 0.25, 0], x0 + [0, 0, 0.25]])
     res = _nelder_mead(neg_fid, simplex, xatol=1e-7, fatol=1e-12, maxiter=2000)
     basis = LogicalBasis(abs(res.x[0]), theta_k=res.x[1], theta_r=res.x[2])
     return OptimizedBasis(basis=basis, fidelity=-res.fun, x=res.x, success=res.success)
+
+
+def _codeword_amplitudes(dim: int):
+    """The codewords |+>_L and |->_L at truncation ``dim``, in closed form,
+    as a function of x = (alpha, theta_k, theta_r), alpha > 0.
+
+    Both are the coherent amplitudes e^(-alpha^2/2) alpha^n / sqrt(n!),
+    twisted by e^(i (theta_r n + theta_k n(n-1)/2)), restricted to one
+    parity and normalized: |+>_L to the even n >= 2 (the vacuum removed),
+    |->_L to the odd n; the factor 2 of |alpha> +- |-alpha> cancels.  The
+    exponent is one product of four coefficients with four rows fixed here
+    (n, n(n-1)/2, 1 and ln(n!)/2).  Returns (plus[2::2], minus[1::2]): the
+    kets' entries on their own parity, the rest being zero.
+    """
+    n = np.arange(dim)
+    half_log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim))))) / 2
+    rows = np.array([n, n * (n - 1) / 2, np.ones(dim), half_log_fact], dtype=complex)
+
+    def amplitudes(x):
+        alpha, theta_k, theta_r = x
+        coeffs = np.array([math.log(alpha) + 1j * theta_r, 1j * theta_k, -alpha * alpha / 2, -1])
+        v = np.exp(coeffs @ rows)
+        plus, minus = v[2::2], v[1::2]
+        plus /= math.sqrt(np.vdot(plus, plus).real)
+        minus /= math.sqrt(np.vdot(minus, minus).real)
+        return plus, minus
+
+    return amplitudes
+
+
+def _basis_objective(rho: np.ndarray, dims: tuple[int, int]):
+    """The logical Bell fidelity of the pair density matrix ``rho`` on the
+    truncations ``dims``, as a function ``fidelity(x1, x2=None)`` of each
+    cavity's basis parameters (alpha, theta_k, theta_r); x2 None is the
+    symmetric basis x1 on both.
+
+    The singlet B = (|-,+> - |+,->)/sqrt(2) is zero outside the Fock pairs
+    S = (odd, even >= 2) and (even >= 2, odd), so
+    F = B^dag rho B / Tr rho = b^dag rho_S b / (2 Tr rho) with b = m1 p2 on
+    the first part and -p1 m2 on the second (p, m the codewords'
+    amplitudes on their parity, :func:`_codeword_amplitudes`).
+    rho_S / (2 Tr rho) is taken once here; each call is the amplitudes,
+    once per cavity (once in all for a symmetric basis on equal
+    truncations), and one |S| x |S| matrix-vector product.  A truncation
+    below 3 raises NumericalError here.
+    """
+    d1, d2 = dims
+    _check_truncation(d1)
+    _check_truncation(d2)
+    odd1, even1 = np.arange(1, d1, 2), np.arange(2, d1, 2)
+    odd2, even2 = np.arange(1, d2, 2), np.arange(2, d2, 2)
+    s = np.concatenate([(odd1[:, None] * d2 + even2).ravel(), (even1[:, None] * d2 + odd2).ravel()])
+    block = rho[np.ix_(s, s)]
+    block /= 2 * float(np.real(np.trace(rho)))
+    amps1 = _codeword_amplitudes(d1)
+    amps2 = amps1 if d2 == d1 else _codeword_amplitudes(d2)
+
+    def fidelity(x1, x2=None):
+        p1, m1 = amps1(x1)
+        p2, m2 = (p1, m1) if x2 is None and amps2 is amps1 else amps2(x1 if x2 is None else x2)
+        b = np.concatenate([(m1[:, None] * p2).ravel(), (-p1[:, None] * m2).ravel()])
+        return float(np.vdot(b, block @ b).real)
+
+    return fidelity
 
 
 @dataclass

@@ -30,7 +30,10 @@ CLI's libyaml-based config loader, and a writer that formats every cell
 on its own, row by row, is the reference for the CLI's CSV text.  The
 Wigner design matrix built whole (the kernel triangle first, then its
 parts concatenated) is the reference for the library's run-by-run build,
-and ``traced_peak`` measures the memory a call peaks at.
+``traced_peak`` measures the memory a call peaks at, and a
+maximum-likelihood loop that clips each parity map's probabilities anew
+wherever it reads them, through 2-D indexing of rho's triangles, is the
+reference for the library's loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -492,6 +495,98 @@ def dual_rail_distill_kron(rho_pair):
     heralded = pi @ rho2 @ pi
     p = float(np.real(np.trace(heralded)))
     return p, heralded / p if p > 0 else heralded
+
+
+def mle_density_reference(data: tomography.WignerData, dim: int, max_iter: int = 2000,
+                          tol: float = 1e-10) -> tomography.MleResult:
+    """``tomography.mle_density`` with each parity map's probabilities
+    clipped anew in every gradient and every change (about six times an
+    iteration), and the design matrix applied through 2-D fancy indexing of
+    rho's triangles, the adjoint's diagonal from ``np.diag``.  The design
+    matrix and the projection are the library's."""
+    matrix = tomography._ForwardMap(dim, data.betas).matrix
+    iu = np.triu_indices(dim, 1)
+    n_pairs = len(iu[0])
+
+    def forward(rho):
+        i, j = iu
+        upper = 0.5 * (rho[i, j] + rho[j, i].conj())
+        return matrix @ np.concatenate([rho.diagonal().real, upper.real, upper.imag])
+
+    def adjoint(c):
+        v = matrix.T @ c
+        h = np.diag(v[:dim] / 2).astype(complex)
+        h[iu] = (v[dim : dim + n_pairs] + 1j * v[dim + n_pairs :]) / 2
+        return h + h.conj().T
+
+    have_counts = data.counts is not None
+    if have_counts:
+        counts = np.asarray(data.counts, float)
+        shots = np.asarray(data.shots, float)
+        w_obs = 2 * counts / shots - 1
+        misses, total = shots - counts, float(np.sum(shots))
+
+        def prob(w):
+            return np.clip((1 + w) / 2, 1e-12, 1 - 1e-12)
+
+        def grad(w):
+            p = prob(w)
+            return (misses / (1 - p) - counts / p) / (2 * total)
+
+        def change(w, w0):
+            p, p0 = prob(w), prob(w0)
+            x_hit, x_miss = (p - p0) / p0, (p0 - p) / (1 - p0)
+            l_hit, l_miss = np.log1p(x_hit), np.log1p(x_miss)
+            rise = -float(counts @ l_hit + misses @ l_miss) / total
+            bregman = float(counts @ (x_hit - l_hit) + misses @ (x_miss - l_miss)) / total
+            return rise, bregman
+    else:
+        w_obs = np.asarray(data.value, float)
+        k = len(w_obs)
+
+        def grad(w):
+            return (w - w_obs) / k
+
+        def change(w, w0):
+            dw = w - w0
+            return float(dw @ (w0 - w_obs + dw / 2)) / k, float(dw @ dw) / (2 * k)
+
+    rho = np.eye(dim, dtype=complex) / dim
+    w = forward(rho)
+    theta, w_theta, momentum = rho, w, 1.0
+    step, converged, it = 1.0, False, 0
+    for it in range(1, max_iter + 1):
+        g = adjoint(grad(w_theta))
+        while True:
+            cand = tomography._project_density(theta - step * g)
+            w_cand = forward(cand)
+            d = cand - theta
+            if change(w_cand, w_theta)[1] <= np.vdot(d, d).real / (2 * step):
+                break
+            step /= 2
+        if change(w_cand, w)[0] > 0:
+            if momentum == 1.0:
+                break
+            theta, w_theta, momentum = rho, w, 1.0
+            continue
+        g = adjoint(grad(w_cand))
+        gap = np.vdot(g, cand).real - np.linalg.eigvalsh(g)[0]
+        nxt = (1 + math.sqrt(1 + 4 * momentum**2)) / 2
+        beta = (momentum - 1) / nxt
+        theta, w_theta = cand + beta * (cand - rho), w_cand + beta * (w_cand - w)
+        rho, w, momentum = cand, w_cand, nxt
+        if gap <= tol:
+            converged = True
+            break
+        step *= 1.25
+
+    return tomography.MleResult(
+        rho=rho,
+        converged=converged,
+        n_iter=it,
+        rms_residual=float(np.sqrt(np.mean((w - w_obs) ** 2))),
+        loglik=tomography._binomial_loglik((1 + w) / 2, counts, shots) if have_counts else math.nan,
+    )
 
 
 def optimize_basis_reference(

@@ -12,7 +12,9 @@ from darkbus import cli, codes, dynamics, hilbert, protocol, tomography
 from darkbus.codes import LogicalBasis
 from darkbus.tomography import WignerData, WignerGrid
 from oracles import (
+    bell_state_kron,
     cat,
+    codewords_four_coherent,
     displaced_parity,
     fock,
     forward_matrix_concatenated,
@@ -22,6 +24,7 @@ from oracles import (
     kerr_twist_angle,
     kerr_unitary,
     materialize_coherent,
+    mle_density_reference,
     nelder_mead,
     optimize_basis_reference,
     traced_peak,
@@ -426,6 +429,40 @@ def test_project_density_is_a_projection(dim, seed, scale):
     assert_allclose(tomography._project_density(sigma), sigma, atol=1e-13)
 
 
+def _tomo_demo_data(seed: int | None, counts: bool):
+    """tomo-demo's Wigner data of the conditioned cat at its defaults: the
+    sampled counts at ``seed``, or the noiseless map without counts."""
+    opts = dict(cli.COMMANDS["tomo-demo"][1])
+    res = protocol.run_dmm(dynamics.SystemParams(), **cli._herald(opts))
+    w1, w2 = res.codewords
+    rho1 = hilbert.condition(res.rho_pass, (w1.dim, w2.dim), np.outer(w2.plus, w2.plus.conj()))
+    rho1 = rho1 / np.trace(rho1)
+    grid = WignerGrid.default(opts["extent"], opts["step"])
+    w = tomography.wigner_map(rho1, grid).ravel()
+    if not counts:
+        return WignerData.from_map(grid, w), w1.dim
+    shots = opts["shots"]
+    n = tomography.sample_counts(w, shots, seed=seed)
+    return WignerData.from_map(grid, 2 * n / shots - 1, shots=shots, counts=n), w1.dim
+
+
+@pytest.mark.parametrize(
+    "seed, counts", [(3, True), (7, True), (11, True), (None, False)],
+    ids=["counts-3", "counts-7", "counts-11", "values"],
+)
+def test_mle_matches_reference_loop_bit_for_bit(seed, counts):
+    """Reading each parity map's probabilities once, through flat indices,
+    changes no bit of the fit: on tomo-demo's data, binomial and least
+    squares, every field equals the loop that reads them anew each time."""
+    data, dim = _tomo_demo_data(seed, counts)
+    got = tomography.mle_density(data, dim)
+    ref = mle_density_reference(data, dim)
+    assert np.array_equal(got.rho, ref.rho)
+    assert (got.n_iter, got.converged) == (ref.n_iter, ref.converged)
+    assert got.rms_residual == ref.rms_residual
+    assert got.loglik == ref.loglik or (math.isnan(got.loglik) and math.isnan(ref.loglik))
+
+
 def test_mle_iteration_cap_flags_not_converged():
     rho_true = _cat_target()
     grid = WignerGrid.default(2.0, 0.4)
@@ -493,18 +530,77 @@ def _tomo_demo_pair(dims):
 @pytest.mark.parametrize("dims", [(12, 12), (8, 10)])
 def test_optimize_basis_matches_reference_objective(dims):
     """On tomo-demo's heralded pair (its default dims and unequal ones) the
-    fit returns exactly the x and fidelity of the objective that builds both
-    cavities' codewords every evaluation, searched once from the same start;
-    with unequal dims the cavities must not share one set."""
+    fit lands on the x and fidelity of the objective that builds both
+    cavities' codewords and the Bell ket every evaluation, searched once
+    from the same start: the fidelity to 1e-13 and x to 1e-6, ten times the
+    search's xatol (the two objectives round differently, so the simplex
+    may take other last steps).  With unequal dims the cavities must not
+    share one set of codewords."""
     rho = _tomo_demo_pair(dims)
     assert rho.space.dims == dims
     fit = tomography.optimize_basis(rho, dims)
     ref = optimize_basis_reference(
         rho, dims, alpha0=_mean_amplitude(rho, dims), extra_starts=(0.0,)
     )
-    assert np.array_equal(fit.x, ref.x)
-    assert fit.fidelity == -ref.fun
+    assert abs(fit.fidelity + ref.fun) <= 1e-13
+    assert np.max(np.abs(fit.x - ref.x)) <= 1e-6
     assert fit.success == ref.success
+
+
+@pytest.mark.parametrize("dims", [(12, 12), (8, 10), (6, 6), (40, 40), (3, 3)])
+def test_basis_objective_matches_reference_objective(dims):
+    """The closed-form parity-block objective equals the Bell fidelity from
+    codewords built of four coherent kets and a Kronecker-product Bell ket,
+    to 1e-14, at random (alpha <= 3, theta_k, theta_r) on a random pair state
+    and on tomo-demo's pair, with both cavities' parameters the same and
+    different."""
+    rng = np.random.default_rng(sum(dims))
+    d = dims[0] * dims[1]
+    rho = _random_density(rng, d, 3) * 0.8  # trace 0.8: the fidelity divides by it
+    states = [rho]
+    if dims == (12, 12):
+        states.append(hilbert.as_dm(_tomo_demo_pair(dims)))
+
+    def reference(rho, x1, x2):
+        w1 = codewords_four_coherent(LogicalBasis(*x1), dims[0])
+        w2 = codewords_four_coherent(LogicalBasis(*x2), dims[1])
+        bell = bell_state_kron(w1, w2)
+        return float(np.real(bell.conj() @ rho @ bell) / np.real(np.trace(rho)))
+
+    for rho in states:
+        fidelity = tomography._basis_objective(rho, dims)
+        for _ in range(40):
+            x1, x2 = rng.uniform([0.05, -np.pi, -np.pi], [3.0, np.pi, np.pi], (2, 3))
+            assert fidelity(x1) == pytest.approx(reference(rho, x1, x1), abs=1e-14)
+            assert fidelity(x1, x2) == pytest.approx(reference(rho, x1, x2), abs=1e-14)
+
+
+@pytest.mark.parametrize("dims", [(2, 12), (12, 2)])
+def test_optimize_basis_refuses_a_truncation_below_3(dims, monkeypatch):
+    """The codewords' truncation check runs before the search starts."""
+    monkeypatch.setattr(tomography, "_nelder_mead", None)  # never reached
+    rho = np.eye(dims[0] * dims[1], dtype=complex) / (dims[0] * dims[1])
+    with pytest.raises(hilbert.NumericalError, match="truncation of at least 3, got 2"):
+        tomography.optimize_basis(rho, dims)
+
+
+def test_optimize_basis_builds_no_kets(monkeypatch):
+    """On tomo-demo's pair the fit never builds a coherent ket or a Bell
+    ket: its codewords are in closed form."""
+    calls = {"bell_state": 0, "coherent": 0}
+    for module, name in ((codes, "bell_state"), (hilbert, "coherent")):
+        fn = getattr(module, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    rho = _tomo_demo_pair((12, 12))
+    calls.update(bell_state=0, coherent=0)
+    fit = tomography.optimize_basis(rho, (12, 12))
+    assert fit.success
+    assert calls == {"bell_state": 0, "coherent": 0}
 
 
 @pytest.mark.parametrize("maxiter", [2000, 40])
