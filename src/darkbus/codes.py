@@ -25,6 +25,11 @@ An analysis basis may additionally carry a Kerr twist and a rotation,
 which is how self-Kerr evolution and frame rotations accumulated between
 preparation and readout get absorbed into the decoding instead of being
 counted as infidelity.
+
+In closed form (no coherent ket), for alpha > 0 and up to normalization,
+<n|±>_L = exp(n (ln alpha + i th_r) + i th_k n(n-1)/2 - alpha^2/2 - ln(n!)/2)
+on the even n >= 2 (|+>_L) or the odd n (|->_L), and exactly 0 elsewhere;
+the basis fit in :mod:`darkbus.tomography` evaluates the same form.
 """
 
 from __future__ import annotations
@@ -63,21 +68,40 @@ class LogicalBasis:
         ``np.shape(alpha) + (dim,)``, each exactly the ket of its amplitude
         alone.  ``dim`` must be at least 3: the plus codeword, with its
         vacuum removed, has no support below |2>, so at dim 2 it is zero
-        and only rounding would be left to normalize."""
+        and only rounding would be left to normalize.  alpha <= 0 raises
+        NumericalError, as does a codeword that underflows to zero."""
         _check_truncation(dim)
-        # |alpha> and |-alpha>, then their sum and difference, stacked on the
-        # second-to-last axis
-        pair = hilbert.coherent(dim, np.multiply.outer(self.alpha, [1.0, -1.0]), normalized=False)
-        raw = pair[..., :1, :] + [[1.0], [-1.0]] * pair[..., 1:, :]
-        raw[..., 0, 0] = 0.0  # vacuum removal on the even branch
-        n = np.arange(dim)
-        twist = np.exp(1j * self.theta_r * n + 1j * self.theta_k / 2 * n * (n - 1))
-        kets = twist * raw
+        alpha = np.asarray(self.alpha, dtype=float)
+        if not np.all(alpha > 0):
+            raise hilbert.NumericalError(f"codewords need amplitudes alpha > 0, got {self.alpha}")
+        coeffs = np.empty(alpha.shape + (4,), dtype=complex)
+        coeffs[...] = (1j * self.theta_r, 1j * self.theta_k, 0, -1)
+        coeffs[..., 0] += np.log(alpha)
+        coeffs[..., 2] = -alpha * alpha / 2
+        kets = np.zeros(alpha.shape + (2, dim), dtype=complex)
+        kets[..., 0, 2::2], kets[..., 1, 1::2] = _parity_amplitudes(dim)(coeffs)
         norms = hilbert.norm(kets)
-        if not norms.all():
+        if not np.all(norms > 0):
             raise hilbert.NumericalError(f"codewords vanish at alpha={self.alpha}")
         kets /= norms
         return Codewords(kets[..., 0, :], kets[..., 1, :], self, dim)
+
+
+def _parity_amplitudes(dim: int):
+    """The codewords' unnormalized (even[..., 2::2], odd[..., 1::2]) at
+    truncation ``dim`` as a function of c (..., 4) = (ln alpha + i theta_r,
+    i theta_k, -alpha^2/2, -1): exp of c times the rows (n, n(n-1)/2, 1,
+    ln(n!)/2), one row vector c at a time, so a stack gives each item's own
+    bits (one matrix product for the whole stack would round differently)."""
+    n = np.arange(dim)
+    half_log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim))))) / 2
+    rows = np.array([n, n * (n - 1) / 2, np.ones(dim), half_log_fact], dtype=complex)
+
+    def amplitudes(coeffs):
+        v = np.exp(coeffs[..., None, :] @ rows)
+        return v[..., 0, 2::2], v[..., 0, 1::2]
+
+    return amplitudes
 
 
 @dataclass(frozen=True)

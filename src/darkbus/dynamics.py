@@ -200,19 +200,19 @@ def langevin_solve(g_bs, kappa_cav, kappa_b, z0, times) -> np.ndarray:
 
     ``kappa_cav`` may be a scalar or a (cav1, cav2) pair of energy decay
     rates in 1/s; g_bs and kappa_b are cyclic Hz.  Returns z(t) = E(t) z0
-    from :func:`linear_propagator` at each of ``times`` (seconds, any order),
-    shape (len(times), 3) in mode order (cav1, bus, cav2): exact at every
-    time (including exactly critical damping), and the classical reference
-    for the quantum solvers, since <a_k(t)> of a coherent initial state
-    follows it identically.
+    at each of ``times`` (seconds, any order) for z0 in mode order (cav1,
+    bus, cav2), shape (3,) or (3, k) (k inputs, each column equal to its own
+    call to rounding), as shape (len(times),) + z0.shape: exact at every time
+    (including exactly critical damping), and the classical reference for
+    the quantum solvers, since <a_k(t)> of a coherent initial state follows
+    it identically.
     """
     k1, k2 = (kappa_cav, kappa_cav) if np.isscalar(kappa_cav) else kappa_cav
-    coupling = coupling_matrix(g_bs)
-    gammas = (k1, TWO_PI * kappa_b, k2)
     z0 = np.asarray(z0, dtype=complex)
-    if z0.shape != (3,):
-        raise ValueError("z0 must be the three initial amplitudes (cav1, bus, cav2)")
-    return linear_propagator(coupling, gammas, np.atleast_1d(times))[0] @ z0
+    if z0.ndim not in (1, 2) or len(z0) != 3:
+        raise ValueError("z0 must hold the three initial amplitudes (cav1, bus, cav2) per column")
+    gammas = (k1, TWO_PI * kappa_b, k2)
+    return linear_propagator(coupling_matrix(g_bs), gammas, np.atleast_1d(times))[0] @ z0
 
 
 def critical_kappa(g_bs: float) -> float:

@@ -93,9 +93,7 @@ def coherent(dim: int, alpha, normalized: bool = True) -> np.ndarray:
     """
     alpha = np.asarray(alpha)[..., None]
     r = np.hypot(alpha.real, alpha.imag)  # what abs() gives for one amplitude
-    # -|alpha|^2 / 2 as Python gives it for one float (its ** is libm pow,
-    # from which numpy's square of an array can differ in the last bit)
-    half = np.array([-(x**2) / 2 for x in r.ravel().tolist()]).reshape(r.shape)
+    half = -(r * r) / 2
     n = np.arange(dim)
     # log-space to stay finite for large alpha and dim; at alpha = 0 every
     # n > 0 term is e^{-inf} = 0, and the n = 0 term, 0 * log 0, is set to

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .codes import LogicalBasis, _check_truncation
+from .codes import LogicalBasis, _check_truncation, _parity_amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -469,34 +469,6 @@ def optimize_basis(state, dims: tuple[int, int]) -> OptimizedBasis:
     return OptimizedBasis(basis=basis, fidelity=-res.fun, x=res.x, success=res.success)
 
 
-def _codeword_amplitudes(dim: int):
-    """The codewords |+>_L and |->_L at truncation ``dim``, in closed form,
-    as a function of x = (alpha, theta_k, theta_r), alpha > 0.
-
-    Both are the coherent amplitudes e^(-alpha^2/2) alpha^n / sqrt(n!),
-    twisted by e^(i (theta_r n + theta_k n(n-1)/2)), restricted to one
-    parity and normalized: |+>_L to the even n >= 2 (the vacuum removed),
-    |->_L to the odd n; the factor 2 of |alpha> +- |-alpha> cancels.  The
-    exponent is one product of four coefficients with four rows fixed here
-    (n, n(n-1)/2, 1 and ln(n!)/2).  Returns (plus[2::2], minus[1::2]): the
-    kets' entries on their own parity, the rest being zero.
-    """
-    n = np.arange(dim)
-    half_log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim))))) / 2
-    rows = np.array([n, n * (n - 1) / 2, np.ones(dim), half_log_fact], dtype=complex)
-
-    def amplitudes(x):
-        alpha, theta_k, theta_r = x
-        coeffs = np.array([math.log(alpha) + 1j * theta_r, 1j * theta_k, -alpha * alpha / 2, -1])
-        v = np.exp(coeffs @ rows)
-        plus, minus = v[2::2], v[1::2]
-        plus /= math.sqrt(np.vdot(plus, plus).real)
-        minus /= math.sqrt(np.vdot(minus, minus).real)
-        return plus, minus
-
-    return amplitudes
-
-
 def _basis_objective(rho: np.ndarray, dims: tuple[int, int]):
     """The logical Bell fidelity of the pair density matrix ``rho`` on the
     truncations ``dims``, as a function ``fidelity(x1, x2=None)`` of each
@@ -507,7 +479,8 @@ def _basis_objective(rho: np.ndarray, dims: tuple[int, int]):
     S = (odd, even >= 2) and (even >= 2, odd), so
     F = B^dag rho B / Tr rho = b^dag rho_S b / (2 Tr rho) with b = m1 p2 on
     the first part and -p1 m2 on the second (p, m the codewords'
-    amplitudes on their parity, :func:`_codeword_amplitudes`).
+    amplitudes on their parity, :func:`~darkbus.codes._parity_amplitudes`
+    normalized, as ``LogicalBasis.codewords`` has them).
     rho_S / (2 Tr rho) is taken once here; each call is the amplitudes,
     once per cavity (once in all for a symmetric basis on equal
     truncations), and one |S| x |S| matrix-vector product.  A truncation
@@ -521,12 +494,21 @@ def _basis_objective(rho: np.ndarray, dims: tuple[int, int]):
     s = np.concatenate([(odd1[:, None] * d2 + even2).ravel(), (even1[:, None] * d2 + odd2).ravel()])
     block = rho[np.ix_(s, s)]
     block /= 2 * float(np.real(np.trace(rho)))
-    amps1 = _codeword_amplitudes(d1)
-    amps2 = amps1 if d2 == d1 else _codeword_amplitudes(d2)
+    amps1 = _parity_amplitudes(d1)
+    amps2 = amps1 if d2 == d1 else _parity_amplitudes(d2)
+
+    def codewords(amps, x):
+        alpha, theta_k, theta_r = x
+        coeffs = np.array([math.log(alpha) + 1j * theta_r, 1j * theta_k, -alpha * alpha / 2, -1])
+        plus, minus = amps(coeffs)
+        plus /= math.sqrt(np.vdot(plus, plus).real)
+        minus /= math.sqrt(np.vdot(minus, minus).real)
+        return plus, minus
 
     def fidelity(x1, x2=None):
-        p1, m1 = amps1(x1)
-        p2, m2 = (p1, m1) if x2 is None and amps2 is amps1 else amps2(x1 if x2 is None else x2)
+        p1, m1 = codewords(amps1, x1)
+        same = x2 is None and amps2 is amps1
+        p2, m2 = (p1, m1) if same else codewords(amps2, x1 if x2 is None else x2)
         b = np.concatenate([(m1[:, None] * p2).ravel(), (-p1[:, None] * m2).ravel()])
         return float(np.vdot(b, block @ b).real)
 

@@ -1054,6 +1054,24 @@ def test_cli_outputs_diff_names_each_moved_value(tmp_path, capsys, monkeypatch):
         '{"summary": {"fidelity": 0.9000000001}, "sha256": {"out.csv": "cd"}}'
     )
     assert diff() == (0, ["run/manifest.json summary.fidelity: 0.9 -> 0.9000000001"])
+    # values that depend on the seed are labelled, whatever their size, and
+    # leave the exit status alone; only the summary's seeded keys count
+    (after / "manifest.json").write_text(
+        '{"summary": {"fidelity": 0.9, "mle_fidelity": 0.5}, "sha256": {"out.csv": "ab"}}'
+    )
+    (before / "manifest.json").write_text(
+        '{"summary": {"fidelity": 0.9, "mle_fidelity": 0.9}, "sha256": {"out.csv": "ab"}}'
+    )
+    (before / "wigner_sampled.csv").write_text("value,counts\n0.25,5\n")
+    (after / "wigner_sampled.csv").write_text("value,counts\n0.5,6\n")
+    seeded = tool["SEEDED"]
+    assert diff() == (0, [
+        "run/manifest.json summary.mle_fidelity: 0.9 -> 0.5" + seeded,
+        "run/wigner_sampled.csv value row 0: 0.25 -> 0.5" + seeded,
+        "run/wigner_sampled.csv counts row 0: 5.0 -> 6.0" + seeded,
+    ])
+    (after / "out.csv").write_text("alpha,mle_fidelity\n0.5,0.9742290461870651\n1.0,0.91\n")
+    assert diff()[0] == 1  # a seeded name in an unseeded CSV is checked as usual
 
 
 @pytest.mark.parametrize(

@@ -80,6 +80,16 @@ def test_ket_encoding():
 _ANGLE = st.floats(0.01, 3.0) | st.floats(-3.0, -0.01)
 
 
+def _oracle_tolerance(theta_k, theta_r, dim):
+    """How far the closed-form codewords may sit from the four-coherent-ket
+    oracle: 4e-15 of rounding in the magnitudes, plus two ulp of the largest
+    twist phase theta_r n + theta_k n(n-1)/2, which the two forms round
+    differently (theta_k times the integer n(n-1)/2 against
+    ((theta_k/2) n)(n-1))."""
+    n = dim - 1
+    return 4e-15 + 2 * np.spacing(abs(theta_r) * n + abs(theta_k) * n * (n - 1) / 2)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     alpha=st.floats(0.05, 3.0, exclude_min=True, exclude_max=True),
@@ -89,17 +99,19 @@ _ANGLE = st.floats(0.01, 3.0) | st.floats(-3.0, -0.01)
 )
 @example(alpha=1.4, theta_k=0.7, theta_r=-0.3, dims=(8, 12))
 def test_codewords_and_bell_state_match_long_forms(alpha, theta_k, theta_r, dims):
-    """Two coherent kets per codeword build and the flattened outer products
-    of the Bell ket give exactly the bits of four coherent kets and np.kron;
-    a stack of amplitudes gives each amplitude's own bits."""
+    """The closed-form codewords, and the flattened outer products of their
+    Bell ket, agree with four coherent kets and np.kron to rounding (see
+    _oracle_tolerance); a stack of amplitudes gives each amplitude's own
+    bits."""
     basis = LogicalBasis(alpha, theta_k=theta_k, theta_r=theta_r)
     w1, w2 = (basis.codewords(d) for d in dims)
     r1, r2 = (codewords_four_coherent(basis, d) for d in dims)
-    for w, r in ((w1, r1), (w2, r2)):
-        assert np.array_equal(w.plus, r.plus)
-        assert np.array_equal(w.minus, r.minus)
-    assert np.array_equal(codes.bell_state(w1, w2), bell_state_kron(r1, r2))
-    assert np.array_equal(codes.bell_state(w2, w1), bell_state_kron(r2, r1))
+    tols = [_oracle_tolerance(theta_k, theta_r, d) for d in dims]
+    for w, r, tol in ((w1, r1, tols[0]), (w2, r2, tols[1])):
+        assert np.max(np.abs(w.plus - r.plus)) <= tol
+        assert np.max(np.abs(w.minus - r.minus)) <= tol
+    assert np.max(np.abs(codes.bell_state(w1, w2) - bell_state_kron(r1, r2))) <= sum(tols)
+    assert np.max(np.abs(codes.bell_state(w2, w1) - bell_state_kron(r2, r1))) <= sum(tols)
     amps = np.array([alpha, 0.5 * alpha, 3.0 - alpha])
     stack = LogicalBasis(amps, theta_k=theta_k, theta_r=theta_r).codewords(dims[0])
     bells = codes.bell_state(stack, w2)
@@ -108,6 +120,25 @@ def test_codewords_and_bell_state_match_long_forms(alpha, theta_k, theta_r, dims
         assert np.array_equal(stack.plus[k], one.plus)
         assert np.array_equal(stack.minus[k], one.minus)
         assert np.array_equal(bells[k], codes.bell_state(one, w2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(1e-3, 6.0),
+    theta_k=st.floats(-7.0, 7.0),
+    theta_r=st.floats(-7.0, 7.0),
+    dim=st.integers(3, 40),
+)
+@example(alpha=math.sqrt(2), theta_k=0.0, theta_r=0.0, dim=12)
+@example(alpha=2.5, theta_k=0.0, theta_r=0.0, dim=12)
+def test_codewords_are_exactly_zero_off_their_parity(alpha, theta_k, theta_r, dim):
+    """|+>_L has no odd and no vacuum entry and |->_L no even entry, exactly
+    (not to rounding), so the two are exactly orthogonal."""
+    w = LogicalBasis(alpha, theta_k=theta_k, theta_r=theta_r).codewords(dim)
+    assert w.plus[0] == 0
+    assert not w.plus[1::2].any()
+    assert not w.minus[0::2].any()
+    assert np.vdot(w.plus, w.minus) == 0
 
 
 def test_bell_state_is_singlet_in_both_bases():
@@ -148,6 +179,14 @@ def test_basis_with_rotation():
     n = np.arange(DIM)
     rot = np.exp(1j * 0.4 * n)
     assert_allclose(wr.plus, rot * w0.plus, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1e-3, -1.0, [1.0, -2.0], math.nan])
+def test_codewords_refuse_an_amplitude_that_is_not_positive(alpha):
+    """An amplitude is a modulus: a negative one raises like zero does,
+    instead of giving a sign-flipped |->_L."""
+    with pytest.raises(hilbert.NumericalError, match="alpha > 0"):
+        LogicalBasis(alpha).codewords(8)
 
 
 def test_codewords_invalid():

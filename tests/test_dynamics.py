@@ -251,6 +251,30 @@ def test_langevin_cavity_decay():
     )
 
 
+def test_langevin_stacked_inputs():
+    """A (3, k) z0 is k inputs at once: exactly E(t) z0 from the linear
+    propagator, and each column its own call's amplitudes up to rounding
+    (one matrix product per time against one matrix-vector product, which
+    BLAS sums differently, so not bit for bit: within the 5 eps error bound
+    of a complex dot product of length 3).  Other shapes raise."""
+    rng = np.random.default_rng(3)
+    times = np.linspace(0.0, 4e-6, 9)
+    gammas = (1e4, 2e4)
+    z0 = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
+    traj = dynamics.langevin_solve(G, gammas, 600e3, z0, times)
+    assert traj.shape == (len(times), 3, 7)
+    rates = (gammas[0], dynamics.TWO_PI * 600e3, gammas[1])
+    e = dynamics.linear_propagator(dynamics.coupling_matrix(G), rates, times)[0]
+    assert np.array_equal(traj, e @ z0)
+    for j in range(z0.shape[1]):
+        one = dynamics.langevin_solve(G, gammas, 600e3, z0[:, j], times)
+        bound = 5 * np.finfo(float).eps * (np.abs(e) @ np.abs(z0[:, j]))
+        assert np.all(np.abs(traj[..., j] - one) <= bound)
+    for bad in (np.ones(2), np.ones((2, 3)), np.ones((3, 2, 2))):
+        with pytest.raises(ValueError, match="three initial amplitudes"):
+            dynamics.langevin_solve(G, gammas, 600e3, bad, times)
+
+
 def test_quantum_classical_agreement():
     """<a_k(t)> from the master equation matches the Langevin amplitudes.
 

@@ -575,6 +575,24 @@ def test_basis_objective_matches_reference_objective(dims):
             assert fidelity(x1, x2) == pytest.approx(reference(rho, x1, x2), abs=1e-14)
 
 
+@pytest.mark.parametrize("dims", [(12, 12), (8, 10), (3, 5)])
+def test_basis_objective_scores_the_decoders_codewords(dims):
+    """The fit scores the basis the decoders use: the objective equals the
+    Bell fidelity of ``LogicalBasis.codewords`` and ``codes.bell_state`` on
+    rho to 1e-14, per cavity and symmetric."""
+    rng = np.random.default_rng(7 * sum(dims))
+    rho = _random_density(rng, dims[0] * dims[1], 4) * 0.7
+    fidelity = tomography._basis_objective(rho, dims)
+    for _ in range(40):
+        x1, x2 = rng.uniform([0.05, -np.pi, -np.pi], [3.0, np.pi, np.pi], (2, 3))
+        for y1, y2 in ((x1, x2), (x1, x1)):
+            w1 = LogicalBasis(*y1).codewords(dims[0])
+            w2 = LogicalBasis(*y2).codewords(dims[1])
+            bell = codes.bell_state(w1, w2)
+            ref = float(np.real(bell.conj() @ rho @ bell) / np.real(np.trace(rho)))
+            assert abs(fidelity(y1, y2) - ref) <= 1e-14
+
+
 @pytest.mark.parametrize("dims", [(2, 12), (12, 2)])
 def test_optimize_basis_refuses_a_truncation_below_3(dims, monkeypatch):
     """The codewords' truncation check runs before the search starts."""

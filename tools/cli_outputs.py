@@ -24,7 +24,10 @@ and value by value:
 
 prints one line per CSV cell and manifest value that differs, as file,
 column (or manifest key), row and old -> new, and marks each number outside
-the tolerance of ``perfbench/checks.close`` for its column.  A file present
+the tolerance of ``perfbench/checks.close`` for its column.  Values that
+depend on the seed (``checks.SEEDED_CSVS`` and ``checks.SEEDED_SUMMARY``)
+are checked there by invariants, not against a tolerance: they are marked
+``[seeded]`` instead, and do not set the exit status.  A file present
 in one tree only, a changed CSV header or row count, and any other file
 whose bytes differ get a line each.  The manifests' ``sha256`` digests are
 left out: they follow from the bytes of the CSVs compared cell by cell.
@@ -85,12 +88,15 @@ def write_outputs(out: Path) -> list[Path]:
 
 
 OUTSIDE = "  [outside perfbench tolerance]"
+SEEDED = "  [seeded]"
 
 
-def _moved(where: str, key: str, old, new) -> str:
-    """One changed value; marked when the two are not numbers within
-    ``checks.close`` for ``key``."""
+def _moved(where: str, key: str, old, new, seeded: bool = False) -> str:
+    """One changed value; marked seeded, or else when the two are not
+    numbers within ``checks.close`` for ``key``."""
     line = f"{where}: {old} -> {new}"
+    if seeded:
+        return line + SEEDED
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
     return line if numbers and checks.close(new, old, key) else line + OUTSIDE
 
@@ -114,8 +120,9 @@ def _diff_csv(rel: str, before: Path, after: Path) -> list[str]:
     )
     if h0 != h1 or len(rows0) != len(rows1):
         return [f"{rel}: header or row count differs{OUTSIDE}"]
+    seeded = Path(rel).name in checks.SEEDED_CSVS
     return [
-        _moved(f"{rel} {col} row {i}", col, checks._number(a), checks._number(b))
+        _moved(f"{rel} {col} row {i}", col, checks._number(a), checks._number(b), seeded)
         for i, (r0, r1) in enumerate(zip(rows0, rows1))
         for col, a, b in zip(h0, r0, r1)
         if a != b
@@ -131,7 +138,9 @@ def _diff_manifest(rel: str, before: Path, after: Path) -> list[str]:
         if key not in old or key not in new:
             lines.append(f"{rel} {key}: only in {'after' if key in new else 'before'}{OUTSIDE}")
         else:
-            lines.append(_moved(f"{rel} {key}", key.rsplit(".", 1)[-1], old[key], new[key]))
+            block, _, name = key.partition(".")
+            seeded = block == "summary" and name in checks.SEEDED_SUMMARY
+            lines.append(_moved(f"{rel} {key}", key.rsplit(".", 1)[-1], old[key], new[key], seeded))
     return lines
 
 
