@@ -401,8 +401,10 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     p_plus = float(np.real(np.trace(rho1)))
     rho1 = rho1 / np.trace(rho1)
 
-    n = tomography.WignerGrid.axis_points(opts["extent"], opts["step"])
-    _require_memory(tomography._ForwardMap.build_bytes(w1.dim, n * n), "its Wigner forward map")
+    orbits = tomography.WignerGrid.orbits(opts["extent"], opts["step"])
+    points = tomography.WignerGrid.axis_points(opts["extent"], opts["step"]) ** 2
+    build = tomography._ForwardMap.build_bytes(w1.dim, orbits, points)
+    _require_memory(build, "its Wigner forward map")
     grid = tomography.WignerGrid.default(opts["extent"], opts["step"])
     forward = tomography._ForwardMap(w1.dim, grid.betas)  # one kernel build: map and fit
     w = forward(rho1).reshape(grid.shape)

@@ -11,12 +11,19 @@ elements of the displacement operator (Phys. Rev. 177, 1857 (1969)),
 vectorized over all grid points; each entry is exact in the truncated
 space, with no padding.  For forward maps and reconstruction the stack of
 kernels becomes one real design matrix over the hermitian coordinates of
-rho, so Tr(M_k rho) for every point is a single matrix-vector product and
-sum_k c_k M_k is its transpose.  The matrix is allocated once and written in
-place, one Laguerre run at a time (the kernels' column n on and below the
-diagonal, n = 0, 1, ...), bit for bit the values of the whole kernel
-triangle built at once; a build for K points holds the K x dim^2 matrix
-plus O(K dim) scratch.
+rho.  The kernels obey M(-beta) = (-1)^(m+n) M(beta) and M(conj beta) =
+conj M(beta), so the matrix holds one row per orbit of the points under
+beta -> -beta, conj(beta), -conj(beta); a point's own row is its orbit's
+with column signs, (-1)^(m+n) on both parts of each off-diagonal pair for
+the inversion and -1 on the imaginary parts for the conjugation.  A point
+without partners is an orbit of one.  Tr(M_k rho) for every point is then
+one product of the matrix with rho's coordinates under the four sign
+patterns, and sum_k c_k M_k one product with its transpose.  The default
+grid is closed under both symmetries: 41 x 41 points, 441 orbits.  The
+matrix is allocated once and written in place, one Laguerre run at a time
+(the kernels' column n on and below the diagonal, n = 0, 1, ...), bit for
+bit the values of the whole kernel triangle built at once; a build for
+points in R orbits holds the R x dim^2 matrix plus O(R dim) scratch.
 
 Reconstruction is maximum likelihood by accelerated projected gradient:
 a binomial likelihood when shot counts are available, least squares when
@@ -58,8 +65,21 @@ class WignerGrid:
         return int(round(2 * extent / step)) + 1
 
     @classmethod
+    def orbits(cls, extent: float, step: float) -> int:
+        """At most the symmetry orbits (:func:`_orbits`) of :meth:`default`'s
+        grid, without building it: its axes are antisymmetric, so |Re beta|
+        and |Im beta| each take at most ceil(n / 2) of the n values."""
+        half = (cls.axis_points(extent, step) + 1) // 2
+        return half * half
+
+    @classmethod
     def default(cls, extent: float = 2.0, step: float = 0.1) -> "WignerGrid":
+        """Square grid of ``axis_points`` per axis from -extent to extent,
+        each axis exactly antisymmetric (its centre, for an odd count,
+        exactly 0), so the grid is closed under beta -> -beta and
+        conj(beta)."""
         ax = np.linspace(-extent, extent, cls.axis_points(extent, step))
+        ax = (ax - ax[::-1]) / 2
         return cls(ax, ax.copy())
 
     @property
@@ -109,19 +129,46 @@ def _kernel_runs(dim: int, betas: np.ndarray):
         prev, lag = lag, step
 
 
+def _orbits(betas: np.ndarray):
+    """The points' orbits under beta -> -beta, conj(beta), -conj(beta).
+
+    Returns each orbit's representative |Re beta| + i |Im beta| (sorted and
+    distinct under exact float equality), and each point's slot 4 o + t: o
+    its orbit, t = 2 inv + conj its transform, the point being the
+    representative conjugated when conj is 1, then negated when inv is 1.
+    inv is the sign bit of Re beta, conj that bit XOR the sign bit of
+    Im beta.  A point without partners is an orbit of one.
+    """
+    betas = np.asarray(betas, dtype=complex)
+    reps, orbit = np.unique(np.abs(betas.real) + 1j * np.abs(betas.imag), return_inverse=True)
+    inv = np.signbit(betas.real)
+    return reps, 4 * orbit + 2 * inv + (inv ^ np.signbit(betas.imag))
+
+
 class _ForwardMap:
-    """Tr(M_k rho) over a stack of kernels as one real K x dim^2 matrix.
+    """Tr(M_k rho) over a stack of kernels as one real design matrix with
+    one row per symmetry orbit of the points.
 
     The coordinates of a hermitian rho are its diagonal and the real and
     imaginary parts of its upper triangle (the pairs n < m of
-    ``np.triu_indices``, in order); row k holds M_k's diagonal and 2 Re,
-    -2 Im of M_k below it, which are 2 Re, 2 Im of its upper triangle.  The
-    matrix is allocated once and filled run by run from
-    :func:`_kernel_runs`, so the build peaks at the matrix plus a few
-    (K, dim) arrays (:meth:`build_bytes`).  The adjoint is the transpose
-    product.  ``betas`` are the points the map was built for.  Both products
-    read and write rho through flat indices of its diagonal, its upper
-    triangle and the transposed upper triangle, fixed at construction.
+    ``np.triu_indices``, in order); point k's design row holds M_k's
+    diagonal and 2 Re, -2 Im of M_k below it, which are 2 Re, 2 Im of its
+    upper triangle.  Since M(-beta) = (-1)^(m+n) M(beta) and M(conj beta) =
+    conj M(beta), that row is its orbit representative's (:func:`_orbits`)
+    times column signs: +1 on the diagonal, (-1)^(m+n) on both parts of the
+    pair (n, m) for the inversion, -1 on the -2 Im columns for the
+    conjugation.  ``matrix`` holds the representatives' rows only; a point
+    without partners is an orbit of one, with a row of its own.  It is
+    allocated once and filled run by run from :func:`_kernel_runs`, so the
+    build peaks at the matrix plus a few (orbits, dim) arrays
+    (:meth:`build_bytes`).  The forward product is one product of the
+    matrix with the coordinates times the four sign columns, then a gather
+    of each point's (orbit, transform) entry; the adjoint sums the weights
+    into (orbit, transform) bins, takes one product with the transposed
+    matrix and a signed sum of its four columns.  ``betas`` are the points
+    the map was built for.  Both products read and write rho through flat
+    indices of its diagonal, its upper triangle and the transposed upper
+    triangle, fixed at construction.
     """
 
     def __init__(self, dim: int, betas: np.ndarray):
@@ -130,11 +177,16 @@ class _ForwardMap:
         i, j = np.triu_indices(dim, 1)  # the pairs n < m, in order
         self._diag, self._upper, self._lower = np.arange(dim) * (dim + 1), i * dim + j, j * dim + i
         pairs = len(i)
+        reps, self._slot = _orbits(self.betas)  # each point's entry of an (orbits, 4) product
+        # the column signs of transform t = 2 inv + conj, one column each
+        self._signs = np.ones((dim * dim, 4))
+        self._signs[dim:, 2:] = np.tile((-1.0) ** (i + j), 2)[:, None]
+        self._signs[dim + pairs :, 1::2] *= -1
         # column-major: a run's columns are contiguous, and the BLAS products
         # with the matrix sum in the order this layout sets
-        self.matrix = np.empty((len(self.betas), dim * dim), order="F")
+        self.matrix = np.empty((len(reps), dim * dim), order="F")
         start = dim  # the run's first real upper column
-        for run in _kernel_runs(dim, self.betas):  # no enumerate: its tuple keeps the run
+        for run in _kernel_runs(dim, reps):  # no enumerate: its tuple keeps the run
             n = dim - run.shape[1]
             self.matrix[:, n] = run[:, 0].real
             stop = start + run.shape[1] - 1
@@ -144,21 +196,30 @@ class _ForwardMap:
             del run  # before the next run is computed
 
     @staticmethod
-    def build_bytes(dim: int, points: int) -> int:
-        """Bytes a build for ``points`` grid points may hold at its peak:
-        the float64 design matrix and six (points, dim) complex arrays of
-        scratch."""
-        return points * dim * dim * 8 + 6 * points * dim * 16
+    def build_bytes(dim: int, orbits: int, points: int) -> int:
+        """Bytes a build for ``points`` points in ``orbits`` orbits may hold
+        at its peak: the float64 design matrix, six (orbits, dim) complex
+        arrays of scratch, and each point with its slot."""
+        return orbits * dim * dim * 8 + 6 * orbits * dim * 16 + points * (16 + 8)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         """Re Tr(M_k rho) for every k: the hermitian part of rho is used."""
         flat = rho.reshape(-1)
         upper = 0.5 * (flat[self._upper] + flat[self._lower].conj())
-        return self.matrix @ np.concatenate([flat[self._diag].real, upper.real, upper.imag])
+        return self.rows(np.concatenate([flat[self._diag].real, upper.real, upper.imag]))
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """Every point's design row times the coordinates x."""
+        return (self.matrix @ (x[:, None] * self._signs)).take(self._slot)
+
+    def rows_adjoint(self, c: np.ndarray) -> np.ndarray:
+        """sum_k c_k times point k's design row, for real weights c."""
+        bins = np.bincount(self._slot, weights=c, minlength=4 * len(self.matrix))
+        return np.einsum("ij,ij->i", self.matrix.T @ bins.reshape(-1, 4), self._signs)
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
         """sum_k c_k M_k for real weights c."""
-        v = self.matrix.T @ c
+        v = self.rows_adjoint(c)
         d, n = self._dim, len(self._upper)
         h = np.zeros(d * d, dtype=complex)
         h[self._diag] = v[:d] / 2

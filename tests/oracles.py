@@ -28,8 +28,9 @@ bounded-minimum searches, and Nelder-Mead.  PyYAML's pure-Python safe
 loader, with the CLI's YAML 1.2 float resolver, is the reference for the
 CLI's libyaml-based config loader, and a writer that formats every cell
 on its own, row by row, is the reference for the CLI's CSV text.  The
-Wigner design matrix built whole (the kernel triangle first, then its
-parts concatenated) is the reference for the library's run-by-run build,
+Wigner design matrix built whole, one row per point (the kernel triangle
+first, then its parts concatenated), is the reference for the library's
+run-by-run build of one row per symmetry orbit,
 ``traced_peak`` measures the memory a call peaks at, and a
 maximum-likelihood loop that clips each parity map's probabilities anew
 wherever it reads them, through 2-D indexing of rho's triangles, is the
@@ -163,9 +164,10 @@ def kernel_stack(dim: int, betas: np.ndarray) -> np.ndarray:
 
 
 def forward_matrix_concatenated(dim: int, betas: np.ndarray) -> np.ndarray:
-    """``tomography._ForwardMap``'s design matrix built whole: the kernel
-    triangle by the Laguerre recurrence over every n at once, then its
-    diagonal, 2 Re and -2 Im of its pairs n < m concatenated."""
+    """``tomography._ForwardMap``'s design rows built whole, one per point
+    with no symmetry used: the kernel triangle at every point by the
+    Laguerre recurrence over every n at once, then its diagonal, 2 Re and
+    -2 Im of its pairs n < m concatenated."""
     z = 2 * np.asarray(betas, dtype=complex).reshape(-1, 1)
     x = np.abs(z) ** 2
     k = np.arange(dim)
@@ -501,20 +503,21 @@ def mle_density_reference(data: tomography.WignerData, dim: int, max_iter: int =
                           tol: float = 1e-10) -> tomography.MleResult:
     """``tomography.mle_density`` with each parity map's probabilities
     clipped anew in every gradient and every change (about six times an
-    iteration), and the design matrix applied through 2-D fancy indexing of
-    rho's triangles, the adjoint's diagonal from ``np.diag``.  The design
-    matrix and the projection are the library's."""
-    matrix = tomography._ForwardMap(dim, data.betas).matrix
+    iteration), and rho's coordinates read and written through 2-D fancy
+    indexing of its triangles, the adjoint's diagonal from ``np.diag``.  The
+    design rows' products (``_ForwardMap.rows`` and ``rows_adjoint``) and
+    the projection are the library's."""
+    design = tomography._ForwardMap(dim, data.betas)
     iu = np.triu_indices(dim, 1)
     n_pairs = len(iu[0])
 
     def forward(rho):
         i, j = iu
         upper = 0.5 * (rho[i, j] + rho[j, i].conj())
-        return matrix @ np.concatenate([rho.diagonal().real, upper.real, upper.imag])
+        return design.rows(np.concatenate([rho.diagonal().real, upper.real, upper.imag]))
 
     def adjoint(c):
-        v = matrix.T @ c
+        v = design.rows_adjoint(c)
         h = np.diag(v[:dim] / 2).astype(complex)
         h[iu] = (v[dim : dim + n_pairs] + 1j * v[dim + n_pairs :]) / 2
         return h + h.conj().T

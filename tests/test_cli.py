@@ -908,15 +908,20 @@ def test_arithmetic_limits_end_in_an_exit_code(tmp_path, capsys, command, block,
 
 
 def test_tomo_demo_memory_guard_counts_the_build_scratch(tmp_path, capsys, monkeypatch):
-    """With physical memory between the design matrix alone and the matrix
-    plus the build's per-run scratch, tomo-demo refuses before building:
-    exit 2, the memory message, no CSV."""
+    """With physical memory between the orbits' design matrix alone and the
+    matrix plus the build's per-run scratch, tomo-demo refuses before
+    building: exit 2, the memory message, no CSV.  The request counts the
+    grid's 441 orbits, not its 1681 points: with memory for the orbit build
+    alone, the command runs."""
     dim = SystemParams().dims[0]
     opts = cli.COMMANDS["tomo-demo"][1]
     points = tomography.WignerGrid.axis_points(opts["extent"], opts["step"]) ** 2
-    matrix = points * dim**2 * 8
-    total = matrix + 3 * points * dim * 16
-    assert matrix < total < tomography._ForwardMap.build_bytes(dim, points)
+    orbits = tomography.WignerGrid.orbits(opts["extent"], opts["step"])
+    assert (points, orbits) == (1681, 441)
+    matrix = orbits * dim**2 * 8
+    total = matrix + 3 * orbits * dim * 16
+    build = tomography._ForwardMap.build_bytes(dim, orbits, points)
+    assert matrix < total < build < points * dim**2 * 8
     sysconf = os.sysconf
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": total}
     monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
@@ -926,6 +931,10 @@ def test_tomo_demo_memory_guard_counts_the_build_scratch(tmp_path, capsys, monke
     assert "error: tomo-demo asks for more memory than there is" in err
     assert "Traceback" not in err
     assert not list(out.glob("*.csv"))
+    # the orbit build's bytes are enough, though a row per point would not fit
+    pages["SC_PHYS_PAGES"] = build
+    assert run(["tomo-demo", "--out", out]) == 0
+    assert (out / "wigner_ideal.csv").exists()
 
 
 def test_dual_rail_lossless_whole_periods_is_numerical_failure(tmp_path, capsys):

@@ -113,32 +113,131 @@ def test_kernel_recurrence_matches_scipy_laguerre(dim):
     assert_allclose(got, kernel_triangle_scipy(dim, betas), rtol=0, atol=1e-12)
 
 
+# point sets for the orbit layout besides the closed grids: points with no
+# partner, and points on both axes and on signed zeros, with one off them
+_ASYMMETRIC = np.array([1, 1j]) @ np.random.default_rng(5).uniform(-2, 2, (2, 25))
+_ON_AXES = np.array([0.0, 1.5, -1.5, 1.5j, -1.5j, -0.0 + 0.2j, 0.2 - 0.0j, -0.0 - 0.0j, 0.3 - 0.7j])
+
+
 @pytest.mark.parametrize("dim", [1, 2, 12, 40])
-@pytest.mark.parametrize("betas", [WignerGrid.default().betas, np.array([0.45 - 1.3j])],
-                         ids=["default-grid", "one-point"])
+@pytest.mark.parametrize(
+    "betas",
+    [WignerGrid.default().betas, WignerGrid.default(2.0, 1.0).betas, np.array([0.45 - 1.3j]),
+     _ASYMMETRIC, _ON_AXES],
+    ids=["default-grid", "5x5-grid", "one-point", "asymmetric", "on-axes"],
+)
 def test_forward_matrix_written_in_place_is_bit_identical(dim, betas):
-    """Writing the design matrix run by run gives exactly the matrix built
-    from the whole kernel triangle by concatenation, in the same
-    column-major layout, so the BLAS products with it sum in the same order
-    and the Wigner maps keep every bit."""
-    got = tomography._ForwardMap(dim, betas).matrix
-    want = forward_matrix_concatenated(dim, betas)
-    assert np.array_equal(got, want)
-    assert (got.flags.f_contiguous, got.flags.c_contiguous) == (
-        want.flags.f_contiguous, want.flags.c_contiguous
-    )
+    """Writing the design matrix run by run, one row per symmetry orbit,
+    and expanding each point's row from its orbit's by the map's column
+    signs gives exactly the rows built from every point's whole kernel
+    triangle by concatenation; the orbit rows are column-major, so a run's
+    columns are contiguous."""
+    forward = tomography._ForwardMap(dim, betas)
+    orbit, transform = np.divmod(tomography._orbits(betas)[1], 4)
+    got = forward.matrix[orbit] * forward._signs[:, transform].T
+    assert np.array_equal(got, forward_matrix_concatenated(dim, betas))
+    assert forward.matrix.flags.f_contiguous
 
 
 @pytest.mark.parametrize("dim", [12, 40])
 def test_forward_map_build_holds_the_matrix_and_a_few_runs(dim):
-    """The build peaks at the design matrix plus six (K, dim) complex
-    arrays, the bytes tomo-demo's memory guard asks for; building the whole
-    kernel triangle first peaks at about four times the matrix."""
+    """The build peaks at the orbits' design matrix, six (orbits, dim)
+    complex arrays and the points with their slots, the bytes tomo-demo's
+    memory guard asks for; building the whole kernel triangle first peaks
+    at about four times the matrix."""
     betas = WignerGrid.default().betas
     forward, peak = traced_peak(tomography._ForwardMap, dim, betas)
-    bound = forward.matrix.nbytes + 6 * len(betas) * dim * 16
-    assert tomography._ForwardMap.build_bytes(dim, len(betas)) == bound
+    orbits = len(forward.matrix)
+    bound = forward.matrix.nbytes + 6 * orbits * dim * 16 + len(betas) * 24
+    assert tomography._ForwardMap.build_bytes(dim, orbits, len(betas)) == bound
     assert peak <= bound
+
+
+def test_default_grid_builds_one_kernel_row_per_orbit(monkeypatch):
+    """tomo-demo's 41 x 41 grid is closed under beta -> -beta and
+    conj(beta): its forward map evaluates kernels at 441 points, one per
+    orbit, not at all 1681."""
+    rows = []
+    kernel_runs = tomography._kernel_runs
+
+    def counted(dim, betas):
+        rows.append(len(betas))
+        return kernel_runs(dim, betas)
+
+    monkeypatch.setattr(tomography, "_kernel_runs", counted)
+    opts = cli.COMMANDS["tomo-demo"][1]
+    grid = WignerGrid.default(opts["extent"], opts["step"])
+    forward = tomography._ForwardMap(12, grid.betas)
+    assert len(grid.betas) == 1681 and rows == [441] and forward.matrix.shape == (441, 144)
+    assert WignerGrid.orbits(opts["extent"], opts["step"]) == 441
+
+
+@pytest.mark.parametrize(
+    "extent, step", [(2.0, 0.1), (2.0, 0.2), (1.5, 0.25), (1.0, 0.4), (1.8, 0.3), (3.3, 0.7)]
+)
+def test_default_grid_axes_are_exactly_antisymmetric(extent, step):
+    """Each axis is its own negative reversed, bit for bit, with an exact 0
+    at the centre of an odd count; the points stay within an ulp of the
+    linspace they come from, and ``WignerGrid.orbits`` counts the orbits
+    the forward map finds."""
+    grid = WignerGrid.default(extent, step)
+    n = WignerGrid.axis_points(extent, step)
+    for ax in (grid.re_beta, grid.im_beta):
+        assert len(ax) == n
+        assert np.array_equal(ax, -ax[::-1])
+        assert (ax[0], ax[-1]) == (-extent, extent)
+        assert_allclose(ax, np.linspace(-extent, extent, n), rtol=0, atol=np.spacing(extent))
+        if n % 2:
+            assert ax[n // 2] == 0.0
+    assert WignerGrid.orbits(extent, step) == len(tomography._orbits(grid.betas)[0])
+
+
+def _point_set(kind: str, rng, k: int) -> np.ndarray:
+    """k points of one kind: whole orbits, orbits with partners missing,
+    points without partners, repeated points, one point, points on the
+    axes."""
+    z = rng.uniform(-2, 2, k) + 1j * rng.uniform(-2, 2, k)
+    closed = np.concatenate([z, -z, z.conj(), -z.conj()])
+    if kind == "symmetric":
+        return closed
+    if kind == "partly-symmetric":
+        return closed[rng.random(len(closed)) < 0.6]
+    if kind == "asymmetric":
+        return z
+    if kind == "duplicated":
+        return np.concatenate([z, z[::2], -z])
+    if kind == "single":
+        return z[:1]
+    return np.concatenate([z.real, 1j * z.imag, -z.real, -1j * z.imag, [0.0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["symmetric", "partly-symmetric", "asymmetric", "duplicated", "single",
+                     "on-axes"]),
+    st.integers(1, 14),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_forward_map_matches_the_full_matrix_products(kind, dim, k, seed):
+    """The orbit layout's forward and adjoint products equal the products
+    with every point's own design row to 1e-13 of the sum of the terms'
+    magnitudes, and <forward rho, c> = <rho, adjoint c> in the
+    Hilbert-Schmidt product."""
+    rng = np.random.default_rng(seed)
+    betas = _point_set(kind, rng, k)
+    forward = tomography._ForwardMap(dim, betas)
+    full = forward_matrix_concatenated(dim, betas)
+    x = rng.normal(size=dim * dim)
+    c = rng.normal(size=len(betas))
+    assert np.all(np.abs(forward.rows(x) - full @ x) <= 1e-13 * (np.abs(full) @ np.abs(x)))
+    assert np.all(np.abs(forward.rows_adjoint(c) - full.T @ c)
+                  <= 1e-13 * (np.abs(full).T @ np.abs(c)))
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = h + h.conj().T
+    lhs, rhs = forward(rho) @ c, np.vdot(rho, forward.adjoint(c)).real
+    scale = np.abs(full).sum() * np.abs(rho).max() * np.abs(c).max()
+    assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 def test_kernel_truncation_invariance():
