@@ -18,12 +18,13 @@ check = VacuumCheckModel.from_measured()
 # every amplitude from one propagation of the network
 p_pass, fidelity, _ = protocol.alpha_sweep(SystemParams(), alphas, check=check, dump_time="auto")
 
-rows = []
+# and the model at every amplitude from one evaluation of the budget
+f_model = 1 - errorbudget.predicted_infidelity(np.array(alphas)).total
+
+rows = list(zip(alphas, p_pass, fidelity, f_model))
 print(f"{'alpha':>6} {'p_pass':>8} {'F_sim':>8} {'F_model':>8}")
-for a, p, f in zip(alphas, p_pass, fidelity):
-    budget = errorbudget.predicted_infidelity(a)
-    rows.append((a, p, f, 1 - budget.total))
-    print(f"{a:>6.3f} {p:>8.4f} {f:>8.4f} {1-budget.total:>8.4f}")
+for a, p, f, m in rows:
+    print(f"{a:>6.3f} {p:>8.4f} {f:>8.4f} {m:>8.4f}")
 
 best, bb = errorbudget.optimal_alpha()
 print(f"\nmodel optimum: alpha = {best:.3f} "
@@ -42,7 +43,7 @@ else:
     fig, ax1 = plt.subplots(figsize=(6, 4))
     ax1.plot(arr[:, 0], arr[:, 2], "o-", label="simulated F")
     dense = np.linspace(0.8, 2.1, 80)
-    ax1.plot(dense, [1 - errorbudget.predicted_infidelity(a).total for a in dense],
+    ax1.plot(dense, 1 - errorbudget.predicted_infidelity(dense).total,
              "-", alpha=0.6, label="error model")
     ax1.set_xlabel("alpha")
     ax1.set_ylabel("heralded Bell fidelity")

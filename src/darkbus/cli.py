@@ -462,9 +462,12 @@ def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     alphas = np.linspace(opts["alpha_min"], opts["alpha_max"], opts["n_alpha"])
     p_decode, p_bright = opts["p_decode"], opts["p_bright_pass"]
-    budgets = [errorbudget.predicted_infidelity(float(a), p_decode, p_bright, params) for a in alphas]
-    columns = [f.name for f in dataclasses.fields(errorbudget.BudgetBreakdown)]
-    ctx.write_csv("error_budget.csv", {k: [getattr(b, k) for b in budgets] for k in columns})
+    budget = errorbudget.predicted_infidelity(alphas, p_decode, p_bright, params)
+    ctx.write_csv(
+        "error_budget.csv",
+        {f.name: np.broadcast_to(getattr(budget, f.name), alphas.shape)
+         for f in dataclasses.fields(budget)},
+    )
     a_star, best = errorbudget.optimal_alpha(params, p_decode, p_bright)
     print(f"optimal cat amplitude alpha* = {a_star:.4f}, budgeted infidelity {best.total:.4f}")
     return {"optimal_alpha": a_star, "total_at_optimum": best.total}
@@ -616,9 +619,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing leaves a parser as it was
+_PARSER = make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.time()
     try:
         if args.seed < 0:
@@ -662,8 +668,7 @@ def main(argv=None) -> int:
         },
     }
     with open(out_dir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, default=str)
-        f.write("\n")
+        f.write(json.dumps(manifest, indent=2, default=str) + "\n")
     print(f"wrote {out_dir / 'manifest.json'}")
     return 0
 

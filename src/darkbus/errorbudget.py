@@ -17,12 +17,18 @@ Smaller mechanisms (off-resonant bus modes, single-pass filter loss,
 transmon-mediated Purcell decay) are evaluated too, but kept out of the
 total: they sit one to two orders below the resolution of the three-term
 budget and would imply precision the model does not have.
+
+Every term that depends on alpha is elementwise numpy arithmetic: a numpy
+array of amplitudes gives an array of each term in one evaluation, and a
+scalar amplitude gives floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dynamics import SystemParams
 from .protocol import MEASURED_JOINT_FALSE_PASS, dmm_false_positive, success_probability
@@ -31,7 +37,7 @@ DEFAULT_P_DECODE = 0.017
 DEFAULT_P_BRIGHT_PASS = MEASURED_JOINT_FALSE_PASS
 
 
-def photon_loss_probability(alpha: float, params: SystemParams | None = None) -> float:
+def photon_loss_probability(alpha, params: SystemParams | None = None):
     """Probability of losing at least one photon from either cavity.
 
     First order in t/T1: n_bar * t * (gamma_1 + gamma_2) with
@@ -43,13 +49,13 @@ def photon_loss_probability(alpha: float, params: SystemParams | None = None) ->
     return alpha**2 * params.t_protocol * (1.0 / t1[0] + 1.0 / t1[1])
 
 
-def dark_pass_probability(alpha: float) -> float:
+def dark_pass_probability(alpha):
     """P(gg | dark branch) for ideal checks: both cavities non-empty, twice
     the herald probability, since the dark branch carries half the weight."""
     return 2 * success_probability(alpha)
 
 
-def heralded_false_pass(alpha: float, p_bright_pass: float = DEFAULT_P_BRIGHT_PASS) -> float:
+def heralded_false_pass(alpha, p_bright_pass: float = DEFAULT_P_BRIGHT_PASS):
     """Fraction of heralds caused by the dumped bright branch.
 
     The bright branch reaches the check in vacuum, so its pass rate is the
@@ -88,7 +94,7 @@ def purcell_rate(
     return abs(chi_cav_t / anharmonicity) * abs(chi_bus_t / anharmonicity) * kappa_b
 
 
-def purcell_infidelity(params: SystemParams | None = None, alpha: float | None = None) -> float:
+def purcell_infidelity(params: SystemParams | None = None, alpha=None):
     """Bell infidelity from Purcell decay over a swap, worst module."""
     params = params or SystemParams()
     alpha = params.alpha if alpha is None else alpha
@@ -103,18 +109,22 @@ def purcell_infidelity(params: SystemParams | None = None, alpha: float | None =
 
 @dataclass(frozen=True)
 class BudgetBreakdown:
-    alpha: float
-    photon_loss: float
+    """The budget's terms at one amplitude (floats) or at an array of them
+    (arrays of its shape; ``decode_error`` and ``single_pass`` stay scalar,
+    as they do not depend on alpha)."""
+
+    alpha: float | np.ndarray
+    photon_loss: float | np.ndarray
     decode_error: float
-    false_pass: float
-    total: float
-    off_resonant: float
+    false_pass: float | np.ndarray
+    total: float | np.ndarray
+    off_resonant: float | np.ndarray
     single_pass: float
-    purcell: float
+    purcell: float | np.ndarray
 
 
 def predicted_infidelity(
-    alpha: float | None = None,
+    alpha=None,
     p_decode: float = DEFAULT_P_DECODE,
     p_bright_pass: float = DEFAULT_P_BRIGHT_PASS,
     params: SystemParams | None = None,
@@ -123,7 +133,9 @@ def predicted_infidelity(
 
     ``total`` sums the three dominant terms only.  Photon loss and the
     informational terms are evaluated from ``params`` (defaults if None);
-    ``alpha`` defaults to ``params.alpha``.
+    ``alpha`` defaults to ``params.alpha``.  A numpy array of alpha is one
+    evaluation: every field that depends on alpha is then an array of its
+    shape, each element equal to the scalar call at that alpha.
     """
     params = params or SystemParams()
     alpha = params.alpha if alpha is None else alpha

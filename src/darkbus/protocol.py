@@ -181,21 +181,30 @@ def _fold(model: VacuumCheckModel, sector_probs: np.ndarray, rho, dims):
 # ---------------------------------------------------------------------------
 
 
-def success_probability(alpha: float) -> float:
-    """Ideal herald probability p = (1 - e^{-|alpha|^2})^2 / 2.
+def success_probability(alpha):
+    """Ideal herald probability p = (1 - e^{-|alpha|^2})^2 / 2, elementwise
+    over an array of alpha; a scalar alpha gives a float.
 
     Half the weight starts dark, and each cavity of the dark branch passes
     the not-empty check with probability 1 - e^{-|alpha|^2}.
     """
-    return 0.5 * (1 - math.exp(-abs(alpha) ** 2)) ** 2
+    return _float_or_array(0.5 * (1 - np.exp(-np.abs(alpha) ** 2)) ** 2)
 
 
-def dmm_false_positive(p_gg_bright: float, p_gg_dark: float) -> float:
-    """Fraction of heralds that are dumped-bright impostors."""
-    if p_gg_bright < 0 or p_gg_dark < 0:
+def dmm_false_positive(p_gg_bright, p_gg_dark):
+    """Fraction of heralds that are dumped-bright impostors, elementwise over
+    broadcast arrays; 0 where neither branch passes, and a float for scalar
+    arguments.  A negative probability anywhere raises ``ValueError``."""
+    p_b, p_d = np.asarray(p_gg_bright, dtype=float), np.asarray(p_gg_dark, dtype=float)
+    if (np.fmin(p_b, p_d) < 0).any():  # fmin: a NaN does not hide a negative
         raise ValueError("probabilities cannot be negative")
-    tot = p_gg_bright + p_gg_dark
-    return p_gg_bright / tot if tot > 0 else 0.0
+    tot = p_b + p_d
+    return _float_or_array(np.divide(p_b, tot, out=np.zeros(tot.shape), where=tot > 0))
+
+
+def _float_or_array(x):
+    """``x`` as a float if it holds one value without axes, else as it is."""
+    return x if np.ndim(x) else float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -662,14 +671,39 @@ def teleport(
     The transmon is never materialized.  Parity P is diagonal and the
     transmon enters only through its X readout, <b|m1|a> = s^(a+b) / 2 with
     s = -1 for m1 = 0 and +1 for m1 = 1, so gate and readout together act
-    on cavity 2 as K = c0 + s c1 P.  The four record elements
-    O[m1, m2] = K^dag M_m2 K / 2, M_m2 the decode element, are stacked and
-    contracted with the pair at once (:func:`~darkbus.hilbert.condition`),
-    giving the unnormalized cavity-1 state of every record; the readout
-    errors mix those states along their record axes.  The correction is scored in the logical frame: a logical Pauli
-    acts on the code as the 2x2 Pauli on the amplitudes (c0, c1), so
+    on cavity 2 as K = c0 K_0 + s c1 K_1 with K_0 = 1 and K_1 = P.  The
+    record element O[m1, m2] = K^dag M_m2 K / 2, M_m2 the decode element,
+    is therefore the bilinear form
+    (1/2) sum_ab conj(c_a) c_b s^(a+b) K_a M_m2 K_b in the input.  The
+    eight dyad-basis elements K_a M_m2 K_b, which do not depend on the
+    input, are contracted with the pair at once
+    (:func:`~darkbus.hilbert.condition`), and each record's unnormalized
+    cavity-1 state is that bilinear combination of the eight results; the
+    readout errors mix those states along their record axes.  The
+    correction is scored in the logical frame: a logical Pauli acts on the
+    code as the 2x2 Pauli on the amplitudes (c0, c1), so
     F = <v|rho1|v> / Tr rho1 with v the encoded sigma (c0, c1).
     """
+    q = _unit_qubit(input_qubit)
+    basis = _record_basis(resource, words1, words2, p_decode, p_flip_m1)
+    return _teleport_input(basis, q, words1, p_decode, p_flip_m1)
+
+
+def _unit_qubit(input_qubit) -> tuple:
+    """The amplitudes (c0, c1) scaled to unit norm; zero or non-finite ones
+    raise ``ValueError``."""
+    c0, c1 = input_qubit
+    norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError(f"input qubit must be finite and nonzero, got {input_qubit}")
+    return c0 / norm, c1 / norm
+
+
+def _record_basis(resource, words1: Codewords, words2: Codewords, p_decode, p_flip_m1):
+    """Tr_2[(1 x K_a M_m2 K_b) rho12] for K_0 = 1 and K_1 = P, on axes
+    (a, b, m2, cavity 1, cavity 1): every input's records are bilinear in
+    these eight states (:func:`teleport`).  The pair's size and the readout
+    error rates are checked first."""
     rho12 = hilbert.as_dm(resource)
     d1, d2 = words1.dim, words2.dim
     if rho12.shape[0] != d1 * d2:
@@ -678,20 +712,22 @@ def teleport(
         raise ValueError(
             f"p_decode and p_flip_m1 must be in [0, 1], got {p_decode} and {p_flip_m1}"
         )
-    c0, c1 = input_qubit
-    norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
-    if not (math.isfinite(norm) and norm > 0):
-        raise ValueError(f"input qubit must be finite and nonzero, got {input_qubit}")
-    c0, c1 = c0 / norm, c1 / norm
-
     # cavity-2 logical Z decode, m2 = 0/1 for one/zero; leakage decodes 50/50
     pi_one = np.outer(words2.one, words2.one.conj())
     pi_zero = np.outer(words2.zero, words2.zero.conj())
     leak = np.eye(d2) - pi_one - pi_zero
     m_c2 = np.stack((pi_one, pi_zero)) + 0.5 * leak
-    k = c0 + np.array([[-1.0], [1.0]]) * c1 * (-1.0) ** np.arange(d2)  # (m1, n2)
-    ops = 0.5 * k.conj()[:, None, :, None] * m_c2 * k[:, None, None, :]
-    cond = hilbert.condition(rho12, (d1, d2), ops)
+    k = np.stack((np.ones(d2), (-1.0) ** np.arange(d2)))  # the diagonals of K_0, K_1
+    ops = k[:, None, None, :, None] * m_c2 * k[None, :, None, None, :]
+    return hilbert.condition(rho12, (d1, d2), ops)
+
+
+def _teleport_input(basis, q, words1: Codewords, p_decode, p_flip_m1) -> TeleportResult:
+    """Score the unit input ``q`` from the pair's :func:`_record_basis`."""
+    c = np.array(q, dtype=complex)
+    sc = np.array([[-1.0], [1.0]]) ** np.arange(2)  # s^a on (m1, a)
+    w = 0.5 * (sc * c.conj())[:, :, None] * (sc * c)[:, None, :]  # (m1, a, b)
+    cond = np.tensordot(w, basis, axes=2)  # (m1, m2, cavity 1, cavity 1)
 
     # classical readout errors mix the records, not the states
     cond = (1 - p_flip_m1) * cond + p_flip_m1 * cond[::-1]
@@ -702,12 +738,12 @@ def teleport(
     probs, fids = {}, {}
     f_qst = 0.0
     for key, name in CORRECTIONS.items():
-        v = words1.ket(*(_PAULIS[name] @ (c0, c1)))
+        v = words1.ket(*(_PAULIS[name] @ q))
         p = float(tr[key] / total)
         f = float(np.real(v.conj() @ cond[key] @ v) / tr[key])
         probs[key], fids[key] = p, f
         f_qst += p * f
-    return TeleportResult(probs=probs, fidelities=fids, f_qst=f_qst, input=(c0, c1))
+    return TeleportResult(probs=probs, fidelities=fids, f_qst=f_qst, input=q)
 
 
 def avg_qst_fidelity(
@@ -720,10 +756,15 @@ def avg_qst_fidelity(
     """Average teleportation fidelity over the cardinal inputs.
 
     favg = (F_0 + F_1 + 2 F_+ + 2 F_{+i}) / 6 -- the +/-X and +/-Y pairs are
-    symmetric, so the four measured inputs stand in for all six."""
-    out = {}
-    for name, q in CARDINAL_STATES.items():
-        out[name] = teleport(resource, q, words1, words2, p_decode, p_flip_m1)
+    symmetric, so the four measured inputs stand in for all six.  The pair
+    is contracted once, with the eight dyad-basis elements of
+    :func:`teleport`, and every input is scored from those eight states;
+    each entry equals :func:`teleport` on that input."""
+    basis = _record_basis(resource, words1, words2, p_decode, p_flip_m1)
+    out = {
+        name: _teleport_input(basis, _unit_qubit(q), words1, p_decode, p_flip_m1)
+        for name, q in CARDINAL_STATES.items()
+    }
     out["favg"] = (
         out["zero"].f_qst
         + out["one"].f_qst

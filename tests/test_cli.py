@@ -1083,6 +1083,29 @@ def test_cli_outputs_diff_names_each_moved_value(tmp_path, capsys, monkeypatch):
     assert diff()[0] == 1  # a seeded name in an unseeded CSV is checked as usual
 
 
+def test_cli_outputs_diff_stops_quietly_when_its_reader_does(tmp_path):
+    """``tools/cli_outputs.py --diff A B | head``: the reader closes the pipe
+    after one line, long before the diff's 5000 lines (about 300 kB, more
+    than a pipe holds) are written; the tool exits with its status, 1 for
+    the moved values, and writes nothing to stderr."""
+    rows = {"before": range(5000), "after": range(1, 5001)}
+    for name, values in rows.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "out.csv").write_text("n\n" + "".join(f"{v}\n" for v in values))
+    tool = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
+    path = [str(Path(darkbus.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen(
+        [sys.executable, str(tool), "--diff", str(tmp_path / "before"), str(tmp_path / "after")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    assert proc.stdout.readline().startswith("out.csv n row 0: 0.0 -> 1.0")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
 @pytest.mark.parametrize(
     "options, kw",
     [

@@ -1,9 +1,12 @@
 """Closed-form infidelity budget and the optimal cat amplitude."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darkbus import errorbudget
 from darkbus.dynamics import SystemParams
@@ -118,3 +121,76 @@ def test_budget_monotonic_pieces():
     fps = [errorbudget.predicted_infidelity(a).false_pass for a in alphas]
     assert losses == sorted(losses)
     assert fps == sorted(fps, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation over an array of amplitudes
+# ---------------------------------------------------------------------------
+
+_FIELDS = [f.name for f in dataclasses.fields(errorbudget.BudgetBreakdown)]
+
+
+def _assert_array_matches_scalar_calls(alphas, exact=False, **budget):
+    """Every field of the array call against the per-alpha scalar calls:
+    equal to 2e-16 relative, or bit for bit when ``exact``.  The fields that
+    do not depend on alpha stay scalar."""
+    arr = errorbudget.predicted_infidelity(alphas, **budget)
+    scalars = [errorbudget.predicted_infidelity(float(a), **budget) for a in alphas]
+    for name in _FIELDS:
+        got = np.broadcast_to(getattr(arr, name), alphas.shape)
+        want = np.array([getattr(b, name) for b in scalars])
+        assert all(type(getattr(b, name)) is float for b in scalars), name
+        if exact:
+            assert np.array_equal(got, want), name
+        else:
+            assert np.all(np.abs(got - want) <= 2e-16 * np.abs(want)), name
+    assert np.ndim(arr.decode_error) == np.ndim(arr.single_pass) == 0
+
+
+def test_array_budget_on_the_cli_default_grid_is_bit_identical():
+    """The ``error-budget`` command's default grid, 31 alphas from 0.5 to 2."""
+    _assert_array_matches_scalar_calls(np.linspace(0.5, 2.0, 31), exact=True)
+
+
+def test_array_budget_on_the_benchmark_grid():
+    """The benchmark's scenario grid, 301 alphas from 0.5 to 2."""
+    _assert_array_matches_scalar_calls(np.linspace(0.5, 2.0, 301))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alphas=st.lists(st.floats(0.0, 4.0), min_size=0, max_size=40),
+    at=st.integers(0, 40),
+    p_decode=st.floats(0.0, 1.0),
+    p_bright_pass=st.sampled_from([0.0, 1e-300, 0.015, 1.0]),
+)
+def test_array_budget_matches_scalar_calls_on_grids_with_zero(alphas, at, p_decode, p_bright_pass):
+    """Random grids with alpha = 0 somewhere in them, including the vacuum
+    case p_bright_pass = 0, where the false pass is 0 (no herald at all)."""
+    alphas.insert(min(at, len(alphas)), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_array_matches_scalar_calls(
+            np.array(alphas), p_decode=p_decode, p_bright_pass=p_bright_pass
+        )
+
+
+def test_vacuum_amplitude_without_bright_passes_has_no_false_pass():
+    """alpha = 0 with p_bright_pass = 0: neither branch passes, so the false
+    pass is 0 by the ``tot > 0`` rule, with no 0/0 warning, alone and inside
+    an array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = errorbudget.predicted_infidelity(0.0, p_bright_pass=0.0)
+        arr = errorbudget.predicted_infidelity(np.array([0.0, 1.0, 0.0]), p_bright_pass=0.0)
+    assert b.false_pass == 0.0 and type(b.false_pass) is float
+    assert arr.false_pass.tolist() == [0.0, 0.0, 0.0]
+    assert arr.total.tolist() == (arr.photon_loss + arr.decode_error).tolist()
+
+
+def test_array_budget_refuses_a_negative_probability():
+    alphas = np.linspace(0.5, 2.0, 7)
+    with pytest.raises(ValueError, match="negative"):
+        errorbudget.predicted_infidelity(alphas, p_bright_pass=-0.01)
+    with pytest.raises(ValueError, match="negative"):
+        errorbudget.heralded_false_pass(alphas, p_bright_pass=np.array([0.01] * 6 + [-1e-9]))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     number,
     parity,
     product_ket,
+    teleport_per_input,
     vacuum_check,
 )
 
@@ -127,6 +129,29 @@ def test_dmm_false_positive():
     assert protocol.dmm_false_positive(0.1, 0.3) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         protocol.dmm_false_positive(-0.1, 0.3)
+
+
+def test_closed_forms_take_arrays():
+    """Elementwise over arrays, each element the scalar call's float; a
+    negative probability anywhere in an array raises, also beside a NaN;
+    where neither branch passes the fraction is 0, without a warning."""
+    alphas = np.array([0.0, 0.3, 1.0, math.sqrt(2), 2.5])
+    p = protocol.success_probability(alphas)
+    assert type(protocol.success_probability(1.0)) is float
+    assert p.tolist() == [protocol.success_probability(float(a)) for a in alphas]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fp = protocol.dmm_false_positive(np.array([0.0, 0.0, 0.1]), np.array([0.0, 0.4, 0.3]))
+    assert fp.tolist() == [0.0, 0.0, pytest.approx(0.25)]
+    assert type(protocol.dmm_false_positive(0.1, 0.3)) is float
+    for bright, dark in [
+        (np.array([0.1, -1e-300]), 0.3),
+        (0.1, np.array([0.3, 0.2, -0.5])),
+        (np.array([math.nan, 0.1]), np.array([-0.1, 0.3])),
+        (-0.1, np.array([0.3, 0.2])),
+    ]:
+        with pytest.raises(ValueError, match="negative"):
+            protocol.dmm_false_positive(bright, dark)
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +735,67 @@ def test_teleport_matches_three_body_oracle(resource, noise):
             assert res.probs[key] == pytest.approx(probs[key], abs=1e-12), (name, key)
             assert res.fidelities[key] == pytest.approx(fids[key], abs=1e-12), (name, key)
         assert res.f_qst == pytest.approx(f_qst, abs=1e-12), name
+
+
+_COMPLEX_INPUTS = {
+    "tilted": (0.6, 0.8 * complex(math.cos(0.7), math.sin(0.7))),
+    "unnormalized": (0.3 - 0.2j, 1.1 + 0.7j),
+    **dict(enumerate(_RANDOM_INPUTS)),
+}
+
+
+def _assert_teleport_close(res, ref, tol, name):
+    assert list(res.probs) == list(ref.probs) == list(protocol.CORRECTIONS)
+    for key in ref.probs:
+        assert abs(res.probs[key] - ref.probs[key]) <= tol, (name, key)
+        assert abs(res.fidelities[key] - ref.fidelities[key]) <= tol, (name, key)
+    assert abs(res.f_qst - ref.f_qst) <= tol, name
+    assert np.allclose(res.input, ref.input, rtol=0, atol=tol), name
+
+
+@pytest.mark.parametrize("noise", [(0.0, 0.0), (0.02, 0.01), (0.3, 0.15)])
+@pytest.mark.parametrize("resource", ["ideal", "lossy", "small-alpha"])
+def test_teleport_dyad_basis_matches_per_input_contraction(resource, noise):
+    """The one contraction with the eight input-free elements K_a M_m2 K_b,
+    each input's records a bilinear combination of the results, against
+    the four record elements built and contracted anew for each input, to
+    1e-13: cardinal and complex, non-cardinal inputs on the ideal pair and
+    on lossy heralded pairs (measured check, cavity loss on), with and
+    without both readout errors.  ``avg_qst_fidelity`` gives the same
+    records for every cardinal input."""
+    if resource == "ideal":
+        rho, w1 = _ideal_resource()
+        w2 = w1
+    else:
+        rho, w1, w2 = _measured_resource(0.5 if resource == "small-alpha" else None)
+    p_decode, p_flip_m1 = noise
+    inputs = {**protocol.CARDINAL_STATES, **_COMPLEX_INPUTS}
+    for name, q in inputs.items():
+        ref = teleport_per_input(rho, q, w1, w2, p_decode, p_flip_m1)
+        res = protocol.teleport(rho, q, w1, w2, p_decode, p_flip_m1)
+        _assert_teleport_close(res, ref, 1e-13, name)
+    out = protocol.avg_qst_fidelity(rho, w1, w2, p_decode, p_flip_m1)
+    for name, q in protocol.CARDINAL_STATES.items():
+        ref = teleport_per_input(rho, q, w1, w2, p_decode, p_flip_m1)
+        _assert_teleport_close(out[name], ref, 1e-13, name)
+
+
+def test_avg_qst_fidelity_contracts_the_pair_once(monkeypatch):
+    """Four inputs, one call of ``hilbert.condition``, on the eight dyad-basis
+    elements; ``teleport`` on one input makes the same single call."""
+    rho, w1, w2 = _measured_resource()
+    shapes = []
+    condition = hilbert.condition
+
+    def counted(rho, dims, ops):
+        shapes.append(np.shape(ops))
+        return condition(rho, dims, ops)
+
+    monkeypatch.setattr(hilbert, "condition", counted)
+    protocol.avg_qst_fidelity(rho, w1, w2, p_decode=0.02, p_flip_m1=0.01)
+    assert shapes == [(2, 2, 2, w2.dim, w2.dim)]
+    protocol.teleport(rho, _COMPLEX_INPUTS["tilted"], w1, w2)
+    assert len(shapes) == 2
 
 
 @pytest.mark.parametrize("q", [(0, 0), (0.0, 0j), (math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf)])

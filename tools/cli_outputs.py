@@ -31,7 +31,9 @@ are checked there by invariants, not against a tolerance: they are marked
 in one tree only, a changed CSV header or row count, and any other file
 whose bytes differ get a line each.  The manifests' ``sha256`` digests are
 left out: they follow from the bytes of the CSVs compared cell by cell.
-Identical trees print nothing; the exit status is 1 when a line is marked.
+Identical trees print nothing; the exit status is 1 when a line is marked,
+also when the reader closes the output early (``--diff A B | head``): the
+lines left unread are dropped without a traceback.
 """
 
 from __future__ import annotations
@@ -165,12 +167,23 @@ def diff_outputs(before: Path, after: Path) -> list[str]:
     return lines
 
 
+def _print_lines(lines: list[str]) -> None:
+    """Print ``lines`` to stdout; when the reader closes stdout early (as
+    ``| head`` does), stop quietly and send the rest, and the flush at exit,
+    to the null device."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main() -> int:
     args = sys.argv[1:]
     if len(args) == 3 and args[0] == "--diff":
         lines = diff_outputs(Path(args[1]), Path(args[2]))
-        for line in lines:
-            print(line)
+        _print_lines(lines)
         return int(any(line.endswith(OUTSIDE) for line in lines))
     if len(args) != 1:
         print("usage: python3 tools/cli_outputs.py OUT | --diff BEFORE AFTER", file=sys.stderr)
