@@ -2,11 +2,11 @@
 
 Every subcommand resolves its settings the same way -- built-in defaults,
 then the config file's ``params:`` block, then its per-command block, then
-the selected ``scenarios:`` entry, then explicit flags -- runs one analysis,
-writes CSV files plus a ``manifest.json`` into the output directory, and
-prints a short human summary.  CSV content is a pure function of the
-resolved settings and the seed, so a rerun with the same inputs reproduces
-the same bytes (the manifest carries the timestamp instead).
+the selected ``scenarios:`` entry -- runs one analysis, writes CSV files
+plus a ``manifest.json`` into the output directory, and prints a short
+human summary.  CSV content is a pure function of the resolved settings
+and the seed, so a rerun with the same inputs reproduces the same bytes
+(the manifest carries the timestamp instead).
 
 Every option has one kind by name (:data:`OPTION_KINDS`), checked when the
 settings are resolved, before anything runs.
@@ -590,8 +590,8 @@ def _block(value, name: str) -> dict:
 
 
 def resolve(command: str, cfg: dict, scenario: str | None):
-    """Layer defaults < config.params < config.<command> < scenario < flags,
-    and check every option against its kind."""
+    """Layer defaults < config.params < config.<command> < scenario, and
+    check every option against its kind."""
     runner, defaults = COMMANDS[command]
     layers = {"": cfg}  # each layer by the prefix that names its blocks
     if scenario is not None:

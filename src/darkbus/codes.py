@@ -29,7 +29,7 @@ counted as infidelity.
 In closed form (no coherent ket), for alpha > 0 and up to normalization,
 <n|±>_L = exp(n (ln alpha + i th_r) + i th_k n(n-1)/2 - alpha^2/2 - ln(n!)/2)
 on the even n >= 2 (|+>_L) or the odd n (|->_L), and exactly 0 elsewhere;
-the basis fit in :mod:`darkbus.tomography` evaluates the same form.
+:func:`_singlet_fidelity` scores pairs against the singlet from this form.
 """
 
 from __future__ import annotations
@@ -74,12 +74,9 @@ class LogicalBasis:
         alpha = np.asarray(self.alpha, dtype=float)
         if not np.all(alpha > 0):
             raise hilbert.NumericalError(f"codewords need amplitudes alpha > 0, got {self.alpha}")
-        coeffs = np.empty(alpha.shape + (4,), dtype=complex)
-        coeffs[...] = (1j * self.theta_r, 1j * self.theta_k, 0, -1)
-        coeffs[..., 0] += np.log(alpha)
-        coeffs[..., 2] = -alpha * alpha / 2
         kets = np.zeros(alpha.shape + (2, dim), dtype=complex)
-        kets[..., 0, 2::2], kets[..., 1, 1::2] = _parity_amplitudes(dim)(coeffs)
+        amplitudes = _parity_amplitudes(dim)(alpha, self.theta_k, self.theta_r)
+        kets[..., 0, 2::2], kets[..., 1, 1::2] = amplitudes
         norms = hilbert.norm(kets)
         if not np.all(norms > 0):
             raise hilbert.NumericalError(f"codewords vanish at alpha={self.alpha}")
@@ -89,16 +86,21 @@ class LogicalBasis:
 
 def _parity_amplitudes(dim: int):
     """The codewords' unnormalized (even[..., 2::2], odd[..., 1::2]) at
-    truncation ``dim`` as a function of c (..., 4) = (ln alpha + i theta_r,
-    i theta_k, -alpha^2/2, -1): exp of c times the rows (n, n(n-1)/2, 1,
-    ln(n!)/2), one row vector c at a time, so a stack gives each item's own
-    bits (one matrix product for the whole stack would round differently)."""
+    truncation ``dim`` as a function of a basis (alpha, theta_k, theta_r),
+    stacked along the axes of alpha > 0: exp of c = (ln alpha + i theta_r,
+    i theta_k, -alpha^2/2, -1) times the rows (n, n(n-1)/2, 1, ln(n!)/2),
+    one row vector c at a time, so a stack gives each item's own bits (one
+    matrix product for the whole stack would round differently)."""
     n = np.arange(dim)
-    half_log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim))))) / 2
+    half_log_fact = hilbert._log_factorials(dim) / 2
     rows = np.array([n, n * (n - 1) / 2, np.ones(dim), half_log_fact], dtype=complex)
 
-    def amplitudes(coeffs):
-        v = np.exp(coeffs[..., None, :] @ rows)
+    def amplitudes(alpha, theta_k, theta_r):
+        coeffs = np.empty(np.shape(alpha) + (1, 4), dtype=complex)
+        coeffs[...] = (0, 1j * theta_k, 0, -1)
+        coeffs[..., 0, 0] = np.log(alpha) + 1j * theta_r
+        coeffs[..., 0, 2] = -alpha * alpha / 2
+        v = np.exp(coeffs @ rows)
         return v[..., 0, 2::2], v[..., 0, 1::2]
 
     return amplitudes
@@ -139,3 +141,44 @@ def bell_state(words1: Codewords, words2: Codewords) -> np.ndarray:
     ket = zero1 * words2.one[..., None, :] - one1 * words2.zero[..., None, :]
     ket = ket.reshape(ket.shape[:-2] + (-1,))
     return ket / hilbert.norm(ket)
+
+
+def _singlet_fidelity(rho: np.ndarray, dims: tuple[int, int]):
+    """The logical Bell fidelity of the pair density matrix ``rho`` on the
+    truncations ``dims``, as a function ``fidelity(x1, x2=None)`` of each
+    cavity's basis parameters (alpha, theta_k, theta_r); x2 None is the
+    symmetric basis x1 on both.  The lindblad engine and the basis fit
+    both score here.
+
+    The singlet B = (|-,+> - |+,->)/sqrt(2) is zero outside the Fock pairs
+    S = (odd, even >= 2) and (even >= 2, odd), so F = B^dag rho B / Tr rho
+    = b^dag rho_S b / (2 Tr rho) with b = m1 p2 on the first part and
+    -p1 m2 on the second (p, m the codewords' amplitudes on their parity,
+    :func:`_parity_amplitudes` normalized, as ``LogicalBasis.codewords``
+    has them).  rho_S / (2 Tr rho) is taken once here; each call is the
+    amplitudes, once per cavity (once in all for a symmetric basis on
+    equal truncations), and one |S| x |S| matrix-vector product.  A
+    truncation below 3 raises NumericalError.
+    """
+    d1, d2 = dims
+    _check_truncation(d1)
+    _check_truncation(d2)
+    odd1, even1 = np.arange(1, d1, 2), np.arange(2, d1, 2)
+    odd2, even2 = np.arange(1, d2, 2), np.arange(2, d2, 2)
+    s = np.concatenate([(odd1[:, None] * d2 + even2).ravel(), (even1[:, None] * d2 + odd2).ravel()])
+    block = rho[np.ix_(s, s)]
+    block /= 2 * float(np.real(np.trace(rho)))
+    amps1 = _parity_amplitudes(d1)
+    amps2 = amps1 if d2 == d1 else _parity_amplitudes(d2)
+
+    def codewords(amps, x):
+        return [v / math.sqrt(np.vdot(v, v).real) for v in amps(*x)]
+
+    def fidelity(x1, x2=None):
+        p1, m1 = codewords(amps1, x1)
+        same = x2 is None and amps2 is amps1
+        p2, m2 = (p1, m1) if same else codewords(amps2, x1 if x2 is None else x2)
+        b = np.concatenate([(m1[:, None] * p2).ravel(), (-p1[:, None] * m2).ravel()])
+        return float(np.vdot(b, block @ b).real)
+
+    return fidelity

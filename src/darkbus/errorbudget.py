@@ -46,7 +46,7 @@ def photon_loss_probability(alpha, params: SystemParams | None = None):
     """
     params = params or SystemParams()
     t1 = params.t1_cavity
-    return alpha**2 * params.t_protocol * (1.0 / t1[0] + 1.0 / t1[1])
+    return alpha * alpha * params.t_protocol * (1.0 / t1[0] + 1.0 / t1[1])
 
 
 def dark_pass_probability(alpha):
@@ -74,7 +74,7 @@ def off_resonant_loss(
     dark state's photons per swap; returns (epsilon, 2 alpha^2 epsilon).
     """
     eps = 2 * (g_bs / delta_fsr) * (kappa_b / delta_fsr)
-    return eps, 2 * alpha**2 * eps
+    return eps, 2 * alpha * alpha * eps
 
 
 def single_pass_loss(kappa_b: float, delta_fsr: float) -> float:
@@ -104,7 +104,7 @@ def purcell_infidelity(params: SystemParams | None = None, alpha=None):
             params.chi_cav_transmon, params.chi_bus_transmon, params.anharmonicity
         )
     ]
-    return 2 * alpha**2 * max(rates) / params.g_bs
+    return 2 * alpha * alpha * max(rates) / params.g_bs
 
 
 @dataclass(frozen=True)

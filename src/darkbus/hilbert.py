@@ -101,11 +101,15 @@ def coherent(dim: int, alpha, normalized: bool = True) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         logmag = half + n * np.log(r)
     logmag[..., :1] = half
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
-    amp = np.exp(logmag - log_fact / 2) * np.exp(1j * n * np.angle(alpha))
+    amp = np.exp(logmag - _log_factorials(dim) / 2) * np.exp(1j * n * np.angle(alpha))
     if normalized:
         amp /= norm(amp)
     return amp
+
+
+def _log_factorials(dim: int) -> np.ndarray:
+    """ln(n!) for n < dim: coherent kets', codewords' and Wigner kernels' table."""
+    return np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
 
 
 def norm(kets: np.ndarray):

@@ -373,11 +373,11 @@ def _coherent_herald(alpha, pair, check: VacuumCheckModel, dims) -> _Herald:
 
     alpha_dark = np.abs(alpha[..., None] * labels[1])  # component (a, 0, -a)
     words = _codewords(alpha_dark, dims)
-    # no codeword has a vacuum component, so the Bell ket lies in the NN
-    # sector: <B|rho_gg|B> = P(gg|NN) sum_ij a_ij beta_i conj(beta_j)
-    # with beta_i = <B|u_i v_i>
-    bell = codes.bell_state(*words).reshape(alpha.shape + tuple(dims))
-    beta = np.sum((kets[0] @ bell.conj()) * kets[1], axis=-1)
+    # no codeword has a vacuum component, so the singlet lies in the NN
+    # sector: <B|rho_gg|B> = P(gg|NN) sum_ij a_ij beta_i conj(beta_j) with
+    # beta_i = <B|u_i v_i>, from each cavity's (<m|u_i>, <p|u_i>)
+    o1, o2 = (k @ np.stack([w.minus, w.plus], -1).conj() for k, w in zip(kets, words))
+    beta = (o1[..., 0] * o2[..., 1] - o1[..., 1] * o2[..., 0]) / math.sqrt(2)
     bab = np.sum(beta[..., :, None] * dyads * beta.conj()[..., None, :], axis=(-2, -1))
     fidelity = weights[..., -1] * np.real(bab) / tr
     return _Herald(p_out, p_projective, fidelity, alpha_dark, words, dyads, kets, sector_probs)
@@ -433,11 +433,12 @@ def run_dmm(
     matrix for the fidelity: the pair is sum_ij a_ij |u_i v_i><u_j v_j|
     over four components with truncated unnormalized coherent kets u_i,
     v_i, so Tr rho_gg is a sum over sectors of 4x4 Gram matrices of the u
-    and of the v (split into vacuum and not-vacuum parts), and the Bell
-    ket, free of vacuum in either cavity, sees only the both-occupied
-    sector through its overlaps <B|u_i v_i>.  ``rho_pass`` is folded from
-    the same kets on first access.  The analysis basis of each cavity is
-    the cat amplitude of its surviving dark component (absorbing the
+    and of the v (split into vacuum and not-vacuum parts), and the singlet
+    B, free of vacuum, sees only the both-occupied sector, through
+    beta_i = <B|u_i v_i> = (<m1|u_i><p2|v_i> - <p1|u_i><m2|v_i>)/sqrt(2)
+    with p, m each cavity's codewords.  ``rho_pass`` is folded from the
+    same kets on first access.  The analysis basis of each cavity is the
+    cat amplitude of its surviving dark component (absorbing the
     deterministic shrinkage, as an experiment's basis calibration would);
     :func:`~darkbus.tomography.optimize_basis` fits another one to
     ``rho_pass``.  ``params`` is the only source of parameter values: vary
@@ -463,8 +464,8 @@ def run_dmm(
     engine:
         "coherent" -- exact, truncation-free propagation of the four-component
         coherent superposition (the default; fast at any dims).  The
-        analysis is not truncation-free: Tr rho_gg, the overlaps
-        <B|u_i v_i> and the codewords use kets truncated at params.dims, so
+        analysis is not truncation-free: Tr rho_gg, the overlaps beta_i
+        and the codewords use kets truncated at params.dims, so
         ``bell_fidelity`` moves with dims once the cats reach the
         truncation (by 7.7e-3 at alpha = 3 between cavity dims 12 and 40,
         with the measured check);
@@ -541,8 +542,7 @@ def run_dmm(
         tr = float(np.real(np.trace(rho_gg)))
         _require_herald(tr)
         words = _codewords(alpha_dark, (d1, d2))
-        bell = codes.bell_state(*words)
-        fid = float(np.real(bell.conj() @ rho_gg @ bell) / tr)
+        fid = codes._singlet_fidelity(rho_gg, (d1, d2))(*[(a, 0, 0) for a in alpha_dark])
         rho_gg /= tr  # in place: rho_gg is this call's own array
 
         def build_rho_gg():

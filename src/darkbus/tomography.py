@@ -27,9 +27,10 @@ points in R orbits holds the R x dim^2 matrix plus O(R dim) scratch.
 
 Reconstruction is maximum likelihood by accelerated projected gradient:
 a binomial likelihood when shot counts are available, least squares when
-only noiseless maps are.  Analysis-basis fitting of a pair lives at the
-bottom of the module; a cavity's state conditioned on a measurement of the
-other is :func:`darkbus.hilbert.condition`.
+only noiseless maps are.  Analysis-basis fitting of a pair, a search of
+the Bell fidelity :mod:`darkbus.codes` scores, lives at the bottom of the
+module; a cavity's state conditioned on a measurement of the other is
+:func:`darkbus.hilbert.condition`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .codes import LogicalBasis, _check_truncation, _parity_amplitudes
+from .codes import LogicalBasis, _singlet_fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,7 @@ def _kernel_runs(dim: int, betas: np.ndarray):
     x = np.abs(z) ** 2
     k = np.arange(dim)
     z_pow = z ** k
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
+    log_fact = hilbert._log_factorials(dim)
     # L_(n-1)^(k) and L_n^(k)(x) for k < dim - n, from L_(-1) = 0 and L_0 = 1
     prev, lag = np.zeros((len(z), dim + 1)), np.ones((len(z), dim))
     for n in range(dim):
@@ -503,16 +504,13 @@ def optimize_basis(state, dims: tuple[int, int]) -> OptimizedBasis:
     to 5.8 rad, it reaches the best fidelity of four searches started at
     Kerr angles 0, 0.25, 0.5 and -0.5 to within 3e-15.
 
-    The objective is :func:`_basis_objective`: the singlet has support only
-    on the Fock pairs of opposite parity with no vacuum, so rho's block on
-    them is cut out once per fit, and one evaluation is each cavity's
-    codeword amplitudes in closed form (a few length-dim array operations)
-    and one product of that block with the singlet's amplitudes there.  A
-    truncation below 3 raises NumericalError before the search.
+    The objective is :func:`darkbus.codes._singlet_fidelity`, which cuts
+    rho's singlet parity block out once per fit; a truncation below 3
+    raises NumericalError before the search.
     """
     rho = hilbert.as_dm(state)
     d1, d2 = dims
-    fidelity = _basis_objective(rho, dims)
+    fidelity = _singlet_fidelity(rho, dims)
     tr = float(np.real(np.trace(rho)))
     pops = rho.diagonal().real.reshape(d1, d2)
     n_mean = (np.arange(d1) @ pops.sum(1) + np.arange(d2) @ pops.sum(0)) / (2 * tr)
@@ -528,52 +526,6 @@ def optimize_basis(state, dims: tuple[int, int]) -> OptimizedBasis:
     res = _nelder_mead(neg_fid, simplex, xatol=1e-7, fatol=1e-12, maxiter=2000)
     basis = LogicalBasis(abs(res.x[0]), theta_k=res.x[1], theta_r=res.x[2])
     return OptimizedBasis(basis=basis, fidelity=-res.fun, x=res.x, success=res.success)
-
-
-def _basis_objective(rho: np.ndarray, dims: tuple[int, int]):
-    """The logical Bell fidelity of the pair density matrix ``rho`` on the
-    truncations ``dims``, as a function ``fidelity(x1, x2=None)`` of each
-    cavity's basis parameters (alpha, theta_k, theta_r); x2 None is the
-    symmetric basis x1 on both.
-
-    The singlet B = (|-,+> - |+,->)/sqrt(2) is zero outside the Fock pairs
-    S = (odd, even >= 2) and (even >= 2, odd), so
-    F = B^dag rho B / Tr rho = b^dag rho_S b / (2 Tr rho) with b = m1 p2 on
-    the first part and -p1 m2 on the second (p, m the codewords'
-    amplitudes on their parity, :func:`~darkbus.codes._parity_amplitudes`
-    normalized, as ``LogicalBasis.codewords`` has them).
-    rho_S / (2 Tr rho) is taken once here; each call is the amplitudes,
-    once per cavity (once in all for a symmetric basis on equal
-    truncations), and one |S| x |S| matrix-vector product.  A truncation
-    below 3 raises NumericalError here.
-    """
-    d1, d2 = dims
-    _check_truncation(d1)
-    _check_truncation(d2)
-    odd1, even1 = np.arange(1, d1, 2), np.arange(2, d1, 2)
-    odd2, even2 = np.arange(1, d2, 2), np.arange(2, d2, 2)
-    s = np.concatenate([(odd1[:, None] * d2 + even2).ravel(), (even1[:, None] * d2 + odd2).ravel()])
-    block = rho[np.ix_(s, s)]
-    block /= 2 * float(np.real(np.trace(rho)))
-    amps1 = _parity_amplitudes(d1)
-    amps2 = amps1 if d2 == d1 else _parity_amplitudes(d2)
-
-    def codewords(amps, x):
-        alpha, theta_k, theta_r = x
-        coeffs = np.array([math.log(alpha) + 1j * theta_r, 1j * theta_k, -alpha * alpha / 2, -1])
-        plus, minus = amps(coeffs)
-        plus /= math.sqrt(np.vdot(plus, plus).real)
-        minus /= math.sqrt(np.vdot(minus, minus).real)
-        return plus, minus
-
-    def fidelity(x1, x2=None):
-        p1, m1 = codewords(amps1, x1)
-        same = x2 is None and amps2 is amps1
-        p2, m2 = (p1, m1) if same else codewords(amps2, x1 if x2 is None else x2)
-        b = np.concatenate([(m1[:, None] * p2).ravel(), (-p1[:, None] * m2).ravel()])
-        return float(np.vdot(b, block @ b).real)
-
-    return fidelity
 
 
 @dataclass

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_genlaguerre
 
@@ -219,11 +219,13 @@ def _point_set(kind: str, rng, k: int) -> np.ndarray:
     st.integers(1, 12),
     st.integers(0, 2**32 - 1),
 )
+@example(kind="partly-symmetric", dim=1, k=1, seed=9)  # keeps none of its 4 points
 def test_forward_map_matches_the_full_matrix_products(kind, dim, k, seed):
     """The orbit layout's forward and adjoint products equal the products
     with every point's own design row to 1e-13 of the sum of the terms'
     magnitudes, and <forward rho, c> = <rho, adjoint c> in the
-    Hilbert-Schmidt product."""
+    Hilbert-Schmidt product.  A draw may keep no point at all: the map then
+    gives no values, and its adjoint the zero matrix."""
     rng = np.random.default_rng(seed)
     betas = _point_set(kind, rng, k)
     forward = tomography._ForwardMap(dim, betas)
@@ -236,8 +238,11 @@ def test_forward_map_matches_the_full_matrix_products(kind, dim, k, seed):
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = h + h.conj().T
     lhs, rhs = forward(rho) @ c, np.vdot(rho, forward.adjoint(c)).real
-    scale = np.abs(full).sum() * np.abs(rho).max() * np.abs(c).max()
+    scale = np.abs(full).sum() * np.abs(rho).max() * np.abs(c).max(initial=0.0)
     assert abs(lhs - rhs) <= 1e-13 * scale
+    if not len(betas):
+        assert forward(rho).shape == (0,)
+        assert np.array_equal(forward.adjoint(c), np.zeros((dim, dim)))
 
 
 def test_kernel_truncation_invariance():
@@ -667,7 +672,7 @@ def test_basis_objective_matches_reference_objective(dims):
         return float(np.real(bell.conj() @ rho @ bell) / np.real(np.trace(rho)))
 
     for rho in states:
-        fidelity = tomography._basis_objective(rho, dims)
+        fidelity = codes._singlet_fidelity(rho, dims)
         for _ in range(40):
             x1, x2 = rng.uniform([0.05, -np.pi, -np.pi], [3.0, np.pi, np.pi], (2, 3))
             assert fidelity(x1) == pytest.approx(reference(rho, x1, x1), abs=1e-14)
@@ -681,7 +686,7 @@ def test_basis_objective_scores_the_decoders_codewords(dims):
     rho to 1e-14, per cavity and symmetric."""
     rng = np.random.default_rng(7 * sum(dims))
     rho = _random_density(rng, dims[0] * dims[1], 4) * 0.7
-    fidelity = tomography._basis_objective(rho, dims)
+    fidelity = codes._singlet_fidelity(rho, dims)
     for _ in range(40):
         x1, x2 = rng.uniform([0.05, -np.pi, -np.pi], [3.0, np.pi, np.pi], (2, 3))
         for y1, y2 in ((x1, x2), (x1, x1)):
@@ -702,22 +707,29 @@ def test_optimize_basis_refuses_a_truncation_below_3(dims, monkeypatch):
 
 
 def test_optimize_basis_builds_no_kets(monkeypatch):
-    """On tomo-demo's pair the fit never builds a coherent ket or a Bell
-    ket: its codewords are in closed form."""
-    calls = {"bell_state": 0, "coherent": 0}
-    for module, name in ((codes, "bell_state"), (hilbert, "coherent")):
-        fn = getattr(module, name)
+    """No library path builds a Bell ket: both engines' heralds, the alpha
+    sweep and the fit score the singlet from codewords.  On tomo-demo's
+    pair the fit builds no coherent ket either: its codewords are in
+    closed form."""
 
-        def counting(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    def no_bell_ket(*args, **kwargs):
+        raise AssertionError("a library path built a Bell ket")
 
-        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(codes, "bell_state", no_bell_ket)
+    assert 0 < protocol.run_dmm().bell_fidelity < 1
+    small = dynamics.SystemParams().with_(alpha=0.5, dims=(6, 4, 6))
+    assert 0 < protocol.run_dmm(small, engine="lindblad").bell_fidelity < 1
+    _, fidelity, _ = protocol.alpha_sweep(dynamics.SystemParams(), [0.5, 1.0, 2.0])
+    assert np.all((0 < fidelity) & (fidelity < 1))
     rho = _tomo_demo_pair((12, 12))
-    calls.update(bell_state=0, coherent=0)
+    coherent_calls = []
+    coherent = hilbert.coherent
+    monkeypatch.setattr(
+        hilbert, "coherent", lambda *a, **kw: coherent_calls.append(a) or coherent(*a, **kw)
+    )
     fit = tomography.optimize_basis(rho, (12, 12))
     assert fit.success
-    assert calls == {"bell_state": 0, "coherent": 0}
+    assert coherent_calls == []
 
 
 @pytest.mark.parametrize("maxiter", [2000, 40])
