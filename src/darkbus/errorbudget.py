@@ -21,11 +21,14 @@ budget and would imply precision the model does not have.
 Every term that depends on alpha is elementwise numpy arithmetic: a numpy
 array of amplitudes gives an array of each term in one evaluation, and a
 scalar amplitude gives floats.
+
+The optimum is closed form: with x = 1 - e^{-alpha^2} the total is
+stationary at the roots of c x^4 + 2 p (1 + c) x^2 - 2 p x + c p^2, and those
+inside [0.3, 3] and both its ends are scored in one array evaluation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ from .protocol import MEASURED_JOINT_FALSE_PASS, dmm_false_positive, success_pro
 
 DEFAULT_P_DECODE = 0.017
 DEFAULT_P_BRIGHT_PASS = MEASURED_JOINT_FALSE_PASS
+_ALPHA_RANGE = (0.3, 3.0)  # the cat amplitudes ``optimal_alpha`` chooses from
 
 
 def photon_loss_probability(alpha, params: SystemParams | None = None):
@@ -159,37 +163,26 @@ def optimal_alpha(
     params: SystemParams | None = None,
     p_decode: float = DEFAULT_P_DECODE,
     p_bright_pass: float = DEFAULT_P_BRIGHT_PASS,
-    bounds: tuple[float, float] = (0.3, 3.0),
 ) -> tuple[float, BudgetBreakdown]:
-    """Cat amplitude minimizing the three-term budget.
+    """Cat amplitude minimizing the three-term budget on [0.3, 3].
 
-    Loss grows like alpha^2 while the false-pass dilution falls off as the
-    dark branch's occupation certainty improves, so the total has a single
-    interior minimum, found by golden-section search on ``bounds``.  Near
-    the minimum the total is flat to rounding over about 1e-8 in alpha,
-    which bounds how closely any search on it can place the optimum.
+    With x = 1 - e^{-alpha^2}, c = t (1/T1_1 + 1/T1_2) and p = p_bright_pass
+    the total c alpha^2 + p_decode + p / (p + x^2) is stationary where
+    c (p + x^2)^2 = 2 p x (1 - x), i.e. c x^4 + 2 p (1 + c) x^2 - 2 p x
+    + c p^2 = 0.  The real part of every root in (0, 1) gives
+    alpha = sqrt(-log1p(-x)) (no imaginary-part threshold: rounding can
+    split a near-double root into a complex pair); those inside the range
+    and both its ends are the candidates, and the lowest total of one array
+    evaluation wins.  The total is flat to rounding over about 1e-8 in
+    alpha near its minimum, which bounds how closely any method places it.
     """
     params = params or SystemParams()
-
-    def total(a):
-        return predicted_infidelity(a, p_decode, p_bright_pass, params).total
-
-    best = _golden_section(total, *bounds, xatol=1e-10)
+    c, p = photon_loss_probability(1.0, params), p_bright_pass
+    lead = c if c > p * np.finfo(float).tiny else 0.0  # np.roots divides by it; keep p/c finite
+    x = np.roots([lead, 0.0, 2 * p * (1 + c), -2 * p, c * p * p]).real
+    alpha = np.sqrt(-np.log1p(-x[(x > 0) & (x < 1)]))
+    lo, hi = _ALPHA_RANGE
+    alpha = np.concatenate([[lo, hi], alpha[(alpha > lo) & (alpha < hi)]])
+    totals = predicted_infidelity(alpha, p_decode, p_bright_pass, params).total
+    best = float(alpha[np.argmin(totals)])
     return best, predicted_infidelity(best, p_decode, p_bright_pass, params)
-
-
-def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
-    """Minimizer of the unimodal f on [lo, hi], bracketed to within xatol."""
-    r = (math.sqrt(5) - 1) / 2
-    c, d = hi - r * (hi - lo), lo + r * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > xatol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - r * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + r * (hi - lo)
-            fd = f(d)
-    return (lo + hi) / 2

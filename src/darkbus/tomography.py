@@ -266,6 +266,10 @@ class WignerData:
     shots: np.ndarray | None = None
     counts: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.counts is not None and self.shots is None:
+            raise ValueError("counts given without the shots they were drawn from")
+
     @classmethod
     def from_map(cls, grid: WignerGrid, w: np.ndarray, shots=None, counts=None) -> "WignerData":
         b = grid.betas
@@ -287,15 +291,16 @@ class WignerData:
         for need in ("re_beta", "im_beta", "value"):
             if need not in cols:
                 raise ValueError(f"missing column {need!r} in {path}")
-        if "counts" in cols and "shots" not in cols:
-            raise ValueError(f"{path} has a counts column but no shots column")
-        return cls(
-            re_beta=cols["re_beta"],
-            im_beta=cols["im_beta"],
-            value=cols["value"],
-            shots=cols.get("shots"),
-            counts=cols.get("counts"),
-        )
+        try:
+            return cls(
+                re_beta=cols["re_beta"],
+                im_beta=cols["im_beta"],
+                value=cols["value"],
+                shots=cols.get("shots"),
+                counts=cols.get("counts"),
+            )
+        except ValueError as err:  # name the file in __post_init__'s refusal
+            raise ValueError(f"{path}: {err}") from err
 
     @property
     def betas(self) -> np.ndarray:

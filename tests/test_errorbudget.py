@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from darkbus import errorbudget
 from darkbus.dynamics import SystemParams
@@ -101,18 +101,74 @@ def test_optimal_alpha():
     ],
 )
 def test_optimal_alpha_matches_bounded_brent(params, budget):
-    """Golden section against scipy's bounded Brent search on the same total.
+    """The quartic's root against scipy's bounded Brent search on the same
+    total.
 
     Near its minimum the total is flat to rounding (f'' d^2 / 2 < eps f) for
-    |d| up to about 1e-8, so there any search compares rounding noise: the
-    two land within 1e-8 of each other (the 40-digit minimizer lies within
-    9e-9 of golden section and 1.7e-9 of Brent on these cases) and at the
-    same total to a few ulp."""
+    |d| up to about 1e-8, so there any method compares rounding noise: the
+    two land within 1e-8 of each other (the root lies within 1.7e-9 of
+    Brent on these cases) and at the same total to a few ulp."""
     best, bud = errorbudget.optimal_alpha(params, **budget)
     ref = optimal_alpha_bounded(params, **budget)
     assert best == pytest.approx(ref, rel=0, abs=1e-8)
     ref_total = errorbudget.predicted_infidelity(ref, params=params, **budget).total
     assert bud.total <= ref_total * (1 + 4 * np.finfo(float).eps)
+
+
+def test_optimal_alpha_at_the_ends_of_its_range():
+    """Without bright passes only loss is left, which the smallest cat
+    minimizes; without loss the largest cat certifies best.  The quartic
+    has no root in (0, 1) in either case, so the end itself is returned."""
+    assert errorbudget.optimal_alpha(p_bright_pass=0.0)[0] == 0.3
+    assert errorbudget.optimal_alpha(SystemParams(t_protocol=0.0))[0] == 3.0
+    best, bud = errorbudget.optimal_alpha(p_bright_pass=1.0)
+    assert 0.3 < best < 3.0
+    ref = optimal_alpha_bounded(p_bright_pass=1.0)
+    ref_total = errorbudget.predicted_infidelity(ref, p_bright_pass=1.0).total
+    assert bud.total <= ref_total * (1 + 4 * np.finfo(float).eps)
+
+
+_EPS = np.finfo(float).eps
+_DENSE = np.linspace(0.3, 3.0, 20_001)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t1=st.tuples(st.floats(1e-5, 1e-2), st.floats(1e-5, 1e-2)),
+    t_protocol=st.floats(0.0, 1e-4),
+    p_bright_pass=st.floats(0.0, 1.0),
+)
+@example(t1=(1e-2, 1e-2), t_protocol=5e-324, p_bright_pass=1.0)  # p / c overflows
+def test_optimal_alpha_is_the_lowest_total(t1, t_protocol, p_bright_pass):
+    """No higher total than Brent's or a dense grid's minimum, to 4 ulp,
+    anywhere in the parameter space: ends, p_bright_pass = 0 or 1, and a
+    loss so small that p / c overflows included."""
+    params = SystemParams(t1_cavity=t1, t_protocol=t_protocol)
+    budget = {"p_bright_pass": p_bright_pass, "params": params}
+    best, bud = errorbudget.optimal_alpha(params, p_bright_pass=p_bright_pass)
+    assert 0.3 <= best <= 3.0
+    ref = optimal_alpha_bounded(**budget)
+    assert bud.total <= errorbudget.predicted_infidelity(ref, **budget).total * (1 + 4 * _EPS)
+    grid_min = errorbudget.predicted_infidelity(_DENSE, **budget).total.min()
+    assert bud.total <= grid_min * (1 + 4 * _EPS)
+
+
+def test_optimal_alpha_evaluates_the_budget_twice(monkeypatch):
+    """One array call on the candidates, then one scalar call at the
+    winner for its breakdown: no search loop of scalar calls."""
+    calls = []
+    budget = errorbudget.predicted_infidelity
+
+    def counted(alpha, *args, **kwargs):
+        calls.append(np.shape(alpha))
+        return budget(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(errorbudget, "predicted_infidelity", counted)
+    best, bud = errorbudget.optimal_alpha()
+    assert len(calls) == 2
+    assert len(calls[0]) == 1 and calls[0][0] >= 3  # both ends and the root
+    assert calls[1] == ()
+    assert type(best) is float and bud.alpha == best
 
 
 def test_budget_monotonic_pieces():

@@ -400,6 +400,17 @@ def test_load_csv_rejects_counts_without_shots(tmp_path):
         WignerData.load_csv(path)
 
 
+def test_wigner_data_refuses_counts_without_shots():
+    """Every constructor refuses counts without shots, not only the CSV
+    reader: the MLE would otherwise read NaN shot numbers."""
+    grid = WignerGrid.default(1.0, 0.5)
+    counts = np.full(grid.betas.size, 150)
+    with pytest.raises(ValueError, match="shots"):
+        WignerData.from_map(grid, np.zeros(grid.shape), counts=counts)
+    with pytest.raises(ValueError, match="shots"):
+        WignerData(grid.betas.real, grid.betas.imag, np.zeros(counts.size), counts=counts)
+
+
 def test_wigner_data_missing_column(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("re_beta,im_beta\n0.0,0.0\n")
