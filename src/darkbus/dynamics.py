@@ -359,25 +359,28 @@ class _Liouvillian:
     ``mu`` is Tr L / dim^2, from the exact trace 2 dim Re Tr K + sum |Tr c|^2.
     ``bound`` is 2 ||K'||_2 + sum ||c||_1 ||c||_inf >= ||L - mu||_2, or inf
     where K' is not finite: ||K'||_2 is the largest singular value of the
-    dense K', assembled once and freed before the action's arrays exist,
+    dense K', assembled once and freed before the constructor returns,
     and ||c||_1 ||c||_inf, the largest column sum of |c| times its largest
     row sum, bounds ||c||_2^2, exactly for a ladder operator.
 
-    On the row-major vec of r, a diagonal u of K' at offset o reads r
-    shifted by o dim and scales rows by u; a pair of diagonals (o1, u1),
-    (o2, u2) of c gives c r c^dag a shift of o1 dim + o2, rows scaled by
-    u1 / 2 and columns by conj(u2); the main diagonal kd of K' scales the
-    rows of r unshifted.  Every vector lives inside a buffer padded with
-    zeros by the largest shift, so each shifted read is a contiguous
-    dim x dim view; an entry that crosses an edge meets a factor of 0.
-    X + X^dag is one conjugate transpose and one add, and is exactly
-    Hermitian.
+    The constructor keeps only diagonals, vectors of length dim, so the
+    caller may free H and the c's once it returns; :meth:`buffers` then
+    allocates the working memory.  A diagonal u of K' at offset o reads the
+    rows of r shifted by o and scales them by u, a (dim, 1) row weight; the
+    main diagonal kd scales the rows of r unshifted.  On the row-major vec
+    of r, a pair of diagonals (o1, u1), (o2, u2) of one c gives c r c^dag a
+    shift of o1 dim + o2 and the flat weight (1/2) u1 (x) conj(u2), one
+    dim^2 array per pair.  Each term multiplies the slice of r it reads
+    into the slice of X it writes; outside those slices its weight is 0,
+    as it is on every entry that crosses an edge of r.  X + X^dag is one
+    conjugate transpose and one add, and is exactly Hermitian.
     """
 
     def __init__(self, h: np.ndarray, cs: list[np.ndarray]):
         """``h`` and each collapse operator in ``cs`` are dim x dim arrays."""
         self.dim = dim = len(h)
-        c_terms, c_norms = [], []
+        c_norms = []
+        self.c_pairs = []
         # An overflow here shows up as bound = inf, which the caller reports.
         with np.errstate(over="ignore", invalid="ignore"):
             k = -1j * h
@@ -389,7 +392,7 @@ class _Liouvillian:
                     for o2, u2 in diagonals:
                         i = np.arange(max(0, -o1, -o2), dim - max(0, o1, o2))
                         k[i + o1, i + o2] -= 0.5 * (u1[i].conj() * u2[i])
-                        c_terms.append((o1 * dim + o2, 0.5 * u1[:, None], u2.conj()))
+                        self.c_pairs.append((o1 * dim + o2, 0.5 * u1, u2.conj()))
                 c_norms.append(float(rows.max() * cols.max()))
             kd = k.diagonal().copy()
             self.mu = (2 * dim * kd.sum().real + sum(abs(np.trace(c)) ** 2 for c in cs)) / dim**2
@@ -399,44 +402,49 @@ class _Liouvillian:
             if np.isfinite(k).all():
                 self.bound = sum(c_norms, 2 * float(np.linalg.norm(k, 2)))
         self.kd = kd[:, None]
-        self.terms = [(o * dim, u[:, None], None) for o, u in _diagonals(k) if o] + c_terms
-        del k
-        self.pad = max((abs(shift) for shift, _, _ in self.terms), default=0)
-        self.half = np.empty((dim, dim), dtype=complex)
+        self.k_terms = []
+        for o, u in _diagonals(k):
+            if o:
+                write = slice(max(-o, 0), dim - max(o, 0))
+                self.k_terms.append((write, slice(write.start + o, write.stop + o), u[write, None]))
 
-    def buffer(self) -> np.ndarray:
-        """A zero vector with room for every shift on either side."""
-        return np.zeros(self.dim**2 + 2 * self.pad, dtype=complex)
-
-    def view(self, buf, shift: int = 0) -> np.ndarray:
-        """The dim x dim matrix stored in ``buf``, read ``shift`` entries on."""
-        start = self.pad + shift
-        return buf[start:start + self.dim**2].reshape(self.dim, self.dim)
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Build the pair weights and the half X, and return the two
+        dim x dim buffers that :meth:`apply` alternates between."""
+        n = self.dim**2
+        self.c_terms = []
+        for shift, u1, u2 in self.c_pairs:
+            write = slice(max(-shift, 0), n - max(shift, 0))
+            w = np.multiply.outer(u1, u2).reshape(n)[write]
+            self.c_terms.append((write, slice(write.start + shift, write.stop + shift), w))
+        self.half = np.empty((self.dim, self.dim), dtype=complex)
+        return np.zeros_like(self.half), np.zeros_like(self.half)
 
     def apply(self, src, dst) -> np.ndarray:
-        """Write the action on the Hermitian matrix in buffer ``src`` into
-        buffer ``dst`` (never ``src`` itself) and return it as a view; ``dst``
-        doubles as the scratch space for each product."""
-        out, half = self.view(dst), self.half
-        np.multiply(self.kd, self.view(src), out=half)
-        for shift, row, col in self.terms:
-            np.multiply(row, self.view(src, shift), out=out)
-            if col is not None:
-                out *= col
-            half += out
-        np.conjugate(half.T, out=out)
-        out += half
-        return out
+        """Write the action on the Hermitian matrix ``src`` into ``dst``
+        (never ``src`` itself) and return it; ``dst`` doubles as the
+        scratch space for each product."""
+        half = self.half
+        np.multiply(self.kd, src, out=half)
+        for write, read, u in self.k_terms:
+            np.multiply(u, src[read], out=dst[write])
+            half[write] += dst[write]
+        r, out, x = src.reshape(-1), dst.reshape(-1), half.reshape(-1)
+        for write, read, w in self.c_terms:
+            np.multiply(w, r[read], out=out[write])
+            x[write] += out[write]
+        np.conjugate(half.T, out=dst)
+        dst += half
+        return dst
 
 
 def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def _propagate(rho: np.ndarray, h: np.ndarray, cs: list[np.ndarray], t: float) -> None:
+def _propagate(rho: np.ndarray, liou: _Liouvillian, t: float) -> None:
     """rho <- exp(t L) rho in place, for t > 0 and the checked inputs of
     :func:`lindblad_evolve`, whose docstring describes the method."""
-    liou = _Liouvillian(h, cs)
     if not math.isfinite(t * liou.bound):
         raise NumericalError(f"dynamics: the Taylor step bound t ||L - mu||_2 is {t * liou.bound}")
     steps = {m: max(math.ceil(t * liou.bound / theta), 1) for m, theta in _TAYLOR_THETA.items()}
@@ -448,21 +456,22 @@ def _propagate(rho: np.ndarray, h: np.ndarray, cs: list[np.ndarray], t: float) -
             f"more than {_MAX_APPLICATIONS:.0e}"
         )
 
-    src, dst = liou.buffer(), liou.buffer()
-    adjoint = liou.view(dst)
-    np.conjugate(rho.T, out=adjoint)
-    rho += adjoint
+    src, dst = liou.buffers()
+    np.conjugate(rho.T, out=dst)
+    rho += dst
     rho *= 0.5  # exactly Hermitian from here on, and so is every term
     eta = math.exp(t * liou.mu / s)
     for _ in range(s):
-        liou.view(src)[...] = rho
-        c1 = _frobenius(rho)
+        src[...] = rho
+        c1 = upper = _frobenius(rho)
         for j in range(1, m + 1):
             term = liou.apply(src, dst)
             term *= t / (s * j)
             c2 = _frobenius(term)
             rho += term
-            if c1 + c2 <= 2.0**-53 * _frobenius(rho):
+            upper += c2  # >= ||rho|| by the triangle inequality: the exact
+            # norm is needed only where upper, with room for rounding, passes
+            if c1 + c2 <= 2.0**-53 * (1 + 1e-6) * upper and c1 + c2 <= 2.0**-53 * _frobenius(rho):
                 break
             c1 = c2
             src, dst = dst, src
@@ -506,25 +515,27 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     something to hide.
 
     :class:`_Liouvillian` assembles the dense K' once, for mu and the
-    bound, and keeps only its nonzero diagonals and those of each c, read
-    once from the operators.  The state is made exactly Hermitian
-    once, so every Taylor term is too, and each application of L - mu
-    builds only the half X = K' r + (1/2) sum c r c^dag and returns
+    bound, and keeps only the nonzero diagonals of K' and of each c; this
+    function then lets go of H and the c's, so operators its caller passed
+    as temporaries are freed before the solve.  The state is made exactly
+    Hermitian once, so every Taylor term is too, and each application of
+    L - mu builds only the half X = K' r + (1/2) sum c r c^dag and returns
     X + X^dag (:class:`_Liouvillian`), one diagonal at a time: every
-    diagonal of K' (off the main one) and every pair of diagonals of one c
-    is a shifted, row- and column-scaled copy of r.  The Taylor terms
-    alternate between two buffers padded with zeros by the largest shift,
-    so every shifted read is a contiguous view, and the series runs in
-    place: an application allocates nothing of size dim^2.  Its cost is
-    dim^2 times the number of such terms -- 1 per off-main diagonal of K'
-    plus the square of each c's diagonal count, plus the main diagonal and
-    the conjugate transpose -- so ladder operators, with one diagonal each,
-    are cheap, while a dense operator of n nonzero diagonals costs
-    n^2 dim^2.  Besides the input, the working memory is four dim^2 complex
-    arrays (the state, the half X and the two padded term buffers), all
-    local to the call; the dense K' is freed before the half X and the
-    term buffers exist.  A ket's density matrix is built once and evolved in
-    place; a density matrix the caller holds is copied once.
+    off-main diagonal of K' is a shifted, row-scaled copy of r, and every
+    pair of diagonals of one c a shifted copy times one stored dim^2
+    weight.  The series runs in place in two term buffers: an application
+    allocates nothing of size dim^2, and costs dim^2 per such term plus
+    the main diagonal and the conjugate transpose, so ladder operators,
+    with one diagonal each, are cheap, while a dense operator of n nonzero
+    diagonals costs n^2 dim^2 and stores n^2 weights.  Besides the input,
+    the working memory is the state, the half X, the two term buffers and
+    the weights, all dim^2 complex arrays local to the call (seven for the
+    network's three ladder operators); the dense K' is freed before any of
+    them but the state exists.  The stopping test computes the running
+    sum's norm only where its triangle-inequality bound, the start's norm
+    plus the terms', would pass, so it decides as the exact norm does.  A
+    ket's density matrix is built once and evolved in place; a density
+    matrix the caller holds is copied once.
 
     ``NumericalError`` names an H or c that is not finite, and a solve whose
     bound is not finite or that plans more than 10^6 applications of L;
@@ -559,7 +570,12 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     if rho.shape != (dim, dim):
         raise ValueError("state does not match the Hamiltonian dimension")
     if t > 0:  # exp(0 L) is the identity: at t = 0 the input comes back as it is
-        _propagate(rho, h, cs, t)
+        liou = _Liouvillian(h, cs)
+        # The solve reads only liou's diagonals: once this call lets go of
+        # the dense operators (the loop's c too), those the caller passed as
+        # temporaries are freed.
+        h = c_ops = cs = c = None
+        _propagate(rho, liou, t)
     if not np.isfinite(rho).all():
         raise NumericalError("dynamics: master-equation propagation diverged")
     return EvolveResult(final=rho)

@@ -478,12 +478,14 @@ def run_dmm(
         dump window is a master-equation solve on the operators
         :func:`~darkbus.dynamics.network_operators` builds from that
         coupling and those rates, one deterministic Taylor propagation over
-        t_dump.  Each Liouvillian application costs dim^2 per operator
-        diagonal term (dim = prod(params.dims); eight terms and one
-        conjugate transpose for this network), and a solve makes one
-        application per Taylor term, a count that grows with t_dump and the
-        2-norm of the Liouvillian (153 at the benchmark's alpha 0.5, dims
-        (6, 4, 6)); use reduced dims.  The materialized state is Hermitian
+        t_dump, which frees the operators once read and keeps their
+        diagonals and one dim^2 weight per collapse operator
+        (dim = prod(params.dims)).  Each Liouvillian application costs
+        dim^2 per operator diagonal term (eight for this network) plus one
+        conjugate transpose, and a solve makes one application per Taylor
+        term, a count that grows with t_dump and the 2-norm of the
+        Liouvillian (153 at the benchmark's alpha 0.5, dims (6, 4, 6));
+        use reduced dims.  The materialized state is Hermitian
         to rounding, as the solve requires.  Its analysis basis is each
         cavity's decayed alpha e^{-gamma_k t_exposed/2}, not the coherent
         engine's dark label, which unequal cavity T1s mix with the bright
@@ -522,10 +524,12 @@ def run_dmm(
             if t <= 0:
                 continue
             if coupling.any():
-                h, c_ops = dynamics.network_operators(coupling, gammas, dims)
+                ops = list(dynamics.network_operators(coupling, gammas, dims))
                 if include_kerr:
-                    h = h + dynamics.kerr_hamiltonian(dims, params.kerr)
-                rho = dynamics.lindblad_evolve(h, c_ops, rho, t).final
+                    ops[0] += dynamics.kerr_hamiltonian(dims, params.kerr)
+                # popped into the call, so that no name here keeps the dense
+                # operators alive through the solve
+                rho = dynamics.lindblad_evolve(ops.pop(0), ops.pop(), rho, t).final
             else:
                 # H = 0: each mode only decays, exactly amplitude damping
                 for axis, g in enumerate(gammas):

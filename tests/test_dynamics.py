@@ -473,10 +473,10 @@ def _apply_twice(h, cs, r):
     B Hermitian, goes through it as apply(A) + i apply(B); a Hermitian r has
     B = 0."""
     liou = dynamics._Liouvillian(h, cs)
-    src, dst = liou.buffer(), liou.buffer()
+    src, dst = liou.buffers()
 
     def twice(x):
-        liou.view(src)[...] = x
+        src[...] = x
         once = liou.apply(src, dst).copy()
         return once, liou.apply(dst, src).copy()
 
@@ -656,8 +656,9 @@ def test_lindblad_rejects_a_wrapped_state():
 def test_lindblad_working_memory_stays_small():
     """One 144-dim solve, the entangle-lindblad one, peaks at no more than
     eight dim x dim complex arrays: the state, the half-application, two
-    padded term buffers, with no per-term temporaries and no stored
-    superoperator diagonals."""
+    term buffers and one pair weight per collapse operator (three ladder
+    operators), with no per-term temporaries and no stored superoperator
+    diagonals."""
     dims = (6, 4, 6)
     h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
     psi0 = product_ket(

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -486,7 +487,31 @@ def test_entangle_lindblad_needs_few_liouvillian_applications(monkeypatch):
     res = protocol.run_dmm(SystemParams(alpha=0.5, dims=(6, 4, 6)), engine="lindblad")
     assert res.t_dump == pytest.approx(2e-6, rel=1e-12)
     assert calls[0] == pytest.approx(29635165.26255591, rel=1e-12)
-    assert len(calls) <= 160
+    assert len(calls) == 153
+
+
+@pytest.mark.parametrize("include_kerr", [False, True])
+def test_run_dmm_lindblad_frees_the_dense_operators_before_the_solve(monkeypatch, include_kerr):
+    """H, the collapse operators and, with Kerr, the Kerr sum are all freed
+    by the first Liouvillian application: the solve reads only their
+    diagonals."""
+    refs, alive = [], []
+    build, apply = dynamics.network_operators, dynamics._Liouvillian.apply
+
+    def tracked(*args, **kwargs):
+        h, c_ops = build(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in [h, *c_ops])
+        return h, c_ops
+
+    def checked(self, src, dst):
+        if not alive:
+            alive.append([ref() is not None for ref in refs])
+        return apply(self, src, dst)
+
+    monkeypatch.setattr(dynamics, "network_operators", tracked)
+    monkeypatch.setattr(dynamics._Liouvillian, "apply", checked)
+    protocol.run_dmm(_SMALL, engine="lindblad", include_kerr=include_kerr)
+    assert len(refs) == 4 and alive == [[False] * 4]
 
 
 def test_run_dmm_lindblad_basis_covers_a_long_dump():
