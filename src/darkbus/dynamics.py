@@ -516,8 +516,8 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
 
     :class:`_Liouvillian` assembles the dense K' once, for mu and the
     bound, and keeps only the nonzero diagonals of K' and of each c; this
-    function then lets go of H and the c's, so operators its caller passed
-    as temporaries are freed before the solve.  The state is made exactly
+    function then lets go of H, the c's and state0, so what its caller passed
+    as temporaries is freed before the solve.  The state is made exactly
     Hermitian once, so every Taylor term is too, and each application of
     L - mu builds only the half X = K' r + (1/2) sum c r c^dag and returns
     X + X^dag (:class:`_Liouvillian`), one diagonal at a time: every
@@ -571,10 +571,10 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
         raise ValueError("state does not match the Hamiltonian dimension")
     if t > 0:  # exp(0 L) is the identity: at t = 0 the input comes back as it is
         liou = _Liouvillian(h, cs)
-        # The solve reads only liou's diagonals: once this call lets go of
-        # the dense operators (the loop's c too), those the caller passed as
-        # temporaries are freed.
-        h = c_ops = cs = c = None
+        # The solve reads only liou's diagonals and its own copy rho: once
+        # this call lets go of the dense operators (the loop's c too) and of
+        # state0, those the caller passed as temporaries are freed.
+        h = c_ops = cs = c = state0 = None
         _propagate(rho, liou, t)
     if not np.isfinite(rho).all():
         raise NumericalError("dynamics: master-equation propagation diverged")

@@ -124,44 +124,6 @@ def norm(kets: np.ndarray):
     return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
 
 
-def amplitude_damp(rho: np.ndarray, gamma: float, dims=None, axis: int = 0) -> np.ndarray:
-    """Amplitude damping channel with loss probability ``gamma`` on one mode.
-
-    Kraus form: K_k = sum_n sqrt(C(n,k)) (1-gamma)^{(n-k)/2} gamma^{k/2} |n-k><n|.
-    A coherent state |a> maps to |a sqrt(1-gamma)>.  In a truncated mode this
-    is exactly the master-equation evolution under the collapse operator
-    sqrt(G) a for a time t with gamma = 1 - exp(-G t).
-
-    ``dims`` gives the mode truncations of a multi-mode ``rho`` (default: one
-    mode of dim ``rho.shape[0]``); the channel acts on mode ``axis`` and
-    leaves the others alone.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dims = (rho.shape[0],) if dims is None else tuple(int(d) for d in dims)
-    if rho.shape != (math.prod(dims),) * 2:
-        raise ValueError(f"rho of shape {rho.shape} does not fit dims {dims}")
-    if not 0 <= axis < len(dims):
-        raise ValueError(f"axis {axis} out of range for {len(dims)} modes")
-    if not 0 <= gamma <= 1:
-        raise ValueError("gamma must be in [0, 1]")
-    dim = dims[axis]
-    kraus = np.zeros((dim, dim, dim))
-    n = np.arange(dim)
-    for k in range(dim):
-        keep = n >= k
-        m = n[keep] - k
-        kraus[k, m, n[keep]] = np.sqrt(
-            np.array([math.comb(int(nn), k) for nn in n[keep]], dtype=float)
-            * (1 - gamma) ** m.astype(float)
-            * gamma**k
-        )
-    # sum_k K_k rho K_k^T as one map on the (ket, bra) index pair of the mode
-    channel = np.einsum("kia,kjb->ijab", kraus, kraus)
-    n_modes = len(dims)
-    out = np.tensordot(channel, rho.reshape(dims + dims), axes=([2, 3], [axis, n_modes + axis]))
-    return np.moveaxis(out, (0, 1), (axis, n_modes + axis)).reshape(rho.shape)
-
-
 # ---------------------------------------------------------------------------
 # multi-mode reduction
 # ---------------------------------------------------------------------------

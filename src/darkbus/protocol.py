@@ -287,6 +287,14 @@ def _density_coherent(dyads: np.ndarray, mode_kets) -> np.ndarray:
     return kets.T @ dyads @ kets.conj()
 
 
+def _bus_vacuum(rho: np.ndarray, dims) -> np.ndarray:
+    """The cavity pair's density matrix ``rho`` with the bus, mode 1 of
+    ``dims``, added in vacuum."""
+    d1, db, d2 = dims
+    full = np.pad(rho.reshape(d1, 1, d2, d1, 1, d2), [(0, 0), (0, db - 1), (0, 0)] * 2)
+    return full.reshape(d1 * db * d2, -1)
+
+
 def _windows(params: SystemParams, cavity_loss: bool, dump_time):
     """The dump time, the decay rate of each mode and the (coupling,
     duration) stages of one attempt: the pump, dump and post windows of one
@@ -454,8 +462,8 @@ def run_dmm(
         Vacuum-check confusion model (default: ideal projective check).
     cavity_loss:
         Include 1/T1 loss on both cavities through the pump, dump and
-        readout windows (max(t_protocol, t_pump + t_dump) of exposure in
-        total).
+        readout windows (t_pump + t_dump + t_post of exposure in total, the
+        larger of t_protocol and t_pump + t_dump).
     dump_time:
         None for params.t_dump, or "auto" to hold the coupling until the
         bright mode is actually empty (first zero of its response when
@@ -473,23 +481,25 @@ def run_dmm(
         as an independent cross-check.  Both engines read the same network:
         the stage list of couplings and durations, the per-mode decay rates
         and the initial four-component superposition, which this engine
-        materializes and normalizes once.  The pump and post windows have
-        H = 0 and are exact per-mode amplitude damping (Kraus maps); only the
-        dump window is a master-equation solve on the operators
-        :func:`~darkbus.dynamics.network_operators` builds from that
-        coupling and those rates, one deterministic Taylor propagation over
-        t_dump, which frees the operators once read and keeps their
-        diagonals and one dim^2 weight per collapse operator
-        (dim = prod(params.dims)).  Each Liouvillian application costs
-        dim^2 per operator diagonal term (eight for this network) plus one
-        conjugate transpose, and a solve makes one application per Taylor
-        term, a count that grows with t_dump and the 2-norm of the
-        Liouvillian (153 at the benchmark's alpha 0.5, dims (6, 4, 6));
-        use reduced dims.  The materialized state is Hermitian
-        to rounding, as the solve requires.  Its analysis basis is each
-        cavity's decayed alpha e^{-gamma_k t_exposed/2}, not the coherent
-        engine's dark label, which unequal cavity T1s mix with the bright
-        mode (1.5e-4 apart in alpha, 5e-9 in fidelity at those dims).
+        materializes on the cavity pair and normalizes once.  Every window
+        is one deterministic Taylor solve of the master equation on the
+        operators :func:`~darkbus.dynamics.network_operators` builds from
+        its coupling and those rates; the solve keeps only their diagonals
+        and one dim^2 weight per collapse operator.  The bus holds vacuum
+        until the dump and is traced out right after it, so the pump and
+        post windows (H = 0, loss only) are solves on the pair, dim = d1 d2,
+        and only the dump is one on the full space, dim = prod(params.dims),
+        with the bus added in vacuum.  Each
+        Liouvillian application costs dim^2 per operator diagonal term
+        (eight for the dump) plus one conjugate transpose, and a solve makes
+        one application per Taylor term, a count that grows with the window
+        and the 2-norm of the Liouvillian (153 for the dump, 8 and 9 for the
+        pump and post at the benchmark's alpha 0.5, dims (6, 4, 6)); use
+        reduced dims.  The materialized state is Hermitian to rounding, as
+        the solve requires.  Its analysis basis is each cavity's decayed
+        alpha e^{-gamma_k t_exposed/2}, not the coherent engine's dark
+        label, which unequal cavity T1s mix with the bright mode (1.5e-4
+        apart in alpha, 5e-9 in fidelity at those dims).
     include_kerr:
         Add the self-Kerr Hamiltonian during the dump window.  Only the
         lindblad engine can do this (Kerr breaks the coherent-superposition
@@ -518,8 +528,12 @@ def run_dmm(
     else:
         dims = params.dims
         dyads = np.outer(_CAT_COEFFS, _CAT_COEFFS.conj())
-        rho = _density_coherent(dyads, _mode_kets(params.alpha * _CAT_LABELS, dims))
+        rho = _density_coherent(dyads, _mode_kets(params.alpha * _CAT_LABELS[:, [0, 2]], (d1, d2)))
         rho /= np.trace(rho).real
+        # The bus holds vacuum until the dump and is traced out right after
+        # it, so the H = 0 pump and post windows are solves on the pair.
+        # Operators are popped into each call and the dump's state is made
+        # in it, so that no name here keeps them alive through the solve.
         for coupling, t in stages:
             if t <= 0:
                 continue
@@ -527,19 +541,16 @@ def run_dmm(
                 ops = list(dynamics.network_operators(coupling, gammas, dims))
                 if include_kerr:
                     ops[0] += dynamics.kerr_hamiltonian(dims, params.kerr)
-                # popped into the call, so that no name here keeps the dense
-                # operators alive through the solve
-                rho = dynamics.lindblad_evolve(ops.pop(0), ops.pop(), rho, t).final
+                rho = dynamics.lindblad_evolve(ops.pop(0), ops.pop(), _bus_vacuum(rho, dims), t).final
+                rho = hilbert.partial_trace(rho, dims, [0, 2])
             else:
-                # H = 0: each mode only decays, exactly amplitude damping
-                for axis, g in enumerate(gammas):
-                    rho = hilbert.amplitude_damp(rho, -math.expm1(-g * t), dims, axis)
-        rho = hilbert.partial_trace(rho, dims, [0, 2])
+                ops = list(dynamics.network_operators(coupling[::2, ::2], gammas[::2], (d1, d2)))
+                rho = dynamics.lindblad_evolve(ops.pop(0), ops.pop(), rho, t).final
         # projective sector probabilities: diag rho summed by sector
         diag = np.real(np.diag(rho))
         sector_probs = np.bincount(_sector_index((d1, d2)), diag, len(SECTORS))
         # the cavities decay through the pump, dump and post windows alike
-        t_exposed = max(params.t_protocol, params.t_pump + t_dump)
+        t_exposed = sum(t for _, t in stages)
         alpha_dark = tuple(params.alpha * math.exp(-g * t_exposed / 2) for g in (gammas[0], gammas[2]))
         p_out, rho_gg = _fold(check, sector_probs, rho, (d1, d2))
         p_projective = p_out[0]

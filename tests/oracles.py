@@ -804,8 +804,9 @@ def lindblad_pair_state(
     solve on the full cav1-bus-cav2 space (H = 0, then H_dump, then H = 0),
     starting from :func:`cat_product_ket`.
 
-    ``run_dmm(engine="lindblad")`` replaces the two H = 0 windows by exact
-    amplitude damping; this is the propagation it replaced.
+    ``run_dmm(engine="lindblad")`` solves the two H = 0 windows on the
+    cavity pair alone and adds the bus, in vacuum, only for the dump; this
+    is the propagation that keeps the bus through all three windows.
     """
     dims = params.dims
     h_dump, c_ops = params_network(params, cavity_loss)

@@ -7,6 +7,7 @@ where that redundancy pays off.
 
 import math
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,6 +32,7 @@ from oracles import (
     number,
     params_network,
     product_ket,
+    tensor,
     traced_peak,
 )
 
@@ -410,6 +412,48 @@ def test_lindblad_thermalizes_to_vacuum():
     vac = np.zeros(math.prod(dims))
     vac[0] = 1.0
     assert hilbert.fidelity(vac, res.final) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("dims, axis", [((30,), 0), ((2, 30, 3), 1)])
+def test_lindblad_pure_loss_keeps_a_coherent_state_coherent(dims, axis):
+    """Loss sqrt(G) a alone takes |alpha> to |alpha e^{-G t/2}> on its mode
+    and leaves the state of every other mode as it was."""
+    alpha, rate, t = 1.1, 1e6, 0.36e-6
+    rng = np.random.default_rng(7)
+    others = []
+    for d in dims[:axis] + dims[axis + 1 :]:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        others.append(g @ g.conj().T / np.trace(g @ g.conj().T))
+
+    def with_mode(amplitude):
+        mode = hilbert.as_dm(hilbert.coherent(dims[axis], amplitude))
+        return tensor(*others[:axis], mode, *others[axis:])
+
+    a = embed(dims, {axis: hilbert.destroy(dims[axis])})
+    out = dynamics.lindblad_evolve(0 * a, [math.sqrt(rate) * a], with_mode(alpha), t).final
+    assert_allclose(out, with_mode(alpha * math.exp(-rate * t / 2)), rtol=0, atol=1e-12)
+
+
+def test_lindblad_frees_the_input_state_before_the_solve(monkeypatch):
+    """A state passed as a temporary is freed by the first Liouvillian
+    application: the solve evolves its own copy."""
+    h, c_ops, psi0 = _small_system()
+    refs, alive = [], []
+    apply = dynamics._Liouvillian.apply
+
+    def checked(self, src, dst):
+        if not alive:
+            alive.append([ref() is not None for ref in refs])
+        return apply(self, src, dst)
+
+    def tracked(state):
+        refs.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(dynamics._Liouvillian, "apply", checked)
+    res = dynamics.lindblad_evolve(h, c_ops, tracked(hilbert.as_dm(psi0)), 1e-6)
+    assert alive == [[False]]
+    assert np.array_equal(res.final, dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6).final)
 
 
 def _oracle_system(kappa_b, kerr, cavity_loss=True):

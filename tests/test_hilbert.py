@@ -1,4 +1,4 @@
-"""Linear-algebra layer: states, operators, channels, comparisons."""
+"""Linear-algebra layer: states, operators, comparisons."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from darkbus import codes, dynamics, hilbert
+from darkbus import codes, hilbert
 from darkbus.hilbert import HilbertSpace, QuantumState
 from oracles import (
     cat,
@@ -134,60 +134,6 @@ def test_cat_parity():
     assert np.vdot(odd, par @ odd).real == pytest.approx(-1.0)
     with pytest.raises(ValueError):
         cat(d, 0.0, phase=math.pi)
-
-
-def test_amplitude_damp_coherent_shrinks():
-    """|a><a| --> |a sqrt(1-g)><a sqrt(1-g)| under amplitude damping."""
-    d = 30
-    alpha, g = 1.1, 0.3
-    rho = hilbert.as_dm(hilbert.coherent(d, alpha))
-    out = hilbert.amplitude_damp(rho, g)
-    target = hilbert.coherent(d, alpha * math.sqrt(1 - g))
-    assert np.vdot(target, out @ target).real == pytest.approx(1.0, abs=1e-10)
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_amplitude_damp_limits():
-    d = 8
-    rho = hilbert.as_dm(fock(d, 3))
-    assert_allclose(hilbert.amplitude_damp(rho, 0.0), rho)
-    gone = hilbert.amplitude_damp(rho, 1.0)
-    assert gone[0, 0].real == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        hilbert.amplitude_damp(rho, 1.5)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    dims=st.lists(st.integers(2, 5), min_size=2, max_size=3),
-    axis_pick=st.integers(0, 2),
-    gt=st.floats(0.01, 3.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_amplitude_damp_on_one_mode_matches_master_equation(dims, axis_pick, gt, seed):
-    """On one mode of a multi-mode state, the Kraus map with
-    gamma = 1 - exp(-G t) is the master-equation solve under sqrt(G) a."""
-    dims = tuple(dims)
-    axis = axis_pick % len(dims)
-    rate = 1e6
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(math.prod(dims),) * 2) + 1j * rng.normal(size=(math.prod(dims),) * 2)
-    rho = g @ g.conj().T
-    rho /= np.trace(rho)
-    a = embed(dims, {axis: hilbert.destroy(dims[axis])})
-    t = gt / rate
-    ref = dynamics.lindblad_evolve(0 * a, [math.sqrt(rate) * a], rho, t).final
-    out = hilbert.amplitude_damp(rho, -math.expm1(-rate * t), dims, axis)
-    assert_allclose(out, ref, rtol=0, atol=1e-12)
-    assert np.array_equal(hilbert.amplitude_damp(rho, 0.0, dims, axis), rho)
-
-
-def test_amplitude_damp_rejects_bad_shapes():
-    rho = np.eye(6) / 6
-    with pytest.raises(ValueError):
-        hilbert.amplitude_damp(rho, 0.1, (2, 2))
-    with pytest.raises(ValueError):
-        hilbert.amplitude_damp(rho, 0.1, (2, 3), axis=2)
 
 
 def test_embed_and_product_ket():

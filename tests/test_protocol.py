@@ -426,11 +426,15 @@ _SMALL = SystemParams(alpha=0.5, dims=(4, 3, 4))
         (_SMALL.with_(t_dump=0.0), {}),
         (_SMALL, {"check": VacuumCheckModel.from_measured()}),
         (_SMALL.with_(dims=(6, 3, 4)), {}),
+        (_SMALL.with_(t_pump=0.0), {"check": VacuumCheckModel.from_measured()}),
+        # the dump runs past t_protocol, so the post window has length 0
+        (_SMALL.with_(t_dump=6e-6), {"check": VacuumCheckModel.from_measured()}),
     ],
 )
 def test_run_dmm_lindblad_matches_three_window_master_equation(params, kw):
-    """Kraus maps for the pump and post windows reproduce the master equation
-    solved through all three windows on the full space; the codewords
+    """Solves on the cavity pair for the pump and post windows reproduce the
+    master equation solved through all three windows on the full space,
+    also where the pump or the post window has length 0; the codewords
     handed off are those of each cavity's amplitude after its T1 decay over
     the exposure, at its truncation."""
     res = protocol.run_dmm(params, engine="lindblad", **kw)
@@ -458,60 +462,87 @@ def test_run_dmm_lindblad_matches_three_window_master_equation(params, kw):
     )
 
 
-@pytest.mark.parametrize("t_dump, solves", [(_SMALL.t_dump, 1), (0.0, 0)])
-def test_run_dmm_lindblad_solves_only_the_dump_window(monkeypatch, t_dump, solves):
+@pytest.mark.parametrize(
+    "t_dump, windows", [(_SMALL.t_dump, ("pump", "dump", "post")), (0.0, ("pump", "post"))]
+)
+def test_run_dmm_lindblad_solves_the_idle_windows_on_the_pair(monkeypatch, t_dump, windows):
+    """The pump and post windows are solves on the cavity pair (dim 16 at
+    dims (4, 3, 4)), the dump window one on the full space (dim 48); a
+    window of length 0 is no solve."""
     calls = []
     evolve = dynamics.lindblad_evolve
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        calls.append((len(args[0]), args[3]))
         return evolve(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "lindblad_evolve", counted)
-    res = protocol.run_dmm(_SMALL.with_(t_dump=t_dump), engine="lindblad")
-    assert calls == [res.t_dump] * solves
+    p = _SMALL.with_(t_dump=t_dump)
+    protocol.run_dmm(p, engine="lindblad")
+    solve = {
+        "pump": (16, p.t_pump),
+        "dump": (48, p.t_dump),
+        "post": (16, p.t_protocol - p.t_pump - p.t_dump),
+    }
+    assert calls == [solve[w] for w in windows]
 
 
 def test_entangle_lindblad_needs_few_liouvillian_applications(monkeypatch):
-    """The benchmark's entangle-lindblad herald (alpha 0.5, dims (6, 4, 6),
-    one 144-dim solve over t_dump = 2 us) takes its Taylor schedule from
-    the 2-norm bound on L - mu, 2.96e7 s^-1: 153 applications."""
+    """The benchmark's entangle-lindblad herald (alpha 0.5, dims (6, 4, 6))
+    takes the dump's Taylor schedule, one 144-dim solve over t_dump = 2 us,
+    from the 2-norm bound on L - mu, 2.96e7 s^-1: 153 applications.  The
+    pump and post windows, 36-dim solves on the cavity pair under loss
+    alone, add 8 and 9."""
     calls = []
     apply = dynamics._Liouvillian.apply
 
     def counted(self, src, dst):
-        calls.append(self.bound)
+        calls.append((self.dim, self.bound))
         return apply(self, src, dst)
 
     monkeypatch.setattr(dynamics._Liouvillian, "apply", counted)
     res = protocol.run_dmm(SystemParams(alpha=0.5, dims=(6, 4, 6)), engine="lindblad")
     assert res.t_dump == pytest.approx(2e-6, rel=1e-12)
-    assert calls[0] == pytest.approx(29635165.26255591, rel=1e-12)
-    assert len(calls) == 153
+    assert [dim for dim, _ in calls] == [36] * 8 + [144] * 153 + [36] * 9
+    assert calls[8][1] == pytest.approx(29635165.26255591, rel=1e-12)
 
 
 @pytest.mark.parametrize("include_kerr", [False, True])
 def test_run_dmm_lindblad_frees_the_dense_operators_before_the_solve(monkeypatch, include_kerr):
-    """H, the collapse operators and, with Kerr, the Kerr sum are all freed
-    by the first Liouvillian application: the solve reads only their
-    diagonals."""
-    refs, alive = [], []
-    build, apply = dynamics.network_operators, dynamics._Liouvillian.apply
+    """Every array :func:`~darkbus.dynamics.network_operators` builds (H and
+    the collapse operators of each window; with Kerr, the dump's H holds
+    the Kerr sum) and the dump's input state, the pair with the bus added,
+    are freed by the first Liouvillian application of the solve they feed:
+    each solve reads only their diagonals and its own copy of the state."""
+    refs, alive, solves = [], [], []
+    build, apply, bus_vacuum = (
+        dynamics.network_operators,
+        dynamics._Liouvillian.apply,
+        protocol._bus_vacuum,
+    )
 
     def tracked(*args, **kwargs):
         h, c_ops = build(*args, **kwargs)
         refs.extend(weakref.ref(a) for a in [h, *c_ops])
         return h, c_ops
 
+    def tracked_state(*args):
+        full = bus_vacuum(*args)
+        refs.append(weakref.ref(full))
+        return full
+
     def checked(self, src, dst):
-        if not alive:
+        if not solves or solves[-1] is not self:
+            solves.append(self)
             alive.append([ref() is not None for ref in refs])
         return apply(self, src, dst)
 
     monkeypatch.setattr(dynamics, "network_operators", tracked)
+    monkeypatch.setattr(protocol, "_bus_vacuum", tracked_state)
     monkeypatch.setattr(dynamics._Liouvillian, "apply", checked)
     protocol.run_dmm(_SMALL, engine="lindblad", include_kerr=include_kerr)
-    assert len(refs) == 4 and alive == [[False] * 4]
+    # pump: H and two collapse operators; dump: H, three and the state; post: as the pump
+    assert len(refs) == 11 and alive == [[False] * 3, [False] * 8, [False] * 11]
 
 
 def test_run_dmm_lindblad_basis_covers_a_long_dump():
