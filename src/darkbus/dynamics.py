@@ -338,11 +338,13 @@ _MAX_APPLICATIONS = 10**6  # of L per solve; the benchmark plans 330, the tests 
 def _diagonals(a) -> list[tuple[int, np.ndarray]]:
     """(o, u) for each nonzero diagonal of the square matrix ``a``, in
     increasing o, with u[i] = a[i, i + o] and u[i] = 0 where i + o falls
-    outside."""
+    outside.  The offsets come from a bincount, not np.unique, whose
+    masked-array check imports numpy.ma on a process's first call."""
     dim = len(a)
     rows, cols = np.nonzero(a)
+    offsets = np.flatnonzero(np.bincount(cols - rows + dim - 1)) - (dim - 1)
     diagonals = []
-    for o in np.unique(cols - rows).tolist():
+    for o in offsets.tolist():
         u = np.zeros(dim, dtype=complex)
         u[max(-o, 0):dim - max(o, 0)] = np.diagonal(a, o)
         diagonals.append((o, u))

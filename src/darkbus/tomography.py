@@ -410,9 +410,14 @@ def mle_density(
     candidate) is turned into its clipped outcome probabilities once; the
     gradient and both tests of f's change read those.
 
-    Stopping rule: converged when the optimality gap at the iterate,
-    Tr(G rho) - lambda_min(G) with G the gradient of f, is at most tol.
-    By convexity that bounds f(rho) - min f.  The result is flagged
+    Stopping rule: converged when the optimality gap at an iterate,
+    Tr(G rho) - lambda_min(G) with G the gradient of f, is at most tol,
+    and n_iter is the iteration that accepted that iterate.  By convexity
+    the gap bounds f(rho) - min f, and so also f(rho) - f(rho') for the
+    next accepted iterate rho'; while that drop exceeds 2 tol, rho cannot
+    pass, and its gap (one adjoint and one eigvalsh) is not computed.  It
+    is computed once the drop is at most 2 tol, before a restart or a
+    failed plain step, and at the iteration cap.  The result is flagged
     unconverged (rather than raised) at the iteration cap, and also when
     a plain gradient step no longer lowers f at working precision before
     the gap is met; a good-enough state is still useful.
@@ -440,12 +445,18 @@ def mle_density(
         w_obs = np.asarray(data.value, float)
         at, grad, change = _squared_objective(w_obs)
 
+    def gap_met(rho, q):
+        g = forward.adjoint(grad(q))
+        return bool(np.vdot(g, rho).real - np.linalg.eigvalsh(g)[0] <= tol)
+
     # each map w is read through at(w) once: q, q_theta, q_cand
     rho = np.eye(dim, dtype=complex) / dim
     w = forward(rho)
     q = at(w)
     theta, w_theta, q_theta, momentum = rho, w, q, 1.0
-    step, converged, it = 1.0, False, 0
+    # rho_it: the iteration that accepted rho while its gap is untested; 0
+    # for the starting state, which is never tested, and after a failed test
+    step, converged, it, rho_it = 1.0, False, 0, 0
     for it in range(1, max_iter + 1):
         g = forward.adjoint(grad(q_theta))
         while True:
@@ -456,27 +467,30 @@ def mle_density(
             if change(q_cand, q_theta)[1] <= np.vdot(d, d).real / (2 * step):
                 break
             step /= 2
-        if change(q_cand, q)[0] > 0:
+        rise = change(q_cand, q)[0]
+        if rho_it and rise >= -2 * tol:  # f drops by at most 2 tol, or rises
+            if gap_met(rho, q):
+                converged = True
+                break
+            rho_it = 0
+        if rise > 0:
             if momentum == 1.0:
                 break  # a plain gradient step from rho cannot descend
             theta, w_theta, q_theta, momentum = rho, w, q, 1.0
             continue
-        g = forward.adjoint(grad(q_cand))
-        gap = np.vdot(g, cand).real - np.linalg.eigvalsh(g)[0]
         nxt = (1 + math.sqrt(1 + 4 * momentum**2)) / 2
         beta = (momentum - 1) / nxt
         theta, w_theta = cand + beta * (cand - rho), w_cand + beta * (w_cand - w)
         q_theta = at(w_theta)
-        rho, w, q, momentum = cand, w_cand, q_cand, nxt
-        if gap <= tol:
-            converged = True
-            break
+        rho, w, q, momentum, rho_it = cand, w_cand, q_cand, nxt, it
         step *= 1.25
+    else:
+        converged = rho_it > 0 and gap_met(rho, q)
 
     return MleResult(
         rho=rho,
         converged=converged,
-        n_iter=it,
+        n_iter=rho_it if converged else it,
         rms_residual=float(np.sqrt(np.mean((w - w_obs) ** 2))),
         loglik=_binomial_loglik((1 + w) / 2, counts, shots) if have_counts else math.nan,
     )

@@ -39,6 +39,43 @@ def test_no_scipy_on_the_import_path():
     assert out.stdout.strip() == "[]"
 
 
+def test_first_calls_load_only_numpy_random(tmp_path):
+    """Each command's first call in a fresh interpreter loads no numpy
+    submodule but numpy.random, which tomo-demo's sampler needs: not
+    numpy.ma, which np.unique's masked-array check would import."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        "regimes: {n_times: 21}\n"
+        "transfer-efficiency: {n_times: 11}\n"
+        "phase-sweep: {n_phi: 5, n_times: 5}\n"
+        "alpha-sweep: {alphas: [1.0, 1.4]}\n"
+        "tomo-demo: {extent: 1.0, step: 0.5, shots: 100, max_iter: 50}\n"
+        "error-budget: {n_alpha: 5}\n"
+        "scenarios:\n"
+        "  lindblad:\n"
+        "    params: {alpha: 0.5, dims: [3, 3, 3]}\n"
+        "    entangle: {engine: lindblad}\n"
+    )
+    runs = [[c, "--config", str(cfg), "--out", str(tmp_path / c)] for c in cli.COMMANDS]
+    runs.append(["entangle", "--config", str(cfg), "--scenario", "lindblad",
+                 "--out", str(tmp_path / "lindblad")])
+    path = [str(Path(darkbus.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import json, sys, darkbus.cli\n"
+        "before = set(sys.modules)\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    assert darkbus.cli.main(args) == 0, args\n"
+        "print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith('numpy'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert "numpy.random" in loaded
+    assert [m for m in loaded if m.split(".")[:2] != ["numpy", "random"]] == []
+
+
 def read_manifest(out_dir):
     with open(out_dir / "manifest.json") as f:
         return json.load(f)

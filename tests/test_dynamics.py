@@ -586,6 +586,40 @@ def test_lindblad_dense_operators_with_every_diagonal():
     assert_allclose(rho, liouvillian_evolve(h, [c], psi0, 0.5), rtol=0, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 12),
+    density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonals_lists_each_nonzero_diagonal_once(dim, density, seed):
+    """On random complex matrices of every sparsity, the zero matrix
+    included: the offsets are strictly increasing and are the distinct
+    j - i of the nonzeros, each u is the diagonal at its offset placed at
+    max(-o, 0) with zeros elsewhere, and the list equals the one built from
+    np.unique of the offsets."""
+    rng = np.random.default_rng(seed)
+    a = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * (
+        rng.random((dim, dim)) < density
+    )
+    got = dynamics._diagonals(a)
+    offsets = [o for o, _ in got]
+    rows, cols = np.nonzero(a)
+    assert offsets == sorted(set((cols - rows).tolist()))
+    reference = []
+    for o in np.unique(cols - rows).tolist():
+        u = np.zeros(dim, dtype=complex)
+        u[max(-o, 0):dim - max(o, 0)] = np.diagonal(a, o)
+        reference.append((o, u))
+    assert len(got) == len(reference)
+    for (o, u), (o_ref, u_ref) in zip(got, reference):
+        start = max(-o, 0)
+        expected = np.zeros(dim, dtype=complex)
+        expected[start:start + dim - abs(o)] = np.diagonal(a, o)
+        assert np.array_equal(u, expected)
+        assert o == o_ref and np.array_equal(u, u_ref)
+
+
 def _assert_step_bound_covers_the_superoperator(h, cs):
     """The step bound is at least ||L - mu||_2 of the assembled dim^2 x dim^2
     superoperator, and mu is its exact trace over dim^2.  Less its
