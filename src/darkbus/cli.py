@@ -225,6 +225,18 @@ def _csv_pieces(header, columns: list[Iterable[str]]) -> Iterator[str]:
         yield "\n".join(chunk) + "\n"
 
 
+def _say(*args, flush: bool = False) -> None:
+    """``print(*args, flush=flush)`` to stdout.  Once stdout's reader has
+    closed it (as ``| head`` does), stop quietly: the rest of the output
+    goes to the null device, and the run goes on to write every output
+    file and end with its own status.  The run's last line is flushed
+    here, so that the flush at exit has nothing left to write."""
+    try:
+        print(*args, flush=flush)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 class RunContext:
     def __init__(self, out_dir: Path, seed: int):
         self.out = out_dir
@@ -256,7 +268,7 @@ class RunContext:
                 f.write(data)
                 digest.update(data)
         self.outputs[name] = digest.hexdigest()
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
         return path
 
 
@@ -290,7 +302,7 @@ def cmd_regimes(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
          "response": np.ravel(curves)},
     )
     for k, regime, t_auto in zip(kappas, table["regime"], table["t_dump_auto_s"]):
-        print(f"kappa_b = {k/1e3:9.3f} kHz : {regime:12s} t_dump(auto) = {t_auto*1e6:.3f} us")
+        _say(f"kappa_b = {k/1e3:9.3f} kHz : {regime:12s} t_dump(auto) = {t_auto*1e6:.3f} us")
     return {"kappas_hz": kappas, "critical_kappa_hz": dynamics.critical_kappa(params.g_bs)}
 
 
@@ -300,7 +312,7 @@ def cmd_transfer(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     etas = dynamics.transfer_efficiency(params.g_bs, params.kappa_b, t1=times, t2=times).eta
     ctx.write_csv("transfer.csv", {"t1_s": [res.t1], "t2_s": [res.t2], "eta": [res.eta]})
     ctx.write_csv("transfer_curve.csv", {"t_hold_s": times, "eta": etas})
-    print(
+    _say(
         f"optimal pitch/catch: t1 = {res.t1*1e9:.1f} ns, t2 = {res.t2*1e9:.1f} ns, "
         f"efficiency = {res.eta*100:.3f}%"
     )
@@ -319,7 +331,7 @@ def cmd_phase_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     k = len(times) // 2
     dark = p_fail[np.argmin(np.abs(phis - math.pi)), k]
     bright = p_fail[0, k]
-    print(
+    _say(
         f"at t = {times[k]*1e6:.2f} us: P(fail | in-phase) = {bright:.4f}, "
         f"P(fail | anti-phase) = {dark:.4f}"
     )
@@ -338,7 +350,7 @@ def cmd_entangle(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
             "t_dump_s": [res.t_dump], "bright_residual": [res.bright_residual],
         },
     )
-    print(
+    _say(
         f"herald probability = {res.p_pass:.4f}, Bell fidelity = {res.bell_fidelity:.4f} "
         f"(engine={res.engine}, t_dump = {res.t_dump*1e6:.3f} us)"
     )
@@ -354,8 +366,8 @@ def cmd_alpha_sweep(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
          "alpha_basis_1": alpha_dark[:, 0], "alpha_basis_2": alpha_dark[:, 1]},
     )
     best = int(np.argmax(fidelity))
-    print(f"best fidelity {fidelity[best]:.4f} at alpha = {alphas[best]:.3f} "
-          f"(p_pass = {p_pass[best]:.4f})")
+    _say(f"best fidelity {fidelity[best]:.4f} at alpha = {alphas[best]:.3f} "
+         f"(p_pass = {p_pass[best]:.4f})")
     return {"alphas": alphas, "best_alpha": alphas[best], "best_fidelity": float(fidelity[best])}
 
 
@@ -376,9 +388,9 @@ def cmd_teleport(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
             "f_qst": [t.f_qst for t in runs],
         },
     )
-    print(f"average teleportation fidelity = {out['favg']:.4f}")
+    _say(f"average teleportation fidelity = {out['favg']:.4f}")
     for name in protocol.CARDINAL_STATES:
-        print(f"  input {name:7s}: F = {out[name].f_qst:.4f}")
+        _say(f"  input {name:7s}: F = {out[name].f_qst:.4f}")
     return {"favg": out["favg"], "resource_fidelity": res.bell_fidelity}
 
 
@@ -419,11 +431,11 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
     data = tomography.WignerData.from_map(grid, w_meas, shots=shots, counts=counts)
     mle = tomography.mle_density(data, dim=w1.dim, max_iter=opts["max_iter"], forward=forward)
     f_rec = hilbert.fidelity(mle.rho, rho1)
-    print(
+    _say(
         f"conditioned cat (P(+) = {p_plus:.3f}): reconstructed at dim {w1.dim} from "
         f"{counts.size} points x {shots} shots"
     )
-    print(
+    _say(
         f"MLE: fidelity to truth = {f_rec:.4f}, rms residual = {mle.rms_residual:.4f}, "
         f"{mle.n_iter} iterations{'' if mle.converged else ' (not converged)'}"
     )
@@ -443,7 +455,7 @@ def cmd_dual_rail(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
         {"trace_distance": [res.trace_distance], "p_herald": [res.p_herald],
          "distilled_fidelity": [res.fidelity], "converged": [res.converged]},
     )
-    print(
+    _say(
         f"pair state within {res.trace_distance:.2e} of the half-Bell/half-vacuum mix; "
         f"distillation heralds at p = {res.p_herald:.4f} with fidelity {res.fidelity:.6f}"
     )
@@ -469,7 +481,7 @@ def cmd_error_budget(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
          for f in dataclasses.fields(budget)},
     )
     a_star, best = errorbudget.optimal_alpha(params, p_decode, p_bright)
-    print(f"optimal cat amplitude alpha* = {a_star:.4f}, budgeted infidelity {best.total:.4f}")
+    _say(f"optimal cat amplitude alpha* = {a_star:.4f}, budgeted infidelity {best.total:.4f}")
     return {"optimal_alpha": a_star, "total_at_optimum": best.total}
 
 
@@ -492,7 +504,7 @@ def cmd_multiround(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
             **quantiles,
         },
     )
-    print(
+    _say(
         f"p = {stats.p_success:.4f}: {stats.mean_attempts:.2f} attempts, "
         f"{stats.mean_wait*1e6:.2f} us mean wait, {stats.rate_hz/1e3:.2f} kHz"
     )
@@ -669,7 +681,7 @@ def main(argv=None) -> int:
     }
     with open(out_dir / "manifest.json", "w") as f:
         f.write(json.dumps(manifest, indent=2, default=str) + "\n")
-    print(f"wrote {out_dir / 'manifest.json'}")
+    _say(f"wrote {out_dir / 'manifest.json'}", flush=True)
     return 0
 
 

@@ -351,31 +351,93 @@ def _diagonals(a) -> list[tuple[int, np.ndarray]]:
     return diagonals
 
 
+def _two_norm(k: np.ndarray) -> float:
+    """||k||_2 of the square matrix ``k``, exactly: the largest 2-norm of its
+    diagonal blocks, the connected index sets of the nonzero pattern of
+    |k| + |k^T|.  A 1 x 1 block is |k_ii|; only larger blocks take an SVD."""
+    rows, cols = np.nonzero(k)
+    # every label is an index of its own block; take the least label across
+    # each nonzero, and each label's own label, until no label moves
+    label = np.arange(len(k))
+    while True:
+        joined = label.copy()
+        np.minimum.at(joined, rows, label[cols])
+        np.minimum.at(joined, cols, label[rows])
+        joined = joined[joined]
+        if np.array_equal(joined, label):
+            break
+        label = joined
+    sizes = np.bincount(label, minlength=len(k))
+    norm = np.abs(k.diagonal()[sizes[label] == 1]).max(initial=0.0)
+    for block in np.flatnonzero(sizes > 1):
+        index = np.flatnonzero(label == block)
+        norm = max(norm, np.linalg.norm(k[np.ix_(index, index)], 2))
+    return float(norm)
+
+
+def _pack(rho: np.ndarray) -> np.ndarray:
+    """The real packing M = Re h + Im h of the Hermitian part h of ``rho``:
+    h = (M + M^T)/2 + i (M - M^T)/2, and ||M||_F = ||h||_F, since Re h is
+    symmetric, Im h antisymmetric and the two are orthogonal."""
+    m = rho.real + rho.imag
+    m += (rho.real - rho.imag).T
+    m *= 0.5
+    return m
+
+
+def _unpack(m: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix (M + M^T)/2 + i (M - M^T)/2 that the real ``m``
+    packs, a new array that is exactly Hermitian."""
+    rho = np.empty(m.shape, dtype=complex)
+    np.add(m, m.T, out=rho.real)
+    np.subtract(m, m.T, out=rho.imag)
+    rho *= 0.5
+    return rho
+
+
 class _Liouvillian:
     """L - mu for L rho = K rho + rho K^dag + sum_c c rho c^dag,
-    K = -iH - (1/2) sum_c c^dag c, applied as r -> X + X^dag with
-    X = K' r + (1/2) sum_c c r c^dag and K' = K - mu/2, which is
-    K' r + r K'^dag + sum_c c r c^dag for a Hermitian r, one operator
-    diagonal at a time.
+    K = -iH - (1/2) sum_c c^dag c, applied to the real packing
+    M = Re rho + Im rho of a Hermitian rho (:func:`_pack`).  With
+    K' = K - mu/2 = K_R + i K_I and c = c_R + i c_I, L - mu takes M to
+
+        K_R M + K_I M^T + M K_R^T - M^T K_I^T
+          + sum_c (c_R M c_R^T + c_I M c_I^T + c_I M^T c_R^T - c_R M^T c_I^T),
+
+    the packing of K' rho + rho K'^dag + sum_c c rho c^dag, one operator
+    diagonal at a time and in real arithmetic only.
 
     ``mu`` is Tr L / dim^2, from the exact trace 2 dim Re Tr K + sum |Tr c|^2.
     ``bound`` is 2 ||K'||_2 + sum ||c||_1 ||c||_inf >= ||L - mu||_2, or inf
-    where K' is not finite: ||K'||_2 is the largest singular value of the
-    dense K', assembled once and freed before the constructor returns,
-    and ||c||_1 ||c||_inf, the largest column sum of |c| times its largest
-    row sum, bounds ||c||_2^2, exactly for a ladder operator.
+    where K' is not finite: ||K'||_2 is exact, the largest 2-norm of the
+    diagonal blocks of the dense K' (:func:`_two_norm`), which is assembled
+    once and freed before the constructor returns, and ||c||_1 ||c||_inf,
+    the largest column sum of |c| times its largest row sum, bounds
+    ||c||_2^2, exactly for a ladder operator.
 
     The constructor keeps only diagonals, vectors of length dim, so the
     caller may free H and the c's once it returns; :meth:`buffers` then
-    allocates the working memory.  A diagonal u of K' at offset o reads the
-    rows of r shifted by o and scales them by u, a (dim, 1) row weight; the
-    main diagonal kd scales the rows of r unshifted.  On the row-major vec
-    of r, a pair of diagonals (o1, u1), (o2, u2) of one c gives c r c^dag a
-    shift of o1 dim + o2 and the flat weight (1/2) u1 (x) conj(u2), one
-    dim^2 array per pair.  Each term multiplies the slice of r it reads
-    into the slice of X it writes; outside those slices its weight is 0,
-    as it is on every entry that crosses an edge of r.  X + X^dag is one
-    conjugate transpose and one add, and is exactly Hermitian.
+    builds the weights, each a real dim^2 array on the row-major vec of M,
+    and the working buffers.  K''s main diagonal k gives two weights,
+    Re k_i + Re k_j on M and Im k_i - Im k_j on M^T.  The real part of an
+    off-main diagonal u of K' at offset o, repeated along each row, is one
+    weight at the shift o dim, used twice: on M into the output (K_R M)
+    and on M^T into a sum that is added transposed ((K_R M^T)^T); its
+    imaginary part the same way on M^T (K_I M^T) and, subtracted, on M
+    ((K_I M)^T).  A part of K' that is symmetric, as a
+    real H's is, has the same weight at o and -o, stored once.  A pair of
+    diagonals (o1, u1), (o2, u2) of one c gives the shift o1 dim + o2 and
+    the weight u1 (x) conj(u2), its real part on M and its imaginary part
+    on M^T; weights with the same source and shift are one array.  A
+    product with a zero factor is no part of a weight, and a weight with
+    none is no term, so one code path serves every H and c: a real H with
+    real ladder operators reads M^T only through H, and a solve with no
+    term on M^T keeps no copy of it.  Each term multiplies the slice it
+    reads into a scratch buffer and adds that to the slice it writes;
+    outside those slices its weight is 0, as it is on every entry that
+    crosses an edge of M.  The transposed sum is built first, in the
+    scratch buffer with the output as scratch, and copied transposed into
+    the output, which the other terms then add to.
     """
 
     def __init__(self, h: np.ndarray, cs: list[np.ndarray]):
@@ -394,7 +456,7 @@ class _Liouvillian:
                     for o2, u2 in diagonals:
                         i = np.arange(max(0, -o1, -o2), dim - max(0, o1, o2))
                         k[i + o1, i + o2] -= 0.5 * (u1[i].conj() * u2[i])
-                        self.c_pairs.append((o1 * dim + o2, 0.5 * u1, u2.conj()))
+                        self.c_pairs.append((o1 * dim + o2, u1, u2.conj()))
                 c_norms.append(float(rows.max() * cols.max()))
             kd = k.diagonal().copy()
             self.mu = (2 * dim * kd.sum().real + sum(abs(np.trace(c)) ** 2 for c in cs)) / dim**2
@@ -402,51 +464,91 @@ class _Liouvillian:
             np.fill_diagonal(k, kd)
             self.bound = math.inf
             if np.isfinite(k).all():
-                self.bound = sum(c_norms, 2 * float(np.linalg.norm(k, 2)))
-        self.kd = kd[:, None]
-        self.k_terms = []
-        for o, u in _diagonals(k):
-            if o:
-                write = slice(max(-o, 0), dim - max(o, 0))
-                self.k_terms.append((write, slice(write.start + o, write.stop + o), u[write, None]))
+                self.bound = sum(c_norms, 2 * _two_norm(k))
+        self.kd = kd
+        # (offset o, 0 for Re or 1 for Im, that part of the diagonal in range)
+        self.k_rows = [
+            (o, source, part[max(-o, 0):dim - max(o, 0)].copy())
+            for o, u in _diagonals(k) if o
+            for source, part in enumerate((u.real, u.imag)) if part.any()
+        ]
 
     def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Build the pair weights and the half X, and return the two
-        dim x dim buffers that :meth:`apply` alternates between."""
-        n = self.dim**2
-        self.c_terms = []
+        """Build the flat weights, the scratch buffer and, where a term reads
+        M^T, its copy; return the two real dim x dim buffers that
+        :meth:`apply` alternates between."""
+        dim, n = self.dim, self.dim**2
+        re, im, ones = self.kd.real, self.kd.imag, np.ones(dim)
+        # Each flat weight, by (source, shift), is a sum of outer products
+        # u (x) v of real vectors: the main diagonal's, and for a pair of one
+        # c's diagonals Re(u1 (x) conj(u2)) on M and Im on M^T.  A product
+        # with a zero factor is left out, and a weight with none is no term.
+        products = [((0, 0), re, ones), ((0, 0), ones, re), ((1, 0), im, ones), ((1, 0), ones, -im)]
         for shift, u1, u2 in self.c_pairs:
+            products += [
+                ((0, shift), u1.real, u2.real), ((0, shift), -u1.imag, u2.imag),
+                ((1, shift), u1.real, u2.imag), ((1, shift), u1.imag, u2.real),
+            ]
+        factors = {}
+        for key, u, v in products:
+            if u.any() and v.any():
+                factors.setdefault(key, []).append((u, v))
+
+        def span(shift):  # the slices a term at this shift writes and reads
             write = slice(max(-shift, 0), n - max(shift, 0))
-            w = np.multiply.outer(u1, u2).reshape(n)[write]
-            self.c_terms.append((write, slice(write.start + shift, write.stop + shift), w))
-        self.half = np.empty((self.dim, self.dim), dtype=complex)
-        return np.zeros_like(self.half), np.zeros_like(self.half)
+            return write, slice(write.start + shift, write.stop + shift)
+
+        self.terms, self.transposed_terms = [], []
+        for (source, shift), uv in factors.items():
+            us, vs = zip(*uv)
+            write, read = span(shift)
+            w = np.einsum("ik,kj->ij", np.stack(us, 1), np.stack(vs)).reshape(n)
+            self.terms.append((write, read, source, w[write]))
+        # Re u: on M into the output and on M^T into the transposed sum;
+        # Im u: on M^T into the output and, subtracted, on M into that sum.
+        # A symmetric part of K' (a real H's) has the same rows at o and -o,
+        # and the two diagonals share one weight.
+        shared = {r.tobytes(): np.repeat(r, dim) for _, _, r in self.k_rows}
+        for o, source, r in self.k_rows:
+            write, read = span(o * dim)
+            w = shared[r.tobytes()]
+            self.terms.append((write, read, source, w))
+            op = (np.add, np.subtract)[source]
+            self.transposed_terms.append((write, read, 1 - source, w, op))
+        src, dst, self.scratch = (np.empty((dim, dim)) for _ in range(3))
+        reads_transpose = any(source for _, _, source, _ in self.terms)
+        self.transpose = np.empty((dim, dim)) if reads_transpose else None
+        return src, dst
 
     def apply(self, src, dst) -> np.ndarray:
-        """Write the action on the Hermitian matrix ``src`` into ``dst``
-        (never ``src`` itself) and return it; ``dst`` doubles as the
-        scratch space for each product."""
-        half = self.half
-        np.multiply(self.kd, src, out=half)
-        for write, read, u in self.k_terms:
-            np.multiply(u, src[read], out=dst[write])
-            half[write] += dst[write]
-        r, out, x = src.reshape(-1), dst.reshape(-1), half.reshape(-1)
-        for write, read, w in self.c_terms:
-            np.multiply(w, r[read], out=out[write])
-            x[write] += out[write]
-        np.conjugate(half.T, out=dst)
-        dst += half
+        """Write the action on the packed Hermitian matrix ``src`` into
+        ``dst`` (never ``src`` itself) and return it."""
+        if self.transpose is not None:
+            np.copyto(self.transpose, src.T)
+        sources = (src.reshape(-1), None if self.transpose is None else self.transpose.reshape(-1))
+        out, tmp = dst.reshape(-1), self.scratch.reshape(-1)
+        if self.transposed_terms:  # summed in the scratch buffer, with dst as scratch
+            tmp.fill(0.0)
+            for write, read, source, w, op in self.transposed_terms:
+                np.multiply(w, sources[source][read], out=out[write])
+                op(tmp[write], out[write], out=tmp[write])
+            np.copyto(dst, self.scratch.T)
+        else:
+            out.fill(0.0)
+        for write, read, source, w in self.terms:
+            np.multiply(w, sources[source][read], out=tmp[write])
+            out[write] += tmp[write]
         return dst
 
 
 def _frobenius(x: np.ndarray) -> float:
-    return math.sqrt(np.vdot(x, x).real)
+    return math.sqrt(np.vdot(x, x))
 
 
-def _propagate(rho: np.ndarray, liou: _Liouvillian, t: float) -> None:
-    """rho <- exp(t L) rho in place, for t > 0 and the checked inputs of
-    :func:`lindblad_evolve`, whose docstring describes the method."""
+def _propagate(packed: np.ndarray, liou: _Liouvillian, t: float) -> None:
+    """packed <- exp(t L) on the packed state in place, for t > 0 and the
+    checked inputs of :func:`lindblad_evolve`, whose docstring describes
+    the method."""
     if not math.isfinite(t * liou.bound):
         raise NumericalError(f"dynamics: the Taylor step bound t ||L - mu||_2 is {t * liou.bound}")
     steps = {m: max(math.ceil(t * liou.bound / theta), 1) for m, theta in _TAYLOR_THETA.items()}
@@ -459,25 +561,23 @@ def _propagate(rho: np.ndarray, liou: _Liouvillian, t: float) -> None:
         )
 
     src, dst = liou.buffers()
-    np.conjugate(rho.T, out=dst)
-    rho += dst
-    rho *= 0.5  # exactly Hermitian from here on, and so is every term
     eta = math.exp(t * liou.mu / s)
     for _ in range(s):
-        src[...] = rho
-        c1 = upper = _frobenius(rho)
+        src[...] = packed
+        c1 = upper = _frobenius(packed)
         for j in range(1, m + 1):
             term = liou.apply(src, dst)
             term *= t / (s * j)
             c2 = _frobenius(term)
-            rho += term
-            upper += c2  # >= ||rho|| by the triangle inequality: the exact
+            packed += term
+            upper += c2  # >= ||packed|| by the triangle inequality: the exact
             # norm is needed only where upper, with room for rounding, passes
-            if c1 + c2 <= 2.0**-53 * (1 + 1e-6) * upper and c1 + c2 <= 2.0**-53 * _frobenius(rho):
+            c = c1 + c2
+            if c <= 2.0**-53 * (1 + 1e-6) * upper and c <= 2.0**-53 * _frobenius(packed):
                 break
             c1 = c2
             src, dst = dst, src
-        rho *= eta
+        packed *= eta
 
 
 def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
@@ -508,36 +608,49 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     the running sum, all three in the Frobenius norm.  The shifted
     Liouvillian is L - mu = K' (x) 1 + 1 (x) conj(K') + sum c (x) conj(c)
     with K' = K - mu/2, so its 2-norm is at most
-    2 ||K'||_2 + sum ||c||_1 ||c||_inf, with ||K'||_2 the exact largest
-    singular value; (m, s) minimize m s subject to t * bound / s <= theta_m,
-    m <= 55.  The theta_m backward-error analysis holds in any consistent
-    norm.  The bound is rigorous, so no norm is estimated and nothing
-    random is drawn: the result is a pure function of the inputs.  No
-    renormalization is applied -- trace drift is a real error signal, not
-    something to hide.
+    2 ||K'||_2 + sum ||c||_1 ||c||_inf, with ||K'||_2 exact: the largest
+    2-norm of K''s diagonal blocks, the connected index sets of its nonzero
+    pattern, each of which conserves excitation number for the network's
+    operators (one SVD per block, and none for a 1 x 1 block);
+    (m, s) minimize m s subject to t * bound / s <= theta_m, m <= 55.  The
+    theta_m backward-error analysis holds in any consistent norm.  The
+    bound is rigorous, so no norm is estimated and nothing random is drawn:
+    the result is a pure function of the inputs.  No renormalization is
+    applied -- trace drift is a real error signal, not something to hide.
 
-    :class:`_Liouvillian` assembles the dense K' once, for mu and the
+    The series runs on one real dim x dim array, the packing
+    M = Re rho + Im rho of the state's Hermitian part, from which
+    rho = (M + M^T)/2 + i (M - M^T)/2.  Re rho is symmetric and Im rho
+    antisymmetric, so ||M||_F = ||rho||_F and every Frobenius norm the
+    method reads is the same on M; the action, the scale and the sum are
+    real.  :class:`_Liouvillian` assembles the dense K' once, for mu and the
     bound, and keeps only the nonzero diagonals of K' and of each c; this
-    function then lets go of H, the c's and state0, so what its caller passed
-    as temporaries is freed before the solve.  The state is made exactly
-    Hermitian once, so every Taylor term is too, and each application of
-    L - mu builds only the half X = K' r + (1/2) sum c r c^dag and returns
-    X + X^dag (:class:`_Liouvillian`), one diagonal at a time: every
-    off-main diagonal of K' is a shifted, row-scaled copy of r, and every
-    pair of diagonals of one c a shifted copy times one stored dim^2
-    weight.  The series runs in place in two term buffers: an application
-    allocates nothing of size dim^2, and costs dim^2 per such term plus
-    the main diagonal and the conjugate transpose, so ladder operators,
-    with one diagonal each, are cheap, while a dense operator of n nonzero
-    diagonals costs n^2 dim^2 and stores n^2 weights.  Besides the input,
-    the working memory is the state, the half X, the two term buffers and
-    the weights, all dim^2 complex arrays local to the call (seven for the
-    network's three ladder operators); the dense K' is freed before any of
-    them but the state exists.  The stopping test computes the running
-    sum's norm only where its triangle-inequality bound, the start's norm
-    plus the terms', would pass, so it decides as the exact norm does.  A
-    ket's density matrix is built once and evolved in place; a density
-    matrix the caller holds is copied once.
+    function then lets go of H, the c's and state0, packs its copy of the
+    state and lets go of that too, so what its caller passed as
+    temporaries, and the complex state, are freed before the weights and
+    buffers are built.  Each application of L - mu goes one diagonal at a
+    time (:class:`_Liouvillian`): every term is one stored real dim^2
+    weight times a shifted slice of M or of its transpose M^T, one multiply
+    into a scratch buffer and one add; an off-main diagonal of K' is one
+    weight used twice, once into the output and once into a sum that is
+    added transposed.  For the three-mode network's real H and ladder
+    operators that is twelve terms: the main diagonal, each of H's four
+    hopping diagonals twice and each collapse operator once, plus one copy
+    of M^T and one transposed copy of the sum; with H = 0 and real c's no
+    term reads M^T, and there is neither.  An application allocates nothing
+    of size dim^2, and ladder operators, with one diagonal each, are cheap,
+    while a dense operator of n nonzero diagonals costs up to 2 n^2 dim^2
+    and stores up to 2 n^2 weights.  Besides the input, the working memory
+    is the packed state, the weights, the two term buffers, the scratch
+    buffer and the copy of M^T, all real dim^2 arrays local to the call:
+    eleven for that network (six of them weights, since H's hopping
+    diagonals pair up as symmetric), the size of 5.5 complex ones.  The
+    stopping test computes the running sum's norm only where its
+    triangle-inequality bound, the start's norm plus the
+    terms', would pass, so it decides as the exact norm does.  The result
+    is unpacked once, a new array that is exactly Hermitian.  A ket's
+    density matrix is built once and packed; a density matrix the caller
+    holds is copied once.
 
     ``NumericalError`` names an H or c that is not finite, and a solve whose
     bound is not finite or that plans more than 10^6 applications of L;
@@ -577,7 +690,11 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
         # this call lets go of the dense operators (the loop's c too) and of
         # state0, those the caller passed as temporaries are freed.
         h = c_ops = cs = c = state0 = None
-        _propagate(rho, liou, t)
+        packed = _pack(rho)
+        rho = None  # from here the solve holds the state only as its packing
+        _propagate(packed, liou, t)
+        liou = None  # its weights and buffers go before the result is made
+        rho = _unpack(packed)
     if not np.isfinite(rho).all():
         raise NumericalError("dynamics: master-equation propagation diverged")
     return EvolveResult(final=rho)

@@ -485,13 +485,15 @@ def run_dmm(
         is one deterministic Taylor solve of the master equation on the
         operators :func:`~darkbus.dynamics.network_operators` builds from
         its coupling and those rates; the solve keeps only their diagonals
-        and one dim^2 weight per collapse operator.  The bus holds vacuum
+        and evolves the real packing Re rho + Im rho, with one real dim^2
+        weight per term.  The bus holds vacuum
         until the dump and is traced out right after it, so the pump and
         post windows (H = 0, loss only) are solves on the pair, dim = d1 d2,
         and only the dump is one on the full space, dim = prod(params.dims),
         with the bus added in vacuum.  Each
-        Liouvillian application costs dim^2 per operator diagonal term
-        (eight for the dump) plus one conjugate transpose, and a solve makes
+        Liouvillian application costs dim^2 real per term (twelve for the
+        dump, three for the pump and post) plus, for the dump alone, two
+        transposed copies, and a solve makes
         one application per Taylor term, a count that grows with the window
         and the 2-norm of the Liouvillian (153 for the dump, 8 and 9 for the
         pump and post at the benchmark's alpha 0.5, dims (6, 4, 6)); use

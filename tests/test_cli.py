@@ -1143,6 +1143,37 @@ def test_cli_outputs_diff_stops_quietly_when_its_reader_does(tmp_path):
     assert err == ""
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_cli_stops_quietly_when_its_reader_does(tmp_path, unbuffered):
+    """``darkbus regimes | head -1`` with 2000 damping rates: the reader
+    closes the pipe after the first line, long before the about 125 kB of
+    per-rate lines, more than a pipe holds, are printed.  The run still
+    writes both CSVs and the manifest, exits 0, and writes nothing to
+    stderr, with stdout block-buffered and unbuffered alike."""
+    cfg = tmp_path / "cfg.yaml"
+    kappas = np.linspace(1e5, 3e6, 2000).tolist()
+    cfg.write_text(yaml.safe_dump({"regimes": {"kappas": kappas, "n_times": 3}}))
+    out = tmp_path / "out"
+    path = [str(Path(darkbus.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), PYTHONUNBUFFERED=unbuffered
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "darkbus.cli", "regimes", "--config", str(cfg), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    assert proc.stdout.readline() == f"wrote {out / 'regimes.csv'}\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == ""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["regimes.csv", "regime_curves.csv"]
+    for name, digest in manifest["sha256"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert len((out / "regimes.csv").read_text().splitlines()) == 1 + len(kappas) + 1
+
+
 @pytest.mark.parametrize(
     "options, kw",
     [

@@ -513,16 +513,17 @@ def test_lindblad_never_touches_the_global_rng(monkeypatch):
 def _apply_twice(h, cs, r):
     """mu, and the diagonal-by-diagonal action of L - mu on r, then on its
     own result, with the two buffers swapped as the Taylor loop swaps them.
-    The action takes a Hermitian matrix, so a general r = A + iB, with A and
-    B Hermitian, goes through it as apply(A) + i apply(B); a Hermitian r has
-    B = 0."""
+    The action takes the real packing of a Hermitian matrix, so a general
+    r = A + iB, with A and B Hermitian, goes through pack, the action and
+    unpack as A and B, and comes back as apply(A) + i apply(B); a Hermitian
+    r has B = 0."""
     liou = dynamics._Liouvillian(h, cs)
     src, dst = liou.buffers()
 
     def twice(x):
-        src[...] = x
-        once = liou.apply(src, dst).copy()
-        return once, liou.apply(dst, src).copy()
+        src[...] = dynamics._pack(x)
+        once = dynamics._unpack(liou.apply(src, dst))
+        return once, dynamics._unpack(liou.apply(dst, src))
 
     (a1, a2), (b1, b2) = twice((r + r.conj().T) / 2), twice((r - r.conj().T) / 2j)
     return liou.mu, (a1 + 1j * b1, a2 + 1j * b2)
@@ -618,6 +619,70 @@ def test_diagonals_lists_each_nonzero_diagonal_once(dim, density, seed):
         expected[start:start + dim - abs(o)] = np.diagonal(a, o)
         assert np.array_equal(u, expected)
         assert o == o_ref and np.array_equal(u, u_ref)
+
+
+def _random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["blocks", "dense", "diagonal", "zero", "1x1"]),
+    dim=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_norm_from_blocks_is_the_largest_singular_value(kind, dim, seed):
+    """The largest 2-norm of the diagonal blocks, the connected index sets
+    of |k| + |k^T|, is ||k||_2: on a block-diagonal matrix of random block
+    sizes under a random permutation, a dense one, a diagonal one (1 x 1
+    blocks, no SVD), the zero matrix and a 1 x 1 matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "1x1":
+        dim = 1
+    k = np.zeros((dim, dim), dtype=complex)
+    if kind == "blocks":
+        edges = np.unique(np.r_[0, rng.integers(0, dim + 1, rng.integers(0, dim)), dim])
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            k[lo:hi, lo:hi] = _random_complex(rng, hi - lo, hi - lo)
+        order = rng.permutation(dim)
+        k = k[np.ix_(order, order)]
+    elif kind in ("dense", "1x1"):
+        k = _random_complex(rng, dim, dim)
+    elif kind == "diagonal":
+        k = np.diag(_random_complex(rng, dim) * (rng.random(dim) < 0.7))
+    expected = np.linalg.norm(k, 2)
+    got = dynamics._two_norm(k)
+    assert isinstance(got, float)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0 if expected else 1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_packing_keeps_the_frobenius_norm_and_hermiticity(dim, seed):
+    """M = Re r + Im r of a Hermitian r: ||M||_F = ||r||_F, the identity the
+    Taylor series' stopping rule reads; the unpacked (M + M^T)/2 +
+    i (M - M^T)/2 is exactly Hermitian for any real M, and gives back r to
+    rounding, bit for bit where every sum and difference is exact (small
+    integers); and pack takes the Hermitian part of a matrix that is not
+    Hermitian."""
+    rng = np.random.default_rng(seed)
+    g = _random_complex(rng, dim, dim)
+    r = (g + g.conj().T) / 2
+    assert np.array_equal(r, r.conj().T)
+    packed = dynamics._pack(r)
+    assert packed.dtype == float and packed.shape == (dim, dim)
+    assert np.linalg.norm(packed) == pytest.approx(np.linalg.norm(r), rel=1e-15)
+    back = dynamics._unpack(packed)
+    assert np.array_equal(back, back.conj().T)
+    assert_allclose(back, r, rtol=0, atol=4e-16 * np.abs(r).max())
+
+    m = rng.normal(size=(dim, dim))
+    assert np.array_equal(dynamics._unpack(m), dynamics._unpack(m).conj().T)
+
+    ints = rng.integers(-8, 9, (dim, dim)) + 1j * rng.integers(-8, 9, (dim, dim))
+    r_int = ints + ints.conj().T
+    assert np.array_equal(dynamics._unpack(dynamics._pack(r_int)), r_int)
+    assert np.array_equal(dynamics._pack(ints), dynamics._pack((ints + ints.conj().T) / 2))
 
 
 def _assert_step_bound_covers_the_superoperator(h, cs):
@@ -733,10 +798,12 @@ def test_lindblad_rejects_a_wrapped_state():
 
 def test_lindblad_working_memory_stays_small():
     """One 144-dim solve, the entangle-lindblad one, peaks at no more than
-    eight dim x dim complex arrays: the state, the half-application, two
-    term buffers and one pair weight per collapse operator (three ladder
-    operators), with no per-term temporaries and no stored superoperator
-    diagonals."""
+    eight dim x dim complex arrays.  The solve holds eleven real ones, the
+    size of 5.5 complex: the packed state, two term buffers, the scratch
+    buffer, the copy of M^T and six weights (the main diagonal, one for
+    each symmetric pair of H's four hopping diagonals and one pair weight
+    per ladder operator), with no per-term temporaries, no stored
+    superoperator diagonals, and the complex state freed once packed."""
     dims = (6, 4, 6)
     h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
     psi0 = product_ket(
