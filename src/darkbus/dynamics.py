@@ -351,30 +351,6 @@ def _diagonals(a) -> list[tuple[int, np.ndarray]]:
     return diagonals
 
 
-def _two_norm(k: np.ndarray) -> float:
-    """||k||_2 of the square matrix ``k``, exactly: the largest 2-norm of its
-    diagonal blocks, the connected index sets of the nonzero pattern of
-    |k| + |k^T|.  A 1 x 1 block is |k_ii|; only larger blocks take an SVD."""
-    rows, cols = np.nonzero(k)
-    # every label is an index of its own block; take the least label across
-    # each nonzero, and each label's own label, until no label moves
-    label = np.arange(len(k))
-    while True:
-        joined = label.copy()
-        np.minimum.at(joined, rows, label[cols])
-        np.minimum.at(joined, cols, label[rows])
-        joined = joined[joined]
-        if np.array_equal(joined, label):
-            break
-        label = joined
-    sizes = np.bincount(label, minlength=len(k))
-    norm = np.abs(k.diagonal()[sizes[label] == 1]).max(initial=0.0)
-    for block in np.flatnonzero(sizes > 1):
-        index = np.flatnonzero(label == block)
-        norm = max(norm, np.linalg.norm(k[np.ix_(index, index)], 2))
-    return float(norm)
-
-
 def _pack(rho: np.ndarray) -> np.ndarray:
     """The real packing M = Re h + Im h of the Hermitian part h of ``rho``:
     h = (M + M^T)/2 + i (M - M^T)/2, and ||M||_F = ||h||_F, since Re h is
@@ -409,11 +385,10 @@ class _Liouvillian:
 
     ``mu`` is Tr L / dim^2, from the exact trace 2 dim Re Tr K + sum |Tr c|^2.
     ``bound`` is 2 ||K'||_2 + sum ||c||_1 ||c||_inf >= ||L - mu||_2, or inf
-    where K' is not finite: ||K'||_2 is exact, the largest 2-norm of the
-    diagonal blocks of the dense K' (:func:`_two_norm`), which is assembled
-    once and freed before the constructor returns, and ||c||_1 ||c||_inf,
-    the largest column sum of |c| times its largest row sum, bounds
-    ||c||_2^2, exactly for a ladder operator.
+    where K' is not finite: ||K'||_2 is exact, from the SVD of the dense K',
+    which is assembled once and freed before the constructor returns, and
+    ||c||_1 ||c||_inf, the largest column sum of |c| times its largest row
+    sum, bounds ||c||_2^2, exactly for a ladder operator.
 
     The constructor keeps only diagonals, vectors of length dim, so the
     caller may free H and the c's once it returns; :meth:`buffers` then
@@ -424,20 +399,18 @@ class _Liouvillian:
     weight at the shift o dim, used twice: on M into the output (K_R M)
     and on M^T into a sum that is added transposed ((K_R M^T)^T); its
     imaginary part the same way on M^T (K_I M^T) and, subtracted, on M
-    ((K_I M)^T).  A part of K' that is symmetric, as a
-    real H's is, has the same weight at o and -o, stored once.  A pair of
-    diagonals (o1, u1), (o2, u2) of one c gives the shift o1 dim + o2 and
-    the weight u1 (x) conj(u2), its real part on M and its imaginary part
-    on M^T; weights with the same source and shift are one array.  A
-    product with a zero factor is no part of a weight, and a weight with
-    none is no term, so one code path serves every H and c: a real H with
-    real ladder operators reads M^T only through H, and a solve with no
-    term on M^T keeps no copy of it.  Each term multiplies the slice it
-    reads into a scratch buffer and adds that to the slice it writes;
-    outside those slices its weight is 0, as it is on every entry that
-    crosses an edge of M.  The transposed sum is built first, in the
-    scratch buffer with the output as scratch, and copied transposed into
-    the output, which the other terms then add to.
+    ((K_I M)^T).  A pair of diagonals (o1, u1), (o2, u2) of one c gives
+    the shift o1 dim + o2 and the weight u1 (x) conj(u2), its real part on
+    M and its imaginary part on M^T; weights with the same source and shift
+    are one array.  A product with a zero factor is no part of a weight,
+    and a weight with none is no term, so one code path serves every H and
+    c.  Each application copies M^T into a buffer of its own, whether or
+    not a term reads it.  Each term multiplies the slice it reads into a
+    scratch buffer and adds that to the slice it writes; outside those
+    slices its weight is 0, as it is on every entry that crosses an edge of
+    M.  The transposed sum is built first, in the scratch buffer with the
+    output as scratch, and copied transposed into the output, which the
+    other terms then add to.
     """
 
     def __init__(self, h: np.ndarray, cs: list[np.ndarray]):
@@ -464,7 +437,7 @@ class _Liouvillian:
             np.fill_diagonal(k, kd)
             self.bound = math.inf
             if np.isfinite(k).all():
-                self.bound = sum(c_norms, 2 * _two_norm(k))
+                self.bound = sum(c_norms, 2 * float(np.linalg.norm(k, 2)))
         self.kd = kd
         # (offset o, 0 for Re or 1 for Im, that part of the diagonal in range)
         self.k_rows = [
@@ -474,8 +447,8 @@ class _Liouvillian:
         ]
 
     def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Build the flat weights, the scratch buffer and, where a term reads
-        M^T, its copy; return the two real dim x dim buffers that
+        """Build the flat weights, the scratch buffer and the buffer for the
+        copy of M^T; return the two real dim x dim buffers that
         :meth:`apply` alternates between."""
         dim, n = self.dim, self.dim**2
         re, im, ones = self.kd.real, self.kd.imag, np.ones(dim)
@@ -500,32 +473,25 @@ class _Liouvillian:
 
         self.terms, self.transposed_terms = [], []
         for (source, shift), uv in factors.items():
-            us, vs = zip(*uv)
             write, read = span(shift)
-            w = np.einsum("ik,kj->ij", np.stack(us, 1), np.stack(vs)).reshape(n)
+            w = sum(u[:, None] * v for u, v in uv).reshape(n)
             self.terms.append((write, read, source, w[write]))
         # Re u: on M into the output and on M^T into the transposed sum;
         # Im u: on M^T into the output and, subtracted, on M into that sum.
-        # A symmetric part of K' (a real H's) has the same rows at o and -o,
-        # and the two diagonals share one weight.
-        shared = {r.tobytes(): np.repeat(r, dim) for _, _, r in self.k_rows}
         for o, source, r in self.k_rows:
             write, read = span(o * dim)
-            w = shared[r.tobytes()]
+            w = np.repeat(r, dim)
             self.terms.append((write, read, source, w))
             op = (np.add, np.subtract)[source]
             self.transposed_terms.append((write, read, 1 - source, w, op))
-        src, dst, self.scratch = (np.empty((dim, dim)) for _ in range(3))
-        reads_transpose = any(source for _, _, source, _ in self.terms)
-        self.transpose = np.empty((dim, dim)) if reads_transpose else None
+        src, dst, self.scratch, self.transpose = (np.empty((dim, dim)) for _ in range(4))
         return src, dst
 
     def apply(self, src, dst) -> np.ndarray:
         """Write the action on the packed Hermitian matrix ``src`` into
         ``dst`` (never ``src`` itself) and return it."""
-        if self.transpose is not None:
-            np.copyto(self.transpose, src.T)
-        sources = (src.reshape(-1), None if self.transpose is None else self.transpose.reshape(-1))
+        np.copyto(self.transpose, src.T)
+        sources = (src.reshape(-1), self.transpose.reshape(-1))
         out, tmp = dst.reshape(-1), self.scratch.reshape(-1)
         if self.transposed_terms:  # summed in the scratch buffer, with dst as scratch
             tmp.fill(0.0)
@@ -608,49 +574,47 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     the running sum, all three in the Frobenius norm.  The shifted
     Liouvillian is L - mu = K' (x) 1 + 1 (x) conj(K') + sum c (x) conj(c)
     with K' = K - mu/2, so its 2-norm is at most
-    2 ||K'||_2 + sum ||c||_1 ||c||_inf, with ||K'||_2 exact: the largest
-    2-norm of K''s diagonal blocks, the connected index sets of its nonzero
-    pattern, each of which conserves excitation number for the network's
-    operators (one SVD per block, and none for a 1 x 1 block);
-    (m, s) minimize m s subject to t * bound / s <= theta_m, m <= 55.  The
-    theta_m backward-error analysis holds in any consistent norm.  The
-    bound is rigorous, so no norm is estimated and nothing random is drawn:
-    the result is a pure function of the inputs.  No renormalization is
-    applied -- trace drift is a real error signal, not something to hide.
+    2 ||K'||_2 + sum ||c||_1 ||c||_inf, with ||K'||_2 exact (an SVD of the
+    dense K'); (m, s) minimize m s subject to t * bound / s <= theta_m,
+    m <= 55.  The theta_m backward-error analysis holds in any consistent
+    norm.  The bound is rigorous, so no norm is estimated and nothing
+    random is drawn: the result is a pure function of the inputs.  No
+    renormalization is applied -- trace drift is a real error signal, not
+    something to hide.
 
     The series runs on one real dim x dim array, the packing
     M = Re rho + Im rho of the state's Hermitian part, from which
     rho = (M + M^T)/2 + i (M - M^T)/2.  Re rho is symmetric and Im rho
     antisymmetric, so ||M||_F = ||rho||_F and every Frobenius norm the
     method reads is the same on M; the action, the scale and the sum are
-    real.  :class:`_Liouvillian` assembles the dense K' once, for mu and the
-    bound, and keeps only the nonzero diagonals of K' and of each c; this
-    function then lets go of H, the c's and state0, packs its copy of the
-    state and lets go of that too, so what its caller passed as
-    temporaries, and the complex state, are freed before the weights and
-    buffers are built.  Each application of L - mu goes one diagonal at a
-    time (:class:`_Liouvillian`): every term is one stored real dim^2
-    weight times a shifted slice of M or of its transpose M^T, one multiply
-    into a scratch buffer and one add; an off-main diagonal of K' is one
-    weight used twice, once into the output and once into a sum that is
-    added transposed.  For the three-mode network's real H and ladder
-    operators that is twelve terms: the main diagonal, each of H's four
-    hopping diagonals twice and each collapse operator once, plus one copy
-    of M^T and one transposed copy of the sum; with H = 0 and real c's no
-    term reads M^T, and there is neither.  An application allocates nothing
-    of size dim^2, and ladder operators, with one diagonal each, are cheap,
-    while a dense operator of n nonzero diagonals costs up to 2 n^2 dim^2
-    and stores up to 2 n^2 weights.  Besides the input, the working memory
-    is the packed state, the weights, the two term buffers, the scratch
-    buffer and the copy of M^T, all real dim^2 arrays local to the call:
-    eleven for that network (six of them weights, since H's hopping
-    diagonals pair up as symmetric), the size of 5.5 complex ones.  The
-    stopping test computes the running sum's norm only where its
-    triangle-inequality bound, the start's norm plus the
-    terms', would pass, so it decides as the exact norm does.  The result
-    is unpacked once, a new array that is exactly Hermitian.  A ket's
-    density matrix is built once and packed; a density matrix the caller
-    holds is copied once.
+    real.  This function packs its copy of the state and lets go of that
+    copy and of state0 before :class:`_Liouvillian` assembles the dense K'
+    once, for mu and the bound, and keeps only the nonzero diagonals of K'
+    and of each c; it then lets go of H and the c's, so the complex state,
+    and what its caller passed as temporaries, are freed before the
+    weights and buffers are built.  Each application of L - mu goes one
+    diagonal at a time (:class:`_Liouvillian`): every term is one stored
+    real dim^2 weight times a shifted slice of M or of its transpose M^T,
+    one multiply into a scratch buffer and one add; an off-main diagonal of
+    K' is one weight used twice, once into the output and once into a sum
+    that is added transposed.  For the three-mode network's real H and ladder
+    operators that is twelve terms with eight weights: the main diagonal,
+    each of H's four hopping diagonals twice and each collapse operator
+    once, plus one copy of M^T and one transposed copy of the sum; where K'
+    is diagonal, as it is with H = 0 and ladder operators, there is no
+    transposed sum, and the copy of M^T is made all the same.  An
+    application allocates nothing of size dim^2, and ladder operators, with
+    one diagonal each, are cheap, while a dense operator of n nonzero
+    diagonals costs up to 2 n^2 dim^2 and stores up to 2 n^2 weights.
+    Besides the input, the working memory is the packed state, the weights,
+    the two term buffers, the scratch buffer and the copy of M^T, each a
+    separate real dim^2 array local to the call: thirteen for that network,
+    the size of 6.5 complex ones.  The stopping test computes the running
+    sum's norm only where its triangle-inequality bound, the start's norm
+    plus the terms', would pass, so it decides as the exact norm does.  The
+    result is unpacked once, a new array that is exactly Hermitian.  A
+    ket's density matrix is built once and packed; a density matrix the
+    caller holds is copied once.
 
     ``NumericalError`` names an H or c that is not finite, and a solve whose
     bound is not finite or that plans more than 10^6 applications of L;
@@ -672,7 +636,7 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
             )
         if not np.isfinite(c).all():
             raise NumericalError(f"dynamics: collapse operator {k} is not finite")
-    rho = np.array(state0, dtype=complex)  # a copy: the series accumulates into rho
+    rho = np.array(state0, dtype=complex)  # a copy, so the result never shares memory
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
     elif rho.shape == (dim, dim):
@@ -685,13 +649,14 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     if rho.shape != (dim, dim):
         raise ValueError("state does not match the Hamiltonian dimension")
     if t > 0:  # exp(0 L) is the identity: at t = 0 the input comes back as it is
-        liou = _Liouvillian(h, cs)
-        # The solve reads only liou's diagonals and its own copy rho: once
-        # this call lets go of the dense operators (the loop's c too) and of
-        # state0, those the caller passed as temporaries are freed.
-        h = c_ops = cs = c = state0 = None
+        # From here the solve holds the state only as its packing, and reads
+        # only liou's diagonals: once this call lets go of the dense
+        # operators (the loop's c too) and of state0, those the caller
+        # passed as temporaries are freed.
         packed = _pack(rho)
-        rho = None  # from here the solve holds the state only as its packing
+        rho = state0 = None
+        liou = _Liouvillian(h, cs)
+        h = c_ops = cs = c = None
         _propagate(packed, liou, t)
         liou = None  # its weights and buffers go before the result is made
         rho = _unpack(packed)

@@ -492,8 +492,8 @@ def run_dmm(
         and only the dump is one on the full space, dim = prod(params.dims),
         with the bus added in vacuum.  Each
         Liouvillian application costs dim^2 real per term (twelve for the
-        dump, three for the pump and post) plus, for the dump alone, two
-        transposed copies, and a solve makes
+        dump, three for the pump and post) plus a transposed copy of the
+        state, and for the dump one of a sum of terms, and a solve makes
         one application per Taylor term, a count that grows with the window
         and the 2-norm of the Liouvillian (153 for the dump, 8 and 9 for the
         pump and post at the benchmark's alpha 0.5, dims (6, 4, 6)); use
