@@ -238,15 +238,18 @@ def damping_rates(g_bs: float, kappa_b: float) -> tuple[complex, complex]:
     return slow, fast
 
 
-def classify_regime(g_bs: float, kappa_b: float, rtol: float = 1e-3) -> str:
-    """"underdamped" | "critical" | "overdamped" for the bright sector.
+# The relative width of the band of kappa_b called critical: quoted hardware
+# linewidths are rounded, so an exact-equality test would be useless.
+CRITICAL_RTOL = 1e-3
+# The bright-mode amplitude |u| at which a critical or overdamped dump ends.
+DUMP_RESIDUAL_TOL = 1e-4
 
-    ``rtol`` is the relative width of the band called critical; quoted
-    hardware linewidths are rounded, so an exact-equality test would be
-    useless in practice.
-    """
+
+def classify_regime(g_bs: float, kappa_b: float) -> str:
+    """"underdamped" | "critical" | "overdamped" for the bright sector, with
+    kappa_b within CRITICAL_RTOL of :func:`critical_kappa` called critical."""
     kc = critical_kappa(g_bs)
-    if abs(kappa_b - kc) <= rtol * kc:
+    if abs(kappa_b - kc) <= CRITICAL_RTOL * kc:
         return "critical"
     return "underdamped" if kappa_b < kc else "overdamped"
 
@@ -275,14 +278,14 @@ def bright_mode_response(g_bs: float, kappa_b: float, times) -> np.ndarray:
     return np.real(u)
 
 
-def auto_dump_time(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> float:
+def auto_dump_time(g_bs: float, kappa_b: float) -> float:
     """Bus-coupling duration that empties the bright mode.
 
     Underdamped: the first exact zero of u(t), nu t = pi - atan2(4 nu, k);
     at kappa_b = 0 that is pi/(2 sqrt(2) g), with g = 2pi g_bs, the
     half-period of the bright mode's vacuum Rabi swap, when the bright
     excitation sits entirely in the bus.  Critical/overdamped: u never
-    crosses zero, so the first time |u| <= residual_tol, to rounding.
+    crosses zero, so the first time |u| <= DUMP_RESIDUAL_TOL, to rounding.
     """
     g = TWO_PI * g_bs
     k = TWO_PI * kappa_b
@@ -294,15 +297,15 @@ def auto_dump_time(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> f
     rate = abs(slow.real)
     if rate == 0:
         raise NumericalError("dynamics: bright mode does not decay (kappa_b = 0)")
-    t_hi = math.log(2.0 / residual_tol) / rate
-    while abs(float(bright_mode_response(g_bs, kappa_b, t_hi)[0])) > residual_tol:
+    t_hi = math.log(2.0 / DUMP_RESIDUAL_TOL) / rate
+    while abs(float(bright_mode_response(g_bs, kappa_b, t_hi)[0])) > DUMP_RESIDUAL_TOL:
         t_hi *= 2
     # |u| falls monotonically here: cut the bracket into 32 cells, keep the
     # one where it crosses, and repeat until the bracket stops shrinking
     lo, hi = 1e-12, t_hi
     while lo < 0.5 * (lo + hi) < hi:
         t = np.linspace(lo, hi, 33)[1:-1]
-        above = np.count_nonzero(np.abs(bright_mode_response(g_bs, kappa_b, t)) > residual_tol)
+        above = np.count_nonzero(np.abs(bright_mode_response(g_bs, kappa_b, t)) > DUMP_RESIDUAL_TOL)
         lo, hi = t[above - 1] if above else lo, t[above] if above < len(t) else hi
     return float(hi)
 
@@ -390,68 +393,71 @@ class _Liouvillian:
     ||c||_1 ||c||_inf, the largest column sum of |c| times its largest row
     sum, bounds ||c||_2^2, exactly for a ladder operator.
 
-    The constructor keeps only diagonals, vectors of length dim, so the
-    caller may free H and the c's once it returns; :meth:`buffers` then
-    builds the weights, each a real dim^2 array on the row-major vec of M,
-    and the working buffers.  K''s main diagonal k gives two weights,
-    Re k_i + Re k_j on M and Im k_i - Im k_j on M^T.  The real part of an
-    off-main diagonal u of K' at offset o, repeated along each row, is one
-    weight at the shift o dim, used twice: on M into the output (K_R M)
-    and on M^T into a sum that is added transposed ((K_R M^T)^T); its
-    imaginary part the same way on M^T (K_I M^T) and, subtracted, on M
-    ((K_I M)^T).  A pair of diagonals (o1, u1), (o2, u2) of one c gives
-    the shift o1 dim + o2 and the weight u1 (x) conj(u2), its real part on
-    M and its imaginary part on M^T; weights with the same source and shift
-    are one array.  A product with a zero factor is no part of a weight,
-    and a weight with none is no term, so one code path serves every H and
-    c.  Each application copies M^T into a buffer of its own, whether or
-    not a term reads it.  Each term multiplies the slice it reads into a
-    scratch buffer and adds that to the slice it writes; outside those
-    slices its weight is 0, as it is on every entry that crosses an edge of
-    M.  The transposed sum is built first, in the scratch buffer with the
-    output as scratch, and copied transposed into the output, which the
-    other terms then add to.
+    The constructor keeps only vectors of length dim: ``k_diagonals``, the
+    nonzero diagonals of K' (:func:`_diagonals`), and for each pair of
+    diagonals of one c their shift and factors, so the caller may free H
+    and the c's once it returns.  :meth:`buffers` then builds the weights,
+    each a real dim^2 array on the row-major vec of M, and the working
+    buffers.  K''s main diagonal k gives two weights, Re k_i + Re k_j on M
+    and Im k_i - Im k_j on M^T.  The real part of an off-main diagonal u of
+    K' at offset o, repeated along each row, is one weight at the shift
+    o dim, used twice: on M into the output (K_R M) and on M^T into a sum
+    that is added transposed ((K_R M^T)^T); its imaginary part the same way
+    on M^T (K_I M^T) and, subtracted, on M ((K_I M)^T).  A pair of diagonals
+    (o1, u1), (o2, u2) of one c gives the shift o1 dim + o2 and the weight
+    u1 (x) conj(u2), its real part on M and its imaginary part on M^T;
+    weights with the same source and shift are one array.  A product with
+    a zero factor is no part of a weight, and a weight with none is no
+    term, so one code path serves every H and c.
+
+    Each application copies M^T into a buffer of its own, builds the
+    transposed sum in the scratch buffer with the output as scratch, copies
+    it transposed into the output, and adds the other terms to that; each
+    term multiplies the slice it reads into a scratch buffer and adds that
+    to the slice it writes.  Outside those slices its weight is 0, as it is
+    on every entry that crosses an edge of M.  An application allocates
+    nothing of size dim^2.  For the three-mode network's real H and ladder
+    operators, as at the benchmark's dump, that is 8 terms and 4 transposed
+    terms over 8 weights: the main diagonal's, one for each of H's four
+    hopping diagonals (in a term and a transposed term) and one per
+    collapse operator.  With H = 0 and ladder operators, as in the pump and
+    post windows, K' is diagonal: 1 + (number of c's) terms and no
+    transposed term.  A dense operator of n nonzero diagonals costs up to
+    2 n^2 dim^2 and stores up to 2 n^2 weights.  Besides the packed state,
+    the working memory is the weights, the two term buffers, the scratch
+    buffer and the copy of M^T, each a separate real dim^2 array: thirteen
+    at the dump, the size of 6.5 complex ones.
     """
 
     def __init__(self, h: np.ndarray, cs: list[np.ndarray]):
         """``h`` and each collapse operator in ``cs`` are dim x dim arrays."""
         self.dim = dim = len(h)
-        c_norms = []
         self.c_pairs = []
         # An overflow here shows up as bound = inf, which the caller reports.
         with np.errstate(over="ignore", invalid="ignore"):
             k = -1j * h
             for diagonals in map(_diagonals, cs):
-                rows, cols = np.zeros(dim), np.zeros(dim)
                 for o1, u1 in diagonals:
-                    rows += np.abs(u1)
-                    cols[max(o1, 0):dim + min(o1, 0)] += np.abs(u1[max(-o1, 0):dim - max(o1, 0)])
                     for o2, u2 in diagonals:
                         i = np.arange(max(0, -o1, -o2), dim - max(0, o1, o2))
                         k[i + o1, i + o2] -= 0.5 * (u1[i].conj() * u2[i])
                         self.c_pairs.append((o1 * dim + o2, u1, u2.conj()))
-                c_norms.append(float(rows.max() * cols.max()))
-            kd = k.diagonal().copy()
-            self.mu = (2 * dim * kd.sum().real + sum(abs(np.trace(c)) ** 2 for c in cs)) / dim**2
-            kd -= self.mu / 2
-            np.fill_diagonal(k, kd)
+            self.mu = (2 * dim * np.trace(k).real + sum(abs(np.trace(c)) ** 2 for c in cs)) / dim**2
+            k.flat[::dim + 1] -= self.mu / 2
             self.bound = math.inf
             if np.isfinite(k).all():
-                self.bound = sum(c_norms, 2 * float(np.linalg.norm(k, 2)))
-        self.kd = kd
-        # (offset o, 0 for Re or 1 for Im, that part of the diagonal in range)
-        self.k_rows = [
-            (o, source, part[max(-o, 0):dim - max(o, 0)].copy())
-            for o, u in _diagonals(k) if o
-            for source, part in enumerate((u.real, u.imag)) if part.any()
-        ]
+                c_norms = (np.abs(c).sum(axis=0).max() * np.abs(c).sum(axis=1).max() for c in cs)
+                self.bound = float(sum(c_norms, 2 * float(np.linalg.norm(k, 2))))
+        self.k_diagonals = _diagonals(k)
 
     def buffers(self) -> tuple[np.ndarray, np.ndarray]:
         """Build the flat weights, the scratch buffer and the buffer for the
         copy of M^T; return the two real dim x dim buffers that
         :meth:`apply` alternates between."""
         dim, n = self.dim, self.dim**2
-        re, im, ones = self.kd.real, self.kd.imag, np.ones(dim)
+        off_main = dict(self.k_diagonals)
+        kd = off_main.pop(0, np.zeros(dim, dtype=complex))
+        re, im, ones = kd.real, kd.imag, np.ones(dim)
         # Each flat weight, by (source, shift), is a sum of outer products
         # u (x) v of real vectors: the main diagonal's, and for a pair of one
         # c's diagonals Re(u1 (x) conj(u2)) on M and Im on M^T.  A product
@@ -478,12 +484,14 @@ class _Liouvillian:
             self.terms.append((write, read, source, w[write]))
         # Re u: on M into the output and on M^T into the transposed sum;
         # Im u: on M^T into the output and, subtracted, on M into that sum.
-        for o, source, r in self.k_rows:
-            write, read = span(o * dim)
-            w = np.repeat(r, dim)
-            self.terms.append((write, read, source, w))
-            op = (np.add, np.subtract)[source]
-            self.transposed_terms.append((write, read, 1 - source, w, op))
+        for o, u in off_main.items():
+            for source, part in enumerate((u.real, u.imag)):
+                if part.any():
+                    write, read = span(o * dim)
+                    w = np.repeat(part[max(-o, 0):dim - max(o, 0)], dim)
+                    self.terms.append((write, read, source, w))
+                    op = (np.add, np.subtract)[source]
+                    self.transposed_terms.append((write, read, 1 - source, w, op))
         src, dst, self.scratch, self.transpose = (np.empty((dim, dim)) for _ in range(4))
         return src, dst
 
@@ -493,14 +501,11 @@ class _Liouvillian:
         np.copyto(self.transpose, src.T)
         sources = (src.reshape(-1), self.transpose.reshape(-1))
         out, tmp = dst.reshape(-1), self.scratch.reshape(-1)
-        if self.transposed_terms:  # summed in the scratch buffer, with dst as scratch
-            tmp.fill(0.0)
-            for write, read, source, w, op in self.transposed_terms:
-                np.multiply(w, sources[source][read], out=out[write])
-                op(tmp[write], out[write], out=tmp[write])
-            np.copyto(dst, self.scratch.T)
-        else:
-            out.fill(0.0)
+        tmp.fill(0.0)  # the transposed sum, with dst as scratch
+        for write, read, source, w, op in self.transposed_terms:
+            np.multiply(w, sources[source][read], out=out[write])
+            op(tmp[write], out[write], out=tmp[write])
+        np.copyto(dst, self.scratch.T)
         for write, read, source, w in self.terms:
             np.multiply(w, sources[source][read], out=tmp[write])
             out[write] += tmp[write]
@@ -593,28 +598,14 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     and of each c; it then lets go of H and the c's, so the complex state,
     and what its caller passed as temporaries, are freed before the
     weights and buffers are built.  Each application of L - mu goes one
-    diagonal at a time (:class:`_Liouvillian`): every term is one stored
-    real dim^2 weight times a shifted slice of M or of its transpose M^T,
-    one multiply into a scratch buffer and one add; an off-main diagonal of
-    K' is one weight used twice, once into the output and once into a sum
-    that is added transposed.  For the three-mode network's real H and ladder
-    operators that is twelve terms with eight weights: the main diagonal,
-    each of H's four hopping diagonals twice and each collapse operator
-    once, plus one copy of M^T and one transposed copy of the sum; where K'
-    is diagonal, as it is with H = 0 and ladder operators, there is no
-    transposed sum, and the copy of M^T is made all the same.  An
-    application allocates nothing of size dim^2, and ladder operators, with
-    one diagonal each, are cheap, while a dense operator of n nonzero
-    diagonals costs up to 2 n^2 dim^2 and stores up to 2 n^2 weights.
-    Besides the input, the working memory is the packed state, the weights,
-    the two term buffers, the scratch buffer and the copy of M^T, each a
-    separate real dim^2 array local to the call: thirteen for that network,
-    the size of 6.5 complex ones.  The stopping test computes the running
-    sum's norm only where its triangle-inequality bound, the start's norm
-    plus the terms', would pass, so it decides as the exact norm does.  The
-    result is unpacked once, a new array that is exactly Hermitian.  A
-    ket's density matrix is built once and packed; a density matrix the
-    caller holds is copied once.
+    diagonal at a time, one real dim^2 weight per term; the terms, their
+    cost and the working memory are listed in :class:`_Liouvillian`.  The
+    stopping test computes the running sum's norm only where its
+    triangle-inequality bound, the start's norm plus the terms', would
+    pass, so it decides as the exact norm does.  The result is unpacked
+    once, a new array that is exactly Hermitian.  A ket's density matrix
+    is built once and packed; a density matrix the caller holds is copied
+    once.
 
     ``NumericalError`` names an H or c that is not finite, and a solve whose
     bound is not finite or that plans more than 10^6 applications of L;

@@ -201,24 +201,22 @@ def trace_distance(a, b) -> float:
 # ---------------------------------------------------------------------------
 
 
-def edge_population(state, dims, n_levels: int = 1) -> tuple[float, ...]:
-    """Population in the top ``n_levels`` Fock levels of each mode of a ket
-    or density matrix on the truncations ``dims``, one value per mode.
+def edge_population(state, dims) -> tuple[float, ...]:
+    """Population in the top Fock level of each mode of a ket or density
+    matrix on the truncations ``dims``, one value per mode.
 
     This is the honest diagnostic for "was the truncation big enough":
     anything much above float noise means amplitude is piling up against
     the edge and the simulation is quietly lossy.
     """
     dims = tuple(int(d) for d in dims)
-    if not 1 <= n_levels <= min(dims):
-        raise ValueError(f"n_levels must be in [1, {min(dims)}], got {n_levels}")
     state = np.asarray(state)
     diag = np.abs(state) ** 2 if state.ndim == 1 else np.real(np.diagonal(state))
     pops = diag.reshape(dims)
     out = []
     for axis in range(len(dims)):
         marginal = pops.sum(axis=tuple(i for i in range(len(dims)) if i != axis))
-        out.append(float(marginal[-n_levels:].sum()))
+        out.append(float(marginal[-1]))
     return tuple(out)
 
 

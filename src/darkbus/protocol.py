@@ -485,19 +485,16 @@ def run_dmm(
         is one deterministic Taylor solve of the master equation on the
         operators :func:`~darkbus.dynamics.network_operators` builds from
         its coupling and those rates; the solve keeps only their diagonals
-        and evolves the real packing Re rho + Im rho, with one real dim^2
-        weight per term.  The bus holds vacuum
+        and evolves the real packing Re rho + Im rho.  The bus holds vacuum
         until the dump and is traced out right after it, so the pump and
         post windows (H = 0, loss only) are solves on the pair, dim = d1 d2,
         and only the dump is one on the full space, dim = prod(params.dims),
-        with the bus added in vacuum.  Each
-        Liouvillian application costs dim^2 real per term (twelve for the
-        dump, three for the pump and post) plus a transposed copy of the
-        state, and for the dump one of a sum of terms, and a solve makes
-        one application per Taylor term, a count that grows with the window
-        and the 2-norm of the Liouvillian (153 for the dump, 8 and 9 for the
-        pump and post at the benchmark's alpha 0.5, dims (6, 4, 6)); use
-        reduced dims.  The materialized state is Hermitian to rounding, as
+        with the bus added in vacuum.  Each Liouvillian application costs a
+        few real dim^2 passes per term (the terms are listed in
+        ``dynamics._Liouvillian``), and a solve makes one application per
+        Taylor term, a count that grows with the window and the 2-norm of
+        the Liouvillian (153 for the dump, 8 and 9 for the pump and post at
+        the benchmark's alpha 0.5, dims (6, 4, 6)); use reduced dims.  The materialized state is Hermitian to rounding, as
         the solve requires.  Its analysis basis is each cavity's decayed
         alpha e^{-gamma_k t_exposed/2}, not the coherent engine's dark
         label, which unequal cavity T1s mix with the bright mode (1.5e-4
@@ -858,7 +855,6 @@ class DualRailResult:
     trace_distance: float
     converged: bool
     p_herald: float
-    rho_distilled: np.ndarray
     fidelity: float
 
 
@@ -948,6 +944,5 @@ def dual_rail_dmm(
         trace_distance=td,
         converged=converged,
         p_herald=p,
-        rho_distilled=rho_dist,
         fidelity=fid,
     )

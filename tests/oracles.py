@@ -188,10 +188,11 @@ def forward_matrix_concatenated(dim: int, betas: np.ndarray) -> np.ndarray:
     return np.concatenate([tri[:, n == m].real, 2 * upper.real, -2 * upper.imag], axis=1)
 
 
-def auto_dump_time_brentq(g_bs: float, kappa_b: float, residual_tol: float = 1e-4) -> float:
-    """First time the critical or overdamped bright mode has |u| = residual_tol,
-    by scipy's brentq on the bracket ``dynamics.auto_dump_time`` starts
-    from, to its xtol of 1e-16 s."""
+def auto_dump_time_brentq(g_bs: float, kappa_b: float) -> float:
+    """First time the critical or overdamped bright mode has
+    |u| = ``dynamics.DUMP_RESIDUAL_TOL``, by scipy's brentq on the bracket
+    ``dynamics.auto_dump_time`` starts from, to its xtol of 1e-16 s."""
+    residual_tol = dynamics.DUMP_RESIDUAL_TOL
     slow, _ = dynamics.damping_rates(g_bs, kappa_b)
     t_hi = math.log(2.0 / residual_tol) / abs(slow.real)
 

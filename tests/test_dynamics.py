@@ -187,7 +187,7 @@ def test_auto_dump_time_empties_the_bright_mode():
 def test_auto_dump_time_matches_brentq(kappa_b):
     """Critical and overdamped: the bracket search lands within brentq's own
     tolerance (xtol 1e-16 s plus 4 ulp) of scipy's root, where |u| equals
-    residual_tol to rounding.  At 20 MHz the dump lasts hundreds of
+    DUMP_RESIDUAL_TOL to rounding.  At 20 MHz the dump lasts hundreds of
     microseconds, far past where e^{-kt/4} cosh(|nu| t) would overflow."""
     t = dynamics.auto_dump_time(G, kappa_b)
     ref = auto_dump_time_brentq(G, kappa_b)
@@ -797,14 +797,44 @@ def test_lindblad_rejects_a_wrapped_state():
     assert np.array_equal(rho0, kept)
 
 
+def _distinct_weights(liou):
+    """The weight arrays of ``liou``'s terms and transposed terms, one per
+    block of memory: a term may hold a slice of its weight, and an off-main
+    row weight of K' serves a term and a transposed term."""
+    distinct = []
+    for w in [term[3] for term in liou.terms + liou.transposed_terms]:
+        if not any(np.shares_memory(w, v) for v in distinct):
+            distinct.append(w)
+    return distinct
+
+
+def test_liouvillian_term_inventory():
+    """The term inventory that the _Liouvillian docstring states.  At the
+    benchmark's dump, dims (6, 4, 6) with cavity loss on: 8 terms and 4
+    transposed terms over 8 weights (the main diagonal, H's four hopping
+    diagonals and one pair weight per ladder operator).  In the pair
+    windows, H = 0 on the two cavities under loss: 3 terms, no transposed
+    term."""
+    params = SystemParams(g_bs=G, dims=(6, 4, 6))
+    h, c_ops = params_network(params)
+    assert len(c_ops) == 3
+    dump = dynamics._Liouvillian(h, c_ops)
+    dump.buffers()
+    assert (len(dump.terms), len(dump.transposed_terms)) == (8, 4)
+    assert len(_distinct_weights(dump)) == 8
+
+    h, c_ops = dynamics.network_operators(np.zeros((2, 2)), params.gamma_cavity, (6, 6))
+    pair = dynamics._Liouvillian(h, c_ops)
+    pair.buffers()
+    assert (len(pair.terms), len(pair.transposed_terms)) == (3, 0)
+    assert len(_distinct_weights(pair)) == 3
+
+
 def test_lindblad_working_memory_stays_small():
     """One 144-dim solve, the entangle-lindblad one, peaks at no more than
-    eight dim x dim complex arrays.  The solve holds thirteen real ones,
-    the size of 6.5 complex: the packed state, two term buffers, the
-    scratch buffer, the copy of M^T and eight weights (the main diagonal,
-    one for each of H's four hopping diagonals and one pair weight per
-    ladder operator), with no per-term temporaries, no stored
-    superoperator diagonals, and the complex state freed once packed."""
+    eight dim x dim complex arrays: the working memory that the
+    _Liouvillian docstring lists, with no per-term temporaries and the
+    complex state freed once packed."""
     dims = (6, 4, 6)
     h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
     psi0 = product_ket(

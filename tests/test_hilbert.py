@@ -247,10 +247,6 @@ def test_edge_population_flags_truncation():
     pops = hilbert.edge_population(psi, dims)
     assert_allclose(pops, hilbert.edge_population(hilbert.as_dm(psi), dims), atol=1e-15)
     assert pops[0] < 1e-6 and pops[1] == pytest.approx(1.0) and pops[2] > 1e-3
-    assert hilbert.edge_population(psi, dims, n_levels=3)[1] == pytest.approx(1.0)
-    for n_levels in (0, -1, 4):
-        with pytest.raises(ValueError):
-            hilbert.edge_population(psi, dims, n_levels=n_levels)
 
 
 def test_suggest_dim():

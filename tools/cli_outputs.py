@@ -167,23 +167,12 @@ def diff_outputs(before: Path, after: Path) -> list[str]:
     return lines
 
 
-def _print_lines(lines: list[str]) -> None:
-    """Print ``lines`` to stdout; when the reader closes stdout early (as
-    ``| head`` does), stop quietly and send the rest, and the flush at exit,
-    to the null device."""
-    try:
-        for line in lines:
-            print(line)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
 def main() -> int:
     args = sys.argv[1:]
     if len(args) == 3 and args[0] == "--diff":
         lines = diff_outputs(Path(args[1]), Path(args[2]))
-        _print_lines(lines)
+        if lines:  # cli._say stops quietly where the reader closes stdout early
+            cli._say("\n".join(lines), flush=True)
         return int(any(line.endswith(OUTSIDE) for line in lines))
     if len(args) != 1:
         print("usage: python3 tools/cli_outputs.py OUT | --diff BEFORE AFTER", file=sys.stderr)
