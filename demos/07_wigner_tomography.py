@@ -10,7 +10,7 @@ get the density matrix back.
 import numpy as np
 
 from darkbus import hilbert, protocol, tomography
-from darkbus.tomography import WignerData, WignerGrid
+from darkbus.tomography import WignerGrid, WignerMap
 
 SHOTS = 2000
 SEED = 11
@@ -23,7 +23,8 @@ rho1 = rho1 / np.trace(rho1)
 print(f"conditioning on logical X = +1 in cavity 2 (P = {p_plus:.3f})")
 
 grid = WignerGrid.default(extent=2.0, step=0.2)
-w = tomography.wigner_map(rho1, grid)
+forward = WignerMap(w1.dim, grid.betas)  # one kernel build: ideal map, fit and MLE map
+w = forward(rho1).reshape(grid.shape)
 
 # quick look in the terminal: rows are Im(beta) top-down, '+' positive, '-' negative
 print("\nsign structure of W(beta) (fringes along Im beta):")
@@ -36,8 +37,7 @@ w_hat = (2 * counts / SHOTS - 1).reshape(grid.shape)
 print(f"\nsampled every point with {SHOTS} shots "
       f"(rms shot noise {np.std(w_hat - w):.4f})")
 
-data = WignerData.from_map(grid, w_hat, shots=SHOTS, counts=counts)
-mle = tomography.mle_density(data, dim=w1.dim)
+mle = tomography.mle_density(forward, counts=counts, shots=SHOTS)
 f = hilbert.fidelity(mle.rho, rho1)
 print(f"MLE: {mle.n_iter} iterations, converged = {mle.converged}, "
       f"rms residual {mle.rms_residual:.4f}")
@@ -56,7 +56,7 @@ except ImportError:
 else:
     fig, axes = plt.subplots(1, 3, figsize=(11, 3.4))
     for ax, (m, title) in zip(axes, [(w, "ideal"), (w_hat, f"{SHOTS} shots"),
-                                     (tomography.wigner_map(mle.rho, grid), "MLE")]):
+                                     (forward(mle.rho).reshape(grid.shape), "MLE")]):
         im = ax.pcolormesh(grid.re_beta, grid.im_beta, m, cmap="RdBu_r",
                            vmin=-1, vmax=1, shading="auto")
         ax.set_title(title)

@@ -49,8 +49,8 @@ from .protocol import (
     teleport,
 )
 from .tomography import (
-    WignerData,
     WignerGrid,
+    WignerMap,
     mle_density,
     optimize_basis,
     sample_counts,
@@ -97,8 +97,8 @@ __all__ = [
     "run_dmm",
     "success_probability",
     "teleport",
-    "WignerData",
     "WignerGrid",
+    "WignerMap",
     "mle_density",
     "optimize_basis",
     "sample_counts",

@@ -415,21 +415,20 @@ def cmd_tomo_demo(params: SystemParams, opts: dict, ctx: RunContext) -> dict:
 
     orbits = tomography.WignerGrid.orbits(opts["extent"], opts["step"])
     points = tomography.WignerGrid.axis_points(opts["extent"], opts["step"]) ** 2
-    build = tomography._ForwardMap.build_bytes(w1.dim, orbits, points)
+    build = tomography.WignerMap.build_bytes(w1.dim, orbits, points)
     _require_memory(build, "its Wigner forward map")
     grid = tomography.WignerGrid.default(opts["extent"], opts["step"])
-    forward = tomography._ForwardMap(w1.dim, grid.betas)  # one kernel build: map and fit
-    w = forward(rho1).reshape(grid.shape)
+    forward = tomography.WignerMap(w1.dim, grid.betas)  # one kernel build: map and fit
+    w = forward(rho1)
     beta = {"re_beta": grid.betas.real, "im_beta": grid.betas.imag}
-    ctx.write_csv("wigner_ideal.csv", {**beta, "value": w.ravel()})
-    counts = tomography.sample_counts(w.ravel(), shots, seed=ctx.seed)
+    ctx.write_csv("wigner_ideal.csv", {**beta, "value": w})
+    counts = tomography.sample_counts(w, shots, seed=ctx.seed)
     w_meas = 2 * counts / shots - 1
     ctx.write_csv(
         "wigner_sampled.csv",
         {**beta, "value": w_meas, "shots": np.full(counts.size, shots), "counts": counts},
     )
-    data = tomography.WignerData.from_map(grid, w_meas, shots=shots, counts=counts)
-    mle = tomography.mle_density(data, dim=w1.dim, max_iter=opts["max_iter"], forward=forward)
+    mle = tomography.mle_density(forward, counts=counts, shots=shots, max_iter=opts["max_iter"])
     f_rec = hilbert.fidelity(mle.rho, rho1)
     _say(
         f"conditioned cat (P(+) = {p_plus:.3f}): reconstructed at dim {w1.dim} from "

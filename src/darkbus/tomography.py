@@ -146,7 +146,7 @@ def _orbits(betas: np.ndarray):
     return reps, 4 * orbit + 2 * inv + (inv ^ np.signbit(betas.imag))
 
 
-class _ForwardMap:
+class WignerMap:
     """Tr(M_k rho) over a stack of kernels as one real design matrix with
     one row per symmetry orbit of the points.
 
@@ -166,15 +166,16 @@ class _ForwardMap:
     matrix with the coordinates times the four sign columns, then a gather
     of each point's (orbit, transform) entry; the adjoint sums the weights
     into (orbit, transform) bins, takes one product with the transposed
-    matrix and a signed sum of its four columns.  ``betas`` are the points
-    the map was built for.  Both products read and write rho through flat
-    indices of its diagonal, its upper triangle and the transposed upper
-    triangle, fixed at construction.
+    matrix and a signed sum of its four columns.  ``dim`` is the truncation
+    and ``betas`` are the points the map was built for, in the order of its
+    values.  Both products read and write rho through flat indices of its
+    diagonal, its upper triangle and the transposed upper triangle, fixed at
+    construction.
     """
 
     def __init__(self, dim: int, betas: np.ndarray):
         self.betas = np.array(betas, dtype=complex)
-        self._dim = dim
+        self.dim = dim
         i, j = np.triu_indices(dim, 1)  # the pairs n < m, in order
         self._diag, self._upper, self._lower = np.arange(dim) * (dim + 1), i * dim + j, j * dim + i
         pairs = len(i)
@@ -221,7 +222,7 @@ class _ForwardMap:
     def adjoint(self, c: np.ndarray) -> np.ndarray:
         """sum_k c_k M_k for real weights c."""
         v = self.rows_adjoint(c)
-        d, n = self._dim, len(self._upper)
+        d, n = self.dim, len(self._upper)
         h = np.zeros(d * d, dtype=complex)
         h[self._diag] = v[:d] / 2
         h[self._upper] = (v[d : d + n] + 1j * v[d + n :]) / 2
@@ -238,7 +239,7 @@ def wigner_map(state, grid: WignerGrid | None = None) -> np.ndarray:
     """Parity-contrast Wigner map of a single-mode state on a grid."""
     grid = grid or WignerGrid.default()
     rho = hilbert.as_dm(state)
-    return _ForwardMap(rho.shape[0], grid.betas)(rho).reshape(grid.shape)
+    return WignerMap(rho.shape[0], grid.betas)(rho).reshape(grid.shape)
 
 
 def sample_counts(w: np.ndarray, shots: int, seed: int | None = None) -> np.ndarray:
@@ -252,62 +253,6 @@ def sample_counts(w: np.ndarray, shots: int, seed: int | None = None) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# flat-file format shared with the command line tools
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WignerData:
-    """One tomography data set: grid points, values, optionally shot counts."""
-
-    re_beta: np.ndarray
-    im_beta: np.ndarray
-    value: np.ndarray
-    shots: np.ndarray | None = None
-    counts: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.counts is not None and self.shots is None:
-            raise ValueError("counts given without the shots they were drawn from")
-
-    @classmethod
-    def from_map(cls, grid: WignerGrid, w: np.ndarray, shots=None, counts=None) -> "WignerData":
-        b = grid.betas
-        flat = np.asarray(w).ravel()
-        return cls(
-            re_beta=b.real.copy(),
-            im_beta=b.imag.copy(),
-            value=flat,
-            shots=None if shots is None else np.broadcast_to(shots, flat.shape).copy(),
-            counts=None if counts is None else np.asarray(counts).ravel(),
-        )
-
-    @classmethod
-    def load_csv(cls, path) -> "WignerData":
-        with open(path) as f:
-            header = f.readline().strip().split(",")
-            data = np.loadtxt(f, delimiter=",", ndmin=2)
-        cols = {name: data[:, k] for k, name in enumerate(header)}
-        for need in ("re_beta", "im_beta", "value"):
-            if need not in cols:
-                raise ValueError(f"missing column {need!r} in {path}")
-        try:
-            return cls(
-                re_beta=cols["re_beta"],
-                im_beta=cols["im_beta"],
-                value=cols["value"],
-                shots=cols.get("shots"),
-                counts=cols.get("counts"),
-            )
-        except ValueError as err:  # name the file in __post_init__'s refusal
-            raise ValueError(f"{path}: {err}") from err
-
-    @property
-    def betas(self) -> np.ndarray:
-        return self.re_beta + 1j * self.im_beta
-
-
-# ---------------------------------------------------------------------------
 # maximum-likelihood reconstruction
 # ---------------------------------------------------------------------------
 
@@ -318,12 +263,6 @@ class MleResult:
     converged: bool
     n_iter: int
     rms_residual: float
-    loglik: float
-
-
-def _binomial_loglik(p, counts, shots):
-    p = np.clip(p, 1e-12, 1 - 1e-12)
-    return float(np.sum(counts * np.log(p) + (shots - counts) * np.log1p(-p)))
 
 
 def _project_density(h: np.ndarray) -> np.ndarray:
@@ -385,12 +324,13 @@ def _squared_objective(w_obs):
 
 
 def mle_density(
-    data: WignerData,
-    dim: int,
+    forward: WignerMap,
+    *,
+    values=None,
+    counts=None,
+    shots=None,
     max_iter: int = 2000,
     tol: float = 1e-10,
-    *,
-    forward: _ForwardMap | None = None,
 ) -> MleResult:
     """Reconstruct a single-mode density matrix from displaced-parity data.
 
@@ -422,27 +362,25 @@ def mle_density(
     a plain gradient step no longer lowers f at working precision before
     the gap is met; a good-enough state is still useful.
 
-    ``forward`` is a prebuilt ``_ForwardMap(dim, data.betas)`` for callers
-    that already have one; a map built for another dim or other points
-    raises ValueError.
+    The observations lie on ``forward.betas``, in that order, one per
+    point: either the parity ``values``, or the ``counts`` of +1 outcomes
+    with the ``shots`` they were drawn from (one number for every point, or
+    one per point).  Both or neither, counts without shots, or another
+    number of observations than points raise ValueError before any work.
     """
-    if forward is None:
-        forward = _ForwardMap(dim, data.betas)
-    elif forward._dim != dim:
-        raise ValueError(f"forward map is for dim {forward._dim}, the fit for dim {dim}")
-    elif not np.array_equal(forward.betas, data.betas):
-        raise ValueError(
-            f"forward map is for other points than the data "
-            f"({len(forward.betas)} and {len(data.betas)} points)"
-        )
-    have_counts = data.counts is not None
-    if have_counts:
-        counts = np.asarray(data.counts, float)
-        shots = np.asarray(data.shots, float)
-        w_obs = 2 * counts / shots - 1
-        at, grad, change = _binomial_objective(counts, shots)
+    if (values is None) == (counts is None):
+        raise ValueError("give exactly one of values and counts")
+    if counts is not None and shots is None:
+        raise ValueError("counts given without the shots they were drawn from")
+    obs = np.asarray(counts if values is None else values, float).ravel()
+    if obs.size != len(forward.betas):
+        raise ValueError(f"{obs.size} observations for the map's {len(forward.betas)} points")
+    if values is None:
+        shots = np.array(np.broadcast_to(shots, obs.shape), float)
+        w_obs = 2 * obs / shots - 1
+        at, grad, change = _binomial_objective(obs, shots)
     else:
-        w_obs = np.asarray(data.value, float)
+        w_obs = obs
         at, grad, change = _squared_objective(w_obs)
 
     def gap_met(rho, q):
@@ -450,7 +388,7 @@ def mle_density(
         return bool(np.vdot(g, rho).real - np.linalg.eigvalsh(g)[0] <= tol)
 
     # each map w is read through at(w) once: q, q_theta, q_cand
-    rho = np.eye(dim, dtype=complex) / dim
+    rho = np.eye(forward.dim, dtype=complex) / forward.dim
     w = forward(rho)
     q = at(w)
     theta, w_theta, q_theta, momentum = rho, w, q, 1.0
@@ -492,7 +430,6 @@ def mle_density(
         converged=converged,
         n_iter=rho_it if converged else it,
         rms_residual=float(np.sqrt(np.mean((w - w_obs) ** 2))),
-        loglik=_binomial_loglik((1 + w) / 2, counts, shots) if have_counts else math.nan,
     )
 
 

@@ -165,7 +165,7 @@ def kernel_stack(dim: int, betas: np.ndarray) -> np.ndarray:
 
 
 def forward_matrix_concatenated(dim: int, betas: np.ndarray) -> np.ndarray:
-    """``tomography._ForwardMap``'s design rows built whole, one per point
+    """``tomography.WignerMap``'s design rows built whole, one per point
     with no symmetry used: the kernel triangle at every point by the
     Laguerre recurrence over every n at once, then its diagonal, 2 Re and
     -2 Im of its pairs n < m concatenated."""
@@ -538,15 +538,15 @@ def dual_rail_distill_kron(rho_pair):
     return p, heralded / p if p > 0 else heralded
 
 
-def mle_density_reference(data: tomography.WignerData, dim: int, max_iter: int = 2000,
-                          tol: float = 1e-10) -> tomography.MleResult:
+def mle_density_reference(design: tomography.WignerMap, *, values=None, counts=None, shots=None,
+                          max_iter: int = 2000, tol: float = 1e-10) -> tomography.MleResult:
     """``tomography.mle_density`` with each parity map's probabilities
     clipped anew in every gradient and every change (about six times an
     iteration), and rho's coordinates read and written through 2-D fancy
     indexing of its triangles, the adjoint's diagonal from ``np.diag``.  The
-    design rows' products (``_ForwardMap.rows`` and ``rows_adjoint``) and
+    design rows' products (``WignerMap.rows`` and ``rows_adjoint``) and
     the projection are the library's."""
-    design = tomography._ForwardMap(dim, data.betas)
+    dim = design.dim
     iu = np.triu_indices(dim, 1)
     n_pairs = len(iu[0])
 
@@ -561,10 +561,9 @@ def mle_density_reference(data: tomography.WignerData, dim: int, max_iter: int =
         h[iu] = (v[dim : dim + n_pairs] + 1j * v[dim + n_pairs :]) / 2
         return h + h.conj().T
 
-    have_counts = data.counts is not None
-    if have_counts:
-        counts = np.asarray(data.counts, float)
-        shots = np.asarray(data.shots, float)
+    if counts is not None:
+        counts = np.asarray(counts, float).ravel()
+        shots = np.array(np.broadcast_to(shots, counts.shape), float)
         w_obs = 2 * counts / shots - 1
         misses, total = shots - counts, float(np.sum(shots))
 
@@ -583,7 +582,7 @@ def mle_density_reference(data: tomography.WignerData, dim: int, max_iter: int =
             bregman = float(counts @ (x_hit - l_hit) + misses @ (x_miss - l_miss)) / total
             return rise, bregman
     else:
-        w_obs = np.asarray(data.value, float)
+        w_obs = np.asarray(values, float).ravel()
         k = len(w_obs)
 
         def grad(w):
@@ -627,7 +626,6 @@ def mle_density_reference(data: tomography.WignerData, dim: int, max_iter: int =
         converged=converged,
         n_iter=it,
         rms_residual=float(np.sqrt(np.mean((w - w_obs) ** 2))),
-        loglik=tomography._binomial_loglik((1 + w) / 2, counts, shots) if have_counts else math.nan,
     )
 
 

@@ -14,7 +14,7 @@ from darkbus import cli, codes, dynamics, errorbudget, hilbert, protocol, tomogr
 from darkbus.codes import LogicalBasis
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import VacuumCheckModel
-from darkbus.tomography import WignerData, WignerGrid
+from darkbus.tomography import WignerGrid, WignerMap
 from oracles import (
     embed,
     expect_trajectory,
@@ -233,19 +233,15 @@ def test_ac7_tomography_roundtrip():
     rho1 = hilbert.condition(res.rho_pass, (w1.dim, w2.dim), np.outer(w2.plus, w2.plus.conj()))
     rho1 = rho1 / np.trace(rho1)
 
-    grid = WignerGrid.default(2.0, 0.1)  # 41 x 41
-    w = tomography.wigner_map(rho1, grid)
-    data = WignerData.from_map(grid, w)
-    mle = tomography.mle_density(data, dim=w1.dim)
+    forward = WignerMap(w1.dim, WignerGrid.default(2.0, 0.1).betas)  # 41 x 41
+    w = forward(rho1)
+    mle = tomography.mle_density(forward, values=w)
     f_exact = hilbert.fidelity(mle.rho, rho1)
     ok = f_exact >= 0.99
 
     shots = 10_000
-    counts = tomography.sample_counts(w.ravel(), shots, seed=2)
-    noisy = WignerData.from_map(
-        grid, (2 * counts / shots - 1).reshape(grid.shape), shots=shots, counts=counts
-    )
-    mle_n = tomography.mle_density(noisy, dim=w1.dim)
+    counts = tomography.sample_counts(w, shots, seed=2)
+    mle_n = tomography.mle_density(forward, counts=counts, shots=shots)
     f_shots = hilbert.fidelity(mle_n.rho, rho1)
     ok &= f_shots >= 0.97
 

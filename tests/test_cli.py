@@ -957,7 +957,7 @@ def test_tomo_demo_memory_guard_counts_the_build_scratch(tmp_path, capsys, monke
     assert (points, orbits) == (1681, 441)
     matrix = orbits * dim**2 * 8
     total = matrix + 3 * orbits * dim * 16
-    build = tomography._ForwardMap.build_bytes(dim, orbits, points)
+    build = tomography.WignerMap.build_bytes(dim, orbits, points)
     assert matrix < total < build < points * dim**2 * 8
     sysconf = os.sysconf
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": total}

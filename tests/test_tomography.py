@@ -1,5 +1,6 @@
 """Wigner maps, shot sampling, MLE reconstruction, logical-level analysis."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.special import eval_genlaguerre
 
 from darkbus import cli, codes, dynamics, hilbert, protocol, tomography
 from darkbus.codes import LogicalBasis
-from darkbus.tomography import WignerData, WignerGrid
+from darkbus.tomography import WignerGrid, WignerMap
 from oracles import (
     bell_state_kron,
     cat,
@@ -132,7 +133,7 @@ def test_forward_matrix_written_in_place_is_bit_identical(dim, betas):
     signs gives exactly the rows built from every point's whole kernel
     triangle by concatenation; the orbit rows are column-major, so a run's
     columns are contiguous."""
-    forward = tomography._ForwardMap(dim, betas)
+    forward = tomography.WignerMap(dim, betas)
     orbit, transform = np.divmod(tomography._orbits(betas)[1], 4)
     got = forward.matrix[orbit] * forward._signs[:, transform].T
     assert np.array_equal(got, forward_matrix_concatenated(dim, betas))
@@ -146,10 +147,10 @@ def test_forward_map_build_holds_the_matrix_and_a_few_runs(dim):
     memory guard asks for; building the whole kernel triangle first peaks
     at about four times the matrix."""
     betas = WignerGrid.default().betas
-    forward, peak = traced_peak(tomography._ForwardMap, dim, betas)
+    forward, peak = traced_peak(tomography.WignerMap, dim, betas)
     orbits = len(forward.matrix)
     bound = forward.matrix.nbytes + 6 * orbits * dim * 16 + len(betas) * 24
-    assert tomography._ForwardMap.build_bytes(dim, orbits, len(betas)) == bound
+    assert tomography.WignerMap.build_bytes(dim, orbits, len(betas)) == bound
     assert peak <= bound
 
 
@@ -167,7 +168,7 @@ def test_default_grid_builds_one_kernel_row_per_orbit(monkeypatch):
     monkeypatch.setattr(tomography, "_kernel_runs", counted)
     opts = cli.COMMANDS["tomo-demo"][1]
     grid = WignerGrid.default(opts["extent"], opts["step"])
-    forward = tomography._ForwardMap(12, grid.betas)
+    forward = tomography.WignerMap(12, grid.betas)
     assert len(grid.betas) == 1681 and rows == [441] and forward.matrix.shape == (441, 144)
     assert WignerGrid.orbits(opts["extent"], opts["step"]) == 441
 
@@ -228,7 +229,7 @@ def test_forward_map_matches_the_full_matrix_products(kind, dim, k, seed):
     gives no values, and its adjoint the zero matrix."""
     rng = np.random.default_rng(seed)
     betas = _point_set(kind, rng, k)
-    forward = tomography._ForwardMap(dim, betas)
+    forward = tomography.WignerMap(dim, betas)
     full = forward_matrix_concatenated(dim, betas)
     x = rng.normal(size=dim * dim)
     c = rng.normal(size=len(betas))
@@ -261,7 +262,7 @@ def test_forward_map_and_adjoint_match_trace():
     dim = 9
     betas = WignerGrid.default(2.0, 0.5).betas
     ops = kernel_stack(dim, betas)
-    forward = tomography._ForwardMap(dim, betas)
+    forward = tomography.WignerMap(dim, betas)
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = x @ x.conj().T
     rho /= np.trace(rho).real
@@ -365,62 +366,25 @@ def test_sample_counts_rejects_unphysical():
 # ---------------------------------------------------------------------------
 
 
-def test_load_csv_reads_a_tomo_demo_map(tmp_path):
-    """A sampled map written by ``darkbus tomo-demo`` reloads exactly."""
+def test_tomo_demo_sampled_map_reloads_and_refits(tmp_path):
+    """A sampled map written by ``darkbus tomo-demo``, read back with
+    ``np.loadtxt`` and refitted on a Wigner map built for its points at the
+    manifest's truncation, takes the run's MLE iterations to the same
+    verdict."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text("tomo-demo:\n  extent: 1.0\n  step: 0.5\n  shots: 200\n  max_iter: 60\n")
     out = tmp_path / "o"
     assert cli.main(["tomo-demo", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
     path = out / "wigner_sampled.csv"
-    header, *rows = path.read_text().splitlines()
-    assert header == "re_beta,im_beta,value,shots,counts"
+    assert path.read_text().splitlines()[0] == "re_beta,im_beta,value,shots,counts"
+    manifest = json.loads((out / "manifest.json").read_text())
 
-    back = WignerData.load_csv(path)
-    for name, column in zip(header.split(","), zip(*(row.split(",") for row in rows))):
-        assert getattr(back, name).tolist() == [float(x) for x in column], name
-    assert back.betas.tolist() == WignerGrid.default(1.0, 0.5).betas.tolist()
-    assert set(back.shots.tolist()) == {200.0}
-
-
-def test_load_csv_three_column(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("re_beta,im_beta,value\n-0.5,0.25,0.125\n1.0,-2.0,-0.3\n")
-    back = WignerData.load_csv(path)
-    assert back.re_beta.tolist() == [-0.5, 1.0]
-    assert back.im_beta.tolist() == [0.25, -2.0]
-    assert back.value.tolist() == [0.125, -0.3]
-    assert back.counts is None and back.shots is None
-
-
-def test_load_csv_rejects_counts_without_shots(tmp_path):
-    """Counts mean nothing without the shots they were drawn from."""
-    path = tmp_path / "w.csv"
-    path.write_text("re_beta,im_beta,value,counts\n0.0,0.0,0.5,150\n0.5,0.0,0.1,110\n")
-    with pytest.raises(ValueError, match="w.csv.*shots"):
-        WignerData.load_csv(path)
-
-
-def test_wigner_data_refuses_counts_without_shots():
-    """Every constructor refuses counts without shots, not only the CSV
-    reader: the MLE would otherwise read NaN shot numbers."""
-    grid = WignerGrid.default(1.0, 0.5)
-    counts = np.full(grid.betas.size, 150)
-    with pytest.raises(ValueError, match="shots"):
-        WignerData.from_map(grid, np.zeros(grid.shape), counts=counts)
-    with pytest.raises(ValueError, match="shots"):
-        WignerData(grid.betas.real, grid.betas.imag, np.zeros(counts.size), counts=counts)
-
-
-def test_wigner_data_missing_column(tmp_path):
-    path = tmp_path / "junk.csv"
-    path.write_text("re_beta,im_beta\n0.0,0.0\n")
-    with pytest.raises(ValueError):
-        WignerData.load_csv(path)
-
-
-# ---------------------------------------------------------------------------
-# MLE reconstruction
-# ---------------------------------------------------------------------------
+    re, im, _, shots, counts = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    assert (re + 1j * im).tolist() == WignerGrid.default(1.0, 0.5).betas.tolist()
+    forward = WignerMap(manifest["params"]["dims"][0], re + 1j * im)
+    res = tomography.mle_density(forward, counts=counts, shots=shots, max_iter=60)
+    summary = manifest["summary"]
+    assert (res.n_iter, res.converged) == (summary["mle_iterations"], summary["mle_converged"])
 
 
 def _cat_target(dim=10, alpha=math.sqrt(2)):
@@ -431,9 +395,8 @@ def _cat_target(dim=10, alpha=math.sqrt(2)):
 
 def test_mle_recovers_from_exact_values():
     rho_true = _cat_target()
-    grid = WignerGrid.default(2.0, 0.2)
-    data = WignerData.from_map(grid, tomography.wigner_map(rho_true, grid))
-    res = tomography.mle_density(data, dim=10)
+    forward = WignerMap(10, WignerGrid.default(2.0, 0.2).betas)
+    res = tomography.mle_density(forward, values=forward(rho_true))
     f = hilbert.fidelity(res.rho, rho_true)
     assert f >= 0.99
     assert res.rms_residual < 0.01
@@ -443,13 +406,10 @@ def test_mle_recovers_from_exact_values():
 
 def test_mle_recovers_from_counts():
     rho_true = _cat_target()
-    grid = WignerGrid.default(2.0, 0.2)
-    w = tomography.wigner_map(rho_true, grid)
-    counts = tomography.sample_counts(w, 10_000, seed=11)
-    data = WignerData.from_map(grid, 2 * counts / 10_000 - 1, shots=10_000, counts=counts)
-    res = tomography.mle_density(data, dim=10)
+    forward = WignerMap(10, WignerGrid.default(2.0, 0.2).betas)
+    counts = tomography.sample_counts(forward(rho_true), 10_000, seed=11)
+    res = tomography.mle_density(forward, counts=counts, shots=10_000)
     assert hilbert.fidelity(res.rho, rho_true) >= 0.97
-    assert math.isfinite(res.loglik)
 
 
 def _random_density(rng, dim, rank):
@@ -459,13 +419,13 @@ def _random_density(rng, dim, rank):
 
 
 def _cat_data(counts: bool):
-    rho_true = _cat_target()
-    grid = WignerGrid.default(2.0, 0.2)
-    w = tomography.wigner_map(rho_true, grid)
+    """The cat's map on a 21 x 21 grid at dim 10, and its observations:
+    the noiseless values, or counts of 10000 shots a point."""
+    forward = WignerMap(10, WignerGrid.default(2.0, 0.2).betas)
+    w = forward(_cat_target())
     if not counts:
-        return WignerData.from_map(grid, w)
-    n = tomography.sample_counts(w, 10_000, seed=11)
-    return WignerData.from_map(grid, 2 * n / 10_000 - 1, shots=10_000, counts=n)
+        return forward, {"values": w}
+    return forward, {"counts": tomography.sample_counts(w, 10_000, seed=11), "shots": 10_000}
 
 
 @pytest.mark.parametrize("counts", [True, False], ids=["counts", "values"])
@@ -478,17 +438,18 @@ def test_mle_first_order_optimality(counts):
     density matrix sigma means rho is within tol of the minimum.
     """
     tol = 1e-10
-    data = _cat_data(counts)
-    res = tomography.mle_density(data, dim=10, tol=tol)
+    forward, obs = _cat_data(counts)
+    res = tomography.mle_density(forward, **obs, tol=tol)
     assert res.converged and res.n_iter < 200
 
-    kernels = kernel_stack(10, data.betas)
+    kernels = kernel_stack(10, forward.betas)
     w = np.einsum("kij,ji->k", kernels, res.rho).real
     if counts:
         p = (1 + w) / 2
-        df_dw = ((data.shots - data.counts) / (1 - p) - data.counts / p) / (2 * data.shots.sum())
+        n, shots = obs["counts"], obs["shots"]
+        df_dw = ((shots - n) / (1 - p) - n / p) / (2 * shots * len(n))
     else:
-        df_dw = (w - data.value) / len(w)
+        df_dw = (w - obs["values"]) / len(w)
     grad = np.einsum("k,kij->ij", df_dw, kernels)
 
     rng = np.random.default_rng(3)
@@ -499,31 +460,31 @@ def test_mle_first_order_optimality(counts):
         assert np.trace(grad @ (sigma - res.rho)).real >= -tol * (1 + 1e-3)
 
 
-def test_mle_reuses_a_given_forward_map():
-    data = _cat_data(counts=True)
-    forward = tomography._ForwardMap(10, data.betas)
-    a = tomography.mle_density(data, dim=10)
-    b = tomography.mle_density(data, dim=10, forward=forward)
-    assert np.array_equal(a.rho, b.rho) and a.n_iter == b.n_iter and a.loglik == b.loglik
+def test_mle_refuses_observations_not_one_per_point():
+    """Values or counts of another length than the map's points raise
+    before the fit, naming both lengths: one value is not spread over every
+    point, and counts one short do not reach the solver's products."""
+    forward = WignerMap(4, WignerGrid.default(1.0, 0.5).betas)
+    with pytest.raises(ValueError, match="1 observations for the map's 25 points"):
+        tomography.mle_density(forward, values=[0.3])
+    with pytest.raises(ValueError, match="24 observations for the map's 25 points"):
+        tomography.mle_density(forward, counts=np.full(24, 100), shots=200)
 
 
-def test_mle_refuses_a_forward_map_for_another_dim():
-    data = _cat_data(counts=True)
-    forward = tomography._ForwardMap(8, data.betas)
-    with pytest.raises(ValueError, match="forward map is for dim 8, the fit for dim 10"):
-        tomography.mle_density(data, dim=10, forward=forward)
+def test_mle_refuses_both_or_neither_of_values_and_counts():
+    forward = WignerMap(4, WignerGrid.default(1.0, 0.5).betas)
+    w = np.zeros(25)
+    with pytest.raises(ValueError, match="exactly one of values and counts"):
+        tomography.mle_density(forward, values=w, counts=np.full(25, 100), shots=200)
+    with pytest.raises(ValueError, match="exactly one of values and counts"):
+        tomography.mle_density(forward)
 
 
-def test_mle_refuses_a_forward_map_for_other_points():
-    """A grid of as many points elsewhere, and one of another size."""
-    data = _cat_data(counts=True)
-    k = len(data.betas)
-    shifted = tomography._ForwardMap(10, data.betas + 0.05)
-    with pytest.raises(ValueError, match=rf"other points than the data \({k} and {k} points\)"):
-        tomography.mle_density(data, dim=10, forward=shifted)
-    fewer = tomography._ForwardMap(10, data.betas[:-1])
-    with pytest.raises(ValueError, match=rf"other points than the data \({k - 1} and {k} points"):
-        tomography.mle_density(data, dim=10, forward=fewer)
+def test_mle_refuses_counts_without_shots():
+    """Counts mean nothing without the shots they were drawn from."""
+    forward = WignerMap(4, WignerGrid.default(1.0, 0.5).betas)
+    with pytest.raises(ValueError, match="counts given without the shots"):
+        tomography.mle_density(forward, counts=np.full(25, 100))
 
 
 @settings(max_examples=60, deadline=None)
@@ -545,20 +506,20 @@ def test_project_density_is_a_projection(dim, seed, scale):
 
 
 def _tomo_demo_data(seed: int | None, counts: bool):
-    """tomo-demo's Wigner data of the conditioned cat at its defaults: the
-    sampled counts at ``seed``, or the noiseless map without counts."""
+    """tomo-demo's Wigner map of the conditioned cat at its defaults, and
+    its observations: the sampled counts at ``seed``, or the noiseless
+    values."""
     opts = dict(cli.COMMANDS["tomo-demo"][1])
     res = protocol.run_dmm(dynamics.SystemParams(), **cli._herald(opts))
     w1, w2 = res.codewords
     rho1 = hilbert.condition(res.rho_pass, (w1.dim, w2.dim), np.outer(w2.plus, w2.plus.conj()))
     rho1 = rho1 / np.trace(rho1)
-    grid = WignerGrid.default(opts["extent"], opts["step"])
-    w = tomography.wigner_map(rho1, grid).ravel()
+    forward = WignerMap(w1.dim, WignerGrid.default(opts["extent"], opts["step"]).betas)
+    w = forward(rho1)
     if not counts:
-        return WignerData.from_map(grid, w), w1.dim
+        return forward, {"values": w}
     shots = opts["shots"]
-    n = tomography.sample_counts(w, shots, seed=seed)
-    return WignerData.from_map(grid, 2 * n / shots - 1, shots=shots, counts=n), w1.dim
+    return forward, {"counts": tomography.sample_counts(w, shots, seed=seed), "shots": shots}
 
 
 @pytest.mark.parametrize(
@@ -569,13 +530,12 @@ def test_mle_matches_reference_loop_bit_for_bit(seed, counts):
     """Reading each parity map's probabilities once, through flat indices,
     changes no bit of the fit: on tomo-demo's data, binomial and least
     squares, every field equals the loop that reads them anew each time."""
-    data, dim = _tomo_demo_data(seed, counts)
-    got = tomography.mle_density(data, dim)
-    ref = mle_density_reference(data, dim)
+    forward, obs = _tomo_demo_data(seed, counts)
+    got = tomography.mle_density(forward, **obs)
+    ref = mle_density_reference(forward, **obs)
     assert np.array_equal(got.rho, ref.rho)
     assert (got.n_iter, got.converged) == (ref.n_iter, ref.converged)
     assert got.rms_residual == ref.rms_residual
-    assert got.loglik == ref.loglik or (math.isnan(got.loglik) and math.isnan(ref.loglik))
 
 
 def test_mle_tests_the_gap_only_where_it_can_be_met(monkeypatch):
@@ -583,22 +543,20 @@ def test_mle_tests_the_gap_only_where_it_can_be_met(monkeypatch):
     the gap (one adjoint) is computed only where that drop is at most
     2 tol: on tomo-demo's seed-3 counts, well under two adjoints an
     iteration, where testing every iterate takes 81 for 42 iterations."""
-    data, dim = _tomo_demo_data(3, True)
+    forward, obs = _tomo_demo_data(3, True)
     calls = []
-    adjoint = tomography._ForwardMap.adjoint
+    adjoint = tomography.WignerMap.adjoint
     monkeypatch.setattr(
-        tomography._ForwardMap, "adjoint", lambda self, c: calls.append(1) or adjoint(self, c)
+        tomography.WignerMap, "adjoint", lambda self, c: calls.append(1) or adjoint(self, c)
     )
-    res = tomography.mle_density(data, dim)
+    res = tomography.mle_density(forward, **obs)
     assert res.converged
     assert len(calls) < 1.75 * res.n_iter
 
 
 def test_mle_iteration_cap_flags_not_converged():
-    rho_true = _cat_target()
-    grid = WignerGrid.default(2.0, 0.4)
-    data = WignerData.from_map(grid, tomography.wigner_map(rho_true, grid))
-    res = tomography.mle_density(data, dim=10, max_iter=3)
+    forward = WignerMap(10, WignerGrid.default(2.0, 0.4).betas)
+    res = tomography.mle_density(forward, values=forward(_cat_target()), max_iter=3)
     assert not res.converged
     assert res.n_iter == 3
 

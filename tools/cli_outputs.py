@@ -171,8 +171,11 @@ def main() -> int:
     args = sys.argv[1:]
     if len(args) == 3 and args[0] == "--diff":
         lines = diff_outputs(Path(args[1]), Path(args[2]))
-        if lines:  # cli._say stops quietly where the reader closes stdout early
-            cli._say("\n".join(lines), flush=True)
+        if lines:
+            try:
+                print("\n".join(lines), flush=True)
+            except BrokenPipeError:  # the reader closed stdout early: drop the rest quietly
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return int(any(line.endswith(OUTSIDE) for line in lines))
     if len(args) != 1:
         print("usage: python3 tools/cli_outputs.py OUT | --diff BEFORE AFTER", file=sys.stderr)
