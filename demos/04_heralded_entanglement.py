@@ -5,17 +5,16 @@ measured transmon readout numbers, printing where the probability goes and
 what the surviving state looks like.
 """
 
-import math
-
 from darkbus import protocol
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import VacuumCheckModel
 
-ALPHA = math.sqrt(2)
+PARAMS = SystemParams()
+ALPHA = PARAMS.alpha
 
 for label, check in [("ideal detector", VacuumCheckModel.ideal()),
                      ("measured readout", VacuumCheckModel.from_measured())]:
-    res = protocol.run_dmm(SystemParams(alpha=ALPHA), check=check, dump_time="auto")
+    res = protocol.run_dmm(PARAMS, check=check, dump_time="auto")
     print(f"--- {label} ---")
     print(f"outcome probabilities: " +
           ", ".join(f"{k}={v:.4f}" for k, v in sorted(res.p_outcomes.items())))

@@ -7,8 +7,6 @@ cavity 2.  With the corrections applied every record works equally well --
 scrambling them is the quickest way to convince yourself they matter.
 """
 
-import math
-
 import numpy as np
 
 from darkbus import codes, protocol
@@ -16,7 +14,8 @@ from darkbus.codes import LogicalBasis
 from darkbus.dynamics import SystemParams
 from darkbus.protocol import VacuumCheckModel
 
-ALPHA = math.sqrt(2)
+PARAMS = SystemParams()
+ALPHA = PARAMS.alpha
 DIM = 16
 
 words = LogicalBasis(ALPHA).codewords(DIM)
@@ -38,7 +37,7 @@ t = protocol.teleport(ideal_pair, protocol.CARDINAL_STATES["plus"], words, words
 print(f"  input |plus>: F_qst drops to {t.f_qst:.4f}")
 
 print("\nheralded (noisy) resource, decode error 2%, m1 flip 1%:")
-res = protocol.run_dmm(SystemParams(alpha=ALPHA), check=VacuumCheckModel.from_measured(),
+res = protocol.run_dmm(PARAMS, check=VacuumCheckModel.from_measured(),
                        dump_time="auto")
 w1, w2 = res.codewords
 noisy = protocol.avg_qst_fidelity(res.rho_pass, w1, w2,

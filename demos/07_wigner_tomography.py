@@ -26,9 +26,10 @@ grid = WignerGrid.default(extent=2.0, step=0.2)
 forward = WignerMap(w1.dim, grid.betas)  # one kernel build: ideal map, fit and MLE map
 w = forward(rho1).reshape(grid.shape)
 
-# quick look in the terminal: rows are Im(beta) top-down, '+' positive, '-' negative
+# quick look in the terminal: w[i, j] is W(re_i + i im_j), so rows of w.T
+# are Im(beta), printed top-down; '+' positive, '-' negative
 print("\nsign structure of W(beta) (fringes along Im beta):")
-for row in w[::-1]:
+for row in w.T[::-1]:
     print("   " + "".join("#" if v > 0.25 else "+" if v > 0.02
                           else "-" if v < -0.02 else "." for v in row))
 
@@ -57,7 +58,7 @@ else:
     fig, axes = plt.subplots(1, 3, figsize=(11, 3.4))
     for ax, (m, title) in zip(axes, [(w, "ideal"), (w_hat, f"{SHOTS} shots"),
                                      (forward(mle.rho).reshape(grid.shape), "MLE")]):
-        im = ax.pcolormesh(grid.re_beta, grid.im_beta, m, cmap="RdBu_r",
+        im = ax.pcolormesh(grid.re_beta, grid.im_beta, m.T, cmap="RdBu_r",
                            vmin=-1, vmax=1, shading="auto")
         ax.set_title(title)
         ax.set_aspect("equal")

@@ -7,11 +7,10 @@ single-pass bus loss, inherited bus decay) is orders of magnitude down --
 we print those too so nobody has to take that on faith.
 """
 
-import math
-
 from darkbus import errorbudget
+from darkbus.dynamics import SystemParams
 
-ALPHA = math.sqrt(2)
+ALPHA = SystemParams().alpha
 
 b = errorbudget.predicted_infidelity(ALPHA)
 print(f"error budget at alpha = {ALPHA:.3f}:")

@@ -7,10 +7,11 @@ a Monte Carlo run with the same numbers lands on the analytic answer.
 
 import numpy as np
 
-from darkbus import protocol
+from darkbus import cli, protocol
 
-P = 1 / 2.6
-T_ATTEMPT = 8.85e-6
+# the multiround command's defaults
+P = cli.COMMANDS["multiround"][1]["p_success"]
+T_ATTEMPT = cli.COMMANDS["multiround"][1]["t_attempt"]
 
 stats = protocol.multiround_stats(P, T_ATTEMPT)
 print(f"p = {P:.4f}, attempt time {T_ATTEMPT*1e6:.2f} us")

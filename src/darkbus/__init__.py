@@ -54,7 +54,6 @@ from .tomography import (
     mle_density,
     optimize_basis,
     sample_counts,
-    wigner_map,
 )
 
 __version__ = "0.1.0"
@@ -102,6 +101,5 @@ __all__ = [
     "mle_density",
     "optimize_basis",
     "sample_counts",
-    "wigner_map",
     "__version__",
 ]

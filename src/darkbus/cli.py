@@ -551,7 +551,7 @@ COMMANDS = {
             "alpha_max": 2.0,
             "n_alpha": 31,
             "p_decode": errorbudget.DEFAULT_P_DECODE,
-            "p_bright_pass": errorbudget.DEFAULT_P_BRIGHT_PASS,
+            "p_bright_pass": protocol.MEASURED_JOINT_FALSE_PASS,
         },
     ),
     "multiround": (

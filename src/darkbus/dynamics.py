@@ -47,7 +47,7 @@ collapse operators at a Fock truncation, so both solvers read one model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -125,9 +125,6 @@ class SystemParams:
     def gamma_cavity(self) -> tuple[float, float]:
         """Cavity energy decay rates 1/T1 in 1/s."""
         return (1.0 / self.t1_cavity[0], 1.0 / self.t1_cavity[1])
-
-    def with_(self, **kw) -> "SystemParams":
-        return replace(self, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams
-from .protocol import MEASURED_JOINT_FALSE_PASS, dmm_false_positive, success_probability
+from .protocol import MEASURED_JOINT_FALSE_PASS, _float_or_array, success_probability
 
 DEFAULT_P_DECODE = 0.017
-DEFAULT_P_BRIGHT_PASS = MEASURED_JOINT_FALSE_PASS
 _ALPHA_RANGE = (0.3, 3.0)  # the cat amplitudes ``optimal_alpha`` chooses from
 
 
@@ -53,20 +52,22 @@ def photon_loss_probability(alpha, params: SystemParams | None = None):
     return alpha * alpha * params.t_protocol * (1.0 / t1[0] + 1.0 / t1[1])
 
 
-def dark_pass_probability(alpha):
-    """P(gg | dark branch) for ideal checks: both cavities non-empty, twice
-    the herald probability, since the dark branch carries half the weight."""
-    return 2 * success_probability(alpha)
+def heralded_false_pass(alpha, p_bright_pass: float = MEASURED_JOINT_FALSE_PASS):
+    """Fraction of heralds caused by the dumped bright branch,
+    p_b / (p_b + p_dark), elementwise over broadcast arrays; 0 where neither
+    branch passes, and a float for scalar arguments.
 
-
-def heralded_false_pass(alpha, p_bright_pass: float = DEFAULT_P_BRIGHT_PASS):
-    """Fraction of heralds caused by the dumped bright branch.
-
-    The bright branch reaches the check in vacuum, so its pass rate is the
-    measured correlated false-pass probability; the dark branch passes at
-    the ideal rate.  Both branches carry prior weight 1/2, which cancels.
+    The bright branch reaches the check in vacuum, so its pass rate p_b is
+    the measured correlated false-pass probability; the dark branch passes
+    at the ideal rate p_dark = 2 ``success_probability(alpha)``, both
+    cavities non-empty.  Both branches carry prior weight 1/2, which
+    cancels.  A negative p_b anywhere raises ``ValueError``.
     """
-    return dmm_false_positive(p_bright_pass, dark_pass_probability(alpha))
+    p_b = np.asarray(p_bright_pass, dtype=float)
+    if (p_b < 0).any():  # a NaN beside a negative does not hide it
+        raise ValueError("probabilities cannot be negative")
+    tot = p_b + 2 * success_probability(alpha)
+    return _float_or_array(np.divide(p_b, tot, out=np.zeros(tot.shape), where=tot > 0))
 
 
 def off_resonant_loss(
@@ -130,7 +131,7 @@ class BudgetBreakdown:
 def predicted_infidelity(
     alpha=None,
     p_decode: float = DEFAULT_P_DECODE,
-    p_bright_pass: float = DEFAULT_P_BRIGHT_PASS,
+    p_bright_pass: float = MEASURED_JOINT_FALSE_PASS,
     params: SystemParams | None = None,
 ) -> BudgetBreakdown:
     """Budgeted Bell infidelity at a given cat amplitude.
@@ -162,7 +163,7 @@ def predicted_infidelity(
 def optimal_alpha(
     params: SystemParams | None = None,
     p_decode: float = DEFAULT_P_DECODE,
-    p_bright_pass: float = DEFAULT_P_BRIGHT_PASS,
+    p_bright_pass: float = MEASURED_JOINT_FALSE_PASS,
 ) -> tuple[float, BudgetBreakdown]:
     """Cat amplitude minimizing the three-term budget on [0.3, 3].
 

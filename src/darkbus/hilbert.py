@@ -113,13 +113,10 @@ def _log_factorials(dim: int) -> np.ndarray:
 
 
 def norm(kets: np.ndarray):
-    """2-norm of each ket along the last axis, shaped so that
-    ``kets / norm(kets)`` normalizes each: ``np.linalg.norm`` of one ket
-    (the dot products of its real and its imaginary part, summed), and the
-    same two dot products, as 1 x n by n x 1 matrix products, for each ket
-    of a stack, kept as an axis of length 1."""
-    if kets.ndim == 1:
-        return np.linalg.norm(kets)
+    """2-norm of each ket along the last axis, kept as an axis of length 1
+    so that ``kets / norm(kets)`` normalizes each: the dot products of its
+    real and its imaginary part, as 1 x n by n x 1 matrix products, summed
+    (the bits ``np.linalg.norm`` gives for one ket)."""
     re, im = kets.real[..., None, :], kets.imag[..., None, :]
     return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
 
@@ -160,11 +157,6 @@ def condition(rho, dims, ops) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def overlap(a, b) -> complex:
-    """<a|b> for kets."""
-    return complex(np.vdot(a, b))
-
-
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals, 0.0, None)
@@ -179,7 +171,7 @@ def fidelity(a, b) -> float:
     """
     a_ket, b_ket = np.ndim(a) == 1, np.ndim(b) == 1
     if a_ket and b_ket:
-        return float(abs(overlap(a, b)) ** 2)
+        return float(abs(complex(np.vdot(a, b))) ** 2)
     if a_ket or b_ket:
         ket, rho = (a, b) if a_ket else (b, a)
         ket = np.asarray(ket)

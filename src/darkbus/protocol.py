@@ -191,17 +191,6 @@ def success_probability(alpha):
     return _float_or_array(0.5 * (1 - np.exp(-np.abs(alpha) ** 2)) ** 2)
 
 
-def dmm_false_positive(p_gg_bright, p_gg_dark):
-    """Fraction of heralds that are dumped-bright impostors, elementwise over
-    broadcast arrays; 0 where neither branch passes, and a float for scalar
-    arguments.  A negative probability anywhere raises ``ValueError``."""
-    p_b, p_d = np.asarray(p_gg_bright, dtype=float), np.asarray(p_gg_dark, dtype=float)
-    if (np.fmin(p_b, p_d) < 0).any():  # fmin: a NaN does not hide a negative
-        raise ValueError("probabilities cannot be negative")
-    tot = p_b + p_d
-    return _float_or_array(np.divide(p_b, tot, out=np.zeros(tot.shape), where=tot > 0))
-
-
 def _float_or_array(x):
     """``x`` as a float if it holds one value without axes, else as it is."""
     return x if np.ndim(x) else float(x)
@@ -450,8 +439,8 @@ def run_dmm(
     deterministic shrinkage, as an experiment's basis calibration would);
     :func:`~darkbus.tomography.optimize_basis` fits another one to
     ``rho_pass``.  ``params`` is the only source of parameter values: vary
-    alpha with ``params.with_(alpha=...)``, the fixed dump window with
-    ``params.with_(t_dump=...)``.
+    alpha with ``dataclasses.replace(params, alpha=...)``, the fixed dump
+    window with ``dataclasses.replace(params, t_dump=...)``.
 
     Parameters
     ----------
@@ -593,11 +582,12 @@ def alpha_sweep(
     analysis then runs on all the amplitudes at once.  Returns ``p_pass``
     and ``bell_fidelity``, each of shape (len(alphas),), and ``alpha_dark``
     of shape (len(alphas), 2), each cavity's analysis-basis amplitude.  Row
-    k is exactly what ``run_dmm(params.with_(alpha=alphas[k]), check=check,
-    cavity_loss=cavity_loss, dump_time=dump_time)`` reports, its
-    ``alpha_dark`` row the ``basis.alpha`` of that run's ``codewords``;
-    ``params.alpha`` itself is not read.  Like ``run_dmm``, an amplitude
-    with no herald or no codewords (alpha = 0) raises ``NumericalError``.
+    k is exactly what ``run_dmm(dataclasses.replace(params,
+    alpha=alphas[k]), check=check, cavity_loss=cavity_loss,
+    dump_time=dump_time)`` reports, its ``alpha_dark`` row the
+    ``basis.alpha`` of that run's ``codewords``; ``params.alpha`` itself is
+    not read.  Like ``run_dmm``, an amplitude with no herald or no codewords
+    (alpha = 0) raises ``NumericalError``.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or not np.all(np.isfinite(alphas) & (alphas >= 0)):

@@ -231,15 +231,8 @@ class WignerMap:
 
 
 # ---------------------------------------------------------------------------
-# forward maps
+# shot noise
 # ---------------------------------------------------------------------------
-
-
-def wigner_map(state, grid: WignerGrid | None = None) -> np.ndarray:
-    """Parity-contrast Wigner map of a single-mode state on a grid."""
-    grid = grid or WignerGrid.default()
-    rho = hilbert.as_dm(state)
-    return WignerMap(rho.shape[0], grid.betas)(rho).reshape(grid.shape)
 
 
 def sample_counts(w: np.ndarray, shots: int, seed: int | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, config layering, manifest, reruns."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -162,6 +163,56 @@ def test_csv_schema_is_fixed_per_command(tmp_path, command):
             assert f"'{header}'" in text
         else:
             assert text.splitlines()[0] == header
+
+
+# the SystemParams fields that move each command's outputs at its defaults;
+# a change to what a command reads edits this table in the same diff
+_HERALD_FIELDS = {"g_bs", "kappa_b", "t1_cavity", "alpha", "dims", "t_pump", "t_dump", "t_protocol"}
+FIELDS_READ = {
+    "regimes": {"g_bs"},
+    "transfer-efficiency": {"g_bs", "kappa_b"},
+    "phase-sweep": {"g_bs", "kappa_b", "alpha"},
+    "entangle": _HERALD_FIELDS,
+    "alpha-sweep": _HERALD_FIELDS - {"alpha"},
+    "teleport": _HERALD_FIELDS,
+    "tomo-demo": _HERALD_FIELDS,
+    "dual-rail": {"g_bs", "kappa_b"},
+    "error-budget": {
+        "g_bs", "kappa_b", "t1_cavity", "t_protocol",
+        "delta_fsr", "chi_cav_transmon", "chi_bus_transmon", "anharmonicity",
+    },
+    "multiround": set(),
+}
+
+
+def _nudged(name: str, value):
+    """A field's value moved one step: dims one less per mode, any other
+    number (each of a pair) scaled by 1.1."""
+    if name == "dims":
+        return [d - 1 for d in value]
+    return [v * 1.1 for v in value] if isinstance(value, tuple) else value * 1.1
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_reads_the_fields_it_reads_today(tmp_path, command):
+    """A field moves a command when one step of it (``_nudged``) changes the
+    manifest's ``sha256`` or ``summary`` of a run at the defaults
+    (``tomo-demo`` at step 0.25); the fields that do are ``FIELDS_READ``."""
+    cfg, out = tmp_path / "c.yaml", tmp_path / "o"
+
+    def outputs(params: dict) -> str:
+        cfg.write_text(json.dumps({"params": params, "tomo-demo": {"step": 0.25}}))
+        assert run([command, "--config", cfg, "--out", out]) == 0
+        m = read_manifest(out)
+        return json.dumps([m["sha256"], m["summary"]], sort_keys=True)
+
+    base, defaults = outputs({}), SystemParams()
+    moved = {
+        f.name
+        for f in dataclasses.fields(SystemParams)
+        if outputs({f.name: _nudged(f.name, getattr(defaults, f.name))}) != base
+    }
+    assert moved == FIELDS_READ[command]
 
 
 def test_entangle_csv(tmp_path):

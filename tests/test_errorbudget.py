@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from darkbus import errorbudget
+from darkbus import errorbudget, protocol
 from darkbus.dynamics import SystemParams
 from oracles import optimal_alpha_bounded
 
@@ -31,7 +31,6 @@ def test_photon_loss_scaling():
 def test_false_pass_term():
     a = math.sqrt(2)
     p_dark = (1 - math.exp(-2)) ** 2
-    assert errorbudget.dark_pass_probability(a) == pytest.approx(p_dark, rel=1e-12)
     expected = 0.015 / (0.015 + p_dark)
     assert errorbudget.heralded_false_pass(a) == pytest.approx(expected, rel=1e-12)
     assert errorbudget.heralded_false_pass(a) == pytest.approx(
@@ -39,6 +38,34 @@ def test_false_pass_term():
     )
     # a brighter cat is easier to certify
     assert errorbudget.heralded_false_pass(2.0) < errorbudget.heralded_false_pass(1.0)
+
+
+def test_false_pass_takes_arrays():
+    """Elementwise over broadcast arrays, each element the scalar call's
+    float; where neither branch passes the fraction is 0, without a
+    warning, and 1 where only the bright one does; a negative bright pass
+    raises, anywhere in an array and also beside a NaN."""
+    alphas = np.array([0.0, 0.0, 1.0, 1.0])
+    bright = np.array([0.0, 0.1, 0.0, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fp = errorbudget.heralded_false_pass(alphas, bright)
+    p_dark = 2 * protocol.success_probability(1.0)
+    assert fp.tolist() == [0.0, 1.0, 0.0, pytest.approx(0.1 / (0.1 + p_dark), rel=1e-15)]
+    assert fp.tolist() == [
+        errorbudget.heralded_false_pass(float(a), float(p)) for a, p in zip(alphas, bright)
+    ]
+    assert type(errorbudget.heralded_false_pass(1.0)) is float
+    for alpha, bright in [
+        (1.0, -0.1),
+        (1.0, np.array([0.1, -1e-300])),
+        (np.array([1.0, 2.0, 0.5]), np.array([0.3, 0.2, -0.5])),
+        (1.0, np.array([math.nan, -0.1])),
+        (np.array([math.nan, 1.0]), np.array([-0.1, 0.3])),
+        (np.array([1.0, 2.0]), -0.1),
+    ]:
+        with pytest.raises(ValueError, match="negative"):
+            errorbudget.heralded_false_pass(alpha, bright)
 
 
 def test_informational_terms():

@@ -120,7 +120,7 @@ def test_displacement_unitary_and_action():
     dd = displacement(d, beta)
     assert_allclose(dd @ dd.conj().T, np.eye(d), atol=1e-9)
     moved = dd @ fock(d, 0)
-    assert abs(hilbert.overlap(moved, hilbert.coherent(d, beta))) == pytest.approx(
+    assert abs(np.vdot(moved, hilbert.coherent(d, beta))) == pytest.approx(
         1.0, abs=1e-9
     )
 

@@ -1,5 +1,6 @@
 """Wigner maps, shot sampling, MLE reconstruction, logical-level analysis."""
 
+import dataclasses
 import json
 import math
 
@@ -283,14 +284,14 @@ def test_forward_map_and_adjoint_match_trace():
 
 def test_wigner_vacuum():
     grid = WignerGrid.default(1.5, 0.25)
-    w = tomography.wigner_map(fock(12, 0), grid)
+    w = WignerMap(12, grid.betas)(hilbert.as_dm(fock(12, 0))).reshape(grid.shape)
     b = grid.betas.reshape(grid.shape)
     assert_allclose(w, np.exp(-2 * np.abs(b) ** 2), atol=1e-12)
 
 
 def test_wigner_fock1():
     grid = WignerGrid.default(1.5, 0.25)
-    w = tomography.wigner_map(fock(12, 1), grid)
+    w = WignerMap(12, grid.betas)(hilbert.as_dm(fock(12, 1))).reshape(grid.shape)
     b2 = np.abs(grid.betas.reshape(grid.shape)) ** 2
     assert_allclose(w, (4 * b2 - 1) * np.exp(-2 * b2), atol=1e-12)
 
@@ -298,7 +299,7 @@ def test_wigner_fock1():
 def test_wigner_coherent():
     a = 0.8 - 0.3j
     grid = WignerGrid.default(1.5, 0.5)
-    w = tomography.wigner_map(hilbert.coherent(25, a), grid)
+    w = WignerMap(25, grid.betas)(hilbert.as_dm(hilbert.coherent(25, a))).reshape(grid.shape)
     b = grid.betas.reshape(grid.shape)
     assert_allclose(w, np.exp(-2 * np.abs(b - a) ** 2), atol=1e-9)
 
@@ -306,18 +307,16 @@ def test_wigner_coherent():
 def test_wigner_cat_interference():
     """Even cat: two coherent humps plus the oscillating fringe at the origin."""
     alpha = 1.4
-    k = cat(25, alpha)
+    rho = hilbert.as_dm(cat(25, alpha))
     n2 = 2 * (1 + math.exp(-2 * alpha**2))  # |||a> + |-a>||^2
     grid = WignerGrid.default(1.8, 0.3)
-    w = tomography.wigner_map(k, grid)
+    w = WignerMap(25, grid.betas)(rho).reshape(grid.shape)
     b = grid.betas.reshape(grid.shape)
     humps = np.exp(-2 * np.abs(b - alpha) ** 2) + np.exp(-2 * np.abs(b + alpha) ** 2)
     fringe = 2 * np.exp(-2 * np.abs(b) ** 2) * np.cos(4 * alpha * b.imag)
     assert_allclose(w, (humps + fringe) / n2, atol=1e-8)
     # the origin fringe of an even cat peaks at +1 regardless of alpha
-    assert tomography.wigner_map(k, WignerGrid([0.0], [0.0]))[0, 0] == pytest.approx(
-        1.0, abs=1e-9
-    )
+    assert WignerMap(25, [0.0])(rho)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -333,9 +332,8 @@ def test_wigner_linearity(mix, seed):
         return rho / np.trace(rho).real
     r1, r2 = random_dm(5), random_dm(5)
     grid = WignerGrid(np.array([0.0, 0.4, -0.3]), np.array([0.2, -0.5]))
-    w1 = tomography.wigner_map(r1, grid)
-    w2 = tomography.wigner_map(r2, grid)
-    w = tomography.wigner_map(mix * r1 + (1 - mix) * r2, grid)
+    forward = WignerMap(5, grid.betas)
+    w1, w2, w = forward(r1), forward(r2), forward(mix * r1 + (1 - mix) * r2)
     assert_allclose(w, mix * w1 + (1 - mix) * w2, atol=1e-12)
 
 
@@ -612,7 +610,7 @@ def _mean_amplitude(rho, dims):
 
 def _tomo_demo_pair(dims):
     opts = dict(cli.COMMANDS["tomo-demo"][1])
-    params = dynamics.SystemParams().with_(dims=(dims[0], 16, dims[1]))
+    params = dataclasses.replace(dynamics.SystemParams(), dims=(dims[0], 16, dims[1]))
     return protocol.run_dmm(params, **cli._herald(opts)).rho_pass
 
 
@@ -702,7 +700,7 @@ def test_optimize_basis_builds_no_kets(monkeypatch):
 
     monkeypatch.setattr(codes, "bell_state", no_bell_ket)
     assert 0 < protocol.run_dmm().bell_fidelity < 1
-    small = dynamics.SystemParams().with_(alpha=0.5, dims=(6, 4, 6))
+    small = dataclasses.replace(dynamics.SystemParams(), alpha=0.5, dims=(6, 4, 6))
     assert 0 < protocol.run_dmm(small, engine="lindblad").bell_fidelity < 1
     _, fidelity, _ = protocol.alpha_sweep(dynamics.SystemParams(), [0.5, 1.0, 2.0])
     assert np.all((0 < fidelity) & (fidelity < 1))
