@@ -158,16 +158,30 @@ def _singlet_fidelity(rho: np.ndarray, dims: tuple[int, int]):
     has them).  rho_S / (2 Tr rho) is taken once here; each call is the
     amplitudes, once per cavity (once in all for a symmetric basis on
     equal truncations), and one |S| x |S| matrix-vector product.  A
-    truncation below 3 raises NumericalError.
+    truncation below 3, or a trace of rho that is not positive and finite,
+    raises NumericalError.
+
+    ``fidelity.derivatives(x)`` gives (F, g, H) of the symmetric basis x:
+    the value, gradient and Hessian.  Each normalized amplitude is
+    exp(L_n(x)), with L_n = c . rows_n - ln|v|, so with <.> and Var the
+    codeword's own photon-number moments dL_n/dalpha = (n - <n>)/alpha,
+    dL_n/dtheta_k = i n(n-1)/2, dL_n/dtheta_r = i n, and the one second
+    derivative d2L_n/dalpha2 = (<n> - n - 2 Var n)/alpha^2.  A product of
+    amplitudes adds its factors' L, so db = G b and d2b = (G G + L'') b,
+    and g = 2 Re(db^dag rho_S b), H = 2 Re(db^dag rho_S db + b^dag rho_S d2b)
+    over 2 Tr rho: one product of rho_S with four vectors.
     """
     d1, d2 = dims
     _check_truncation(d1)
     _check_truncation(d2)
+    tr = float(np.real(np.trace(rho)))
+    if not 0 < tr < math.inf:
+        raise hilbert.NumericalError(f"the pair's trace must be positive and finite, got {tr}")
     odd1, even1 = np.arange(1, d1, 2), np.arange(2, d1, 2)
     odd2, even2 = np.arange(1, d2, 2), np.arange(2, d2, 2)
     s = np.concatenate([(odd1[:, None] * d2 + even2).ravel(), (even1[:, None] * d2 + odd2).ravel()])
     block = rho[np.ix_(s, s)]
-    block /= 2 * float(np.real(np.trace(rho)))
+    block /= 2 * tr
     amps1 = _parity_amplitudes(d1)
     amps2 = amps1 if d2 == d1 else _parity_amplitudes(d2)
 
@@ -181,4 +195,40 @@ def _singlet_fidelity(rho: np.ndarray, dims: tuple[int, int]):
         b = np.concatenate([(m1[:, None] * p2).ravel(), (-p1[:, None] * m2).ravel()])
         return float(np.vdot(b, block @ b).real)
 
+    def log_derivatives(amps, x, levels):
+        """Per codeword (plus, minus): its normalized amplitudes u, dL/dx
+        of shape (3, len(u)) and d2L/dalpha2."""
+        alpha = x[0]
+        out = []
+        for v, n in zip(amps(*x), levels):
+            w = v.real**2 + v.imag**2
+            norm2 = w.sum()
+            w /= norm2
+            mean = w @ n
+            var = w @ (n - mean) ** 2
+            first = np.array([(n - mean) / alpha, 0.5j * n * (n - 1), 1j * n])
+            out.append((v / math.sqrt(norm2), first, (mean - n - 2 * var) / alpha**2))
+        return out
+
+    def derivatives(x):
+        words1 = log_derivatives(amps1, x, (even1, odd1))
+        words2 = words1 if amps2 is amps1 else log_derivatives(amps2, x, (even2, odd2))
+        (p1, dp1, ddp1), (m1, dm1, ddm1) = words1
+        (p2, dp2, ddp2), (m2, dm2, ddm2) = words2
+        b = np.concatenate([(m1[:, None] * p2).ravel(), (-p1[:, None] * m2).ravel()])
+        grad_l = np.concatenate(
+            [(dm1[:, :, None] + dp2[:, None, :]).reshape(3, -1),
+             (dp1[:, :, None] + dm2[:, None, :]).reshape(3, -1)], axis=1
+        )
+        curv_l = np.concatenate([(ddm1[:, None] + ddp2).ravel(), (ddp1[:, None] + ddm2).ravel()])
+        vecs = np.concatenate([b[None], grad_l * b])
+        z = vecs @ block.T  # rows: rho_S b, then rho_S db_k
+        y = z[0].conj() * b
+        value = float(np.vdot(b, z[0]).real)
+        grad = 2 * (vecs[1:].conj() @ z[0]).real
+        hess = 2 * (vecs[1:].conj() @ z[1:].T + (grad_l * y) @ grad_l.T).real
+        hess[0, 0] += 2 * (y @ curv_l).real
+        return value, grad, hess
+
+    fidelity.derivatives = derivatives
     return fidelity

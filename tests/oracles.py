@@ -218,17 +218,6 @@ def optimal_alpha_bounded(params: SystemParams | None = None, **budget) -> float
     return float(res.x)
 
 
-def nelder_mead(f, simplex, xatol: float, fatol: float, maxiter: int):
-    """scipy's Nelder-Mead from an initial simplex."""
-    simplex = np.asarray(simplex, dtype=float)
-    return scipy.optimize.minimize(
-        f,
-        simplex[0],
-        method="Nelder-Mead",
-        options={"initial_simplex": simplex, "xatol": xatol, "fatol": fatol, "maxiter": maxiter},
-    )
-
-
 def displaced_parity(dim: int, beta: complex) -> np.ndarray:
     """The hermitian kernel M(beta) = D(2 beta) P truncated to dim."""
     return kernel_stack(dim, np.array([beta]))[0]

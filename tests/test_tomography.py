@@ -27,7 +27,6 @@ from oracles import (
     kerr_unitary,
     materialize_coherent,
     mle_density_reference,
-    nelder_mead,
     optimize_basis_reference,
     traced_peak,
 )
@@ -617,12 +616,13 @@ def _tomo_demo_pair(dims):
 @pytest.mark.parametrize("dims", [(12, 12), (8, 10)])
 def test_optimize_basis_matches_reference_objective(dims):
     """On tomo-demo's heralded pair (its default dims and unequal ones) the
-    fit lands on the x and fidelity of the objective that builds both
-    cavities' codewords and the Bell ket every evaluation, searched once
-    from the same start: the fidelity to 1e-13 and x to 1e-6, ten times the
-    search's xatol (the two objectives round differently, so the simplex
-    may take other last steps).  With unequal dims the cavities must not
-    share one set of codewords."""
+    fit lands on the x and fidelity of a Nelder-Mead search of the
+    objective that builds both cavities' codewords and the Bell ket every
+    evaluation, started at the same point: the fidelity to 1e-13 and x to
+    1e-6, ten times that search's xatol (the simplex stops anywhere within
+    xatol of the maximum; the Newton fit stops where its predicted rise
+    reaches the fidelity's rounding level).  With unequal dims the cavities
+    must not share one set of codewords."""
     rho = _tomo_demo_pair(dims)
     assert rho.space.dims == dims
     fit = tomography.optimize_basis(rho, dims)
@@ -634,18 +634,23 @@ def test_optimize_basis_matches_reference_objective(dims):
     assert fit.success == ref.success
 
 
-@pytest.mark.parametrize("dims", [(12, 12), (8, 10), (6, 6), (40, 40), (3, 3)])
+@pytest.mark.parametrize("dims", [(12, 12), (8, 10), (6, 6), (40, 40), (3, 3), (3, 5)])
 def test_basis_objective_matches_reference_objective(dims):
     """The closed-form parity-block objective equals the Bell fidelity from
     codewords built of four coherent kets and a Kronecker-product Bell ket,
     to 1e-14, at random (alpha <= 3, theta_k, theta_r) on a random pair state
-    and on tomo-demo's pair, with both cavities' parameters the same and
-    different."""
+    and (at dims (12, 12), (8, 10) and (3, 5)) on tomo-demo's pair, with both
+    cavities' parameters the same and different.  At those three dims its
+    closed-form derivatives of the symmetric basis give the value to 1e-15,
+    the gradient within 1e-7 (1 + |g|) of central differences of the value
+    and the Hessian within 1e-6 (1 + |H|) of central differences of the
+    gradient, step 1e-5."""
     rng = np.random.default_rng(sum(dims))
     d = dims[0] * dims[1]
     rho = _random_density(rng, d, 3) * 0.8  # trace 0.8: the fidelity divides by it
     states = [rho]
-    if dims == (12, 12):
+    check_derivatives = dims in [(12, 12), (8, 10), (3, 5)]
+    if check_derivatives:
         states.append(hilbert.as_dm(_tomo_demo_pair(dims)))
 
     def reference(rho, x1, x2):
@@ -654,12 +659,24 @@ def test_basis_objective_matches_reference_objective(dims):
         bell = bell_state_kron(w1, w2)
         return float(np.real(bell.conj() @ rho @ bell) / np.real(np.trace(rho)))
 
+    steps = 1e-5 * np.eye(3)
     for rho in states:
         fidelity = codes._singlet_fidelity(rho, dims)
         for _ in range(40):
             x1, x2 = rng.uniform([0.05, -np.pi, -np.pi], [3.0, np.pi, np.pi], (2, 3))
             assert fidelity(x1) == pytest.approx(reference(rho, x1, x1), abs=1e-14)
             assert fidelity(x1, x2) == pytest.approx(reference(rho, x1, x2), abs=1e-14)
+            if not check_derivatives:
+                continue
+            f, g, h = fidelity.derivatives(x1)
+            assert f == pytest.approx(fidelity(x1), abs=1e-15)
+            g_fd = [(fidelity(x1 + e) - fidelity(x1 - e)) / 2e-5 for e in steps]
+            h_fd = [
+                (fidelity.derivatives(x1 + e)[1] - fidelity.derivatives(x1 - e)[1]) / 2e-5
+                for e in steps
+            ]
+            assert np.all(np.abs(g - g_fd) <= 1e-7 * (1 + np.abs(g)))
+            assert np.all(np.abs(h - h_fd) <= 1e-6 * (1 + np.abs(h)))
 
 
 @pytest.mark.parametrize("dims", [(12, 12), (8, 10), (3, 5)])
@@ -683,7 +700,7 @@ def test_basis_objective_scores_the_decoders_codewords(dims):
 @pytest.mark.parametrize("dims", [(2, 12), (12, 2)])
 def test_optimize_basis_refuses_a_truncation_below_3(dims, monkeypatch):
     """The codewords' truncation check runs before the search starts."""
-    monkeypatch.setattr(tomography, "_nelder_mead", None)  # never reached
+    monkeypatch.setattr(tomography, "BASIS_MAX_ITER", None)  # never reached
     rho = np.eye(dims[0] * dims[1], dtype=complex) / (dims[0] * dims[1])
     with pytest.raises(hilbert.NumericalError, match="truncation of at least 3, got 2"):
         tomography.optimize_basis(rho, dims)
@@ -715,43 +732,43 @@ def test_optimize_basis_builds_no_kets(monkeypatch):
     assert coherent_calls == []
 
 
-@pytest.mark.parametrize("maxiter", [2000, 40])
-def test_nelder_mead_reproduces_scipy(maxiter):
-    """On tomo-demo's pair and basis-fit objective, the port takes scipy's
-    steps exactly: the same x, value, evaluation and iteration counts and
-    success flag, which is False when maxiter runs out first."""
-    pair = _tomo_demo_pair((12, 12))
-    rho = hilbert.as_dm(pair)
+def _counting_objective(monkeypatch):
+    """Patch the fit's objective to log each search it starts (its first
+    point) and each derivative and value evaluation."""
+    log = {"starts": [], "derivatives": 0, "values": 0}
+    singlet_fidelity = tomography._singlet_fidelity
 
-    def neg_fid(x):
-        alpha, theta_k, theta_r = x
-        if alpha < 0.05:
-            return 1.0 + abs(alpha)
-        words = LogicalBasis(alpha, theta_k=theta_k, theta_r=theta_r).codewords(12)
-        bell = codes.bell_state(words, words)
-        return -float(np.real(bell.conj() @ rho @ bell))
+    def counting(rho, dims):
+        fidelity = singlet_fidelity(rho, dims)
+        starts = log["starts"]
+        starts.append(None)
 
-    x0 = np.array([_mean_amplitude(pair, (12, 12)), 0.0, 0.0])
-    simplex = np.array([x0, x0 + [0.15, 0, 0], x0 + [0, 0.25, 0], x0 + [0, 0, 0.25]])
-    got = tomography._nelder_mead(neg_fid, simplex, xatol=1e-7, fatol=1e-12, maxiter=maxiter)
-    ref = nelder_mead(neg_fid, simplex, xatol=1e-7, fatol=1e-12, maxiter=maxiter)
-    assert np.array_equal(got.x, ref.x)
-    assert got.fun == ref.fun
-    assert (got.nfev, got.nit, got.success) == (ref.nfev, ref.nit, ref.success)
-    assert got.success == (maxiter == 2000)
+        def value(*x):
+            log["values"] += 1
+            return fidelity(*x)
+
+        def derivatives(x):
+            log["derivatives"] += 1
+            if starts[-1] is None:
+                starts[-1] = np.array(x)
+            return fidelity.derivatives(x)
+
+        value.derivatives = derivatives
+        return value
+
+    monkeypatch.setattr(tomography, "_singlet_fidelity", counting)
+    return log
 
 
 def test_optimize_basis_one_search_matches_four_starts(monkeypatch):
     """One search from the state's mean amplitude reaches the best of the
-    four Kerr-angle starts on heralded, self-Kerr and twisted pairs."""
-    searches = []
-    nelder_mead = tomography._nelder_mead
-
-    def counting_nelder_mead(*args, **kwargs):
-        searches.append(1)
-        return nelder_mead(*args, **kwargs)
-
-    monkeypatch.setattr(tomography, "_nelder_mead", counting_nelder_mead)
+    four Kerr-angle starts on heralded, self-Kerr and twisted pairs.  On
+    the pairs twisted by 1.45, 2.89 and 5.78 rad at dim 12, undamped Newton
+    steps s = -H^-1 g (alpha held at 0.05 or above) run to alpha = 0.05 and
+    a fidelity of 0.20 against 0.28.  The fit may land on another (theta_k,
+    theta_r) with the same codewords, so only the fidelity and alpha are
+    compared."""
+    log = _counting_objective(monkeypatch)
     kerr_pair = protocol.run_dmm(
         dynamics.SystemParams(alpha=0.8, dims=(6, 4, 6)), engine="lindblad", include_kerr=True
     ).rho_pass
@@ -761,13 +778,60 @@ def test_optimize_basis_one_search_matches_four_starts(monkeypatch):
         (_damped_twisted_bell(1.2, 0.2, -20e3, 2.5e-6, dim=10), (10, 10)),  # theta_k 0.31
         (_damped_twisted_bell(math.sqrt(2), 0.1, -23e3, 10e-6, dim=14), (14, 14)),
     ]
+    for t in (10e-6, 20e-6, 40e-6):  # theta_k 1.45, 2.89, 5.78
+        cases.append((_damped_twisted_bell(1.2, 0.2, -23e3, t, dim=12), (12, 12)))
     for rho, dims in cases:
-        searches.clear()
+        log["starts"].clear()
         fit = tomography.optimize_basis(rho, dims)
         ref = optimize_basis_reference(rho, dims)
-        assert len(searches) == 1
+        assert len(log["starts"]) == 1
+        assert_allclose(log["starts"][0], [_mean_amplitude(rho, dims), 0, 0], rtol=1e-14, atol=0)
+        assert fit.success
         assert fit.fidelity >= -ref.fun - 1e-12
         assert fit.basis.alpha == pytest.approx(abs(ref.x[0]), abs=1e-6)
+
+
+def test_optimize_basis_evaluation_counts(monkeypatch):
+    """A tripwire on the fit's cost: on tomo-demo's pair it makes at most
+    12 derivative and 12 value evaluations (4 and 3 when written; the
+    Nelder-Mead search it replaced made 172 value evaluations), and with
+    the step cap at 1 it reports that it has not converged."""
+    rho = _tomo_demo_pair((12, 12))
+    log = _counting_objective(monkeypatch)
+    fit = tomography.optimize_basis(rho, (12, 12))
+    assert fit.success
+    assert 1 <= log["derivatives"] <= 12
+    assert log["values"] <= 12
+    monkeypatch.setattr(tomography, "BASIS_MAX_ITER", 1)
+    capped = tomography.optimize_basis(rho, (12, 12))
+    assert not capped.success
+    assert capped.fidelity <= fit.fidelity
+
+
+@pytest.mark.parametrize("trace", [0.0, -0.5, np.nan, np.inf])
+def test_optimize_basis_refuses_a_trace_that_is_not_positive_and_finite(trace, monkeypatch):
+    """A pair whose trace is not positive and finite has no fidelity to
+    fit: the objective, and so the fit, raise NumericalError before any
+    search (a zero state once gave alpha = nan with a RuntimeWarning)."""
+    monkeypatch.setattr(tomography, "BASIS_MAX_ITER", None)  # never reached
+    rho = np.zeros((144, 144), dtype=complex)
+    rho[0, 0] = trace
+    with pytest.raises(hilbert.NumericalError, match="trace must be positive and finite"):
+        codes._singlet_fidelity(rho, (12, 12))
+    with pytest.raises(hilbert.NumericalError, match="trace must be positive and finite"):
+        tomography.optimize_basis(rho, (12, 12))
+
+
+def test_optimize_basis_on_a_pair_without_singlet_weight():
+    """A pair with no weight on the singlet's parity block, here the vacuum,
+    has fidelity 0 in every basis: the fit starts at alpha 0.05, not at the
+    mean amplitude 0, finds nothing to climb and reports success."""
+    rho = np.zeros((144, 144), dtype=complex)
+    rho[0, 0] = 1.0
+    fit = tomography.optimize_basis(rho, (12, 12))
+    assert fit.success
+    assert fit.fidelity == 0.0
+    assert fit.x.tolist() == [0.05, 0.0, 0.0]
 
 
 def test_optimize_basis_on_clean_bell():
