@@ -39,9 +39,11 @@ Liouvillian over a duration, one matrix-free truncated Taylor series whose
 length follows from a rigorous norm bound (no step size to choose, nothing
 random drawn) -- is kept for what the linear core cannot do: it is the
 independent oracle the tests check the closed forms against, and the only
-path that evolves self-Kerr.  Its operators come from the same network
-description: :func:`network_operators` turns (A, Gamma) into H and the
-collapse operators at a Fock truncation, so both solvers read one model.
+path that evolves self-Kerr.  Given the mode truncations it propagates only
+the even coherence orders, all that the herald's numbers read.  Its
+operators come from the same network description: :func:`network_operators`
+turns (A, Gamma) into H and the collapse operators at a Fock truncation, so
+both solvers read one model.
 """
 
 from __future__ import annotations
@@ -332,7 +334,9 @@ _TAYLOR_THETA = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
-_MAX_APPLICATIONS = 10**6  # of L per solve; the benchmark plans 330, the tests at most 6820
+# Applications of L per solve at most.  The benchmark's dump plans 330 and,
+# on its even coherence orders, makes 154; the tests plan at most 6820.
+_MAX_APPLICATIONS = 10**6
 
 
 def _diagonals(a) -> list[tuple[int, np.ndarray]]:
@@ -349,6 +353,34 @@ def _diagonals(a) -> list[tuple[int, np.ndarray]]:
         u[max(-o, 0):dim - max(o, 0)] = np.diagonal(a, o)
         diagonals.append((o, u))
     return diagonals
+
+
+def _entries(diagonals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero entries that ``diagonals``,
+    as :func:`_diagonals` lists them, hold."""
+    found = [(x, x + o, u[x]) for o, u in diagonals for x in [np.flatnonzero(u)]]
+    empty = np.zeros(0, dtype=int)
+    rows, cols, values = zip(*found) if found else ([empty], [empty], [empty])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def _placed(diagonals, blocks: _Blocks) -> list[tuple[int, np.ndarray]]:
+    """The ``diagonals`` of a dim x dim matrix, as :func:`_diagonals` lists
+    them, on the count size slots of the layout ``blocks``: entry (x, y) at
+    row index[x] and column index[y], in increasing offset."""
+    if blocks.count == 1:
+        return diagonals
+    rows, cols, values = _entries(diagonals)
+    rows, offsets = blocks.index[rows], blocks.index[cols] - blocks.index[rows]
+    order = np.argsort(offsets, kind="stable")
+    rows, offsets, values = rows[order], offsets[order], values[order]
+    starts = np.flatnonzero(np.diff(offsets, prepend=offsets[:1] - 1)).tolist()
+    placed = []
+    for start, stop in zip(starts, starts[1:] + [len(offsets)]):
+        u = np.zeros(blocks.count * blocks.size, dtype=complex)
+        u[rows[start:stop]] = values[start:stop]
+        placed.append((int(offsets[start]), u))
+    return placed
 
 
 def _pack(rho: np.ndarray) -> np.ndarray:
@@ -371,6 +403,95 @@ def _unpack(m: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _block_norm(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """||a||_2 of the square ``a``, whose nonzero entries are at (rows,
+    cols), as the largest 2-norm among its connected blocks, the sets of
+    indices that those entries link: a is block diagonal once they are
+    listed together, so its singular values are theirs.  A 1 x 1 block is
+    |a_ii|; only blocks of two or more indices take an SVD.  Each index is
+    labelled with the least index of its block by spreading minima along
+    the entries, with pointer jumping, until nothing moves."""
+    label = np.arange(len(a))
+    while True:
+        least = label.copy()
+        np.minimum.at(least, rows, label[cols])
+        np.minimum.at(least, cols, label[rows])
+        least = least[least]
+        if np.array_equal(least, label):
+            break
+        label = least
+    sizes = np.bincount(label)
+    norm = float(np.abs(a.diagonal()[sizes[label] == 1]).max(initial=0.0))
+    for root in np.flatnonzero(sizes > 1):
+        block = np.flatnonzero(label == root)
+        norm = max(norm, float(np.linalg.svd(a[np.ix_(block, block)], compute_uv=False)[0]))
+    return norm
+
+
+@dataclass(frozen=True)
+class _Blocks:
+    """The layout of a propagated state: each basis state x of the space,
+    in its row-major order, sits in block ``index[x] // size`` at slot
+    ``index[x] % size``, and the state is the stack of its diagonal blocks
+    (rho restricted to the states of one block, on rows and columns), a
+    real (count size) x size array once packed (:func:`_pack`).  A slot
+    that holds no state stays 0.  :meth:`full` is the whole space as one
+    block; :meth:`parity` the two total-parity blocks of a Fock space."""
+
+    count: int
+    size: int
+    index: np.ndarray
+
+    @classmethod
+    def full(cls, dim: int) -> "_Blocks":
+        return cls(1, dim, np.arange(dim))
+
+    @classmethod
+    def parity(cls, dims) -> "_Blocks":
+        """Fock state x = (n_1, ..., n_k) in block P = sum n mod 2 at slot
+        (sum r_i n_i - P) / 2, with odd mixed radices r_i: the last is 1,
+        each earlier one the smallest odd number above the largest value of
+        sum r_j n_j over the modes after it ((27, 7, 1) at dims (6, 4, 6)).
+        The sum is odd exactly where the photon number is, and lowering or
+        raising mode i moves it by r_i, so it moves every state of one
+        block into the other by one number of slots, and a hop between
+        modes i and j moves every state by (r_i - r_j) / 2 slots within its
+        block."""
+        radices, top = [], 0
+        for d in reversed(dims):
+            radices.insert(0, top + 1 + top % 2)
+            top += radices[0] * (d - 1)
+        s = reduce(np.add.outer, [r * np.arange(d) for r, d in zip(radices, dims)]).ravel()
+        size = int(s.max()) // 2 + 1
+        return cls(2, size, s % 2 * size + s // 2)
+
+    def _states(self):
+        """Per block, its states and their slots."""
+        block, slot = np.divmod(self.index, self.size)
+        for b in range(self.count):
+            states = np.flatnonzero(block == b)
+            yield states, slot[states]
+
+    def gather(self, m: np.ndarray) -> np.ndarray:
+        """The stack of the diagonal blocks of the dim x dim ``m``."""
+        if self.count == 1:
+            return m
+        out = np.zeros((self.count * self.size, self.size))
+        for states, slots in self._states():
+            out[np.ix_(self.index[states], slots)] = m[np.ix_(states, states)]
+        return out
+
+    def scatter(self, stack: np.ndarray) -> np.ndarray:
+        """The dim x dim matrix whose diagonal blocks ``stack`` holds, 0
+        between blocks."""
+        if self.count == 1:
+            return stack
+        out = np.zeros((len(self.index),) * 2)
+        for states, slots in self._states():
+            out[np.ix_(states, states)] = stack[np.ix_(self.index[states], slots)]
+        return out
+
+
 class _Liouvillian:
     """L - mu for L rho = K rho + rho K^dag + sum_c c rho c^dag,
     K = -iH - (1/2) sum_c c^dag c, applied to the real packing
@@ -383,82 +504,130 @@ class _Liouvillian:
     the packing of K' rho + rho K'^dag + sum_c c rho c^dag, one operator
     diagonal at a time and in real arithmetic only.
 
-    ``mu`` is Tr L / dim^2, from the exact trace 2 dim Re Tr K + sum |Tr c|^2.
-    ``bound`` is 2 ||K'||_2 + sum ||c||_1 ||c||_inf >= ||L - mu||_2, or inf
-    where K' is not finite: ||K'||_2 is exact, from the SVD of the dense K',
-    which is assembled once and freed before the constructor returns, and
-    ||c||_1 ||c||_inf, the largest column sum of |c| times its largest row
-    sum, bounds ||c||_2^2, exactly for a ladder operator.
+    ``blocks`` (:class:`_Blocks`) lays M out as the stack of its diagonal
+    blocks, a real (count size) x size array.  The full space is one block
+    of dim slots, M itself.  The even coherence orders q = N_ket - N_bra of
+    a Fock space are two blocks, even N with even N and odd N with odd N:
+    state x = (n_1, ..., n_k) sits in block P = sum n mod 2 at slot
+    (sum r_i n_i - P)/2, with the odd mixed radices r_i of
+    :meth:`_Blocks.parity`, (27, 7, 1) and 81 slots a block at dims
+    (6, 4, 6), so the stack holds 2 x 81^2 entries, 0.63 of dim^2 = 144^2.
+    That layout is exact where K' keeps photon-number parity and each c
+    keeps it on every entry or flips it on every one, as
+    :func:`lindblad_evolve` checks: then L never feeds odd q into even q.
+    The diagonals of K' and of each c are placed on the count size slots
+    (:func:`_placed`), where every hop or ladder operator is one constant
+    slot offset per block, so the terms below carry over: a diagonal of K'
+    stays in its block, and a pair of diagonals of a c that flips parity
+    writes one block and reads the other.
 
-    The constructor keeps only vectors of length dim: ``k_diagonals``, the
-    nonzero diagonals of K' (:func:`_diagonals`), and for each pair of
-    diagonals of one c their shift and factors, so the caller may free H
-    and the c's once it returns.  :meth:`buffers` then builds the weights,
-    each a real dim^2 array on the row-major vec of M, and the working
-    buffers.  K''s main diagonal k gives two weights, Re k_i + Re k_j on M
-    and Im k_i - Im k_j on M^T.  The real part of an off-main diagonal u of
-    K' at offset o, repeated along each row, is one weight at the shift
-    o dim, used twice: on M into the output (K_R M) and on M^T into a sum
-    that is added transposed ((K_R M^T)^T); its imaginary part the same way
-    on M^T (K_I M^T) and, subtracted, on M ((K_I M)^T).  A pair of diagonals
-    (o1, u1), (o2, u2) of one c gives the shift o1 dim + o2 and the weight
-    u1 (x) conj(u2), its real part on M and its imaginary part on M^T;
-    weights with the same source and shift are one array.  A product with
-    a zero factor is no part of a weight, and a weight with none is no
-    term, so one code path serves every H and c.
+    ``mu`` is Tr L / dim^2, from the exact trace 2 dim Re Tr K +
+    sum |Tr c|^2, on the whole space in either layout.  ``bound`` is
+    2 ||K'||_2 + sum ||c||_1 ||c||_inf >= ||L - mu||_2, or inf where K' is
+    not finite: ||K'||_2 is exact, the largest 2-norm among the connected
+    blocks of the dense K' (:func:`_block_norm`; K' of the network keeps
+    the excitation number, so at the benchmark's dump it splits into 14
+    blocks, and into 23 at dims (10, 5, 10)), which is assembled once and
+    freed before the constructor returns, and ||c||_1 ||c||_inf, the
+    largest column sum of |c| times its largest row sum, bounds ||c||_2^2,
+    exactly for a ladder operator.  Both layouts compute mu and the bound
+    alike, and the bound also holds for L - mu on even q alone, so they
+    plan the same Taylor schedule.
 
-    Each application copies M^T into a buffer of its own, builds the
-    transposed sum in the scratch buffer with the output as scratch, copies
-    it transposed into the output, and adds the other terms to that; each
-    term multiplies the slice it reads into a scratch buffer and adds that
-    to the slice it writes.  Outside those slices its weight is 0, as it is
-    on every entry that crosses an edge of M.  An application allocates
-    nothing of size dim^2.  For the three-mode network's real H and ladder
-    operators, as at the benchmark's dump, that is 8 terms and 4 transposed
-    terms over 8 weights: the main diagonal's, one for each of H's four
-    hopping diagonals (in a term and a transposed term) and one per
-    collapse operator.  With H = 0 and ladder operators, as in the pump and
-    post windows, K' is diagonal: 1 + (number of c's) terms and no
-    transposed term.  A dense operator of n nonzero diagonals costs up to
-    2 n^2 dim^2 and stores up to 2 n^2 weights.  Besides the packed state,
-    the working memory is the weights, the two term buffers, the scratch
-    buffer and the copy of M^T, each a separate real dim^2 array: thirteen
-    at the dump, the size of 6.5 complex ones.
+    The constructor keeps only vectors of length count size:
+    ``k_diagonals``, the nonzero diagonals of K' on the slots, and for
+    each pair of diagonals of one c their shift and factors, so the
+    caller may free H and the c's once it returns.  :meth:`buffers` then
+    builds the weights, each a real array on the row-major vec of the
+    stack, n = count size^2 entries long at most, and the working buffers.
+    K''s main diagonal k gives two weights, Re k_i + Re k_j on M and
+    Im k_i - Im k_j on M^T, for the slots i and j of one block.  The real
+    part of an off-main diagonal u of K' at offset o, repeated along each
+    row, is one weight at the shift o size, used twice: on M into the
+    output (K_R M) and on M^T into a sum that is added transposed, block
+    by block ((K_R M^T)^T); its imaginary part the same way on M^T
+    (K_I M^T) and, subtracted, on M ((K_I M)^T).  A pair of diagonals
+    (o1, u1), (o2, u2) of one c, whose entries read the block b blocks
+    after the one they write (b = 0 in the full layout), gives the shift
+    (o1 - b) size + o2 and the weight u1 (x) conj(u2) on each block,
+    its real part on M and its imaginary part on M^T; weights with the
+    same source and shift are one array, and a term's slices shrink to
+    where its weight is not 0.  A product that is 0 on every block is no
+    part of a weight, and a weight with none is no term, so one code path
+    serves every H and c.
+
+    Each application copies M^T, block by block, into a buffer of its
+    own, builds the transposed sum in the scratch buffer with the output
+    as scratch, copies it transposed into the output, and adds the other
+    terms to that; each term multiplies the slice it reads into a scratch
+    buffer and adds that to the slice it writes.  Outside those slices its
+    weight is 0, as it is on every entry that crosses an edge of a block.
+    An application allocates nothing of size n.  For the three-mode
+    network's real H and ladder operators, as at the benchmark's dump,
+    the full layout has 8 terms and 4 transposed terms over 8 weights: the
+    main diagonal's, one for each of H's four hopping diagonals (in a term
+    and a transposed term) and one per collapse operator.  The two parity
+    blocks have 11 terms and 4 transposed terms over 11 weights: each
+    ladder operator flips parity, so its pair gives one weight per block it
+    writes, each covering about one block.  With H = 0 and ladder operators,
+    as in the pump and post windows, K' is diagonal: 1 + (number of c's)
+    terms and no transposed term.  A dense operator of m nonzero diagonals
+    costs up to 2 m^2 n and stores up to 2 m^2 weights.  The working
+    memory is the packed state, the weights, the two term buffers, the
+    scratch buffer and the copy of M^T, each a separate real array.  At
+    the dump that is thirteen arrays of dim^2 entries in the full layout,
+    the size of 6.5 complex ones; on the two parity blocks, the state, the
+    five weights of K' and the four buffers take n = 0.63 dim^2 entries
+    each and the six pair weights about n/2 each, 0.63 of the full
+    layout's in all.
     """
 
-    def __init__(self, h: np.ndarray, cs: list[np.ndarray]):
-        """``h`` and each collapse operator in ``cs`` are dim x dim arrays."""
+    def __init__(self, h: np.ndarray, cs: list[np.ndarray], blocks: _Blocks | None = None):
+        """``h`` and each collapse operator in ``cs`` are dim x dim arrays;
+        ``blocks`` is the layout of the state, the full space by default."""
         self.dim = dim = len(h)
-        self.c_pairs = []
+        self.blocks = blocks = blocks or _Blocks.full(dim)
+        c_diagonals = [_diagonals(c) for c in cs]
         # An overflow here shows up as bound = inf, which the caller reports.
         with np.errstate(over="ignore", invalid="ignore"):
             k = -1j * h
-            for diagonals in map(_diagonals, cs):
+            for diagonals in c_diagonals:
                 for o1, u1 in diagonals:
                     for o2, u2 in diagonals:
                         i = np.arange(max(0, -o1, -o2), dim - max(0, o1, o2))
                         k[i + o1, i + o2] -= 0.5 * (u1[i].conj() * u2[i])
-                        self.c_pairs.append((o1 * dim + o2, u1, u2.conj()))
             self.mu = (2 * dim * np.trace(k).real + sum(abs(np.trace(c)) ** 2 for c in cs)) / dim**2
             k.flat[::dim + 1] -= self.mu / 2
+            k_diagonals = _diagonals(k)
             self.bound = math.inf
             if np.isfinite(k).all():
                 c_norms = (np.abs(c).sum(axis=0).max() * np.abs(c).sum(axis=1).max() for c in cs)
-                self.bound = float(sum(c_norms, 2 * float(np.linalg.norm(k, 2))))
-        self.k_diagonals = _diagonals(k)
+                k_norm = _block_norm(k, *_entries(k_diagonals)[:2])
+                self.bound = float(sum(c_norms, 2 * k_norm))
+        self.k_diagonals = _placed(k_diagonals, blocks)
+        size, self.c_pairs = blocks.size, []
+        for diagonals in (_placed(d, blocks) for d in c_diagonals):
+            for o1, u1 in diagonals:
+                first = np.flatnonzero(u1)[0]
+                b = (first + o1) // size - first // size  # source block less output block
+                for o2, u2 in diagonals:
+                    self.c_pairs.append(((o1 - b) * size + o2, u1, u2.conj()))
 
     def buffers(self) -> tuple[np.ndarray, np.ndarray]:
         """Build the flat weights, the scratch buffer and the buffer for the
-        copy of M^T; return the two real dim x dim buffers that
+        copy of M^T; return the two real (count size) x size buffers that
         :meth:`apply` alternates between."""
-        dim, n = self.dim, self.dim**2
+        count, size = self.blocks.count, self.blocks.size
+        rows = count * size
+        n = rows * size
         off_main = dict(self.k_diagonals)
-        kd = off_main.pop(0, np.zeros(dim, dtype=complex))
-        re, im, ones = kd.real, kd.imag, np.ones(dim)
-        # Each flat weight, by (source, shift), is a sum of outer products
-        # u (x) v of real vectors: the main diagonal's, and for a pair of one
-        # c's diagonals Re(u1 (x) conj(u2)) on M and Im on M^T.  A product
-        # with a zero factor is left out, and a weight with none is no term.
+        kd = off_main.pop(0, np.zeros(rows, dtype=complex))
+        re, im, ones = kd.real, kd.imag, np.ones(rows)
+        # Each flat weight, by (source, shift), is a sum of blockwise outer
+        # products u (x) v of real vectors: the main diagonal's, and for a
+        # pair of one c's diagonals Re(u1 (x) conj(u2)) on M and Im on M^T.
+        # A product that is 0 on every block is left out, and a weight with
+        # none is no term.
         products = [((0, 0), re, ones), ((0, 0), ones, re), ((1, 0), im, ones), ((1, 0), ones, -im)]
         for shift, u1, u2 in self.c_pairs:
             products += [
@@ -467,7 +636,8 @@ class _Liouvillian:
             ]
         factors = {}
         for key, u, v in products:
-            if u.any() and v.any():
+            u, v = u.reshape(count, size), v.reshape(count, size)
+            if (u.any(axis=1) & v.any(axis=1)).any():
                 factors.setdefault(key, []).append((u, v))
 
         def span(shift):  # the slices a term at this shift writes and reads
@@ -476,33 +646,41 @@ class _Liouvillian:
 
         self.terms, self.transposed_terms = [], []
         for (source, shift), uv in factors.items():
-            write, read = span(shift)
-            w = sum(u[:, None] * v for u, v in uv).reshape(n)
-            self.terms.append((write, read, source, w[write]))
+            w = sum(u[:, :, None] * v[:, None, :] for u, v in uv).reshape(n)
+            if not w.any():  # the products cancel
+                continue
+            # w is 0 wherever the read would cross an edge
+            first, last = np.flatnonzero(w)[[0, -1]].tolist()
+            write, read = slice(first, last + 1), slice(first + shift, last + 1 + shift)
+            self.terms.append((write, read, source, w[write].copy()))
         # Re u: on M into the output and on M^T into the transposed sum;
         # Im u: on M^T into the output and, subtracted, on M into that sum.
         for o, u in off_main.items():
             for source, part in enumerate((u.real, u.imag)):
                 if part.any():
-                    write, read = span(o * dim)
-                    w = np.repeat(part[max(-o, 0):dim - max(o, 0)], dim)
+                    write, read = span(o * size)
+                    w = np.repeat(part[max(-o, 0):rows - max(o, 0)], size)
                     self.terms.append((write, read, source, w))
                     op = (np.add, np.subtract)[source]
                     self.transposed_terms.append((write, read, 1 - source, w, op))
-        src, dst, self.scratch, self.transpose = (np.empty((dim, dim)) for _ in range(4))
+        src, dst, self.scratch, self.transpose = (np.empty((rows, size)) for _ in range(4))
         return src, dst
 
+    def _stack(self, a: np.ndarray) -> np.ndarray:
+        """A view of the buffer ``a`` as its stack of size x size blocks."""
+        return a.reshape(self.blocks.count, self.blocks.size, self.blocks.size)
+
     def apply(self, src, dst) -> np.ndarray:
-        """Write the action on the packed Hermitian matrix ``src`` into
+        """Write the action on the packed Hermitian blocks ``src`` into
         ``dst`` (never ``src`` itself) and return it."""
-        np.copyto(self.transpose, src.T)
+        np.copyto(self._stack(self.transpose), self._stack(src).transpose(0, 2, 1))
         sources = (src.reshape(-1), self.transpose.reshape(-1))
         out, tmp = dst.reshape(-1), self.scratch.reshape(-1)
         tmp.fill(0.0)  # the transposed sum, with dst as scratch
         for write, read, source, w, op in self.transposed_terms:
             np.multiply(w, sources[source][read], out=out[write])
             op(tmp[write], out[write], out=tmp[write])
-        np.copyto(dst, self.scratch.T)
+        np.copyto(self._stack(dst), self._stack(self.scratch).transpose(0, 2, 1))
         for write, read, source, w in self.terms:
             np.multiply(w, sources[source][read], out=tmp[write])
             out[write] += tmp[write]
@@ -548,7 +726,30 @@ def _propagate(packed: np.ndarray, liou: _Liouvillian, t: float) -> None:
         packed *= eta
 
 
-def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
+def _parity_blocks(dims, h: np.ndarray, cs: list[np.ndarray]) -> _Blocks:
+    """The two total-parity blocks of the Fock space of mode truncations
+    ``dims``, once H is checked to keep photon-number parity and each
+    collapse operator to keep it on every entry or flip it on every one."""
+    dim = len(h)
+    if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims) or math.prod(dims) != dim:
+        raise ValueError(
+            f"dims must be mode truncations whose product is H's dimension {dim}, got {dims!r}"
+        )
+    blocks = _Blocks.parity(dims)
+    even, odd = (np.flatnonzero(blocks.index // blocks.size == p) for p in (0, 1))
+    named = [("the Hamiltonian H", h)] + [(f"collapse operator {k}", c) for k, c in enumerate(cs)]
+    for name, a in named:
+        keeps = a[np.ix_(even, even)].any() or a[np.ix_(odd, odd)].any()
+        flips = a[np.ix_(even, odd)].any() or a[np.ix_(odd, even)].any()
+        if flips and (a is h or keeps):
+            raise ValueError(
+                f"{name} mixes photon-number parities, so the even coherence orders "
+                "do not evolve on their own; solve without dims"
+            )
+    return blocks
+
+
+def lindblad_evolve(h, c_ops, state0, t, *, dims=None) -> EvolveResult:
     """Propagate drho/dt = -i[H, rho] + sum_k D[c_k] rho exactly for a duration t.
 
     Parameters
@@ -565,6 +766,20 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
         Duration in seconds, finite and non-negative; ``.final`` is
         the density matrix exp(t L) rho0, a new array.  At t = 0 it is the
         input's density matrix unchanged; at t > 0 it is exactly Hermitian.
+    dims:
+        The mode truncations of a Fock space of dimension dim, or None.
+        Given them, the solve propagates only the even coherence orders
+        q = N_ket - N_bra (N the total photon number): rho's two
+        total-parity blocks, even N with even N and odd N with odd N.
+        ``.final`` is then the even-q part of exp(t L) rho0, its odd-q
+        entries exactly 0 (at t = 0 too), which is all of the answer that a
+        population, a trace or an overlap with a state of one parity
+        reads.  That needs L to keep even q apart from odd q: H must
+        conserve photon-number parity, and each collapse operator must keep
+        it on every entry (dephasing) or flip it on every entry (a ladder
+        operator); ``ValueError`` names an H or a c that does not, and
+        dims whose product is not dim.  Without dims the solve is the one
+        on the whole space.
 
     The Liouvillian L rho = K rho + rho K^dag + sum c rho c^dag, with
     K = -iH - (1/2) sum c^dag c, is applied matrix-free: the dim^2 x dim^2
@@ -576,8 +791,9 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
     the running sum, all three in the Frobenius norm.  The shifted
     Liouvillian is L - mu = K' (x) 1 + 1 (x) conj(K') + sum c (x) conj(c)
     with K' = K - mu/2, so its 2-norm is at most
-    2 ||K'||_2 + sum ||c||_1 ||c||_inf, with ||K'||_2 exact (an SVD of the
-    dense K'); (m, s) minimize m s subject to t * bound / s <= theta_m,
+    2 ||K'||_2 + sum ||c||_1 ||c||_inf, with ||K'||_2 exact (the largest
+    2-norm among the connected blocks of the dense K'); (m, s) minimize
+    m s subject to t * bound / s <= theta_m,
     m <= 55.  The theta_m backward-error analysis holds in any consistent
     norm.  The bound is rigorous, so no norm is estimated and nothing
     random is drawn: the result is a pure function of the inputs.  No
@@ -586,17 +802,22 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
 
     The series runs on one real dim x dim array, the packing
     M = Re rho + Im rho of the state's Hermitian part, from which
-    rho = (M + M^T)/2 + i (M - M^T)/2.  Re rho is symmetric and Im rho
-    antisymmetric, so ||M||_F = ||rho||_F and every Frobenius norm the
-    method reads is the same on M; the action, the scale and the sum are
-    real.  This function packs its copy of the state and lets go of that
+    rho = (M + M^T)/2 + i (M - M^T)/2, or with dims on the stack of M's
+    two parity blocks.  Re rho is symmetric and Im rho antisymmetric, so
+    ||M||_F = ||rho||_F and every Frobenius norm the method reads is the
+    same on M; the action, the scale and the sum are real.  The even-q
+    solve keeps the whole space's mu and bound, which bound L - mu on even
+    q too, so it plans the same (m, s); its norms are those of the even-q
+    part, so it may stop a step's series one term apart from the full
+    solve.  This function packs its copy of the state and lets go of that
     copy and of state0 before :class:`_Liouvillian` assembles the dense K'
     once, for mu and the bound, and keeps only the nonzero diagonals of K'
     and of each c; it then lets go of H and the c's, so the complex state,
     and what its caller passed as temporaries, are freed before the
     weights and buffers are built.  Each application of L - mu goes one
-    diagonal at a time, one real dim^2 weight per term; the terms, their
-    cost and the working memory are listed in :class:`_Liouvillian`.  The
+    diagonal at a time, one real weight per term; the layouts, the terms,
+    their cost and the working memory are listed in :class:`_Liouvillian`.
+    At dims (6, 4, 6) an even-q application costs about 0.73 of a full one.  The
     stopping test computes the running sum's norm only where its
     triangle-inequality bound, the start's norm plus the terms', would
     pass, so it decides as the exact norm does.  The result is unpacked
@@ -624,6 +845,7 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
             )
         if not np.isfinite(c).all():
             raise NumericalError(f"dynamics: collapse operator {k} is not finite")
+    blocks = _Blocks.full(dim) if dims is None else _parity_blocks(dims, h, cs)
     rho = np.array(state0, dtype=complex)  # a copy, so the result never shares memory
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
@@ -641,13 +863,16 @@ def lindblad_evolve(h, c_ops, state0, t) -> EvolveResult:
         # only liou's diagonals: once this call lets go of the dense
         # operators (the loop's c too) and of state0, those the caller
         # passed as temporaries are freed.
-        packed = _pack(rho)
+        packed = blocks.gather(_pack(rho))
         rho = state0 = None
-        liou = _Liouvillian(h, cs)
+        liou = _Liouvillian(h, cs, blocks)
         h = c_ops = cs = c = None
         _propagate(packed, liou, t)
         liou = None  # its weights and buffers go before the result is made
-        rho = _unpack(packed)
+        rho = _unpack(blocks.scatter(packed))
+    elif dims is not None:  # the input's even-q part
+        parity = blocks.index // blocks.size
+        rho *= parity[:, None] == parity
     if not np.isfinite(rho).all():
         raise NumericalError("dynamics: master-equation propagation diverged")
     return EvolveResult(final=rho)

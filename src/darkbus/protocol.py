@@ -216,7 +216,8 @@ class DmmResult:
     check model's ``table`` applied to the vector of sector probabilities;
     the states of the discarded outcomes are never built.
     ``rho_pass`` is built on first access and cached: the coherent engine
-    reads ``bell_fidelity`` without the (d1 d2)^2 density matrix, so a
+    reads ``bell_fidelity`` without the (d1 d2)^2 density matrix, and the
+    lindblad engine without the odd coherence orders of its dump, so a
     caller that only wants the numbers never pays for it.  It is the one
     state the library keeps wrapped: a
     :class:`~darkbus.hilbert.QuantumState`, because perfbench's basis fit
@@ -478,13 +479,24 @@ def run_dmm(
         until the dump and is traced out right after it, so the pump and
         post windows (H = 0, loss only) are solves on the pair, dim = d1 d2,
         and only the dump is one on the full space, dim = prod(params.dims),
-        with the bus added in vacuum.  Each Liouvillian application costs a
-        few real dim^2 passes per term (the terms are listed in
-        ``dynamics._Liouvillian``), and a solve makes one application per
-        Taylor term, a count that grows with the window and the 2-norm of
-        the Liouvillian (153 for the dump, 8 and 9 for the pump and post at
-        the benchmark's alpha 0.5, dims (6, 4, 6)); use reduced dims.  The materialized state is Hermitian to rounding, as
-        the solve requires.  Its analysis basis is each cavity's decayed
+        with the bus added in vacuum.  The dump is an even-q solve
+        (``dims=params.dims``): every term of its Liouvillian, Kerr included,
+        keeps q = N_ket - N_bra, and ``p_pass``, ``p_outcomes`` and
+        ``bell_fidelity`` read only even q (traces at q = 0, and a singlet
+        of odd n1 + n2; the bus trace, the post window and the fold keep
+        q), so it propagates only rho's two total-parity blocks.  Each
+        Liouvillian application costs a few real passes per term over
+        those blocks (0.63 of dim^2 entries at dims (6, 4, 6); the terms
+        are listed in ``dynamics._Liouvillian``), and a solve makes one
+        application per Taylor term, a count that grows with the window
+        and the 2-norm of the Liouvillian (8 for the pump, 154 for the
+        dump and 9 for the post window at the benchmark's alpha 0.5,
+        dims (6, 4, 6)); use reduced dims.  ``rho_pass`` needs odd q too:
+        on first read it solves the dump on the full space and the post
+        window again, from the pump window's output that the result keeps
+        (one (d1 d2)^2 complex array), which costs about what the herald
+        did.  The materialized state is Hermitian to rounding, as the
+        solve requires.  Its analysis basis is each cavity's decayed
         alpha e^{-gamma_k t_exposed/2}, not the coherent engine's dark
         label, which unequal cavity T1s mix with the bright mode (1.5e-4
         apart in alpha, 5e-9 in fidelity at those dims).
@@ -518,22 +530,38 @@ def run_dmm(
         dyads = np.outer(_CAT_COEFFS, _CAT_COEFFS.conj())
         rho = _density_coherent(dyads, _mode_kets(params.alpha * _CAT_LABELS[:, [0, 2]], (d1, d2)))
         rho /= np.trace(rho).real
-        # The bus holds vacuum until the dump and is traced out right after
-        # it, so the H = 0 pump and post windows are solves on the pair.
-        # Operators are popped into each call and the dump's state is made
-        # in it, so that no name here keeps them alive through the solve.
-        for coupling, t in stages:
-            if t <= 0:
-                continue
-            if coupling.any():
-                ops = list(dynamics.network_operators(coupling, gammas, dims))
-                if include_kerr:
-                    ops[0] += dynamics.kerr_hamiltonian(dims, params.kerr)
-                rho = dynamics.lindblad_evolve(ops.pop(0), ops.pop(), _bus_vacuum(rho, dims), t).final
-                rho = hilbert.partial_trace(rho, dims, [0, 2])
-            else:
-                ops = list(dynamics.network_operators(coupling[::2, ::2], gammas[::2], (d1, d2)))
-                rho = dynamics.lindblad_evolve(ops.pop(0), ops.pop(), rho, t).final
+
+        def solve(rho, windows, dump_dims):
+            """The pair state after ``windows`` from ``rho``; the dump's
+            solve gets ``dims=dump_dims``."""
+            # The bus holds vacuum until the dump and is traced out right
+            # after it, so the H = 0 pump and post windows are solves on the
+            # pair.  Operators are popped into each call and the dump's state
+            # is made in it, so that no name here keeps them alive through
+            # the solve.
+            for coupling, t in windows:
+                if t <= 0:
+                    continue
+                if coupling.any():
+                    ops = list(dynamics.network_operators(coupling, gammas, dims))
+                    if include_kerr:
+                        ops[0] += dynamics.kerr_hamiltonian(dims, params.kerr)
+                    rho = dynamics.lindblad_evolve(
+                        ops.pop(0), ops.pop(), _bus_vacuum(rho, dims), t, dims=dump_dims
+                    ).final
+                    rho = hilbert.partial_trace(rho, dims, [0, 2])
+                else:
+                    ops = list(
+                        dynamics.network_operators(coupling[::2, ::2], gammas[::2], (d1, d2))
+                    )
+                    rho = dynamics.lindblad_evolve(ops.pop(0), ops.pop(), rho, t).final
+            return rho
+
+        # Every number read below sits at even q, so the dump propagates
+        # only that half; rho_pass, the whole state, runs dump and post
+        # again from the pump's output on first read.
+        pumped = solve(rho, stages[:1], None)
+        rho = solve(pumped, stages[1:], dims)
         # projective sector probabilities: diag rho summed by sector
         diag = np.real(np.diag(rho))
         sector_probs = np.bincount(_sector_index((d1, d2)), diag, len(SECTORS))
@@ -546,10 +574,10 @@ def run_dmm(
         _require_herald(tr)
         words = _codewords(alpha_dark, (d1, d2))
         fid = codes._singlet_fidelity(rho_gg, (d1, d2))(*[(a, 0, 0) for a in alpha_dark])
-        rho_gg /= tr  # in place: rho_gg is this call's own array
 
         def build_rho_gg():
-            return rho_gg
+            rho_gg = _fold(check, sector_probs, solve(pumped, stages[1:], None), (d1, d2))[1]
+            return rho_gg / float(np.real(np.trace(rho_gg)))
 
     return DmmResult(
         p_pass=float(p_out[0]),

@@ -1194,6 +1194,82 @@ def test_cli_outputs_diff_stops_quietly_when_its_reader_does(tmp_path):
     assert err == ""
 
 
+# The output of two perfbench/run.py runs on master-equation, cut to the
+# lines bench_record.py reads and a few it skips.
+_PERFBENCH_STDOUT = {
+    0: "\n".join([
+        'environment {"nproc": 2, "blas_threads": {"libopenblas.so": 1}, "numpy": "2.4.6"}',
+        "metric master-equation  main_step_s    0.0798379 s  [entangle_lindblad_s]",
+        "step   master-equation  entangle_lindblad_s    0.0798379 s  [median per call]",
+        'info samples {"setup_s": 16, "wall_s": 14, "step": 14}',
+        'info steps {"entangle_lindblad_s": 0.07983790520952888, "transfer_s": 0.0034425645424791306}',
+        'info raw {"wall_s": 0.05904023749985754, "main_step_s": 0.055112389999976585}',
+        '{"correct": true, "attempted": 42, "failed": 0, "metrics": '
+        '{"main_step_s": {"value": 0.07983790520952888, "unit": "s"}, '
+        '"pass_ratio": {"value": 1.0, "unit": "ratio"}}}',
+    ]),
+    1: "\n".join([
+        'environment {"nproc": 2, "blas_threads": {"libopenblas.so": 1}, "numpy": "2.4.6"}',
+        "metric master-equation  dynamics.lindblad_evolve.calls    9 count",
+        '{"correct": true, "attempted": 18, "failed": 0, "metrics": '
+        '{"dynamics.lindblad_evolve.calls": {"value": 9, "unit": "count"}, '
+        '"dynamics.transfer_efficiency.evals": {"value": 0, "unit": "count"}, '
+        '"protocol.teleport.self_s": {"value": 0.0, "unit": "s"}, '
+        '"trace.count_mismatches": {"value": 0, "unit": "count"}}}',
+    ]),
+}
+
+
+def test_bench_record_writes_what_perfbench_printed(tmp_path, monkeypatch, capsys):
+    """``tools/bench_record.py`` on canned perfbench output, so no benchmark
+    runs: one untraced and one traced run per workload asked for, each
+    recorded with its metrics, step times and raw medians; the environment
+    once; and, besides the metrics known to read 0, those that did, other
+    than the tracer's own.  A run that prints no result is recorded as an
+    error and sets the exit status."""
+    tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"))
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd[1:])
+        trace = int(cmd[cmd.index("--trace") + 1])
+        return subprocess.CompletedProcess(cmd, 0, stdout=_PERFBENCH_STDOUT[trace], stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    argv = [str(out), "--workload", "master-equation", "--seconds", "5", "--seed", "7"]
+    assert tool["main"](argv) == 0
+    assert commands == [
+        ["perfbench/run.py", "--workload", "master-equation", "--seed", "7", "--seconds", "5.0",
+         "--trace", str(trace)]
+        for trace in (0, 1)
+    ]
+    record = json.loads(out.read_text())
+    assert record["environment"] == {"nproc": 2, "blas_threads": {"libopenblas.so": 1}, "numpy": "2.4.6"}
+    plain = record["workloads"]["master-equation"]["end_to_end"]
+    assert plain["exit"] == 0 and plain["correct"] is True
+    assert plain["metrics"] == {"main_step_s": 0.07983790520952888, "pass_ratio": 1.0}
+    assert plain["steps"]["entangle_lindblad_s"] == 0.07983790520952888
+    assert plain["raw"]["main_step_s"] == 0.055112389999976585
+    traced = record["workloads"]["master-equation"]["per_layer"]
+    assert traced["metrics"]["dynamics.lindblad_evolve.calls"] == 9
+    assert record["read_zero"] == {
+        "master-equation": ["dynamics.transfer_efficiency.evals", "protocol.teleport.self_s"]
+    }
+    assert set(record["read_zero"]["master-equation"]) <= set(record["known_zero"])
+    assert "wrote" in capsys.readouterr().out
+
+    def traced_run_fails(cmd, **kwargs):
+        if cmd[-1] == "0":
+            return fake_run(cmd)
+        return subprocess.CompletedProcess(cmd, 1, stdout="", stderr="Traceback")
+
+    monkeypatch.setattr(subprocess, "run", traced_run_fails)
+    assert tool["main"](argv) == 1
+    traced = json.loads(out.read_text())["workloads"]["master-equation"]["per_layer"]
+    assert traced["exit"] == 1 and "perfbench printed nothing" in traced["error"]
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_cli_stops_quietly_when_its_reader_does(tmp_path, unbuffered):
     """``darkbus regimes | head -1`` with 2000 damping rates: the reader

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -797,6 +797,88 @@ def test_lindblad_rejects_a_wrapped_state():
     assert np.array_equal(rho0, kept)
 
 
+def _even_q(dims) -> np.ndarray:
+    """The mask of the entries (x, y) of a density matrix over ``dims``
+    whose coherence order N_x - N_y is even."""
+    n = sum(np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")).ravel()
+    return (n[:, None] - n) % 2 == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.sampled_from([(5, 3, 5), (3, 2, 5), (6, 4, 6), (4, 3, 4), (2, 2, 2), (3, 4, 2)]),
+    alpha=st.floats(0.01, 1.5),
+    kappa_b=st.sampled_from([0.0, dynamics.critical_kappa(G), 3e6]),
+    kerr=st.booleans(),
+)
+@example(dims=(5, 3, 5), alpha=1.5, kappa_b=3e6, kerr=True)
+@example(dims=(3, 2, 5), alpha=0.01, kappa_b=0.0, kerr=False)
+@example(dims=(6, 4, 6), alpha=0.5, kappa_b=dynamics.critical_kappa(G), kerr=True)
+def test_even_q_solve_matches_the_full_solve(dims, alpha, kappa_b, kerr):
+    """With ``dims``, the solve equals the full one on the even-q entries,
+    to 1e-14 of the trace, and is exactly 0 on the odd-q ones: odd and
+    even truncations, cats of small to large amplitude, a bus that does
+    not decay, decays at critical damping or far past it, with and
+    without self-Kerr."""
+    params = SystemParams(g_bs=G, kappa_b=kappa_b, dims=dims)
+    h, c_ops = params_network(params)
+    if kerr:
+        h = h + dynamics.kerr_hamiltonian(dims, (-230e3, -70e3))
+    psi0 = product_ket(
+        dims,
+        {"cav1": hilbert.coherent(dims[0], alpha), "cav2": hilbert.coherent(dims[2], -1j * alpha)},
+    )
+    full = dynamics.lindblad_evolve(h, c_ops, psi0, 2e-6).final
+    even = dynamics.lindblad_evolve(h, c_ops, psi0, 2e-6, dims=dims).final
+    mask = _even_q(dims)
+    assert np.all(even[~mask] == 0)
+    assert_allclose(even[mask], full[mask], rtol=0, atol=1e-14 * np.trace(full).real)
+
+
+def test_even_q_solve_takes_collapse_operators_of_one_parity():
+    """A collapse operator that keeps photon-number parity on every entry
+    (dephasing, sqrt(g) n) or flips it on every entry (sqrt(g) (a + a^dag))
+    keeps even q apart from odd q; the even-q solve matches the full one,
+    and returns the input's even-q part at t = 0."""
+    dims = (3, 2, 3)
+    h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
+    a = embed(dims, {"cav1": hilbert.destroy(3)})
+    c_ops = c_ops + [1e3 * embed(dims, {"bus": number(2)}), 1e3 * (a + a.conj().T)]
+    rng = np.random.default_rng(4)
+    psi0 = _random_complex(rng, math.prod(dims))
+    psi0 /= np.linalg.norm(psi0)
+    mask = _even_q(dims)
+    full = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6).final
+    even = dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6, dims=dims).final
+    assert np.all(even[~mask] == 0)
+    assert_allclose(even[mask], full[mask], rtol=0, atol=1e-14)
+    rho0 = hilbert.as_dm(psi0)
+    at_zero = dynamics.lindblad_evolve(h, c_ops, rho0, 0.0, dims=dims).final
+    assert np.array_equal(at_zero, rho0 * mask)
+
+
+def test_even_q_solve_refuses_operators_that_mix_parities():
+    """A drive a + a^dag in H, or a collapse operator that keeps parity on
+    some entries and flips it on others (a + a^dag a), would feed odd q
+    into even q: the even-q solve refuses them by name, and dims that do
+    not multiply to H's dimension; the full solve takes the same
+    operators."""
+    dims = (3, 2, 3)
+    h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
+    a = embed(dims, {"cav1": hilbert.destroy(3)})
+    psi0 = product_ket(dims, {"cav1": hilbert.coherent(3, 0.5)})
+    drive = 1e5 * (a + a.conj().T)
+    with pytest.raises(ValueError, match="the Hamiltonian H mixes photon-number parities"):
+        dynamics.lindblad_evolve(h + drive, c_ops, psi0, 1e-6, dims=dims)
+    mixed = 1e3 * (a + a.conj().T @ a)
+    with pytest.raises(ValueError, match="collapse operator 3 mixes photon-number parities"):
+        dynamics.lindblad_evolve(h, c_ops + [mixed], psi0, 1e-6, dims=dims)
+    with pytest.raises(ValueError, match="product is H's dimension 18"):
+        dynamics.lindblad_evolve(h, c_ops, psi0, 1e-6, dims=(3, 3, 3))
+    for h_full, cs in [(h + drive, c_ops), (h, c_ops + [mixed])]:
+        assert np.isfinite(dynamics.lindblad_evolve(h_full, cs, psi0, 1e-6).final).all()
+
+
 def _distinct_weights(liou):
     """The weight arrays of ``liou``'s terms and transposed terms, one per
     block of memory: a term may hold a slice of its weight, and an off-main
@@ -812,9 +894,11 @@ def test_liouvillian_term_inventory():
     """The term inventory that the _Liouvillian docstring states.  At the
     benchmark's dump, dims (6, 4, 6) with cavity loss on: 8 terms and 4
     transposed terms over 8 weights (the main diagonal, H's four hopping
-    diagonals and one pair weight per ladder operator).  In the pair
-    windows, H = 0 on the two cavities under loss: 3 terms, no transposed
-    term."""
+    diagonals and one pair weight per ladder operator).  On the two
+    total-parity blocks, 81 slots each, 11 terms and 4 transposed terms
+    over 11 weights: a ladder operator's pair weight splits into one per
+    output block, each covering that block.  In the pair windows, H = 0 on
+    the two cavities under loss: 3 terms, no transposed term."""
     params = SystemParams(g_bs=G, dims=(6, 4, 6))
     h, c_ops = params_network(params)
     assert len(c_ops) == 3
@@ -822,6 +906,14 @@ def test_liouvillian_term_inventory():
     dump.buffers()
     assert (len(dump.terms), len(dump.transposed_terms)) == (8, 4)
     assert len(_distinct_weights(dump)) == 8
+
+    even = dynamics._Liouvillian(h, c_ops, dynamics._Blocks.parity(params.dims))
+    src, _ = even.buffers()
+    assert src.shape == (2 * 81, 81)
+    assert (len(even.terms), len(even.transposed_terms)) == (11, 4)
+    assert len(_distinct_weights(even)) == 11
+    within_a_block = [write.start // 81**2 == (write.stop - 1) // 81**2 for write, *_ in even.terms]
+    assert sum(within_a_block) == 6
 
     h, c_ops = dynamics.network_operators(np.zeros((2, 2)), params.gamma_cavity, (6, 6))
     pair = dynamics._Liouvillian(h, c_ops)
@@ -834,7 +926,10 @@ def test_lindblad_working_memory_stays_small():
     """One 144-dim solve, the entangle-lindblad one, peaks at no more than
     eight dim x dim complex arrays: the working memory that the
     _Liouvillian docstring lists, with no per-term temporaries and the
-    complex state freed once packed."""
+    complex state freed once packed.  The same solve on the two
+    total-parity blocks peaks at no more than fifteen real arrays of the
+    two blocks, 2 x 81^2 entries each: that working memory plus the weight
+    being built."""
     dims = (6, 4, 6)
     h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
     psi0 = product_ket(
@@ -842,6 +937,8 @@ def test_lindblad_working_memory_stays_small():
     )
     _, peak = traced_peak(dynamics.lindblad_evolve, h, c_ops, psi0, 2e-6)
     assert peak <= 8 * math.prod(dims) ** 2 * 16
+    _, peak = traced_peak(dynamics.lindblad_evolve, h, c_ops, psi0, 2e-6, dims=dims)
+    assert peak <= 15 * 2 * 81**2 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -468,10 +468,10 @@ def test_run_dmm_lindblad_solves_the_idle_windows_on_the_pair(monkeypatch, t_dum
 
 def test_entangle_lindblad_needs_few_liouvillian_applications(monkeypatch):
     """The benchmark's entangle-lindblad herald (alpha 0.5, dims (6, 4, 6))
-    takes the dump's Taylor schedule, one 144-dim solve over t_dump = 2 us,
-    from the 2-norm bound on L - mu, 2.96e7 s^-1: 153 applications.  The
-    pump and post windows, 36-dim solves on the cavity pair under loss
-    alone, add 8 and 9."""
+    takes the dump's Taylor schedule, one 144-dim solve over t_dump = 2 us
+    that propagates the even coherence orders only, from the 2-norm bound
+    on L - mu, 2.96e7 s^-1: 154 applications.  The pump and post windows,
+    36-dim solves on the cavity pair under loss alone, add 8 and 9."""
     calls = []
     apply = dynamics._Liouvillian.apply
 
@@ -482,7 +482,7 @@ def test_entangle_lindblad_needs_few_liouvillian_applications(monkeypatch):
     monkeypatch.setattr(dynamics._Liouvillian, "apply", counted)
     res = protocol.run_dmm(SystemParams(alpha=0.5, dims=(6, 4, 6)), engine="lindblad")
     assert res.t_dump == pytest.approx(2e-6, rel=1e-12)
-    assert [dim for dim, _ in calls] == [36] * 8 + [144] * 153 + [36] * 9
+    assert [dim for dim, _ in calls] == [36] * 8 + [144] * 154 + [36] * 9
     assert calls[8][1] == pytest.approx(29635165.26255591, rel=1e-12)
 
 
