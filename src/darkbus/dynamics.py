@@ -42,8 +42,9 @@ independent oracle the tests check the closed forms against, and the only
 path that evolves self-Kerr.  Given the mode truncations it propagates only
 the even coherence orders, all that the herald's numbers read.  Its
 operators come from the same network description: :func:`network_operators`
-turns (A, Gamma) into H and the collapse operators at a Fock truncation, so
-both solvers read one model.
+turns (A, Gamma) into H and the collapse operators at a Fock truncation, as
+their nonzero diagonals, so both solvers read one model and no dim x dim
+operator is made.
 """
 
 from __future__ import annotations
@@ -141,52 +142,69 @@ def coupling_matrix(g_bs: float) -> np.ndarray:
     return np.array([[0, g, 0], [g, 0, g], [0, g, 0]], dtype=complex)
 
 
-def _on_modes(dims, ops: dict) -> np.ndarray:
-    """Kronecker product over the modes of ``dims``: the single-mode matrix
-    ``ops[k]`` on each mode k named, the identity on every other mode."""
-    return reduce(np.kron, [ops.get(k, np.eye(d)) for k, d in enumerate(dims)])
+def _kron_diagonal(dims, factors: dict) -> tuple[int, np.ndarray]:
+    """The diagonal (o, u), as :func:`_diagonals` lists it, of the Kronecker
+    product over the modes of ``dims`` whose factor on each mode k named is
+    the single diagonal ``factors[k] = (o_k, v_k)``, and the identity on
+    every other mode.  Entry x = (n_1, ..., n_m) of u is the product of the
+    v_k[n_k], taken in the order np.kron takes it, so it equals the dense
+    product's entry bit for bit, and it is 0 where some n_k + o_k falls
+    outside mode k; o = sum o_k s_k, with s_k the product of the dims after
+    mode k."""
+    vectors = [factors[k][1] if k in factors else np.ones(d) for k, d in enumerate(dims)]
+    offset = sum(o * math.prod(dims[k + 1:]) for k, (o, _) in factors.items())
+    return offset, reduce(np.multiply.outer, vectors).ravel()
 
 
 def network_operators(coupling, gammas, dims):
     """(H, c_ops) of the linear lossy network that :func:`linear_propagator`
-    solves, materialized over modes truncated at ``dims``.
+    solves, over modes truncated at ``dims``, as their nonzero diagonals.
 
     H = sum_kl A_kl a_k^dag a_l for the angular coupling A, and one collapse
-    operator sqrt(gamma_k) a_k for each mode with gamma_k > 0, in mode order;
-    all dense arrays, each term a Kronecker product of single-mode factors.
-    A = 0 gives the zero Hamiltonian.
+    operator sqrt(gamma_k) a_k for each mode with gamma_k > 0, in mode order.
+    Each operator is a list of (offset, vector) pairs in increasing offset,
+    as :func:`_diagonals` lists a dense matrix, ready for
+    :func:`lindblad_evolve`; no dim x dim array is made.  Each term is one
+    diagonal, built from its single-mode factors (:func:`_kron_diagonal`),
+    scaled and summed in the order a sum of dense Kronecker products would
+    be, so every entry is that sum's to the last bit.  A = 0 gives H = [],
+    the zero Hamiltonian; a term on a mode truncated at one level is 0 and
+    left out.
     """
     coupling = np.asarray(coupling, dtype=complex)
     n = len(dims)
     if coupling.shape != (n, n) or len(gammas) != n:
         raise ValueError(f"need an {n}x{n} coupling and {n} rates for dims {tuple(dims)}")
-    lowering = [hilbert.destroy(d) for d in dims]
     dim = math.prod(dims)
-    h = np.zeros((dim, dim), dtype=complex)
-    c_ops = []
+    lowering = [hilbert.destroy(d) for d in dims]
+    # each single-mode factor as its one diagonal, or [] where it is 0
+    down = [_diagonals(a) for a in lowering]
+    up = [_diagonals(a.conj().T) for a in lowering]
+    number = [_diagonals(a.conj().T @ a) for a in lowering]
+    h, c_ops = {}, []
     # 0 * inf is NaN where a rate is infinite; lindblad_evolve names that operator.
     with np.errstate(invalid="ignore"):
         for k, l in zip(*np.nonzero(coupling)):
-            a_dag = lowering[k].conj().T
-            ops = {k: a_dag, l: lowering[l]} if k != l else {k: a_dag @ lowering[k]}
-            term = _on_modes(dims, ops)
-            term *= coupling[k, l]
-            h += term
-        for k, (g, a) in enumerate(zip(gammas, lowering)):
+            factors = {k: up[k], l: down[l]} if k != l else {k: number[k]}
+            if all(factors.values()):
+                o, term = _kron_diagonal(dims, {m: f[0] for m, f in factors.items()})
+                h[o] = h.get(o, np.zeros(dim, dtype=complex)) + term * coupling[k, l]
+        for k, g in enumerate(gammas):
             if g > 0:
-                c_ops.append(_on_modes(dims, {k: a}))
-                c_ops[-1] *= math.sqrt(g)
-    return h, c_ops
+                c = [_kron_diagonal(dims, {k: down[k][0]})] if down[k] else []
+                c_ops.append([(o, u * math.sqrt(g)) for o, u in c])
+    return sorted(h.items()), c_ops
 
 
-def kerr_hamiltonian(dims, kerr: tuple[float, float]) -> np.ndarray:
+def kerr_hamiltonian(dims, kerr: tuple[float, float]) -> list[tuple[int, np.ndarray]]:
     """Self-Kerr H = sum_i 2pi K_i/2 n_i (n_i - 1) on the two cavities, modes
-    0 and 2 of ``dims`` in mode order (cav1, bus, cav2), as a dense array."""
+    0 and 2 of ``dims`` in mode order (cav1, bus, cav2), as its one (main)
+    diagonal, [(0, u)] with u real."""
     terms = []
     for axis, k in zip((0, 2), kerr):
         n = np.arange(dims[axis])
-        terms.append(_on_modes(dims, {axis: np.diag(TWO_PI * k / 2 * n * (n - 1))}))
-    return terms[0] + terms[1]
+        terms.append(_kron_diagonal(dims, {axis: (0, TWO_PI * k / 2 * n * (n - 1))})[1])
+    return [(0, terms[0] + terms[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +421,18 @@ def _unpack(m: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _block_norm(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
-    """||a||_2 of the square ``a``, whose nonzero entries are at (rows,
-    cols), as the largest 2-norm among its connected blocks, the sets of
-    indices that those entries link: a is block diagonal once they are
-    listed together, so its singular values are theirs.  A 1 x 1 block is
-    |a_ii|; only blocks of two or more indices take an SVD.  Each index is
-    labelled with the least index of its block by spreading minima along
-    the entries, with pointer jumping, until nothing moves."""
-    label = np.arange(len(a))
+def _block_norm(diagonals, dim: int) -> float:
+    """||a||_2 of the dim x dim matrix a whose nonzero ``diagonals``, as
+    :func:`_diagonals` lists them, are given, as the largest 2-norm among
+    its connected blocks, the sets of indices that its entries link: a is
+    block diagonal once they are listed together, so its singular values
+    are theirs.  A 1 x 1 block is |a_ii|; each block of two or more indices
+    is assembled from its entries, a matrix the size of the block, for an
+    SVD.  Each index is labelled with the least index of its block by
+    spreading minima along the entries, with pointer jumping, until nothing
+    moves."""
+    rows, cols, values = _entries(diagonals)
+    label = np.arange(dim)
     while True:
         least = label.copy()
         np.minimum.at(least, rows, label[cols])
@@ -421,10 +442,16 @@ def _block_norm(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
             break
         label = least
     sizes = np.bincount(label)
-    norm = float(np.abs(a.diagonal()[sizes[label] == 1]).max(initial=0.0))
+    main = dict(diagonals).get(0, np.zeros(dim))
+    norm = float(np.abs(main[sizes[label] == 1]).max(initial=0.0))
+    slot = np.empty(dim, dtype=int)  # each index's place in its block
     for root in np.flatnonzero(sizes > 1):
         block = np.flatnonzero(label == root)
-        norm = max(norm, float(np.linalg.svd(a[np.ix_(block, block)], compute_uv=False)[0]))
+        slot[block] = np.arange(len(block))
+        mine = label[rows] == root
+        a = np.zeros((len(block), len(block)), dtype=complex)
+        a[slot[rows[mine]], slot[cols[mine]]] = values[mine]
+        norm = max(norm, float(np.linalg.svd(a, compute_uv=False)[0]))
     return norm
 
 
@@ -521,23 +548,27 @@ class _Liouvillian:
     stays in its block, and a pair of diagonals of a c that flips parity
     writes one block and reads the other.
 
+    The constructor reads H and the c's as their diagonals and makes no
+    dim x dim array.  K' is merged one diagonal at a time, -iH less each
+    pair of one c's diagonals' entries of c^dag c / 2, every entry's terms
+    in the order of the dense sum, so it is the dense K' to the last bit.
     ``mu`` is Tr L / dim^2, from the exact trace 2 dim Re Tr K +
-    sum |Tr c|^2, on the whole space in either layout.  ``bound`` is
+    sum |Tr c|^2 (the sums of the main diagonals), on the whole space in
+    either layout.  ``bound`` is
     2 ||K'||_2 + sum ||c||_1 ||c||_inf >= ||L - mu||_2, or inf where K' is
     not finite: ||K'||_2 is exact, the largest 2-norm among the connected
-    blocks of the dense K' (:func:`_block_norm`; K' of the network keeps
-    the excitation number, so at the benchmark's dump it splits into 14
-    blocks, and into 23 at dims (10, 5, 10)), which is assembled once and
-    freed before the constructor returns, and ||c||_1 ||c||_inf, the
-    largest column sum of |c| times its largest row sum, bounds ||c||_2^2,
-    exactly for a ladder operator.  Both layouts compute mu and the bound
-    alike, and the bound also holds for L - mu on even q alone, so they
-    plan the same Taylor schedule.
+    blocks of K' (:func:`_block_norm`, each block assembled from K''s
+    entries for its SVD; K' of the network keeps the excitation number, so
+    at the benchmark's dump it splits into 14 blocks, and into 23 at dims
+    (10, 5, 10)), and ||c||_1 ||c||_inf, the largest column sum of |c|
+    times its largest row sum, from the row and column sums of c's entries,
+    bounds ||c||_2^2, exactly for a ladder operator.  Both layouts compute
+    mu and the bound alike, and the bound also holds for L - mu on even q
+    alone, so they plan the same Taylor schedule.
 
     The constructor keeps only vectors of length count size:
     ``k_diagonals``, the nonzero diagonals of K' on the slots, and for
-    each pair of diagonals of one c their shift and factors, so the
-    caller may free H and the c's once it returns.  :meth:`buffers` then
+    each pair of diagonals of one c their shift and factors.  :meth:`buffers` then
     builds the weights, each a real array on the row-major vec of the
     stack, n = count size^2 entries long at most, and the working buffers.
     K''s main diagonal k gives two weights, Re k_i + Re k_j on M and
@@ -551,10 +582,14 @@ class _Liouvillian:
     after the one they write (b = 0 in the full layout), gives the shift
     (o1 - b) size + o2 and the weight u1 (x) conj(u2) on each block,
     its real part on M and its imaginary part on M^T; weights with the
-    same source and shift are one array, and a term's slices shrink to
-    where its weight is not 0.  A product that is 0 on every block is no
-    part of a weight, and a weight with none is no term, so one code path
-    serves every H and c.
+    same source and shift are one array.  On one block a product u (x) v
+    is 0 outside the rectangle from u's first to its last slot that is not
+    0 by the same span of v's, and 0 throughout where either vector is, all
+    read off the vectors at once: a product that is 0 on every block is no
+    part of a weight, a weight with none is no term, and a term's slices
+    shrink to the span of its products' rectangles, where its weight is
+    built, so no weight is scanned whole and one code path serves every H
+    and c.
 
     Each application copies M^T, block by block, into a buffer of its
     own, builds the transposed sum in the scratch buffer with the output
@@ -582,31 +617,43 @@ class _Liouvillian:
     layout's in all.
     """
 
-    def __init__(self, h: np.ndarray, cs: list[np.ndarray], blocks: _Blocks | None = None):
-        """``h`` and each collapse operator in ``cs`` are dim x dim arrays;
-        ``blocks`` is the layout of the state, the full space by default."""
-        self.dim = dim = len(h)
-        self.blocks = blocks = blocks or _Blocks.full(dim)
-        c_diagonals = [_diagonals(c) for c in cs]
-        # An overflow here shows up as bound = inf, which the caller reports.
+    def __init__(self, h, cs, blocks: _Blocks):
+        """``h`` and each collapse operator in ``cs`` are the nonzero
+        diagonals of a dim x dim matrix, as :func:`_diagonals` lists them,
+        finite and well formed (:func:`lindblad_evolve` checks them);
+        ``blocks`` is the layout of the state."""
+        self.blocks = blocks
+        self.dim = dim = len(blocks.index)
+
+        def one_inf(c):  # ||c||_1 ||c||_inf: largest column sum of |c| x largest row sum
+            rows, cols, values = _entries(c)
+            a = abs(values)
+            return np.bincount(cols, a, dim).max() * np.bincount(rows, a, dim).max()
+
+        # K' one diagonal at a time: -iH, less each pair of one c's diagonals'
+        # entries of c^dag c / 2, then mu/2 off the main diagonal, each entry's
+        # terms taken in the order of the dense sum.  An overflow here shows
+        # up as bound = inf, which the caller reports.
         with np.errstate(over="ignore", invalid="ignore"):
-            k = -1j * h
-            for diagonals in c_diagonals:
+            k = {o: -1j * u for o, u in h}
+            for diagonals in cs:
                 for o1, u1 in diagonals:
                     for o2, u2 in diagonals:
-                        i = np.arange(max(0, -o1, -o2), dim - max(0, o1, o2))
-                        k[i + o1, i + o2] -= 0.5 * (u1[i].conj() * u2[i])
-            self.mu = (2 * dim * np.trace(k).real + sum(abs(np.trace(c)) ** 2 for c in cs)) / dim**2
-            k.flat[::dim + 1] -= self.mu / 2
-            k_diagonals = _diagonals(k)
+                        lo, hi = max(0, -o1, -o2), dim - max(0, o1, o2)
+                        if lo < hi:
+                            u = k.setdefault(o2 - o1, np.zeros(dim, dtype=complex))
+                            u[lo + o1:hi + o1] -= 0.5 * (u1[lo:hi].conj() * u2[lo:hi])
+            main = k.setdefault(0, np.zeros(dim, dtype=complex))
+            traces = (abs(dict(c).get(0, np.zeros(1)).sum()) ** 2 for c in cs)
+            self.mu = (2 * dim * main.sum().real + sum(traces)) / dim**2
+            main -= self.mu / 2
+            k_diagonals = [(o, k[o]) for o in sorted(k) if k[o].any()]
             self.bound = math.inf
-            if np.isfinite(k).all():
-                c_norms = (np.abs(c).sum(axis=0).max() * np.abs(c).sum(axis=1).max() for c in cs)
-                k_norm = _block_norm(k, *_entries(k_diagonals)[:2])
-                self.bound = float(sum(c_norms, 2 * k_norm))
+            if all(np.isfinite(u).all() for _, u in k_diagonals):
+                self.bound = float(sum(map(one_inf, cs), 2 * _block_norm(k_diagonals, dim)))
         self.k_diagonals = _placed(k_diagonals, blocks)
         size, self.c_pairs = blocks.size, []
-        for diagonals in (_placed(d, blocks) for d in c_diagonals):
+        for diagonals in (_placed(d, blocks) for d in cs):
             for o1, u1 in diagonals:
                 first = np.flatnonzero(u1)[0]
                 b = (first + o1) // size - first // size  # source block less output block
@@ -626,33 +673,45 @@ class _Liouvillian:
         # Each flat weight, by (source, shift), is a sum of blockwise outer
         # products u (x) v of real vectors: the main diagonal's, and for a
         # pair of one c's diagonals Re(u1 (x) conj(u2)) on M and Im on M^T.
-        # A product that is 0 on every block is left out, and a weight with
-        # none is no term.
         products = [((0, 0), re, ones), ((0, 0), ones, re), ((1, 0), im, ones), ((1, 0), ones, -im)]
         for shift, u1, u2 in self.c_pairs:
             products += [
                 ((0, shift), u1.real, u2.real), ((0, shift), -u1.imag, u2.imag),
                 ((1, shift), u1.real, u2.imag), ((1, shift), u1.imag, u2.real),
             ]
-        factors = {}
-        for key, u, v in products:
-            u, v = u.reshape(count, size), v.reshape(count, size)
-            if (u.any(axis=1) & v.any(axis=1)).any():
-                factors.setdefault(key, []).append((u, v))
+        # On each block, u (x) v is 0 outside the rectangle of rows from u's
+        # first to its last slot that is not 0 by columns from v's, and 0
+        # throughout where either vector is: read off all the vectors at once.
+        keys, us, vs = zip(*products)
+        nonzero = np.reshape(us + vs, (2, len(products), count, size)) != 0
+        (row0, col0), (row1, col1) = (
+            nonzero.argmax(axis=3), size - nonzero[..., ::-1].argmax(axis=3)
+        )
+        rects = {}
+        for p, b in zip(*np.nonzero(nonzero.any(axis=3).all(axis=0))):
+            row = b * size
+            rects.setdefault(keys[p], []).append((
+                us[p], vs[p][row:], row + row0[p, b], row + row1[p, b], col0[p, b], col1[p, b]
+            ))
 
         def span(shift):  # the slices a term at this shift writes and reads
             write = slice(max(-shift, 0), n - max(shift, 0))
             return write, slice(write.start + shift, write.stop + shift)
 
+        # A weight is the sum of its products over the span of their
+        # rectangles, built on the rows that span covers; it is 0 outside,
+        # and wherever the read would cross an edge.
         self.terms, self.transposed_terms = [], []
-        for (source, shift), uv in factors.items():
-            w = sum(u[:, :, None] * v[:, None, :] for u, v in uv).reshape(n)
-            if not w.any():  # the products cancel
-                continue
-            # w is 0 wherever the read would cross an edge
-            first, last = np.flatnonzero(w)[[0, -1]].tolist()
-            write, read = slice(first, last + 1), slice(first + shift, last + 1 + shift)
-            self.terms.append((write, read, source, w[write].copy()))
+        for (source, shift), parts in rects.items():
+            start = int(min(r0 * size + c0 for _, _, r0, _, c0, _ in parts))
+            stop = int(max((r1 - 1) * size + c1 for _, _, _, r1, _, c1 in parts))
+            top = start // size
+            w = np.zeros(((stop - 1) // size + 1 - top, size))
+            for u, v, r0, r1, c0, c1 in parts:
+                w[r0 - top:r1 - top, c0:c1] += u[r0:r1, None] * v[c0:c1]
+            write, read = slice(start, stop), slice(start + shift, stop + shift)
+            w = w.reshape(-1)[start - top * size:stop - top * size]
+            self.terms.append((write, read, source, w))
         # Re u: on M into the output and on M^T into the transposed sum;
         # Im u: on M^T into the output and, subtracted, on M into that sum.
         for o, u in off_main.items():
@@ -726,27 +785,62 @@ def _propagate(packed: np.ndarray, liou: _Liouvillian, t: float) -> None:
         packed *= eta
 
 
-def _parity_blocks(dims, h: np.ndarray, cs: list[np.ndarray]) -> _Blocks:
+def _parity_blocks(dims, dim: int, h, cs) -> _Blocks:
     """The two total-parity blocks of the Fock space of mode truncations
     ``dims``, once H is checked to keep photon-number parity and each
-    collapse operator to keep it on every entry or flip it on every one."""
-    dim = len(h)
+    collapse operator to keep it on every entry or flip it on every one:
+    the parity of N at each entry's row against that at its column, for the
+    diagonals, as :func:`_diagonals` lists them, of dim x dim operators."""
     if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims) or math.prod(dims) != dim:
         raise ValueError(
             f"dims must be mode truncations whose product is H's dimension {dim}, got {dims!r}"
         )
     blocks = _Blocks.parity(dims)
-    even, odd = (np.flatnonzero(blocks.index // blocks.size == p) for p in (0, 1))
+    parity = blocks.index // blocks.size
     named = [("the Hamiltonian H", h)] + [(f"collapse operator {k}", c) for k, c in enumerate(cs)]
     for name, a in named:
-        keeps = a[np.ix_(even, even)].any() or a[np.ix_(odd, odd)].any()
-        flips = a[np.ix_(even, odd)].any() or a[np.ix_(odd, even)].any()
-        if flips and (a is h or keeps):
+        rows, cols, _ = _entries(a)
+        keeps = parity[rows] == parity[cols]
+        if not keeps.all() and (a is h or keeps.any()):
             raise ValueError(
                 f"{name} mixes photon-number parities, so the even coherence orders "
                 "do not evolve on their own; solve without dims"
             )
     return blocks
+
+
+def _operator(a, dim: int, name: str) -> list[tuple[int, np.ndarray]]:
+    """The diagonals of the operator ``name``, in increasing offset, from
+    ``a``: a dense dim x dim matrix, converted by :func:`_diagonals`, or
+    already its diagonals, a list of (offset, vector) tuples in any order.
+    ``ValueError`` names a malformed ``a``: a matrix of another shape, a
+    vector not dim long, an offset outside the matrix or listed twice, or a
+    nonzero entry of a vector that falls outside it; ``NumericalError`` one
+    that is not finite.  Diagonals are taken as they are, not copied."""
+    if isinstance(a, list) and all(isinstance(d, tuple) for d in a):
+        diagonals = [(o, np.asarray(u, dtype=complex)) for o, u in a]
+        for o, u in diagonals:
+            if u.shape != (dim,):
+                raise ValueError(f"{name} has a diagonal of shape {u.shape}, not ({dim},)")
+            if not (isinstance(o, (int, np.integer)) and -dim < o < dim):
+                raise ValueError(
+                    f"{name} has a diagonal at offset {o!r}, outside a {dim}x{dim} matrix"
+                )
+        offsets = sorted(o for o, _ in diagonals)
+        if len(set(offsets)) < len(offsets):
+            raise ValueError(f"{name} lists a diagonal offset twice: {offsets}")
+        diagonals.sort(key=lambda d: d[0])
+    else:
+        a = np.asarray(a, dtype=complex)
+        if a.shape != (dim, dim):
+            raise ValueError(f"{name} has shape {a.shape}, but the state's dimension is {dim}")
+        diagonals = _diagonals(a)
+    if not all(np.isfinite(u).all() for _, u in diagonals):
+        raise NumericalError(f"dynamics: {name} is not finite")
+    for o, u in diagonals:
+        if u[:max(-o, 0)].any() or u[dim - max(o, 0):].any():
+            raise ValueError(f"{name} has a nonzero entry outside the matrix on its diagonal {o}")
+    return diagonals
 
 
 def lindblad_evolve(h, c_ops, state0, t, *, dims=None) -> EvolveResult:
@@ -755,9 +849,19 @@ def lindblad_evolve(h, c_ops, state0, t, *, dims=None) -> EvolveResult:
     Parameters
     ----------
     h, c_ops:
-        Hamiltonian and collapse operators (dense matrices), in angular
-        units (rad/s) -- the builders in this module already are.  H must
-        be square and every collapse operator the same size.
+        Hamiltonian and collapse operators on the state's space of
+        dimension dim, in angular units (rad/s) -- the builders in this
+        module already are.  Each is a dense dim x dim matrix or its nonzero
+        diagonals, a list of (offset, vector) tuples in any order, each
+        vector dim long with u[i] = a[i, i + offset] and 0 where i + offset
+        falls outside, as :func:`_diagonals` lists them and
+        :func:`network_operators` and :func:`kerr_hamiltonian` build them
+        ([] is the zero operator).  A dense operator is converted once, by
+        :func:`_diagonals`; past that the solve reads diagonals only, and
+        both forms of one operator give the same result bit for bit.
+        ``ValueError`` names a malformed operator (a matrix of another
+        shape, a vector not dim long, an offset outside the matrix or
+        listed twice, a nonzero entry outside the matrix), before any work.
     state0:
         Ket (1-d) or density matrix (2-d) array of size dim; a density
         matrix must be Hermitian to rounding (its anti-Hermitian part at
@@ -792,8 +896,8 @@ def lindblad_evolve(h, c_ops, state0, t, *, dims=None) -> EvolveResult:
     Liouvillian is L - mu = K' (x) 1 + 1 (x) conj(K') + sum c (x) conj(c)
     with K' = K - mu/2, so its 2-norm is at most
     2 ||K'||_2 + sum ||c||_1 ||c||_inf, with ||K'||_2 exact (the largest
-    2-norm among the connected blocks of the dense K'); (m, s) minimize
-    m s subject to t * bound / s <= theta_m,
+    2-norm among the connected blocks of K', each assembled from its
+    entries); (m, s) minimize m s subject to t * bound / s <= theta_m,
     m <= 55.  The theta_m backward-error analysis holds in any consistent
     norm.  The bound is rigorous, so no norm is estimated and nothing
     random is drawn: the result is a pure function of the inputs.  No
@@ -809,12 +913,13 @@ def lindblad_evolve(h, c_ops, state0, t, *, dims=None) -> EvolveResult:
     solve keeps the whole space's mu and bound, which bound L - mu on even
     q too, so it plans the same (m, s); its norms are those of the even-q
     part, so it may stop a step's series one term apart from the full
-    solve.  This function packs its copy of the state and lets go of that
-    copy and of state0 before :class:`_Liouvillian` assembles the dense K'
-    once, for mu and the bound, and keeps only the nonzero diagonals of K'
-    and of each c; it then lets go of H and the c's, so the complex state,
-    and what its caller passed as temporaries, are freed before the
-    weights and buffers are built.  Each application of L - mu goes one
+    solve.  The state is the only dim x dim array: the checks (shape,
+    finiteness, parity) read the operators' vectors and entries, and
+    :class:`_Liouvillian` merges K' from them one diagonal at a time.
+    This function packs its copy of the state and lets go of that copy,
+    of state0 and of the caller's dense operators, once converted, before
+    the weights and buffers are built, so what its caller passed as
+    temporaries is freed by then.  Each application of L - mu goes one
     diagonal at a time, one real weight per term; the layouts, the terms,
     their cost and the working memory are listed in :class:`_Liouvillian`.
     At dims (6, 4, 6) an even-q application costs about 0.73 of a full one.  The
@@ -831,42 +936,32 @@ def lindblad_evolve(h, c_ops, state0, t, *, dims=None) -> EvolveResult:
     """
     if not (isinstance(t, (int, float, np.integer, np.floating)) and 0 <= t < math.inf):
         raise ValueError(f"lindblad_evolve needs a finite duration t >= 0, got {t!r}")
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"lindblad_evolve needs a square Hamiltonian H, got shape {h.shape}")
-    dim = len(h)
-    if not np.isfinite(h).all():
-        raise NumericalError("dynamics: the Hamiltonian H is not finite")
-    cs = [np.asarray(c, dtype=complex) for c in (c_ops or [])]
-    for k, c in enumerate(cs):
-        if c.shape != (dim, dim):
-            raise ValueError(
-                f"collapse operator {k} has shape {c.shape}, but H is {dim}x{dim}"
-            )
-        if not np.isfinite(c).all():
-            raise NumericalError(f"dynamics: collapse operator {k} is not finite")
-    blocks = _Blocks.full(dim) if dims is None else _parity_blocks(dims, h, cs)
+    shape = np.shape(state0)
+    if len(shape) not in (1, 2) or shape[-1] != shape[0]:
+        raise ValueError(
+            f"lindblad_evolve needs a ket or a square density matrix, got shape {shape}"
+        )
+    dim = shape[0]
+    h = _operator(h, dim, "the Hamiltonian H")
+    cs = [_operator(c, dim, f"collapse operator {k}") for k, c in enumerate(c_ops or [])]
+    c_ops = None  # so that dense operators the caller passed as temporaries are freed
+    blocks = _Blocks.full(dim) if dims is None else _parity_blocks(dims, dim, h, cs)
     rho = np.array(state0, dtype=complex)  # a copy, so the result never shares memory
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
-    elif rho.shape == (dim, dim):
+    else:
         skew = np.abs(rho - rho.conj().T).max()
         if skew > 1e-12 * np.abs(rho).max():
             raise ValueError(
                 "lindblad_evolve needs a Hermitian density matrix, "
                 f"got max |rho - rho^dag| = {skew:.3g}"
             )
-    if rho.shape != (dim, dim):
-        raise ValueError("state does not match the Hamiltonian dimension")
     if t > 0:  # exp(0 L) is the identity: at t = 0 the input comes back as it is
-        # From here the solve holds the state only as its packing, and reads
-        # only liou's diagonals: once this call lets go of the dense
-        # operators (the loop's c too) and of state0, those the caller
-        # passed as temporaries are freed.
+        # From here the solve holds the state only as its packing: once this
+        # call lets go of state0, one the caller passed as a temporary is freed.
         packed = blocks.gather(_pack(rho))
         rho = state0 = None
         liou = _Liouvillian(h, cs, blocks)
-        h = c_ops = cs = c = None
         _propagate(packed, liou, t)
         liou = None  # its weights and buffers go before the result is made
         rho = _unpack(blocks.scatter(packed))

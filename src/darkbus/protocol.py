@@ -474,8 +474,9 @@ def run_dmm(
         materializes on the cavity pair and normalizes once.  Every window
         is one deterministic Taylor solve of the master equation on the
         operators :func:`~darkbus.dynamics.network_operators` builds from
-        its coupling and those rates; the solve keeps only their diagonals
-        and evolves the real packing Re rho + Im rho.  The bus holds vacuum
+        its coupling and those rates as their nonzero diagonals (self-Kerr
+        adds to H's main diagonal), so no window makes a dim x dim
+        operator, and the solve evolves the real packing Re rho + Im rho.  The bus holds vacuum
         until the dump and is traced out right after it, so the pump and
         post windows (H = 0, loss only) are solves on the pair, dim = d1 d2,
         and only the dump is one on the full space, dim = prod(params.dims),
@@ -536,25 +537,25 @@ def run_dmm(
             solve gets ``dims=dump_dims``."""
             # The bus holds vacuum until the dump and is traced out right
             # after it, so the H = 0 pump and post windows are solves on the
-            # pair.  Operators are popped into each call and the dump's state
-            # is made in it, so that no name here keeps them alive through
-            # the solve.
+            # pair.  The dump's state is made in its call, so that no name
+            # here keeps it alive through the solve.
             for coupling, t in windows:
                 if t <= 0:
                     continue
                 if coupling.any():
-                    ops = list(dynamics.network_operators(coupling, gammas, dims))
-                    if include_kerr:
-                        ops[0] += dynamics.kerr_hamiltonian(dims, params.kerr)
+                    h, c_ops = dynamics.network_operators(coupling, gammas, dims)
+                    if include_kerr:  # self-Kerr adds to H's main diagonal
+                        h = dict(h)
+                        [(_, kerr)] = dynamics.kerr_hamiltonian(dims, params.kerr)
+                        h[0] = h.get(0, np.zeros(len(kerr), dtype=complex)) + kerr
+                        h = list(h.items())
                     rho = dynamics.lindblad_evolve(
-                        ops.pop(0), ops.pop(), _bus_vacuum(rho, dims), t, dims=dump_dims
+                        h, c_ops, _bus_vacuum(rho, dims), t, dims=dump_dims
                     ).final
                     rho = hilbert.partial_trace(rho, dims, [0, 2])
                 else:
-                    ops = list(
-                        dynamics.network_operators(coupling[::2, ::2], gammas[::2], (d1, d2))
-                    )
-                    rho = dynamics.lindblad_evolve(ops.pop(0), ops.pop(), rho, t).final
+                    h, c_ops = dynamics.network_operators(coupling[::2, ::2], gammas[::2], (d1, d2))
+                    rho = dynamics.lindblad_evolve(h, c_ops, rho, t).final
             return rho
 
         # Every number read below sits at even q, so the dump propagates

@@ -6,7 +6,9 @@ building block only the tests need: Fock kets, the
 raising, number, parity and displacement operators, the displaced-parity
 kernel at one point, cat kets and the copying coherent ket of one mode,
 multi-mode operators and product kets assembled by Kronecker products
-(modes named by axis, or by cav1, bus, cav2), dense density matrices of
+(modes named by axis, or by cav1, bus, cav2), the network's Hamiltonian,
+collapse operators and self-Kerr term as dense Kronecker sums, the
+reference for the library's diagonals, dense density matrices of
 coherent superpositions, the protocol's initial cat product, free-Kerr
 evolution, the codewords, Bell ket and basis-fit objective in their
 longer forms, the logical Paulis as
@@ -770,15 +772,67 @@ def liouvillian_evolve(h, c_ops, state0, t) -> np.ndarray:
     return vec.reshape(dim, dim)
 
 
+def on_modes(dims, ops: dict) -> np.ndarray:
+    """Kronecker product over the modes of ``dims``: the single-mode matrix
+    ``ops[k]`` on each mode k named, the identity on every other mode."""
+    return reduce(np.kron, [ops.get(k, np.eye(d)) for k, d in enumerate(dims)])
+
+
+def network_operators_kron(coupling, gammas, dims):
+    """Dense (H, c_ops) of the network that ``dynamics.network_operators``
+    builds as diagonals: each term a dim x dim Kronecker product of
+    single-mode factors, scaled in place and added into H in the order of
+    the coupling's nonzeros, each collapse operator sqrt(gamma_k) a_k.  The
+    reference the library's diagonals must equal bit for bit.  A = 0 gives
+    the zero H; an infinite rate gives 0 * inf = NaN off the operator's
+    diagonal."""
+    coupling = np.asarray(coupling, dtype=complex)
+    lowering = [hilbert.destroy(d) for d in dims]
+    dim = math.prod(dims)
+    h = np.zeros((dim, dim), dtype=complex)
+    c_ops = []
+    with np.errstate(invalid="ignore"):
+        for k, l in zip(*np.nonzero(coupling)):
+            a_dag = lowering[k].conj().T
+            ops = {k: a_dag, l: lowering[l]} if k != l else {k: a_dag @ lowering[k]}
+            term = on_modes(dims, ops)
+            term *= coupling[k, l]
+            h += term
+        for k, (g, a) in enumerate(zip(gammas, lowering)):
+            if g > 0:
+                c_ops.append(on_modes(dims, {k: a}))
+                c_ops[-1] *= math.sqrt(g)
+    return h, c_ops
+
+
+def kerr_hamiltonian_kron(dims, kerr) -> np.ndarray:
+    """Dense self-Kerr H = sum_i 2pi K_i/2 n_i (n_i - 1) on modes 0 and 2,
+    each term a Kronecker product: the reference for
+    ``dynamics.kerr_hamiltonian``."""
+    terms = []
+    for axis, k in zip((0, 2), kerr):
+        n = np.arange(dims[axis])
+        terms.append(on_modes(dims, {axis: np.diag(2 * math.pi * k / 2 * n * (n - 1))}))
+    return terms[0] + terms[1]
+
+
+def dense(diagonals, dim: int) -> np.ndarray:
+    """The dim x dim matrix whose nonzero diagonals are ``diagonals``, listed
+    as ``dynamics._diagonals`` lists them."""
+    a = np.zeros((dim, dim), dtype=complex)
+    for o, u in diagonals:
+        i = np.arange(max(-o, 0), dim - max(o, 0))
+        a[i, i + o] = u[i]
+    return a
+
+
 def params_network(params: SystemParams, cavity_loss: bool = True):
-    """(H, c_ops) of the cav1-bus-cav2 network at ``params.dims`` with the
-    bus coupling open: bus decay at kappa_b and, with ``cavity_loss``, each
-    cavity's 1/T1."""
+    """Dense (H, c_ops) of the cav1-bus-cav2 network at ``params.dims`` with
+    the bus coupling open: bus decay at kappa_b and, with ``cavity_loss``,
+    each cavity's 1/T1."""
     loss = 1.0 if cavity_loss else 0.0
     gammas = (loss * params.gamma_cavity[0], params.kappa_ang, loss * params.gamma_cavity[1])
-    return dynamics.network_operators(
-        dynamics.coupling_matrix(params.g_bs), gammas, params.dims
-    )
+    return network_operators_kron(dynamics.coupling_matrix(params.g_bs), gammas, params.dims)
 
 
 def lindblad_pair_state(
@@ -800,7 +854,7 @@ def lindblad_pair_state(
     h_dump, c_ops = params_network(params, cavity_loss)
     h_zero = 0 * h_dump
     if include_kerr:
-        h_dump = h_dump + dynamics.kerr_hamiltonian(dims, params.kerr)
+        h_dump = h_dump + kerr_hamiltonian_kron(dims, params.kerr)
     state = cat_product_ket(dims, params.alpha)
     for h, t in ((h_zero, params.t_pump), (h_dump, t_dump), (h_zero, t_post)):
         if t <= 0:

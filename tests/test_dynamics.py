@@ -21,6 +21,7 @@ from darkbus.dynamics import SystemParams
 from oracles import (
     auto_dump_time_brentq,
     coherent_trace,
+    dense,
     embed,
     expect,
     expect_trajectory,
@@ -28,8 +29,11 @@ from oracles import (
     fock,
     lindblad_action,
     liouvillian_evolve,
+    kerr_hamiltonian_kron,
     materialize_coherent,
+    network_operators_kron,
     number,
+    on_modes,
     params_network,
     product_ket,
     tensor,
@@ -311,36 +315,71 @@ def test_quantum_classical_agreement():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 4)])
-def test_network_operators_match_hand_built_krons(dims):
-    """network_operators(coupling_matrix(g), (g1, kappa, g2), dims) is
-    g (a1 + a2) b^dag + h.c. with sqrt(kappa) b and sqrt(g_i) a_i, and the
-    Kerr Hamiltonian acts on the two cavities only, typed out by hand."""
+def _assert_diagonals_are(diagonals, ref):
+    """``diagonals`` lists the nonzero diagonals of the dense ``ref`` in
+    increasing offset, each vector dim long, and every entry is ref's to the
+    last bit: made dense they equal ref, and each vector's bytes inside the
+    matrix are those of ref's diagonal at its offset."""
+    dim = len(ref)
+    offsets = [o for o, _ in diagonals]
+    assert offsets == sorted(set(offsets))
+    assert np.array_equal(dense(diagonals, dim), ref)
+    for o, u in diagonals:
+        assert u.shape == (dim,)
+        inside = u[max(-o, 0):dim - max(o, 0)]
+        assert inside.tobytes() == np.diagonal(ref, o).astype(u.dtype).tobytes()
+
+
+@pytest.mark.parametrize("kerr", [False, True])
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 4), (6, 4, 6)])
+def test_network_operators_match_hand_built_krons(dims, kerr):
+    """network_operators(coupling_matrix(g), (g1, kappa, g2), dims) lists the
+    diagonals of g (a1 + a2) b^dag + h.c. with sqrt(kappa) b and sqrt(g_i)
+    a_i, and kerr_hamiltonian the main diagonal of the Kerr Hamiltonian on
+    the two cavities: each equals the dense Kronecker sum of
+    oracles.network_operators_kron bit for bit, H with Kerr added too, and
+    that reference is the operators typed out by hand.  A lossless mode gets
+    no collapse operator, zero coupling gives H = [], and an infinite rate
+    ends in the NumericalError that names its collapse operator."""
     g1, kappa, g2 = 2.6e3, 3.8e6, 1.9e3
+    dim = math.prod(dims)
+    coupling = dynamics.coupling_matrix(G)
+    h, c_ops = dynamics.network_operators(coupling, (g1, kappa, g2), dims)
+    h_ref, c_refs = network_operators_kron(coupling, (g1, kappa, g2), dims)
+    _assert_diagonals_are(h, h_ref)
+    assert len(c_ops) == len(c_refs) == 3
+    for c, ref in zip(c_ops, c_refs):
+        _assert_diagonals_are(c, ref)
+
     i1, ib, i2 = (np.eye(d) for d in dims)
     a1 = np.kron(np.kron(hilbert.destroy(dims[0]), ib), i2)
     b = np.kron(np.kron(i1, hilbert.destroy(dims[1])), i2)
     a2 = np.kron(np.kron(i1, ib), hilbert.destroy(dims[2]))
     m = (2 * math.pi * G) * ((a1 + a2) @ b.conj().T)
+    assert np.array_equal(h_ref, m + m.conj().T)
+    typed = [math.sqrt(g1) * a1, math.sqrt(kappa) * b, math.sqrt(g2) * a2]
+    assert all(np.array_equal(ref, c) for ref, c in zip(c_refs, typed))
 
-    h, c_ops = dynamics.network_operators(dynamics.coupling_matrix(G), (g1, kappa, g2), dims)
-    assert np.array_equal(h, m + m.conj().T)
-    expected = [math.sqrt(g1) * a1, math.sqrt(kappa) * b, math.sqrt(g2) * a2]
-    assert len(c_ops) == 3
-    for c, ref in zip(c_ops, expected):
-        assert np.array_equal(c, ref)
+    if kerr:
+        shifts = (-23e3, -7e3)
+        kerr_ref = kerr_hamiltonian_kron(dims, shifts)
+        _assert_diagonals_are(dynamics.kerr_hamiltonian(dims, shifts), kerr_ref)
+        with_kerr = dense(h, dim) + dense(dynamics.kerr_hamiltonian(dims, shifts), dim)
+        assert with_kerr.tobytes() == (h_ref + kerr_ref).tobytes()
+        n1, n2 = (a.conj().T @ a for a in (a1, a2))
+        typed = sum(2 * math.pi * k / 2 * n @ (n - np.eye(dim)) for k, n in zip(shifts, (n1, n2)))
+        assert_allclose(kerr_ref, typed, rtol=1e-15, atol=0)
 
     # a lossless mode gets no collapse operator; no coupling, no Hamiltonian
     h0, c_ops = dynamics.network_operators(np.zeros((3, 3)), (0.0, kappa, 0.0), dims)
-    assert not h0.any() and h0.shape == h.shape
-    assert len(c_ops) == 1 and np.array_equal(c_ops[0], math.sqrt(kappa) * b)
+    h0_ref, c_refs = network_operators_kron(np.zeros((3, 3)), (0.0, kappa, 0.0), dims)
+    assert h0 == [] and not h0_ref.any()
+    assert len(c_ops) == len(c_refs) == 1
+    _assert_diagonals_are(c_ops[0], c_refs[0])
 
-    kerr = (-23e3, -7e3)
-    n1, n2 = (a.conj().T @ a for a in (a1, a2))
-    ref = sum(
-        2 * math.pi * k / 2 * n @ (n - np.eye(len(n))) for k, n in zip(kerr, (n1, n2))
-    )
-    assert_allclose(dynamics.kerr_hamiltonian(dims, kerr), ref, rtol=1e-15, atol=0)
+    h, c_ops = dynamics.network_operators(coupling, (g1, math.inf, g2), dims)
+    with pytest.raises(hilbert.NumericalError, match="collapse operator 1 is not finite"):
+        dynamics.lindblad_evolve(h, c_ops, np.eye(dim)[0], 1e-9)
 
 
 def _small_system():
@@ -461,7 +500,7 @@ def _oracle_system(kappa_b, kerr, cavity_loss=True):
     params = SystemParams(g_bs=G, kappa_b=kappa_b, dims=dims)
     h, c_ops = params_network(params, cavity_loss)
     if kerr:
-        h = h + dynamics.kerr_hamiltonian(dims, (-230e3, -70e3))
+        h = h + kerr_hamiltonian_kron(dims, (-230e3, -70e3))
     psi0 = product_ket(
         dims, {"cav1": hilbert.coherent(3, 0.6), "cav2": hilbert.coherent(3, -0.5j)}
     )
@@ -510,6 +549,15 @@ def test_lindblad_never_touches_the_global_rng(monkeypatch):
     assert np.array_equal(res.final, expected)
 
 
+def _liouvillian(h, cs, blocks=None):
+    """dynamics._Liouvillian of the dense H and collapse operators, read
+    through their diagonals, on the full space unless ``blocks`` is given."""
+    blocks = blocks or dynamics._Blocks.full(len(h))
+    return dynamics._Liouvillian(
+        dynamics._diagonals(h), [dynamics._diagonals(c) for c in cs], blocks
+    )
+
+
 def _apply_twice(h, cs, r):
     """mu, and the diagonal-by-diagonal action of L - mu on r, then on its
     own result, with the two buffers swapped as the Taylor loop swaps them.
@@ -517,7 +565,7 @@ def _apply_twice(h, cs, r):
     r = A + iB, with A and B Hermitian, goes through pack, the action and
     unpack as A and B, and comes back as apply(A) + i apply(B); a Hermitian
     r has B = 0."""
-    liou = dynamics._Liouvillian(h, cs)
+    liou = _liouvillian(h, cs)
     src, dst = liou.buffers()
 
     def twice(x):
@@ -557,11 +605,11 @@ def test_liouvillian_matches_sparse_products(dims, seed, kerr, hermitian):
     n = len(dims)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     gammas = rng.uniform(0.1, 2.0, n) * (rng.random(n) < 0.6)
-    h, c_ops = dynamics.network_operators(a + a.conj().T, gammas, dims)
+    h, c_ops = network_operators_kron(a + a.conj().T, gammas, dims)
     if kerr:
         for k, d in enumerate(dims):
             m = np.arange(d)
-            h = h + dynamics._on_modes(dims, {k: np.diag(rng.normal() * m * (m - 1) / 2)})
+            h = h + on_modes(dims, {k: np.diag(rng.normal() * m * (m - 1) / 2)})
     dim = h.shape[0]
     r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     if hermitian:
@@ -599,7 +647,7 @@ def _real_off_diagonal_systems():
     K''s main diagonal is real)."""
     a = hilbert.destroy(5)
     g = 0.7
-    network = dynamics.network_operators(
+    network = network_operators_kron(
         np.array([[0, 1j * g], [-1j * g, 0]]), np.array([0.3, 0.2]), (3, 4)
     )
     return [(np.zeros((5, 5), dtype=complex), [a + a.conj().T]), network]
@@ -690,7 +738,7 @@ def _assert_step_bound_covers_the_superoperator(h, cs):
     """The step bound is at least ||L - mu||_2 of the assembled dim^2 x dim^2
     superoperator, and mu is its exact trace over dim^2.  Less its
     sum ||c||_1 ||c||_inf, it is 2 ||K'||_2 of the SVD of the dense K'."""
-    liou = dynamics._Liouvillian(h, cs)
+    liou = _liouvillian(h, cs)
     mu, bound = liou.mu, liou.bound
     k_op = -1j * h - 0.5 * sum((c.conj().T @ c for c in cs), np.zeros_like(h))
     act = lindblad_action(k_op, cs)
@@ -723,11 +771,11 @@ def test_step_bound_covers_the_exact_two_norm(dims, seed, kerr):
     n = len(dims)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     gammas = rng.uniform(0.1, 2.0, n) * (rng.random(n) < 0.6)
-    h, c_ops = dynamics.network_operators(a + a.conj().T, gammas, dims)
+    h, c_ops = network_operators_kron(a + a.conj().T, gammas, dims)
     if kerr:
         for k, d in enumerate(dims):
             m = np.arange(d)
-            h = h + dynamics._on_modes(dims, {k: np.diag(rng.normal() * m * (m - 1) / 2)})
+            h = h + on_modes(dims, {k: np.diag(rng.normal() * m * (m - 1) / 2)})
     _assert_step_bound_covers_the_superoperator(h, c_ops)
 
 
@@ -746,8 +794,107 @@ def test_lindblad_names_a_misshaped_operator():
     rho = np.eye(4) / 4
     with pytest.raises(ValueError, match="collapse operator 0 has shape \\(3, 3\\)"):
         dynamics.lindblad_evolve(np.eye(4), [np.eye(3)], rho, 1e-6)
-    with pytest.raises(ValueError, match="square Hamiltonian H, got shape \\(4, 5\\)"):
+    message = "the Hamiltonian H has shape \\(4, 5\\), but the state's dimension is 4"
+    with pytest.raises(ValueError, match=message):
         dynamics.lindblad_evolve(np.ones((4, 5)), [], rho, 1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+        lambda d: math.prod(d) <= 36
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    kerr=st.booleans(),
+    even_q=st.booleans(),
+)
+def test_lindblad_reads_diagonals_as_it_reads_dense_operators(dims, seed, kerr, even_q):
+    """lindblad_evolve on the diagonals of H and of each c, as _diagonals
+    lists them, returns the dense input's result bit for bit, on the whole
+    space and, given dims, on the even coherence orders; so do the
+    diagonals that network_operators builds.  Random Hermitian couplings
+    (which keep the excitation number, and so parity), some decay rates 0,
+    with and without self-Kerr, from a random ket."""
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    gammas = rng.uniform(0.1, 2.0, n) * (rng.random(n) < 0.6)
+    h, c_ops = network_operators_kron(a + a.conj().T, gammas, dims)
+    built = dynamics.network_operators(a + a.conj().T, gammas, dims)
+    if kerr:
+        shifts = rng.normal(size=n)
+        for k, d in enumerate(dims):
+            m = np.arange(d)
+            h = h + on_modes(dims, {k: np.diag(shifts[k] * m * (m - 1) / 2)})
+        built = (dynamics._diagonals(h), built[1])
+    dim = len(h)
+    psi0 = _random_complex(rng, dim)
+    psi0 /= np.linalg.norm(psi0)
+    kw = {"dims": tuple(dims)} if even_q else {}
+    expected = dynamics.lindblad_evolve(h, c_ops, psi0, 0.5, **kw).final
+    diagonals = (dynamics._diagonals(h), [dynamics._diagonals(c) for c in c_ops])
+    for ops in (diagonals, built):
+        got = dynamics.lindblad_evolve(*ops, psi0, 0.5, **kw).final
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_lindblad_refuses_malformed_diagonals_before_any_work(monkeypatch):
+    """A diagonal whose vector is not dim long, whose offset falls outside
+    the matrix or repeats another's, or that holds a nonzero entry outside
+    the matrix, is refused by name with ValueError, in H or in a collapse
+    operator, before the parity check, the packing of the state or the
+    Liouvillian runs."""
+    dims = (3, 2, 3)
+    dim = math.prod(dims)
+    h, c_ops = dynamics.network_operators(
+        dynamics.coupling_matrix(G), (1e3, 4e6, 1e3), dims
+    )
+    psi0 = np.eye(dim)[1]
+    (o, u), rest = h[0], h[1:]
+    outside = u.copy()
+    outside[dim - max(o, 0):] = outside[:max(-o, 0)] = 1.0
+    malformed = [
+        ([(o, u[:-1])] + rest, r"has a diagonal of shape \(17,\), not \(18,\)"),
+        ([(dim, u)] + rest, "has a diagonal at offset 18, outside a 18x18 matrix"),
+        ([(-dim, u)] + rest, "has a diagonal at offset -18, outside a 18x18 matrix"),
+        (h + [(o, u)], "lists a diagonal offset twice"),
+        ([(o, outside)] + rest, f"has a nonzero entry outside the matrix on its diagonal {o}"),
+    ]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the operators were checked")
+
+    monkeypatch.setattr(dynamics, "_parity_blocks", no_work)
+    monkeypatch.setattr(dynamics, "_pack", no_work)
+    monkeypatch.setattr(dynamics._Liouvillian, "__init__", no_work)
+    for bad, message in malformed:
+        with pytest.raises(ValueError, match="the Hamiltonian H " + message):
+            dynamics.lindblad_evolve(bad, c_ops, psi0, 1e-6, dims=dims)
+        with pytest.raises(ValueError, match="collapse operator 2 " + message):
+            dynamics.lindblad_evolve(h, c_ops[:2] + [bad], psi0, 1e-6, dims=dims)
+
+
+def test_kerr_dump_setup_stays_far_below_one_dense_operator():
+    """The operators of the Kerr dump at dims (10, 5, 10), dim 500, the
+    regime of a Kerr run at the paper's amplitude, their parity check and
+    their Liouvillian on the two parity blocks peak at no more than 2 MB
+    under tracemalloc, half of one dim x dim complex array: no dense
+    operator or K' is made, only vectors and each small connected block of
+    K' for its SVD."""
+    params = SystemParams(dims=(10, 5, 10))
+    gammas = (params.gamma_cavity[0], params.kappa_ang, params.gamma_cavity[1])
+
+    def setup():
+        h, c_ops = dynamics.network_operators(
+            dynamics.coupling_matrix(params.g_bs), gammas, params.dims
+        )
+        h = h + dynamics.kerr_hamiltonian(params.dims, params.kerr)  # H has no main diagonal
+        blocks = dynamics._parity_blocks(params.dims, 500, h, c_ops)
+        return dynamics._Liouvillian(h, c_ops, blocks)
+
+    liou, peak = traced_peak(setup)
+    assert liou.dim == 500 and math.isfinite(liou.bound)
+    assert peak <= 2 * 2**20
 
 
 def test_lindblad_copies_a_ket_state_once():
@@ -823,7 +970,7 @@ def test_even_q_solve_matches_the_full_solve(dims, alpha, kappa_b, kerr):
     params = SystemParams(g_bs=G, kappa_b=kappa_b, dims=dims)
     h, c_ops = params_network(params)
     if kerr:
-        h = h + dynamics.kerr_hamiltonian(dims, (-230e3, -70e3))
+        h = h + kerr_hamiltonian_kron(dims, (-230e3, -70e3))
     psi0 = product_ket(
         dims,
         {"cav1": hilbert.coherent(dims[0], alpha), "cav2": hilbert.coherent(dims[2], -1j * alpha)},
@@ -902,12 +1049,12 @@ def test_liouvillian_term_inventory():
     params = SystemParams(g_bs=G, dims=(6, 4, 6))
     h, c_ops = params_network(params)
     assert len(c_ops) == 3
-    dump = dynamics._Liouvillian(h, c_ops)
+    dump = _liouvillian(h, c_ops)
     dump.buffers()
     assert (len(dump.terms), len(dump.transposed_terms)) == (8, 4)
     assert len(_distinct_weights(dump)) == 8
 
-    even = dynamics._Liouvillian(h, c_ops, dynamics._Blocks.parity(params.dims))
+    even = _liouvillian(h, c_ops, dynamics._Blocks.parity(params.dims))
     src, _ = even.buffers()
     assert src.shape == (2 * 81, 81)
     assert (len(even.terms), len(even.transposed_terms)) == (11, 4)
@@ -916,7 +1063,7 @@ def test_liouvillian_term_inventory():
     assert sum(within_a_block) == 6
 
     h, c_ops = dynamics.network_operators(np.zeros((2, 2)), params.gamma_cavity, (6, 6))
-    pair = dynamics._Liouvillian(h, c_ops)
+    pair = dynamics._Liouvillian(h, c_ops, dynamics._Blocks.full(36))
     pair.buffers()
     assert (len(pair.terms), len(pair.transposed_terms)) == (3, 0)
     assert len(_distinct_weights(pair)) == 3

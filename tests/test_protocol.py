@@ -452,7 +452,7 @@ def test_run_dmm_lindblad_solves_the_idle_windows_on_the_pair(monkeypatch, t_dum
     evolve = dynamics.lindblad_evolve
 
     def counted(*args, **kwargs):
-        calls.append((len(args[0]), args[3]))
+        calls.append((len(args[2]), args[3]))
         return evolve(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "lindblad_evolve", counted)
@@ -487,23 +487,31 @@ def test_entangle_lindblad_needs_few_liouvillian_applications(monkeypatch):
 
 
 @pytest.mark.parametrize("include_kerr", [False, True])
-def test_run_dmm_lindblad_frees_the_dense_operators_before_the_solve(monkeypatch, include_kerr):
-    """Every array :func:`~darkbus.dynamics.network_operators` builds (H and
-    the collapse operators of each window; with Kerr, the dump's H holds
-    the Kerr sum) and the dump's input state, the pair with the bus added,
-    are freed by the first Liouvillian application of the solve they feed:
-    each solve reads only their diagonals and its own copy of the state."""
-    refs, alive, solves = [], [], []
-    build, apply, bus_vacuum = (
-        dynamics.network_operators,
+def test_run_dmm_lindblad_builds_no_dense_operator(monkeypatch, include_kerr):
+    """No window builds a dim x dim operator: every H and collapse operator
+    that a solve receives (with Kerr, the dump's H holds the Kerr sum) is a
+    list of (offset, vector) diagonals, each vector dim long, and
+    ``dynamics._diagonals``, which converts a dense operator, only ever
+    sees a single-mode factor.  The dump's input state, the pair with the
+    bus added, is freed by the first Liouvillian application of its solve,
+    which evolves its own copy."""
+    refs, alive, solves, shapes, taken = [], [], [], [], []
+    operator, diagonals, apply, bus_vacuum = (
+        dynamics._operator,
+        dynamics._diagonals,
         dynamics._Liouvillian.apply,
         protocol._bus_vacuum,
     )
 
-    def tracked(*args, **kwargs):
-        h, c_ops = build(*args, **kwargs)
-        refs.extend(weakref.ref(a) for a in [h, *c_ops])
-        return h, c_ops
+    def checked_operator(a, dim, name):  # each H and c as lindblad_evolve takes it
+        assert isinstance(a, list)
+        assert all(isinstance(o, int) and u.shape == (dim,) for o, u in a)
+        taken.append(name)
+        return operator(a, dim, name)
+
+    def tracked_diagonals(a):
+        shapes.append(np.shape(a))
+        return diagonals(a)
 
     def tracked_state(*args):
         full = bus_vacuum(*args)
@@ -516,12 +524,16 @@ def test_run_dmm_lindblad_frees_the_dense_operators_before_the_solve(monkeypatch
             alive.append([ref() is not None for ref in refs])
         return apply(self, src, dst)
 
-    monkeypatch.setattr(dynamics, "network_operators", tracked)
+    monkeypatch.setattr(dynamics, "_operator", checked_operator)
+    monkeypatch.setattr(dynamics, "_diagonals", tracked_diagonals)
     monkeypatch.setattr(protocol, "_bus_vacuum", tracked_state)
     monkeypatch.setattr(dynamics._Liouvillian, "apply", checked)
     protocol.run_dmm(_SMALL, engine="lindblad", include_kerr=include_kerr)
-    # pump: H and two collapse operators; dump: H, three and the state; post: as the pump
-    assert len(refs) == 11 and alive == [[False] * 3, [False] * 8, [False] * 11]
+    # pump: H and two collapse operators; dump: H and three; post: as the pump
+    assert len(taken) == 3 + 4 + 3
+    assert shapes and max(max(shape) for shape in shapes) == max(_SMALL.dims)
+    # pump, dump and post: the dump's state is freed by its solve's first application
+    assert len(refs) == 1 and alive == [[], [False], [False]]
 
 
 def test_run_dmm_lindblad_basis_covers_a_long_dump():
