@@ -591,17 +591,25 @@ class _Liouvillian:
     built, so no weight is scanned whole and one code path serves every H
     and c.
 
-    Each application copies M^T, block by block, into a buffer of its
-    own, builds the transposed sum in the scratch buffer with the output
-    as scratch, copies it transposed into the output, and adds the other
-    terms to that; each term multiplies the slice it reads into a scratch
+    :meth:`buffers` also builds each application as a plan, once per
+    solve, for each of the two orders in which the Taylor loop alternates
+    the two buffers: every view that the application reads and writes, so
+    that :meth:`apply` only copies, multiplies and adds on them and
+    slices, reshapes and looks up nothing.  An application copies M^T,
+    block by block, into a buffer of its own where a term reads it;
+    builds the transposed sum in the scratch buffer, with the output as
+    scratch, and copies it transposed into the output, or, with no
+    transposed term, zeroes the output; and adds the other terms to that.
+    Each term multiplies the slice it reads into a slice of the scratch
     buffer and adds that to the slice it writes.  Outside those slices its
     weight is 0, as it is on every entry that crosses an edge of a block.
-    An application allocates nothing of size n.  For the three-mode
-    network's real H and ladder operators, as at the benchmark's dump,
-    the full layout has 8 terms and 4 transposed terms over 8 weights: the
-    main diagonal's, one for each of H's four hopping diagonals (in a term
-    and a transposed term) and one per collapse operator.  The two parity
+    The plan holds views only, and an application allocates nothing of
+    size n: ten at the benchmark's dump peak at about 100 bytes under
+    tracemalloc.  For the three-mode network's real H and ladder
+    operators, as at the benchmark's dump, the full layout has 8 terms
+    and 4 transposed terms over 8 weights: the main diagonal's, one for
+    each of H's four hopping diagonals (in a term and a transposed term)
+    and one per collapse operator.  The two parity
     blocks have 11 terms and 4 transposed terms over 11 weights: each
     ladder operator flips parity, so its pair gives one weight per block it
     writes, each covering about one block.  With H = 0 and ladder operators,
@@ -661,9 +669,10 @@ class _Liouvillian:
                     self.c_pairs.append(((o1 - b) * size + o2, u1, u2.conj()))
 
     def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Build the flat weights, the scratch buffer and the buffer for the
-        copy of M^T; return the two real (count size) x size buffers that
-        :meth:`apply` alternates between."""
+        """Build the flat weights, the scratch buffer, the buffer for the
+        copy of M^T and the plan of an application in each direction;
+        return the two real (count size) x size buffers that :meth:`apply`
+        alternates between."""
         count, size = self.blocks.count, self.blocks.size
         rows = count * size
         n = rows * size
@@ -722,32 +731,53 @@ class _Liouvillian:
                     self.terms.append((write, read, source, w))
                     op = (np.add, np.subtract)[source]
                     self.transposed_terms.append((write, read, 1 - source, w, op))
-        src, dst, self.scratch, self.transpose = (np.empty((rows, size)) for _ in range(4))
-        return src, dst
+        a, b, self.scratch, self.transpose = (np.empty((rows, size)) for _ in range(4))
+        self._plans = {(id(a), id(b)): self._plan(a, b), (id(b), id(a)): self._plan(b, a)}
+        return a, b
 
-    def _stack(self, a: np.ndarray) -> np.ndarray:
-        """A view of the buffer ``a`` as its stack of size x size blocks."""
-        return a.reshape(self.blocks.count, self.blocks.size, self.blocks.size)
+    def _plan(self, src, dst) -> tuple:
+        """The application that reads ``src`` and writes ``dst``, as views
+        of the buffers: the copy of M^T (None where no term reads it), the
+        array to zero, the transposed terms and the terms as (weight, read,
+        write, scratch[, op]), and the copy of the transposed sum into
+        ``dst`` (None where there is no transposed term, and ``dst`` is
+        zeroed in its place)."""
+        def stack(a):  # a view of a buffer as its stack of size x size blocks
+            return a.reshape(self.blocks.count, self.blocks.size, self.blocks.size)
+
+        sources = (src.reshape(-1), self.transpose.reshape(-1))
+        out, tmp = dst.reshape(-1), self.scratch.reshape(-1)
+        reads_transpose = any(term[2] for term in self.terms + self.transposed_terms)
+        transpose = (stack(self.transpose), stack(src).transpose(0, 2, 1)) if reads_transpose else None
+        transposed = [  # the transposed sum in tmp, with dst as scratch
+            (w, sources[source][read], out[write], tmp[write], op)
+            for write, read, source, w, op in self.transposed_terms
+        ]
+        back = (stack(dst), stack(self.scratch).transpose(0, 2, 1)) if transposed else None
+        terms = [(w, sources[source][read], out[write], tmp[write]) for write, read, source, w in self.terms]
+        return transpose, tmp if transposed else out, transposed, back, terms
 
     def apply(self, src, dst) -> np.ndarray:
         """Write the action on the packed Hermitian blocks ``src`` into
-        ``dst`` (never ``src`` itself) and return it."""
-        np.copyto(self._stack(self.transpose), self._stack(src).transpose(0, 2, 1))
-        sources = (src.reshape(-1), self.transpose.reshape(-1))
-        out, tmp = dst.reshape(-1), self.scratch.reshape(-1)
-        tmp.fill(0.0)  # the transposed sum, with dst as scratch
-        for write, read, source, w, op in self.transposed_terms:
-            np.multiply(w, sources[source][read], out=out[write])
-            op(tmp[write], out[write], out=tmp[write])
-        np.copyto(self._stack(dst), self._stack(self.scratch).transpose(0, 2, 1))
-        for write, read, source, w in self.terms:
-            np.multiply(w, sources[source][read], out=tmp[write])
-            out[write] += tmp[write]
+        ``dst`` and return it: one of the two buffers that :meth:`buffers`
+        returned into the other (``ValueError`` for any other pair)."""
+        plan = self._plans.get((id(src), id(dst)))
+        if plan is None:
+            raise ValueError("apply reads one buffer that buffers() returned and writes the other")
+        transpose, zero, transposed, back, terms = plan
+        multiply, add = np.multiply, np.add
+        if transpose:
+            np.copyto(*transpose)
+        zero.fill(0.0)
+        for w, read, write, scratch, op in transposed:
+            multiply(w, read, out=write)
+            op(scratch, write, out=scratch)
+        if back:
+            np.copyto(*back)
+        for w, read, write, scratch in terms:
+            multiply(w, read, out=scratch)
+            add(write, scratch, out=write)
         return dst
-
-
-def _frobenius(x: np.ndarray) -> float:
-    return math.sqrt(np.vdot(x, x))
 
 
 def _propagate(packed: np.ndarray, liou: _Liouvillian, t: float) -> None:
@@ -766,19 +796,23 @@ def _propagate(packed: np.ndarray, liou: _Liouvillian, t: float) -> None:
         )
 
     src, dst = liou.buffers()
+    apply, vdot, sqrt = liou.apply, np.vdot, math.sqrt
+    factors = [t / (s * j) for j in range(1, m + 1)]
+    tol = 2.0**-53
+    loose = tol * (1 + 1e-6)  # the bound's room for rounding
     eta = math.exp(t * liou.mu / s)
     for _ in range(s):
         src[...] = packed
-        c1 = upper = _frobenius(packed)
-        for j in range(1, m + 1):
-            term = liou.apply(src, dst)
-            term *= t / (s * j)
-            c2 = _frobenius(term)
+        c1 = upper = sqrt(vdot(packed, packed))
+        for factor in factors:
+            term = apply(src, dst)
+            term *= factor
+            c2 = sqrt(vdot(term, term))
             packed += term
             upper += c2  # >= ||packed|| by the triangle inequality: the exact
             # norm is needed only where upper, with room for rounding, passes
             c = c1 + c2
-            if c <= 2.0**-53 * (1 + 1e-6) * upper and c <= 2.0**-53 * _frobenius(packed):
+            if c <= loose * upper and c <= tol * sqrt(vdot(packed, packed)):
                 break
             c1 = c2
             src, dst = dst, src
@@ -922,13 +956,13 @@ def lindblad_evolve(h, c_ops, state0, t, *, dims=None) -> EvolveResult:
     temporaries is freed by then.  Each application of L - mu goes one
     diagonal at a time, one real weight per term; the layouts, the terms,
     their cost and the working memory are listed in :class:`_Liouvillian`.
-    At dims (6, 4, 6) an even-q application costs about 0.73 of a full one.  The
-    stopping test computes the running sum's norm only where its
-    triangle-inequality bound, the start's norm plus the terms', would
-    pass, so it decides as the exact norm does.  The result is unpacked
-    once, a new array that is exactly Hermitian.  A ket's density matrix
-    is built once and packed; a density matrix the caller holds is copied
-    once.
+    At dims (6, 4, 6) an even-q application costs about 0.65 of a full one
+    (136-147 against 214-228 us on one BLAS thread).  The stopping test
+    computes the running sum's norm only where its triangle-inequality
+    bound, the start's norm plus the terms', would pass, so it decides as
+    the exact norm does.  The result is unpacked once, a new array that
+    is exactly Hermitian.  A ket's density matrix is built once and
+    packed; a density matrix the caller holds is copied once.
 
     ``NumericalError`` names an H or c that is not finite, and a solve whose
     bound is not finite or that plans more than 10^6 applications of L;

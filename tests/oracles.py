@@ -17,7 +17,8 @@ contracted with the pair anew for each input, dual-rail distillation by Kronecke
 projectors, the vacuum check
 applied to a materialized density matrix through explicit projectors,
 expectation values, master-equation expectation values at given times,
-the Liouvillian's action by matrix products, the master equation
+the Liouvillian's action by matrix products and, term by term, on
+the packed state, the master equation
 propagated by scipy on the assembled sparse Liouvillian, and the
 heralding attempt propagated by the master equation through all three
 windows, and the coherent engine's herald propagated window by window at
@@ -747,6 +748,33 @@ def lindblad_action(k_op, cs):
         return out.ravel()
 
     return act
+
+
+def liouvillian_apply_reference(liou, src, dst) -> np.ndarray:
+    """Write L - mu on the packed blocks ``src`` into ``dst`` and return
+    ``dst``, taking the terms of ``liou`` (a ``dynamics._Liouvillian``
+    whose buffers are built) one by one: each call slices, reshapes and
+    picks each term's source anew, always copies M^T, and always builds
+    the transposed sum in the scratch buffer and copies it transposed
+    into ``dst``.  The same operations in the same order as the library's
+    prebuilt plan, so the reference for it bit for bit.  ``src`` and
+    ``dst`` are any two arrays of the buffers' shape; ``liou``'s scratch
+    and M^T buffers are used."""
+    def stack(a):
+        return a.reshape(liou.blocks.count, liou.blocks.size, liou.blocks.size)
+
+    np.copyto(stack(liou.transpose), stack(src).transpose(0, 2, 1))
+    sources = (src.reshape(-1), liou.transpose.reshape(-1))
+    out, tmp = dst.reshape(-1), liou.scratch.reshape(-1)
+    tmp.fill(0.0)  # the transposed sum, with dst as scratch
+    for write, read, source, w, op in liou.transposed_terms:
+        np.multiply(w, sources[source][read], out=out[write])
+        op(tmp[write], out[write], out=tmp[write])
+    np.copyto(stack(dst), stack(liou.scratch).transpose(0, 2, 1))
+    for write, read, source, w in liou.terms:
+        np.multiply(w, sources[source][read], out=tmp[write])
+        out[write] += tmp[write]
+    return dst
 
 
 def liouvillian_evolve(h, c_ops, state0, t) -> np.ndarray:

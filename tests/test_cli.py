@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -1224,11 +1225,14 @@ def test_bench_record_writes_what_perfbench_printed(tmp_path, monkeypatch, capsy
     """``tools/bench_record.py`` on canned perfbench output, so no benchmark
     runs: one untraced and one traced run per workload asked for, each
     recorded with its metrics, step times and raw medians; the environment
-    once; and, besides the metrics known to read 0, those that did, other
+    once; the bytecode-cache state of the tree, taken before the first
+    run; and, besides the metrics known to read 0, those that did, other
     than the tracer's own.  A run that prints no result is recorded as an
     error and sets the exit status."""
-    tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"))
+    root = Path(__file__).resolve().parents[1]
+    tool = runpy.run_path(str(root / "tools" / "bench_record.py"))
     commands = []
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
 
     def fake_run(cmd, **kwargs):
         commands.append(cmd[1:])
@@ -1246,6 +1250,10 @@ def test_bench_record_writes_what_perfbench_printed(tmp_path, monkeypatch, capsy
     ]
     record = json.loads(out.read_text())
     assert record["environment"] == {"nproc": 2, "blas_threads": {"libopenblas.so": 1}, "numpy": "2.4.6"}
+    assert record["bytecode"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert sorted(record["bytecode"]["fresh_pyc"]) == sorted(
+        p.name for p in (root / "src" / "darkbus").glob("*.py")
+    )
     plain = record["workloads"]["master-equation"]["end_to_end"]
     assert plain["exit"] == 0 and plain["correct"] is True
     assert plain["metrics"] == {"main_step_s": 0.07983790520952888, "pass_ratio": 1.0}
@@ -1268,6 +1276,32 @@ def test_bench_record_writes_what_perfbench_printed(tmp_path, monkeypatch, capsy
     assert tool["main"](argv) == 1
     traced = json.loads(out.read_text())["workloads"]["master-equation"]["per_layer"]
     assert traced["exit"] == 1 and "perfbench printed nothing" in traced["error"]
+
+
+def test_bench_record_reads_the_bytecode_cache_state(tmp_path, monkeypatch):
+    """``bytecode_state`` on a canned tree, with no benchmark run: a source
+    whose ``.pyc`` is as new as it or newer is fresh, one whose ``.pyc`` is
+    older or missing is not, and ``PYTHONDONTWRITEBYTECODE`` is read from
+    the environment the runs inherit, null where unset."""
+    tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"))
+    package = tmp_path / "src" / "darkbus"
+    package.mkdir(parents=True)
+    for name, pyc_age in [("fresh.py", 0), ("newer.py", -5), ("stale.py", 5), ("missing.py", None)]:
+        source = package / name
+        source.write_text("x = 1\n")
+        os.utime(source, (1e9, 1e9))
+        if pyc_age is not None:
+            pyc = Path(importlib.util.cache_from_source(str(source)))
+            pyc.parent.mkdir(exist_ok=True)
+            pyc.write_bytes(b"")
+            os.utime(pyc, (1e9 - pyc_age, 1e9 - pyc_age))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert tool["bytecode_state"](tmp_path) == {
+        "PYTHONDONTWRITEBYTECODE": None,
+        "fresh_pyc": {"fresh.py": True, "missing.py": False, "newer.py": True, "stale.py": False},
+    }
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert tool["bytecode_state"](tmp_path)["PYTHONDONTWRITEBYTECODE"] == "1"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

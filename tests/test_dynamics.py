@@ -7,6 +7,7 @@ where that redundancy pays off.
 
 import math
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -28,6 +29,7 @@ from oracles import (
     expm,
     fock,
     lindblad_action,
+    liouvillian_apply_reference,
     liouvillian_evolve,
     kerr_hamiltonian_kron,
     materialize_coherent,
@@ -1067,6 +1069,106 @@ def test_liouvillian_term_inventory():
     pair.buffers()
     assert (len(pair.terms), len(pair.transposed_terms)) == (3, 0)
     assert len(_distinct_weights(pair)) == 3
+
+
+def _plan_system(name):
+    """(dense H, dense collapse operators, layout) of one system the
+    application plan is checked on: the network at dims (3, 2, 5),
+    (5, 3, 5) or (6, 4, 6), with or without self-Kerr, on the full space
+    or its two parity blocks; the pair windows' lossy cavities alone (no
+    term reads M^T and none is transposed); the two systems of
+    _real_off_diagonal_systems, where only a transposed term reads M^T;
+    and the dense H and collapse operator of
+    test_lindblad_dense_operators_with_every_diagonal."""
+    if name.startswith("real-off-diagonal"):
+        h, cs = _real_off_diagonal_systems()[int(name[-1])]
+        return h, cs, dynamics._Blocks.full(len(h))
+    if name == "dense":
+        rng = np.random.default_rng(11)
+        a = _random_complex(rng, 5, 5)
+        return a + a.conj().T, [0.5 * _random_complex(rng, 5, 5)], dynamics._Blocks.full(5)
+    kind, layout = name.rsplit("-", 1)
+    if kind == "pair":
+        dims = (6, 6)
+        diagonals = dynamics.network_operators(np.zeros((2, 2)), SystemParams(g_bs=G).gamma_cavity, dims)
+        h, *c_ops = [dense(d, 36) for d in [diagonals[0], *diagonals[1]]]
+    else:
+        dims = tuple(int(d) for d in kind.split("+")[0].split("x"))
+        h, c_ops = params_network(SystemParams(g_bs=G, dims=dims))
+        if kind.endswith("+kerr"):
+            h = h + kerr_hamiltonian_kron(dims, (-230e3, -70e3))
+    blocks = dynamics._Blocks.parity(dims) if layout == "parity" else dynamics._Blocks.full(len(h))
+    return h, c_ops, blocks
+
+
+_PLAN_SYSTEMS = [
+    f"{dims}{kerr}-{layout}"
+    for dims in ("3x2x5", "5x3x5", "6x4x6") for kerr in ("", "+kerr") for layout in ("full", "parity")
+] + ["pair-full", "pair-parity", "real-off-diagonal-0", "real-off-diagonal-1", "dense"]
+
+
+@pytest.mark.parametrize("name", _PLAN_SYSTEMS)
+def test_liouvillian_plan_matches_the_term_loop_bit_for_bit(name):
+    """Three chained applications of the prebuilt plan, starting from each
+    of the two buffers, against the term-by-term loop of the oracles on
+    the packing of a random Hermitian matrix: every bit equal, signed zeros
+    included, and every entry of the output written."""
+    h, c_ops, blocks = _plan_system(name)
+    liou = _liouvillian(h, c_ops, blocks)
+    buffers = liou.buffers()
+    rng = np.random.default_rng(3)
+    for first in (0, 1):
+        r = _random_complex(rng, len(h), len(h))
+        start = blocks.gather(dynamics._pack(r + r.conj().T))
+        planned = [buffers[first], buffers[1 - first]]
+        reference = [start.copy(), np.full(start.shape, np.nan)]
+        planned[0][...] = start
+        planned[1].fill(np.nan)
+        for _ in range(3):
+            got = liou.apply(*planned)
+            expected = liouvillian_apply_reference(liou, *reference)
+            assert got is planned[1] and np.isfinite(got).all()
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            planned.reverse()
+            reference.reverse()
+
+
+def test_liouvillian_apply_takes_only_its_own_buffers():
+    """``apply`` reads one of the two buffers that the latest ``buffers()``
+    returned and writes the other; any other pair of arrays, a view or a
+    copy of a buffer included, is a ``ValueError``."""
+    h, c_ops, blocks = _plan_system("3x2x5-parity")
+    liou = _liouvillian(h, c_ops, blocks)
+    old = liou.buffers()
+    a, b = liou.buffers()
+    for src, dst in [(a.copy(), b), (a, b.copy()), (a[:], b), (a, a), (b, b), old, (np.zeros(1), b)]:
+        with pytest.raises(ValueError, match="buffers"):
+            liou.apply(src, dst)
+    a.fill(0.0)
+    assert liou.apply(a, b) is b and liou.apply(b, a) is a
+
+
+@pytest.mark.parametrize("layout", ["parity", "full"])
+def test_liouvillian_applications_allocate_nothing(layout):
+    """Ten applications at the benchmark's dump, dims (6, 4, 6), peak below
+    1 KiB under tracemalloc and keep nothing: the plan holds views, so an
+    application slices, reshapes and copies nothing (one weight of the two
+    parity blocks is 2 x 81^2 reals, about 105 kB)."""
+    h, c_ops, blocks = _plan_system(f"6x4x6-{layout}")
+    liou = _liouvillian(h, c_ops, blocks)
+    a, b = liou.buffers()
+    r = _random_complex(np.random.default_rng(1), len(h), len(h))
+    a[...] = blocks.gather(dynamics._pack(r + r.conj().T))
+    liou.apply(a, b)  # once untraced, so that nothing numpy sets up on a first call counts
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            liou.apply(a, b)
+            liou.apply(b, a)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 and kept == 0
 
 
 def test_lindblad_working_memory_stays_small():

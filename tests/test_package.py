@@ -1,7 +1,9 @@
-"""The package namespace: every name it exports resolves, and the scripts
-built on the library use only its public names."""
+"""The package namespace: every name it exports resolves, the scripts
+built on the library use only its public names, and every committed
+benchmark record holds clean runs of every workload."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,15 @@ def test_script_reads_no_private_darkbus_name(path):
     public names only: none reads a ``_``-prefixed attribute of a darkbus
     module or imports one from it."""
     assert _private_reads(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_holds_clean_runs_of_every_workload(path):
+    """Each committed ``BENCH_*.json`` parses and holds the benchmark's three
+    workloads, each with an untraced (``end_to_end``) and a traced
+    (``per_layer``) run that exited 0 with ``correct`` true."""
+    record = json.loads(path.read_text())
+    assert sorted(record["workloads"]) == ["linear-network", "master-equation", "tomography"]
+    for name, runs in record["workloads"].items():
+        for kind in ("end_to_end", "per_layer"):
+            assert runs[kind]["exit"] == 0 and runs[kind]["correct"] is True, (name, kind)

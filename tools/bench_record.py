@@ -17,6 +17,14 @@ with the reason, and ``read_zero`` lists, per workload, every per-layer
 metric that read 0 in this record, so a reader can tell a layer that did
 no work from one the tracer cannot see.
 
+``setup_s`` and ``peak_rss_mb`` depend on whether the runs import darkbus
+from bytecode or compile it from source, so OUT also records, as
+``bytecode``, the cache state of the tree before the first run:
+``PYTHONDONTWRITEBYTECODE`` as the runs see it (null where unset), and for
+each ``src/darkbus/*.py`` whether an up-to-date ``.pyc`` existed, one at
+``importlib.util.cache_from_source`` no older than the source.  Two
+records compare on those two metrics only where these states match.
+
 Nothing under ``perfbench/`` is edited; the runs write only what
 ``perfbench/run.py`` writes (``.perfbench/`` and ``__pycache__``).  To
 compare two trees, run this tool in each, with the same seed and seconds.
@@ -25,7 +33,9 @@ compare two trees, run this tool in each, with the same seed and seconds.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -81,9 +91,21 @@ def run(workload: str, trace: int, seed: int, seconds: float) -> dict:
     return record
 
 
-def build_record(runs: dict) -> dict:
+def bytecode_state(root: Path = ROOT) -> dict:
+    """``PYTHONDONTWRITEBYTECODE`` as this process and the runs it starts
+    see it, and for each ``src/darkbus/*.py`` of ``root``, by file name,
+    whether its ``.pyc`` exists and is no older than the source."""
+    fresh = {}
+    for source in sorted((root / "src" / "darkbus").glob("*.py")):
+        pyc = Path(importlib.util.cache_from_source(str(source)))
+        fresh[source.name] = pyc.exists() and pyc.stat().st_mtime >= source.stat().st_mtime
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"), "fresh_pyc": fresh}
+
+
+def build_record(runs: dict, bytecode: dict) -> dict:
     """The file's content from the parsed runs, ``runs[workload]`` being
-    the pair (untraced, traced)."""
+    the pair (untraced, traced), and the tree's ``bytecode`` state before
+    them."""
     found = (r["environment"] for pair in runs.values() for r in pair if r.get("environment"))
     environment = next(found, {})
     workloads, read_zero = {}, {}
@@ -93,7 +115,7 @@ def build_record(runs: dict) -> dict:
         workloads[name] = {"end_to_end": plain, "per_layer": traced}
         layers = traced.get("metrics", {})
         read_zero[name] = sorted(k for k, v in layers.items() if v == 0 and not k.startswith("trace."))
-    return {"environment": environment, "workloads": workloads,
+    return {"environment": environment, "bytecode": bytecode, "workloads": workloads,
             "known_zero": KNOWN_ZERO, "read_zero": read_zero}
 
 
@@ -104,12 +126,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workload", action="append", choices=WORKLOADS)
     args = ap.parse_args(argv)
+    bytecode = bytecode_state()
     runs = {}
     for workload in args.workload or WORKLOADS:
         runs[workload] = tuple(run(workload, trace, args.seed, args.seconds) for trace in (0, 1))
         print(f"{workload}: " + ", ".join(
             f"trace {t} exit {r['exit']} correct {r.get('correct')}" for t, r in enumerate(runs[workload])))
-    record = build_record(runs)
+    record = build_record(runs, bytecode)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")
     ok = all(r["exit"] == 0 and r.get("correct") for pair in runs.values() for r in pair)
